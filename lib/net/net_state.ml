@@ -936,8 +936,8 @@ let candidate_paths t record =
     (* The unfiltered candidate set is a pure function of the topology;
        memoise it so repeated probes skip the path re-construction.
        Domain snapshots ([memo_ro]) read the shared table but never
-       write it — the engine pre-warms every host pair before the first
-       parallel batch, so worker misses are a cold fallback, not the
+       write it — [Probe_pool.create] pre-warms every host pair before
+       taking them, so worker misses are a cold fallback, not the
        norm. *)
     match Hashtbl.find_opt t.paths_memo key with
     | Some ps -> ps

@@ -84,7 +84,6 @@ type ctx = {
   mutable next_churn_id : int;
   mutable units : int;  (* plan-time-billable probes *)
   mutable wall : float;  (* real planner CPU seconds *)
-  mutable memo_warmed : bool;  (* warm_all_paths ran (parallel mode) *)
   mutable pool : Probe_pool.t option;
       (* persistent worker domains; created at the first fanned-out
          batch, torn down by [close] (the batch [run] does it on exit;
@@ -188,141 +187,6 @@ let sample_series ctx ~round ~t_s ~queue_len ~retry_backlog =
           Net_state.max_utilization ctx.net;
         |]
 
-(* Plan-and-rollback probe; billed. A cache hit bills the identical
-   simulated work units a fresh probe would have reported (the stamps
-   guarantee the fresh probe would recompute the same plan), so the
-   virtual timeline is independent of the cache — only the real planner
-   wall time shrinks. *)
-let probe_event ctx ev =
-  let cached =
-    match ctx.cache with
-    | Some c -> Estimate_cache.find c ctx.net ev.Event.id
-    | None -> None
-  in
-  let pr =
-    match cached with
-    | Some pr -> pr
-    | None ->
-        let pr =
-          timed ctx (fun () ->
-              Planner.probe ~rng:ctx.rng ~config:ctx.config ctx.net ev)
-        in
-        (match ctx.cache with
-        | Some c -> Estimate_cache.store c ctx.net pr
-        | None -> ());
-        pr
-  in
-  ctx.units <- ctx.units + pr.Planner.probe_est.Planner.est_work_units;
-  pr
-
-(* Probe a round's whole candidate list.
-
-   Sequentially this is exactly [List.map (probe_event ctx)]. With
-   [domains > 1] the cache-missing probes are fanned out across worker
-   domains ({!Probe_pool}), and the result is bit-identical to the
-   sequential pass:
-
-   - cache lookups run first, on the main domain, in candidate order —
-     probes commit nothing, so no lookup's answer depends on an earlier
-     probe of the same batch, and the hit/miss counters land exactly as
-     the interleaved sequential loop produced them;
-   - each worker probes against its own snapshot of the (quiescent)
-     round state — the same state every sequential probe saw, since
-     probes roll back;
-   - stores and unit billing replay on the main domain in candidate
-     order, stamping cache entries against the same edge versions the
-     sequential store observed (nothing committed in between).
-
-   Random-fit planning consumes PRNG draws inside the probe, so it pins
-   the batch to the sequential path (as the estimate cache already
-   does); the draws stay on the main domain in candidate order. *)
-
-(* Below this many cache-missing probes a round is evaluated on the
-   main domain even when [domains > 1]: waking the worker pool costs
-   microseconds, but a couple of sub-millisecond probes still amortise
-   nothing and the tail of a draining queue lives here. Either way the
-   decision — and the digest — is identical. *)
-let min_parallel_probes = 4
-
-let probe_batch ctx candidates =
-  if
-    ctx.domains <= 1
-    || ctx.config.Planner.policy = Routing.Random_fit
-    || match candidates with [] | [ _ ] -> true | _ -> false
-  then List.map (fun ev -> (probe_event ctx ev, ev)) candidates
-  else begin
-    let arr = Array.of_list candidates in
-    let n = Array.length arr in
-    let results = Array.make n None in
-    let misses = ref [] in
-    Array.iteri
-      (fun i ev ->
-        match ctx.cache with
-        | Some c -> (
-            match Estimate_cache.find c ctx.net ev.Event.id with
-            | Some pr -> results.(i) <- Some pr
-            | None -> misses := i :: !misses)
-        | None -> misses := i :: !misses)
-      arr;
-    let miss = Array.of_list (List.rev !misses) in
-    let store_result j pr =
-      (match ctx.cache with
-      | Some c -> Estimate_cache.store c ctx.net pr
-      | None -> ());
-      results.(j) <- Some pr
-    in
-    let n_miss = Array.length miss in
-    if n_miss > 0 && n_miss < min_parallel_probes then
-      (* Too small to amortise a fan-out: probe on the main domain, in
-         candidate order, exactly like the sequential loop would. *)
-      Array.iter
-        (fun i ->
-          store_result i
-            (timed ctx (fun () ->
-                 Planner.probe ~rng:ctx.rng ~config:ctx.config ctx.net arr.(i))))
-        miss
-    else if n_miss > 0 then begin
-      Counters.incr Counters.Probe_parallel_batches;
-      Counters.add Counters.Domain_probes n_miss;
-      let h_on = Histogram.Registry.enabled () in
-      let h_t0 = if h_on then Trace.now_ns () else 0L in
-      let fresh =
-        timed ctx (fun () ->
-            let pool =
-              match ctx.pool with
-              | Some p -> p
-              | None ->
-                  (* The memo must be fully warm before the mirrors are
-                     taken: mirrors share it read-only, so no lane may
-                     ever miss (and write) it. *)
-                  if not ctx.memo_warmed then begin
-                    Net_state.warm_all_paths ctx.net;
-                    ctx.memo_warmed <- true
-                  end;
-                  let p = Probe_pool.create ~domains:ctx.domains ~net:ctx.net in
-                  ctx.pool <- Some p;
-                  p
-            in
-            Probe_pool.map pool
-              ~f:(fun local i -> Planner.probe ~config:ctx.config local arr.(i))
-              miss)
-      in
-      if h_on then
-        Histogram.Registry.record "planner.probe_batch_s"
-          (Int64.to_float (Int64.sub (Trace.now_ns ()) h_t0) *. 1e-9);
-      Array.iteri (fun j i -> store_result i fresh.(j)) miss
-    end;
-    Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
-           | Some pr ->
-               ctx.units <- ctx.units + pr.Planner.probe_est.Planner.est_work_units;
-               (pr, arr.(i))
-           | None -> assert false)
-         results)
-  end
-
 (* Re-apply the round winner's probe plan. Every losing probe rolled
    back, so the state is exactly the one the winner's plan was computed
    against: replaying its recorded operations is equivalent to (and much
@@ -376,89 +240,6 @@ let pick_winner costed =
     (match costed with c :: _ -> (fst c, snd c) | [] -> assert false)
     costed
 
-(* One service round: the (event, applied plan, co_scheduled) batch. *)
-let decide ctx policy queue =
-  match (policy, queue) with
-  | _, [] -> invalid_arg "Engine.decide: empty queue"
-  | Policy.Fifo, head :: _ -> [ (head, apply ctx ~billed:true head, false) ]
-  | Policy.Reorder, _ ->
-      let costed = probe_batch ctx queue in
-      let win_pr, winner = pick_winner costed in
-      [ (winner, apply_winner ctx win_pr, false) ]
-  | Policy.Lmtf { alpha }, head :: tail | Policy.Plmtf { alpha }, head :: tail
-    ->
-      let sampled =
-        if tail = [] then []
-        else begin
-          let arr = Array.of_list tail in
-          let picks =
-            Prng.sample_without_replacement ctx.rng alpha (Array.length arr)
-          in
-          List.map (fun i -> arr.(i)) picks
-        end
-      in
-      let candidates = head :: sampled in
-      let costed = probe_batch ctx candidates in
-      let win_pr, winner = pick_winner costed in
-      let winner_plan = apply_winner ctx win_pr in
-      let batch = [ (winner, winner_plan, false) ] in
-      (match policy with
-      | Policy.Lmtf _ -> batch
-      | Policy.Plmtf _ ->
-          (* Opportunistic updating: visit the remaining candidates in
-             arrival order; co-execute each that stays fully satisfiable
-             on the state left by the plans already in the batch and does
-             not migrate a flow some batch member is installing or
-             rerouting this round. Bandwidth consistency is automatic:
-             each plan is computed on the shared state. *)
-          let protected = Hashtbl.create 64 in
-          List.iter
-            (fun id -> Hashtbl.replace protected id ())
-            (work_flow_ids winner_plan);
-          let others =
-            List.sort Event.compare_by_arrival
-              (List.filter (fun ev -> ev.Event.id <> winner.Event.id) candidates)
-          in
-          (* "Can be updated together" is a fit check: the candidate's
-             flows must be accommodated in the capacity left around the
-             in-flight batch, essentially without displacing anything —
-             so co-attempts plan scan-first and are accepted only up to
-             a small migration budget. Each attempt runs in a
-             transaction: acceptance commits, rejection rolls the
-             journal back instead of re-planning every reroute. *)
-          let co_config = { ctx.config with Planner.admission = Planner.Scan_first } in
-          let co =
-            List.filter_map
-              (fun ev ->
-                Net_state.begin_txn ctx.net;
-                let plan =
-                  apply ctx ~billed:true ~config:co_config
-                    ~frozen:(Hashtbl.mem protected) ev
-                in
-                if
-                  plan.Planner.failed_count = 0
-                  && plan.Planner.cost_mbit <= ctx.co_max_cost_mbit
-                then begin
-                  Net_state.commit ctx.net;
-                  (match ctx.cache with
-                  | Some c -> Estimate_cache.invalidate c ev.Event.id
-                  | None -> ());
-                  List.iter
-                    (fun id -> Hashtbl.replace protected id ())
-                    (work_flow_ids plan);
-                  Some (ev, plan, true)
-                end
-                else begin
-                  timed ctx (fun () -> Net_state.rollback ctx.net);
-                  None
-                end)
-              others
-          in
-          batch @ co
-      | _ -> assert false)
-  | Policy.Flow_level _, _ ->
-      invalid_arg "Engine.decide: flow-level handled separately"
-
 (* Incremental event-level stepper: the old run_event_level loop with
    its mutable refs lifted into a record, so one service round can be
    executed at a time and new events can be submitted between rounds —
@@ -484,6 +265,11 @@ type stepper = {
   mutable log : round_info list;  (* newest-first *)
   mutable observer : (observation -> unit) option;
 }
+
+let fault_mode_of injector =
+  match injector with
+  | Some inj -> Injector.next_due_s inj <> None
+  | None -> false
 
 let notify st obs =
   match st.observer with Some f -> f obs | None -> ()
@@ -599,230 +385,26 @@ let execute_degraded st ev =
       Trace.finish sp ~attrs:[ ("completion_s", Trace.Float completion_s) ]
   | None -> ()
 
-(* One service round — exactly one iteration of the historical batch
-   loop, including the leading empty-queue time jump and the trailing
-   promotion of newly arrived/ready events. *)
-let step st =
-  if st.queue = [] && st.pending = [] && st.held = [] then `Idle
-  else begin
-    let ctx = st.ctx in
-    let policy = st.policy in
-    if st.queue = [] then begin
-      let t = next_work_s st in
-      st.now <- max st.now t;
-      promote st;
-      release_held st
-    end;
-    apply_faults_due st;
-    let round_sp =
-      if Trace.enabled () then
-        Some
-          (Trace.span "round"
-             ~attrs:
-               [
-                 ("start_s", Trace.Float st.now);
-                 ("queue", Trace.Int (List.length st.queue));
-               ])
-      else None
-    in
-    sync_background ctx st.now;
-    let round_start_s = st.now in
-    let round_utilization = Net_state.mean_fabric_utilization ctx.net in
-    sample_series ctx ~round:st.rounds ~t_s:round_start_s
-      ~queue_len:(List.length st.queue) ~retry_backlog:(List.length st.held);
-    let units_before = ctx.units in
-    (* While faults are still pending, the whole round is speculative:
-       planning and execution run inside a transaction so a fault that
-       lands before the head event completes can abort the round
-       wholesale and roll the network back to the round's start. The
-       transaction opens after background sync, so churn placements
-       survive an abort. *)
-    let guard =
-      if st.fault_mode then
-        match ctx.injector with
-        | Some inj -> Injector.next_due_s inj
-        | None -> None
-      else None
-    in
-    if guard <> None then Net_state.begin_txn ctx.net;
-    let batch = decide ctx policy st.queue in
-    let round_units = ctx.units - units_before in
-    let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
-    let start_s = st.now +. plan_time in
-    (* The service is free again when the *chosen* event completes;
-       co-scheduled events run in parallel in the network and may finish
-       after the next round has already begun (the "parallel update" of
-       §IV-C). Their flows are already installed, so later planning sees
-       a consistent state. *)
-    let timings =
-      List.map
-        (fun (ev, plan, co) ->
-          (ev, plan, co, start_s +. Exec_model.execution_time ctx.exec plan))
-        batch
-    in
-    let head_finish =
-      List.fold_left
-        (fun acc (_, _, co, c) -> if co then acc else max acc c)
-        start_s timings
-    in
-    let executed = List.map (fun (ev, _, _) -> ev.Event.id) batch in
-    let executed_set = Hashtbl.create (List.length executed) in
-    List.iter (fun id -> Hashtbl.replace executed_set id ()) executed;
-    st.queue <-
-      List.filter
-        (fun ev -> not (Hashtbl.mem executed_set ev.Event.id))
-        st.queue;
-    (match guard with
-    | Some fault_s when fault_s < head_finish ->
-        (* A fault lands while this round is in flight. The migration is
-           aborted: roll the network back to the round's start, let the
-           fault strike the pre-round state, and route every batch event
-           through the retry policy — bounded backoff, then terminal
-           best-effort degradation. *)
-        let inj = Option.get ctx.injector in
-        timed ctx (fun () -> Net_state.rollback ctx.net);
-        st.now <- max st.now fault_s;
-        ignore (Injector.apply_due inj ctx.net ~now:st.now);
-        notify st
-          (Round_aborted
-             {
-               round = st.rounds;
-               start_s = round_start_s;
-               fault_s;
-               batch = executed;
-             });
-        let degraded =
-          List.filter_map
-            (fun (ev, _, _) ->
-              match
-                Injector.note_abort inj ~event_id:ev.Event.id ~now:st.now
-              with
-              | `Retry_at ready_s ->
-                  st.held <- (ready_s, ev) :: st.held;
-                  notify st (Event_retry { event_id = ev.Event.id; ready_s });
-                  None
-              | `Degrade -> Some ev)
-            batch
-        in
-        ignore (Injector.check_now inj ctx.net ~now:st.now);
-        (match round_sp with
-        | Some sp ->
-            Trace.finish sp
-              ~attrs:
-                [
-                  ("aborted", Trace.Bool true);
-                  ("fault_s", Trace.Float fault_s);
-                  ("batch", Trace.Int (List.length batch));
-                ]
-        | None -> ());
-        List.iter (execute_degraded st) degraded
-    | Some _ | None ->
-        if guard <> None then Net_state.commit ctx.net;
-        st.rounds <- st.rounds + 1;
-        let co_count =
-          List.length (List.filter (fun (_, _, co, _) -> co) timings)
-        in
-        Counters.incr Counters.Engine_rounds;
-        Counters.add Counters.Events_executed (List.length batch);
-        Counters.add Counters.Co_scheduled_events co_count;
-        st.log <-
-          {
-            round_start_s;
-            executed;
-            co_count;
-            round_units;
-            fabric_utilization = round_utilization;
-          }
-          :: st.log;
-        let exec_sp =
-          if Trace.enabled () then
-            Some
-              (Trace.span "execute"
-                 ~attrs:
-                   [
-                     ("batch", Trace.Int (List.length batch));
-                     ("start_s", Trace.Float start_s);
-                   ])
-          else None
-        in
-        notify st
-          (Round_executed
-             {
-               round = st.rounds - 1;
-               start_s = round_start_s;
-               executed;
-               co_ids =
-                 List.filter_map
-                   (fun (ev, _, co, _) ->
-                     if co then Some ev.Event.id else None)
-                   timings;
-               degraded = false;
-             });
-        List.iter
-          (fun (ev, plan, co_scheduled, completion_s) ->
-            schedule_departures ctx ~completion:completion_s plan;
-            let result =
-              {
-                event_id = ev.Event.id;
-                arrival_s = ev.Event.arrival_s;
-                start_s;
-                completion_s;
-                cost_mbit = plan.Planner.cost_mbit;
-                plan_work_units = plan.Planner.work_units;
-                failed_items = plan.Planner.failed_count;
-                co_scheduled;
-              }
-            in
-            st.results <- result :: st.results;
-            notify st (Event_completed { result; degraded = false }))
-          timings;
-        (match exec_sp with
-        | Some sp ->
-            Trace.finish sp
-              ~attrs:[ ("head_finish_s", Trace.Float head_finish) ]
-        | None -> ());
-        st.now <- head_finish;
-        (match ctx.injector with
-        | Some inj when st.fault_mode ->
-            ignore (Injector.check_now inj ctx.net ~now:st.now)
-        | Some _ | None -> ());
-        (match round_sp with
-        | Some sp ->
-            Trace.finish sp
-              ~attrs:
-                [
-                  ( "executed",
-                    Trace.Str
-                      (String.concat "," (List.map string_of_int executed)) );
-                  ("batch", Trace.Int (List.length executed));
-                  ("co_count", Trace.Int co_count);
-                  ("units", Trace.Int round_units);
-                  ("fabric_utilization", Trace.Float round_utilization);
-                ]
-        | None -> ()));
-    promote st;
-    release_held st;
-    `Stepped
-  end
 
 (* ------------------------------------------------------------------ *)
-(* Wave-based group stepping: the sharded fabric's inner loop.         *)
+(* The round kernel.                                                   *)
 
-(* [step_group] advances a set of steppers that share one network by a
-   single synchronised wave. Phase A walks the steppers in array order
-   and runs exactly [step]'s preamble for each (empty-queue time jump,
-   background churn sync, series sample, candidate selection with PRNG
-   draws on the calling domain); then every cache-missing probe across
-   all steppers is evaluated in one batch — optionally fanned out
-   through a shared {!Probe_pool} — against the quiescent wave-start
-   state. Phase B commits the winners sequentially in array order: a
-   winner whose probe plan is still valid (no touched edge changed
-   since the wave start — the estimate cache's own soundness rule) is
-   replayed; one invalidated by an earlier commit of the same wave is
-   re-planned live, deterministically. With a single stepper a wave is
-   bit-identical to {!step}: probes roll back, so nothing can
-   invalidate the lone winner, and every mutation happens in the same
-   order as the sequential round. *)
+(* One service round for each of a set of steppers that share one
+   network, in three phases:
+
+   - pre-round, per stepper in array order: due faults, the empty-queue
+     time jump, background churn sync, the series sample, and candidate
+     selection with its PRNG draws on the calling domain;
+   - probe: every candidate of every stepper in one batch, against the
+     quiescent state the pre-rounds left ([probe_wave]);
+   - commit, per stepper in array order: the winner replays its probe
+     plan when no edge it touched changed since the batch, and re-plans
+     live when an earlier commit of the same wave invalidated it; then
+     the escalation hooks, P-LMTF co-scheduling, the fault guard,
+     timings and results ([commit_round]).
+
+   [step] is the one-wide wave: nothing runs between its probes and its
+   commit, so the lone winner always replays. *)
 
 type escalation = {
   esc_shard : int;  (* index into the caller's stepper array *)
@@ -837,6 +419,7 @@ type group_pre = {
   gp_round_utilization : float;
   gp_units_before : int;
   gp_candidates : Event.t array;
+  gp_span : Trace.span option;  (* round span opened at pre-round *)
 }
 
 type group_decision = {
@@ -846,22 +429,35 @@ type group_decision = {
   gd_epoch : int;  (* disabled_epoch at decision time *)
 }
 
-(* Pre-round bookkeeping, exactly [step]'s preamble. Returns [None]
-   only when the stepper has no work at all (the caller filters on
-   [has_work], so the guard is belt-and-braces). *)
-let group_pre_round ~index st =
+let round_span st =
+  if Trace.enabled () then
+    Some
+      (Trace.span "round"
+         ~attrs:
+           [
+             ("start_s", Trace.Float st.now);
+             ("queue", Trace.Int (List.length st.queue));
+           ])
+  else None
+
+(* Trace spans close LIFO, so only a one-wide wave ([solo]) opens its
+   round span here, around its probes; in a wider wave the probe batch
+   belongs to no single round and each round span opens at its commit.
+   Returns [None] when the stepper has no work. *)
+let pre_round ~solo ~index st =
   if st.queue = [] && st.pending = [] && st.held = [] then None
   else begin
     let ctx = st.ctx in
     if st.queue = [] then begin
-      let t = next_work_s st in
-      st.now <- max st.now t;
+      st.now <- max st.now (next_work_s st);
       promote st;
       release_held st
     end;
+    apply_faults_due st;
     match st.queue with
     | [] -> None
     | head :: tail ->
+        let span = if solo then round_span st else None in
         sync_background ctx st.now;
         let round_start_s = st.now in
         let round_utilization = Net_state.mean_fabric_utilization ctx.net in
@@ -886,8 +482,7 @@ let group_pre_round ~index st =
               in
               head :: sampled
           | Policy.Flow_level _ ->
-              invalid_arg
-                "Engine.step_group: flow-level policies are batch-only"
+              invalid_arg "Engine.step_group: flow-level policies are batch-only"
         in
         Some
           {
@@ -897,18 +492,45 @@ let group_pre_round ~index st =
             gp_round_utilization = round_utilization;
             gp_units_before = ctx.units;
             gp_candidates = Array.of_list candidates;
+            gp_span = span;
           }
   end
 
-(* All steppers' probes in one batch, mirroring [probe_batch]'s
-   discipline across stepper boundaries: cache lookups on the calling
-   domain in (stepper, candidate) order; misses probed either
-   sequentially in that same order or fanned out through [pool]; stores
-   and unit billing replayed in (stepper, candidate) order. Probes
-   commit nothing, so every lane sees the same quiescent wave-start
-   state regardless of fan-out — decisions are bit-identical either
-   way. *)
-let group_probe ?pool pres =
+(* Below this many cache-missing probes a wave is evaluated on the
+   calling domain even when a pool is available: waking the workers
+   costs microseconds, but a couple of sub-millisecond probes amortise
+   nothing and the tail of a draining queue lives here. Either way the
+   decision — and the digest — is identical. *)
+let min_parallel_probes = 4
+
+(* The stepper's own worker pool, created at its first fanned-out
+   batch and torn down by [close_ctx]. *)
+let private_pool ctx =
+  match ctx.pool with
+  | Some p -> p
+  | None ->
+      let p = Probe_pool.create ~domains:ctx.domains ~net:ctx.net in
+      ctx.pool <- Some p;
+      p
+
+(* Every candidate probe of the wave in one batch. Probes plan inside a
+   transaction and roll back, so each sees the same quiescent state and
+   the batch is bit-identical however it is evaluated:
+
+   - cache lookups run first, on the calling domain, in (stepper,
+     candidate) order — no lookup's answer depends on an earlier probe
+     of the same batch;
+   - the misses are probed in that same order on the calling domain, or
+     fanned out through [pool] (else the first stepper's private pool
+     when it was created with [domains > 1]), each lane probing its own
+     mirror of the state;
+   - stores and unit billing replay in (stepper, candidate) order,
+     stamping cache entries against the versions a sequential store
+     would have seen.
+
+   Random-fit planning consumes PRNG draws inside the probe, so it pins
+   the batch to the calling domain, draws in candidate order. *)
+let probe_wave ?pool pres =
   let slots =
     List.map (fun gp -> Array.make (Array.length gp.gp_candidates) None) pres
   in
@@ -928,9 +550,10 @@ let group_probe ?pool pres =
     pres slots;
   let miss = Array.of_list (List.rev !misses) in
   let n_miss = Array.length miss in
+  let ctx0 = (List.hd pres).gp_st.ctx in
   let sequential =
-    Option.is_none pool
-    || n_miss < min_parallel_probes
+    n_miss < min_parallel_probes
+    || (Option.is_none pool && ctx0.domains <= 1)
     || List.exists
          (fun gp ->
            gp.gp_st.ctx.config.Planner.policy = Routing.Random_fit)
@@ -954,7 +577,9 @@ let group_probe ?pool pres =
                    gp.gp_candidates.(i))))
         miss
     else begin
-      let pool = Option.get pool in
+      let pool =
+        match pool with Some p -> p | None -> private_pool ctx0
+      in
       Counters.incr Counters.Probe_parallel_batches;
       Counters.add Counters.Domain_probes n_miss;
       let t0 = Monotonic_clock.now () in
@@ -1010,11 +635,66 @@ let plan_moved_flow_ids (plan : Planner.t) =
       | Planner.Failed _ -> [])
     plan.Planner.items
 
-(* A wave round that hands its winner to the global coordinator instead
-   of executing it: the shard paid the planning time (the probes are
+(* Opportunistic updating (P-LMTF, §IV-C): visit the round's other
+   candidates in arrival order; co-execute each that stays fully
+   satisfiable on the state left by the plans already in the batch and
+   does not migrate a flow some batch member is installing or rerouting
+   this round. Bandwidth consistency is automatic: each plan is computed
+   on the shared state.
+
+   "Can be updated together" is a fit check: the candidate's flows must
+   be accommodated in the capacity left around the in-flight batch,
+   essentially without displacing anything — so co-attempts plan
+   scan-first and are accepted only up to a small migration budget.
+   Each attempt runs in a transaction: acceptance commits, rejection
+   rolls the journal back instead of re-planning every reroute. *)
+let co_schedule ctx ~winner ~winner_plan candidates =
+  let protected = Hashtbl.create 64 in
+  List.iter
+    (fun id -> Hashtbl.replace protected id ())
+    (work_flow_ids winner_plan);
+  let others =
+    List.sort Event.compare_by_arrival
+      (List.filter (fun ev -> ev.Event.id <> winner.Event.id) candidates)
+  in
+  let co_config = { ctx.config with Planner.admission = Planner.Scan_first } in
+  List.filter_map
+    (fun ev ->
+      Net_state.begin_txn ctx.net;
+      let plan =
+        apply ctx ~billed:true ~config:co_config ~frozen:(Hashtbl.mem protected)
+          ev
+      in
+      if
+        plan.Planner.failed_count = 0
+        && plan.Planner.cost_mbit <= ctx.co_max_cost_mbit
+      then begin
+        Net_state.commit ctx.net;
+        (match ctx.cache with
+        | Some c -> Estimate_cache.invalidate c ev.Event.id
+        | None -> ());
+        List.iter
+          (fun id -> Hashtbl.replace protected id ())
+          (work_flow_ids plan);
+        Some (ev, plan, true)
+      end
+      else begin
+        timed ctx (fun () -> Net_state.rollback ctx.net);
+        None
+      end)
+    others
+
+let check_faults st =
+  match st.ctx.injector with
+  | Some inj when st.fault_mode ->
+      ignore (Injector.check_now inj st.ctx.net ~now:st.now)
+  | Some _ | None -> ()
+
+(* A round that hands its winner to the global coordinator instead of
+   executing it: the stepper paid the planning time (the probes are
    billed), the event leaves its queue, and the round logs with an
    empty batch. *)
-let group_escalation_round gd ~moved =
+let escalation_round gd ~moved =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
   let ctx = st.ctx in
@@ -1043,24 +723,164 @@ let group_escalation_round gd ~moved =
          start_s = gp.gp_round_start_s;
          event_id = winner.Event.id;
        });
-  promote st;
-  release_held st;
   { esc_shard = gp.gp_index; esc_event = winner; esc_moved = moved }
 
-(* Commit one wave decision: replay the winner if its touched edges are
-   untouched since the wave start, re-plan live otherwise, then run
-   [step]'s whole post-decide bookkeeping. Returns the escalation when
-   the caller's predicate claimed the winner for the coordinator. *)
-let group_commit ?escalate ?external_commit gd =
+(* A fault lands while the round is in flight. The migration is
+   aborted: roll the network back to the round's start, let the fault
+   strike the pre-round state, and route every batch event through the
+   retry policy — bounded backoff, then terminal best-effort
+   degradation. *)
+let abort_round gp ~fault_s ~round_sp timings =
+  let st = gp.gp_st in
+  let ctx = st.ctx in
+  let inj = Option.get ctx.injector in
+  timed ctx (fun () -> Net_state.rollback ctx.net);
+  st.now <- max st.now fault_s;
+  ignore (Injector.apply_due inj ctx.net ~now:st.now);
+  notify st
+    (Round_aborted
+       {
+         round = st.rounds;
+         start_s = gp.gp_round_start_s;
+         fault_s;
+         batch = List.map (fun (ev, _, _, _) -> ev.Event.id) timings;
+       });
+  let degraded =
+    List.filter_map
+      (fun (ev, _, _, _) ->
+        match Injector.note_abort inj ~event_id:ev.Event.id ~now:st.now with
+        | `Retry_at ready_s ->
+            st.held <- (ready_s, ev) :: st.held;
+            notify st (Event_retry { event_id = ev.Event.id; ready_s });
+            None
+        | `Degrade -> Some ev)
+      timings
+  in
+  ignore (Injector.check_now inj ctx.net ~now:st.now);
+  (match round_sp with
+  | Some sp ->
+      Trace.finish sp
+        ~attrs:
+          [
+            ("aborted", Trace.Bool true);
+            ("fault_s", Trace.Float fault_s);
+            ("batch", Trace.Int (List.length timings));
+          ]
+  | None -> ());
+  List.iter (execute_degraded st) degraded
+
+(* Book an executed round. The service is free again when the *chosen*
+   event completes; co-scheduled events run in parallel in the network
+   and may finish after the next round has already begun (the "parallel
+   update" of §IV-C). Their flows are already installed, so later
+   planning sees a consistent state. *)
+let book_round gp ~start_s ~head_finish ~round_units ~round_sp timings =
+  let st = gp.gp_st in
+  let ctx = st.ctx in
+  let executed = List.map (fun (ev, _, _, _) -> ev.Event.id) timings in
+  let co_ids =
+    List.filter_map
+      (fun (ev, _, co, _) -> if co then Some ev.Event.id else None)
+      timings
+  in
+  let co_count = List.length co_ids in
+  st.rounds <- st.rounds + 1;
+  Counters.incr Counters.Engine_rounds;
+  Counters.add Counters.Events_executed (List.length timings);
+  Counters.add Counters.Co_scheduled_events co_count;
+  st.log <-
+    {
+      round_start_s = gp.gp_round_start_s;
+      executed;
+      co_count;
+      round_units;
+      fabric_utilization = gp.gp_round_utilization;
+    }
+    :: st.log;
+  let exec_sp =
+    if Trace.enabled () then
+      Some
+        (Trace.span "execute"
+           ~attrs:
+             [
+               ("batch", Trace.Int (List.length timings));
+               ("start_s", Trace.Float start_s);
+             ])
+    else None
+  in
+  notify st
+    (Round_executed
+       {
+         round = st.rounds - 1;
+         start_s = gp.gp_round_start_s;
+         executed;
+         co_ids;
+         degraded = false;
+       });
+  List.iter
+    (fun (ev, plan, co_scheduled, completion_s) ->
+      schedule_departures ctx ~completion:completion_s plan;
+      let result =
+        {
+          event_id = ev.Event.id;
+          arrival_s = ev.Event.arrival_s;
+          start_s;
+          completion_s;
+          cost_mbit = plan.Planner.cost_mbit;
+          plan_work_units = plan.Planner.work_units;
+          failed_items = plan.Planner.failed_count;
+          co_scheduled;
+        }
+      in
+      st.results <- result :: st.results;
+      notify st (Event_completed { result; degraded = false }))
+    timings;
+  (match exec_sp with
+  | Some sp ->
+      Trace.finish sp ~attrs:[ ("head_finish_s", Trace.Float head_finish) ]
+  | None -> ());
+  st.now <- head_finish;
+  check_faults st;
+  match round_sp with
+  | Some sp ->
+      Trace.finish sp
+        ~attrs:
+          [
+            ( "executed",
+              Trace.Str (String.concat "," (List.map string_of_int executed))
+            );
+            ("batch", Trace.Int (List.length executed));
+            ("co_count", Trace.Int co_count);
+            ("units", Trace.Int round_units);
+            ("fabric_utilization", Trace.Float gp.gp_round_utilization);
+          ]
+  | None -> ()
+
+(* Commit one decision of the wave. Returns the escalation when the
+   caller's predicate claimed the winner for the coordinator.
+
+   While faults are pending the round is speculative: its commit runs
+   inside a transaction, so a fault that lands before the head event
+   completes aborts the round wholesale and rolls the network back to
+   the commit's start. Churn placements (pre-round) survive an abort,
+   and the probes before it rolled themselves back. An escalated round
+   executes nothing here and opens no guard: the coordinator owns the
+   plan. *)
+let commit_round ?escalate ?external_commit gd =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
   let ctx = st.ctx in
   let win_pr, winner = gd.gd_win in
+  let round_sp = match gp.gp_span with None -> round_span st | sp -> sp in
   let valid =
     Net_state.disabled_epoch ctx.net = gd.gd_epoch
     && Array.for_all
          (fun (e, v) -> Net_state.edge_version ctx.net e = v)
          gd.gd_stamps
+  in
+  let guard =
+    if st.fault_mode then Option.bind ctx.injector Injector.next_due_s
+    else None
   in
   let claim plan =
     match escalate with
@@ -1084,7 +904,10 @@ let group_commit ?escalate ?external_commit gd =
             `Escalate_handled moved
         | None -> `Escalate moved
       end
-      else `Commit (apply_winner ctx win_pr)
+      else begin
+        if guard <> None then Net_state.begin_txn ctx.net;
+        `Commit (apply_winner ctx win_pr)
+      end
     end
     else begin
       (* An earlier commit of this wave touched one of the winner's
@@ -1112,74 +935,36 @@ let group_commit ?escalate ?external_commit gd =
             `Escalate moved
       end
       else begin
-        Net_state.commit ctx.net;
+        (* Under a fault guard the re-plan's transaction stays open as
+           the round's. *)
+        if guard = None then Net_state.commit ctx.net;
         `Commit plan
       end
     end
   in
+  let escalated moved =
+    let esc = escalation_round gd ~moved in
+    (match round_sp with
+    | Some sp ->
+        Trace.finish sp ~attrs:[ ("escalated", Trace.Int winner.Event.id) ]
+    | None -> ());
+    promote st;
+    release_held st;
+    esc
+  in
   match outcome with
-  | `Escalate moved -> Some (group_escalation_round gd ~moved)
+  | `Escalate moved -> Some (escalated moved)
   | `Escalate_handled moved ->
-      ignore (group_escalation_round gd ~moved : escalation);
+      ignore (escalated moved : escalation);
       None
   | `Commit winner_plan ->
-      let round_sp =
-        if Trace.enabled () then
-          Some
-            (Trace.span "round"
-               ~attrs:
-                 [
-                   ("start_s", Trace.Float gp.gp_round_start_s);
-                   ("queue", Trace.Int (List.length st.queue));
-                 ])
-        else None
-      in
-      let batch = [ (winner, winner_plan, false) ] in
       let batch =
         match st.policy with
         | Policy.Plmtf _ ->
-            let protected = Hashtbl.create 64 in
-            List.iter
-              (fun id -> Hashtbl.replace protected id ())
-              (work_flow_ids winner_plan);
-            let others =
-              List.sort Event.compare_by_arrival
-                (List.filter
-                   (fun ev -> ev.Event.id <> winner.Event.id)
-                   (Array.to_list gp.gp_candidates))
-            in
-            let co_config =
-              { ctx.config with Planner.admission = Planner.Scan_first }
-            in
-            let co =
-              List.filter_map
-                (fun ev ->
-                  Net_state.begin_txn ctx.net;
-                  let plan =
-                    apply ctx ~billed:true ~config:co_config
-                      ~frozen:(Hashtbl.mem protected) ev
-                  in
-                  if
-                    plan.Planner.failed_count = 0
-                    && plan.Planner.cost_mbit <= ctx.co_max_cost_mbit
-                  then begin
-                    Net_state.commit ctx.net;
-                    (match ctx.cache with
-                    | Some c -> Estimate_cache.invalidate c ev.Event.id
-                    | None -> ());
-                    List.iter
-                      (fun id -> Hashtbl.replace protected id ())
-                      (work_flow_ids plan);
-                    Some (ev, plan, true)
-                  end
-                  else begin
-                    timed ctx (fun () -> Net_state.rollback ctx.net);
-                    None
-                  end)
-                others
-            in
-            batch @ co
-        | _ -> batch
+            (winner, winner_plan, false)
+            :: co_schedule ctx ~winner ~winner_plan
+                 (Array.to_list gp.gp_candidates)
+        | _ -> [ (winner, winner_plan, false) ]
       in
       let round_units = ctx.units - gp.gp_units_before in
       let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
@@ -1195,74 +980,20 @@ let group_commit ?escalate ?external_commit gd =
           (fun acc (_, _, co, c) -> if co then acc else max acc c)
           start_s timings
       in
-      let executed = List.map (fun (ev, _, _) -> ev.Event.id) batch in
-      let executed_set = Hashtbl.create (List.length executed) in
-      List.iter (fun id -> Hashtbl.replace executed_set id ()) executed;
+      let executed_set = Hashtbl.create (List.length batch) in
+      List.iter
+        (fun (ev, _, _) -> Hashtbl.replace executed_set ev.Event.id ())
+        batch;
       st.queue <-
         List.filter
           (fun ev -> not (Hashtbl.mem executed_set ev.Event.id))
           st.queue;
-      st.rounds <- st.rounds + 1;
-      let co_count =
-        List.length (List.filter (fun (_, _, co, _) -> co) timings)
-      in
-      Counters.incr Counters.Engine_rounds;
-      Counters.add Counters.Events_executed (List.length batch);
-      Counters.add Counters.Co_scheduled_events co_count;
-      st.log <-
-        {
-          round_start_s = gp.gp_round_start_s;
-          executed;
-          co_count;
-          round_units;
-          fabric_utilization = gp.gp_round_utilization;
-        }
-        :: st.log;
-      notify st
-        (Round_executed
-           {
-             round = st.rounds - 1;
-             start_s = gp.gp_round_start_s;
-             executed;
-             co_ids =
-               List.filter_map
-                 (fun (ev, _, co, _) -> if co then Some ev.Event.id else None)
-                 timings;
-             degraded = false;
-           });
-      List.iter
-        (fun (ev, plan, co_scheduled, completion_s) ->
-          schedule_departures ctx ~completion:completion_s plan;
-          let result =
-            {
-              event_id = ev.Event.id;
-              arrival_s = ev.Event.arrival_s;
-              start_s;
-              completion_s;
-              cost_mbit = plan.Planner.cost_mbit;
-              plan_work_units = plan.Planner.work_units;
-              failed_items = plan.Planner.failed_count;
-              co_scheduled;
-            }
-          in
-          st.results <- result :: st.results;
-          notify st (Event_completed { result; degraded = false }))
-        timings;
-      st.now <- head_finish;
-      (match round_sp with
-      | Some sp ->
-          Trace.finish sp
-            ~attrs:
-              [
-                ( "executed",
-                  Trace.Str
-                    (String.concat "," (List.map string_of_int executed)) );
-                ("batch", Trace.Int (List.length executed));
-                ("co_count", Trace.Int co_count);
-                ("units", Trace.Int round_units);
-                ("head_finish_s", Trace.Float head_finish);
-              ]
-      | None -> ());
+      (match guard with
+      | Some fault_s when fault_s < head_finish ->
+          abort_round gp ~fault_s ~round_sp timings
+      | Some _ | None ->
+          if guard <> None then Net_state.commit ctx.net;
+          book_round gp ~start_s ~head_finish ~round_units ~round_sp timings);
       promote st;
       release_held st;
       None
@@ -1275,22 +1006,19 @@ let step_group ?pool ?escalate ?external_commit steppers =
     Array.iter
       (fun st ->
         if st.ctx.net != net0 then
-          invalid_arg "Engine.step_group: steppers must share one network";
-        if st.fault_mode then
-          invalid_arg
-            "Engine.step_group: fault injection is unsupported in group mode")
+          invalid_arg "Engine.step_group: steppers must share one network")
       steppers;
     let pres = ref [] in
     Array.iteri
       (fun i st ->
-        match group_pre_round ~index:i st with
+        match pre_round ~solo:(n = 1) ~index:i st with
         | Some gp -> pres := gp :: !pres
         | None -> ())
       steppers;
     let pres = List.rev !pres in
     if pres = [] then `Idle
     else begin
-      let costeds = group_probe ?pool pres in
+      let costeds = probe_wave ?pool pres in
       let decisions =
         List.map2
           (fun gp costed ->
@@ -1308,21 +1036,26 @@ let step_group ?pool ?escalate ?external_commit steppers =
           pres costeds
       in
       let escs =
-        List.filter_map (fun gd -> group_commit ?escalate ?external_commit gd) decisions
+        List.filter_map
+          (fun gd -> commit_round ?escalate ?external_commit gd)
+          decisions
       in
       `Stepped (List.length decisions, escs)
     end
   end
+
+(* One service round: the one-wide wave, including the leading
+   empty-queue time jump and the trailing promotion of newly
+   arrived/ready events. *)
+let step st =
+  match step_group [| st |] with `Idle -> `Idle | `Stepped _ -> `Stepped
 
 let make_stepper ?observer ctx policy events =
   let st =
     {
       ctx;
       policy;
-      fault_mode =
-        (match ctx.injector with
-        | Some inj -> Injector.next_due_s inj <> None
-        | None -> false);
+      fault_mode = fault_mode_of ctx.injector;
       pending = List.sort Event.compare_by_arrival events;
       queue = [];
       held = [];
@@ -1495,7 +1228,6 @@ let make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
       next_churn_id = (match churn with Some c -> c.first_id | None -> 0);
       units = 0;
       wall = 0.0;
-      memo_warmed = false;
       pool = None;
     }
   in
@@ -1603,11 +1335,6 @@ let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
 
 module Stepper = struct
   type t = stepper
-
-  let fault_mode_of injector =
-    match injector with
-    | Some inj -> Injector.next_due_s inj <> None
-    | None -> false
 
   let create ?(exec = Exec_model.default) ?(config = Planner.default_config)
       ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?(estimate_cache = true)

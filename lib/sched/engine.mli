@@ -226,8 +226,12 @@ module Stepper : sig
 
   val step : t -> [ `Stepped | `Idle ]
   (** Execute one service round (including any leading idle-time jump
-      to the next arrival or retry instant). [`Idle] means no queued,
-      pending or held work remained — nothing happened. *)
+      to the next arrival or retry instant): the one-stepper wave of
+      {!step_group}, with no pool and no escalation hooks. Nothing runs
+      between its probes and its commit, so the winner always replays
+      its probe plan — FIFO included, as the one-candidate case.
+      [`Idle] means no queued, pending or held work remained — nothing
+      happened. *)
 
   type escalation = {
     esc_shard : int;  (** Index into the caller's stepper array. *)
@@ -249,20 +253,28 @@ module Stepper : sig
       bool) ->
     t array ->
     [ `Stepped of int * escalation list | `Idle ]
-  (** Advance every stepper that has work by one synchronised wave.
-      The steppers must share one network and be fault-free (raises
-      [Invalid_argument] otherwise). Phase A runs {!step}'s pre-round
-      bookkeeping per stepper in array order — empty-queue time jump,
-      background churn sync, candidate selection with PRNG draws on the
-      calling domain — then evaluates every cache-missing candidate
-      probe across all steppers in one batch against the quiescent
-      wave-start state, fanned out through [pool] when given (decisions
-      are bit-identical with or without it). Phase B commits winners
-      sequentially in array order: a winner whose touched edges are
+  (** Advance every stepper that has work by one synchronised wave —
+      the engine's one round kernel. The steppers must share one
+      network (raises [Invalid_argument] otherwise). The pre-round
+      phase runs per stepper in array order: due faults, empty-queue
+      time jump, background churn sync, series sample, candidate
+      selection with PRNG draws on the calling domain. The probe phase
+      then evaluates every cache-missing candidate probe across all
+      steppers in one batch against the quiescent wave-start state,
+      fanned out through [pool] when given, else through the first
+      stepper's own workers when it was created with [domains > 1]
+      (decisions are bit-identical either way). The commit phase runs
+      per stepper in array order: a winner whose touched edges are
       unchanged since the wave start replays its probe plan; one
       invalidated by an earlier commit of the same wave re-plans live,
-      deterministically. With one stepper a wave is bit-identical to
-      {!step}.
+      deterministically.
+
+      Steppers may carry injectors, shared or not. While faults are
+      pending, each commit runs inside its own transaction: a fault due
+      before the round's head event completes aborts that round alone
+      (rollback to the commit's start, then the injector's retry or
+      degrade path, exactly as {!run} describes), and the invariant
+      checker runs after every committed round.
 
       [escalate] (default: never) inspects each winner's plan before it
       commits; returning [true] withdraws the round — the event leaves

@@ -65,10 +65,16 @@ let worker_loop pool ix ready =
 
 let create ~domains ~net =
   let n_workers = max 0 (domains - 1) in
-  (* Recording starts before the mirrors are taken and the caller is
-     parked below until they all exist, so no committed op can fall in
-     the gap between a mirror's snapshot and the first drained log. *)
-  if n_workers > 0 then Net_state.redo_start net;
+  (* The path memo is filled before the mirrors are taken: they share it
+     read-only, and the owner lane probes [net] itself, so a miss there
+     would write the table while the workers read it. Recording starts
+     before the mirrors are taken and the caller is parked below until
+     they all exist, so no committed op can fall in the gap between a
+     mirror's snapshot and the first drained log. *)
+  if n_workers > 0 then begin
+    Net_state.warm_all_paths net;
+    Net_state.redo_start net
+  end;
   let pool =
     {
       net;

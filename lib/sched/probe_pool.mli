@@ -28,8 +28,10 @@
     caller's after the batch, in worker-index order — deterministic
     totals, independent of how the cursor distributed the items.
 
-    Call {!Net_state.warm_all_paths} on [net] before [create]: mirrors
-    share the candidate-path memo read-only.
+    [create] fills [net]'s candidate-path memo for every host pair
+    ({!Net_state.warm_all_paths}) before taking the mirrors: they share
+    the memo read-only, so no lane — the owner's included — ever writes
+    it while a worker reads it.
 
     Between batches the workers spin-wait (with [Domain.cpu_relax]) —
     they respond to minor-GC stop-the-world requests immediately, where

@@ -158,24 +158,25 @@ let cfg () =
     domains = 1;
   }
 
-let spec_of ?(seed = 21) () =
+let spec_of ?(seed = 21) ?(rate = 0.7) () =
   Serve_source.Synthetic
     {
       seed;
-      rate_per_tick = 0.7;
+      rate_per_tick = rate;
       flows_per_event = 2;
       tenants = [ "a"; "b" ];
       first_event_id = 1;
       first_flow_id = 1_000_000;
     }
 
-let fabric_digest ?journal_base ?(shards = 4) ?coord ~ticks () =
+let fabric_digest ?journal_base ?(shards = 4) ?(base = cfg ()) ?rate ?coord
+    ~ticks () =
   let s = scenario () in
-  let fcfg = Shard_fabric.default_config (cfg ()) ~shards in
+  let fcfg = Shard_fabric.default_config base ~shards in
   let fcfg = match coord with None -> fcfg | Some c -> { fcfg with Shard_fabric.coord = c } in
   let t =
     Shard_fabric.create ?journal_base fcfg ~topology:s.Scenario.topology
-      ~net:s.Scenario.net ~source_spec:(spec_of ())
+      ~net:s.Scenario.net ~source_spec:(spec_of ?rate ())
   in
   Shard_fabric.run t ~ticks;
   Shard_fabric.complete t;
@@ -200,6 +201,27 @@ let test_fabric_deterministic () =
   Alcotest.(check string) "same run twice"
     (fabric_digest ~shards:4 ~ticks:40 ())
     (fabric_digest ~shards:4 ~ticks:40 ())
+
+(* The fabric's probe fan-out: with [domains = 2] each wave's misses go
+   through the shared worker pool, and the schedule must not move. *)
+let test_fabric_fanout_digest () =
+  let digest domains =
+    fabric_digest ~shards:4 ~rate:3.0 ~ticks:40
+      ~base:
+        {
+          (cfg ()) with
+          Serve.drain_per_tick = 12;
+          admission_capacity = 32;
+          domains;
+        }
+      ()
+  in
+  let before = Obs.Counters.snapshot () in
+  let fanned = digest 2 in
+  let d = Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ()) in
+  Alcotest.(check bool) "waves fanned out" true
+    (Obs.Counters.value d Obs.Counters.Probe_parallel_batches > 0);
+  Alcotest.(check string) "domains 1 = domains 2" (digest 1) fanned
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator 2PC                                                     *)
@@ -406,6 +428,8 @@ let suite =
       test_one_shard_equals_serve;
     Alcotest.test_case "fabric digest deterministic" `Quick
       test_fabric_deterministic;
+    Alcotest.test_case "fabric fan-out: domains 1 = domains 2" `Quick
+      test_fabric_fanout_digest;
     Alcotest.test_case "coord: veto rolls the txn back" `Quick
       test_coord_veto_rolls_back;
     Alcotest.test_case "coord: abort path deterministic" `Quick
