@@ -3,13 +3,14 @@ module Trace = Nu_obs.Trace
 type t = {
   mutable pending : Fault_model.fault list;  (* sorted by at_s *)
   retry : Retry_policy.t;
-  check_invariants : bool;
   recovery : Recovery.t;
   attempts : (int, int) Hashtbl.t;  (* event id -> aborts so far *)
   mutable violation_count : int;
+  mutable checks : int;  (* check_now calls outside a transaction *)
+  mutable log : Net_state.flow_log option;  (* span this injector reads *)
 }
 
-let create ?(retry = Retry_policy.default) ?(check_invariants = true) schedule =
+let create ?(retry = Retry_policy.default) schedule =
   (match Retry_policy.validate retry with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Injector.create: " ^ msg));
@@ -20,10 +21,11 @@ let create ?(retry = Retry_policy.default) ?(check_invariants = true) schedule =
           compare a.Fault_model.at_s b.Fault_model.at_s)
         schedule;
     retry;
-    check_invariants;
     recovery = Recovery.create ();
     attempts = Hashtbl.create 32;
     violation_count = 0;
+    checks = 0;
+    log = None;
   }
 
 let recovery t = t.recovery
@@ -50,8 +52,8 @@ let freeze t =
     fz_violations = t.violation_count;
   }
 
-let thaw ?retry ?check_invariants fz =
-  let t = create ?retry ?check_invariants fz.fz_pending in
+let thaw ?retry fz =
+  let t = create ?retry fz.fz_pending in
   List.iter (fun (id, n) -> Hashtbl.replace t.attempts id n) fz.fz_attempts;
   t.violation_count <- fz.fz_violations;
   t
@@ -197,15 +199,38 @@ let note_abort t ~event_id ~now =
         (Recovery.Event_degraded { event_id; at_s = now });
       `Degrade
 
-let check_now t net ~now =
-  if not t.check_invariants then []
+(* Every [full_every]-th check is the full oracle sweep even when the
+   change log vouches for completeness: a cheap backstop against a write
+   path that bypasses the log. *)
+let full_every = 16
+
+(* The incremental check runs when the net's flow-change log vouches
+   for every flow written since this injector's previous check. The
+   full sweep runs on the first check of a net (after create or thaw,
+   or when handed a different net), on every [full_every]-th check, when
+   the log cannot vouch (another reader started a span, or it overflowed),
+   and inside an open transaction — whose writes are not in the log yet,
+   so that check leaves the log to the next one. *)
+let sweep t net =
+  if Net_state.in_txn net then Invariant.check net
   else begin
-    let vs = Invariant.check net in
-    List.iter
-      (fun (v : Invariant.violation) ->
-        t.violation_count <- t.violation_count + 1;
-        Recovery.record t.recovery
-          (Recovery.Invariant_violated { at_s = now; name = v.Invariant.name }))
-      vs;
-    vs
+    t.checks <- t.checks + 1;
+    let changed = Option.bind t.log (Net_state.drain_flow_changes net) in
+    match changed with
+    | Some flows when t.checks mod full_every <> 0 ->
+        Invariant.check_changed net ~flows
+    | Some _ -> Invariant.check net
+    | None ->
+        t.log <- Some (Net_state.track_flow_changes net);
+        Invariant.check net
   end
+
+let check_now t net ~now =
+  let vs = sweep t net in
+  List.iter
+    (fun (v : Invariant.violation) ->
+      t.violation_count <- t.violation_count + 1;
+      Recovery.record t.recovery
+        (Recovery.Invariant_violated { at_s = now; name = v.Invariant.name }))
+    vs;
+  vs

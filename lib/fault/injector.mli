@@ -18,14 +18,8 @@
 
 type t
 
-val create :
-  ?retry:Retry_policy.t ->
-  ?check_invariants:bool ->
-  Fault_model.schedule ->
-  t
-(** [check_invariants] (default true) controls whether {!check_now}
-    actually scans the state. Raises [Invalid_argument] on an invalid
-    retry policy. *)
+val create : ?retry:Retry_policy.t -> Fault_model.schedule -> t
+(** Raises [Invalid_argument] on an invalid retry policy. *)
 
 val recovery : t -> Recovery.t
 val retry_policy : t -> Retry_policy.t
@@ -46,11 +40,11 @@ type frozen = {
 
 val freeze : t -> frozen
 
-val thaw : ?retry:Retry_policy.t -> ?check_invariants:bool -> frozen -> t
+val thaw : ?retry:Retry_policy.t -> frozen -> t
 (** Rebuild an injector that makes bit-identical abort/retry/degrade
-    decisions from this point on, given the same [retry] policy and
-    [check_invariants] flag as the original (same defaults as
-    {!create}). *)
+    decisions from this point on, given the same [retry] policy as the
+    original (same default as {!create}). Its first {!check_now} is a
+    full sweep. *)
 
 val next_due_s : t -> float option
 (** Arrival time of the earliest unapplied fault, if any. *)
@@ -68,8 +62,16 @@ val note_abort :
     degradation decision. *)
 
 val check_now : t -> Net_state.t -> now:float -> Invariant.violation list
-(** Run {!Invariant.check} (unless invariant checking is off), record
-    every violation in the recovery log, and return them. *)
+(** Check the invariants, record every violation in the recovery log,
+    and return them. The check is incremental: the injector reads the
+    net's flow-change log ({!Nu_net.Net_state.drain_flow_changes}) and
+    runs {!Invariant.check_changed} over the flows written since its
+    previous check, at O(changed flows × their paths) plus flat array
+    reads over the edges. The full {!Invariant.check} runs instead on
+    the first check of a net (after {!create} or {!thaw}), on every
+    16th check, whenever the log cannot vouch for completeness, and
+    inside an open transaction. Either way the returned names and
+    counts are the full sweep's. *)
 
 val violations : t -> int
 (** Total violations recorded so far. *)

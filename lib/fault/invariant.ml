@@ -3,19 +3,22 @@ module Counters = Nu_obs.Counters
 
 type violation = { name : string; detail : string }
 
-let check net =
-  Counters.incr Counters.Invariant_checks;
-  let acc = ref [] in
+(* One structural sweep, reported as violations: blackholes (collected
+   during the sweep), then capacity over every edge, then consistency. *)
+let report net sweep =
+  let blackholes = ref [] in
+  let consistency =
+    sweep ~blackhole:(fun ~flow ~edge ->
+        blackholes :=
+          {
+            name = "blackhole";
+            detail =
+              Printf.sprintf "flow %d crosses disabled edge %d" flow edge;
+          }
+          :: !blackholes)
+  in
+  let acc = ref !blackholes in
   let add name detail = acc := { name; detail } :: !acc in
-  (* Blackhole-freedom: no placed flow crosses a disabled edge. *)
-  Net_state.iter_flows net (fun (p : Net_state.placed) ->
-      List.iter
-        (fun (e : Graph.edge) ->
-          if Net_state.edge_disabled net e.Graph.id then
-            add "blackhole"
-              (Printf.sprintf "flow %d crosses disabled edge %d"
-                 p.Net_state.record.Flow_record.id e.Graph.id))
-        (Path.edges p.Net_state.path));
   (* Capacity non-violation: every residual >= 0. *)
   let g = Net_state.graph net in
   for e = 0 to Graph.edge_count g - 1 do
@@ -23,10 +26,7 @@ let check net =
     if r < -1e-6 then
       add "capacity" (Printf.sprintf "edge %d residual %.3f < 0" e r)
   done;
-  (* Routing/placement agreement: full structural recomputation. *)
-  (match Net_state.invariants_ok net with
-  | Ok () -> ()
-  | Error msg -> add "consistency" msg);
+  (match consistency with Ok () -> () | Error msg -> add "consistency" msg);
   let violations = List.rev !acc in
   if Trace.enabled () then
     List.iter
@@ -35,5 +35,11 @@ let check net =
           ~attrs:[ ("name", Trace.Str v.name); ("detail", Trace.Str v.detail) ])
       violations;
   violations
+
+let check net =
+  Counters.incr Counters.Invariant_checks;
+  report net (Net_state.sweep net)
+
+let check_changed net ~flows = report net (Net_state.sweep_changed net ~flows)
 
 let pp ppf v = Format.fprintf ppf "%s: %s" v.name v.detail

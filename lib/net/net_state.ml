@@ -34,6 +34,14 @@ let rt_disable = 5 (* a = edge id (set the disabled flag) *)
 let rt_enable = 6 (* a = edge id (clear the disabled flag) *)
 let rt_degraded = 7 (* a = edge id, f = ledger delta *)
 
+(* One span of the committed flow-change log (see the [flog] field). The
+   record itself is the owning reader's token. *)
+type flow_log = {
+  mutable ids : int array;  (* used prefix is [0, len) *)
+  mutable len : int;
+  mutable lost : bool;  (* overflowed: no longer names every change *)
+}
+
 type t = {
   topo : Topology.t;
   residual : float array;  (* indexed by edge id *)
@@ -94,6 +102,12 @@ type t = {
   mutable r_g : float array;
   mutable r_obj : placed option array;
   mutable r_len : int;
+  (* Committed flow-change log: ids of flows whose binding changed
+     through a write that survives, recorded at the same two points as
+     the redo log (writes outside any transaction, and the outermost
+     commit). It names the flows an incremental invariant check must
+     revisit. [None] until a reader starts one. *)
+  mutable flog : flow_log option;
   memo_ro : bool;  (* domain snapshot: never write the shared memo *)
   paths_memo : (int, Path.t list) Hashtbl.t;
       (* (src,dst) -> full candidate set; topology-pure, shared by copies *)
@@ -166,6 +180,7 @@ let create topo =
     r_g = [||];
     r_obj = [||];
     r_len = 0;
+    flog = None;
     memo_ro = false;
     paths_memo = Hashtbl.create 256;
   }
@@ -233,6 +248,7 @@ let copy_into ?(memo_ro = false) t =
     r_g = [||];
     r_obj = [||];
     r_len = 0;
+    flog = None;
     memo_ro;
     paths_memo = t.paths_memo;
   }
@@ -504,6 +520,25 @@ let[@inline] rpush_obj t tag a obj =
   Array.unsafe_set t.r_obj i (Some obj);
   t.r_len <- i + 1
 
+(* Flow-change log append. A span holding more ids than the state has
+   flows (plus slack) costs a reader as much as a full sweep, so it
+   stops growing there and is marked lost instead: memory stays bounded
+   even when nobody drains. *)
+let note_change t l id =
+  let n = l.len in
+  if n = Array.length l.ids && not l.lost then begin
+    if n >= Hashtbl.length t.flows + 1024 then l.lost <- true
+    else begin
+      let d = Array.make (max 256 (2 * n)) 0 in
+      Array.blit l.ids 0 d 0 n;
+      l.ids <- d
+    end
+  end;
+  if not l.lost then begin
+    Array.unsafe_set l.ids n id;
+    l.len <- n + 1
+  end
+
 (* Kahan-compensated accumulation keeps the running fabric-utilisation
    sum accurate across millions of occupy/release pairs. *)
 let[@inline] kadd t x =
@@ -549,12 +584,18 @@ let[@inline] on_edge_del t e fid =
 let[@inline] flow_put t id p =
   if journal_active t then
     jpush_obj t tag_flow_put id (Hashtbl.find_opt t.flows id)
-  else if t.redo_on then rpush_obj t rt_flow_put id p;
+  else begin
+    if t.redo_on then rpush_obj t rt_flow_put id p;
+    match t.flog with Some l -> note_change t l id | None -> ()
+  end;
   Hashtbl.replace t.flows id p
 
 let[@inline] flow_del t id p =
   if journal_active t then jpush_obj t tag_flow_del id (Some p)
-  else if t.redo_on then rpush t rt_flow_del id 0 0.0 0.0;
+  else begin
+    if t.redo_on then rpush t rt_flow_del id 0 0.0 0.0;
+    match t.flog with Some l -> note_change t l id | None -> ()
+  end;
   Hashtbl.remove t.flows id
 
 (* Undo journal entry [i]; clears its binding slot. *)
@@ -655,7 +696,12 @@ let commit t =
           t.versions.(e) <- t.versions.(e) + 1
         end
         (* tag_degraded rides on its paired residual entry for stamping. *)
-        else if tag = tag_flow_put || tag = tag_flow_del then t.j_obj.(i) <- None
+        else if tag = tag_flow_put || tag = tag_flow_del then begin
+          t.j_obj.(i) <- None;
+          match t.flog with
+          | Some l -> note_change t l t.j_a.(i)
+          | None -> ()
+        end
       done;
       t.j_len <- 0
     end
@@ -703,6 +749,39 @@ let redo_drain t =
   rd
 
 let redo_size rd = rd.rd_n
+
+(* ------------------------------------------------------------------ *)
+(* Flow-change log: public surface. *)
+
+(* Ascending, each id once: a flow written many times is revisited
+   once. Sorts [ids] in place. *)
+let dedup_sorted ids =
+  Array.sort Int.compare ids;
+  let n = ref 0 in
+  Array.iteri
+    (fun i id ->
+      if i = 0 || id <> ids.(!n - 1) then begin
+        ids.(!n) <- id;
+        incr n
+      end)
+    ids;
+  Array.sub ids 0 !n
+
+let track_flow_changes t =
+  let l = { ids = [||]; len = 0; lost = false } in
+  t.flog <- Some l;
+  l
+
+let drain_flow_changes t l =
+  match t.flog with
+  | Some cur when cur == l && not l.lost ->
+      let ids = Array.sub l.ids 0 l.len in
+      (* Drop the buffer rather than keep it at its high-water size for
+         the life of the state. *)
+      l.ids <- [||];
+      l.len <- 0;
+      Some (dedup_sorted ids)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Capacity accounting. *)
@@ -829,7 +908,10 @@ let redo_apply t rd =
       | Some p -> flow_put t a p
       | None -> assert false
     end
-    else if tag = rt_flow_del then Hashtbl.remove t.flows a
+    else if tag = rt_flow_del then begin
+      (match t.flog with Some l -> note_change t l a | None -> ());
+      Hashtbl.remove t.flows a
+    end
     else if tag = rt_disable then set_disabled t a true
     else if tag = rt_enable then set_disabled t a false
     else if tag = rt_degraded then t.degraded.(a) <- t.degraded.(a) +. rd.rd_f.(i)
@@ -1105,73 +1187,137 @@ let reroute ?(admit_disabled = false) t id new_path =
             Ok placed.path
           end)
 
-let invariants_ok t =
+(* ------------------------------------------------------------------ *)
+(* Structural sweeps. Both share one proof: if every placed flow is
+   found on every hop of its path with its demand cached, and the
+   on-edge sets hold exactly as many entries as the paths have hops,
+   then (paths being loop-free) the sets equal the paths — no ghost,
+   stray or duplicate entry can hide. Residuals are then recomputed per
+   edge and compared. The first error wins. *)
+
+let fail err fmt =
+  Printf.ksprintf (fun msg -> if !err = None then err := Some msg) fmt
+
+(* Per-flow half: the flow sits under its own key, and each hop's set
+   holds it with the demand it places. *)
+let audit_flow t err id placed =
+  if placed.record.Flow_record.id <> id then
+    fail err "flow %d stored under wrong key" id;
+  let demand = Flow_record.demand_mbps placed.record in
+  let ids = Path.hop_ids placed.path in
+  for i = 0 to Array.length ids - 1 do
+    let e = Array.unsafe_get ids i in
+    let j = oe_index t e id in
+    if j < 0 then fail err "flow %d missing from edge %d" id e
+    else if t.oe_dem.(e).(j) <> demand then
+      fail err "edge %d caches demand %g for flow %d, placed at %g" e
+        t.oe_dem.(e).(j) id demand
+  done
+
+(* Names the entry behind an entry/hop count mismatch. Only runs when
+   the counts disagree, so its hashtable lookups stay off the clean
+   path. *)
+let audit_entries t err =
+  Array.iteri
+    (fun e data ->
+      for i = 0 to t.oe_len.(e) - 1 do
+        let fid = data.(i) in
+        match Hashtbl.find_opt t.flows fid with
+        | None -> fail err "edge %d lists ghost flow %d" e fid
+        | Some placed ->
+            if not (Path.mentions_edge placed.path e) then
+              fail err "edge %d lists flow %d not crossing it" e fid
+            else if oe_index t e fid < i then
+              fail err "edge %d lists flow %d twice" e fid
+      done)
+    t.oe_data
+
+(* Whole-net half: residuals against [expected], the entry count
+   against [hops], the fabric-utilisation fold and the transaction
+   depth. *)
+let audit_net t err ~expected ~hops =
+  Array.iteri
+    (fun id expect ->
+      if expect < -1e-6 then fail err "edge %d oversubscribed" id
+      else if abs_float (expect -. t.residual.(id)) > 1e-6 then
+        fail err "edge %d residual %.6f, expected %.6f" id t.residual.(id)
+          expect)
+    expected;
+  let entries = Array.fold_left ( + ) 0 t.oe_len in
+  if entries <> hops then begin
+    audit_entries t err;
+    fail err "on-edge sets hold %d entries, paths have %d hops" entries hops
+  end;
+  if t.fabric_n > 0 then begin
+    let g = graph t in
+    let folded =
+      List.fold_left
+        (fun acc id ->
+          let cap = Graph.capacity g id in
+          if cap <= 0.0 then acc else acc +. ((cap -. t.residual.(id)) /. cap))
+        0.0 t.fabric
+    in
+    if abs_float (folded -. t.util_sum) > 1e-6 then
+      fail err "fabric util sum %.9f, expected %.9f" t.util_sum folded
+  end;
+  if t.txn_n > 0 then fail err "transaction left open";
+  match !err with Some msg -> Error msg | None -> Ok ()
+
+let sweep t ~blackhole =
   let g = graph t in
   let expected =
     Array.init (Graph.edge_count g) (fun id ->
         Graph.capacity g id -. t.degraded.(id))
   in
   let err = ref None in
+  let hops = ref 0 in
   Hashtbl.iter
     (fun id placed ->
-      if placed.record.Flow_record.id <> id && !err = None then
-        err := Some (Printf.sprintf "flow %d stored under wrong key" id);
+      audit_flow t err id placed;
       let demand = Flow_record.demand_mbps placed.record in
-      List.iter
-        (fun (e : Graph.edge) ->
-          expected.(e.id) <- expected.(e.id) -. demand;
-          if oe_index t e.id id < 0 && !err = None then
-            err := Some (Printf.sprintf "flow %d missing from edge %d" id e.id))
-        (Path.edges placed.path))
-    t.flows;
-  Array.iteri
-    (fun id expect ->
-      if !err = None then begin
-        if abs_float (expect -. t.residual.(id)) > 1e-6 then
-          err :=
-            Some
-              (Printf.sprintf "edge %d residual %.6f, expected %.6f" id
-                 t.residual.(id) expect);
-        if expect < -1e-6 then
-          err := Some (Printf.sprintf "edge %d oversubscribed" id)
-      end)
-    expected;
-  (* Every on-edge entry must refer to a placed flow crossing that edge. *)
-  Array.iteri
-    (fun edge_id data ->
-      for i = 0 to t.oe_len.(edge_id) - 1 do
-        let fid = data.(i) in
-        if !err = None then
-          match Hashtbl.find_opt t.flows fid with
-          | None ->
-              err := Some (Printf.sprintf "edge %d lists ghost flow %d" edge_id fid)
-          | Some placed ->
-              if not (Path.mentions_edge placed.path edge_id) then
-                err :=
-                  Some
-                    (Printf.sprintf "edge %d lists flow %d not crossing it"
-                       edge_id fid)
+      let ids = Path.hop_ids placed.path in
+      hops := !hops + Array.length ids;
+      for i = 0 to Array.length ids - 1 do
+        let e = Array.unsafe_get ids i in
+        expected.(e) <- expected.(e) -. demand;
+        if t.disabled.(e) then
+          blackhole ~flow:placed.record.Flow_record.id ~edge:e
       done)
-    t.oe_data;
-  (* The incremental fabric-utilisation sum must track a fresh fold. *)
-  (if !err = None && t.fabric_n > 0 then begin
-     let folded =
-       List.fold_left
-         (fun acc id ->
-           let cap = Graph.capacity g id in
-           if cap <= 0.0 then acc
-           else acc +. ((cap -. t.residual.(id)) /. cap))
-         0.0 t.fabric
-     in
-     if abs_float (folded -. t.util_sum) > 1e-6 then
-       err :=
-         Some
-           (Printf.sprintf "fabric util sum %.9f, expected %.9f" t.util_sum
-              folded)
-   end);
-  (if !err = None && t.txn_n > 0 then
-     err := Some "transaction left open");
-  match !err with Some msg -> Error msg | None -> Ok ()
+    t.flows;
+  audit_net t err ~expected ~hops:!hops
+
+let sweep_changed t ~flows ~blackhole =
+  let err = ref None in
+  Array.iter
+    (fun id ->
+      match Hashtbl.find_opt t.flows id with
+      | Some placed -> audit_flow t err id placed
+      | None -> ())
+    flows;
+  let hops =
+    Hashtbl.fold (fun _ placed acc -> acc + Path.hops placed.path) t.flows 0
+  in
+  let g = graph t in
+  let expected =
+    Array.init (Graph.edge_count g) (fun e ->
+        let dem = t.oe_dem.(e) in
+        let r = ref (Graph.capacity g e -. t.degraded.(e)) in
+        for i = 0 to t.oe_len.(e) - 1 do
+          r := !r -. Array.unsafe_get dem i
+        done;
+        !r)
+  in
+  if t.disabled_n > 0 then
+    Array.iteri
+      (fun e off ->
+        if off then
+          for i = 0 to t.oe_len.(e) - 1 do
+            blackhole ~flow:t.oe_data.(e).(i) ~edge:e
+          done)
+      t.disabled;
+  audit_net t err ~expected ~hops
+
+let invariants_ok t = sweep t ~blackhole:(fun ~flow:_ ~edge:_ -> ())
 
 let pp ppf t =
   Format.fprintf ppf "net[%s: %d flows, mean util %.1f%%, max util %.1f%%]"

@@ -69,9 +69,9 @@ val freeze : t -> frozen
 val thaw : Topology.t -> frozen -> t
 (** Rebuild a state over the same topology. The result behaves
     bit-identically to the frozen original under every future operation
-    sequence ([invariants_ok] holds; probe/cache bookkeeping restarts
-    empty). Raises [Invalid_argument] when the frozen arrays do not
-    match the topology's edge count. *)
+    sequence ([invariants_ok] holds; probe/cache bookkeeping and the
+    flow-change log restart empty). Raises [Invalid_argument] when the
+    frozen arrays do not match the topology's edge count. *)
 
 (** {2 Transactions}
 
@@ -141,6 +141,37 @@ val redo_apply : t -> redo -> unit
     [Invalid_argument] otherwise). Applying every batch, in drain
     order, to a mirror that was bit-identical at {!redo_start} keeps
     it bit-identical to the source at each drain point. *)
+
+(** {2 Committed flow-change log}
+
+    The ids of flows whose placement changed through a write that
+    survives, recorded at the same two points as the redo log: writes
+    outside any transaction as they happen, and a transaction's writes
+    at its outermost {!commit} (a rolled-back transaction adds nothing).
+    It lets an incremental checker revisit only those flows. Off until a
+    reader calls {!track_flow_changes}; while off a flow write pays one
+    bool test. *)
+
+type flow_log
+(** A reader's span of the log: the token {!drain_flow_changes} checks
+    ownership with. *)
+
+val track_flow_changes : t -> flow_log
+(** Start a fresh, empty span owned by the caller. A later call — by
+    any reader — ends the previous span: its owner's next drain
+    returns [None]. *)
+
+val drain_flow_changes : t -> flow_log -> int array option
+(** [Some ids]: the distinct flow ids (ascending) whose binding changed
+    through a committed write since the span started or was last
+    drained, and the span is emptied. [None] when the span cannot vouch
+    for completeness: it is not this state's current span (another
+    reader started one, or it belongs to another state), or it
+    overflowed (a span stops growing past the flow count plus slack, so
+    memory stays bounded without a reader). The caller must then
+    re-sync with a full sweep and a new {!track_flow_changes}. May be
+    called with a transaction open; its writes join the span if and
+    when it commits. *)
 
 (** {2 Edge versions and probe read sets}
 
@@ -317,10 +348,43 @@ val reroute :
     that legitimately predates a link failure; capacity is still
     checked. *)
 
+(** {2 Structural invariants}
+
+    Both sweeps prove the §III-A congestion-free constraints and the
+    agreement of the flow table, the per-edge occupancy sets and the
+    residuals. Every placed flow must be found on every hop of its path
+    with its demand cached there; the sets must then hold exactly as
+    many entries as the paths have hops, which (paths being loop-free)
+    rules out ghost, stray and duplicate entries without visiting them.
+    Residuals are recomputed per edge, and the fabric-utilisation sum
+    and transaction depth are checked. The first error found is
+    returned; [blackhole] is called once per (flow, disabled edge) pair
+    of a placed flow. Let P be the number of (flow, edge) pairs and
+    n_e the flows on edge e: each membership test scans one edge's set,
+    so finding the pairs costs O(Σ_e n_e²). *)
+
+val sweep :
+  t -> blackhole:(flow:int -> edge:int -> unit) -> (unit, string) result
+(** The full sweep: every placed flow's path is walked, residuals are
+    recomputed from the flows' demands. O(Σ_e n_e² + flows + edges);
+    stateless — the reference oracle for {!sweep_changed}. *)
+
+val sweep_changed :
+  t ->
+  flows:int array ->
+  blackhole:(flow:int -> edge:int -> unit) ->
+  (unit, string) result
+(** The incremental sweep: only the listed flows' paths are walked
+    (ids no longer placed are skipped); residuals are recomputed from
+    the demands cached on each edge and blackholes read off the
+    disabled edges' sets. When every placed flow outside [flows] passed
+    a sweep since its last committed write — which is what
+    {!drain_flow_changes} vouches for — its verdict and [blackhole]
+    count equal {!sweep}'s. O(Σ over [flows] of hops × n_e + P as flat
+    array reads + flows + edges), with no hashtable lookup per pair. *)
+
 val invariants_ok : t -> (unit, string) result
-(** Recomputes every residual from scratch and checks the §III-A
-    congestion-free constraints; O(flows x diameter + edges). For tests
-    and debugging. *)
+(** {!sweep} without the blackhole report. For tests and debugging. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line occupancy summary. *)

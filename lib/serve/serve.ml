@@ -368,8 +368,8 @@ let complete ?(max_ticks = 1_000_000) t =
 (* ------------------------------------------------------------------ *)
 (* Restore + replay.                                                   *)
 
-let restore_snapshot ?source_params ?series ?telemetry ?retry ?check_invariants
-    ~config:cfg ~source_spec ~topology cp =
+let restore_snapshot ?source_params ?series ?telemetry ?retry ~config:cfg
+    ~source_spec ~topology cp =
   let* () = try Ok (validate_config cfg) with Invalid_argument m -> Error m in
   let expected = fingerprint cfg source_spec in
   if not (fingerprint_matches cp.Checkpoint.meta expected) then
@@ -383,7 +383,7 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry ?check_invariants
       let host_count = Topology.host_count topology in
       let net = Net_state.thaw topology cp.Checkpoint.net in
       let injector =
-        Option.map (Injector.thaw ?retry ?check_invariants) cp.Checkpoint.injector
+        Option.map (Injector.thaw ?retry) cp.Checkpoint.injector
       in
       let stepper =
         Engine.Stepper.thaw ~domains:cfg.domains
@@ -420,11 +420,11 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry ?check_invariants
     | t -> Ok t
     | exception Invalid_argument m -> Error ("checkpoint restore: " ^ m)
 
-let restore ?source_params ?series ?telemetry ?retry ?check_invariants
-    ?fault ~config ~source_spec ~topology path =
+let restore ?source_params ?series ?telemetry ?retry ?fault ~config
+    ~source_spec ~topology path =
   let* cp = Checkpoint.load ?fault ~graph:topology.Topology.graph path in
-  restore_snapshot ?source_params ?series ?telemetry ?retry ?check_invariants
-    ~config ~source_spec ~topology cp
+  restore_snapshot ?source_params ?series ?telemetry ?retry ~config
+    ~source_spec ~topology cp
 
 let request_eq a b =
   Json.to_string (Codec.request_to_json a) = Json.to_string (Codec.request_to_json b)

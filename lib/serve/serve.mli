@@ -174,7 +174,6 @@ val restore_snapshot :
   ?series:Nu_obs.Series.t ->
   ?telemetry:Telemetry.t ->
   ?retry:Nu_fault.Retry_policy.t ->
-  ?check_invariants:bool ->
   config:config ->
   source_spec:Source.spec ->
   topology:Topology.t ->
@@ -189,7 +188,6 @@ val restore :
   ?series:Nu_obs.Series.t ->
   ?telemetry:Telemetry.t ->
   ?retry:Nu_fault.Retry_policy.t ->
-  ?check_invariants:bool ->
   ?fault:Nu_fault.Store_fault.t ->
   config:config ->
   source_spec:Source.spec ->

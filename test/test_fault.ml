@@ -506,6 +506,189 @@ let test_store_fault_fsync_loss_truncates () =
   Alcotest.(check int) "bytes since the durable mark vanish" 0 survived;
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Incremental invariant checking                                      *)
+
+let full_sweeps () = Obs.Counters.get Obs.Counters.Invariant_checks
+
+let names vs = List.map (fun (v : Invariant.violation) -> v.Invariant.name) vs
+
+(* A flow write inside a transaction reaches the change log only if the
+   outermost transaction commits; writes outside one land at once. *)
+let test_change_log_commit_only () =
+  let net = Net_state.create (topo4 ()) in
+  let place id src dst =
+    let r = flow ~id ~demand:20.0 src dst in
+    match Routing.select net r with
+    | Some p -> (
+        match Net_state.place net r p with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "place")
+    | None -> Alcotest.fail "no path"
+  in
+  place 1 0 15;
+  let log = Net_state.track_flow_changes net in
+  let drain () =
+    match Net_state.drain_flow_changes net log with
+    | Some ids -> Array.to_list ids
+    | None -> Alcotest.fail "log cannot vouch"
+  in
+  Net_state.begin_txn net;
+  place 2 1 14;
+  ignore (Net_state.remove net 1);
+  Net_state.rollback net;
+  Alcotest.(check (list int)) "rolled-back txn adds nothing" [] (drain ());
+  Net_state.begin_txn net;
+  place 3 2 13;
+  Net_state.begin_txn net;
+  place 4 3 12;
+  Net_state.rollback net;
+  place 5 4 11;
+  (* Mid-transaction drains see only committed writes. *)
+  Alcotest.(check (list int)) "open txn not yet logged" [] (drain ());
+  Net_state.commit net;
+  Alcotest.(check (list int)) "committed txn logged" [ 3; 5 ] (drain ());
+  ignore (Net_state.remove net 3);
+  place 6 5 10;
+  ignore (Net_state.remove net 6);
+  Alcotest.(check (list int)) "writes outside a txn logged" [ 3; 6 ] (drain ());
+  (* A second reader starting a span ends the first's. *)
+  ignore (Net_state.track_flow_changes net);
+  Alcotest.(check bool) "an ended span cannot vouch" true
+    (Net_state.drain_flow_changes net log = None)
+
+(* The injector's first check of a net is the full oracle sweep (after
+   create and after thaw alike), later ones are incremental, and every
+   16th is full again. *)
+let test_thawed_injector_first_check_full () =
+  let net = loaded_net () in
+  let inj = Injector.create [] in
+  let sweeps f =
+    let before = full_sweeps () in
+    f ();
+    full_sweeps () - before
+  in
+  let check inj = ignore (Injector.check_now inj net ~now:0.0) in
+  Alcotest.(check int) "first check after create is full" 1
+    (sweeps (fun () -> check inj));
+  Alcotest.(check int) "next 14 checks are incremental" 0
+    (sweeps (fun () ->
+         for _ = 2 to 15 do
+           check inj
+         done));
+  Alcotest.(check int) "16th check is full" 1 (sweeps (fun () -> check inj));
+  let thawed = Injector.thaw (Injector.freeze inj) in
+  Alcotest.(check int) "first check after thaw is full" 1
+    (sweeps (fun () -> check thawed));
+  Alcotest.(check int) "then incremental" 0 (sweeps (fun () -> check thawed));
+  (* The thawed injector restarted the log, so the original cannot
+     vouch for it any more. *)
+  Alcotest.(check int) "a second reader forces a full sweep" 1
+    (sweeps (fun () -> check inj));
+  let other = loaded_net () in
+  Alcotest.(check int) "another net is swept fully" 1
+    (sweeps (fun () -> ignore (Injector.check_now inj other ~now:0.0)))
+
+(* Differential: after every random operation — including ones that
+   leave blackholes (disable without evacuation) and negative residuals
+   (degrade without shedding) — the injector's incremental check
+   reports the same violation names, in the same order and number, as
+   the stateless full sweep. *)
+let prop_incremental_matches_full =
+  QCheck.Test.make ~name:"incremental check = full sweep" ~count:30
+    QCheck.small_int (fun seed ->
+      let net = Net_state.create (topo4 ()) in
+      let rng = Prng.create (seed + 7) in
+      let edge_n = Graph.edge_count (Net_state.graph net) in
+      let next = ref 0 in
+      let placed = ref [] in
+      let pick () =
+        match !placed with
+        | [] -> None
+        | l -> Some (List.nth l (Prng.int rng (List.length l)))
+      in
+      let place () =
+        let src = Prng.int rng 16 in
+        let dst = (src + 1 + Prng.int rng 15) mod 16 in
+        let id = !next in
+        incr next;
+        let r = flow ~id ~demand:(Prng.float_in rng 1.0 250.0) src dst in
+        match Routing.select ~rng ~policy:Routing.Random_fit net r with
+        | None -> ()
+        | Some path -> (
+            match Net_state.place net r path with
+            | Ok () -> placed := id :: !placed
+            | Error _ -> ())
+      in
+      let remove () =
+        match pick () with
+        | Some id ->
+            ignore (Net_state.remove net id);
+            placed := List.filter (( <> ) id) !placed
+        | None -> ()
+      in
+      let reroute () =
+        match Option.bind (pick ()) (Net_state.flow net) with
+        | None -> ()
+        | Some p -> (
+            match Net_state.candidate_paths net p.Net_state.record with
+            | [] -> ()
+            | cands ->
+                let target =
+                  List.nth cands (Prng.int rng (List.length cands))
+                in
+                let id = p.Net_state.record.Flow_record.id in
+                ignore (Net_state.reroute net id target))
+      in
+      let write () =
+        match Prng.int rng 3 with
+        | 0 -> place ()
+        | 1 -> remove ()
+        | _ -> reroute ()
+      in
+      let txn ~keep =
+        let before = !placed in
+        Net_state.begin_txn net;
+        for _ = 0 to Prng.int rng 4 do
+          write ()
+        done;
+        if keep then Net_state.commit net
+        else begin
+          Net_state.rollback net;
+          placed := before
+        end
+      in
+      for _ = 0 to 29 do
+        place ()
+      done;
+      let inj = Injector.create [] in
+      let sweeps0 = full_sweeps () in
+      let ok = ref true in
+      let ops = 80 in
+      for _ = 1 to ops do
+        (match Prng.int rng 9 with
+        | 0 | 1 -> place ()
+        | 2 -> remove ()
+        | 3 -> reroute ()
+        | 4 -> txn ~keep:true
+        | 5 -> txn ~keep:false
+        | 6 ->
+            let e = Prng.int rng edge_n in
+            if Prng.unit_float rng < 0.7 then Net_state.disable_edge net e
+            else Net_state.enable_edge net e
+        | 7 ->
+            Net_state.degrade_edge net (Prng.int rng edge_n)
+              ~lost_mbps:(Prng.float_in rng 1.0 600.0)
+        | _ -> Net_state.restore_edge_capacity net (Prng.int rng edge_n));
+        let incremental = names (Injector.check_now inj net ~now:0.0) in
+        let full = names (Invariant.check net) in
+        if incremental <> full then ok := false
+      done;
+      (* [ops] reference sweeps plus the injector's own full ones: the
+         injector must have run incrementally most of the time. *)
+      let injector_full = full_sweeps () - sweeps0 - ops in
+      !ok && injector_full < ops / 4)
+
 let suite =
   [
     Alcotest.test_case "schedule deterministic" `Quick test_schedule_deterministic;
@@ -518,6 +701,11 @@ let suite =
     Alcotest.test_case "injector link down" `Quick test_injector_link_down_evacuates;
     Alcotest.test_case "injector switch down/up" `Quick test_injector_switch_down_then_up;
     Alcotest.test_case "injector degrade sheds" `Quick test_injector_degrade_sheds;
+    Alcotest.test_case "change log: committed writes only" `Quick
+      test_change_log_commit_only;
+    Alcotest.test_case "thawed injector checks fully first" `Quick
+      test_thawed_injector_first_check_full;
+    QCheck_alcotest.to_alcotest prop_incremental_matches_full;
     Alcotest.test_case "engine empty schedule" `Quick test_engine_empty_schedule_identical;
     Alcotest.test_case "engine chaos deterministic" `Quick test_engine_chaos_deterministic;
     Alcotest.test_case "engine chaos robust" `Quick test_engine_chaos_robust;
