@@ -1,5 +1,6 @@
 module Counters = Nu_obs.Counters
 module Json = Nu_obs.Json
+module Fnv = Nu_obs.Fnv
 
 type decision =
   | Fault_applied of { at_s : float; tag : int; subject : int }
@@ -62,39 +63,28 @@ let violations t =
     (fun n -> function Invariant_violated _ -> n + 1 | _ -> n)
     0 t.log
 
-(* FNV-1a, same constants as the scheduler bench digests. *)
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-
-let fnv64 h x = Int64.mul (Int64.logxor h x) fnv_prime
-let fnv_int h i = fnv64 h (Int64.of_int i)
-let fnv_float h f = fnv64 h (Int64.bits_of_float f)
-
-let fnv_string h s =
-  String.fold_left (fun h c -> fnv_int h (Char.code c)) h s
-
 let digest t =
   let h =
     List.fold_left
       (fun h d ->
         match d with
         | Fault_applied { at_s; tag; subject } ->
-            fnv_int (fnv_int (fnv_float (fnv_int h 1) at_s) tag) subject
+            Fnv.int (Fnv.int (Fnv.float (Fnv.int h 1) at_s) tag) subject
         | Migration_aborted { event_id; at_s; attempt } ->
-            fnv_int (fnv_float (fnv_int (fnv_int h 2) event_id) at_s) attempt
+            Fnv.int (Fnv.float (Fnv.int (Fnv.int h 2) event_id) at_s) attempt
         | Retry_scheduled { event_id; ready_s; attempt } ->
-            fnv_int (fnv_float (fnv_int (fnv_int h 3) event_id) ready_s) attempt
+            Fnv.int (Fnv.float (Fnv.int (Fnv.int h 3) event_id) ready_s) attempt
         | Event_degraded { event_id; at_s } ->
-            fnv_float (fnv_int (fnv_int h 4) event_id) at_s
+            Fnv.float (Fnv.int (Fnv.int h 4) event_id) at_s
         | Flow_evacuated { flow_id; at_s; dropped } ->
-            fnv_int
-              (fnv_float (fnv_int (fnv_int h 5) flow_id) at_s)
+            Fnv.int
+              (Fnv.float (Fnv.int (Fnv.int h 5) flow_id) at_s)
               (if dropped then 1 else 0)
         | Invariant_violated { at_s; name } ->
-            fnv_string (fnv_float (fnv_int h 6) at_s) name)
-      fnv_basis (decisions t)
+            Fnv.string (Fnv.float (Fnv.int h 6) at_s) name)
+      Fnv.basis (decisions t)
   in
-  Printf.sprintf "%016Lx" h
+  Fnv.hex h
 
 let stats_fields s =
   [

@@ -35,6 +35,12 @@ val render :
     [nu_tenant_health_state{tenant}] (gauge value is
     {!Health.state_rank}: 0 ok, 1 warn, 2 critical, 3 recovering). *)
 
+val fsync_dir : string -> unit
+(** Fsync a directory so a rename inside it survives power loss.
+    Best-effort: a filesystem that hands out no directory fd is
+    skipped. Shared by every atomic publish (this module's and the
+    checkpoint chain's). *)
+
 val write_atomic : dir:string -> ?filename:string -> string -> unit
 (** Write [content] to [dir/filename] (default ["metrics.prom"]) via a
     hidden temp file and atomic rename, creating [dir] if missing. *)

@@ -143,7 +143,7 @@ let create cfg =
     alert_total = 0;
     critical_total = 0;
     dropped = 0;
-    digest = 0xcbf29ce484222325L;
+    digest = Fnv.basis;
     by_detector = Hashtbl.create 8;
     by_severity = Hashtbl.create 4;
     first_breach = None;
@@ -152,22 +152,6 @@ let create cfg =
     obs_oc = None;
     alert_oc = None;
   }
-
-(* ------------------------------------------------------------------ *)
-(* FNV-1a (same constants as Codec.fnv64_hex; nu_obs cannot depend on
-   nu_serve, so the fold is reimplemented here) *)
-
-let fnv_prime = 0x100000001b3L
-
-let fnv_fold acc s =
-  let h = ref acc in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
-let fnv_hex h = Printf.sprintf "%016Lx" h
 
 (* ------------------------------------------------------------------ *)
 (* JSON codecs *)
@@ -370,7 +354,7 @@ let bump tbl k =
 
 let emit t a =
   let line = Json.to_string (alert_to_json a) in
-  t.digest <- fnv_fold (fnv_fold t.digest line) "\n";
+  t.digest <- Fnv.string (Fnv.string t.digest line) "\n";
   t.alert_total <- t.alert_total + 1;
   if a.a_severity = Critical then t.critical_total <- t.critical_total + 1;
   bump t.by_detector a.a_detector;
@@ -668,10 +652,10 @@ let read_alerts_digest path =
   let* ok_lines, _torn = parse_tolerant path parse lines in
   let digest =
     List.fold_left
-      (fun acc line -> fnv_fold (fnv_fold acc line) "\n")
-      0xcbf29ce484222325L ok_lines
+      (fun acc line -> Fnv.string (Fnv.string acc line) "\n")
+      Fnv.basis ok_lines
   in
-  Ok (fnv_hex digest, List.length ok_lines)
+  Ok (Fnv.hex digest, List.length ok_lines)
 
 (* ------------------------------------------------------------------ *)
 (* Ingest (with resume-from-journal) *)
@@ -726,7 +710,7 @@ let alerts t = List.of_seq (Queue.to_seq t.ring)
 let alert_total t = t.alert_total
 let critical_total t = t.critical_total
 let dropped t = t.dropped
-let alert_digest t = fnv_hex t.digest
+let alert_digest t = Fnv.hex t.digest
 let by_detector t = pairs_of_counts t.by_detector
 let by_severity t = pairs_of_counts t.by_severity
 let global_state t = Health.state t.g_health

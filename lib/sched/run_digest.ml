@@ -1,15 +1,4 @@
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-
-let fnv64 h x =
-  let h = Int64.logxor h x in
-  Int64.mul h fnv_prime
-
-let fnv_float h f = fnv64 h (Int64.bits_of_float f)
-let fnv_int h i = fnv64 h (Int64.of_int i)
-
-let fnv_string h s =
-  String.fold_left (fun h c -> fnv_int h (Char.code c)) h s
+module Fnv = Nu_obs.Fnv
 
 (* A single digest passes through unchanged, so a one-shard fabric's
    combined digest equals its lone controller's — the N=1 differential
@@ -18,35 +7,35 @@ let combine = function
   | [ d ] -> d
   | ds ->
       let h =
-        List.fold_left (fun h d -> fnv_int (fnv_string h d) 0x1f) fnv_basis ds
+        List.fold_left (fun h d -> Fnv.int (Fnv.string h d) 0x1f) Fnv.basis ds
       in
-      Printf.sprintf "%016Lx" h
+      Fnv.hex h
 
 let of_run (r : Engine.run_result) =
-  let h = ref fnv_basis in
+  let h = ref Fnv.basis in
   Array.iter
     (fun (e : Engine.event_result) ->
-      h := fnv_int !h e.Engine.event_id;
-      h := fnv_float !h e.Engine.arrival_s;
-      h := fnv_float !h e.Engine.start_s;
-      h := fnv_float !h e.Engine.completion_s;
-      h := fnv_float !h e.Engine.cost_mbit;
-      h := fnv_int !h e.Engine.plan_work_units;
-      h := fnv_int !h e.Engine.failed_items;
-      h := fnv_int !h (if e.Engine.co_scheduled then 1 else 0))
+      h := Fnv.int !h e.Engine.event_id;
+      h := Fnv.float !h e.Engine.arrival_s;
+      h := Fnv.float !h e.Engine.start_s;
+      h := Fnv.float !h e.Engine.completion_s;
+      h := Fnv.float !h e.Engine.cost_mbit;
+      h := Fnv.int !h e.Engine.plan_work_units;
+      h := Fnv.int !h e.Engine.failed_items;
+      h := Fnv.int !h (if e.Engine.co_scheduled then 1 else 0))
     r.Engine.events;
-  h := fnv_int !h r.Engine.rounds;
-  h := fnv_int !h r.Engine.total_plan_units;
-  h := fnv_float !h r.Engine.total_cost_mbit;
-  h := fnv_float !h r.Engine.makespan_s;
+  h := Fnv.int !h r.Engine.rounds;
+  h := Fnv.int !h r.Engine.total_plan_units;
+  h := Fnv.float !h r.Engine.total_cost_mbit;
+  h := Fnv.float !h r.Engine.makespan_s;
   (* fabric_utilization is deliberately left out: it is telemetry whose
      low-order bits depend on summation order (the incremental Kahan sum
      vs a fresh fold), not a scheduling decision. The digest covers the
      decisions — ECTs, costs, rounds, batches, work units. *)
   List.iter
     (fun (ri : Engine.round_info) ->
-      h := fnv_float !h ri.Engine.round_start_s;
-      List.iter (fun id -> h := fnv_int !h id) ri.Engine.executed;
-      h := fnv_int !h ri.Engine.round_units)
+      h := Fnv.float !h ri.Engine.round_start_s;
+      List.iter (fun id -> h := Fnv.int !h id) ri.Engine.executed;
+      h := Fnv.int !h ri.Engine.round_units)
     r.Engine.rounds_log;
-  Printf.sprintf "%016Lx" !h
+  Fnv.hex !h

@@ -4,18 +4,6 @@ module Fault_model = Nu_fault.Fault_model
 
 let ( let* ) = Result.bind
 
-(* FNV-1a over the bytes of a string; same constants as
-   [Nu_fault.Recovery] so every digest in the repo prints the same
-   16-hex-digit shape. *)
-let fnv64_hex s =
-  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
-  let h =
-    String.fold_left
-      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) prime)
-      basis s
-  in
-  Printf.sprintf "%016Lx" h
-
 (* ------------------------------------------------------------------ *)
 (* Decoding combinators.                                               *)
 

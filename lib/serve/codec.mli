@@ -10,10 +10,6 @@
 
 module Json := Nu_obs.Json
 
-val fnv64_hex : string -> string
-(** FNV-1a 64-bit hash of the bytes, printed as 16 lowercase hex
-    digits — the checkpoint content hash. *)
-
 val field : string -> Json.t -> (Json.t, string) result
 val opt_field : string -> Json.t -> Json.t option
 val as_int : Json.t -> (int, string) result
