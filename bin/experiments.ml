@@ -629,20 +629,32 @@ let source_spec_term =
     const mk $ seed_arg $ rate_arg $ flows_per_event_arg $ tenants_arg
     $ stream_arg)
 
-let print_serve_summary t result =
+(* One summary for every shard count: per-tenant admission stats, and
+   with two or more shards the coordinator and per-shard digests. *)
+let print_summary t =
+  let shards = Shard_fabric.shard_count t in
   Format.printf
-    "serve: %d tick(s), %d event(s) completed, %d round(s), backlog %d, \
-     queue %d, deferred %d@."
-    (Serve.tick_count t)
-    (Array.length result.Engine.events)
-    result.Engine.rounds (Serve.engine_backlog t)
-    (Admission.size (Serve.admission t))
-    (Serve.deferred_count t);
-  List.iter
-    (fun (tenant, (admitted, shed, drained)) ->
-      Format.printf "  %-12s admitted %d, shed %d, drained %d@." tenant
-        admitted shed drained)
-    (Admission.tenant_stats (Serve.admission t))
+    "serve: %d tick(s), %d shard(s), %d event(s) completed, backlog %d, \
+     deferred %d@."
+    (Shard_fabric.tick_count t) shards (Shard_fabric.completed t)
+    (List.fold_left ( + ) 0 (List.init shards (Shard_fabric.backlog t)))
+    (Shard_fabric.deferred_count t);
+  for k = 0 to shards - 1 do
+    List.iter
+      (fun (tenant, (admitted, shed, drained)) ->
+        Format.printf "  %s%-12s admitted %d, shed %d, drained %d@."
+          (if shards > 1 then Printf.sprintf "shard %d " k else "")
+          tenant admitted shed drained)
+      (Admission.tenant_stats (Shard_fabric.admission t k))
+  done;
+  if shards > 1 then begin
+    Format.printf "  coordinator: %d journal entr(ies), %d pending@."
+      (Shard_coord.entries (Shard_fabric.coord t))
+      (Shard_coord.pending_count (Shard_fabric.coord t));
+    List.iteri
+      (fun k d -> Format.printf "  shard %d digest %s@." k d)
+      (Shard_fabric.shard_digests t)
+  end
 
 (* Shared by serve and replay: telemetry is recording-only, so a replay
    may attach it even when the original run did not — the decision
@@ -703,11 +715,10 @@ let print_telemetry_summary telemetry metrics_dir =
 
 let shards_arg =
   let doc =
-    "Serve through the sharded fabric with $(docv) shard controllers \
-     (0 = classic single-controller path). One shard executes the exact \
-     single-controller schedule, so its digest is bit-identical."
+    "Serve through $(docv) shard controllers over one fabric. One shard is \
+     the single controller: its journal sits at the --journal path itself."
   in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let regions_arg =
   let doc =
@@ -720,8 +731,7 @@ let kill_shard_arg =
   let doc =
     "Crash-injection: abort shard $(docv)'s write-ahead journal mid-run \
      (with --kill-at), then recover the whole fabric from the checkpoint \
-     + journals and keep serving. Requires --shards, --journal and \
-     --checkpoint."
+     + journals and keep serving. Requires --journal and --checkpoint."
   in
   Arg.(value & opt int (-1) & info [ "kill-shard" ] ~docv:"K" ~doc)
 
@@ -730,31 +740,47 @@ let kill_at_arg =
              halfway there)." in
   Arg.(value & opt int 0 & info [ "kill-at" ] ~docv:"T" ~doc)
 
-let print_shard_summary t =
-  Format.printf
-    "serve: %d tick(s), %d shard(s), %d event(s) completed, backlog %d, \
-     coordinator %d journal entr(ies) %d pending@."
-    (Shard_fabric.tick_count t)
-    (Shard_fabric.shard_count t)
-    (Shard_fabric.completed t)
-    (let n = ref 0 in
-     for k = 0 to Shard_fabric.shard_count t - 1 do
-       n := !n + Shard_fabric.backlog t k
-     done;
-     !n)
-    (Shard_coord.entries (Shard_fabric.coord t))
-    (Shard_coord.pending_count (Shard_fabric.coord t));
-  List.iteri
-    (fun k d -> Format.printf "  shard %d digest %s@." k d)
-    (Shard_fabric.shard_digests t)
+let fabric_config cfg ~shards ~regions =
+  if shards < 1 then begin
+    Format.eprintf "--shards must be >= 1@.";
+    exit 2
+  end;
+  Shard_fabric.default_config
+    ?regions:(if regions > 0 then Some regions else None)
+    cfg ~shards
 
-(* The sharded serve path: N wave-synchronised controllers over one
-   fabric, per-shard WAL segments plus a coordinator journal, optional
+(* Serve's fault injector: a seeded schedule over the run's simulated
+   horizon. Fault injection needs the single controller. *)
+let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
+    ~retry_max =
+  if fault_rate <= 0.0 then None
+  else if shards > 1 then begin
+    Format.eprintf "fault injection needs one shard (--shards 1)@.";
+    exit 2
+  end
+  else
+    let fconfig =
+      {
+        Fault_model.default_config with
+        Fault_model.rate_per_s = fault_rate;
+        horizon_s = float_of_int ticks *. cfg.Serve.tick_dt_s;
+      }
+    in
+    let retry =
+      { Retry_policy.default with Retry_policy.max_attempts = retry_max }
+    in
+    Some
+      (Injector.create ~retry
+         (Fault_model.generate ~config:fconfig ~seed:fault_seed topology))
+
+(* The serve path for every shard count: wave-synchronised controllers
+   over one fabric, per-shard WALs, checkpoint-chain generations every
+   --checkpoint-every ticks (or once at the end), and optionally a
    mid-run crash of one shard's WAL followed by whole-fabric recovery.
    The printed digest must be bit-identical to the same run without the
-   crash — and, with one shard, to the classic serve path. *)
-let run_sharded cfg spec ~shards ~regions ~util ~seed ~ticks ~checkpoint
-    ~journal_path ~no_complete ~kill_shard ~kill_at ~telemetry ~metrics_dir =
+   crash. *)
+let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
+    ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~telemetry =
   let rec ensure_parent path =
     let dir = Filename.dirname path in
     if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -764,24 +790,10 @@ let run_sharded cfg spec ~shards ~regions ~util ~seed ~ticks ~checkpoint
   in
   Option.iter ensure_parent journal_path;
   Option.iter ensure_parent checkpoint;
-  let scenario = Scenario.prepare ~utilization:util ~seed () in
-  let fcfg =
-    Shard_fabric.default_config
-      ?regions:(if regions > 0 then Some regions else None)
-      cfg ~shards
-  in
   let t =
-    Shard_fabric.create ?telemetry ?journal_base:journal_path fcfg
+    Shard_fabric.create ?injector ?telemetry ?journal_base:journal_path fcfg
       ~topology:scenario.Scenario.topology ~net:scenario.Scenario.net
       ~source_spec:spec
-  in
-  let finish t =
-    if not no_complete then Shard_fabric.complete t;
-    print_shard_summary t;
-    Format.printf "digest: %s@." (Shard_fabric.digest t);
-    ignore (Shard_fabric.retire t : Engine.run_result list);
-    print_telemetry_summary telemetry metrics_dir;
-    ignore (finish_watch telemetry metrics_dir)
   in
   if kill_shard >= 0 && kill_at > 0 then begin
     let journal_base, cp_path =
@@ -792,9 +804,9 @@ let run_sharded cfg spec ~shards ~regions ~util ~seed ~ticks ~checkpoint
                           --checkpoint@.";
           exit 2
     in
-    if kill_shard >= shards then begin
+    if kill_shard >= fcfg.Shard_fabric.shards then begin
       Format.eprintf "serve: --kill-shard %d out of range (shards %d)@."
-        kill_shard shards;
+        kill_shard fcfg.Shard_fabric.shards;
       exit 2
     end;
     let cp_at = max 1 (kill_at / 2) in
@@ -819,14 +831,14 @@ let run_sharded cfg spec ~shards ~regions ~util ~seed ~ticks ~checkpoint
           replayed;
         let remaining = ticks - Shard_fabric.tick_count t2 in
         if remaining > 0 then Shard_fabric.run t2 ~ticks:remaining;
-        finish t2
+        t2
   end
   else begin
-    Shard_fabric.run t ~ticks;
+    Shard_fabric.run ?checkpoint_path:checkpoint ~checkpoint_every t ~ticks;
     (match checkpoint with
-    | Some path -> Shard_fabric.save_checkpoint t ~path
-    | None -> ());
-    finish t
+    | Some path when checkpoint_every = 0 -> Shard_fabric.save_checkpoint t ~path
+    | _ -> ());
+    t
   end
 
 let serve_cmd =
@@ -835,49 +847,16 @@ let serve_cmd =
       out trace counters hist shards regions kill_shard kill_at =
     with_obs ~trace ~counters (fun () ->
         try
-          if shards > 0 then begin
-            if fault_rate > 0.0 then begin
-              Format.eprintf
-                "serve: fault injection is unsupported with --shards@.";
-              exit 2
-            end;
-            if out <> None then
-              Format.eprintf
-                "serve: note: --out is ignored with --shards@.";
-            if hist then begin
-              Obs.Histogram.Registry.reset ();
-              Obs.Histogram.Registry.enable ()
-            end;
-            let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
-            run_sharded cfg spec ~shards ~regions ~util ~seed ~ticks
-              ~checkpoint ~journal_path ~no_complete ~kill_shard ~kill_at
-              ~telemetry ~metrics_dir
-          end
-          else begin
+          let fcfg = fabric_config cfg ~shards ~regions in
+          if out <> None && shards > 1 then begin
+            Format.eprintf "serve: --out needs one shard (--shards 1)@.";
+            exit 2
+          end;
           let scenario = Scenario.prepare ~utilization:util ~seed () in
           let injector =
-            if fault_rate <= 0.0 then None
-            else begin
-              let fconfig =
-                {
-                  Fault_model.default_config with
-                  Fault_model.rate_per_s = fault_rate;
-                  horizon_s = float_of_int ticks *. cfg.Serve.tick_dt_s;
-                }
-              in
-              let retry =
-                {
-                  Retry_policy.default with
-                  Retry_policy.max_attempts = retry_max;
-                }
-              in
-              Some
-                (Injector.create ~retry
-                   (Fault_model.generate ~config:fconfig ~seed:fault_seed
-                      scenario.Scenario.topology))
-            end
+            make_injector cfg ~shards ~topology:scenario.Scenario.topology
+              ~ticks ~fault_seed ~fault_rate ~retry_max
           in
-          let journal = Option.map Journal.open_writer journal_path in
           if hist then begin
             Obs.Histogram.Registry.reset ();
             Obs.Histogram.Registry.enable ()
@@ -885,17 +864,11 @@ let serve_cmd =
           let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
           let before = Obs.Counters.snapshot () in
           let t =
-            Serve.create ?injector ?telemetry ?journal cfg
-              ~topology:scenario.Scenario.topology ~net:scenario.Scenario.net
-              ~source_spec:spec
+            serve_fabric fcfg spec ?injector ~scenario ~ticks ~checkpoint
+              ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~telemetry
           in
-          Serve.run ?checkpoint_path:checkpoint ~checkpoint_every ~ticks t;
-          (match checkpoint with
-          | Some path when checkpoint_every = 0 ->
-              ignore (Serve.save_checkpoint t path : string)
-          | _ -> ());
-          if not no_complete then Serve.complete t;
-          let result = Serve.retire t in
+          if not no_complete then Shard_fabric.complete t;
+          let results = Shard_fabric.retire t in
           let run_counters =
             Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ())
           in
@@ -906,13 +879,12 @@ let serve_cmd =
             end
             else None
           in
-          print_serve_summary t result;
-          Format.printf "digest: %s@." (Run_digest.of_run result);
+          print_summary t;
+          Format.printf "digest: %s@." (Shard_fabric.digest t);
           print_telemetry_summary telemetry metrics_dir;
           let watcher = finish_watch telemetry metrics_dir in
-          match out with
-          | None -> ()
-          | Some path ->
+          match (out, results) with
+          | Some path, [ result ] ->
               let json =
                 Run_report.to_json ~counters:run_counters ?histograms
                   ?telemetry:(Option.map Serve_telemetry.to_json telemetry)
@@ -921,7 +893,7 @@ let serve_cmd =
               in
               write_json path json;
               Format.printf "serve: wrote %s@." path
-          end
+          | _ -> ()
         with Invalid_argument m | Failure m ->
           Format.eprintf "serve: %s@." m;
           exit 1)
@@ -930,8 +902,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the online update controller: seeded or JSONL arrivals through \
-          bounded admission into the incremental engine, with optional \
-          fault injection, durable checkpoints and a write-ahead journal")
+          bounded admission into the incremental engine — one controller or \
+          N shards over one fabric — with optional fault injection, durable \
+          checkpoints and a write-ahead journal")
     Term.(
       const run $ serve_cfg_term $ source_spec_term $ seed_arg $ util_arg
       $ ticks_arg $ fault_seed_arg $ serve_fault_rate_arg $ retry_max_arg
@@ -952,26 +925,31 @@ let snapshot_cmd =
         Format.eprintf "snapshot: %s: %s@." path m;
         exit 1
     | Ok cp ->
-        let st = cp.Serve_checkpoint.stepper in
         Format.printf "checkpoint: %s@." path;
-        Format.printf "  tick:       %d@." cp.Serve_checkpoint.tick;
-        Format.printf "  engine:     %d completed, %d queued, %d pending, \
-                       %d held, %d round(s), now %.3f s@."
-          (List.length st.Engine.Stepper.fz_results)
-          (List.length st.Engine.Stepper.fz_queue)
-          (List.length st.Engine.Stepper.fz_pending)
-          (List.length st.Engine.Stepper.fz_held)
-          st.Engine.Stepper.fz_rounds st.Engine.Stepper.fz_now;
-        let queued =
-          List.fold_left
-            (fun acc (_, q) -> acc + List.length q)
-            0 cp.Serve_checkpoint.admission.Admission.fz_queues
-        in
-        Format.printf "  admission:  %d queued across %d tenant(s), %d \
-                       deferred@."
-          queued
-          (List.length cp.Serve_checkpoint.admission.Admission.fz_tenants)
-          (List.length cp.Serve_checkpoint.deferred);
+        Format.printf "  tick:       %d (chain seq %d)@." cp.Serve_checkpoint.tick
+          cp.Serve_checkpoint.seq;
+        List.iteri
+          (fun k (sh : Serve_checkpoint.shard) ->
+            let st = sh.Serve_checkpoint.stepper in
+            let queued =
+              List.fold_left
+                (fun acc (_, q) -> acc + List.length q)
+                0 sh.Serve_checkpoint.admission.Admission.fz_queues
+            in
+            Format.printf "  shard %d:@." k;
+            Format.printf "    engine:     %d completed, %d queued, %d pending, \
+                           %d held, %d round(s), now %.3f s@."
+              (List.length st.Engine.Stepper.fz_results)
+              (List.length st.Engine.Stepper.fz_queue)
+              (List.length st.Engine.Stepper.fz_pending)
+              (List.length st.Engine.Stepper.fz_held)
+              st.Engine.Stepper.fz_rounds st.Engine.Stepper.fz_now;
+            Format.printf "    admission:  %d queued across %d tenant(s), %d \
+                           deferred@."
+              queued
+              (List.length sh.Serve_checkpoint.admission.Admission.fz_tenants)
+              (List.length sh.Serve_checkpoint.deferred))
+          cp.Serve_checkpoint.shards;
         Format.printf "  injector:   %s@."
           (match cp.Serve_checkpoint.injector with
           | None -> "none"
@@ -988,129 +966,68 @@ let snapshot_cmd =
   in
   Cmd.v
     (Cmd.info "snapshot"
-       ~doc:"Validate a serve checkpoint and print its contents")
+       ~doc:"Validate a serve checkpoint and print its contents, shard by shard")
     Term.(const run $ checkpoint_file_arg)
 
 let replay_journal_arg =
-  let doc = "Operation journal to re-drive after restoring." in
+  let doc =
+    "Write-ahead journal to re-drive: the --journal path the serving run \
+     was given."
+  in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
 let replay_checkpoint_arg =
   let doc =
-    "Checkpoint file to restore from. Required without --shards; with \
-     --shards the fabric cold-starts from the journals when omitted."
+    "Checkpoint file to restore from. When omitted the run cold-starts \
+     from the scenario (--seed, --util) and replays the journals from \
+     tick 0."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-(* Shard-fabric external audit: rebuild the whole fabric (N shard WALs
-   + coordinator journal) from durable state alone and assert the
-   digest. Cold-starts the fabric net from the same scenario seed the
-   serving run used, unless a checkpoint narrows the replay window. *)
-let replay_sharded cfg spec ~shards ~regions ~seed ~util ~checkpoint
-    ~journal_path ~no_complete ~telemetry ~metrics_dir ~expect_digest =
-  let journal_base =
-    match journal_path with
-    | Some jb -> jb
-    | None ->
-        Format.eprintf "replay: --shards requires --journal BASE@.";
-        exit 2
-  in
-  let scenario = Scenario.prepare ~utilization:util ~seed () in
-  let fcfg =
-    Shard_fabric.default_config
-      ?regions:(if regions > 0 then Some regions else None)
-      cfg ~shards
-  in
-  match
-    Shard_fabric.replay ?telemetry ?checkpoint_path:checkpoint fcfg
-      ~topology:scenario.Scenario.topology ~net:scenario.Scenario.net
-      ~source_spec:spec ~journal_base
-  with
-  | Error m ->
-      Format.eprintf "replay: %s@." m;
-      exit 1
-  | Ok (t, replayed) -> (
-      Format.printf "replay: re-drove %d committed tick(s) across %d \
-                     shard WAL(s)@."
-        replayed shards;
-      if not no_complete then Shard_fabric.complete t;
-      let digest = Shard_fabric.digest t in
-      print_shard_summary t;
-      Format.printf "digest: %s@." digest;
-      ignore (Shard_fabric.retire t : Engine.run_result list);
-      print_telemetry_summary telemetry metrics_dir;
-      ignore (finish_watch telemetry metrics_dir);
-      match expect_digest with
-      | Some d when d <> digest ->
-          Format.eprintf "replay: digest mismatch: expected %s, got %s@." d
-            digest;
-          exit 1
-      | Some _ -> Format.printf "replay: digest matches@."
-      | None -> ())
-
+(* External audit: rebuild the controller(s) from durable state alone —
+   a checkpoint, or a cold start from the scenario the serving run used —
+   strictly re-drive every committed tick, drain, and assert the
+   digest. *)
 let replay_cmd =
   let run cfg spec checkpoint journal_path upto retry_max no_complete
-      metrics_dir metrics_every watch expect_digest shards regions seed util =
-    let topology = Fat_tree.to_topology (Fat_tree.create ~k:8 ()) in
-    if shards > 0 then begin
-      let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
-      replay_sharded cfg spec ~shards ~regions ~seed ~util ~checkpoint
-        ~journal_path ~no_complete ~telemetry ~metrics_dir ~expect_digest;
-      exit 0
-    end;
-    let checkpoint =
-      match checkpoint with
-      | Some cp -> cp
+      metrics_dir metrics_every watch expect_digest shards regions seed util
+      fault_rate =
+    let fcfg = fabric_config cfg ~shards ~regions in
+    let journal_base =
+      match journal_path with
+      | Some jb -> jb
       | None ->
-          Format.eprintf "replay: --checkpoint is required without --shards@.";
+          Format.eprintf "replay: --journal is required@.";
           exit 2
     in
+    if fault_rate > 0.0 && (shards > 1 || checkpoint = None) then begin
+      Format.eprintf
+        "replay: a faulted run replays at one shard from its --checkpoint, \
+         which carries the fault injector@.";
+      exit 2
+    end;
+    let scenario = Scenario.prepare ~utilization:util ~seed () in
     let retry =
       { Retry_policy.default with Retry_policy.max_attempts = retry_max }
     in
     let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
-    match Serve.restore ~retry ?telemetry ~config:cfg ~source_spec:spec
-            ~topology checkpoint
+    match
+      Shard_fabric.replay ?telemetry ~retry ?checkpoint_path:checkpoint
+        ?upto fcfg ~topology:scenario.Scenario.topology
+        ~net:scenario.Scenario.net ~source_spec:spec ~journal_base
     with
     | Error m ->
         Format.eprintf "replay: %s@." m;
         exit 1
-    | Ok t -> (
-        Format.printf "replay: restored %s at tick %d@." checkpoint
-          (Serve.tick_count t);
-        (match journal_path with
-        | None -> ()
-        | Some jp -> (
-            match Journal.read_report jp with
-            | Error m ->
-                Format.eprintf "replay: %s: %s@." jp m;
-                exit 1
-            | Ok report -> (
-                if report.Journal.corrupt <> [] then
-                  Format.printf "replay: skipped %d corrupt frame(s) in %s@."
-                    (List.length report.Journal.corrupt)
-                    jp;
-                match Journal.last_commit report.Journal.entries with
-                | Journal.Empty ->
-                    Format.eprintf
-                      "replay: %s holds no committed tick — the journal is \
-                       empty, header-only or fully torn; nothing to re-drive@."
-                      jp;
-                    exit 1
-                | Journal.Committed _ -> (
-                    match Serve.replay_entries ?upto t report.Journal.entries with
-                    | Error m ->
-                        Format.eprintf "replay: %s@." m;
-                        exit 1
-                    | Ok n ->
-                        Format.printf "replay: re-drove %d committed tick(s)@."
-                          n))));
-        if not no_complete then Serve.complete t;
-        let digest = Serve.digest t in
-        print_serve_summary t (Serve.result t);
+    | Ok (t, replayed) -> (
+        Format.printf "replay: re-drove %d committed tick(s) across %d \
+                       journal(s)@."
+          replayed shards;
+        if not no_complete then Shard_fabric.complete t;
+        let digest = Shard_fabric.digest t in
+        ignore (Shard_fabric.retire t : Engine.run_result list);
+        print_summary t;
         Format.printf "digest: %s@." digest;
-        (* Final exposition write + lifecycle flush. *)
-        Option.iter Serve_telemetry.on_retire telemetry;
         print_telemetry_summary telemetry metrics_dir;
         ignore (finish_watch telemetry metrics_dir);
         match expect_digest with
@@ -1124,10 +1041,16 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Restore a serve checkpoint, re-drive its journal deterministically \
-          and print (optionally assert) the decision digest"
+         "Rebuild a serving run from its checkpoint and journals, re-drive \
+          them deterministically and print (optionally assert) the decision \
+          digest"
        ~man:
          [
+           `P
+             "Replay takes the serving run's own flags: the configuration \
+              and source must match the checkpoint's fingerprint. A run \
+              served with $(b,--fault-rate) replays from its checkpoint, \
+              which carries the fault injector.";
            `P
              "Telemetry is recording-only: attaching $(b,--metrics-dir) to a \
               replay never changes the digest, even when the original run \
@@ -1137,7 +1060,8 @@ let replay_cmd =
       const run $ serve_cfg_term $ source_spec_term $ replay_checkpoint_arg
       $ replay_journal_arg $ upto_arg $ retry_max_arg $ no_complete_arg
       $ metrics_dir_arg $ metrics_every_arg $ watch_flag_arg
-      $ expect_digest_arg $ shards_arg $ regions_arg $ seed_arg $ util_arg)
+      $ expect_digest_arg $ shards_arg $ regions_arg $ seed_arg $ util_arg
+      $ serve_fault_rate_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Crash storm: the same serving run twice — once uninterrupted, once

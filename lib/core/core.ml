@@ -79,9 +79,9 @@ module Serve_checkpoint = Nu_serve.Checkpoint
 module Serve_codec = Nu_serve.Codec
 module Serve_telemetry = Nu_serve.Telemetry
 module Supervisor = Nu_serve.Supervisor
-module Shard_partition = Nu_shard.Partition
-module Shard_coord = Nu_shard.Coord
-module Shard_fabric = Nu_shard.Shard_fabric
+module Shard_partition = Nu_serve.Partition
+module Shard_coord = Nu_serve.Coord
+module Shard_fabric = Nu_serve.Shard_fabric
 module Obs = Nu_obs
 
 (** Canned experiment scenarios: a loaded Fat-Tree plus generator

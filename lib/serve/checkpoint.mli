@@ -1,21 +1,23 @@
-(** Durable whole-controller checkpoint, verified and chained.
+(** Durable serving checkpoint, verified and chained: the one format
+    for every {!Shard_fabric}, one shard ({!Serve}) or many.
 
-    A checkpoint is the atomic bundle of frozen component states:
-    engine stepper, network, optional fault injector, admission queue,
-    deferred requests and the arrival-source cursor, stamped with the
-    controller tick it was taken at and an opaque caller [meta] blob
-    (the serving configuration fingerprint, validated on restore).
+    A checkpoint is the atomic bundle of frozen component states — the
+    shared network, the optional fault injector, the arrival-source
+    cursor, every shard's engine stepper, admission queue and deferred
+    requests, and the fabric's partition map, coordinator and hot-shard
+    trackers — stamped with the tick it was taken at and an opaque
+    caller [meta] blob (the fabric fingerprint, validated on restore).
 
-    On disk (format version 2) a checkpoint is one JSON object:
-    {v { "format": ..., "version": 2, "hash": <fnv64 of core>, "core": {...} } v}
+    On disk (format version 3) a checkpoint is one JSON object:
+    {v { "format": ..., "version": 3, "hash": <fnv64 of core>, "core": {...} } v}
     The content hash covers the printed form of the core object and is
     re-verified on every load, so a flipped bit anywhere in the state
-    is detected instead of thawed. Version-1 files (no hash) still
-    load.
+    is detected instead of thawed. Other versions are refused.
 
     Saves are write-then-rename with an fsync of the file before the
     rename and of the containing directory after it — atomic {e and}
-    durable. Loads validate everything and return [Error] rather than
+    durable — and print the core once, hashing the same bytes they
+    write. Loads validate everything and return [Error] rather than
     trusting the file.
 
     {!Chain} keeps the last few generations on disk ([base] newest,
@@ -23,18 +25,26 @@
     hash, so recovery can fall back to the newest ancestor that still
     verifies. *)
 
+type shard = {
+  stepper : Engine.Stepper.frozen;
+  admission : Admission.frozen;
+  deferred : Request.t list;  (** Requests the Block policy pushed back. *)
+}
+
 type t = {
-  tick : int;  (** Controller tick the snapshot was taken after. *)
+  tick : int;  (** Fabric tick the snapshot was taken after. *)
   seq : int;  (** Chain sequence number (0 for a first/standalone save). *)
   parent : string option;
       (** Content hash of the previous chain generation, if any. *)
   meta : Nu_obs.Json.t;  (** Caller blob, echoed verbatim. *)
   net : Net_state.frozen;
-  stepper : Engine.Stepper.frozen;
   injector : Nu_fault.Injector.frozen option;
-  admission : Admission.frozen;
-  deferred : Request.t list;  (** Requests the Block policy pushed back. *)
   source : Source.frozen;
+  shards : shard list;  (** Shard order. *)
+  partition : Partition.frozen;
+  coord : Coord.frozen;
+  ewma : float list;  (** Per-shard load EWMA. *)
+  streak : int list;  (** Per-shard consecutive hot ticks. *)
 }
 
 val content_hash : t -> string
@@ -44,8 +54,9 @@ val to_json : t -> Nu_obs.Json.t
 val of_json : graph:Graph.t -> Nu_obs.Json.t -> (t, string) result
 
 val save : ?fault:Nu_fault.Store_fault.t -> string -> t -> string
-(** Atomic durable save; returns the content hash. Physical I/O routes
-    through [fault] when given. *)
+(** Atomic durable save; returns the content hash and bumps the
+    [serve_checkpoints] counter. Physical I/O routes through [fault]
+    when given. *)
 
 val load :
   ?fault:Nu_fault.Store_fault.t ->
