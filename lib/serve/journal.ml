@@ -461,6 +461,16 @@ let committed_ticks entries =
   in
   go [] [] entries
 
+let write_committed w ~below groups =
+  List.iter
+    (fun (tick, reqs) ->
+      if tick < below then begin
+        List.iter (fun request -> write w (Arrive { tick; request })) reqs;
+        write w (Tick_done tick)
+      end)
+    groups;
+  flush w
+
 type commits = Empty | Committed of int
 
 let last_commit entries =

@@ -105,6 +105,13 @@ val committed_ticks : entry list -> (int * Request.t list) list
 (** The committed (tick, arrivals-in-journal-order) groups, in tick
     order; trailing uncommitted arrivals are dropped. *)
 
+val write_committed :
+  writer -> below:int -> (int * Request.t list) list -> unit
+(** Re-roll: append every committed group whose tick is below [below]
+    (its arrivals, then its commit marker) and flush. Recovery rewrites
+    the clean committed prefix into a fresh segment chain this way,
+    dropping corrupt frames and any uncommitted tail. *)
+
 type commits = Empty | Committed of int
 
 val last_commit : entry list -> commits
