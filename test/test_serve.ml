@@ -1085,6 +1085,82 @@ let golden_watch_alerts () =
       Alcotest.(check bool) "alerts fired" true (Obs.Watch.alert_total w > 0);
       (d, Obs.Watch.alert_digest w))
 
+(* Storage bytes, pinned: the WAL's file bytes, and the records of the
+   watch, alert and lifecycle logs, of fixed one-shard runs. A change to
+   how records reach disk that moves one WAL byte or one record payload
+   fails here. *)
+
+let file_hash paths =
+  List.fold_left
+    (fun h p -> Obs.Fnv.string h (In_channel.with_open_bin p In_channel.input_all))
+    Obs.Fnv.basis paths
+  |> Obs.Fnv.hex
+
+(* Every record of a log, in write order. *)
+let log_records path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let records_hash paths =
+  List.fold_left
+    (fun h p ->
+      List.fold_left
+        (fun h r -> Obs.Fnv.string (Obs.Fnv.string h r) "\n")
+        h (log_records p))
+    Obs.Fnv.basis paths
+  |> Obs.Fnv.hex
+
+let golden_wal_bytes () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let s = scenario () in
+      let jp = Filename.concat dir "journal.wal" in
+      let w = Journal.open_writer jp in
+      let t =
+        Serve.create ~journal:w (cfg ~churn:golden_churn ())
+          ~topology:s.Scenario.topology ~net:s.Scenario.net
+          ~source_spec:golden_spec
+      in
+      Serve.run ~ticks:30 t;
+      Serve.complete t;
+      ignore (Serve.retire t : Engine.run_result);
+      Journal.close_writer w;
+      file_hash [ jp ])
+
+let golden_watch_records () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let lifecycle = Filename.concat dir "lifecycle.jsonl" in
+      let tel =
+        Serve_telemetry.create
+          {
+            Serve_telemetry.default_config with
+            Serve_telemetry.lifecycle_path = Some lifecycle;
+            watch = Some (aggressive_watch (Some dir));
+          }
+      in
+      ignore
+        (golden_serve ~faults:true ~telemetry:tel
+           ~config:(cfg ~churn:golden_churn ())
+           ~ticks:30 ()
+          : string);
+      records_hash
+        [
+          Filename.concat dir "watch.jsonl";
+          Filename.concat dir "alerts.jsonl";
+          lifecycle;
+        ])
+
+let test_serve_golden_storage () =
+  Alcotest.(check string) "WAL bytes" "8412f89f03a485ea" (golden_wal_bytes ());
+  Alcotest.(check string) "watch, alert and lifecycle records" "b60f4de8d2dc30df"
+    (golden_watch_records ())
+
 let test_serve_golden_digests () =
   let check name expected actual = Alcotest.(check string) name expected actual in
   check "plain" "fc37a615883488ce" (golden_serve ~ticks:30 ());
@@ -1249,4 +1325,5 @@ let suite =
       test_supervisor_storm_digest_differential );
     ("supervisor cold start", `Quick, test_supervisor_cold_start);
     ("golden digests", `Quick, test_serve_golden_digests);
+    ("golden storage bytes", `Quick, test_serve_golden_storage);
   ]

@@ -435,6 +435,52 @@ let test_replay_from_journals () =
       Alcotest.(check string) "digest equal" expected (Shard_fabric.digest t);
       Shard_fabric.close t
 
+(* ------------------------------------------------------------------ *)
+(* Golden storage bytes                                                *)
+
+(* A fixed 4-shard run with escalations: the shard WALs' file bytes and
+   the coordinator journal's records, pinned. *)
+let test_golden_storage () =
+  with_tmp_dir @@ fun dir ->
+  let jb = Filename.concat dir "wal" in
+  let s = scenario () in
+  let fcfg =
+    Shard_fabric.default_config ~shards:4
+      { (cfg ()) with Serve.drain_per_tick = 12; admission_capacity = 32 }
+  in
+  let t =
+    Shard_fabric.create ~journal_base:jb fcfg ~topology:s.Scenario.topology
+      ~net:s.Scenario.net ~source_spec:(spec_of ~rate:3.0 ())
+  in
+  Shard_fabric.run t ~ticks:40;
+  Shard_fabric.complete t;
+  Alcotest.(check bool) "coordinator decided" true
+    (Shard_coord.entries (Shard_fabric.coord t) > 0);
+  ignore (Shard_fabric.retire t : Engine.run_result list);
+  let wal_hash =
+    List.fold_left
+      (fun h k ->
+        Obs.Fnv.string h
+          (In_channel.with_open_bin
+             (Shard_fabric.shard_journal_path jb k)
+             In_channel.input_all))
+      Obs.Fnv.basis [ 0; 1; 2; 3 ]
+  in
+  let coord_records =
+    In_channel.with_open_bin (Shard_fabric.coord_journal_path jb)
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let coord_hash =
+    List.fold_left
+      (fun h r -> Obs.Fnv.string (Obs.Fnv.string h r) "\n")
+      Obs.Fnv.basis coord_records
+  in
+  Alcotest.(check string) "shard WAL bytes" "b4bdbe87db03a269" (Obs.Fnv.hex wal_hash);
+  Alcotest.(check string) "coordinator journal records" "03f25be357c19b0b"
+    (Obs.Fnv.hex coord_hash)
+
 let suite =
   [
     Alcotest.test_case "partition: shape and ownership" `Quick
@@ -467,4 +513,5 @@ let suite =
       test_crash_recover_differential;
     Alcotest.test_case "replay from journals alone" `Quick
       test_replay_from_journals;
+    Alcotest.test_case "golden storage bytes" `Quick test_golden_storage;
   ]
