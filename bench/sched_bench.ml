@@ -363,7 +363,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
                    { tick = i; request = Core.Serve_request.v ~tenant:"bench" ev }))
             events;
           List.iteri (fun i _ -> Core.Journal.write w (Core.Journal.Tick_done i)) events;
-          Core.Journal.flush w;
+          Core.Obs.Store.flush w;
           Some (path, w)
         end
         else None
@@ -394,7 +394,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       (match journal with
       | None -> ()
       | Some (path, w) ->
-          Core.Journal.close_writer w;
+          Core.Obs.Store.close w;
           (match Core.Journal.read_report path with
           | Error m ->
               Printf.eprintf "bench: FAIL WAL read-back: %s\n%!" m;

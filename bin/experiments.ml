@@ -1157,7 +1157,7 @@ let crashstorm_cmd =
           | Ok report ->
               write_json
                 (Filename.concat dir "journal_report.json")
-                (Journal.report_to_json report)
+                (Obs.Store.report_to_json report)
           | Error m -> Format.eprintf "crashstorm: journal report: %s@." m);
           Format.printf
             "storm: %d fault(s) armed, %d fired, %d restart(s), %d corrupt \
@@ -1223,6 +1223,25 @@ let crashstorm_cmd =
 (* Telemetry summary: render a metrics dir (lifecycle JSONL + exposition
    file) into a per-tenant / SLO table.                                 *)
 
+(* The offline readers' verdict on a record log's damage: a torn tail
+   (the writer died mid-append) is reported and tolerated; any other
+   skipped frame is corruption and exits with [code]. *)
+let tolerate_torn_tail ~what ~code path corrupt =
+  List.iter
+    (fun (cf : Obs.Store.corrupt_frame) ->
+      if cf.Obs.Store.cf_torn then
+        Format.printf
+          "%s: torn tail of %s skipped at segment %d offset %d (crash \
+           mid-append)@."
+          what path cf.Obs.Store.cf_segment cf.Obs.Store.cf_offset
+      else begin
+        Format.eprintf "%s: %s: corrupt frame at segment %d offset %d: %s@."
+          what path cf.Obs.Store.cf_segment cf.Obs.Store.cf_offset
+          cf.Obs.Store.cf_reason;
+        exit code
+      end)
+    corrupt
+
 let telemetry_dir_arg =
   let doc = "Metrics directory written by $(b,serve --metrics-dir)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
@@ -1237,7 +1256,13 @@ let telemetry_cmd =
       exit 1
     end;
     if Sys.file_exists prom then begin
-      let text = In_channel.with_open_text prom In_channel.input_all in
+      let text =
+        match Obs.Store.read_file prom with
+        | Ok text -> text
+        | Error m ->
+            Format.eprintf "telemetry: %s@." m;
+            exit 1
+      in
       match Obs.Expo.validate text with
       | Error m ->
           Format.eprintf "telemetry: %s: invalid exposition: %s@." prom m;
@@ -1248,17 +1273,13 @@ let telemetry_cmd =
             (List.length (String.split_on_char '\n' text) - 1)
     end;
     if Sys.file_exists jsonl then begin
-      match Obs.Lifecycle.read_jsonl jsonl with
+      match Obs.Lifecycle.read_log jsonl with
       | Error m ->
           Format.eprintf "telemetry: %s: %s@." jsonl m;
           exit 1
-      | Ok { Obs.Lifecycle.read = entries; torn } ->
-          (match torn with
-          | Some (n, _) ->
-              Format.printf
-                "lifecycle: torn trailing line %d skipped (crash mid-append)@."
-                n
-          | None -> ());
+      | Ok r ->
+          tolerate_torn_tail ~what:"telemetry" ~code:1 jsonl r.Obs.Store.corrupt;
+          let entries = r.Obs.Store.entries in
           (* Rebuild per-tenant stats from the stamp stream. Terminal
              stamps carry the tenant attribution; a degraded completion
              is counted as completed too. *)
@@ -1393,13 +1414,7 @@ let watch_cmd =
         match Obs.Watch.read_journal watch_jsonl with
         | Error m -> fail "%s" m
         | Ok j ->
-            (match j.Obs.Watch.j_torn with
-            | Some n ->
-                Format.printf
-                  "watch: torn trailing line %d of %s skipped (crash \
-                   mid-append)@."
-                  n watch_jsonl
-            | None -> ());
+            tolerate_torn_tail ~what:"watch" ~code:2 watch_jsonl j.Obs.Watch.j_corrupt;
             let cfg =
               Option.value j.Obs.Watch.j_config
                 ~default:Obs.Watch.default_config
@@ -1415,14 +1430,11 @@ let watch_cmd =
         let lifecycle = Filename.concat dir "lifecycle.jsonl" in
         if not (Sys.file_exists lifecycle) then
           fail "%s holds neither watch.jsonl nor lifecycle.jsonl" dir;
-        match Obs.Lifecycle.read_jsonl lifecycle with
+        match Obs.Lifecycle.read_log lifecycle with
         | Error m -> fail "%s" m
-        | Ok { Obs.Lifecycle.read = entries; torn } ->
-            (match torn with
-            | Some (n, _) ->
-                Format.printf
-                  "watch: torn trailing line %d of %s skipped@." n lifecycle
-            | None -> ());
+        | Ok r ->
+            tolerate_torn_tail ~what:"watch" ~code:2 lifecycle r.Obs.Store.corrupt;
+            let entries = r.Obs.Store.entries in
             let w = Obs.Watch.create Obs.Watch.default_config in
             let obs = Obs.Watch.obs_of_lifecycle entries in
             List.iter (Obs.Watch.ingest w) obs;
@@ -1451,17 +1463,18 @@ let watch_cmd =
     if live_comparable && Sys.file_exists alerts_jsonl then begin
       match Obs.Watch.read_alerts_digest alerts_jsonl with
       | Error m -> fail "%s" m
-      | Ok (live_digest, lines) ->
+      | Ok (live_digest, records, corrupt) ->
+          tolerate_torn_tail ~what:"watch" ~code:2 alerts_jsonl corrupt;
           if live_digest <> Obs.Watch.alert_digest w then begin
             Format.eprintf
-              "watch: digest mismatch: live journal %s (%d line(s)) vs \
+              "watch: digest mismatch: live journal %s (%d record(s)) vs \
                offline %s@."
-              live_digest lines
+              live_digest records
               (Obs.Watch.alert_digest w);
             exit 3
           end;
-          Format.printf "watch: digest matches live journal (%d line(s))@."
-            lines
+          Format.printf "watch: digest matches live journal (%d record(s))@."
+            records
     end;
     if Obs.Watch.critical_total w > 0 then exit 1
   in

@@ -61,7 +61,7 @@ module Retry_policy = Nu_fault.Retry_policy
 module Injector = Nu_fault.Injector
 module Invariant = Nu_fault.Invariant
 module Recovery = Nu_fault.Recovery
-module Store_fault = Nu_fault.Store_fault
+module Store_fault = Nu_obs.Store_fault
 module Policy = Nu_sched.Policy
 module Exec_model = Nu_sched.Exec_model
 module Engine = Nu_sched.Engine

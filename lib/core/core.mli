@@ -64,7 +64,7 @@ module Injector = Nu_fault.Injector
 module Invariant = Nu_fault.Invariant
 module Recovery = Nu_fault.Recovery
 
-module Store_fault = Nu_fault.Store_fault
+module Store_fault = Nu_obs.Store_fault
 (** Deterministic storage-fault injection (torn writes, bit flips,
     short reads, ENOSPC, fsync loss, kills) for the durable serving
     store. *)

@@ -1,8 +1,8 @@
 (* OpenMetrics/Prometheus text exposition. Rendering walks the counter
    registry, histogram snapshots and the fairness/SLO trackers into one
-   self-terminated text document; [write_atomic] publishes it via
-   temp-file + rename so scrapers never observe a torn snapshot;
-   [validate] is the parser the CI smoke job runs against the file. *)
+   self-terminated text document, published through Store so scrapers
+   never observe a torn snapshot; [validate] is the parser the CI smoke
+   job runs against the file. *)
 
 (* Metric naming scheme: internal names ("serve.admission_wait_s") are
    mangled to [a-z0-9_], prefixed "nu_", and a trailing "_s" becomes
@@ -208,28 +208,6 @@ let render ?counters ?(histograms = []) ?fairness ?slo ?watch () =
   (match watch with Some w -> render_watch buf w | None -> ());
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-(* Rename alone makes the swap atomic but not durable: on power loss
-   the directory entry can still point at nothing. Fsync the file
-   before the rename and the directory after it (best-effort — not
-   every filesystem hands out directory fds). *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-
-let write_atomic ~dir ?(filename = "metrics.prom") content =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let tmp = Filename.concat dir ("." ^ filename ^ ".tmp") in
-  let oc = open_out tmp in
-  output_string oc content;
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Sys.rename tmp (Filename.concat dir filename);
-  fsync_dir dir
 
 (* ------------------------------------------------------------------ *)
 (* Validation: the tiny OpenMetrics parser used by the CI smoke job.   *)

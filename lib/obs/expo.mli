@@ -2,10 +2,10 @@
 
     {!render} walks a counter snapshot, histogram snapshots and the
     {!Fairness} / {!Slo} trackers into a single self-terminated text
-    document ([# EOF] last); {!write_atomic} publishes it via
-    temp-file + rename so a scraper never reads a torn file; and
-    {!validate} parses a document back, which is what the CI
-    telemetry-smoke job runs against the scrape file.
+    document ([# EOF] last), which {!Store.publish} replaces
+    atomically so a scraper never reads a torn file; and {!validate}
+    parses a document back, which is what the CI telemetry-smoke job
+    runs against the scrape file.
 
     Naming scheme: every metric is prefixed [nu_]; internal names are
     mangled to [[a-z0-9_]] (dots become underscores); a trailing [_s]
@@ -34,16 +34,6 @@ val render :
     [nu_health_state{scope="global"}] and
     [nu_tenant_health_state{tenant}] (gauge value is
     {!Health.state_rank}: 0 ok, 1 warn, 2 critical, 3 recovering). *)
-
-val fsync_dir : string -> unit
-(** Fsync a directory so a rename inside it survives power loss.
-    Best-effort: a filesystem that hands out no directory fd is
-    skipped. Shared by every atomic publish (this module's and the
-    checkpoint chain's). *)
-
-val write_atomic : dir:string -> ?filename:string -> string -> unit
-(** Write [content] to [dir/filename] (default ["metrics.prom"]) via a
-    hidden temp file and atomic rename, creating [dir] if missing. *)
 
 val validate : string -> (unit, string) result
 (** Check that a document is well-formed exposition text: every sample

@@ -2,7 +2,7 @@
    observation at a (tick, simulated instant); the tracker keeps a
    bounded ring of recent entries, an id -> tenant attribution table
    for the requests still in flight, and optionally streams every entry
-   to a JSONL file as it is stamped. Terminal stages retire the
+   to a Store record log as it is stamped. Terminal stages retire the
    attribution entry so memory stays proportional to in-flight work. *)
 
 type stage =
@@ -126,7 +126,7 @@ type t = {
   capacity : int;
   recent : entry Queue.t;
   tenants : (int, string) Hashtbl.t;
-  mutable oc : out_channel option;
+  mutable log : Store.writer option;
   mutable stamped : int;
 }
 
@@ -136,7 +136,7 @@ let create ?path ?(capacity = 4096) () =
     capacity;
     recent = Queue.create ();
     tenants = Hashtbl.create 64;
-    oc = Option.map open_out path;
+    log = Option.map (fun p -> Store.open_writer p) path;
     stamped = 0;
   }
 
@@ -165,11 +165,9 @@ let stamp t ~id ?tenant ~tick ~t_s stage =
   Queue.push e t.recent;
   if Queue.length t.recent > t.capacity then ignore (Queue.pop t.recent);
   t.stamped <- t.stamped + 1;
-  (match t.oc with
-  | Some oc ->
-      output_string oc (Json.to_string (entry_to_json e));
-      output_char oc '\n'
-  | None -> ());
+  Option.iter
+    (fun log -> Store.append log (Json.to_string (entry_to_json e)))
+    t.log;
   if Trace.enabled () then
     Trace.instant "lifecycle"
       ~attrs:
@@ -181,12 +179,8 @@ let stamp t ~id ?tenant ~tick ~t_s stage =
   if terminal stage then Hashtbl.remove t.tenants id
 
 let close t =
-  match t.oc with
-  | Some oc ->
-      flush oc;
-      close_out oc;
-      t.oc <- None
-  | None -> ()
+  Option.iter Store.close t.log;
+  t.log <- None
 
 let to_jsonl t =
   let buf = Buffer.create 1024 in
@@ -197,32 +191,7 @@ let to_jsonl t =
     t.recent;
   Buffer.contents buf
 
-type read_result = { read : entry list; torn : (int * string) option }
-
-(* A parse failure on the last non-blank line is a torn tail (crash
-   mid-append) — the same tolerance the WAL reader applies to its final
-   frame — and is reported, not raised. A bad line anywhere else means
-   the file is corrupt and stays a hard error. *)
-let read_jsonl path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error m -> Error m
-  | lines ->
-      let numbered =
-        List.mapi (fun i l -> (i + 1, l)) lines
-        |> List.filter (fun (_, l) -> String.trim l <> "")
-      in
-      let parse line =
-        Result.bind (Json.of_string line) entry_of_json
-      in
-      let rec go acc = function
-        | [] -> Ok { read = List.rev acc; torn = None }
-        | [ (n, line) ] -> (
-            match parse line with
-            | Ok e -> Ok { read = List.rev (e :: acc); torn = None }
-            | Error _ -> Ok { read = List.rev acc; torn = Some (n, line) })
-        | (n, line) :: rest -> (
-            match parse line with
-            | Ok e -> go (e :: acc) rest
-            | Error m -> Error (Printf.sprintf "%s:%d: %s" path n m))
-      in
-      go [] numbered
+let read_log path =
+  Store.read_report
+    ~decode:(fun p -> Result.bind (Json.of_string p) entry_of_json)
+    path

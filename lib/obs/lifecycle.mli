@@ -11,8 +11,8 @@
 
     - a bounded in-memory ring of the most recent [capacity] entries
       ({!entries}), for reports and tests;
-    - a JSONL stream ([path]), one {!entry_to_json} object per line,
-      written as each stamp happens — the artifact that
+    - a {!Store} record log ([path]), one {!entry_to_json} object per
+      record, written as each stamp happens — the artifact that
       [experiments telemetry] summarises;
     - when {!Trace} has a sink installed, a ["lifecycle"] instant event
       per stamp carrying the request id, stage name and a flow phase
@@ -59,7 +59,7 @@ val entry_of_json : Json.t -> (entry, string) result
 type t
 
 val create : ?path:string -> ?capacity:int -> unit -> t
-(** [path] streams every stamp to a JSONL file (truncated on open;
+(** [path] streams every stamp to a record log (truncated on open;
     closed by {!close}). [capacity] (default 4096, minimum 1) bounds
     the in-memory ring. *)
 
@@ -83,18 +83,8 @@ val to_jsonl : t -> string
 (** The retained ring as JSONL. *)
 
 val close : t -> unit
-(** Flush and close the JSONL stream (idempotent). *)
+(** Flush and close the record log (idempotent). *)
 
-type read_result = {
-  read : entry list;  (** parsed entries, file order *)
-  torn : (int * string) option;
-      (** a trailing line that failed to parse: (line number, raw
-          line). A crash mid-append tears at most the final line. *)
-}
-
-val read_jsonl : string -> (read_result, string) result
-(** Parse a lifecycle JSONL file (blank lines skipped); the inverse of
-    the streaming writer. A torn trailing line — the stream's writer
-    died mid-append — is skipped and reported in [torn], mirroring the
-    WAL torn-tail policy; a malformed line anywhere else is still an
-    [Error]. *)
+val read_log : string -> (entry Store.report, string) result
+(** Read a lifecycle record log back; damage is skipped and reported
+    (see {!Store.read_report}). *)

@@ -1,4 +1,4 @@
-module Json = Nu_obs.Json
+module Prng = Nu_stats.Prng
 
 type kind = Torn_write | Bit_flip | Short_read | Enospc | Fsync_loss | Kill
 

@@ -6,10 +6,10 @@
     seeded plan maps the n-th physical store operation (journal append,
     fsync, checkpoint write, recovery read) to a fault — torn write at
     byte k, single bit-flip, short read, ENOSPC, delayed fsync loss, or
-    plain process death. The journal and checkpoint writers route every
-    physical operation through the hooks below, so a crash-storm run is
-    a pure function of (workload seed, fault seed) and replays
-    bit-identically.
+    plain process death. {!Store} routes every physical operation of a
+    writer, read or publish opened with a device through the hooks
+    below, so a crash-storm run is a pure function of (workload seed,
+    fault seed) and replays bit-identically.
 
     Simulated crashes are the {!Crash} exception; the supervisor
     catches it and restarts the serve loop. Delayed fsync loss is
@@ -61,7 +61,7 @@ val generate : ?config:config -> seed:int -> unit -> plan
     sync actually materialises. Raises [Invalid_argument] on a
     non-positive span or weights that sum to zero. *)
 
-val plan_to_json : plan -> Nu_obs.Json.t
+val plan_to_json : plan -> Json.t
 
 exception Crash of string
 (** Simulated process death. *)
@@ -85,15 +85,14 @@ val fired : t -> (int * string) list
 
 val fired_count : t -> int
 
-val to_json : t -> Nu_obs.Json.t
+val to_json : t -> Json.t
 (** Plan + fired log, for the crash-storm fault-report artifact. *)
 
 (** {2 Device hooks}
 
-    Called by the journal/checkpoint writers around every physical
-    operation. Each hook advances the operation counter, fires at most
-    one applicable due fault, and may raise {!Crash} or
-    {!Store_error}. *)
+    Called by {!Store} around every physical operation. Each hook
+    advances the operation counter, fires at most one applicable due
+    fault, and may raise {!Crash} or {!Store_error}. *)
 
 val register : t -> path:string -> size:int -> unit
 (** Start durability tracking for [path] at [size] on-disk bytes. *)

@@ -1,9 +1,10 @@
 (* nu_watch: deterministic streaming watchdog — see watch.mli.
 
-   Layout of the journal directory:
-     watch.jsonl   header line {"nu_watch":1,"config":{...}} then one
-                   obs object per tick, appended as ticks close
-     alerts.jsonl  one alert object per line, appended as emitted
+   Layout of the journal directory (both Store record logs, one JSON
+   object per record):
+     watch.jsonl   header {"nu_watch":1,"config":{...}} then one obs
+                   object per tick, appended as ticks close
+     alerts.jsonl  one alert object per record, appended as emitted
 
    Resume contract: the first ingest of a run at tick K > 0 replays the
    journaled observations below K through the normal ingest path into
@@ -115,8 +116,8 @@ type t = {
   mutable last_breach : int option;
   (* journaling *)
   mutable started : bool;
-  mutable obs_oc : out_channel option;
-  mutable alert_oc : out_channel option;
+  mutable obs_log : Store.writer option;
+  mutable alert_log : Store.writer option;
 }
 
 let create cfg =
@@ -149,8 +150,8 @@ let create cfg =
     first_breach = None;
     last_breach = None;
     started = false;
-    obs_oc = None;
-    alert_oc = None;
+    obs_log = None;
+    alert_log = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -323,28 +324,24 @@ let config_of_json j =
 let obs_path dir = Filename.concat dir "watch.jsonl"
 let alerts_path dir = Filename.concat dir "alerts.jsonl"
 
-let write_line oc j =
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  flush oc
+(* One record per observation or alert, flushed as it happens. *)
+let record log j =
+  Store.append log (Json.to_string j);
+  Store.flush log
 
 let open_fresh t dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let obs_oc = open_out (obs_path dir) in
-  write_line obs_oc
+  let obs_log = Store.open_writer (obs_path dir) in
+  record obs_log
     (Json.Obj [ ("nu_watch", Json.Int 1); ("config", config_to_json t.cfg) ]);
-  t.obs_oc <- Some obs_oc;
-  t.alert_oc <- Some (open_out (alerts_path dir))
+  t.obs_log <- Some obs_log;
+  t.alert_log <- Some (Store.open_writer (alerts_path dir))
 
 let close t =
-  let shut oc =
-    flush oc;
-    close_out oc
-  in
-  Option.iter shut t.obs_oc;
-  Option.iter shut t.alert_oc;
-  t.obs_oc <- None;
-  t.alert_oc <- None
+  Option.iter Store.close t.obs_log;
+  Option.iter Store.close t.alert_log;
+  t.obs_log <- None;
+  t.alert_log <- None
 
 (* ------------------------------------------------------------------ *)
 (* Alert emission *)
@@ -369,11 +366,10 @@ let emit t a =
     ignore (Queue.pop t.ring);
     t.dropped <- t.dropped + 1
   end;
-  match t.alert_oc with
-  | Some oc ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+  match t.alert_log with
+  | Some log ->
+      Store.append log line;
+      Store.flush log
   | None -> ()
 
 let severity_of_entry = function
@@ -581,87 +577,60 @@ let eval t o =
     tenant_stats
 
 (* ------------------------------------------------------------------ *)
-(* Journal reading (tolerant of a torn trailing line) *)
+(* Journal reading: Store's damage rule *)
 
 type journal = {
   j_config : config option;
   j_obs : obs list;
-  j_torn : int option;
+  j_corrupt : Store.corrupt_frame list;
 }
 
-let read_lines path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error m -> Error m
-  | lines -> Ok lines
-
-(* Parse numbered non-blank lines with [parse]; a parse failure on the
-   LAST non-blank line is reported as torn, anywhere else it is an
-   error. Shared by the watch journal, the alert digest recompute and
-   Lifecycle.read_jsonl's tolerance policy. *)
-let parse_tolerant path parse lines =
-  let numbered =
-    List.mapi (fun i l -> (i + 1, l)) lines
-    |> List.filter (fun (_, l) -> String.trim l <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc, None)
-    | [ (n, line) ] -> (
-        match parse line with
-        | Ok v -> Ok (List.rev (v :: acc), None)
-        | Error _ -> Ok (List.rev acc, Some n))
-    | (n, line) :: rest -> (
-        match parse line with
-        | Ok v -> go (v :: acc) rest
-        | Error m -> Error (Printf.sprintf "%s:%d: %s" path n m))
-  in
-  go [] numbered
+(* A record is the header (first, carrying the config) or one
+   observation; one that is neither is a corrupt frame. *)
+let decode_record payload =
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string payload in
+  match Json.member "nu_watch" j with
+  | Some _ ->
+      Ok
+        (`Header
+          (Option.bind (Json.member "config" j) (fun cj ->
+               Result.to_option (config_of_json cj))))
+  | None -> Result.map (fun o -> `Obs o) (obs_of_json j)
 
 let read_journal path =
-  let ( let* ) = Result.bind in
-  let* lines = read_lines path in
-  let parse line =
-    Result.bind (Json.of_string line) (fun j -> Ok (line, j))
-  in
-  let* parsed, torn = parse_tolerant path parse lines in
-  match parsed with
-  | [] -> Ok { j_config = None; j_obs = []; j_torn = torn }
-  | (_, first) :: rest_js ->
-      let cfg, obs_js =
-        match Json.member "nu_watch" first with
-        | Some _ -> (
-            match Json.member "config" first with
-            | Some cj -> (Result.to_option (config_of_json cj), rest_js)
-            | None -> (None, rest_js))
-        | None -> (None, (("", first) :: rest_js))
+  Result.map
+    (fun r ->
+      let j_config =
+        match r.Store.entries with `Header c :: _ -> c | _ -> None
       in
-      let* obs =
-        List.fold_left
-          (fun acc (_, j) ->
-            let* acc = acc in
-            let* o = obs_of_json j in
-            Ok (o :: acc))
-          (Ok []) obs_js
-        |> Result.map List.rev
+      let j_obs =
+        List.filter_map
+          (function `Obs o -> Some o | `Header _ -> None)
+          r.Store.entries
       in
-      Ok { j_config = cfg; j_obs = obs; j_torn = torn }
+      { j_config; j_obs; j_corrupt = r.Store.corrupt })
+    (Store.read_report ~decode:decode_record path)
 
 let read_alerts_digest path =
   let ( let* ) = Result.bind in
-  let* lines = read_lines path in
-  let parse line = Result.map (fun _ -> line) (Json.of_string line) in
-  let* ok_lines, _torn = parse_tolerant path parse lines in
+  let* r =
+    Store.read_report
+      ~decode:(fun p -> Result.map (fun _ -> p) (Json.of_string p))
+      path
+  in
   let digest =
     List.fold_left
       (fun acc line -> Fnv.string (Fnv.string acc line) "\n")
-      Fnv.basis ok_lines
+      Fnv.basis r.Store.entries
   in
-  Ok (Fnv.hex digest, List.length ok_lines)
+  Ok (Fnv.hex digest, r.Store.frames, r.Store.corrupt)
 
 (* ------------------------------------------------------------------ *)
 (* Ingest (with resume-from-journal) *)
 
 let journal_obs t o =
-  match t.obs_oc with Some oc -> write_line oc (obs_to_json o) | None -> ()
+  match t.obs_log with Some log -> record log (obs_to_json o) | None -> ()
 
 let ingest_started t o =
   journal_obs t o;

@@ -20,15 +20,15 @@
     Detector outcomes drive a {!Health} state machine per scope (global
     plus one per tenant); every state transition — and every CUSUM
     rising edge — emits a structured {!alert} into a bounded in-memory
-    ring and, when a journal directory is configured, an append-only
-    [alerts.jsonl]. An FNV-1a digest folds over the alert lines as they
-    are emitted.
+    ring and, when a journal directory is configured, the {!Store}
+    record log [alerts.jsonl]. An FNV-1a digest folds over the alert
+    records (JSON text, one newline each) as they are emitted.
 
     Everything is a pure function of the observation stream: no wall
     clock, no RNG, no dependence on map iteration order (tenants are
     always visited in sorted name order). The observation stream itself
-    is journaled to [watch.jsonl], and when the first observation of a
-    run arrives at a tick K > 0 (a restore-and-replay run) the watcher
+    is journaled to the record log [watch.jsonl], and when the first
+    observation of a run arrives at a tick K > 0 (a restore-and-replay run) the watcher
     transparently replays the journaled prefix below K to rebuild its
     state, then rewrites both journals — so [serve -> crash -> replay]
     reproduces the uninterrupted run's alert sequence and digest bit
@@ -51,8 +51,8 @@ type config = {
   health : Health.config;
   ring_capacity : int;  (** retained alerts; older ones drop *)
   dir : string option;
-      (** journal directory ([watch.jsonl], [alerts.jsonl]); [None]
-          keeps the watcher purely in-memory *)
+      (** journal directory (record logs [watch.jsonl] and
+          [alerts.jsonl]); [None] keeps the watcher purely in-memory *)
 }
 
 val default_config : config
@@ -110,7 +110,7 @@ val alert_total : t -> int
 val critical_total : t -> int
 val dropped : t -> int
 val alert_digest : t -> string
-(** FNV-1a 64-bit hex digest over the emitted alert JSONL lines. *)
+(** FNV-1a 64-bit hex digest over the emitted alert records. *)
 
 val by_detector : t -> (string * int) list
 (** Alert counts keyed by detector, sorted by name. *)
@@ -148,19 +148,21 @@ val obs_of_json : Json.t -> (obs, string) result
 (* Offline evaluation *)
 
 type journal = {
-  j_config : config option;  (** from the header line; [dir] is [None] *)
+  j_config : config option;  (** from the header record; [dir] is [None] *)
   j_obs : obs list;
-  j_torn : int option;  (** line number of a torn trailing line *)
+  j_corrupt : Store.corrupt_frame list;
+      (** damage skipped by the reader (see {!Store.read_report}) *)
 }
 
 val read_journal : string -> (journal, string) result
-(** Parse a [watch.jsonl] file. A trailing line that fails to parse
-    (crash mid-append) is tolerated and reported via [j_torn]; a
-    malformed line elsewhere is an error. *)
+(** Read a [watch.jsonl] record log. Damage is skipped and reported in
+    [j_corrupt], never raised; a record that is neither the header nor
+    an observation counts as damage. *)
 
-val read_alerts_digest : string -> (string * int, string) result
-(** Recompute the FNV-1a digest and line count of an [alerts.jsonl]
-    file, tolerating a torn trailing line. *)
+val read_alerts_digest :
+  string -> (string * int * Store.corrupt_frame list, string) result
+(** Recompute the FNV-1a digest and record count of an [alerts.jsonl]
+    record log, with the damage the reader skipped. *)
 
 val obs_of_lifecycle : Lifecycle.entry list -> obs list
 (** Approximate an observation stream from lifecycle stamps alone:

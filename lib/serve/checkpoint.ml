@@ -1,6 +1,6 @@
 module Json = Nu_obs.Json
 module Injector = Nu_fault.Injector
-module Store_fault = Nu_fault.Store_fault
+module Store = Nu_obs.Store
 
 let ( let* ) = Result.bind
 
@@ -164,57 +164,19 @@ let of_json ~graph j =
              claimed actual)
       else core_of_json ~graph core
 
-let fsync_dir path = Nu_obs.Expo.fsync_dir (Filename.dirname path)
-
-(* Write-then-rename: a crash mid-save leaves the previous checkpoint
-   intact, never a torn file. The file is fsynced before the rename
-   and the directory after it, so the swap is durable, not just
-   atomic. All physical steps route through [fault] when present. *)
 let save ?fault path cp =
-  let tmp = path ^ ".tmp" in
   let data, hash = to_file_string cp in
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 tmp in
-  (match fault with
-  | None ->
-      output_string oc data;
-      flush oc;
-      (try Unix.fsync (Unix.descr_of_out_channel oc)
-       with Unix.Unix_error _ -> ());
-      close_out oc
-  | Some f -> (
-      Store_fault.register f ~path:tmp ~size:0;
-      match Store_fault.on_append f ~path:tmp data with
-      | Store_fault.Write bytes ->
-          output_string oc bytes;
-          flush oc;
-          Store_fault.note_written f ~path:tmp (String.length bytes);
-          Store_fault.on_sync f ~path:tmp;
-          close_out oc
-      | Store_fault.Torn prefix ->
-          output_string oc prefix;
-          flush oc;
-          Store_fault.note_written f ~path:tmp (String.length prefix);
-          close_out_noerr oc;
-          Store_fault.crash f ~reason:"torn checkpoint write"));
-  Sys.rename tmp path;
-  (match fault with
-  | Some f -> Store_fault.note_rename f ~src:tmp ~dst:path
-  | None -> ());
-  fsync_dir path;
+  Store.publish ?fault path data;
   Nu_obs.Counters.incr Nu_obs.Counters.Serve_checkpoints;
   hash
 
+let read_json ?fault path =
+  let* contents = Store.read_file ?fault path in
+  Json.of_string (String.trim contents)
+
 let load ?fault ~graph path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents ->
-      let contents =
-        match fault with
-        | None -> contents
-        | Some f -> Store_fault.on_read f ~path contents
-      in
-      let* j = Json.of_string (String.trim contents) in
-      of_json ~graph j
+  let* j = read_json ?fault path in
+  of_json ~graph j
 
 (* ------------------------------------------------------------------ *)
 (* Verified checkpoint chain: [base] is the newest generation,
@@ -229,20 +191,15 @@ module Chain = struct
      enough to thread seq/parent into the next save. Any damage reads
      as "no usable header". *)
   let peek_header path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> None
-    | contents -> (
-        match Json.of_string (String.trim contents) with
-        | Error _ -> None
-        | Ok j -> (
-            match
-              (Codec.opt_field "hash" j, Codec.opt_field "core" j)
-            with
-            | Some (Json.String h), Some core -> (
-                match Codec.opt_field "seq" core with
-                | Some (Json.Int s) -> Some (s, h)
-                | _ -> None)
-            | _ -> None))
+    match read_json path with
+    | Error _ -> None
+    | Ok j -> (
+        match (Codec.opt_field "hash" j, Codec.opt_field "core" j) with
+        | Some (Json.String h), Some core -> (
+            match Codec.opt_field "seq" core with
+            | Some (Json.Int s) -> Some (s, h)
+            | _ -> None)
+        | _ -> None)
 
   (* Oldest-first renames keep the rotation crash-safe: if we die
      mid-way, the previous newest checkpoint still exists at [base]
@@ -252,15 +209,10 @@ module Chain = struct
     if Sys.file_exists drop then Sys.remove drop;
     for i = keep - 1 downto 0 do
       let src = gen_path base i in
-      if Sys.file_exists src then begin
-        let dst = gen_path base (i + 1) in
-        Sys.rename src dst;
-        match fault with
-        | Some f -> Store_fault.note_rename f ~src ~dst
-        | None -> ()
-      end
+      if Sys.file_exists src then
+        Store.rename ?fault src (gen_path base (i + 1))
     done;
-    fsync_dir base
+    Store.sync_dir base
 
   let save ?fault ?(keep = default_keep) base cp =
     let seq, parent =

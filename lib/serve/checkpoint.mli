@@ -14,10 +14,10 @@
     re-verified on every load, so a flipped bit anywhere in the state
     is detected instead of thawed. Other versions are refused.
 
-    Saves are write-then-rename with an fsync of the file before the
-    rename and of the containing directory after it — atomic {e and}
-    durable — and print the core once, hashing the same bytes they
-    write. Loads validate everything and return [Error] rather than
+    Saves publish through {!Nu_obs.Store.publish} — write-then-rename
+    with an fsync of the file before the rename and of the containing
+    directory after it, atomic {e and} durable — and print the core
+    once, hashing the same bytes they write. Loads validate everything and return [Error] rather than
     trusting the file.
 
     {!Chain} keeps the last few generations on disk ([base] newest,
@@ -53,13 +53,13 @@ val content_hash : t -> string
 val to_json : t -> Nu_obs.Json.t
 val of_json : graph:Graph.t -> Nu_obs.Json.t -> (t, string) result
 
-val save : ?fault:Nu_fault.Store_fault.t -> string -> t -> string
+val save : ?fault:Nu_obs.Store_fault.t -> string -> t -> string
 (** Atomic durable save; returns the content hash and bumps the
     [serve_checkpoints] counter. Physical I/O routes through [fault]
     when given. *)
 
 val load :
-  ?fault:Nu_fault.Store_fault.t ->
+  ?fault:Nu_obs.Store_fault.t ->
   graph:Graph.t ->
   string ->
   (t, string) result
@@ -75,7 +75,7 @@ module Chain : sig
       [base ^ "." ^ i] otherwise. *)
 
   val save :
-    ?fault:Nu_fault.Store_fault.t -> ?keep:int -> string -> t -> string
+    ?fault:Nu_obs.Store_fault.t -> ?keep:int -> string -> t -> string
   (** Rotate generations (dropping the one beyond [keep]), then save
       [cp] as the new newest with [seq]/[parent] threaded from the
       previous newest. Returns the content hash. *)
@@ -84,7 +84,7 @@ module Chain : sig
   (** The (generation, path) pairs present on disk, newest first. *)
 
   val fallback :
-    ?fault:Nu_fault.Store_fault.t ->
+    ?fault:Nu_obs.Store_fault.t ->
     ?keep:int ->
     graph:Graph.t ->
     string ->

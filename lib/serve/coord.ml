@@ -13,8 +13,8 @@
 
    Everything is deterministic: the coordinator has its own PRNG and a
    virtual clock floored by the tick wall, and the decisions journal is
-   an ordered JSONL audit stream whose running FNV-1a digest is part of
-   the fabric digest. Recovery does not read the journal back — the
+   an ordered Store record log of JSON decisions whose running FNV-1a
+   digest is part of the fabric digest. Recovery does not read the journal back — the
    coordinator's whole state (queue, clock, results, digest cursor,
    PRNG) freezes into the fabric checkpoint and the replayed WAL
    regenerates the post-checkpoint entries bit-identically. *)
@@ -63,7 +63,7 @@ type t = {
   exec : Exec_model.t;
   plan_config : Planner.config;
   rng : Prng.t;
-  mutable sink : out_channel option;
+  mutable sink : Nu_obs.Store.writer option;
   mutable queue : pending list;  (* oldest-first *)
   mutable now_s : float;
   mutable units : int;
@@ -92,7 +92,7 @@ let create ?sink ?(exec = Exec_model.default)
 let set_sink t sink = t.sink <- sink
 
 let close t =
-  (match t.sink with Some oc -> close_out oc | None -> ());
+  Option.iter Nu_obs.Store.close t.sink;
   t.sink <- None
 
 (* Journal one decision: the digest covers every entry whether or not
@@ -103,10 +103,9 @@ let record t j =
   t.digest_h <- Fnv.int (Fnv.string t.digest_h line) 0x0a;
   t.entries <- t.entries + 1;
   match t.sink with
-  | Some oc ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+  | Some w ->
+      Nu_obs.Store.append w line;
+      Nu_obs.Store.flush w
   | None -> ()
 
 let digest t = Fnv.hex t.digest_h

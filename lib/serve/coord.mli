@@ -15,8 +15,9 @@
     aborts exist for fairness (vetoes) and budget, not feasibility.
 
     Deterministic: own PRNG, own virtual clock floored by the tick
-    wall, and an ordered JSONL decisions journal whose running FNV-1a
-    digest folds into the fabric digest. Recovery never reads the
+    wall, and an ordered decisions journal ({!Nu_obs.Store} record log,
+    one JSON decision per record) whose running FNV-1a digest — over
+    each record and a newline — folds into the fabric digest. Recovery never reads the
     journal back — the whole coordinator freezes into the fabric
     checkpoint and WAL replay regenerates later entries. *)
 
@@ -37,16 +38,16 @@ val config_to_json : config -> Nu_obs.Json.t
 type t
 
 val create :
-  ?sink:out_channel ->
+  ?sink:Nu_obs.Store.writer ->
   ?exec:Exec_model.t ->
   ?plan_config:Planner.config ->
   seed:int ->
   config ->
   t
-(** [sink] receives the JSONL decisions journal (one object per line,
+(** [sink] receives the decisions journal (one JSON object per record,
     flushed per entry). The digest is maintained with or without it. *)
 
-val set_sink : t -> out_channel option -> unit
+val set_sink : t -> Nu_obs.Store.writer option -> unit
 val close : t -> unit
 
 val submit : t -> tick:int -> home:int -> Event.t -> unit
@@ -146,7 +147,7 @@ type frozen = {
 val freeze : t -> frozen
 
 val thaw :
-  ?sink:out_channel ->
+  ?sink:Nu_obs.Store.writer ->
   ?exec:Exec_model.t ->
   ?plan_config:Planner.config ->
   config ->

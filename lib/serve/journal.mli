@@ -1,19 +1,5 @@
-(** Durable write-ahead log for the serving loop.
-
-    On-disk format ("NUWAL002"): a journal is a chain of segments —
-    segment 0 is the journal path itself, segment [i > 0] is
-    [path ^ ".seg" ^ i]; the newest segment has the highest index.
-    Every segment starts with the 8-byte magic ["NUWAL002"], followed
-    by frames back to back:
-
-    {v 'N' 'J' | length u32-LE | crc32 u32-LE | payload (JSON entry) v}
-
-    The CRC32 (IEEE 802.3, reflected) covers the payload only. The
-    reader verifies every frame and {e skips} damage instead of dying
-    on it: a bad CRC or implausible length costs the one frame (the
-    scan resyncs on the next frame magic), a torn tail ends the
-    segment, and every skip is reported as a {!corrupt_frame}. Journals
-    written by the pre-WAL JSONL format are still readable.
+(** Durable write-ahead log for the serving loop: a {!Nu_obs.Store}
+    record log whose payloads are JSON entries.
 
     Entries are arrivals plus per-tick commit markers. A tick's
     arrivals are journaled and flushed {e before} the engine acts on
@@ -29,75 +15,42 @@ type entry =
 val entry_to_json : entry -> Nu_obs.Json.t
 val entry_of_json : Nu_obs.Json.t -> (entry, string) result
 
-val crc32 : string -> int
-(** IEEE 802.3 reflected CRC32 of a string, in [0, 2^32). *)
-
-val segment_path : string -> int -> string
-(** [segment_path base i] is [base] for segment 0, [base ^ ".seg" ^ i]
-    otherwise. *)
-
-val default_segment_bytes : int
-(** Rotation threshold (4 MiB). *)
-
 (** {2 Writer} *)
 
-type writer
+type writer = Nu_obs.Store.writer
+(** Flush, close and abort through {!Nu_obs.Store}. *)
 
 val open_writer :
   ?append:bool ->
   ?segment_bytes:int ->
-  ?fault:Nu_fault.Store_fault.t ->
+  ?fault:Nu_obs.Store_fault.t ->
   string ->
   writer
-(** Open a journal for writing. [append] defaults to [false], which
-    truncates segment 0 and removes stale higher segments; with
-    [~append:true] the writer continues in the newest existing
-    segment. All physical I/O is routed through [fault] when given. *)
+(** {!Nu_obs.Store.open_writer}. *)
+
+val segment_path : string -> int -> string
+(** {!Nu_obs.Store.segment_path}. *)
 
 val write : writer -> entry -> unit
-(** Frame and append one entry, rotating to a new segment when the
-    current one exceeds the segment size. Raises [Invalid_argument] on
-    a closed writer. *)
-
-val flush : writer -> unit
-(** Flush and (logically) fsync the current segment. *)
-
-val close_writer : writer -> unit
-
-val abort_writer : writer -> unit
-(** Crash-path close: release the channel without flushing, leaving
-    the on-disk bytes exactly as the fault device left them. *)
+(** Frame and append one entry. *)
 
 val entries_written : writer -> int
 
 (** {2 Reader} *)
 
-type corrupt_frame = {
-  cf_segment : int;
-  cf_offset : int;
-      (** Byte offset in the segment (line number if legacy). *)
-  cf_reason : string;
+type 'a log_report = 'a Nu_obs.Store.report = {
+  entries : 'a list;
+  corrupt : Nu_obs.Store.corrupt_frame list;
+  frames : int;
+  segments : int;
 }
 
-type report = {
-  entries : entry list;
-      (** Every frame that decoded cleanly, in write order. *)
-  corrupt : corrupt_frame list;
-  frames : int;  (** Clean frames decoded. *)
-  segments : int;  (** Segment files visited. *)
-  legacy : bool;  (** True when the file was pre-WAL JSONL. *)
-}
-
-val report_to_json : report -> Nu_obs.Json.t
-(** Corrupt-frame report artifact for the crash-storm harness. *)
+type report = entry log_report
 
 val read_report :
-  ?fault:Nu_fault.Store_fault.t -> string -> (report, string) result
-(** Tolerant read of the whole segment chain. [Error] only for an
-    unreadable segment-0 file; corruption is reported, not raised. *)
-
-val read : string -> (entry list, string) result
-(** [read_report] keeping just the clean entries. *)
+  ?fault:Nu_obs.Store_fault.t -> string -> (report, string) result
+(** Tolerant read of the whole segment chain; see
+    {!Nu_obs.Store.read_report}. *)
 
 (** {2 Interpretation} *)
 

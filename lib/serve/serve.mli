@@ -102,7 +102,7 @@ val snapshot : t -> Checkpoint.t
     threads them from the previous chain generation. *)
 
 val save_checkpoint :
-  ?fault:Nu_fault.Store_fault.t -> ?keep:int -> t -> string -> string
+  ?fault:Nu_obs.Store_fault.t -> ?keep:int -> t -> string -> string
 (** {!snapshot} + {!Checkpoint.Chain.save}: rotates the chain
     generations, saves atomically and durably, and returns the new
     checkpoint's content hash. *)
@@ -126,7 +126,7 @@ val restore :
   ?series:Nu_obs.Series.t ->
   ?telemetry:Telemetry.t ->
   ?retry:Nu_fault.Retry_policy.t ->
-  ?fault:Nu_fault.Store_fault.t ->
+  ?fault:Nu_obs.Store_fault.t ->
   config:config ->
   source_spec:Source.spec ->
   topology:Topology.t ->

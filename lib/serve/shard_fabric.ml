@@ -28,6 +28,7 @@ module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters
 module Histogram = Nu_obs.Histogram
 module Watch = Nu_obs.Watch
+module Store = Nu_obs.Store
 module Injector = Nu_fault.Injector
 
 let ( let* ) = Result.bind
@@ -79,7 +80,7 @@ let fingerprint cfg spec =
     ]
 
 (* Journal namespace: with two or more shards, shard k's WAL segments
-   live under <base>.shard<k> and the coordinator's JSONL audit under
+   live under <base>.shard<k> and the coordinator's audit log under
    <base>.coord.jsonl; one shard journals at <base> itself and has no
    coordinator journal. *)
 let shard_journal_path base k = Printf.sprintf "%s.shard%d" base k
@@ -206,7 +207,8 @@ let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
   in
   let coord_sink =
     match journal_base with
-    | Some base when cfg.shards > 1 -> Some (open_out (coord_journal_path base))
+    | Some base when cfg.shards > 1 ->
+        Some (Store.open_writer (coord_journal_path base))
     | _ -> None
   in
   let coord =
@@ -609,7 +611,7 @@ let tick t =
               Journal.write w
                 (Journal.Arrive { tick = t.tick_count; request = req }))
             routed.(k);
-          Journal.flush w
+          Store.flush w
       | None -> ())
     t.journals;
   execute_tick t routed;
@@ -618,7 +620,7 @@ let tick t =
       match w with
       | Some w ->
           Journal.write w (Journal.Tick_done (t.tick_count - 1));
-          Journal.flush w
+          Store.flush w
       | None -> ())
     t.journals
 
@@ -680,7 +682,7 @@ let set_journal t k w = t.journals.(k) <- w
 let kill_shard_journal t k =
   match t.journals.(k) with
   | Some w ->
-      Journal.abort_writer w;
+      Store.abort w;
       t.journals.(k) <- None
   | None -> ()
 
@@ -695,7 +697,7 @@ let close t =
     (fun k w ->
       match w with
       | Some w ->
-          Journal.close_writer w;
+          Store.close w;
           t.journals.(k) <- None
       | None -> ())
     t.journals;
@@ -876,10 +878,11 @@ let recover ?telemetry cfg ~topology ~source_spec ~checkpoint_path
   let* t = restore_snapshot ?telemetry cfg ~topology ~source_spec cp in
   let groups = read_groups cfg journal_base in
   (* Re-attach the coordinator audit sink before replay so regenerated
-     decisions land in a fresh JSONL (the pre-checkpoint history lives
-     on in the frozen digest cursor). *)
+     decisions land in a fresh log (the pre-checkpoint history lives on
+     in the frozen digest cursor). *)
   if cfg.shards > 1 then
-    Coord.set_sink t.coord (Some (open_out (coord_journal_path journal_base)));
+    Coord.set_sink t.coord
+      (Some (Store.open_writer (coord_journal_path journal_base)));
   let replayed, _stop = replay_groups t groups in
   Array.iteri
     (fun k g ->

@@ -92,7 +92,7 @@ val create :
     [journal] writer with more than one shard or alongside
     [journal_base]. [journal_base] opens one WAL per shard (at
     [journal_base] itself for one shard, under {!shard_journal_path}
-    otherwise) plus, with two or more shards, the coordinator JSONL.
+    otherwise) plus, with two or more shards, the coordinator journal.
     [series] samples through shard 0.
 
     [telemetry] attaches live serving telemetry ({!Telemetry}):
@@ -170,7 +170,7 @@ val snapshot : t -> Checkpoint.t
     from the previous chain generation. *)
 
 val save_checkpoint :
-  ?fault:Nu_fault.Store_fault.t -> ?keep:int -> t -> path:string -> unit
+  ?fault:Nu_obs.Store_fault.t -> ?keep:int -> t -> path:string -> unit
 (** {!snapshot} + {!Checkpoint.Chain.save}: rotate the generations,
     then save atomically and durably. *)
 

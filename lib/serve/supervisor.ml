@@ -1,7 +1,7 @@
 module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters
 module Histogram = Nu_obs.Histogram
-module Store_fault = Nu_fault.Store_fault
+module Store_fault = Nu_obs.Store_fault
 module Fnv = Nu_obs.Fnv
 
 type config = {
@@ -123,8 +123,10 @@ let event_to_json = function
 (* Same FNV-1a shape as [Nu_fault.Recovery.digest]: the recovery log
    digest is a deterministic fingerprint of the whole supervision
    history, so two crash-storm runs agree on more than the final
-   decision digest. *)
-
+   decision digest. Reason text stays out of it: it quotes file paths
+   and parse offsets, which move with the storm directory and with a
+   checkpoint's wall-clock bytes. The reasons live on in the event
+   log's JSON. *)
 let log_digest events =
   let h =
     List.fold_left
@@ -135,15 +137,12 @@ let log_digest events =
               (Fnv.int (Fnv.int (Fnv.int (Fnv.int h 1) attempt) from_tick)
                  fallback_depth)
               replayed
-        | Failed { attempt; at_tick; cls; reason } ->
-            Fnv.string
-              (Fnv.int (Fnv.int (Fnv.int (Fnv.int h 2) attempt) at_tick)
-                 (class_tag cls))
-              reason
+        | Failed { attempt; at_tick; cls; reason = _ } ->
+            Fnv.int (Fnv.int (Fnv.int (Fnv.int h 2) attempt) at_tick)
+              (class_tag cls)
         | Backoff { attempt; delay_s } ->
             Fnv.float (Fnv.int (Fnv.int h 3) attempt) delay_s
-        | Cold_start { attempt; reason } ->
-            Fnv.string (Fnv.int (Fnv.int h 4) attempt) reason
+        | Cold_start { attempt; reason = _ } -> Fnv.int (Fnv.int h 4) attempt
         | Completed { ticks; restarts } ->
             Fnv.int (Fnv.int (Fnv.int h 5) ticks) restarts
         | Gave_up { restarts } -> Fnv.int (Fnv.int h 6) restarts)
@@ -285,7 +284,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
       serve_to_target t;
       (match !journal_ref with
       | Some w ->
-          Journal.close_writer w;
+          Nu_obs.Store.close w;
           Serve.set_journal t None
       | None -> ());
       t
@@ -305,7 +304,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
         }
     | exception e ->
         (match !journal_ref with
-        | Some w -> Journal.abort_writer w
+        | Some w -> Nu_obs.Store.abort w
         | None -> ());
         let cls = classify e in
         let reason =

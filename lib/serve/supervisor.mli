@@ -1,7 +1,7 @@
 (** Bounded-restart supervision for the serving loop.
 
     The supervisor runs {!Serve} to a target tick under storage-fault
-    pressure. Every simulated death ({!Nu_fault.Store_fault.Crash} or
+    pressure. Every simulated death ({!Nu_obs.Store_fault.Crash} or
     any other escape) is classified, logged, charged an exponential
     backoff with PRNG jitter (recorded, never slept), and answered
     with a recovery attempt:
@@ -40,7 +40,7 @@ val default_config : config
     chain keep 2, checkpoint every 10 ticks. *)
 
 type failure_class =
-  | Crash_injected  (** A {!Nu_fault.Store_fault.Crash}. *)
+  | Crash_injected  (** A {!Nu_obs.Store_fault.Crash}. *)
   | Corrupt_store
   | Fingerprint_mismatch
   | Invariant_violation
@@ -72,7 +72,10 @@ type event =
 val event_to_json : event -> Nu_obs.Json.t
 
 val log_digest : event list -> string
-(** FNV-1a digest of the supervision history (16 hex digits). *)
+(** FNV-1a digest of the supervision history (16 hex digits): event
+    kinds, attempts, ticks, failure classes, fallback depths, replay
+    counts and backoff delays. Reason text is left out, so the digest
+    is a function of the seeds, not of the storm directory. *)
 
 type outcome = {
   digest : string option;
@@ -93,7 +96,7 @@ val run :
   ?sup:config ->
   ?source_params:Benson_trace.params ->
   ?retry:Nu_fault.Retry_policy.t ->
-  ?fault:Nu_fault.Store_fault.t ->
+  ?fault:Nu_obs.Store_fault.t ->
   jitter_seed:int ->
   serve_config:Serve.config ->
   source_spec:Source.spec ->

@@ -112,7 +112,8 @@ let write_expo t =
   match t.cfg.metrics_dir with
   | None -> ()
   | Some dir ->
-      Expo.write_atomic ~dir (render t);
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Nu_obs.Store.publish (Filename.concat dir "metrics.prom") (render t);
       t.expo_writes <- t.expo_writes + 1;
       Counters.incr_named "telemetry.expo_writes"
 

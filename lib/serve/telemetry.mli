@@ -3,7 +3,7 @@
     controller drives.
 
     A [Telemetry.t] owns a {!Nu_obs.Lifecycle} tracker (every request's
-    path from arrival to completion, streamed as JSONL), a
+    path from arrival to completion, streamed to a record log), a
     {!Nu_obs.Fairness} tracker (per-tenant ECT histograms, shed/admit
     accounting, Jain's index) and a {!Nu_obs.Slo} tracker (rolling-
     window tail quantiles, backlog gauges, threshold breaches). Pass it
@@ -19,17 +19,17 @@
     cleanly with it off, and vice versa.
 
     When [metrics_dir] is set, an OpenMetrics exposition file
-    ([metrics.prom]) is rewritten atomically every [metrics_every]
-    ticks and once at retirement, rendered from the live counter
-    registry, histogram registry (when sampling is enabled), and the
-    fairness/SLO state. *)
+    ([metrics.prom]) is published ({!Nu_obs.Store.publish}) every
+    [metrics_every] ticks and once at retirement, rendered from the
+    live counter registry, histogram registry (when sampling is
+    enabled), and the fairness/SLO state. *)
 
 type config = {
   metrics_dir : string option;
       (** Directory for the exposition file; [None] disables it. *)
   metrics_every : int;  (** Write cadence in ticks (default 10). *)
   lifecycle_path : string option;
-      (** JSONL stream of lifecycle stamps; [None] keeps only the ring. *)
+      (** Record log of lifecycle stamps; [None] keeps only the ring. *)
   lifecycle_capacity : int;  (** In-memory ring bound (default 4096). *)
   fairness_window : int;  (** Fairness rotation window (default 50). *)
   slo_window : int;  (** SLO rotation window (default 50). *)
@@ -47,8 +47,8 @@ type config = {
 }
 
 val default_config : config
-(** Everything off/defaulted: no exposition, no JSONL, windows of 50,
-    no thresholds. *)
+(** Everything off/defaulted: no exposition, no record log, windows of
+    50, no thresholds. *)
 
 type t
 

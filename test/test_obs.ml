@@ -1027,12 +1027,12 @@ let test_lifecycle_stamps_and_jsonl () =
   Alcotest.(check int) "nothing in flight" 0 (Obs.Lifecycle.in_flight lc);
   Alcotest.(check int) "five stamps" 5 (Obs.Lifecycle.stamped lc);
   Obs.Lifecycle.close lc;
-  (* The streamed JSONL reads back as the in-memory ring. *)
-  (match Obs.Lifecycle.read_jsonl path with
-  | Error m -> Alcotest.failf "read_jsonl: %s" m
-  | Ok { Obs.Lifecycle.read = entries; torn } ->
-      Alcotest.(check bool) "no torn tail" true (torn = None);
-      Alcotest.(check int) "one line per stamp" 5 (List.length entries);
+  (* The streamed record log reads back as the in-memory ring. *)
+  (match Obs.Lifecycle.read_log path with
+  | Error m -> Alcotest.failf "read_log: %s" m
+  | Ok { Obs.Store.entries; corrupt; _ } ->
+      Alcotest.(check bool) "no damage" true (corrupt = []);
+      Alcotest.(check int) "one record per stamp" 5 (List.length entries);
       Alcotest.(check bool)
         "file round-trips the ring" true
         (entries = Obs.Lifecycle.entries lc);
@@ -1490,8 +1490,8 @@ let test_watch_journal_roundtrip () =
       Obs.Watch.close live;
       match Obs.Watch.read_journal (Filename.concat dir "watch.jsonl") with
       | Error m -> Alcotest.failf "read_journal: %s" m
-      | Ok { Obs.Watch.j_config; j_obs; j_torn } -> (
-          Alcotest.(check bool) "no torn tail" true (j_torn = None);
+      | Ok { Obs.Watch.j_config; j_obs; j_corrupt } -> (
+          Alcotest.(check bool) "no damage" true (j_corrupt = []);
           Alcotest.(check bool) "observations round-trip" true (j_obs = stream);
           let cfg =
             match j_config with
@@ -1508,16 +1508,18 @@ let test_watch_journal_roundtrip () =
           Alcotest.(check int) "offline totals equal live"
             (Obs.Watch.alert_total live)
             (Obs.Watch.alert_total offline);
-          (* And the journaled alert lines hash to the same digest. *)
+          (* And the journaled alert records hash to the same digest. *)
           match
             Obs.Watch.read_alerts_digest (Filename.concat dir "alerts.jsonl")
           with
           | Error m -> Alcotest.failf "read_alerts_digest: %s" m
-          | Ok (digest, lines) ->
+          | Ok (digest, records, corrupt) ->
               Alcotest.(check string) "alerts.jsonl digest"
                 (Obs.Watch.alert_digest live) digest;
-              Alcotest.(check int) "alerts.jsonl line count"
-                (Obs.Watch.alert_total live) lines))
+              Alcotest.(check int) "alerts.jsonl record count"
+                (Obs.Watch.alert_total live) records;
+              Alcotest.(check bool) "alerts.jsonl undamaged" true
+                (corrupt = [])))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1566,9 +1568,43 @@ let test_watch_resume_matches_uninterrupted () =
             (read_file (Filename.concat dir_a "watch.jsonl"))
             (read_file (Filename.concat dir_b "watch.jsonl"))))
 
+let write_file path body =
+  let oc = open_out_bin path in
+  output_string oc body;
+  close_out oc
+
+(* A crash mid-append: the file loses its last [n] bytes. *)
+let tear path n =
+  let body = read_file path in
+  write_file path (String.sub body 0 (String.length body - n))
+
+(* Overwrite the bytes at the first occurrence of [needle] with
+   [garbage] (same length or shorter) — damage in mid-file. *)
+let scribble path ~needle garbage =
+  let body = read_file path in
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length body then Alcotest.failf "%S not in %s" needle path
+    else if String.sub body i n = needle then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  write_file path
+    (String.sub body 0 at ^ garbage
+    ^ String.sub body (at + String.length garbage)
+        (String.length body - at - String.length garbage))
+
+(* [torn] torn tails, and other damage reported iff [other]. *)
+let check_damage what ~torn ~other (corrupt : Obs.Store.corrupt_frame list) =
+  let count p = List.length (List.filter p corrupt) in
+  Alcotest.(check int) (what ^ ": torn tails") torn
+    (count (fun cf -> cf.Obs.Store.cf_torn));
+  Alcotest.(check bool) (what ^ ": other damage reported") other
+    (count (fun cf -> not cf.Obs.Store.cf_torn) > 0)
+
 let test_watch_torn_tail_tolerated () =
   with_temp_dir (fun dir ->
-      let stream = synthetic_obs ~n:20 ~spike_at:99 () in
+      let stream = synthetic_obs ~n:21 ~spike_at:99 () in
       let w =
         Obs.Watch.create
           { Obs.Watch.default_config with Obs.Watch.dir = Some dir }
@@ -1576,70 +1612,52 @@ let test_watch_torn_tail_tolerated () =
       List.iter (Obs.Watch.ingest w) stream;
       Obs.Watch.close w;
       let path = Filename.concat dir "watch.jsonl" in
-      (* A crash mid-append leaves a torn trailing line: tolerated. *)
-      let oc = open_out_gen [ Open_append ] 0o600 path in
-      output_string oc "{\"o_tick\": 20, \"o_que";
-      close_out oc;
+      (* A crash mid-append leaves a torn final record: tolerated and
+         reported as a torn tail. *)
+      tear path 5;
       (match Obs.Watch.read_journal path with
       | Error m -> Alcotest.failf "torn tail rejected: %s" m
-      | Ok { Obs.Watch.j_obs; j_torn; _ } ->
-          Alcotest.(check bool) "torn line reported" true (j_torn <> None);
+      | Ok { Obs.Watch.j_obs; j_corrupt; _ } ->
+          check_damage "torn" ~torn:1 ~other:false j_corrupt;
           Alcotest.(check int) "intact prefix read" 20 (List.length j_obs));
-      (* Garbage in the middle is a hard error, not silent data loss. *)
-      let body = read_file path in
-      let lines = String.split_on_char '\n' body in
-      let corrupted =
-        String.concat "\n"
-          (List.mapi (fun i l -> if i = 3 then "garbage" else l) lines)
-      in
-      let oc = open_out_bin path in
-      output_string oc corrupted;
-      close_out oc;
+      (* Garbage in the middle costs the record it hits, and is
+         reported as damage that is not a torn tail: skipped, never
+         silent. *)
+      scribble path ~needle:{|"tick":3,|} "garbage";
       match Obs.Watch.read_journal path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "mid-file garbage accepted")
+      | Error m -> Alcotest.failf "mid-file garbage: %s" m
+      | Ok { Obs.Watch.j_obs; j_corrupt; _ } ->
+          check_damage "garbage" ~torn:1 ~other:true j_corrupt;
+          Alcotest.(check (list int)) "every other record read"
+            (List.filter (fun t -> t <> 3) (List.init 20 Fun.id))
+            (List.map (fun o -> o.Obs.Watch.o_tick) j_obs))
 
 let test_lifecycle_torn_tail_tolerated () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "lifecycle.jsonl" in
-      let entry i =
-        {
-          Obs.Lifecycle.id = i;
-          tenant = "t";
-          tick = i;
-          t_s = 0.05 *. float_of_int i;
-          stage = Obs.Lifecycle.Arrived;
-        }
-      in
-      let oc = open_out_bin path in
-      for i = 0 to 4 do
-        output_string oc
-          (Obs.Json.to_string (Obs.Lifecycle.entry_to_json (entry i)));
-        output_char oc '\n'
+      let lc = Obs.Lifecycle.create ~path () in
+      for i = 0 to 5 do
+        Obs.Lifecycle.stamp lc ~id:i ~tenant:"t" ~tick:i
+          ~t_s:(0.05 *. float_of_int i) Obs.Lifecycle.Arrived
       done;
-      (* Torn trailing line (crash mid-append). *)
-      output_string oc "{\"id\": 5, \"tena";
-      close_out oc;
-      (match Obs.Lifecycle.read_jsonl path with
+      Obs.Lifecycle.close lc;
+      (* Torn final record (crash mid-append). *)
+      tear path 5;
+      let ids r = List.map (fun e -> e.Obs.Lifecycle.id) r.Obs.Store.entries in
+      (match Obs.Lifecycle.read_log path with
       | Error m -> Alcotest.failf "torn tail rejected: %s" m
-      | Ok { Obs.Lifecycle.read; torn } ->
-          Alcotest.(check int) "intact prefix read" 5 (List.length read);
-          (match torn with
-          | Some (line, _) -> Alcotest.(check int) "torn line number" 6 line
-          | None -> Alcotest.fail "torn tail not reported"));
-      (* Mid-file garbage stays a hard error. *)
-      let body = read_file path in
-      let lines = String.split_on_char '\n' body in
-      let corrupted =
-        String.concat "\n"
-          (List.mapi (fun i l -> if i = 2 then "not json" else l) lines)
-      in
-      let oc = open_out_bin path in
-      output_string oc corrupted;
-      close_out oc;
-      match Obs.Lifecycle.read_jsonl path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "mid-file garbage accepted")
+      | Ok r ->
+          check_damage "torn" ~torn:1 ~other:false r.Obs.Store.corrupt;
+          Alcotest.(check (list int)) "intact prefix read" [ 0; 1; 2; 3; 4 ]
+            (ids r));
+      (* Mid-file garbage: skipped and reported, not silent. *)
+      scribble path ~needle:{|"id":2,|} "not json";
+      match Obs.Lifecycle.read_log path with
+      | Error m -> Alcotest.failf "mid-file garbage: %s" m
+      | Ok r ->
+          check_damage "garbage" ~torn:1 ~other:true r.Obs.Store.corrupt;
+          Alcotest.(check (list int)) "every other record read" [ 0; 1; 3; 4 ]
+            (ids r))
 
 let test_slo_breach_cap_counts_dropped () =
   let s =
@@ -1700,6 +1718,94 @@ let prop_watch_digest_deterministic =
         Obs.Watch.alert_digest w
       in
       String.equal (run ()) (run ()))
+
+(* ------------------------------------------------------------------ *)
+(* Store: the one record-log reader                                    *)
+
+type damage = Truncate of int | Flip of int * int | Splice of int * string
+
+let damage_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> Truncate k) nat;
+        map2 (fun k bit -> Flip (k, bit)) nat (int_bound 7);
+        map2 (fun k g -> Splice (k, g)) nat (string_size ~gen:char (1 -- 24));
+      ])
+
+let damage_print = function
+  | Truncate k -> Printf.sprintf "truncate at %d" k
+  | Flip (k, bit) -> Printf.sprintf "flip bit %d of byte %d" bit k
+  | Splice (k, g) -> Printf.sprintf "splice %S at %d" g k
+
+(* One damage to a log of random payloads: the reader returns every
+   frame lying wholly outside the damaged span, in order, and nothing
+   that was not written (a damaged frame may survive only when its
+   bytes do, e.g. garbage spliced between 'N' and 'J' that ends in 'N');
+   it reports the damage and marks a truncation as a torn tail. A
+   truncation is moved off frame boundaries: cutting a log between two
+   frames leaves a shorter, undamaged log. *)
+let prop_store_reader_keeps_undamaged =
+  QCheck.Test.make ~name:"store reader keeps every undamaged frame"
+    ~count:300
+    QCheck.(
+      pair
+        (make
+           ~print:(Print.list Print.string)
+           Gen.(list_size (1 -- 12) (string_size ~gen:char (0 -- 40))))
+        (make ~print:damage_print damage_gen))
+    (fun (payloads, damage) ->
+      let path = Filename.temp_file "nu_store" ".log" in
+      let w = Obs.Store.open_writer path in
+      List.iter (Obs.Store.append w) payloads;
+      Obs.Store.close w;
+      let data = read_file path in
+      (* (start, end, payload) of every frame after the 8-byte magic. *)
+      let spans =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (at, acc) p ->
+                  let e = at + 10 + String.length p in
+                  (e, (at, e, p) :: acc))
+                (8, []) payloads))
+      in
+      let len = String.length data in
+      let keep p = List.filter_map (fun (s, e, x) -> if p s e then Some x else None) spans in
+      let damaged, expected, torn =
+        match damage with
+        | Truncate k ->
+            let k = 1 + (k mod (len - 1)) in
+            let k = if List.exists (fun (s, _, _) -> s = k) spans then k + 1 else k in
+            (String.sub data 0 k, keep (fun _ e -> e <= k), true)
+        | Flip (k, bit) ->
+            let k = k mod len in
+            let b = Bytes.of_string data in
+            Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lxor (1 lsl bit)));
+            (Bytes.to_string b, keep (fun s e -> k < s || k >= e), false)
+        | Splice (k, g) ->
+            let k = k mod (len + 1) in
+            ( String.sub data 0 k ^ g ^ String.sub data k (len - k),
+              keep (fun s e -> e <= k || s >= k),
+              false )
+      in
+      write_file path damaged;
+      let r = Obs.Store.read_report ~decode:Result.ok path in
+      Sys.remove path;
+      match r with
+      | Error m -> QCheck.Test.fail_report m
+      | Ok r ->
+          let rec subseq xs ys =
+            match (xs, ys) with
+            | [], _ -> true
+            | _ :: _, [] -> false
+            | x :: xs', y :: ys' -> subseq (if x = y then xs' else xs) ys'
+          in
+          subseq expected r.Obs.Store.entries
+          && subseq r.Obs.Store.entries payloads
+          && r.Obs.Store.corrupt <> []
+          && ((not torn)
+             || List.exists (fun cf -> cf.Obs.Store.cf_torn) r.Obs.Store.corrupt))
 
 let suite =
   [
@@ -1762,6 +1868,7 @@ let suite =
     ( "lifecycle torn tail tolerated",
       `Quick,
       test_lifecycle_torn_tail_tolerated );
+    QCheck_alcotest.to_alcotest prop_store_reader_keeps_undamaged;
     ("expo watch families validate", `Quick, test_expo_watch_families_validate);
     QCheck_alcotest.to_alcotest prop_watch_digest_deterministic;
     ("expo metric names", `Quick, test_expo_metric_name);

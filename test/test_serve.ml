@@ -119,10 +119,10 @@ let test_journal_roundtrip () =
     ]
   in
   List.iter (Journal.write w) entries;
-  Journal.close_writer w;
-  (match Journal.read path with
+  Obs.Store.close w;
+  (match Journal.read_report path with
   | Error m -> Alcotest.fail m
-  | Ok back ->
+  | Ok { Journal.entries = back; _ } ->
       Alcotest.(check int) "count" (List.length entries) (List.length back);
       List.iter2
         (fun a b ->
@@ -192,7 +192,7 @@ let wal_fixture =
      in
      let w = Journal.open_writer path in
      List.iter (Journal.write w) entries;
-     Journal.close_writer w;
+     Obs.Store.close w;
      let ic = open_in_bin path in
      let data = really_input_string ic (in_channel_length ic) in
      close_in ic;
@@ -294,7 +294,7 @@ let test_journal_segment_rotation_and_append () =
   in
   let w = Journal.open_writer ~segment_bytes:512 path in
   List.iter (Journal.write w) entries;
-  Journal.close_writer w;
+  Obs.Store.close w;
   Alcotest.(check bool) "rotated to a second segment" true
     (Sys.file_exists (Journal.segment_path path 1));
   (match Journal.read_report path with
@@ -309,7 +309,7 @@ let test_journal_segment_rotation_and_append () =
      segment, not clobber the chain. *)
   let w = Journal.open_writer ~append:true ~segment_bytes:512 path in
   Journal.write w (Journal.Tick_done 99);
-  Journal.close_writer w;
+  Obs.Store.close w;
   (match Journal.read_report path with
   | Error m -> Alcotest.fail m
   | Ok r ->
@@ -480,7 +480,7 @@ let test_serve_checkpoint_restore_differential () =
       ~net:s.Scenario.net ~source_spec:(spec_of ())
   in
   Serve.run ~checkpoint_path:cp ~checkpoint_every:8 ~ticks:27 t;
-  Journal.close_writer w;
+  Obs.Store.close w;
   (* Recover elsewhere: only the checkpoint, the journal, the topology
      and the original configuration cross the "crash". *)
   let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
@@ -529,13 +529,13 @@ let test_serve_crash_recovery_under_faults () =
       ~source_spec:(spec_of ())
   in
   Serve.run ~checkpoint_path:cp ~checkpoint_every:10 ~ticks:15 t;
-  Journal.close_writer w;
+  Obs.Store.close w;
   (* Simulate a crash mid-tick 15: arrivals hit the journal, the commit
      marker never did. Replay must discard them; the resumed source
      regenerates the real tick-15 arrivals bit-identically. *)
   let w = Journal.open_writer ~append:true jp in
   Journal.write w (Journal.Arrive { tick = 15; request = req 999 });
-  Journal.close_writer w;
+  Obs.Store.close w;
   let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
   match
     Serve.restore ~config:(cfg ()) ~source_spec:(spec_of ()) ~topology cp
@@ -678,11 +678,11 @@ let test_serve_telemetry_digest_differential () =
   | Error m -> Alcotest.failf "invalid exposition: %s" m);
   (* The lifecycle stream reads back, every id's stamps in stage order
      ending terminally for completed requests. *)
-  (match Obs.Lifecycle.read_jsonl (Filename.concat dir "lifecycle.jsonl") with
+  (match Obs.Lifecycle.read_log (Filename.concat dir "lifecycle.jsonl") with
   | Error m -> Alcotest.failf "lifecycle read: %s" m
-  | Ok { Obs.Lifecycle.read = entries; torn = _ } ->
+  | Ok { Obs.Store.entries; _ } ->
       Alcotest.(check int)
-        "one JSONL line per stamp" (Obs.Lifecycle.stamped lc)
+        "one record per stamp" (Obs.Lifecycle.stamped lc)
         (List.length entries);
       let terminal =
         List.filter
@@ -763,9 +763,9 @@ let test_serve_watch_digest_differential () =
      exposition carries the nu_alerts_* families. *)
   (match Obs.Watch.read_alerts_digest (Filename.concat dir "alerts.jsonl") with
   | Error m -> Alcotest.failf "read_alerts_digest: %s" m
-  | Ok (digest, lines) ->
+  | Ok (digest, records, _) ->
       Alcotest.(check string) "journal digest" (Obs.Watch.alert_digest w) digest;
-      Alcotest.(check int) "journal lines" (Obs.Watch.alert_total w) lines);
+      Alcotest.(check int) "journal records" (Obs.Watch.alert_total w) records);
   let prom = Filename.concat dir "metrics.prom" in
   let ic = open_in prom in
   let body = really_input_string ic (in_channel_length ic) in
@@ -827,7 +827,7 @@ let prop_watch_replay_alert_digest =
               ~source_spec:(spec_of ~seed ())
           in
           Serve.run ~checkpoint_path:cp ~checkpoint_every:8 ~ticks:20 t;
-          Journal.close_writer w;
+          Obs.Store.close w;
           let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
           match
             Serve.restore ~config:(cfg ())
@@ -1052,7 +1052,7 @@ let golden_restore_continuation () =
           ~net:s.Scenario.net ~source_spec:golden_spec
       in
       Serve.run ~checkpoint_path:cp ~checkpoint_every:8 ~ticks:27 t;
-      Journal.close_writer w;
+      Obs.Store.close w;
       match
         Serve.restore ~config ~source_spec:golden_spec
           ~topology:s.Scenario.topology cp
@@ -1098,9 +1098,10 @@ let file_hash paths =
 
 (* Every record of a log, in write order. *)
 let log_records path =
-  In_channel.with_open_bin path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+  match Obs.Store.read_report ~decode:Result.ok path with
+  | Ok { Obs.Store.entries; corrupt = []; _ } -> entries
+  | Ok _ -> Alcotest.failf "%s: damaged" path
+  | Error m -> Alcotest.fail m
 
 let records_hash paths =
   List.fold_left
@@ -1127,7 +1128,7 @@ let golden_wal_bytes () =
       Serve.run ~ticks:30 t;
       Serve.complete t;
       ignore (Serve.retire t : Engine.run_result);
-      Journal.close_writer w;
+      Obs.Store.close w;
       file_hash [ jp ])
 
 let golden_watch_records () =
@@ -1190,9 +1191,7 @@ let cleanup_storm_dir dir =
   remove_chain (Filename.concat dir "cp.json");
   Sys.rmdir dir
 
-(* Failure reasons quote file paths, so storm determinism is relative
-   to one on-disk location: reruns share [dir], with the previous
-   run's store swept first. *)
+(* A storm in [dir], with any previous run's store swept first. *)
 let run_storm ?sup ~dir ~fault_seed ~ticks () =
   let s = scenario () in
   remove_segments (Filename.concat dir "journal.wal");
@@ -1213,7 +1212,7 @@ let run_storm ?sup ~dir ~fault_seed ~ticks () =
 
 let test_supervisor_storm_digest_differential () =
   let expected = serve_uninterrupted ~ticks:20 () in
-  let dir = storm_dir () in
+  let dir = storm_dir () and dir2 = storm_dir () in
   List.iter
     (fun fault_seed ->
       let o = run_storm ~dir ~fault_seed ~ticks:20 () in
@@ -1231,9 +1230,10 @@ let test_supervisor_storm_digest_differential () =
         (Printf.sprintf "seed %d recovery digest is the event log's" fault_seed)
         (Supervisor.log_digest o.Supervisor.events)
         o.Supervisor.recovery_digest;
-      (* Replaying the identical storm reproduces the identical
+      (* Replaying the identical storm — in another directory, so
+         failure reasons quote other paths — reproduces the identical
          supervision history, bit for bit. *)
-      let o2 = run_storm ~dir ~fault_seed ~ticks:20 () in
+      let o2 = run_storm ~dir:dir2 ~fault_seed ~ticks:20 () in
       Alcotest.(check string)
         (Printf.sprintf "seed %d storm is deterministic" fault_seed)
         o.Supervisor.recovery_digest o2.Supervisor.recovery_digest;
@@ -1241,7 +1241,8 @@ let test_supervisor_storm_digest_differential () =
         (Printf.sprintf "seed %d restart count is deterministic" fault_seed)
         o.Supervisor.restarts o2.Supervisor.restarts)
     [ 5; 6 ];
-  cleanup_storm_dir dir
+  cleanup_storm_dir dir;
+  cleanup_storm_dir dir2
 
 let test_supervisor_cold_start () =
   let expected = serve_uninterrupted ~ticks:20 () in

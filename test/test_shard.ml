@@ -435,6 +435,40 @@ let test_replay_from_journals () =
       Alcotest.(check string) "digest equal" expected (Shard_fabric.digest t);
       Shard_fabric.close t
 
+(* The coordinator journal is a record log like every other: an
+   uninterrupted run's reads back undamaged, and its records (each with
+   a newline) fold to the coordinator's digest. *)
+let test_coord_journal_reads_back () =
+  with_tmp_dir @@ fun dir ->
+  let jb = Filename.concat dir "wal" in
+  let s = scenario () in
+  let fcfg =
+    Shard_fabric.default_config ~shards:4
+      { (cfg ()) with Serve.drain_per_tick = 12; admission_capacity = 32 }
+  in
+  let t =
+    Shard_fabric.create ~journal_base:jb fcfg ~topology:s.Scenario.topology
+      ~net:s.Scenario.net ~source_spec:(spec_of ~rate:3.0 ())
+  in
+  Shard_fabric.run t ~ticks:40;
+  Shard_fabric.complete t;
+  ignore (Shard_fabric.retire t : Engine.run_result list);
+  let coord = Shard_fabric.coord t in
+  match
+    Obs.Store.read_report ~decode:Result.ok (Shard_fabric.coord_journal_path jb)
+  with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+      Alcotest.(check int) "no damage" 0 (List.length r.Obs.Store.corrupt);
+      Alcotest.(check int) "one record per decision"
+        (Shard_coord.entries coord) r.Obs.Store.frames;
+      Alcotest.(check string) "records fold to the coordinator digest"
+        (Shard_coord.digest coord)
+        (Obs.Fnv.hex
+           (List.fold_left
+              (fun h r -> Obs.Fnv.string (Obs.Fnv.string h r) "\n")
+              Obs.Fnv.basis r.Obs.Store.entries))
+
 (* ------------------------------------------------------------------ *)
 (* Golden storage bytes                                                *)
 
@@ -467,10 +501,13 @@ let test_golden_storage () =
       Obs.Fnv.basis [ 0; 1; 2; 3 ]
   in
   let coord_records =
-    In_channel.with_open_bin (Shard_fabric.coord_journal_path jb)
-      In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
+    match
+      Obs.Store.read_report ~decode:Result.ok
+        (Shard_fabric.coord_journal_path jb)
+    with
+    | Ok { Obs.Store.entries; corrupt = []; _ } -> entries
+    | Ok _ -> Alcotest.fail "coordinator journal damaged"
+    | Error m -> Alcotest.fail m
   in
   let coord_hash =
     List.fold_left
@@ -514,4 +551,6 @@ let suite =
     Alcotest.test_case "replay from journals alone" `Quick
       test_replay_from_journals;
     Alcotest.test_case "golden storage bytes" `Quick test_golden_storage;
+    Alcotest.test_case "coordinator journal reads back to its digest" `Quick
+      test_coord_journal_reads_back;
   ]
