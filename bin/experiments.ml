@@ -591,7 +591,6 @@ let serve_cfg_term =
       steps_per_tick = steps;
       tick_dt_s = tick_dt;
       co_max_cost_mbit = 0.0;
-      estimate_cache = true;
       churn =
         (if churn then
            Some

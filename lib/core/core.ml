@@ -65,7 +65,6 @@ module Store_fault = Nu_obs.Store_fault
 module Policy = Nu_sched.Policy
 module Exec_model = Nu_sched.Exec_model
 module Engine = Nu_sched.Engine
-module Estimate_cache = Nu_sched.Estimate_cache
 module Probe_pool = Nu_sched.Probe_pool
 module Metrics = Nu_sched.Metrics
 module Run_digest = Nu_sched.Run_digest

@@ -1031,7 +1031,7 @@ let candidate_paths t record =
   (* With no edge down — the overwhelmingly common case — the filter is
      the identity; skip it. Probes need no per-edge record of the
      disabled reads either way: any disable/enable bumps
-     [disabled_epoch], which the estimate cache checks wholesale. *)
+     [disabled_epoch], which the stale-plan check reads wholesale. *)
   if t.disabled_n = 0 then all else List.filter (path_enabled t) all
 
 let warm_all_paths t =
@@ -1060,7 +1060,7 @@ let path_feasible t path ~demand =
   let n = Array.length ids in
   (* Short-circuits exactly like the List.for_all it replaces: edges
      past the first infeasible one are not touched, keeping probe read
-     sets (and so estimate-cache stamps) bit-identical. *)
+     sets (and so stale-plan stamps) bit-identical. *)
   let rec go i =
     i >= n
     ||

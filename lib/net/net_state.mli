@@ -175,21 +175,22 @@ val drain_flow_changes : t -> flow_log -> int array option
 
 (** {2 Edge versions and probe read sets}
 
-    Support for memoising cost estimates: [edge_version] is a per-edge
+    Support for reusing a probe's plan: [edge_version] is a per-edge
     stamp bumped every time a *committed* write lands on the edge
     (residual change or administrative flag flip; rolled-back
     speculative writes do not count). A probe bracketed by
     [start_probe]/[stop_probe] records every edge id whose state it read
-    or wrote, so a cached result is exactly reusable while all recorded
-    edges still carry their recorded versions. *)
+    or wrote, so its plan is exactly replayable while all recorded
+    edges still carry their recorded versions — the engine's stale-plan
+    check within a wave. *)
 
 val edge_version : t -> int -> int
 
 val disabled_epoch : t -> int
 (** Bumped on every {!disable_edge}/{!enable_edge} that changes a flag
     (including speculative ones later rolled back). Probes do not record
-    per-edge disabled-flag reads; a cached estimate is instead valid
-    only while the epoch it was stored under is unchanged — coarse, but
+    per-edge disabled-flag reads; a probe plan is instead replayable
+    only while the epoch it was taken under is unchanged — coarse, but
     administrative events are rare and the per-read bookkeeping is
     not. *)
 

@@ -34,8 +34,10 @@ type key =
   | Txn_rollbacks  (** {!Nu_net.Net_state.rollback} calls (probe undos). *)
   | Txn_commits  (** Outermost {!Nu_net.Net_state.commit} calls. *)
   | Plan_replays  (** Winner plans re-applied via {!Nu_update.Planner.replay}. *)
-  | Estimate_cache_hits  (** Scheduler probes answered from the cache. *)
-  | Estimate_cache_misses  (** Scheduler probes that had to re-plan. *)
+  | Estimate_cache_hits
+      (** Always 0: the estimate cache is deleted. Kept because the
+          benchmark reads it. *)
+  | Estimate_cache_misses  (** Always 0, as {!Estimate_cache_hits}. *)
   | Faults_injected  (** Fault-schedule events applied by the injector. *)
   | Migrations_aborted
       (** In-flight rounds undone by a fault (txn rollback per event). *)

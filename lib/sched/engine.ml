@@ -77,7 +77,6 @@ type ctx = {
   churn : churn option;
   expiry : int Pqueue.t;  (* flow id keyed by departure instant *)
   co_max_cost_mbit : float;
-  cache : Estimate_cache.t option;  (* memoised probes; None = disabled *)
   injector : Injector.t option;  (* fault schedule; None = fault-free *)
   series : Series.t option;  (* per-round gauge samples; None = off *)
   domains : int;  (* probe fan-out width; 1 = sequential *)
@@ -193,11 +192,6 @@ let sample_series ctx ~round ~t_s ~queue_len ~retry_backlog =
    cheaper than) the full re-plan the engine used to pay here. *)
 let apply_winner ctx (pr : Planner.probe) =
   timed ctx (fun () -> Planner.replay ctx.net pr.Planner.probe_plan);
-  (match ctx.cache with
-  | Some c ->
-      Estimate_cache.invalidate c
-        pr.Planner.probe_plan.Planner.event.Event.id
-  | None -> ());
   pr.Planner.probe_plan
 
 (* Apply a plan for execution. [billed] is false when the scheduler
@@ -336,9 +330,6 @@ let execute_degraded st ev =
   in
   let units_before = ctx.units in
   let plan = apply ctx ~billed:true ~config ev in
-  (match ctx.cache with
-  | Some c -> Estimate_cache.invalidate c ev.Event.id
-  | None -> ());
   let round_units = ctx.units - units_before in
   let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
   let start_s = st.now +. plan_time in
@@ -496,7 +487,7 @@ let pre_round ~solo ~index st =
           }
   end
 
-(* Below this many cache-missing probes a wave is evaluated on the
+(* Below this many probes a wave is evaluated on the
    calling domain even when a pool is available: waking the workers
    costs microseconds, but a couple of sub-millisecond probes amortise
    nothing and the tail of a draining queue lives here. Either way the
@@ -517,16 +508,11 @@ let private_pool ctx =
    transaction and roll back, so each sees the same quiescent state and
    the batch is bit-identical however it is evaluated:
 
-   - cache lookups run first, on the calling domain, in (stepper,
-     candidate) order — no lookup's answer depends on an earlier probe
-     of the same batch;
-   - the misses are probed in that same order on the calling domain, or
-     fanned out through [pool] (else the first stepper's private pool
-     when it was created with [domains > 1]), each lane probing its own
-     mirror of the state;
-   - stores and unit billing replay in (stepper, candidate) order,
-     stamping cache entries against the versions a sequential store
-     would have seen.
+   - the candidates are probed in (stepper, candidate) order on the
+     calling domain, or fanned out through [pool] (else the first
+     stepper's private pool when it was created with [domains > 1]),
+     each lane probing its own mirror of the state;
+   - unit billing replays in (stepper, candidate) order.
 
    Random-fit planning consumes PRNG draws inside the probe, so it pins
    the batch to the calling domain, draws in candidate order. *)
@@ -534,21 +520,14 @@ let probe_wave ?pool pres =
   let slots =
     List.map (fun gp -> Array.make (Array.length gp.gp_candidates) None) pres
   in
-  let misses = ref [] in
-  List.iter2
-    (fun gp slot ->
-      let ctx = gp.gp_st.ctx in
-      Array.iteri
-        (fun i ev ->
-          match ctx.cache with
-          | Some c -> (
-              match Estimate_cache.find c ctx.net ev.Event.id with
-              | Some pr -> slot.(i) <- Some pr
-              | None -> misses := (gp, slot, i) :: !misses)
-          | None -> misses := (gp, slot, i) :: !misses)
-        gp.gp_candidates)
-    pres slots;
-  let miss = Array.of_list (List.rev !misses) in
+  let miss =
+    Array.of_list
+      (List.concat
+         (List.map2
+            (fun gp slot ->
+              List.init (Array.length gp.gp_candidates) (fun i -> (gp, slot, i)))
+            pres slots))
+  in
   let n_miss = Array.length miss in
   let ctx0 = (List.hd pres).gp_st.ctx in
   let sequential =
@@ -559,11 +538,7 @@ let probe_wave ?pool pres =
            gp.gp_st.ctx.config.Planner.policy = Routing.Random_fit)
          pres
   in
-  let store (gp, (slot : Planner.probe option array), i) pr =
-    let ctx = gp.gp_st.ctx in
-    (match ctx.cache with
-    | Some c -> Estimate_cache.store c ctx.net pr
-    | None -> ());
+  let store (_, (slot : Planner.probe option array), i) pr =
     slot.(i) <- Some pr
   in
   if n_miss > 0 then
@@ -670,9 +645,6 @@ let co_schedule ctx ~winner ~winner_plan candidates =
         && plan.Planner.cost_mbit <= ctx.co_max_cost_mbit
       then begin
         Net_state.commit ctx.net;
-        (match ctx.cache with
-        | Some c -> Estimate_cache.invalidate c ev.Event.id
-        | None -> ());
         List.iter
           (fun id -> Hashtbl.replace protected id ())
           (work_flow_ids plan);
@@ -914,9 +886,6 @@ let commit_round ?escalate ?external_commit gd =
          edges: the probe plan is stale. Re-plan on the live state, in
          a transaction so an escalation can withdraw it. *)
       Counters.incr Counters.Shard_wave_replans;
-      (match ctx.cache with
-      | Some c -> Estimate_cache.invalidate c winner.Event.id
-      | None -> ());
       Net_state.begin_txn ctx.net;
       let plan = apply ctx ~billed:false winner in
       if claim plan then begin
@@ -1200,18 +1169,9 @@ let run_flow_level ctx order events =
 (* Construct the per-run context. [init_expiry] registers departures for
    flows already in the network (churn runs); a checkpoint thaw passes
    false and restores the frozen expiry queue verbatim instead. *)
-let make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
-    ~injector ~series ~domains ~init_expiry ~net =
+let make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~injector ~series
+    ~domains ~init_expiry ~net =
   if domains < 1 then invalid_arg "Engine: domains must be >= 1";
-  (* Memoised probes are only sound when planning is a deterministic
-     function of the state it reads: Random_fit consumes PRNG draws
-     inside the planner, so a cache hit would perturb the stream for
-     every later decision. The cache switches itself off there. *)
-  let cache =
-    if estimate_cache && config.Planner.policy <> Routing.Random_fit then
-      Some (Estimate_cache.create ())
-    else None
-  in
   let ctx =
     {
       net;
@@ -1221,7 +1181,6 @@ let make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
       churn;
       expiry = Pqueue.create ();
       co_max_cost_mbit;
-      cache;
       injector;
       series;
       domains;
@@ -1283,7 +1242,7 @@ let assemble_result ctx policy (results, rounds, rounds_log) =
   }
 
 let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
-    ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?(estimate_cache = true)
+    ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
     ?injector ?series ?(domains = 1) ~net ~events policy =
   (match Policy.validate policy with
   | Ok () -> ()
@@ -1302,7 +1261,7 @@ let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
   in
   let rng = match rng with Some r -> r | None -> Prng.create seed in
   let ctx =
-    make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
+    make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
       ~injector ~series ~domains ~init_expiry:true ~net
   in
   let outcome =
@@ -1337,7 +1296,7 @@ module Stepper = struct
   type t = stepper
 
   let create ?(exec = Exec_model.default) ?(config = Planner.default_config)
-      ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?(estimate_cache = true)
+      ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
       ?injector ?series ?(domains = 1) ?(init_expiry = true) ?observer
       ?(events = []) ~net policy =
     (match Policy.validate policy with
@@ -1349,7 +1308,7 @@ module Stepper = struct
     | _ -> ());
     let rng = match rng with Some r -> r | None -> Prng.create seed in
     let ctx =
-      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
+      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
         ~injector ~series ~domains ~init_expiry ~net
     in
     make_stepper ?observer ctx policy events
@@ -1431,11 +1390,11 @@ module Stepper = struct
     }
 
   let thaw ?(exec = Exec_model.default) ?(config = Planner.default_config)
-      ?churn ?(co_max_cost_mbit = 0.0) ?(estimate_cache = true) ?injector
+      ?churn ?(co_max_cost_mbit = 0.0) ?injector
       ?series ?(domains = 1) ?observer ~net fz =
     let rng = Prng.of_raw_state fz.fz_rng in
     let ctx =
-      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~estimate_cache
+      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
         ~injector ~series ~domains ~init_expiry:false ~net
     in
     (* Restore the departure queue in pop order: pushing in that order

@@ -117,7 +117,6 @@ val run :
   ?seed:int ->
   ?churn:churn ->
   ?co_max_cost_mbit:float ->
-  ?estimate_cache:bool ->
   ?injector:Nu_fault.Injector.t ->
   ?series:Nu_obs.Series.t ->
   ?domains:int ->
@@ -129,7 +128,7 @@ val run :
     (or [seed], default 7; [rng] wins) drives LMTF/P-LMTF sampling and
     churn — given equal seeds, runs are exactly reproducible.
     [domains] (default 1) sets the candidate-probe fan-out width: with
-    [domains > 1] each round's cache-missing probes are evaluated in
+    [domains > 1] each round's candidate probes are evaluated in
     parallel on that many worker domains ({!Probe_pool}), with
     bit-identical decisions, digests and counter totals at any width —
     only the planning wall clock changes. Random-fit planning consumes
@@ -140,12 +139,7 @@ val run :
     in-flight batch fits within that migration budget — i.e. the
     candidate's flows can be accommodated in the residual capacity
     without displacing anything (§IV-C's "can be updated with the first
-    event together"). [estimate_cache] (default true) memoises scheduler
-    probes across rounds with dirty-edge invalidation
-    ({!Estimate_cache}); results are identical with it on or off — a hit
-    bills the same simulated work units a fresh probe would have
-    reported — and it disables itself under [Routing.Random_fit], whose
-    probes consume PRNG draws. Raises [Invalid_argument] on an invalid
+    event together"). Raises [Invalid_argument] on an invalid
     policy.
 
     [injector] attaches a fault schedule ({!Nu_fault.Injector}). While
@@ -195,7 +189,6 @@ module Stepper : sig
     ?seed:int ->
     ?churn:churn ->
     ?co_max_cost_mbit:float ->
-    ?estimate_cache:bool ->
     ?injector:Nu_fault.Injector.t ->
     ?series:Nu_obs.Series.t ->
     ?domains:int ->
@@ -259,7 +252,7 @@ module Stepper : sig
       phase runs per stepper in array order: due faults, empty-queue
       time jump, background churn sync, series sample, candidate
       selection with PRNG draws on the calling domain. The probe phase
-      then evaluates every cache-missing candidate probe across all
+      then evaluates every candidate probe across all
       steppers in one batch against the quiescent wave-start state,
       fanned out through [pool] when given, else through the first
       stepper's own workers when it was created with [domains > 1]
@@ -374,7 +367,6 @@ module Stepper : sig
     ?config:Planner.config ->
     ?churn:churn ->
     ?co_max_cost_mbit:float ->
-    ?estimate_cache:bool ->
     ?injector:Nu_fault.Injector.t ->
     ?series:Nu_obs.Series.t ->
     ?domains:int ->
@@ -386,9 +378,7 @@ module Stepper : sig
       configuration knobs as the original run, [net] thawed from its
       own frozen snapshot, [injector] (if the original had one) thawed
       likewise. The PRNG resumes from the frozen cursor — no [seed]
-      parameter. The estimate cache restarts cold (hits bill the same
-      simulated units a fresh probe would, so decisions are unaffected;
-      only real wall time differs). [domains] may differ from the
+      parameter. [domains] may differ from the
       original run's — the probe fan-out width is invisible to every
       decision, so a checkpoint taken at one width replays identically
       at any other. *)

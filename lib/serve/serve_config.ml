@@ -16,7 +16,6 @@ type config = {
   steps_per_tick : int;
   tick_dt_s : float;
   co_max_cost_mbit : float;
-  estimate_cache : bool;
   churn : churn_spec option;
   domains : int;
       (* Execution width only — never part of the checkpoint
@@ -34,7 +33,6 @@ let default_config policy =
     steps_per_tick = 4;
     tick_dt_s = 0.05;
     co_max_cost_mbit = 0.0;
-    estimate_cache = true;
     churn = None;
     domains = 1;
   }
@@ -103,7 +101,6 @@ let config_to_json cfg =
       ("steps_per_tick", Json.Int cfg.steps_per_tick);
       ("tick_dt_s", Json.Float cfg.tick_dt_s);
       ("co_max_cost_mbit", Json.Float cfg.co_max_cost_mbit);
-      ("estimate_cache", Json.Bool cfg.estimate_cache);
       ( "churn",
         match cfg.churn with
         | None -> Json.Null
@@ -127,7 +124,22 @@ let spec_to_json = function
   | Source.Stream path ->
       Json.Obj [ ("kind", Json.String "stream"); ("path", Json.String path) ]
 
+(* Checkpoints written while the engine still had an estimate cache
+   carry an "estimate_cache" flag in their config. The cache never moved
+   a decision, so the flag is dropped before comparing. *)
+let drop_cache_flag = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "config", Json.Obj c ->
+                 ("config", Json.Obj (List.remove_assoc "estimate_cache" c))
+             | field -> field)
+           fields)
+  | j -> j
+
 (* Fingerprints are compared through a print/parse round-trip (the
    stored copy went through the checkpoint file), so compare printed
    forms — printing is canonical even where parsing widens types. *)
-let fingerprint_matches a b = Json.to_string a = Json.to_string b
+let fingerprint_matches stored expected =
+  Json.to_string (drop_cache_flag stored) = Json.to_string expected

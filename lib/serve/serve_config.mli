@@ -23,7 +23,6 @@ type config = {
   steps_per_tick : int;  (** Max service rounds executed per tick. *)
   tick_dt_s : float;  (** Simulated seconds per tick. *)
   co_max_cost_mbit : float;  (** Co-scheduling budget (0 = off). *)
-  estimate_cache : bool;
   churn : churn_spec option;
   domains : int;
       (** Probe fan-out width handed to the engine (see
@@ -36,14 +35,16 @@ type config = {
 
 val default_config : Policy.t -> config
 (** seed 42, capacity 64, Block admission, drain 8, steps 4, dt 50 ms,
-    co-scheduling off, estimate cache on, no churn, 1 domain. *)
+    co-scheduling off, no churn, 1 domain. *)
 
 val config_to_json : config -> Nu_obs.Json.t
 val spec_to_json : Source.spec -> Nu_obs.Json.t
 
 val fingerprint_matches : Nu_obs.Json.t -> Nu_obs.Json.t -> bool
-(** Printed-form equality — sound because printing is canonical for
-    this Json library even where parsing widens types. *)
+(** [fingerprint_matches stored expected]: printed-form equality —
+    sound because printing is canonical for this Json library even
+    where parsing widens types. A stored config's legacy
+    ["estimate_cache"] flag is ignored. *)
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on out-of-range knobs or a batch-only

@@ -157,7 +157,7 @@ let make_stepper ?injector ?series ?telemetry cfg ~host_count ~net k =
   Engine.Stepper.create ~seed:(shard_seed base k) ~domains:1
     ?churn:(shard_churn ~host_count base k)
     ~co_max_cost_mbit:base.Serve_config.co_max_cost_mbit
-    ~estimate_cache:base.Serve_config.estimate_cache ~init_expiry:(k = 0)
+    ~init_expiry:(k = 0)
     ?injector:(if k = 0 then injector else None)
     ?series:(if k = 0 then series else None)
     ?observer:(shard_observer cfg telemetry k)
@@ -168,7 +168,6 @@ let thaw_stepper ?injector ?series ?telemetry cfg ~host_count ~net k fz =
   Engine.Stepper.thaw ~domains:1
     ?churn:(shard_churn ~host_count base k)
     ~co_max_cost_mbit:base.Serve_config.co_max_cost_mbit
-    ~estimate_cache:base.Serve_config.estimate_cache
     ?injector:(if k = 0 then injector else None)
     ?series:(if k = 0 then series else None)
     ?observer:(shard_observer cfg telemetry k)

@@ -450,7 +450,7 @@ let probe ?rng ?config ?frozen net event =
      the state in O(operations performed), where the historical
      plan-then-revert pair re-ran every reroute through full feasibility
      checks. The probe bracket records every edge the plan read or
-     wrote, which is what makes the estimate memoisable. *)
+     wrote, which is what makes the plan replayable. *)
   Net_state.start_probe net;
   Net_state.begin_txn net;
   let p = plan ?rng ?config ?frozen net event in

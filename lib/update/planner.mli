@@ -119,7 +119,7 @@ val probe :
 (** Plan inside a {!Nu_net.Net_state.begin_txn}/[rollback] bracket and
     record the touched-edge set. The state is unchanged on return; the
     rollback costs O(operations performed) rather than a full revert
-    re-plan. This is the memoisable form of {!cost_of}. *)
+    re-plan. This is the replayable form of {!cost_of}. *)
 
 val cost_of :
   ?rng:Prng.t ->

@@ -250,69 +250,6 @@ let test_engine_plmtf_co_schedules () =
   Alcotest.(check bool) "co-scheduling happens" true (co > 0);
   Alcotest.(check bool) "fewer rounds than events" true (run.Engine.rounds < 10)
 
-(* Estimate cache: bit-identical results with the cache on or off, and
-   hits actually occur when probes' read sets survive across rounds. *)
-let check_same_run (a : Engine.run_result) (b : Engine.run_result) =
-  Alcotest.(check int) "rounds" a.Engine.rounds b.Engine.rounds;
-  Alcotest.(check int) "plan units" a.Engine.total_plan_units
-    b.Engine.total_plan_units;
-  Alcotest.(check (float 0.0)) "total cost" a.Engine.total_cost_mbit
-    b.Engine.total_cost_mbit;
-  Alcotest.(check (float 0.0)) "makespan" a.Engine.makespan_s b.Engine.makespan_s;
-  Alcotest.(check (float 0.0)) "final utilization"
-    a.Engine.final_fabric_utilization b.Engine.final_fabric_utilization;
-  Alcotest.(check bool) "event results identical" true
-    (a.Engine.events = b.Engine.events);
-  Alcotest.(check bool) "round log identical" true
-    (a.Engine.rounds_log = b.Engine.rounds_log)
-
-let test_engine_cache_hits_and_determinism () =
-  (* Three single-flow events under distinct edge switches: their probe
-     read sets are pairwise disjoint, so once Reorder executes one, the
-     others' cached estimates must survive to the next round. *)
-  let mk i src dst =
-    Event.of_spec
-      {
-        Event_gen.event_id = i;
-        arrival_s = 0.0;
-        flows = [ flow ~id:(100 + i) ~demand:20.0 src dst ];
-      }
-  in
-  let events = [ mk 0 0 1; mk 1 4 5; mk 2 8 9 ] in
-  let net = Net_state.create (topo4 ()) in
-  let before = Obs.Counters.snapshot () in
-  let a = Engine.run ~net:(Net_state.copy net) ~events ~seed:11 Policy.Reorder in
-  let d = Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ()) in
-  Alcotest.(check bool) "cache hits occur" true
-    (Obs.Counters.value d Obs.Counters.Estimate_cache_hits > 0);
-  let b =
-    Engine.run ~estimate_cache:false ~net:(Net_state.copy net) ~events
-      ~seed:11 Policy.Reorder
-  in
-  check_same_run a b
-
-let test_engine_cache_determinism_churn () =
-  (* The strong form: LMTF under churn — costs drift between rounds, the
-     cache hits or misses unpredictably, and the simulated run must not
-     be able to tell. *)
-  let events = workload ~n:8 ~m:4 () in
-  let churn () =
-    let maker_rng = Prng.create 77 in
-    {
-      Engine.make_flow =
-        (fun ~id ->
-          (Yahoo_trace.generate ~first_id:id maker_rng ~host_count:16 ~n:1).(0));
-      target_utilization = 0.25;
-      max_placements_per_round = 50;
-      first_id = 50_000;
-    }
-  in
-  let run cache =
-    Engine.run ~estimate_cache:cache ~net:(loaded_net ()) ~events ~seed:5
-      ~churn:(churn ()) (Policy.Lmtf { alpha = 3 })
-  in
-  check_same_run (run true) (run false)
-
 let test_engine_flow_level_orders_differ () =
   let events = workload ~n:4 ~m:4 ~arrival:(fun i -> float_of_int i *. 0.001) () in
   let rr = Engine.run ~net:(loaded_net ()) ~events ~seed:5 (Policy.Flow_level Policy.Round_robin) in
@@ -517,10 +454,11 @@ let test_pool_create_warms_path_memo () =
       Alcotest.(check int) "mirror lanes enumerate nothing" 0
         (Atomic.get calls))
 
-(* Estimate cache invalidation granularity: a degrade→restore cycle
-   bumps exactly the touched edge's version, so cached probes that read
-   it miss afterwards while probes of disjoint read sets keep hitting. *)
-let test_cache_degrade_restore_exact_invalidation () =
+(* Per-edge versions, which the wave's stale-plan check reads: a
+   degrade→restore cycle bumps exactly the touched edge's version, so a
+   probe that read it is stale afterwards while a probe of a disjoint
+   read set stays current. *)
+let test_edge_version_exact_invalidation () =
   let net = loaded_net () in
   let mk i src dst =
     Event.of_spec
@@ -531,13 +469,12 @@ let test_cache_degrade_restore_exact_invalidation () =
       }
   in
   let ev_a = mk 0 0 1 and ev_b = mk 1 8 9 in
-  let cache = Estimate_cache.create () in
   let pr_a = Planner.probe net ev_a in
   let pr_b = Planner.probe net ev_b in
-  Estimate_cache.store cache net pr_a;
-  Estimate_cache.store cache net pr_b;
-  Alcotest.(check bool) "A cached" true (Estimate_cache.find cache net 0 <> None);
-  Alcotest.(check bool) "B cached" true (Estimate_cache.find cache net 1 <> None);
+  let versions (pr : Planner.probe) =
+    Array.map (Net_state.edge_version net) pr.Planner.probe_touched
+  in
+  let va = versions pr_a and vb = versions pr_b in
   let b_touched = Array.to_list pr_b.Planner.probe_touched in
   let e =
     match
@@ -553,14 +490,12 @@ let test_cache_degrade_restore_exact_invalidation () =
   Net_state.restore_edge_capacity net e;
   Alcotest.(check bool) "cycle dirties the edge" true
     (Net_state.edge_version net e > v0);
-  Alcotest.(check bool) "A invalidated" true
-    (Estimate_cache.find cache net 0 = None);
-  Alcotest.(check bool) "B untouched, still hits" true
-    (Estimate_cache.find cache net 1 <> None);
-  (* Restore is exact, so a fresh probe re-arms the entry. *)
-  Estimate_cache.store cache net (Planner.probe net ev_a);
-  Alcotest.(check bool) "A hits after re-store" true
-    (Estimate_cache.find cache net 0 <> None)
+  Alcotest.(check bool) "A stale" false (versions pr_a = va);
+  Alcotest.(check bool) "B untouched, still current" true (versions pr_b = vb);
+  (* Restore is exact, so a fresh probe of A estimates what the first
+     one did. *)
+  Alcotest.(check bool) "A re-probes to the same estimate" true
+    ((Planner.probe net ev_a).Planner.probe_est = pr_a.Planner.probe_est)
 
 (* ------------------------------------------------------------------ *)
 (* Golden digests of the stepping paths. The expected strings were
@@ -809,9 +744,7 @@ let suite =
     ("engine total cost", `Quick, test_engine_total_cost_matches_events);
     ("engine churn", `Quick, test_engine_churn_expires_and_refills);
     ("engine plmtf co-schedules", `Quick, test_engine_plmtf_co_schedules);
-    ("engine cache determinism", `Quick, test_engine_cache_hits_and_determinism);
-    ("engine cache determinism churn", `Quick, test_engine_cache_determinism_churn);
-    ("cache exact invalidation", `Quick, test_cache_degrade_restore_exact_invalidation);
+    ("edge version exact invalidation", `Quick, test_edge_version_exact_invalidation);
     ("probe pool warms the path memo", `Quick, test_pool_create_warms_path_memo);
     QCheck_alcotest.to_alcotest prop_mc_digest_equal;
     ("mc digest with faults", `Quick, test_mc_digest_with_faults);

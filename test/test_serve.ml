@@ -382,7 +382,6 @@ let cfg ?(capacity = 8) ?(admission = Admission.Block) ?churn ?(domains = 1) ()
     steps_per_tick = 3;
     tick_dt_s = 0.05;
     co_max_cost_mbit = 0.0;
-    estimate_cache = true;
     churn;
     domains;
   }
@@ -575,6 +574,48 @@ let test_serve_restore_rejects_config_mismatch () =
   | Error m ->
       Alcotest.(check bool) "mentions mismatch" true (contains m "mismatch")
   | Ok _ -> Alcotest.fail "restore should refuse a different configuration");
+  remove_chain cp;
+  Sys.rmdir dir
+
+(* Checkpoints written while the engine had an estimate cache carry an
+   "estimate_cache" flag in their fingerprint's config. They still
+   restore, and the run continues to the uninterrupted digest. *)
+let test_serve_restore_accepts_cache_flag () =
+  let expected = serve_uninterrupted ~ticks:12 () in
+  let dir = Filename.temp_file "nu_serve" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let cp = Filename.concat dir "cp.json" in
+  let s = scenario () in
+  let t =
+    Serve.create (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ())
+  in
+  Serve.run ~ticks:12 t;
+  let snap = Serve.snapshot t in
+  let with_flag = function
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.map
+             (function
+               | "config", Obs.Json.Obj c ->
+                   ( "config",
+                     Obs.Json.Obj (c @ [ ("estimate_cache", Obs.Json.Bool true) ])
+                   )
+               | field -> field)
+             fields)
+    | j -> j
+  in
+  ignore
+    (Serve_checkpoint.save cp
+       { snap with Serve_checkpoint.meta = with_flag snap.Serve_checkpoint.meta }
+      : string);
+  let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
+  (match Serve.restore ~config:(cfg ()) ~source_spec:(spec_of ()) ~topology cp with
+  | Error m -> Alcotest.fail m
+  | Ok t2 ->
+      Serve.complete t2;
+      Alcotest.(check string) "digest equal" expected (Serve.digest t2));
   remove_chain cp;
   Sys.rmdir dir
 
@@ -1327,4 +1368,7 @@ let suite =
     ("supervisor cold start", `Quick, test_supervisor_cold_start);
     ("golden digests", `Quick, test_serve_golden_digests);
     ("golden storage bytes", `Quick, test_serve_golden_storage);
+    ( "restore accepts a legacy cache flag",
+      `Quick,
+      test_serve_restore_accepts_cache_flag );
   ]

@@ -153,7 +153,6 @@ let cfg () =
     steps_per_tick = 3;
     tick_dt_s = 0.05;
     co_max_cost_mbit = 0.0;
-    estimate_cache = true;
     churn = None;
     domains = 1;
   }
