@@ -520,7 +520,7 @@ let probe_wave ?pool pres =
   let slots =
     List.map (fun gp -> Array.make (Array.length gp.gp_candidates) None) pres
   in
-  let miss =
+  let batch =
     Array.of_list
       (List.concat
          (List.map2
@@ -528,10 +528,10 @@ let probe_wave ?pool pres =
               List.init (Array.length gp.gp_candidates) (fun i -> (gp, slot, i)))
             pres slots))
   in
-  let n_miss = Array.length miss in
+  let n_probes = Array.length batch in
   let ctx0 = (List.hd pres).gp_st.ctx in
   let sequential =
-    n_miss < min_parallel_probes
+    n_probes < min_parallel_probes
     || (Option.is_none pool && ctx0.domains <= 1)
     || List.exists
          (fun gp ->
@@ -541,7 +541,7 @@ let probe_wave ?pool pres =
   let store (_, (slot : Planner.probe option array), i) pr =
     slot.(i) <- Some pr
   in
-  if n_miss > 0 then
+  if n_probes > 0 then
     if sequential then
       Array.iter
         (fun ((gp, _, i) as m) ->
@@ -550,41 +550,37 @@ let probe_wave ?pool pres =
             (timed ctx (fun () ->
                  Planner.probe ~rng:ctx.rng ~config:ctx.config ctx.net
                    gp.gp_candidates.(i))))
-        miss
+        batch
     else begin
       let pool =
         match pool with Some p -> p | None -> private_pool ctx0
       in
       Counters.incr Counters.Probe_parallel_batches;
-      Counters.add Counters.Domain_probes n_miss;
+      Counters.add Counters.Domain_probes n_probes;
       let t0 = Monotonic_clock.now () in
       let fresh =
         Probe_pool.map pool
           ~f:(fun local (gp, _, i) ->
             Planner.probe ~config:gp.gp_st.ctx.config local
               gp.gp_candidates.(i))
-          miss
+          batch
       in
       let dt =
         Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
       in
       (* Attribute the batch wall to the participating steppers in
          proportion to the probes each contributed. *)
-      let total = float_of_int n_miss in
+      let total = float_of_int n_probes in
       List.iter
         (fun gp ->
-          let mine =
-            Array.fold_left
-              (fun acc (g, _, _) -> if g == gp then acc + 1 else acc)
-              0 miss
-          in
+          let mine = Array.length gp.gp_candidates in
           if mine > 0 then
             gp.gp_st.ctx.wall <-
               gp.gp_st.ctx.wall +. (dt *. float_of_int mine /. total))
         pres;
       if Histogram.Registry.enabled () then
         Histogram.Registry.record "planner.probe_batch_s" dt;
-      Array.iteri (fun j m -> store m fresh.(j)) miss
+      Array.iteri (fun j m -> store m fresh.(j)) batch
     end;
   List.map2
     (fun gp slot ->
