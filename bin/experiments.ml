@@ -535,7 +535,10 @@ let checkpoint_every_arg =
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"K" ~doc)
 
 let journal_arg =
-  let doc = "Write the append-only operation journal to $(docv) (JSONL)." in
+  let doc =
+    "Write the append-only operation journal (a CRC-framed record log) to \
+     $(docv)."
+  in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
 let no_complete_arg =
@@ -557,8 +560,8 @@ let serve_fault_rate_arg =
 let metrics_dir_arg =
   let doc =
     "Enable live telemetry and write the OpenMetrics exposition file \
-     ($(docv)/metrics.prom, atomic rename) and the request-lifecycle JSONL \
-     ($(docv)/lifecycle.jsonl) there."
+     ($(docv)/metrics.prom, atomic rename) and the request-lifecycle \
+     record log ($(docv)/lifecycle.jsonl) there."
   in
   Arg.(value & opt (some string) None & info [ "metrics-dir" ] ~docv:"DIR" ~doc)
 
@@ -1219,7 +1222,7 @@ let crashstorm_cmd =
       $ storm_dir_arg $ trace_arg $ counters_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry summary: render a metrics dir (lifecycle JSONL + exposition
+(* Telemetry summary: render a metrics dir (lifecycle log + exposition
    file) into a per-tenant / SLO table.                                 *)
 
 (* The offline readers' verdict on a record log's damage: a torn tail
@@ -1277,7 +1280,8 @@ let telemetry_cmd =
           Format.eprintf "telemetry: %s: %s@." jsonl m;
           exit 1
       | Ok r ->
-          tolerate_torn_tail ~what:"telemetry" ~code:1 jsonl r.Obs.Store.corrupt;
+          tolerate_torn_tail ~what:"telemetry" ~code:1 jsonl
+            r.Obs.Store.corrupt;
           let entries = r.Obs.Store.entries in
           (* Rebuild per-tenant stats from the stamp stream. Terminal
              stamps carry the tenant attribution; a degraded completion
@@ -1370,8 +1374,8 @@ let telemetry_cmd =
     (Cmd.info "telemetry"
        ~doc:
          "Validate a serve metrics directory (OpenMetrics exposition file) \
-          and summarise its lifecycle JSONL into a per-tenant fairness/SLO \
-          table")
+          and summarise its lifecycle record log into a per-tenant \
+          fairness/SLO table")
     Term.(const run $ telemetry_dir_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1413,7 +1417,8 @@ let watch_cmd =
         match Obs.Watch.read_journal watch_jsonl with
         | Error m -> fail "%s" m
         | Ok j ->
-            tolerate_torn_tail ~what:"watch" ~code:2 watch_jsonl j.Obs.Watch.j_corrupt;
+            tolerate_torn_tail ~what:"watch" ~code:2 watch_jsonl
+              j.Obs.Watch.j_corrupt;
             let cfg =
               Option.value j.Obs.Watch.j_config
                 ~default:Obs.Watch.default_config
@@ -1432,7 +1437,8 @@ let watch_cmd =
         match Obs.Lifecycle.read_log lifecycle with
         | Error m -> fail "%s" m
         | Ok r ->
-            tolerate_torn_tail ~what:"watch" ~code:2 lifecycle r.Obs.Store.corrupt;
+            tolerate_torn_tail ~what:"watch" ~code:2 lifecycle
+              r.Obs.Store.corrupt;
             let entries = r.Obs.Store.entries in
             let w = Obs.Watch.create Obs.Watch.default_config in
             let obs = Obs.Watch.obs_of_lifecycle entries in

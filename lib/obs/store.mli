@@ -25,15 +25,9 @@
     every physical operation of a writer or read opened with it. No
     other module calls its hooks. *)
 
-val crc32 : string -> int
-(** IEEE 802.3 reflected CRC32 of a string, in [0, 2^32). *)
-
 val segment_path : string -> int -> string
 (** [segment_path base i] is [base] for segment 0, [base ^ ".seg" ^ i]
     otherwise. *)
-
-val default_segment_bytes : int
-(** Rotation threshold (4 MiB). *)
 
 (** {2 Record log writer} *)
 
@@ -41,7 +35,8 @@ type writer
 
 val open_writer :
   ?append:bool -> ?segment_bytes:int -> ?fault:Store_fault.t -> string -> writer
-(** Open a log for writing. [append] defaults to [false], which
+(** Open a log for writing; it rotates to a new segment past
+    [segment_bytes] (default 4 MiB). [append] defaults to [false], which
     truncates segment 0 and removes stale higher segments; with
     [~append:true] the writer continues in the newest existing
     segment. *)

@@ -325,15 +325,16 @@ let obs_path dir = Filename.concat dir "watch.jsonl"
 let alerts_path dir = Filename.concat dir "alerts.jsonl"
 
 (* One record per observation or alert, flushed as it happens. *)
-let record log j =
-  Store.append log (Json.to_string j);
+let record log payload =
+  Store.append log payload;
   Store.flush log
 
 let open_fresh t dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let obs_log = Store.open_writer (obs_path dir) in
   record obs_log
-    (Json.Obj [ ("nu_watch", Json.Int 1); ("config", config_to_json t.cfg) ]);
+    (Json.to_string
+       (Json.Obj [ ("nu_watch", Json.Int 1); ("config", config_to_json t.cfg) ]));
   t.obs_log <- Some obs_log;
   t.alert_log <- Some (Store.open_writer (alerts_path dir))
 
@@ -366,11 +367,7 @@ let emit t a =
     ignore (Queue.pop t.ring);
     t.dropped <- t.dropped + 1
   end;
-  match t.alert_log with
-  | Some log ->
-      Store.append log line;
-      Store.flush log
-  | None -> ()
+  Option.iter (fun log -> record log line) t.alert_log
 
 let severity_of_entry = function
   | Health.Warn -> Warning
@@ -630,7 +627,7 @@ let read_alerts_digest path =
 (* Ingest (with resume-from-journal) *)
 
 let journal_obs t o =
-  match t.obs_log with Some log -> record log (obs_to_json o) | None -> ()
+  Option.iter (fun log -> record log (Json.to_string (obs_to_json o))) t.obs_log
 
 let ingest_started t o =
   journal_obs t o;

@@ -14,10 +14,11 @@
    Everything is deterministic: the coordinator has its own PRNG and a
    virtual clock floored by the tick wall, and the decisions journal is
    an ordered Store record log of JSON decisions whose running FNV-1a
-   digest is part of the fabric digest. Recovery does not read the journal back — the
-   coordinator's whole state (queue, clock, results, digest cursor,
-   PRNG) freezes into the fabric checkpoint and the replayed WAL
-   regenerates the post-checkpoint entries bit-identically. *)
+   digest is part of the fabric digest. Recovery does not read the
+   journal back — the coordinator's whole state (queue, clock, results,
+   digest cursor, PRNG) freezes into the fabric checkpoint and the
+   replayed WAL regenerates the post-checkpoint entries
+   bit-identically. *)
 
 module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters

@@ -1868,7 +1868,6 @@ let suite =
     ( "lifecycle torn tail tolerated",
       `Quick,
       test_lifecycle_torn_tail_tolerated );
-    QCheck_alcotest.to_alcotest prop_store_reader_keeps_undamaged;
     ("expo watch families validate", `Quick, test_expo_watch_families_validate);
     QCheck_alcotest.to_alcotest prop_watch_digest_deterministic;
     ("expo metric names", `Quick, test_expo_metric_name);
@@ -1882,4 +1881,5 @@ let suite =
     ("jsonl export parses", `Quick, test_jsonl_export_parses);
     ("chrome export parses", `Quick, test_chrome_export_parses);
     ("null sink identical results", `Quick, test_null_sink_identical_results);
+    QCheck_alcotest.to_alcotest prop_store_reader_keeps_undamaged;
   ]
