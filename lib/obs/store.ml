@@ -81,25 +81,28 @@ type writer = {
   mutable closed : bool;
 }
 
-(* With a fault device attached, every append is OS-flushed immediately:
-   durability is modelled by the device's durable/written accounting,
-   not by channel buffering, so a simulated crash sees exactly the
-   bytes the model says are on disk. *)
+(* Write [data] to [oc] as the fault device lets it. With a device
+   attached, every write is OS-flushed immediately: durability is
+   modelled by the device's durable/written accounting, not by channel
+   buffering, so a simulated crash sees exactly the bytes the model says
+   are on disk. A torn write puts its prefix on disk, then crashes. *)
+let put fault oc ~path ~torn data =
+  match fault with
+  | None -> output_string oc data
+  | Some f ->
+      let bytes, tear =
+        match Store_fault.on_append f ~path data with
+        | Store_fault.Write bytes -> (bytes, false)
+        | Store_fault.Torn prefix -> (prefix, true)
+      in
+      output_string oc bytes;
+      Stdlib.flush oc;
+      Store_fault.note_written f ~path (String.length bytes);
+      if tear then Store_fault.crash f ~reason:torn
+
 let emit w data =
-  let path = segment_path w.base w.seg_index in
-  (match w.fault with
-  | None -> output_string w.oc data
-  | Some f -> (
-      match Store_fault.on_append f ~path data with
-      | Store_fault.Write bytes ->
-          output_string w.oc bytes;
-          Stdlib.flush w.oc;
-          Store_fault.note_written f ~path (String.length bytes)
-      | Store_fault.Torn prefix ->
-          output_string w.oc prefix;
-          Stdlib.flush w.oc;
-          Store_fault.note_written f ~path (String.length prefix);
-          Store_fault.crash f ~reason:"torn write"));
+  put w.fault w.oc ~path:(segment_path w.base w.seg_index) ~torn:"torn write"
+    data;
   w.seg_size <- w.seg_size + String.length data
 
 let open_segment ?fault ~flags ~size path =
@@ -372,26 +375,16 @@ let rename ?fault src dst =
 let publish ?fault path data =
   let tmp = path ^ ".tmp" in
   let oc = open_segment ?fault ~flags:[ Open_trunc ] ~size:0 tmp in
+  (try put fault oc ~path:tmp ~torn:"torn publish" data
+   with e ->
+     close_out_noerr oc;
+     raise e);
+  Stdlib.flush oc;
   (match fault with
-  | None ->
-      output_string oc data;
-      Stdlib.flush oc;
-      (try Unix.fsync (Unix.descr_of_out_channel oc)
-       with Unix.Unix_error _ -> ());
-      close_out oc
-  | Some f -> (
-      match Store_fault.on_append f ~path:tmp data with
-      | Store_fault.Write bytes ->
-          output_string oc bytes;
-          Stdlib.flush oc;
-          Store_fault.note_written f ~path:tmp (String.length bytes);
-          Store_fault.on_sync f ~path:tmp;
-          close_out oc
-      | Store_fault.Torn prefix ->
-          output_string oc prefix;
-          Stdlib.flush oc;
-          Store_fault.note_written f ~path:tmp (String.length prefix);
-          close_out_noerr oc;
-          Store_fault.crash f ~reason:"torn publish"));
+  | None -> (
+      try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error _ -> ())
+  | Some f -> Store_fault.on_sync f ~path:tmp);
+  close_out oc;
   rename ?fault tmp path;
   sync_dir path
