@@ -1362,7 +1362,6 @@ module Stepper = struct
     fz_results : event_result list;  (* newest-first, as accumulated *)
     fz_log : round_info list;  (* newest-first, as accumulated *)
     fz_units : int;
-    fz_wall : float;
     fz_next_churn_id : int;
     fz_expiry : (float * int) list;  (* exact pop order *)
     fz_rng : int64;
@@ -1379,7 +1378,6 @@ module Stepper = struct
       fz_results = st.results;
       fz_log = st.log;
       fz_units = st.ctx.units;
-      fz_wall = st.ctx.wall;
       fz_next_churn_id = st.ctx.next_churn_id;
       fz_expiry = Pqueue.to_list st.ctx.expiry;
       fz_rng = Prng.raw_state st.ctx.rng;
@@ -1399,7 +1397,6 @@ module Stepper = struct
     List.iter (fun (dep, id) -> Pqueue.push ctx.expiry dep id) fz.fz_expiry;
     ctx.next_churn_id <- fz.fz_next_churn_id;
     ctx.units <- fz.fz_units;
-    ctx.wall <- fz.fz_wall;
     {
       ctx;
       policy = fz.fz_policy;

@@ -83,7 +83,9 @@ type run_result = {
   total_cost_mbit : float;
   makespan_s : float;  (** Completion of the last event. *)
   final_fabric_utilization : float;
-  planning_wall_s : float;  (** Real CPU seconds spent in the planner. *)
+  planning_wall_s : float;
+      (** Real seconds spent in the planner; since the restore for a
+          thawed {!Stepper}. *)
 }
 
 type churn = {
@@ -335,11 +337,13 @@ module Stepper : sig
   (** {2 Checkpoint freeze/thaw}
 
       The stepper's decision-relevant state as a plain record:
-      queues, clocks, accumulated results, plan-unit/wall accounting,
+      queues, clocks, accumulated results, plan-unit accounting,
       the churn departure queue in exact pop order, and the raw PRNG
       cursor. Together with {!Nu_net.Net_state.frozen} and
       {!Nu_fault.Injector.frozen} this is everything needed to resume
-      a run bit-identically. *)
+      a run bit-identically. Planner wall time is deliberately left
+      out, so a snapshot is a function of the run's inputs alone; after
+      a {!thaw}, [planning_wall_s] counts planning since the restore. *)
 
   type frozen = {
     fz_policy : Policy.t;
@@ -351,7 +355,6 @@ module Stepper : sig
     fz_results : event_result list;  (** Newest-first, as accumulated. *)
     fz_log : round_info list;  (** Newest-first, as accumulated. *)
     fz_units : int;
-    fz_wall : float;
     fz_next_churn_id : int;
     fz_expiry : (float * int) list;  (** Departure queue, exact pop order. *)
     fz_rng : int64;  (** {!Prng.raw_state} of the run's PRNG. *)

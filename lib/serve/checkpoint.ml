@@ -5,7 +5,7 @@ module Store = Nu_obs.Store
 let ( let* ) = Result.bind
 
 let format_tag = "nu_serve_checkpoint"
-let version = 3
+let version = 4
 
 type shard = {
   stepper : Engine.Stepper.frozen;
@@ -28,11 +28,6 @@ type t = {
   streak : int list;
 }
 
-(* The "core" object is everything the content hash covers. Hashing
-   the printed form is sound because print∘parse is canonical for this
-   Json library (the fingerprint comparison below already relies on
-   that), so a loaded core re-serialises to the byte-identical string
-   that was hashed at save time. *)
 let core_to_json cp =
   Json.Obj
     [
@@ -65,31 +60,48 @@ let core_to_json cp =
       ("streak", Json.List (List.map (fun n -> Json.Int n) cp.streak));
     ]
 
-let content_hash cp = Nu_obs.Fnv.string_hex (Json.to_string (core_to_json cp))
-
-let envelope ~hash core =
-  Json.Obj
-    [
-      ("format", Json.String format_tag);
-      ("version", Json.Int version);
-      ("hash", Json.String hash);
-      ("core", core);
-    ]
-
-let to_json cp =
-  let core = core_to_json cp in
-  envelope ~hash:(Nu_obs.Fnv.string_hex (Json.to_string core)) core
-
-(* The file bytes and the content hash from ONE print of the core: the
-   envelope is printed around a placeholder and the printed core is
-   spliced in — byte-identical to printing [to_json cp], without
-   printing the (multi-megabyte) core twice. *)
-let to_file_string cp =
+(* The file is two lines: the header, then the printed core. The hash
+   covers the core bytes exactly as stored, so a load checks it over
+   the file's own span before parsing and never prints anything. *)
+let encode cp =
   let core = Json.to_string (core_to_json cp) in
   let hash = Nu_obs.Fnv.string_hex core in
-  let outer = Json.to_string (envelope ~hash Json.Null) in
-  let head = String.length outer - String.length "null}" in
-  (String.concat "" [ String.sub outer 0 head; core; "}\n" ], hash)
+  let header =
+    Json.Obj
+      [
+        ("format", Json.String format_tag);
+        ("version", Json.Int version);
+        ("seq", Json.Int cp.seq);
+        ("hash", Json.String hash);
+      ]
+  in
+  (String.concat "\n" [ Json.to_string header; core; "" ], hash)
+
+let to_string cp = fst (encode cp)
+
+(* The header line at the front of file bytes: the offset of the
+   newline that ends it, and its (seq, hash) once format and version
+   check out. *)
+let read_header data =
+  let bad m = "bad checkpoint header: " ^ m in
+  let* i =
+    Option.to_result ~none:(bad "line is not terminated")
+      (String.index_opt data '\n')
+  in
+  let* j = Result.map_error bad (Json.of_string (String.sub data 0 i)) in
+  let field decode name = Result.map_error bad (decode name j) in
+  let* tag = field Codec.string_field "format" in
+  if tag <> format_tag then Error (Printf.sprintf "not a checkpoint: %S" tag)
+  else
+    let* v = field Codec.int_field "version" in
+    if v <> version then
+      Error
+        (Printf.sprintf "unsupported checkpoint version %d (expected %d)" v
+           version)
+    else
+      let* seq = field Codec.int_field "seq" in
+      let* hash = field Codec.string_field "hash" in
+      Ok (i, seq, hash)
 
 let shard_of_json sj =
   let* stj = Codec.field "stepper" sj in
@@ -146,37 +158,37 @@ let core_of_json ~graph j =
       streak;
     }
 
-let of_json ~graph j =
-  let* tag = Codec.string_field "format" j in
-  if tag <> format_tag then Error (Printf.sprintf "not a checkpoint: %S" tag)
+let of_string ~graph data =
+  let* i, seq, claimed = read_header data in
+  let stop =
+    if String.ends_with ~suffix:"\n" data then String.length data - 1
+    else String.length data
+  in
+  let core = String.sub data (i + 1) (max 0 (stop - i - 1)) in
+  let actual = Nu_obs.Fnv.string_hex core in
+  if claimed <> actual then
+    Error
+      (Printf.sprintf
+         "checkpoint content hash mismatch: header says %s, core hashes to %s"
+         claimed actual)
   else
-    let* v = Codec.int_field "version" j in
-    if v <> version then
-      Error (Printf.sprintf "unsupported checkpoint version %d (expected %d)" v version)
-    else
-      let* claimed = Codec.string_field "hash" j in
-      let* core = Codec.field "core" j in
-      let actual = Nu_obs.Fnv.string_hex (Json.to_string core) in
-      if claimed <> actual then
-        Error
-          (Printf.sprintf
-             "checkpoint content hash mismatch: file says %s, core hashes to %s"
-             claimed actual)
-      else core_of_json ~graph core
+    let* j = Json.of_string core in
+    let* cp = core_of_json ~graph j in
+    if cp.seq <> seq then
+      Error
+        (Printf.sprintf "checkpoint header seq %d disagrees with core seq %d" seq
+           cp.seq)
+    else Ok cp
 
 let save ?fault path cp =
-  let data, hash = to_file_string cp in
+  let data, hash = encode cp in
   Store.publish ?fault path data;
   Nu_obs.Counters.incr Nu_obs.Counters.Serve_checkpoints;
   hash
 
-let read_json ?fault path =
-  let* contents = Store.read_file ?fault path in
-  Json.of_string (String.trim contents)
-
 let load ?fault ~graph path =
-  let* j = read_json ?fault path in
-  of_json ~graph j
+  let* data = Store.read_file ?fault path in
+  of_string ~graph data
 
 (* ------------------------------------------------------------------ *)
 (* Verified checkpoint chain: [base] is the newest generation,
@@ -186,20 +198,6 @@ module Chain = struct
   let default_keep = 2
 
   let gen_path base i = if i = 0 then base else Printf.sprintf "%s.%d" base i
-
-  (* Outer header of an existing file, without decoding the core:
-     enough to thread seq/parent into the next save. Any damage reads
-     as "no usable header". *)
-  let peek_header path =
-    match read_json path with
-    | Error _ -> None
-    | Ok j -> (
-        match (Codec.opt_field "hash" j, Codec.opt_field "core" j) with
-        | Some (Json.String h), Some core -> (
-            match Codec.opt_field "seq" core with
-            | Some (Json.Int s) -> Some (s, h)
-            | _ -> None)
-        | _ -> None)
 
   (* Oldest-first renames keep the rotation crash-safe: if we die
      mid-way, the previous newest checkpoint still exists at [base]
@@ -214,11 +212,15 @@ module Chain = struct
     done;
     Store.sync_dir base
 
+  (* seq/parent come from the previous newest's header line alone; a
+     file without a usable header starts the chain afresh. The read
+     takes no fault device: it is not one of the save's storage
+     operations. *)
   let save ?fault ?(keep = default_keep) base cp =
     let seq, parent =
-      match peek_header base with
-      | Some (s, h) -> (s + 1, Some h)
-      | None -> (0, None)
+      match Result.bind (Store.read_file base) read_header with
+      | Ok (_, s, h) -> (s + 1, Some h)
+      | Error _ -> (0, None)
     in
     rotate ?fault ~keep base;
     save ?fault base { cp with seq; parent }

@@ -8,16 +8,22 @@
     trackers — stamped with the tick it was taken at and an opaque
     caller [meta] blob (the fabric fingerprint, validated on restore).
 
-    On disk (format version 3) a checkpoint is one JSON object:
-    {v { "format": ..., "version": 3, "hash": <fnv64 of core>, "core": {...} } v}
-    The content hash covers the printed form of the core object and is
-    re-verified on every load, so a flipped bit anywhere in the state
-    is detected instead of thawed. Other versions are refused.
+    On disk (format version 4) a checkpoint is two lines:
+    {v {"format":"nu_serve_checkpoint","version":4,"seq":S,"hash":"H"}
+<core JSON object> v}
+    [H] is the FNV-1a 64 hash of the core line's bytes exactly as
+    stored. A load checks the header, hashes the stored core span and
+    refuses a mismatch before parsing the core, so a flipped bit
+    anywhere in the state is detected instead of thawed; it also
+    refuses a header [seq] that differs from the core's. Other
+    versions are refused.
 
     Saves publish through {!Nu_obs.Store.publish} — write-then-rename
     with an fsync of the file before the rename and of the containing
     directory after it, atomic {e and} durable — and print the core
-    once, hashing the same bytes they write. Loads validate everything and return [Error] rather than
+    once, hashing the same bytes they write. The bytes are a function
+    of the state alone (no wall clock), so equal runs write equal
+    files. Loads validate everything and return [Error] rather than
     trusting the file.
 
     {!Chain} keeps the last few generations on disk ([base] newest,
@@ -47,15 +53,17 @@ type t = {
   streak : int list;  (** Per-shard consecutive hot ticks. *)
 }
 
-val content_hash : t -> string
-(** FNV-1a 64 hash (16 hex digits) of the serialised core state. *)
+val to_string : t -> string
+(** The file bytes: header line, core line, each ending in a newline. *)
 
-val to_json : t -> Nu_obs.Json.t
-val of_json : graph:Graph.t -> Nu_obs.Json.t -> (t, string) result
+val of_string : graph:Graph.t -> string -> (t, string) result
+(** Verify and decode file bytes: header format and version, content
+    hash over the stored core, header/core [seq] agreement, field
+    shapes. *)
 
 val save : ?fault:Nu_obs.Store_fault.t -> string -> t -> string
-(** Atomic durable save; returns the content hash and bumps the
-    [serve_checkpoints] counter. Physical I/O routes through [fault]
+(** Atomic durable save of {!to_string}; returns the content hash and
+    bumps the [serve_checkpoints] counter. Physical I/O routes through [fault]
     when given. *)
 
 val load :
@@ -63,7 +71,7 @@ val load :
   graph:Graph.t ->
   string ->
   (t, string) result
-(** Load and verify (format, version, content hash, field shapes). *)
+(** {!of_string} of the file's bytes. *)
 
 (** Rotated generations of one checkpoint path. *)
 module Chain : sig
@@ -78,7 +86,8 @@ module Chain : sig
     ?fault:Nu_obs.Store_fault.t -> ?keep:int -> string -> t -> string
   (** Rotate generations (dropping the one beyond [keep]), then save
       [cp] as the new newest with [seq]/[parent] threaded from the
-      previous newest. Returns the content hash. *)
+      previous newest's header line (its core is not read, so a
+      damaged core still threads). Returns the content hash. *)
 
   val existing : ?keep:int -> string -> (int * string) list
   (** The (generation, path) pairs present on disk, newest first. *)

@@ -1,12 +1,15 @@
 (** JSON codecs for the online controller's durable state.
 
     Every encoder/decoder pair round-trips bit-exactly for the values
-    the controller persists: finite floats serialise through
+    the controller persists: scalar floats serialise through
     {!Nu_obs.Json.Float} (whose repr is checked to re-parse to the same
     double), 64-bit PRNG cursors travel as decimal strings, and paths
     serialise as node lists resolved back against the topology's graph
-    at load time. Decoders return [Error msg] on malformed input —
-    checkpoints and journals are validated, never trusted. *)
+    at load time. The two bulk sections, the network's placed flows and
+    the stepper's departure queue, are stored as columns: one array per
+    field, each checked against a stored row count. Decoders return
+    [Error msg] on malformed input — checkpoints and journals are
+    validated, never trusted. *)
 
 module Json := Nu_obs.Json
 
@@ -48,6 +51,15 @@ val injector_frozen_to_json : Nu_fault.Injector.frozen -> Json.t
 val injector_frozen_of_json :
   Json.t -> (Nu_fault.Injector.frozen, string) result
 
+val float_column_to_json : float array -> Json.t
+(** One JSON string of 16 hex digits per value, the IEEE-754 bits:
+    bit-exact for every double, including [-0.], subnormals,
+    infinities and NaN payloads. *)
+
+val float_column_of_json : n:int -> Json.t -> (float array, string) result
+(** Inverse of {!float_column_to_json}. [Error] — never an exception —
+    unless the string holds exactly [n] values of lowercase hex. *)
+
 val path_to_json : Path.t -> Json.t
 val path_of_json : Graph.t -> Json.t -> (Path.t, string) result
 
@@ -56,7 +68,8 @@ val net_frozen_to_json : Net_state.frozen -> Json.t
 val net_frozen_of_json :
   Graph.t -> Json.t -> (Net_state.frozen, string) result
 (** Paths are re-resolved against [Graph.t]; an edge-less hop is a
-    decode error. *)
+    decode error, and every flow record is rebuilt through the checked
+    {!Flow_record.v}. *)
 
 val event_result_to_json : Engine.event_result -> Json.t
 val event_result_of_json : Json.t -> (Engine.event_result, string) result

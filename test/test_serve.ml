@@ -619,32 +619,44 @@ let test_serve_restore_accepts_cache_flag () =
   remove_chain cp;
   Sys.rmdir dir
 
+(* A checkpoint file's two lines: the header object and the core. *)
+let checkpoint_lines bytes =
+  match String.split_on_char '\n' bytes with
+  | [ header; core; "" ] -> (header, core)
+  | _ -> Alcotest.fail "checkpoint file is not two newline-terminated lines"
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
 let test_serve_checkpoint_json_roundtrip () =
   let s = scenario () in
+  let graph = s.Scenario.topology.Topology.graph in
   let t =
     Serve.create (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
       ~source_spec:(spec_of ())
   in
   Serve.run ~ticks:12 t;
   let cp = Serve.snapshot t in
-  let j = Serve_checkpoint.to_json cp in
-  (* The saved file is exactly the printed envelope, and the returned
-     hash is the one it carries. *)
+  (* The saved file is header ^ "\n" ^ core ^ "\n", and the returned
+     hash is the FNV of the core bytes as stored. *)
   let path = Filename.temp_file "nu_cp" ".json" in
   let hash = Serve_checkpoint.save path cp in
-  let bytes = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  Alcotest.(check string) "file = printed envelope" (Obs.Json.to_string j ^ "\n") bytes;
-  Alcotest.(check string) "returned hash" (Serve_checkpoint.content_hash cp) hash;
-  match
-    Serve_checkpoint.of_json ~graph:s.Scenario.topology.Topology.graph
-      (Result.get_ok (Obs.Json.of_string (Obs.Json.to_string j)))
-  with
+  let bytes = read_bytes path in
+  let header, core = checkpoint_lines bytes in
+  Alcotest.(check string) "file = to_string" (Serve_checkpoint.to_string cp) bytes;
+  Alcotest.(check string) "returned hash = FNV of stored core"
+    (Obs.Fnv.string_hex core) hash;
+  Alcotest.(check string) "header"
+    (Printf.sprintf
+       {|{"format":"nu_serve_checkpoint","version":4,"seq":0,"hash":"%s"}|} hash)
+    header;
+  (* Stable through save, load and save. *)
+  (match Serve_checkpoint.load ~graph path with
   | Error m -> Alcotest.fail m
   | Ok cp2 ->
-      Alcotest.(check string) "stable through print/parse"
-        (Obs.Json.to_string j)
-        (Obs.Json.to_string (Serve_checkpoint.to_json cp2))
+      ignore (Serve_checkpoint.save path cp2 : string);
+      Alcotest.(check string) "stable through save/load/save" bytes
+        (read_bytes path));
+  Sys.remove path
 
 let test_serve_shed_counters () =
   let s = scenario () in
@@ -912,50 +924,28 @@ let prop_watch_domains_alert_digest =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint verification and chain fallback                          *)
 
-(* Mutate one core field of a serialised v2 checkpoint while leaving
-   the stored hash alone: the load must refuse it. *)
+(* Flip one byte inside the stored core while leaving the header's
+   hash alone: the load must refuse it before parsing. *)
 let test_checkpoint_hash_rejects_mutation () =
   let s = scenario () in
+  let graph = s.Scenario.topology.Topology.graph in
   let t =
     Serve.create (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
       ~source_spec:(spec_of ())
   in
   Serve.run ~ticks:6 t;
-  let j = Serve_checkpoint.to_json (Serve.snapshot t) in
-  let mutate = function
-    | Obs.Json.Obj fields ->
-        Obs.Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if k <> "core" then (k, v)
-               else
-                 match v with
-                 | Obs.Json.Obj core ->
-                     ( k,
-                       Obs.Json.Obj
-                         (List.map
-                            (fun (ck, cv) ->
-                              match (ck, cv) with
-                              | "tick", Obs.Json.Int n ->
-                                  (ck, Obs.Json.Int (n + 1))
-                              | _ -> (ck, cv))
-                            core) )
-                 | v -> (k, v))
-             fields)
-    | j -> j
-  in
-  (match
-     Serve_checkpoint.of_json ~graph:s.Scenario.topology.Topology.graph
-       (mutate j)
-   with
+  let bytes = Serve_checkpoint.to_string (Serve.snapshot t) in
+  let header, core = checkpoint_lines bytes in
+  let b = Bytes.of_string bytes in
+  let at = String.length header + 1 + (String.length core / 2) in
+  Bytes.set b at (if Bytes.get b at = '0' then '1' else '0');
+  (match Serve_checkpoint.of_string ~graph (Bytes.to_string b) with
   | Error m ->
       Alcotest.(check bool) "names the hash" true (contains m "hash")
   | Ok _ -> Alcotest.fail "a mutated core must not verify");
-  (* The untouched JSON still loads, so the rejection above is the
+  (* The untouched bytes still load, so the rejection above is the
      hash check and not an over-eager parser. *)
-  match
-    Serve_checkpoint.of_json ~graph:s.Scenario.topology.Topology.graph j
-  with
+  match Serve_checkpoint.of_string ~graph bytes with
   | Error m -> Alcotest.fail m
   | Ok _ -> ()
 
@@ -1311,6 +1301,172 @@ let test_supervisor_cold_start () =
   Alcotest.(check (option string)) "digest equals uninterrupted"
     (Some expected) outcome.Supervisor.digest
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint format v4: refusals, float columns, chain, reproducible  *)
+(* bytes                                                               *)
+
+let v4_header ~version ~seq ~hash =
+  Printf.sprintf
+    {|{"format":"nu_serve_checkpoint","version":%d,"seq":%d,"hash":"%s"}|}
+    version seq hash
+
+let test_checkpoint_refusals () =
+  let s = scenario () in
+  let graph = s.Scenario.topology.Topology.graph in
+  let t =
+    Serve.create (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ())
+  in
+  Serve.run ~ticks:6 t;
+  let bytes = Serve_checkpoint.to_string (Serve.snapshot t) in
+  let _, core = checkpoint_lines bytes in
+  let hash = Obs.Fnv.string_hex core in
+  let file header = String.concat "\n" [ header; core; "" ] in
+  Alcotest.(check string) "header rebuilt faithfully" bytes
+    (file (v4_header ~version:4 ~seq:0 ~hash));
+  let refused name data needle =
+    match Serve_checkpoint.of_string ~graph data with
+    | Error m ->
+        if not (contains m needle) then
+          Alcotest.failf "%s: error %S does not name %S" name m needle
+    | Ok _ -> Alcotest.failf "%s: must be refused" name
+  in
+  refused "version 3" (file (v4_header ~version:3 ~seq:0 ~hash)) "version 3";
+  refused "no header line" (core ^ "\n") "header";
+  refused "header seq disagrees" (file (v4_header ~version:4 ~seq:1 ~hash)) "seq";
+  refused "no line break" core "header"
+
+(* Encodings of -0., the smallest and largest subnormals, both
+   infinities and NaNs with payloads, besides whatever QCheck draws. *)
+let special_bits =
+  [
+    0x8000000000000000L;
+    0x0000000000000001L;
+    0x000fffffffffffffL;
+    0x7ff0000000000000L;
+    0xfff0000000000000L;
+    0x7ff0000000000001L;
+    0xfff8000000000abcL;
+  ]
+
+let float_column bits =
+  let a = Array.of_list (List.map Int64.float_of_bits bits) in
+  match Serve_codec.float_column_to_json a with
+  | Obs.Json.String s -> s
+  | _ -> Alcotest.fail "a float column is a JSON string"
+
+let prop_float_column_roundtrip =
+  QCheck.Test.make ~name:"float column round-trips any bit pattern" ~count:300
+    QCheck.(list int64)
+    (fun drawn ->
+      let bits = special_bits @ drawn in
+      let n = List.length bits in
+      match
+        Serve_codec.float_column_of_json ~n (Obs.Json.String (float_column bits))
+      with
+      | Ok a -> List.map Int64.bits_of_float (Array.to_list a) = bits
+      | Error _ -> false)
+
+(* Damage a valid column one way or another: the decode returns Ok
+   exactly when the damage left [n] lowercase-hex values, and never
+   raises. *)
+let prop_float_column_damage =
+  let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  QCheck.Test.make ~name:"float column decode refuses damage, never raises"
+    ~count:500
+    QCheck.(quad (list int64) (int_bound 4) small_nat char)
+    (fun (drawn, how, pos, c) ->
+      let bits = special_bits @ drawn in
+      let n = List.length bits in
+      let s = float_column bits in
+      let n', s', ok =
+        match how with
+        | 0 -> (n + 1, s, false)
+        | 1 -> (n - 1, s, false)
+        | 2 -> (n, String.sub s 0 (String.length s - 1), false)
+        | 3 -> (n, s ^ "0", false)
+        | _ ->
+            let b = Bytes.of_string s in
+            Bytes.set b (pos mod Bytes.length b) c;
+            (n, Bytes.to_string b, is_hex c)
+      in
+      match Serve_codec.float_column_of_json ~n:n' (Obs.Json.String s') with
+      | Ok a -> ok && Array.length a = n
+      | Error _ -> not ok
+      | exception _ -> false)
+
+let test_checkpoint_chain_torn_newest () =
+  let dir = temp_dir () in
+  let cp = Filename.concat dir "cp.json" in
+  let s = scenario () in
+  let graph = s.Scenario.topology.Topology.graph in
+  let t =
+    Serve.create (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ())
+  in
+  let save () =
+    Serve.run ~ticks:3 t;
+    ignore (Serve.save_checkpoint t cp : string)
+  in
+  save ();
+  save ();
+  save ();
+  (* Tear the newest generation (seq 2, tick 9) halfway through its
+     core: its header line survives, its core does not verify. *)
+  let bytes = read_bytes cp in
+  Out_channel.with_open_bin cp (fun oc ->
+      output_string oc (String.sub bytes 0 (String.length bytes / 2)));
+  (match Serve_checkpoint.Chain.fallback ~graph cp with
+  | Error m -> Alcotest.fail m
+  | Ok (c, depth) ->
+      Alcotest.(check int) "fallback lands at depth 1" 1 depth;
+      Alcotest.(check int) "on tick 6" 6 c.Serve_checkpoint.tick);
+  (* The next save threads seq and parent from the torn file's header. *)
+  let torn_hash = Obs.Fnv.string_hex (snd (checkpoint_lines bytes)) in
+  save ();
+  (match Serve_checkpoint.Chain.fallback ~graph cp with
+  | Error m -> Alcotest.fail m
+  | Ok (c, depth) ->
+      Alcotest.(check int) "new newest verifies" 0 depth;
+      Alcotest.(check int) "seq threaded past the torn generation" 3
+        c.Serve_checkpoint.seq;
+      Alcotest.(check (option string)) "parent is the torn generation"
+        (Some torn_hash) c.Serve_checkpoint.parent);
+  remove_chain cp;
+  Sys.rmdir dir
+
+(* Checkpoint bytes are a function of the seed: two same-seed runs
+   with churn write byte-identical files, and a load re-encodes to the
+   same bytes. *)
+let test_checkpoint_bytes_reproducible () =
+  let run () =
+    let dir = temp_dir () in
+    let cp = Filename.concat dir "cp.json" in
+    let s = scenario () in
+    let t =
+      Serve.create (cfg ~churn:golden_churn ()) ~topology:s.Scenario.topology
+        ~net:s.Scenario.net ~source_spec:golden_spec
+    in
+    Serve.run ~ticks:20 t;
+    ignore (Serve.save_checkpoint t cp : string);
+    let bytes = read_bytes cp in
+    remove_chain cp;
+    Sys.rmdir dir;
+    (s.Scenario.topology.Topology.graph, bytes)
+  in
+  let graph, a = run () in
+  let _, b = run () in
+  Alcotest.(check bool) "same-seed checkpoint files are identical" true (a = b);
+  match Serve_checkpoint.of_string ~graph a with
+  | Error m -> Alcotest.fail m
+  | Ok cp ->
+      Alcotest.(check bool) "churn departures were checkpointed" true
+        (List.exists
+           (fun sh -> sh.Serve_checkpoint.stepper.Engine.Stepper.fz_expiry <> [])
+           cp.Serve_checkpoint.shards);
+      Alcotest.(check bool) "load re-encodes to the same bytes" true
+        (Serve_checkpoint.to_string cp = a)
+
 let suite =
   [
     ("admission block defers", `Quick, test_admission_block);
@@ -1371,4 +1527,15 @@ let suite =
     ( "restore accepts a legacy cache flag",
       `Quick,
       test_serve_restore_accepts_cache_flag );
+    ( "checkpoint refuses v3, no header, seq mismatch",
+      `Quick,
+      test_checkpoint_refusals );
+    QCheck_alcotest.to_alcotest prop_float_column_roundtrip;
+    QCheck_alcotest.to_alcotest prop_float_column_damage;
+    ( "checkpoint chain threads seq past a torn newest",
+      `Quick,
+      test_checkpoint_chain_torn_newest );
+    ( "same-seed runs write identical checkpoint bytes",
+      `Quick,
+      test_checkpoint_bytes_reproducible );
   ]

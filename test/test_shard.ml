@@ -298,29 +298,24 @@ let test_checkpoint_json_roundtrip () =
       ~source_spec:(spec_of ())
   in
   Shard_fabric.run t ~ticks:18;
-  let json =
-    Serve_checkpoint.to_json (Shard_fabric.snapshot t) |> Nu_obs.Json.to_string
-  in
+  let bytes = Serve_checkpoint.to_string (Shard_fabric.snapshot t) in
   Shard_fabric.close t;
   let graph = s.Scenario.topology.Topology.graph in
-  match Nu_obs.Json.of_string json with
+  match Serve_checkpoint.of_string ~graph bytes with
   | Error m -> Alcotest.fail m
-  | Ok j -> (
-      match Serve_checkpoint.of_json ~graph j with
+  | Ok cp -> (
+      Alcotest.(check int) "tick survives" 18 cp.Serve_checkpoint.tick;
+      match
+        Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
+          ~source_spec:(spec_of ()) cp
+      with
       | Error m -> Alcotest.fail m
-      | Ok cp -> (
-          Alcotest.(check int) "tick survives" 18 cp.Serve_checkpoint.tick;
-          match
-            Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
-              ~source_spec:(spec_of ()) cp
-          with
-          | Error m -> Alcotest.fail m
-          | Ok t2 ->
-              Shard_fabric.run t2 ~ticks:18;
-              Shard_fabric.complete t2;
-              Alcotest.(check string) "digest equal" expected
-                (Shard_fabric.digest t2);
-              Shard_fabric.close t2))
+      | Ok t2 ->
+          Shard_fabric.run t2 ~ticks:18;
+          Shard_fabric.complete t2;
+          Alcotest.(check string) "digest equal" expected
+            (Shard_fabric.digest t2);
+          Shard_fabric.close t2)
 
 let test_restore_rejects_config_mismatch () =
   let s = scenario () in
