@@ -391,17 +391,11 @@ let execute_degraded st ev =
    - commit, per stepper in array order: the winner replays its probe
      plan when no edge it touched changed since the batch, and re-plans
      live when an earlier commit of the same wave invalidated it; then
-     the escalation hooks, P-LMTF co-scheduling, the fault guard,
+     the escalation hook, P-LMTF co-scheduling, the fault guard,
      timings and results ([commit_round]).
 
    [step] is the one-wide wave: nothing runs between its probes and its
    commit, so the lone winner always replays. *)
-
-type escalation = {
-  esc_shard : int;  (* index into the caller's stepper array *)
-  esc_event : Event.t;
-  esc_moved : int list;  (* flow ids the withdrawn local plan migrated *)
-}
 
 type group_pre = {
   gp_index : int;
@@ -597,15 +591,6 @@ let probe_wave ?pool pres =
            slot))
     pres slots
 
-let plan_moved_flow_ids (plan : Planner.t) =
-  List.concat_map
-    (fun (item : Planner.item_plan) ->
-      match item.outcome with
-      | Planner.Installed { moves; _ } | Planner.Rerouted { moves; _ } ->
-          List.map (fun (m : Migration.move) -> m.Migration.flow_id) moves
-      | Planner.Failed _ -> [])
-    plan.Planner.items
-
 (* Opportunistic updating (P-LMTF, §IV-C): visit the round's other
    candidates in arrival order; co-execute each that stays fully
    satisfiable on the state left by the plans already in the batch and
@@ -662,7 +647,7 @@ let check_faults st =
    executing it: the stepper paid the planning time (the probes are
    billed), the event leaves its queue, and the round logs with an
    empty batch. *)
-let escalation_round gd ~moved =
+let escalation_round gd =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
   let ctx = st.ctx in
@@ -690,8 +675,7 @@ let escalation_round gd ~moved =
          round = st.rounds - 1;
          start_s = gp.gp_round_start_s;
          event_id = winner.Event.id;
-       });
-  { esc_shard = gp.gp_index; esc_event = winner; esc_moved = moved }
+       })
 
 (* A fault lands while the round is in flight. The migration is
    aborted: roll the network back to the round's start, let the fault
@@ -824,17 +808,16 @@ let book_round gp ~start_s ~head_finish ~round_units ~round_sp timings =
           ]
   | None -> ()
 
-(* Commit one decision of the wave. Returns the escalation when the
-   caller's predicate claimed the winner for the coordinator.
+(* Commit one decision of the wave.
 
    While faults are pending the round is speculative: its commit runs
    inside a transaction, so a fault that lands before the head event
    completes aborts the round wholesale and rolls the network back to
    the commit's start. Churn placements (pre-round) survive an abort,
-   and the probes before it rolled themselves back. An escalated round
-   executes nothing here and opens no guard: the coordinator owns the
-   plan. *)
-let commit_round ?escalate ?external_commit gd =
+   and the probes before it rolled themselves back. A round the
+   [escalate] hook claims executes nothing here and opens no guard:
+   the hook owns the plan. *)
+let commit_round ?escalate gd =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
   let ctx = st.ctx in
@@ -850,28 +833,19 @@ let commit_round ?escalate ?external_commit gd =
     if st.fault_mode then Option.bind ctx.injector Injector.next_due_s
     else None
   in
-  let claim plan =
+  let claimed plan ~txn_open ~attempt =
     match escalate with
-    | Some f -> f ~shard:gp.gp_index plan
+    | Some f -> f ~shard:gp.gp_index ~event:winner ~plan ~txn_open ~attempt
     | None -> false
   in
   let outcome =
     if valid then begin
-      if claim win_pr.Planner.probe_plan then begin
-        let moved = plan_moved_flow_ids win_pr.Planner.probe_plan in
-        match external_commit with
-        | Some f ->
-            (* Inline two-phase commit: the coordinator wraps the
-               already-probed plan's replay in its own transaction and
-               vote round — no second planning pass. The callback owns
-               the outcome (commit now, or queue for retry). *)
-            ignore
-              (f ~shard:gp.gp_index ~event:winner ~moved ~txn_open:false
-                 ~attempt:(fun () -> apply_winner ctx win_pr)
-                : bool);
-            `Escalate_handled moved
-        | None -> `Escalate moved
-      end
+      (* A claimed winner's [attempt] is the cheap validated replay of
+         its probe plan — nothing is planned twice. *)
+      if
+        claimed win_pr.Planner.probe_plan ~txn_open:false ~attempt:(fun () ->
+            apply_winner ctx win_pr)
+      then `Escalated
       else begin
         if guard <> None then Net_state.begin_txn ctx.net;
         `Commit (apply_winner ctx win_pr)
@@ -880,25 +854,11 @@ let commit_round ?escalate ?external_commit gd =
     else begin
       (* An earlier commit of this wave touched one of the winner's
          edges: the probe plan is stale. Re-plan on the live state, in
-         a transaction so an escalation can withdraw it. *)
+         a transaction the hook can roll back if it claims the round. *)
       Counters.incr Counters.Shard_wave_replans;
       Net_state.begin_txn ctx.net;
       let plan = apply ctx ~billed:false winner in
-      if claim plan then begin
-        let moved = plan_moved_flow_ids plan in
-        match external_commit with
-        | Some f ->
-            (* The replan already ran inside the open transaction; the
-               coordinator decides whether it commits or rolls back. *)
-            ignore
-              (f ~shard:gp.gp_index ~event:winner ~moved ~txn_open:true
-                 ~attempt:(fun () -> plan)
-                : bool);
-            `Escalate_handled moved
-        | None ->
-            timed ctx (fun () -> Net_state.rollback ctx.net);
-            `Escalate moved
-      end
+      if claimed plan ~txn_open:true ~attempt:(fun () -> plan) then `Escalated
       else begin
         (* Under a fault guard the re-plan's transaction stays open as
            the round's. *)
@@ -907,21 +867,15 @@ let commit_round ?escalate ?external_commit gd =
       end
     end
   in
-  let escalated moved =
-    let esc = escalation_round gd ~moved in
-    (match round_sp with
-    | Some sp ->
-        Trace.finish sp ~attrs:[ ("escalated", Trace.Int winner.Event.id) ]
-    | None -> ());
-    promote st;
-    release_held st;
-    esc
-  in
   match outcome with
-  | `Escalate moved -> Some (escalated moved)
-  | `Escalate_handled moved ->
-      ignore (escalated moved : escalation);
-      None
+  | `Escalated ->
+      escalation_round gd;
+      (match round_sp with
+      | Some sp ->
+          Trace.finish sp ~attrs:[ ("escalated", Trace.Int winner.Event.id) ]
+      | None -> ());
+      promote st;
+      release_held st
   | `Commit winner_plan ->
       let batch =
         match st.policy with
@@ -960,10 +914,9 @@ let commit_round ?escalate ?external_commit gd =
           if guard <> None then Net_state.commit ctx.net;
           book_round gp ~start_s ~head_finish ~round_units ~round_sp timings);
       promote st;
-      release_held st;
-      None
+      release_held st
 
-let step_group ?pool ?escalate ?external_commit steppers =
+let step_group ?pool ?escalate steppers =
   let n = Array.length steppers in
   if n = 0 then `Idle
   else begin
@@ -1000,20 +953,15 @@ let step_group ?pool ?escalate ?external_commit steppers =
             })
           pres costeds
       in
-      let escs =
-        List.filter_map
-          (fun gd -> commit_round ?escalate ?external_commit gd)
-          decisions
-      in
-      `Stepped (List.length decisions, escs)
+      List.iter (commit_round ?escalate) decisions;
+      `Stepped
     end
   end
 
 (* One service round: the one-wide wave, including the leading
    empty-queue time jump and the trailing promotion of newly
    arrived/ready events. *)
-let step st =
-  match step_group [| st |] with `Idle -> `Idle | `Stepped _ -> `Stepped
+let step st = step_group [| st |]
 
 let make_stepper ?observer ctx policy events =
   let st =
@@ -1324,13 +1272,6 @@ module Stepper = struct
     end
 
   let step = step
-
-  type nonrec escalation = escalation = {
-    esc_shard : int;
-    esc_event : Event.t;
-    esc_moved : int list;
-  }
-
   let step_group = step_group
 
   let register_departures st ~completion plan =

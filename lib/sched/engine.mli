@@ -67,8 +67,8 @@ type observation =
       (** Aborted event held until [ready_s] (bounded backoff). *)
   | Round_escalated of { round : int; start_s : float; event_id : int }
       (** A {!Stepper.step_group} wave round whose winner was claimed by
-          the caller's escalation predicate for the global coordinator:
-          the event left the shard's queue without executing there. *)
+          the caller's [escalate] hook for the global coordinator: the
+          event left the shard's queue without executing there. *)
 
 type run_result = {
   policy : Policy.t;
@@ -222,32 +222,23 @@ module Stepper : sig
   val step : t -> [ `Stepped | `Idle ]
   (** Execute one service round (including any leading idle-time jump
       to the next arrival or retry instant): the one-stepper wave of
-      {!step_group}, with no pool and no escalation hooks. Nothing runs
+      {!step_group}, with no pool and no escalation hook. Nothing runs
       between its probes and its commit, so the winner always replays
       its probe plan — FIFO included, as the one-candidate case.
       [`Idle] means no queued, pending or held work remained — nothing
       happened. *)
 
-  type escalation = {
-    esc_shard : int;  (** Index into the caller's stepper array. *)
-    esc_event : Event.t;  (** The winner claimed by the predicate. *)
-    esc_moved : int list;
-        (** Flow ids the withdrawn local plan would have migrated to
-            make room — the cross-shard migration set. *)
-  }
-
   val step_group :
     ?pool:Probe_pool.t ->
-    ?escalate:(shard:int -> Planner.t -> bool) ->
-    ?external_commit:
+    ?escalate:
       (shard:int ->
       event:Event.t ->
-      moved:int list ->
+      plan:Planner.t ->
       txn_open:bool ->
       attempt:(unit -> Planner.t) ->
       bool) ->
     t array ->
-    [ `Stepped of int * escalation list | `Idle ]
+    [ `Stepped | `Idle ]
   (** Advance every stepper that has work by one synchronised wave —
       the engine's one round kernel. The steppers must share one
       network (raises [Invalid_argument] otherwise). The pre-round
@@ -271,27 +262,21 @@ module Stepper : sig
       degrade path, exactly as {!run} describes), and the invariant
       checker runs after every committed round.
 
-      [escalate] (default: never) inspects each winner's plan before it
-      commits; returning [true] withdraws the round — the event leaves
-      the shard's queue unexecuted and is reported in the escalation
-      list for the caller's global coordinator, with the make-room flow
-      ids the withdrawn plan migrated. The predicate must be a
-      deterministic function of the plan.
+      [escalate] (default: never) sees each winner before it commits,
+      with the index [shard] of its stepper in the array, the winning
+      [event] and its [plan]. Returning [false] lets the round commit
+      normally; the hook must then not have called [attempt].
+      Returning [true] claims the winner: the event leaves the
+      stepper's queue, the round is booked as escalated, and the hook
+      owns the plan. [attempt] applies it — a cheap validated replay
+      of the probe plan when [txn_open] is [false], or the
+      already-applied live re-plan when [txn_open] is [true]. In the
+      latter case the engine's transaction is open and the hook must
+      commit or roll it back, typically inside its own two-phase vote
+      round. The claim must be a deterministic function of the plan
+      and the network.
 
-      [external_commit] (default: none) turns a claimed winner over to an
-      inline committer instead of the escalation list: the callback
-      receives the cross-shard migration set and an [attempt] thunk
-      that applies the plan — a cheap validated replay of the probe
-      plan when [txn_open] is [false], or the already-applied live
-      replan when [txn_open] is [true] (the engine's transaction is
-      open and the callback must commit or roll it back, typically by
-      wrapping its own two-phase vote round). Whatever the callback
-      returns, the round is booked as escalated on the shard and the
-      event is {e not} reported in the escalation list — the callback
-      owns its fate (committed, or queued for a later retry).
-
-      [`Stepped (rounds, escalations)] counts the wave's rounds
-      (committed + escalated); [`Idle] means no stepper had work. *)
+      [`Idle] means no stepper had work. *)
 
   val register_departures : t -> completion:float -> Planner.t -> unit
   (** Register churn departures for the flows an externally executed

@@ -43,8 +43,10 @@ val spec_to_json : Source.spec -> Nu_obs.Json.t
 val fingerprint_matches : Nu_obs.Json.t -> Nu_obs.Json.t -> bool
 (** [fingerprint_matches stored expected]: printed-form equality —
     sound because printing is canonical for this Json library even
-    where parsing widens types. A stored config's legacy
-    ["estimate_cache"] flag is ignored. *)
+    where parsing widens types. Fields of retired knobs are dropped
+    from [stored] first when they hold a value that never moved a
+    decision: the config's ["estimate_cache"] flag (any value) and the
+    coordinator's ["max_cost_mbit"] cost cap at [0.0] (off). *)
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on out-of-range knobs or a batch-only

@@ -575,8 +575,10 @@ let golden_stepper policy variant =
   | None -> d
 
 (* Two steppers over one net: stepper 0 owns the background churn,
-   both draw from their own PRNG, and the optional predicate escalates
-   a deterministic subset of winners. *)
+   both draw from their own PRNG, and the optional hook claims a
+   deterministic subset of winners without executing them — rolling
+   back the engine's open transaction after a live re-plan — and logs
+   each claim with the migration set it carried. *)
 let golden_group policy ~escalate =
   let net = loaded_net () in
   let a =
@@ -591,26 +593,26 @@ let golden_group policy ~escalate =
       policy
   in
   let sts = [| a; b |] in
+  let escs = Buffer.create 64 in
   let escalate =
     if escalate then
       Some
-        (fun ~shard (plan : Planner.t) ->
-          (plan.Planner.event.Event.id + shard) mod 4 = 0)
+        (fun ~shard ~(event : Event.t) ~plan ~txn_open ~attempt:_ ->
+          let claim = (event.Event.id + shard) mod 4 = 0 in
+          if claim then begin
+            if txn_open then Net_state.rollback net;
+            Buffer.add_string escs
+              (Printf.sprintf "%d:%d:%s;" shard event.Event.id
+                 (String.concat ","
+                    (List.map string_of_int (Shard_coord.moved_flow_ids plan))))
+          end;
+          claim)
     else None
   in
-  let escs = Buffer.create 64 in
   let rec loop () =
     match Engine.Stepper.step_group ?escalate sts with
     | `Idle -> ()
-    | `Stepped (_, es) ->
-        List.iter
-          (fun (e : Engine.Stepper.escalation) ->
-            Buffer.add_string escs
-              (Printf.sprintf "%d:%d:%s;" e.Engine.Stepper.esc_shard
-                 e.Engine.Stepper.esc_event.Event.id
-                 (String.concat ","
-                    (List.map string_of_int e.Engine.Stepper.esc_moved))))
-          es;
+    | `Stepped ->
         let now =
           Array.fold_left
             (fun m st -> Float.max m (Engine.Stepper.now_s st))

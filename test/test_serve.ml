@@ -577,9 +577,11 @@ let test_serve_restore_rejects_config_mismatch () =
   remove_chain cp;
   Sys.rmdir dir
 
-(* Checkpoints written while the engine had an estimate cache carry an
-   "estimate_cache" flag in their fingerprint's config. They still
-   restore, and the run continues to the uninterrupted digest. *)
+(* Checkpoints written by older builds carry fields of retired knobs in
+   their fingerprint: the engine's "estimate_cache" flag in the config,
+   the coordinator's "max_cost_mbit" cost cap in the coord section. At
+   a value that never moved a decision they still restore, and the run
+   continues to the uninterrupted digest; a live cost cap is refused. *)
 let test_serve_restore_accepts_cache_flag () =
   let expected = serve_uninterrupted ~ticks:12 () in
   let dir = Filename.temp_file "nu_serve" "" in
@@ -593,30 +595,49 @@ let test_serve_restore_accepts_cache_flag () =
   in
   Serve.run ~ticks:12 t;
   let snap = Serve.snapshot t in
-  let with_flag = function
-    | Obs.Json.Obj fields ->
-        Obs.Json.Obj
-          (List.map
-             (function
-               | "config", Obs.Json.Obj c ->
-                   ( "config",
-                     Obs.Json.Obj (c @ [ ("estimate_cache", Obs.Json.Bool true) ])
-                   )
-               | field -> field)
-             fields)
-    | j -> j
+  let restore_with ~section field value =
+    let with_field = function
+      | Obs.Json.Obj fields ->
+          Obs.Json.Obj
+            (List.map
+               (function
+                 | name, Obs.Json.Obj c when name = section ->
+                     (name, Obs.Json.Obj (c @ [ (field, value) ]))
+                 | kv -> kv)
+               fields)
+      | j -> j
+    in
+    ignore
+      (Serve_checkpoint.save cp
+         {
+           snap with
+           Serve_checkpoint.meta = with_field snap.Serve_checkpoint.meta;
+         }
+        : string);
+    let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
+    let r =
+      Serve.restore ~config:(cfg ()) ~source_spec:(spec_of ()) ~topology cp
+    in
+    remove_chain cp;
+    r
   in
-  ignore
-    (Serve_checkpoint.save cp
-       { snap with Serve_checkpoint.meta = with_flag snap.Serve_checkpoint.meta }
-      : string);
-  let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
-  (match Serve.restore ~config:(cfg ()) ~source_spec:(spec_of ()) ~topology cp with
-  | Error m -> Alcotest.fail m
-  | Ok t2 ->
-      Serve.complete t2;
-      Alcotest.(check string) "digest equal" expected (Serve.digest t2));
-  remove_chain cp;
+  let restores ~section field value =
+    match restore_with ~section field value with
+    | Error m -> Alcotest.fail m
+    | Ok t2 ->
+        Serve.complete t2;
+        Alcotest.(check string)
+          (field ^ ": digest equal") expected (Serve.digest t2)
+  in
+  restores ~section:"config" "estimate_cache" (Obs.Json.Bool true);
+  restores ~section:"coord" "max_cost_mbit" (Obs.Json.Float 0.0);
+  (match
+     restore_with ~section:"coord" "max_cost_mbit" (Obs.Json.Float 1.0)
+   with
+  | Error m ->
+      Alcotest.(check bool) "live cost cap: mismatch" true
+        (contains m "mismatch")
+  | Ok _ -> Alcotest.fail "restore should refuse a live cost cap");
   Sys.rmdir dir
 
 (* A checkpoint file's two lines: the header object and the core. *)
