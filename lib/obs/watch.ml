@@ -69,12 +69,6 @@ let severity_name = function
   | Warning -> "warning"
   | Critical -> "critical"
 
-let severity_of_name = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "critical" -> Some Critical
-  | _ -> None
-
 (* Per-tenant detector scope. *)
 type tstate = {
   mutable t_cur : Histogram.t;
@@ -817,5 +811,3 @@ let obs_of_lifecycle entries =
           :: !out
       done;
       List.rev !out
-
-let _ = severity_of_name
