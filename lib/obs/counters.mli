@@ -64,7 +64,7 @@ type key =
       (** Wave winners invalidated by an earlier commit of the same
           wave and re-planned live. *)
   | Shard_coord_commits  (** Coordinator two-phase commits. *)
-  | Shard_coord_aborts  (** Coordinator aborts (veto or infeasible). *)
+  | Shard_coord_aborts  (** Coordinator aborts (participant vetoes). *)
   | Shard_coord_degraded
       (** Coordinator events executed best-effort after the retry
           budget. *)
