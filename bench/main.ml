@@ -181,9 +181,10 @@ let () =
   Nu_expt.Fig1.run ();
   Nu_expt.Fig4.run ();
   Nu_expt.Fig5.run ();
-  Nu_expt.Fig6.run ();
+  let sweep = Nu_expt.Fig6.sweep () in
+  Nu_expt.Fig6.print (Nu_expt.Fig6.of_sweep sweep);
   Nu_expt.Fig7.run ();
-  Nu_expt.Fig8.run ();
+  Nu_expt.Fig8.print (Nu_expt.Fig8.of_sweep sweep);
   Nu_expt.Fig9.run ();
   print_endline "=== Part 3: design-choice ablations ===";
   Nu_expt.Ablation.run_all ()

@@ -593,7 +593,6 @@ let serve_cfg_term =
       drain_per_tick = drain;
       steps_per_tick = steps;
       tick_dt_s = tick_dt;
-      co_max_cost_mbit = 0.0;
       churn =
         (if churn then
            Some
@@ -738,8 +737,8 @@ let kill_shard_arg =
   Arg.(value & opt int (-1) & info [ "kill-shard" ] ~docv:"K" ~doc)
 
 let kill_at_arg =
-  let doc = "Tick at which --kill-shard strikes (a checkpoint is saved \
-             halfway there)." in
+  let doc = "Tick at which --kill-shard strikes, from 1 to --ticks (a \
+             checkpoint is saved halfway there)." in
   Arg.(value & opt int 0 & info [ "kill-at" ] ~docv:"T" ~doc)
 
 let fabric_config cfg ~shards ~regions =
@@ -780,9 +779,33 @@ let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
    --checkpoint-every ticks (or once at the end), and optionally a
    mid-run crash of one shard's WAL followed by whole-fabric recovery.
    The printed digest must be bit-identical to the same run without the
-   crash. *)
+   crash. The crash flags are checked before anything is written. *)
 let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
     ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~telemetry =
+  let kill =
+    if kill_shard < 0 then None
+    else begin
+      if kill_at <= 0 then begin
+        Format.eprintf "serve: --kill-shard requires --kill-at T > 0@.";
+        exit 2
+      end;
+      if kill_at > ticks then begin
+        Format.eprintf "serve: --kill-at %d is past --ticks %d@." kill_at ticks;
+        exit 2
+      end;
+      if kill_shard >= fcfg.Shard_fabric.shards then begin
+        Format.eprintf "serve: --kill-shard %d out of range (shards %d)@."
+          kill_shard fcfg.Shard_fabric.shards;
+        exit 2
+      end;
+      match (journal_path, checkpoint) with
+      | Some jb, Some cp -> Some (jb, cp)
+      | _ ->
+          Format.eprintf "serve: --kill-shard requires --journal and \
+                          --checkpoint@.";
+          exit 2
+    end
+  in
   let rec ensure_parent path =
     let dir = Filename.dirname path in
     if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -797,51 +820,39 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
       ~topology:scenario.Scenario.topology ~net:scenario.Scenario.net
       ~source_spec:spec
   in
-  if kill_shard >= 0 && kill_at > 0 then begin
-    let journal_base, cp_path =
-      match (journal_path, checkpoint) with
-      | Some jb, Some cp -> (jb, cp)
-      | _ ->
-          Format.eprintf "serve: --kill-shard requires --journal and \
-                          --checkpoint@.";
-          exit 2
-    in
-    if kill_shard >= fcfg.Shard_fabric.shards then begin
-      Format.eprintf "serve: --kill-shard %d out of range (shards %d)@."
-        kill_shard fcfg.Shard_fabric.shards;
-      exit 2
-    end;
-    let cp_at = max 1 (kill_at / 2) in
-    Shard_fabric.run t ~ticks:cp_at;
-    Shard_fabric.save_checkpoint t ~path:cp_path;
-    Shard_fabric.run t ~ticks:(kill_at - cp_at);
-    Shard_fabric.kill_shard_journal t kill_shard;
-    Format.printf "serve: killed shard %d's journal at tick %d@." kill_shard
-      (Shard_fabric.tick_count t);
-    (* The crashed fabric is abandoned where it stands; recovery works
-       from durable state alone. *)
-    match
-      Shard_fabric.recover ?telemetry fcfg ~topology:scenario.Scenario.topology
-        ~source_spec:spec ~checkpoint_path:cp_path ~journal_base
-    with
-    | Error m ->
-        Format.eprintf "serve: recovery failed: %s@." m;
-        exit 1
-    | Ok (t2, replayed) ->
-        Format.printf "serve: recovered at tick %d (%d tick(s) replayed)@."
-          (Shard_fabric.tick_count t2)
-          replayed;
-        let remaining = ticks - Shard_fabric.tick_count t2 in
-        if remaining > 0 then Shard_fabric.run t2 ~ticks:remaining;
-        t2
-  end
-  else begin
-    Shard_fabric.run ?checkpoint_path:checkpoint ~checkpoint_every t ~ticks;
-    (match checkpoint with
-    | Some path when checkpoint_every = 0 -> Shard_fabric.save_checkpoint t ~path
-    | _ -> ());
-    t
-  end
+  match kill with
+  | Some (journal_base, cp_path) -> (
+      let cp_at = max 1 (kill_at / 2) in
+      Shard_fabric.run t ~ticks:cp_at;
+      Shard_fabric.save_checkpoint t ~path:cp_path;
+      Shard_fabric.run t ~ticks:(kill_at - cp_at);
+      Shard_fabric.kill_shard_journal t kill_shard;
+      Format.printf "serve: killed shard %d's journal at tick %d@." kill_shard
+        (Shard_fabric.tick_count t);
+      (* The crashed fabric is abandoned where it stands; recovery works
+         from durable state alone. *)
+      match
+        Shard_fabric.recover ?telemetry fcfg
+          ~topology:scenario.Scenario.topology ~source_spec:spec
+          ~checkpoint_path:cp_path ~journal_base
+      with
+      | Error m ->
+          Format.eprintf "serve: recovery failed: %s@." m;
+          exit 1
+      | Ok (t2, replayed) ->
+          Format.printf "serve: recovered at tick %d (%d tick(s) replayed)@."
+            (Shard_fabric.tick_count t2)
+            replayed;
+          let remaining = ticks - Shard_fabric.tick_count t2 in
+          if remaining > 0 then Shard_fabric.run t2 ~ticks:remaining;
+          t2)
+  | None ->
+      Shard_fabric.run ?checkpoint_path:checkpoint ~checkpoint_every t ~ticks;
+      (match checkpoint with
+      | Some path when checkpoint_every = 0 ->
+          Shard_fabric.save_checkpoint t ~path
+      | _ -> ());
+      t
 
 let serve_cmd =
   let run cfg spec seed util ticks fault_seed fault_rate retry_max checkpoint
@@ -1507,9 +1518,11 @@ let all_cmd =
         Nu_expt.Fig1.run ();
         Nu_expt.Fig4.run ~seeds ();
         Nu_expt.Fig5.run ~seeds ();
-        Nu_expt.Fig6.run ~seeds ~alpha ();
+        (* Fig. 6 and Fig. 8 read the same runs: sweep once. *)
+        let sweep = Nu_expt.Fig6.sweep ~seeds ~alpha () in
+        Nu_expt.Fig6.print (Nu_expt.Fig6.of_sweep sweep);
         Nu_expt.Fig7.run ~seeds ~alpha ();
-        Nu_expt.Fig8.run ~seeds ~alpha ();
+        Nu_expt.Fig8.print (Nu_expt.Fig8.of_sweep sweep);
         Nu_expt.Fig9.run ~alpha ();
         Nu_expt.Mixed_issues.run ~alpha ();
         Nu_expt.Arrival_study.run ~alpha ();

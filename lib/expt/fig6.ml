@@ -11,44 +11,56 @@ type point = {
   plmtf_plan_s : float;
 }
 
+type sweep_point = {
+  sweep_events : int;
+  fifo : Metrics.summary list;
+  lmtf : Metrics.summary list;
+  plmtf : Metrics.summary list;
+}
+
 let default_counts = [ 10; 20; 30; 40; 50 ]
 
-let compute ?(seeds = [ 42; 43; 44 ]) ?(alpha = Policy.default_alpha)
+let sweep ?(seeds = [ 42; 43; 44 ]) ?(alpha = Policy.default_alpha)
     ?(event_counts = default_counts) () =
   List.map
     (fun n_events ->
       let setup = { Workload.default_setup with Workload.n_events } in
-      let results =
+      match
         Workload.averaged setup ~seeds
           [ Policy.Fifo; Policy.Lmtf { alpha }; Policy.Plmtf { alpha } ]
-      in
-      match results with
+      with
       | [ (_, fifo); (_, lmtf); (_, plmtf) ] ->
-          let mean get = Workload.mean_of get in
-          let cost s = s.Metrics.total_cost_mbit in
-          let avg s = s.Metrics.avg_ect_s in
-          let tail s = s.Metrics.tail_ect_s in
-          let plan s = s.Metrics.total_plan_time_s in
-          let red get better =
-            Workload.reduction_pct ~baseline:(mean get fifo) (mean get better)
-          in
-          {
-            n_events;
-            lmtf_cost_red = red cost lmtf;
-            plmtf_cost_red = red cost plmtf;
-            lmtf_avg_red = red avg lmtf;
-            plmtf_avg_red = red avg plmtf;
-            lmtf_tail_red = red tail lmtf;
-            plmtf_tail_red = red tail plmtf;
-            fifo_plan_s = mean plan fifo;
-            lmtf_plan_s = mean plan lmtf;
-            plmtf_plan_s = mean plan plmtf;
-          }
+          { sweep_events = n_events; fifo; lmtf; plmtf }
       | _ -> assert false)
     event_counts
 
-let run ?seeds ?alpha () =
-  let points = compute ?seeds ?alpha () in
+let of_sweep =
+  List.map (fun { sweep_events; fifo; lmtf; plmtf } ->
+      let mean get = Workload.mean_of get in
+      let cost s = s.Metrics.total_cost_mbit in
+      let avg s = s.Metrics.avg_ect_s in
+      let tail s = s.Metrics.tail_ect_s in
+      let plan s = s.Metrics.total_plan_time_s in
+      let red get better =
+        Workload.reduction_pct ~baseline:(mean get fifo) (mean get better)
+      in
+      {
+        n_events = sweep_events;
+        lmtf_cost_red = red cost lmtf;
+        plmtf_cost_red = red cost plmtf;
+        lmtf_avg_red = red avg lmtf;
+        plmtf_avg_red = red avg plmtf;
+        lmtf_tail_red = red tail lmtf;
+        plmtf_tail_red = red tail plmtf;
+        fifo_plan_s = mean plan fifo;
+        lmtf_plan_s = mean plan lmtf;
+        plmtf_plan_s = mean plan plmtf;
+      })
+
+let compute ?seeds ?alpha ?event_counts () =
+  of_sweep (sweep ?seeds ?alpha ?event_counts ())
+
+let print points =
   let table =
     Table.create
       ~title:
@@ -85,3 +97,5 @@ let run ?seeds ?alpha () =
         ])
     points;
   Table.print table
+
+let run ?seeds ?alpha () = print (compute ?seeds ?alpha ())

@@ -21,14 +21,37 @@ type point = {
   plmtf_plan_s : float;
 }
 
+type sweep_point = {
+  sweep_events : int;
+  fifo : Metrics.summary list;  (** One summary per seed. *)
+  lmtf : Metrics.summary list;
+  plmtf : Metrics.summary list;
+}
+(** One queue length of the sweep Fig. 6 and Fig. 8 share. *)
+
+val sweep :
+  ?seeds:int list ->
+  ?alpha:int ->
+  ?event_counts:int list ->
+  unit ->
+  sweep_point list
+(** Run FIFO, LMTF and P-LMTF on each queue length. Defaults: seeds
+    [42; 43; 44], α = 4, event counts 10 to 50 by 10. Utilisation
+    setpoint 0.7 with churn (it fluctuates below between refills, the
+    paper's 50-70% band). *)
+
+val of_sweep : sweep_point list -> point list
+
 val compute :
   ?seeds:int list ->
   ?alpha:int ->
   ?event_counts:int list ->
   unit ->
   point list
-(** Defaults: seeds [42; 43; 44], α = 4, event counts 10 to 50 by 10.
-    Utilisation setpoint 0.7 with churn (it fluctuates below between
-    refills, the paper's 50-70% band). *)
+(** [of_sweep] of a fresh {!sweep}. *)
+
+val print : point list -> unit
+(** Print the Fig. 6 table. *)
 
 val run : ?seeds:int list -> ?alpha:int -> unit -> unit
+(** [print] of {!compute}. *)

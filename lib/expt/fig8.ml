@@ -6,37 +6,23 @@ type point = {
   plmtf_worst_q_red : float;
 }
 
-let default_counts = [ 10; 20; 30; 40; 50 ]
-
-let compute ?(seeds = [ 42; 43; 44 ]) ?(alpha = Policy.default_alpha)
-    ?(event_counts = default_counts) () =
-  List.map
-    (fun n_events ->
-      let setup = { Workload.default_setup with Workload.n_events } in
-      let results =
-        Workload.averaged setup ~seeds
-          [ Policy.Fifo; Policy.Lmtf { alpha }; Policy.Plmtf { alpha } ]
+let of_sweep =
+  List.map (fun { Fig6.sweep_events; fifo; lmtf; plmtf } ->
+      let mean = Workload.mean_of in
+      let avg_q s = s.Metrics.avg_queuing_s in
+      let worst_q s = s.Metrics.worst_queuing_s in
+      let red get better =
+        Workload.reduction_pct ~baseline:(mean get fifo) (mean get better)
       in
-      match results with
-      | [ (_, fifo); (_, lmtf); (_, plmtf) ] ->
-          let mean = Workload.mean_of in
-          let avg_q s = s.Metrics.avg_queuing_s in
-          let worst_q s = s.Metrics.worst_queuing_s in
-          let red get better =
-            Workload.reduction_pct ~baseline:(mean get fifo) (mean get better)
-          in
-          {
-            n_events;
-            lmtf_avg_q_red = red avg_q lmtf;
-            lmtf_worst_q_red = red worst_q lmtf;
-            plmtf_avg_q_red = red avg_q plmtf;
-            plmtf_worst_q_red = red worst_q plmtf;
-          }
-      | _ -> assert false)
-    event_counts
+      {
+        n_events = sweep_events;
+        lmtf_avg_q_red = red avg_q lmtf;
+        lmtf_worst_q_red = red worst_q lmtf;
+        plmtf_avg_q_red = red avg_q plmtf;
+        plmtf_worst_q_red = red worst_q plmtf;
+      })
 
-let run ?seeds ?alpha () =
-  let points = compute ?seeds ?alpha () in
+let print points =
   let table =
     Table.create
       ~title:
@@ -63,3 +49,5 @@ let run ?seeds ?alpha () =
         ])
     points;
   Table.print table
+
+let run ?seeds ?alpha () = print (of_sweep (Fig6.sweep ?seeds ?alpha ()))

@@ -13,11 +13,12 @@ type point = {
   plmtf_worst_q_red : float;
 }
 
-val compute :
-  ?seeds:int list ->
-  ?alpha:int ->
-  ?event_counts:int list ->
-  unit ->
-  point list
+val of_sweep : Fig6.sweep_point list -> point list
+(** Fig. 8 reads the same runs as Fig. 6: compute both tables from one
+    {!Fig6.sweep}. *)
+
+val print : point list -> unit
+(** Print the Fig. 8 table. *)
 
 val run : ?seeds:int list -> ?alpha:int -> unit -> unit
+(** [print (of_sweep (Fig6.sweep ?seeds ?alpha ()))]. *)

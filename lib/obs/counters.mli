@@ -68,7 +68,9 @@ type key =
   | Shard_coord_degraded
       (** Coordinator events executed best-effort after the retry
           budget. *)
-  | Shard_rebalances  (** Hot-shard region reassignments. *)
+  | Shard_rebalances
+      (** Always 0: the fabric's hot-shard rebalance is gone. Kept
+          because the benchmark reports it as [shard.rebalances]. *)
 
 val all : key list
 (** Every key, in rendering order. *)

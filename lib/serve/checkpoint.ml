@@ -24,8 +24,6 @@ type t = {
   shards : shard list;
   partition : Partition.frozen;
   coord : Coord.frozen;
-  ewma : float list;
-  streak : int list;
 }
 
 let core_to_json cp =
@@ -56,8 +54,6 @@ let core_to_json cp =
              cp.shards) );
       ("partition", Partition.frozen_to_json cp.partition);
       ("coord", Coord.frozen_to_json cp.coord);
-      ("ewma", Json.List (List.map (fun f -> Json.Float f) cp.ewma));
-      ("streak", Json.List (List.map (fun n -> Json.Int n) cp.streak));
     ]
 
 (* The file is two lines: the header, then the printed core. The hash
@@ -138,25 +134,7 @@ let core_of_json ~graph j =
   let* partition = Partition.frozen_of_json pj in
   let* cj = Codec.field "coord" j in
   let* coord = Coord.frozen_of_json cj in
-  let* el = Codec.list_field "ewma" j in
-  let* ewma = Codec.map_m Codec.as_float el in
-  let* kl = Codec.list_field "streak" j in
-  let* streak = Codec.map_m Codec.as_int kl in
-  Ok
-    {
-      tick;
-      seq;
-      parent;
-      meta;
-      net;
-      injector;
-      source;
-      shards;
-      partition;
-      coord;
-      ewma;
-      streak;
-    }
+  Ok { tick; seq; parent; meta; net; injector; source; shards; partition; coord }
 
 let of_string ~graph data =
   let* i, seq, claimed = read_header data in

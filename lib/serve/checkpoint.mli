@@ -4,8 +4,7 @@
     A checkpoint is the atomic bundle of frozen component states — the
     shared network, the optional fault injector, the arrival-source
     cursor, every shard's engine stepper, admission queue and deferred
-    requests, and the fabric's partition map, coordinator and hot-shard
-    trackers — stamped with the tick it was taken at and an opaque
+    requests, and the fabric's partition map and coordinator — stamped with the tick it was taken at and an opaque
     caller [meta] blob (the fabric fingerprint, validated on restore).
 
     On disk (format version 4) a checkpoint is two lines:
@@ -16,7 +15,9 @@
     refuses a mismatch before parsing the core, so a flipped bit
     anywhere in the state is detected instead of thawed; it also
     refuses a header [seq] that differs from the core's. Other
-    versions are refused.
+    versions are refused. Version-4 files from before the hot-shard
+    rebalance was removed also carry per-shard ["ewma"] and ["streak"]
+    lists; loads ignore them.
 
     Saves publish through {!Nu_obs.Store.publish} — write-then-rename
     with an fsync of the file before the rename and of the containing
@@ -49,8 +50,6 @@ type t = {
   shards : shard list;  (** Shard order. *)
   partition : Partition.frozen;
   coord : Coord.frozen;
-  ewma : float list;  (** Per-shard load EWMA. *)
-  streak : int list;  (** Per-shard consecutive hot ticks. *)
 }
 
 val to_string : t -> string

@@ -24,21 +24,19 @@ module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters
 module Fnv = Nu_obs.Fnv
 
-type config = { veto_backlog : int; retry_ticks : int; max_attempts : int }
+type config = { veto_backlog : int; max_attempts : int }
 
-let default_config = { veto_backlog = 512; retry_ticks = 1; max_attempts = 3 }
+let default_config = { veto_backlog = 512; max_attempts = 3 }
 
 let validate_config cfg =
   if cfg.veto_backlog < 0 then
     invalid_arg "Coord: veto_backlog must be >= 0";
-  if cfg.retry_ticks < 1 then invalid_arg "Coord: retry_ticks must be >= 1";
   if cfg.max_attempts < 1 then invalid_arg "Coord: max_attempts must be >= 1"
 
 let config_to_json cfg =
   Json.Obj
     [
       ("veto_backlog", Json.Int cfg.veto_backlog);
-      ("retry_ticks", Json.Int cfg.retry_ticks);
       ("max_attempts", Json.Int cfg.max_attempts);
     ]
 
@@ -118,18 +116,6 @@ let moved_flow_ids (plan : Planner.t) =
       | Planner.Failed _ -> [])
     plan.Planner.items
 
-let note_rebalance t ~tick ~region ~from_shard ~to_shard ~generation =
-  record t
-    (Json.Obj
-       [
-         ("k", Json.String "rebalance");
-         ("tick", Json.Int tick);
-         ("region", Json.Int region);
-         ("from", Json.Int from_shard);
-         ("to", Json.Int to_shard);
-         ("generation", Json.Int generation);
-       ])
-
 let participants_json ps = Json.List (List.map (fun k -> Json.Int k) ps)
 
 (* Execute one accepted plan: bill units, advance the virtual clock by
@@ -186,7 +172,7 @@ let participants_of ~shard_of_flow p moved =
    [moved] plus the event's) votes on the announced migration set; a
    participant whose backlog exceeds [veto_backlog] vetoes. On a veto
    the transaction rolls back (if [txn_open]), the abort is journaled
-   and the event's next attempt waits [retry_ticks]. On unanimous yes
+   and the event retries on the next tick. On unanimous yes
    [attempt] applies the plan inside a fabric transaction, which
    commits. Failed plan items are not grounds for abort: the engine
    itself commits plans with failures and records them in the result,
@@ -224,7 +210,7 @@ let two_phase t ~net ~tick ~shard_of_flow ~(backlogs : int array) ~on_commit
            ("reason", Json.String "veto");
            ("vetoed", participants_json vetoed);
          ]);
-    p.p_not_before <- tick + t.cfg.retry_ticks;
+    p.p_not_before <- tick + 1;
     false
   end
   else begin

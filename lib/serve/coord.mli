@@ -26,12 +26,11 @@
 type config = {
   veto_backlog : int;
       (** A participant vetoes while its backlog exceeds this. *)
-  retry_ticks : int;  (** Delay before an aborted event retries. *)
   max_attempts : int;  (** Attempts before degrading. *)
 }
 
 val default_config : config
-(** veto 512, retry 1 tick, 3 attempts. *)
+(** veto 512, 3 attempts. An aborted event retries on the next tick. *)
 
 val validate_config : config -> unit
 val config_to_json : config -> Nu_obs.Json.t
@@ -102,16 +101,6 @@ val commit_escalated :
     is journaled and finished. On a veto an open transaction rolls
     back, [attempt] is not called, and the event joins the retry queue
     for {!attempt_due}. Nothing is planned twice on the commit path. *)
-
-val note_rebalance :
-  t ->
-  tick:int ->
-  region:int ->
-  from_shard:int ->
-  to_shard:int ->
-  generation:int ->
-  unit
-(** Journal a partition rebalance decision (audit + digest). *)
 
 val moved_flow_ids : Planner.t -> int list
 (** Flow ids the plan's make-room moves migrated — the migration set

@@ -6,10 +6,9 @@
    is total and stable: every event id lands on exactly one shard, in
    whatever order requests show up.
 
-   The per-region arrival counters are bookkeeping for the rebalance
-   step (pick the hot shard's busiest region); they are part of the
-   frozen state so a restored fabric continues the same rebalance
-   trajectory a crash interrupted. *)
+   The per-region arrival counters and [move] are kept for callers
+   that reassign regions; the serving fabric never does, so in its
+   checkpoints the counters stay zero and the generation 0. *)
 
 module Json = Nu_obs.Json
 
@@ -100,22 +99,6 @@ let regions_of t shard =
   done;
   !acc
 
-(* The region a rebalance should evict from a hot shard: its
-   max-arrival region, ties to the lowest id. None unless the shard
-   owns at least two regions — a shard must keep a home. *)
-let busiest_region t ~shard =
-  if owned t shard < 2 then None
-  else begin
-    let best = ref (-1) in
-    for r = 0 to t.regions - 1 do
-      if
-        t.assign.(r) = shard
-        && (!best < 0 || t.arrivals.(r) > t.arrivals.(!best))
-      then best := r
-    done;
-    if !best < 0 then None else Some !best
-  end
-
 let move t ~region ~to_shard =
   if region < 0 || region >= t.regions then
     invalid_arg "Partition.move: region out of range";
@@ -123,8 +106,7 @@ let move t ~region ~to_shard =
     invalid_arg "Partition.move: shard out of range";
   t.assign.(region) <- to_shard;
   t.generation <- t.generation + 1;
-  (* A move resets the arrival window: the next rebalance decision
-     reads post-move traffic, not the skew that triggered this one. *)
+  (* A move resets the arrival window. *)
   Array.fill t.arrivals 0 t.regions 0
 
 (* ------------------------------------------------------------------ *)

@@ -7,8 +7,10 @@
     of the event and the current assignment — total (every event has
     exactly one home) and stable (independent of arrival order), which
     is what lets an N-shard journal replay reproduce the same split a
-    live run produced. The per-region arrival counters feed the
-    fabric's rebalance step and are part of the frozen state. *)
+    live run produced. The per-region arrival counters and {!move}
+    are part of the frozen state, but they no longer feed the fabric:
+    {!Shard_fabric} never counts arrivals or moves a region, so its
+    assignment stays the initial one. *)
 
 type t
 
@@ -22,7 +24,7 @@ val regions : t -> int
 val shards : t -> int
 
 val generation : t -> int
-(** Number of rebalance moves applied so far. *)
+(** Number of {!move}s applied so far. *)
 
 val region_of_host : t -> int -> int
 (** [host * regions / host_count] — contiguous blocks. *)
@@ -38,21 +40,16 @@ val home_of_event : t -> Event.t -> int
 (** [shard_of_region] of [home_region_of_event]. *)
 
 val note_arrival : t -> region:int -> unit
-(** Count one arrival against [region] (rebalance bookkeeping). *)
+(** Count one arrival against [region]. *)
 
 val owned : t -> int -> int
 (** Number of regions a shard currently owns. *)
 
 val regions_of : t -> int -> int list
 
-val busiest_region : t -> shard:int -> int option
-(** The shard's max-arrival region (ties to the lowest region id), or
-    [None] when the shard owns fewer than two regions — a shard is
-    never evicted from its last region. *)
-
 val move : t -> region:int -> to_shard:int -> unit
 (** Reassign [region], bump the generation and reset every arrival
-    counter so the next rebalance decision reads post-move traffic. *)
+    counter. *)
 
 (** {2 Freeze / thaw} *)
 

@@ -15,7 +15,6 @@ type config = {
   drain_per_tick : int;
   steps_per_tick : int;
   tick_dt_s : float;
-  co_max_cost_mbit : float;
   churn : churn_spec option;
   domains : int;
       (* Execution width only — never part of the checkpoint
@@ -32,7 +31,6 @@ let default_config policy =
     drain_per_tick = 8;
     steps_per_tick = 4;
     tick_dt_s = 0.05;
-    co_max_cost_mbit = 0.0;
     churn = None;
     domains = 1;
   }
@@ -48,8 +46,6 @@ let validate_config cfg =
     invalid_arg "Serve: steps_per_tick must be > 0";
   if (not (Float.is_finite cfg.tick_dt_s)) || cfg.tick_dt_s <= 0.0 then
     invalid_arg "Serve: tick_dt_s must be finite and > 0";
-  if cfg.co_max_cost_mbit < 0.0 || not (Float.is_finite cfg.co_max_cost_mbit)
-  then invalid_arg "Serve: co_max_cost_mbit must be finite and >= 0";
   if cfg.domains < 1 then invalid_arg "Serve: domains must be >= 1";
   match cfg.churn with
   | None -> ()
@@ -100,7 +96,6 @@ let config_to_json cfg =
       ("drain_per_tick", Json.Int cfg.drain_per_tick);
       ("steps_per_tick", Json.Int cfg.steps_per_tick);
       ("tick_dt_s", Json.Float cfg.tick_dt_s);
-      ("co_max_cost_mbit", Json.Float cfg.co_max_cost_mbit);
       ( "churn",
         match cfg.churn with
         | None -> Json.Null
@@ -126,28 +121,38 @@ let spec_to_json = function
 
 (* Fingerprint fields of retired knobs, at the values that never moved
    a decision: a checkpoint carrying one still restores, and any other
-   value stays a mismatch.
+   value stays a mismatch. [section] is "" for a top-level field.
    - config.estimate_cache: the engine's estimate cache, on or off;
-   - coord.max_cost_mbit: the coordinator's cost cap, only 0 (off). *)
+   - config.co_max_cost_mbit: the co-scheduling budget, only 0 (off);
+   - coord.max_cost_mbit: the coordinator's cost cap, only 0 (off);
+   - coord.retry_ticks: the abort-to-retry delay, only 1;
+   - hot_factor, hot_ticks, rebalance_min_load: the fabric's hot-shard
+     rebalance, only at its defaults 2.0, 3 and 8. *)
 let retired section field v =
+  let is j = Json.to_string v = Json.to_string j in
   match (section, field) with
   | "config", "estimate_cache" -> true
-  | "coord", "max_cost_mbit" ->
-      Json.to_string v = Json.to_string (Json.Float 0.0)
+  | "config", "co_max_cost_mbit" | "coord", "max_cost_mbit" ->
+      is (Json.Float 0.0)
+  | "coord", "retry_ticks" -> is (Json.Int 1)
+  | "", "hot_factor" -> is (Json.Float 2.0)
+  | "", "hot_ticks" -> is (Json.Int 3)
+  | "", "rebalance_min_load" -> is (Json.Int 8)
   | _ -> false
 
 let drop_retired = function
-  | Json.Obj sections ->
+  | Json.Obj fields ->
       Json.Obj
-        (List.map
+        (List.filter_map
            (function
              | section, Json.Obj c ->
-                 ( section,
-                   Json.Obj
-                     (List.filter (fun (f, v) -> not (retired section f v)) c)
-                 )
-             | field -> field)
-           sections)
+                 Some
+                   ( section,
+                     Json.Obj
+                       (List.filter (fun (f, v) -> not (retired section f v)) c)
+                   )
+             | f, v -> if retired "" f v then None else Some (f, v))
+           fields)
   | j -> j
 
 (* Fingerprints are compared through a print/parse round-trip (the

@@ -22,7 +22,6 @@ type config = {
   drain_per_tick : int;  (** Max requests entering the engine per tick. *)
   steps_per_tick : int;  (** Max service rounds executed per tick. *)
   tick_dt_s : float;  (** Simulated seconds per tick. *)
-  co_max_cost_mbit : float;  (** Co-scheduling budget (0 = off). *)
   churn : churn_spec option;
   domains : int;
       (** Probe fan-out width handed to the engine (see
@@ -35,7 +34,8 @@ type config = {
 
 val default_config : Policy.t -> config
 (** seed 42, capacity 64, Block admission, drain 8, steps 4, dt 50 ms,
-    co-scheduling off, no churn, 1 domain. *)
+    no churn, 1 domain. Shard controllers run the engine's default
+    co-scheduling budget (0, off). *)
 
 val config_to_json : config -> Nu_obs.Json.t
 val spec_to_json : Source.spec -> Nu_obs.Json.t
@@ -45,8 +45,10 @@ val fingerprint_matches : Nu_obs.Json.t -> Nu_obs.Json.t -> bool
     sound because printing is canonical for this Json library even
     where parsing widens types. Fields of retired knobs are dropped
     from [stored] first when they hold a value that never moved a
-    decision: the config's ["estimate_cache"] flag (any value) and the
-    coordinator's ["max_cost_mbit"] cost cap at [0.0] (off). *)
+    decision: the deleted estimate cache's flag (any value), and the
+    co-scheduling budget, the coordinator's cost cap and retry delay
+    and the hot-shard rebalance's three fields, each at the one value
+    it always held. Any other value of these fields is a mismatch. *)
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on out-of-range knobs or a batch-only

@@ -36,34 +36,18 @@ type config = {
   base : Serve_config.config;  (** Per-shard controller knobs. *)
   shards : int;
   regions : int;
-  hot_factor : float;  (** Hot iff load EWMA > factor x mean EWMA. *)
-  hot_ticks : int;  (** Consecutive hot ticks before a rebalance. *)
-  rebalance_min_load : int;  (** Ignore "hot" shards lighter than this. *)
   coord : Coord.config;
 }
 
 let default_config ?(regions = 8) base ~shards =
-  {
-    base;
-    shards;
-    regions = max regions shards;
-    hot_factor = 2.0;
-    hot_ticks = 3;
-    rebalance_min_load = 8;
-    coord = Coord.default_config;
-  }
+  { base; shards; regions = max regions shards; coord = Coord.default_config }
 
 let validate_config cfg =
   Serve_config.validate_config cfg.base;
   Coord.validate_config cfg.coord;
   if cfg.shards < 1 then invalid_arg "Shard_fabric: shards must be >= 1";
   if cfg.regions < cfg.shards then
-    invalid_arg "Shard_fabric: regions must be >= shards";
-  if cfg.hot_factor <= 1.0 || not (Float.is_finite cfg.hot_factor) then
-    invalid_arg "Shard_fabric: hot_factor must be finite and > 1";
-  if cfg.hot_ticks < 1 then invalid_arg "Shard_fabric: hot_ticks must be >= 1";
-  if cfg.rebalance_min_load < 0 then
-    invalid_arg "Shard_fabric: rebalance_min_load must be >= 0"
+    invalid_arg "Shard_fabric: regions must be >= shards"
 
 let fingerprint cfg spec =
   Json.Obj
@@ -72,9 +56,6 @@ let fingerprint cfg spec =
       ("source", Serve_config.spec_to_json spec);
       ("shards", Json.Int cfg.shards);
       ("regions", Json.Int cfg.regions);
-      ("hot_factor", Json.Float cfg.hot_factor);
-      ("hot_ticks", Json.Int cfg.hot_ticks);
-      ("rebalance_min_load", Json.Int cfg.rebalance_min_load);
       ("coord", Coord.config_to_json cfg.coord);
     ]
 
@@ -106,8 +87,6 @@ type t = {
       (* Recording-only; deliberately absent from the fingerprint so
          journals replay regardless of telemetry. *)
   mutable pool : Probe_pool.t option;  (* shared probe fan-out, lazy *)
-  ewma : float array;  (* per-shard load EWMA (hot detection) *)
-  hot_streak : int array;
   mutable tick_count : int;
 }
 
@@ -155,7 +134,6 @@ let make_stepper ?injector ?series ?telemetry cfg ~host_count ~net k =
   let base = cfg.base in
   Engine.Stepper.create ~seed:(shard_seed base k) ~domains:1
     ?churn:(shard_churn ~host_count base k)
-    ~co_max_cost_mbit:base.Serve_config.co_max_cost_mbit
     ~init_expiry:(k = 0)
     ?injector:(if k = 0 then injector else None)
     ?series:(if k = 0 then series else None)
@@ -166,7 +144,6 @@ let thaw_stepper ?injector ?series ?telemetry cfg ~host_count ~net k fz =
   let base = cfg.base in
   Engine.Stepper.thaw ~domains:1
     ?churn:(shard_churn ~host_count base k)
-    ~co_max_cost_mbit:base.Serve_config.co_max_cost_mbit
     ?injector:(if k = 0 then injector else None)
     ?series:(if k = 0 then series else None)
     ?observer:(shard_observer cfg telemetry k)
@@ -230,8 +207,6 @@ let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
     injector;
     telemetry;
     pool = None;
-    ewma = Array.make cfg.shards 0.0;
-    hot_streak = Array.make cfg.shards 0;
     tick_count = 0;
   }
 
@@ -355,57 +330,6 @@ let crosses_shards t ~shard moved =
       | Some home -> home <> shard
       | None -> false)
     moved
-
-(* ------------------------------------------------------------------ *)
-(* Hot-shard detection + rebalance.                                    *)
-
-(* EWMA the per-shard load each tick; a shard hot for [hot_ticks]
-   consecutive ticks (and actually loaded, and owning a spare region)
-   triggers one rebalance: its busiest region moves to the coldest
-   shard. The decision is journaled through the coordinator so the
-   audit stream (and digest) records the assignment history. *)
-let update_hot t =
-  let n = t.cfg.shards in
-  if n > 1 then begin
-    let loads = Array.init n (fun k -> backlog t k) in
-    for k = 0 to n - 1 do
-      t.ewma.(k) <- (0.8 *. t.ewma.(k)) +. (0.2 *. float_of_int loads.(k))
-    done;
-    let mean = Array.fold_left ( +. ) 0.0 t.ewma /. float_of_int n in
-    for k = 0 to n - 1 do
-      let hot =
-        t.ewma.(k) > t.cfg.hot_factor *. mean
-        && loads.(k) >= t.cfg.rebalance_min_load
-        && Partition.owned t.partition k >= 2
-      in
-      t.hot_streak.(k) <- (if hot then t.hot_streak.(k) + 1 else 0)
-    done;
-    let hottest = ref (-1) in
-    for k = n - 1 downto 0 do
-      if
-        t.hot_streak.(k) >= t.cfg.hot_ticks
-        && (!hottest < 0 || t.ewma.(k) > t.ewma.(!hottest))
-      then hottest := k
-    done;
-    if !hottest >= 0 then begin
-      let hot = !hottest in
-      match Partition.busiest_region t.partition ~shard:hot with
-      | None -> Array.fill t.hot_streak 0 n 0
-      | Some region ->
-          let coldest = ref 0 in
-          for k = 1 to n - 1 do
-            if t.ewma.(k) < t.ewma.(!coldest) then coldest := k
-          done;
-          if !coldest <> hot then begin
-            Partition.move t.partition ~region ~to_shard:!coldest;
-            Coord.note_rebalance t.coord ~tick:t.tick_count ~region
-              ~from_shard:hot ~to_shard:!coldest
-              ~generation:(Partition.generation t.partition);
-            Counters.incr Counters.Shard_rebalances
-          end;
-          Array.fill t.hot_streak 0 n 0
-    end
-  end
 
 let pool t =
   if t.cfg.base.Serve_config.domains <= 1 then None
@@ -542,7 +466,6 @@ let execute_tick t routed =
       (fun st -> Engine.Stepper.advance_clock st ~to_s:now_max)
       t.steppers
   done;
-  update_hot t;
   let queue = Array.fold_left (fun n a -> n + Admission.size a) 0 t.admissions in
   let engine_backlog =
     Array.fold_left (fun n st -> n + Engine.Stepper.backlog st) 0 t.steppers
@@ -570,17 +493,8 @@ let route t arrivals =
     (List.rev arrivals);
   routed
 
-(* Per-region arrival counts for the rebalance step. *)
-let note_arrivals t arrivals =
-  List.iter
-    (fun req ->
-      Partition.note_arrival t.partition
-        ~region:(Partition.home_region_of_event t.partition req.Request.event))
-    arrivals
-
 let tick t =
   let arrivals = Source.poll t.source ~tick:t.tick_count ~now_s:(now_s t) in
-  note_arrivals t arrivals;
   let routed = route t arrivals in
   (* Write-ahead per shard: arrivals are durable before any decision
      acts on them, and each shard journals exactly its own slice, so a
@@ -630,8 +544,6 @@ let snapshot t =
           });
     partition = Partition.freeze t.partition;
     coord = Coord.freeze t.coord;
-    ewma = Array.to_list t.ewma;
-    streak = Array.to_list t.hot_streak;
   }
 
 let save_checkpoint ?fault ?keep t ~path =
@@ -708,11 +620,8 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
       (Printf.sprintf
          "checkpoint configuration mismatch:\n  checkpoint: %s\n  requested:  %s"
          (Json.to_string cp.meta) (Json.to_string expected))
-  else if
-    List.length cp.shards <> cfg.shards
-    || List.length cp.ewma <> cfg.shards
-    || List.length cp.streak <> cfg.shards
-  then Error "checkpoint shard count mismatch"
+  else if List.length cp.shards <> cfg.shards then
+    Error "checkpoint shard count mismatch"
   else
     match
       let host_count = Topology.host_count topology in
@@ -749,8 +658,6 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
         injector;
         telemetry;
         pool = None;
-        ewma = Array.of_list cp.ewma;
-        hot_streak = Array.of_list cp.streak;
         tick_count = cp.tick;
       }
     with
@@ -834,7 +741,6 @@ let replay_groups ?upto t groups =
                      (List.length routed.(k))
                      (List.length journaled.(k))) )
           | None ->
-              note_arrivals t arrivals;
               execute_tick t journaled;
               go (n + 1))
   in

@@ -12,8 +12,8 @@
     commits the tick with a [Tick_done] marker per journal. Rounds
     whose make-room migration set crosses shard boundaries escalate to
     the global {!Coord}, which two-phase-commits them against the
-    shared fabric; persistent hot shards shed their busiest region to
-    the coldest shard.
+    shared fabric. The region-to-shard assignment never changes during
+    a run.
 
     With one shard, routing is the identity, waves are single steps,
     the drain is [drain_per_tick] and nothing escalates: the schedule
@@ -37,15 +37,12 @@ type config = {
   regions : int;
       (** Routing granularity; on pod-major Fat-Tree host numbering,
           [regions = pod count] makes a region a pod. *)
-  hot_factor : float;  (** Hot iff load EWMA > factor × mean EWMA. *)
-  hot_ticks : int;  (** Consecutive hot ticks before a rebalance. *)
-  rebalance_min_load : int;  (** Ignore "hot" shards lighter than this. *)
   coord : Coord.config;
 }
 
 val default_config : ?regions:int -> Serve_config.config -> shards:int -> config
-(** [regions] defaults to [max 8 shards]; hot_factor 2.0, hot_ticks 3,
-    rebalance_min_load 8, default coordinator config. *)
+(** [regions] defaults to [max 8 shards]; default coordinator
+    config. *)
 
 val validate_config : config -> unit
 

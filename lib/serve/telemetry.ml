@@ -20,13 +20,7 @@ type config = {
   metrics_dir : string option;
   metrics_every : int;
   lifecycle_path : string option;
-  lifecycle_capacity : int;
-  fairness_window : int;
-  slo_window : int;
   p99_target_s : float option;
-  p999_target_s : float option;
-  max_queue : int option;
-  max_backlog : int option;
   watch : Watch.config option;
 }
 
@@ -35,13 +29,7 @@ let default_config =
     metrics_dir = None;
     metrics_every = 10;
     lifecycle_path = None;
-    lifecycle_capacity = 4096;
-    fairness_window = 50;
-    slo_window = 50;
     p99_target_s = None;
-    p999_target_s = None;
-    max_queue = None;
-    max_backlog = None;
     watch = None;
   }
 
@@ -69,14 +57,11 @@ let create cfg =
   | Some _ | None -> ());
   {
     cfg;
-    lifecycle =
-      Lifecycle.create ?path:cfg.lifecycle_path
-        ~capacity:cfg.lifecycle_capacity ();
-    fairness = Fairness.create ~window:cfg.fairness_window ();
-    slo =
-      Slo.create ~window:cfg.slo_window ?p99_target_s:cfg.p99_target_s
-        ?p999_target_s:cfg.p999_target_s ?max_queue:cfg.max_queue
-        ?max_backlog:cfg.max_backlog ();
+    (* Lifecycle ring 4096, fairness and SLO windows of 50 ticks: the
+       trackers' own defaults. *)
+    lifecycle = Lifecycle.create ?path:cfg.lifecycle_path ();
+    fairness = Fairness.create ();
+    slo = Slo.create ?p99_target_s:cfg.p99_target_s ();
     watch = Option.map Watch.create cfg.watch;
     last_corrupt = Counters.get_named "store.frames_corrupt";
     last_restarts = Counters.get_named "supervisor.restarts";

@@ -30,13 +30,8 @@ type config = {
   metrics_every : int;  (** Write cadence in ticks (default 10). *)
   lifecycle_path : string option;
       (** Record log of lifecycle stamps; [None] keeps only the ring. *)
-  lifecycle_capacity : int;  (** In-memory ring bound (default 4096). *)
-  fairness_window : int;  (** Fairness rotation window (default 50). *)
-  slo_window : int;  (** SLO rotation window (default 50). *)
-  p99_target_s : float option;  (** SLO breach thresholds; [None] = *)
-  p999_target_s : float option;  (** never evaluated. *)
-  max_queue : int option;
-  max_backlog : int option;
+  p99_target_s : float option;
+      (** SLO p99 breach threshold; [None] = never evaluated. *)
   watch : Nu_obs.Watch.config option;
       (** Attach an {!Nu_obs.Watch} watchdog: ECT samples and per-tick
           queue/backlog gauges plus WAL-corruption and supervisor-
@@ -47,8 +42,11 @@ type config = {
 }
 
 val default_config : config
-(** Everything off/defaulted: no exposition, no record log, windows of
-    50, no thresholds. *)
+(** Everything off: no exposition, no record log, no threshold.
+
+    The trackers always run at their own defaults: a lifecycle ring of
+    4096 stamps, fairness and SLO windows of 50 ticks, and no p99.9,
+    queue or backlog thresholds. *)
 
 type t
 

@@ -46,6 +46,31 @@ let test_serve_bad_admission () =
   Alcotest.(check bool) "non-zero exit" true (status <> 0);
   Alcotest.(check bool) "mentions the option" true (contains out "admission")
 
+(* A crash flag that cannot take effect is refused with exit 2 before
+   the fabric writes anything. *)
+let test_serve_kill_at_past_ticks () =
+  let dir = Filename.temp_file "nu_cli_kill" "" in
+  Sys.remove dir;
+  let journal = Filename.concat dir "wal" in
+  let status, out =
+    run_capture
+      [
+        "serve"; "--shards"; "2"; "--ticks"; "20"; "--kill-shard"; "1";
+        "--kill-at"; "40"; "--journal"; journal; "--checkpoint";
+        Filename.concat dir "cp.json";
+      ]
+  in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names --kill-at" true (contains out "--kill-at");
+  Alcotest.(check bool) "served nothing" false (contains out "tick(s)");
+  Alcotest.(check bool) "wrote nothing" false (Sys.file_exists dir)
+
+let test_serve_kill_shard_without_kill_at () =
+  let status, out = run_capture [ "serve"; "--kill-shard"; "0" ] in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names --kill-at" true (contains out "--kill-at");
+  Alcotest.(check bool) "served nothing" false (contains out "digest:")
+
 let suite =
   [
     ("unknown subcommand fails", `Quick, test_unknown_subcommand);
@@ -53,4 +78,8 @@ let suite =
     ("help exits zero", `Quick, test_help_exits_zero);
     ("snapshot missing file fails", `Quick, test_snapshot_missing_file);
     ("serve bad admission policy fails", `Quick, test_serve_bad_admission);
+    ("serve --kill-at past --ticks fails", `Quick, test_serve_kill_at_past_ticks);
+    ( "serve --kill-shard without --kill-at fails",
+      `Quick,
+      test_serve_kill_shard_without_kill_at );
   ]

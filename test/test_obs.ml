@@ -1479,6 +1479,68 @@ let test_watch_deterministic_twins () =
       Alcotest.(check int) "report totals agree" (Obs.Watch.alert_total a) n
   | _ -> Alcotest.fail "report_json lacks alert_total"
 
+(* The lifecycle-only fallback: per-tick completions in stamp order,
+   the queue/backlog gauges rebuilt from admission, drain and terminal
+   stamps, zero counter deltas, one observation per tick up to the last
+   (empty ticks included), and stamps outside a serving tick ignored. *)
+let test_watch_obs_of_lifecycle () =
+  let module L = Obs.Lifecycle in
+  let e tick id tenant stage =
+    { L.id; tenant; tick; t_s = 0.05 *. float_of_int tick; stage }
+  in
+  let entries =
+    [
+      e 0 1 "a" L.Arrived;
+      e 0 1 "a" L.Admitted;
+      e 0 2 "b" L.Arrived;
+      e 0 2 "b" L.Deferred;
+      e 0 3 "c" L.Arrived;
+      e 0 3 "c" (L.Shed "capacity");
+      e 1 2 "b" L.Admitted;
+      e 1 1 "a" (L.Submitted { wait_ticks = 1 });
+      e 1 1 "a" (L.Planned { round = 0; co_scheduled = false });
+      e (-1) 9 "" (L.Completed { ect_s = 9.0 });
+      e 2 1 "a" (L.Completed { ect_s = 0.5 });
+      e 2 2 "b" (L.Submitted { wait_ticks = 1 });
+      e 4 2 "b" (L.Degraded { ect_s = 1.25; failed_items = 1 });
+    ]
+  in
+  let obs = Obs.Watch.obs_of_lifecycle entries in
+  let row tick queue backlog ects =
+    {
+      Obs.Watch.o_tick = tick;
+      o_queue = queue;
+      o_backlog = backlog;
+      o_ects = ects;
+      o_corrupt_d = 0;
+      o_restarts_d = 0;
+    }
+  in
+  let expected =
+    [
+      row 0 1 0 [];
+      row 1 1 1 [];
+      row 2 0 1 [ ("a", 0.5) ];
+      row 3 0 1 [];
+      row 4 0 0 [ ("b", 1.25) ];
+    ]
+  in
+  Alcotest.(check int) "one obs per tick" (List.length expected)
+    (List.length obs);
+  List.iter2
+    (fun (want : Obs.Watch.obs) (got : Obs.Watch.obs) ->
+      let at what = Printf.sprintf "tick %d %s" want.o_tick what in
+      Alcotest.(check int) (at "tick") want.o_tick got.o_tick;
+      Alcotest.(check int) (at "queue") want.o_queue got.o_queue;
+      Alcotest.(check int) (at "backlog") want.o_backlog got.o_backlog;
+      Alcotest.(check (list (pair string (float 0.0))))
+        (at "completions") want.o_ects got.o_ects;
+      Alcotest.(check int) (at "corrupt delta") 0 got.o_corrupt_d;
+      Alcotest.(check int) (at "restart delta") 0 got.o_restarts_d)
+    expected obs;
+  Alcotest.(check int) "empty stream" 0
+    (List.length (Obs.Watch.obs_of_lifecycle []))
+
 let test_watch_journal_roundtrip () =
   with_temp_dir (fun dir ->
       let stream = synthetic_obs () in
@@ -1861,6 +1923,7 @@ let suite =
     ("health no flapping", `Quick, test_health_no_flapping);
     ("watch deterministic twins", `Quick, test_watch_deterministic_twins);
     ("watch journal round-trip", `Quick, test_watch_journal_roundtrip);
+    ("watch obs from a lifecycle stream", `Quick, test_watch_obs_of_lifecycle);
     ( "watch resume matches uninterrupted",
       `Quick,
       test_watch_resume_matches_uninterrupted );

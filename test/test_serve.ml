@@ -381,7 +381,6 @@ let cfg ?(capacity = 8) ?(admission = Admission.Block) ?churn ?(domains = 1) ()
     drain_per_tick = 2;
     steps_per_tick = 3;
     tick_dt_s = 0.05;
-    co_max_cost_mbit = 0.0;
     churn;
     domains;
   }

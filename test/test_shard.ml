@@ -152,7 +152,6 @@ let cfg () =
     drain_per_tick = 2;
     steps_per_tick = 3;
     tick_dt_s = 0.05;
-    co_max_cost_mbit = 0.0;
     churn = None;
     domains = 1;
   }
@@ -256,13 +255,7 @@ let test_coord_veto_rolls_back () =
    holds every two-phase decision kind — prepare, commit, abort (veto)
    and degraded — and the fabric digest over them is pinned. *)
 let test_fabric_abort_path_deterministic () =
-  let coord =
-    {
-      Shard_coord.default_config with
-      Shard_coord.veto_backlog = 0;
-      max_attempts = 2;
-    }
-  in
+  let coord = { Shard_coord.veto_backlog = 0; max_attempts = 2 } in
   let run () =
     fabric_digest ~shards:4 ~coord ~rate:3.0
       ~s:(Scenario.prepare ~k:8 ~utilization:0.7 ~seed:16 ())
@@ -345,6 +338,82 @@ let test_restore_rejects_config_mismatch () =
   | Ok t2 ->
       Shard_fabric.close t2;
       Alcotest.fail "restore accepted a mismatched shard count"
+
+(* The fingerprint of a build that still had the hot-shard rebalance
+   and the co-scheduling budget and retry-delay knobs: [meta] with
+   those fields put back, in their old places. *)
+let legacy_meta ?(hot_factor = 2.0) ?(co_max = 0.0) ?(retry = 1) meta =
+  let module J = Nu_obs.Json in
+  let after key extra =
+    List.concat_map (fun (k, v) -> if k = key then (k, v) :: extra else [ (k, v) ])
+  in
+  let in_section name f =
+    List.map (function
+      | k, J.Obj c when k = name -> (k, J.Obj (f c))
+      | field -> field)
+  in
+  match meta with
+  | J.Obj top ->
+      J.Obj
+        (top
+        |> after "regions"
+             [
+               ("hot_factor", J.Float hot_factor);
+               ("hot_ticks", J.Int 3);
+               ("rebalance_min_load", J.Int 8);
+             ]
+        |> in_section "config"
+             (after "tick_dt_s" [ ("co_max_cost_mbit", J.Float co_max) ])
+        |> in_section "coord"
+             (after "veto_backlog" [ ("retry_ticks", J.Int retry) ]))
+  | j -> j
+
+(* A checkpoint whose fingerprint carries the retired fields restores
+   while they hold their old defaults, and is refused as a
+   configuration mismatch otherwise. The meta goes through the file
+   bytes, as a stored checkpoint's does. *)
+let test_restore_retired_fingerprint_fields () =
+  let s = scenario () in
+  let graph = s.Scenario.topology.Topology.graph in
+  let fcfg = Shard_fabric.default_config (cfg ()) ~shards:4 in
+  let t =
+    Shard_fabric.create fcfg ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ())
+  in
+  Shard_fabric.run t ~ticks:5;
+  let cp = Shard_fabric.snapshot t in
+  let expected = Shard_fabric.digest t in
+  Shard_fabric.close t;
+  let restore meta =
+    match
+      Serve_checkpoint.of_string ~graph
+        (Serve_checkpoint.to_string { cp with Serve_checkpoint.meta })
+    with
+    | Error m -> Alcotest.fail m
+    | Ok cp ->
+        Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
+          ~source_spec:(spec_of ()) cp
+  in
+  (match restore (legacy_meta cp.Serve_checkpoint.meta) with
+  | Error m -> Alcotest.failf "old defaults refused: %s" m
+  | Ok t2 ->
+      Alcotest.(check string) "restored digest" expected (Shard_fabric.digest t2);
+      Shard_fabric.close t2);
+  List.iter
+    (fun (what, meta) ->
+      match restore meta with
+      | Error m ->
+          Alcotest.(check bool)
+            (what ^ ": configuration mismatch") true
+            (String.starts_with ~prefix:"checkpoint configuration mismatch" m)
+      | Ok t2 ->
+          Shard_fabric.close t2;
+          Alcotest.failf "restore accepted %s" what)
+    [
+      ("hot_factor 3.0", legacy_meta ~hot_factor:3.0 cp.Serve_checkpoint.meta);
+      ("co_max_cost_mbit 5.0", legacy_meta ~co_max:5.0 cp.Serve_checkpoint.meta);
+      ("retry_ticks 2", legacy_meta ~retry:2 cp.Serve_checkpoint.meta);
+    ]
 
 (* Kill one shard's WAL mid-run, recover the whole fabric from the
    checkpoint + journals, keep serving: the digest must equal the
@@ -549,6 +618,8 @@ let suite =
       test_checkpoint_json_roundtrip;
     Alcotest.test_case "restore rejects config mismatch" `Quick
       test_restore_rejects_config_mismatch;
+    Alcotest.test_case "restore accepts retired fingerprint fields at old defaults only"
+      `Quick test_restore_retired_fingerprint_fields;
     Alcotest.test_case "crash + recover = uninterrupted digest" `Quick
       test_crash_recover_differential;
     Alcotest.test_case "replay from journals alone" `Quick
