@@ -31,15 +31,6 @@ let jsonl_of_events events =
     events;
   Buffer.contents buf
 
-let jsonl_sink oc : Trace.sink =
-  {
-    Trace.emit =
-      (fun e ->
-        output_string oc (Json.to_string (event_to_json e));
-        output_char oc '\n');
-    flush = (fun () -> flush oc);
-  }
-
 (* Lifecycle instants stamped by [Lifecycle] carry a request id and a
    flow phase ("s" start / "t" step / "f" finish); rendered as Chrome
    flow events they draw arrows linking one request's stamps across the

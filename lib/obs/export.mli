@@ -16,10 +16,6 @@ val event_to_json : Trace.event -> Json.t
 val jsonl_of_events : Trace.event list -> string
 (** One event per line, each line a JSON object, trailing newline. *)
 
-val jsonl_sink : out_channel -> Trace.sink
-(** Streaming sink writing each event as a JSONL line; [flush] flushes
-    the channel (the caller closes it). *)
-
 val chrome_of_events : ?pid:int -> Trace.event list -> Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Span begin/end
     map to ["B"]/["E"] duration events, instants to ["i"]; attributes

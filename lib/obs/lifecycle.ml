@@ -182,15 +182,6 @@ let close t =
   Option.iter Store.close t.log;
   t.log <- None
 
-let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  Queue.iter
-    (fun e ->
-      Buffer.add_string buf (Json.to_string (entry_to_json e));
-      Buffer.add_char buf '\n')
-    t.recent;
-  Buffer.contents buf
-
 let read_log path =
   Store.read_report
     ~decode:(fun p -> Result.bind (Json.of_string p) entry_of_json)

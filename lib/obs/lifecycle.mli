@@ -79,9 +79,6 @@ val in_flight : t -> int
 val entries : t -> entry list
 (** The retained ring, oldest first. *)
 
-val to_jsonl : t -> string
-(** The retained ring as JSONL. *)
-
 val close : t -> unit
 (** Flush and close the record log (idempotent). *)
 

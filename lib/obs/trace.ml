@@ -11,9 +11,7 @@ type event = {
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
-let clock = ref Monotonic_clock.now
-let set_clock f = clock := f
-let now_ns () = !clock ()
+let now_ns () = Monotonic_clock.now ()
 
 type span = {
   sp_name : string;

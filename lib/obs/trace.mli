@@ -58,9 +58,5 @@ val memory : unit -> sink * (unit -> event list)
 (** In-memory sink for tests and one-shot exports: the second component
     returns every event emitted so far, in order. *)
 
-val set_clock : (unit -> int64) -> unit
-(** Replace the timestamp source (default: the monotonic clock).
-    Intended for deterministic tests. *)
-
 val now_ns : unit -> int64
-(** Current reading of the installed clock. *)
+(** Current reading of the monotonic clock. *)

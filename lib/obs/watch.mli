@@ -140,10 +140,6 @@ val alerts_json : t -> Json.t
 val health_json : t -> Json.t
 (** [health.json] artifact (per-scope state + transition timeline). *)
 
-val alert_to_json : alert -> Json.t
-val obs_to_json : obs -> Json.t
-val obs_of_json : Json.t -> (obs, string) result
-
 (* ------------------------------------------------------------------ *)
 (* Offline evaluation *)
 
@@ -172,4 +168,3 @@ val obs_of_lifecycle : Lifecycle.entry list -> obs list
     live watcher's. *)
 
 val config_to_json : config -> Json.t
-val config_of_json : Json.t -> (config, string) result

@@ -257,7 +257,7 @@ type stepper = {
   mutable rounds : int;
   mutable results : event_result list;  (* newest-first *)
   mutable log : round_info list;  (* newest-first *)
-  mutable observer : (observation -> unit) option;
+  observer : (observation -> unit) option;
 }
 
 let fault_mode_of injector =
@@ -1256,8 +1256,6 @@ module Stepper = struct
         ~injector ~series ~domains ~init_expiry ~net
     in
     make_stepper ?observer ctx policy events
-
-  let set_observer st obs = st.observer <- obs
 
   (* New arrivals merge into the pending list at their arrival rank;
      events already due promote immediately so the next [step] sees

@@ -210,9 +210,6 @@ module Stepper : sig
       exactly once. Raises [Invalid_argument] on an invalid policy, or
       on a flow-level policy — those are batch-only. *)
 
-  val set_observer : t -> (observation -> unit) option -> unit
-  (** Attach or detach the progress observer. *)
-
   val submit : t -> Event.t list -> unit
   (** Merge new arrivals (any order) into the arrival queue at their
       arrival rank. Events whose [arrival_s] is already due enter the

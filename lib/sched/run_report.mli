@@ -7,13 +7,9 @@
     can diff, plot or regression-check without re-running the
     simulation. *)
 
-val summary_to_json : Metrics.summary -> Nu_obs.Json.t
-
 val event_result_to_json : Engine.event_result -> Nu_obs.Json.t
 (** Includes the derived [ect_s] and [queuing_s] alongside the raw
     fields. *)
-
-val round_to_json : Engine.round_info -> Nu_obs.Json.t
 
 val to_json :
   ?counters:Nu_obs.Counters.snapshot ->

@@ -31,7 +31,6 @@ val map_m : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 val int64_to_json : int64 -> Json.t
 val int64_of_json : Json.t -> (int64, string) result
 
-val flow_to_json : Flow_record.t -> Json.t
 val flow_of_json : Json.t -> (Flow_record.t, string) result
 
 val event_to_json : Event.t -> Json.t
@@ -61,7 +60,6 @@ val float_column_of_json : n:int -> Json.t -> (float array, string) result
     unless the string holds exactly [n] values of lowercase hex. *)
 
 val path_to_json : Path.t -> Json.t
-val path_of_json : Graph.t -> Json.t -> (Path.t, string) result
 
 val net_frozen_to_json : Net_state.frozen -> Json.t
 

@@ -92,13 +92,6 @@ let note_arrival t ~region =
 let owned t shard =
   Array.fold_left (fun n s -> if s = shard then n + 1 else n) 0 t.assign
 
-let regions_of t shard =
-  let acc = ref [] in
-  for r = t.regions - 1 downto 0 do
-    if t.assign.(r) = shard then acc := r :: !acc
-  done;
-  !acc
-
 let move t ~region ~to_shard =
   if region < 0 || region >= t.regions then
     invalid_arg "Partition.move: region out of range";

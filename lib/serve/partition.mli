@@ -31,21 +31,16 @@ val region_of_host : t -> int -> int
 
 val shard_of_region : t -> int -> int
 
-val home_region_of_event : t -> Event.t -> int
-(** The event's home region: the first [Install]'s source host keys
-    it; a [Reroute]-only event keys on the rerouted flow id. A pure
-    function of the event — never of arrival history. *)
-
 val home_of_event : t -> Event.t -> int
-(** [shard_of_region] of [home_region_of_event]. *)
+(** The shard owning the event's home region: the first [Install]'s
+    source host keys it; a [Reroute]-only event keys on the rerouted
+    flow id. A pure function of the event — never of arrival history. *)
 
 val note_arrival : t -> region:int -> unit
 (** Count one arrival against [region]. *)
 
 val owned : t -> int -> int
 (** Number of regions a shard currently owns. *)
-
-val regions_of : t -> int -> int list
 
 val move : t -> region:int -> to_shard:int -> unit
 (** Reassign [region], bump the generation and reset every arrival

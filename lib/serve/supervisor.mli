@@ -48,7 +48,6 @@ type failure_class =
   | Unknown
 
 val class_name : failure_class -> string
-val classify : exn -> failure_class
 
 type event =
   | Started of {

@@ -99,11 +99,7 @@ val observer : t -> Engine.observation -> unit
     completions into lifecycle stamps and fairness/SLO samples. *)
 
 val render : t -> string
-(** The OpenMetrics document {!write_expo} would publish now. *)
-
-val write_expo : t -> unit
-(** Write the exposition file immediately (no-op without
-    [metrics_dir]). *)
+(** The OpenMetrics document the exposition file would hold now. *)
 
 val to_json : t -> Nu_obs.Json.t
 (** Summary block for {!Run_report}: stamp counts, exposition writes,
