@@ -7,7 +7,8 @@ type t = {
   attempts : (int, int) Hashtbl.t;  (* event id -> aborts so far *)
   mutable violation_count : int;
   mutable checks : int;  (* check_now calls outside a transaction *)
-  mutable log : Net_state.flow_log option;  (* span this injector reads *)
+  mutable cursor : (Net_state.t * Net_state.cursor) option;
+      (* the net this injector checks, and its place in that net's log *)
 }
 
 let create ?(retry = Retry_policy.default) schedule =
@@ -25,7 +26,7 @@ let create ?(retry = Retry_policy.default) schedule =
     attempts = Hashtbl.create 32;
     violation_count = 0;
     checks = 0;
-    log = None;
+    cursor = None;
   }
 
 let recovery t = t.recovery
@@ -200,28 +201,33 @@ let note_abort t ~event_id ~now =
       `Degrade
 
 (* Every [full_every]-th check is the full oracle sweep even when the
-   change log vouches for completeness: a cheap backstop against a write
+   cursor vouches for completeness: a cheap backstop against a write
    path that bypasses the log. *)
 let full_every = 16
 
-(* The incremental check runs when the net's flow-change log vouches
-   for every flow written since this injector's previous check. The
-   full sweep runs on the first check of a net (after create or thaw,
-   or when handed a different net), on every [full_every]-th check, when
-   the log cannot vouch (another reader started a span, or it overflowed),
-   and inside an open transaction — whose writes are not in the log yet,
-   so that check leaves the log to the next one. *)
+(* The incremental check runs when this injector's cursor in the net's
+   committed log vouches for every flow written since its previous
+   check. The full sweep runs on the first check of a net (after create
+   or thaw, or when handed a different net), on every [full_every]-th
+   check, when the cursor was dropped for lagging, and inside an open
+   transaction — whose writes are not in the log yet, so that check
+   leaves the cursor to the next one. *)
 let sweep t net =
   if Net_state.in_txn net then Invariant.check net
   else begin
     t.checks <- t.checks + 1;
-    let changed = Option.bind t.log (Net_state.drain_flow_changes net) in
+    let changed =
+      match t.cursor with
+      | Some (n, c) when n == net -> Net_state.drain_flow_ids net c
+      | _ -> None
+    in
     match changed with
     | Some flows when t.checks mod full_every <> 0 ->
         Invariant.check_changed net ~flows
     | Some _ -> Invariant.check net
     | None ->
-        t.log <- Some (Net_state.track_flow_changes net);
+        Option.iter (fun (n, c) -> Net_state.close_cursor n c) t.cursor;
+        t.cursor <- Some (net, Net_state.open_cursor net ~bounded:true);
         Invariant.check net
   end
 

@@ -63,15 +63,19 @@ val note_abort :
 
 val check_now : t -> Net_state.t -> now:float -> Invariant.violation list
 (** Check the invariants, record every violation in the recovery log,
-    and return them. The check is incremental: the injector reads the
-    net's flow-change log ({!Nu_net.Net_state.drain_flow_changes}) and
-    runs {!Invariant.check_changed} over the flows written since its
+    and return them. The check is incremental: the injector holds a
+    bounded cursor on the net's committed log
+    ({!Nu_net.Net_state.drain_flow_ids}) and runs
+    {!Invariant.check_changed} over the flows written since its
     previous check, at O(changed flows × their paths) plus flat array
-    reads over the edges. The full {!Invariant.check} runs instead on
-    the first check of a net (after {!create} or {!thaw}), on every
-    16th check, whenever the log cannot vouch for completeness, and
-    inside an open transaction. Either way the returned names and
-    counts are the full sweep's. *)
+    reads over the edges. Other readers of the log — a probe pool, a
+    second injector — hold cursors of their own and do not disturb it.
+    The full {!Invariant.check} runs instead on the first check of a
+    net (after {!create} or {!thaw}, or on a net other than the last
+    one checked), on every 16th check, after the cursor was dropped for
+    lagging (the next check takes a fresh one), and inside an open
+    transaction. Either way the returned names and counts are the full
+    sweep's. *)
 
 val violations : t -> int
 (** Total violations recorded so far. *)

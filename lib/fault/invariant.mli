@@ -16,7 +16,7 @@
     costs O(Σ_e n_e² + flows + edges) for n_e flows on edge e (the
     per-pair membership scans dominate). {!check_changed} is its
     incremental form, for a caller that knows which flows changed since
-    its last check ({!Nu_net.Net_state.drain_flow_changes});
+    its last check ({!Nu_net.Net_state.drain_flow_ids});
     {!Injector.check_now} drives it. Violations are emitted as
     {!Nu_obs.Trace} instants so traced chaos runs show exactly when
     consistency broke. *)

@@ -1,14 +1,14 @@
 type placed = { record : Flow_record.t; path : Path.t }
 
 (* Undo-journal entry tags. The journal is a flat struct-of-arrays log
-   (tag / int operands / float operand / binding slot) instead of a
-   variant list: a probe writes thousands of entries and the list cells
-   plus boxed floats dominated minor-heap traffic. Residual entries
+   (an [ops] buffer) instead of a variant list: a probe writes
+   thousands of entries and the list cells plus boxed floats dominated
+   minor-heap traffic. Residual entries
    store the *applied* delta and are undone by applying the opposite
    delta — the exact arithmetic the symmetric plan/revert pair used to
    perform, so rollback is bit-compatible with the historical
    revert-based probes. Flow-table entries store the previous binding
-   in the [j_obj] slot. *)
+   in the [obj] slot. *)
 let tag_residual = 0 (* a = edge id, f = applied delta *)
 
 let tag_flow_put = 1 (* a = flow id, obj = previous binding *)
@@ -21,10 +21,11 @@ let tag_disabled_t = 7 (* a = edge id, previous flag = true *)
 let tag_disabled_f = 8 (* a = edge id, previous flag = false *)
 let tag_degraded = 9 (* a = edge id, f = applied degradation delta *)
 
-(* Redo-log opcodes. Unlike journal tags these describe the *forward*
-   effect, with every operand needed to re-apply it to an identical
-   state: a mirror replays them through the same primitives, so scans
-   (duplicate put, absent del) resolve identically on both sides. *)
+(* Committed-log opcodes. Unlike journal tags these describe the
+   *forward* effect, with every operand needed to re-apply it to an
+   identical state: a mirror replays them through the same primitives,
+   so scans (duplicate put, absent del) resolve identically on both
+   sides. *)
 let rt_residual = 0 (* a = edge id, f = delta *)
 let rt_on_put = 1 (* a = edge id, b = flow id, f = demand, g = size *)
 let rt_on_del = 2 (* a = edge id, b = flow id *)
@@ -34,13 +35,23 @@ let rt_disable = 5 (* a = edge id (set the disabled flag) *)
 let rt_enable = 6 (* a = edge id (clear the disabled flag) *)
 let rt_degraded = 7 (* a = edge id, f = ledger delta *)
 
-(* One span of the committed flow-change log (see the [flog] field). The
-   record itself is the owning reader's token. *)
-type flow_log = {
-  mutable ids : int array;  (* used prefix is [0, len) *)
-  mutable len : int;
-  mutable lost : bool;  (* overflowed: no longer names every change *)
+(* A flat op buffer: six parallel columns (tag / int operands / float
+   operands / binding slot), used prefix [0, n). The undo journal and
+   the committed log are both one. The [obj] slot is only meaningful
+   for flow-table ops; other pushes leave it stale. *)
+type ops = {
+  mutable tag : int array;
+  mutable a : int array;
+  mutable b : int array;
+  mutable f : float array;
+  mutable g : float array;
+  mutable obj : placed option array;
+  mutable n : int;
 }
+
+(* A reader's position in the committed log: the absolute count of ops
+   committed before the first one it has not consumed. *)
+type cursor = { mutable pos : int; bounded : bool }
 
 type t = {
   topo : Topology.t;
@@ -69,14 +80,7 @@ type t = {
   fabric_n : int;
   mutable util_sum : float;  (* running sum of fabric used/capacity *)
   mutable util_comp : float;  (* Kahan compensation for util_sum *)
-  (* Flat undo journal; used prefix is [0, j_len). *)
-  mutable j_tag : int array;
-  mutable j_a : int array;
-  mutable j_b : int array;
-  mutable j_f : float array;
-  mutable j_g : float array;  (* second float operand (on-edge entries) *)
-  mutable j_obj : placed option array;
-  mutable j_len : int;
+  journal : ops;  (* undo journal of the open transactions *)
   mutable txn_marks : int array;  (* journal positions of open txns *)
   mutable txn_n : int;
   mutable disabled_n : int;  (* how many edges are administratively down *)
@@ -85,29 +89,17 @@ type t = {
   watch_seen : Bytes.t;  (* per-edge dedup mask for the probe set *)
   watch_buf : int array;  (* touched edges, dedup'd: at most one per edge *)
   mutable watch_n : int;
-  (* Committed-mutation redo log (flat, like the journal; used prefix is
-     [0, r_len)). When [redo_on], every mutation that survives — writes
-     outside any transaction as they happen, writes inside a transaction
-     at its outermost commit — is appended here, so a worker domain's
-     mirror of this state can be brought up to date by replaying the
-     drained log instead of re-copying the whole state. Rolled-back
-     transactions never reach the log (their journal span is discarded
-     before commit-time conversion), matching the fact that their
-     effects were undone exactly. *)
-  mutable redo_on : bool;
-  mutable r_tag : int array;
-  mutable r_a : int array;
-  mutable r_b : int array;
-  mutable r_f : float array;
-  mutable r_g : float array;
-  mutable r_obj : placed option array;
-  mutable r_len : int;
-  (* Committed flow-change log: ids of flows whose binding changed
-     through a write that survives, recorded at the same two points as
-     the redo log (writes outside any transaction, and the outermost
-     commit). It names the flows an incremental invariant check must
-     revisit. [None] until a reader starts one. *)
-  mutable flog : flow_log option;
+  (* Committed log. While some reader holds a cursor, every mutation
+     that survives — writes outside any transaction as they happen,
+     writes inside a transaction at its outermost commit — is appended
+     here; rolled-back transactions never reach it (their journal span
+     is discarded before commit-time conversion). Each reader consumes
+     it from its own cursor: the probe pool replays it into its worker
+     mirrors, the incremental invariant check projects the flow ids it
+     names. The prefix every cursor has passed is truncated. *)
+  log : ops;
+  mutable log_base : int;  (* absolute position of [log]'s first op *)
+  mutable readers : cursor list;  (* recording iff non-empty *)
   memo_ro : bool;  (* domain snapshot: never write the shared memo *)
   paths_memo : (int, Path.t list) Hashtbl.t;
       (* (src,dst) -> full candidate set; topology-pure, shared by copies *)
@@ -120,6 +112,46 @@ let compute_fabric topo =
   Graph.fold_edges g ~init:[] ~f:(fun acc (e : Graph.edge) ->
       if host.(e.src) || host.(e.dst) then acc else e.id :: acc)
   |> List.rev
+
+let ops_create cap =
+  {
+    tag = Array.make cap 0;
+    a = Array.make cap 0;
+    b = Array.make cap 0;
+    f = Array.make cap 0.0;
+    g = Array.make cap 0.0;
+    obj = Array.make cap None;
+    n = 0;
+  }
+
+(* Double the capacity, keeping the used prefix. *)
+let grow o =
+  let cap = max 64 (2 * Array.length o.tag) in
+  let ext col zero =
+    let d = Array.make cap zero in
+    Array.blit col 0 d 0 o.n;
+    d
+  in
+  o.tag <- ext o.tag 0;
+  o.a <- ext o.a 0;
+  o.b <- ext o.b 0;
+  o.f <- ext o.f 0.0;
+  o.g <- ext o.g 0.0;
+  o.obj <- ext o.obj None
+
+let[@inline] push o tag a b f g =
+  if o.n = Array.length o.tag then grow o;
+  let i = o.n in
+  Array.unsafe_set o.tag i tag;
+  Array.unsafe_set o.a i a;
+  Array.unsafe_set o.b i b;
+  Array.unsafe_set o.f i f;
+  Array.unsafe_set o.g i g;
+  o.n <- i + 1
+
+let[@inline] push_obj o tag a obj =
+  push o tag a 0 0.0 0.0;
+  Array.unsafe_set o.obj (o.n - 1) obj
 
 let journal_cap0 = 256
 
@@ -157,13 +189,7 @@ let create topo =
     fabric_n = List.length fabric;
     util_sum = 0.0;
     util_comp = 0.0;
-    j_tag = Array.make journal_cap0 0;
-    j_a = Array.make journal_cap0 0;
-    j_b = Array.make journal_cap0 0;
-    j_f = Array.make journal_cap0 0.0;
-    j_g = Array.make journal_cap0 0.0;
-    j_obj = Array.make journal_cap0 None;
-    j_len = 0;
+    journal = ops_create journal_cap0;
     txn_marks = Array.make 8 0;
     txn_n = 0;
     disabled_n = 0;
@@ -172,15 +198,9 @@ let create topo =
     watch_seen = Bytes.make n_edges '\000';
     watch_buf = Array.make (max 1 n_edges) 0;
     watch_n = 0;
-    redo_on = false;
-    r_tag = [||];
-    r_a = [||];
-    r_b = [||];
-    r_f = [||];
-    r_g = [||];
-    r_obj = [||];
-    r_len = 0;
-    flog = None;
+    log = ops_create 0;
+    log_base = 0;
+    readers = [];
     memo_ro = false;
     paths_memo = Hashtbl.create 256;
   }
@@ -225,13 +245,7 @@ let copy_into ?(memo_ro = false) t =
     fabric_n = t.fabric_n;
     util_sum = t.util_sum;
     util_comp = t.util_comp;
-    j_tag = Array.make journal_cap0 0;
-    j_a = Array.make journal_cap0 0;
-    j_b = Array.make journal_cap0 0;
-    j_f = Array.make journal_cap0 0.0;
-    j_g = Array.make journal_cap0 0.0;
-    j_obj = Array.make journal_cap0 None;
-    j_len = 0;
+    journal = ops_create journal_cap0;
     txn_marks = Array.make 8 0;
     txn_n = 0;
     disabled_n = t.disabled_n;
@@ -240,15 +254,9 @@ let copy_into ?(memo_ro = false) t =
     watch_seen = Bytes.make (Array.length t.residual) '\000';
     watch_buf = Array.make (max 1 (Array.length t.residual)) 0;
     watch_n = 0;
-    redo_on = false;
-    r_tag = [||];
-    r_a = [||];
-    r_b = [||];
-    r_f = [||];
-    r_g = [||];
-    r_obj = [||];
-    r_len = 0;
-    flog = None;
+    log = ops_create 0;
+    log_base = 0;
+    readers = [];
     memo_ro;
     paths_memo = t.paths_memo;
   }
@@ -430,114 +438,69 @@ let edge_version t id =
     invalid_arg "Net_state.edge_version: edge id";
   t.versions.(id)
 
-let grow_journal t =
-  let cap = Array.length t.j_tag in
-  let cap' = 2 * cap in
-  let grow_int a = Array.append a (Array.make cap 0) in
-  t.j_tag <- grow_int t.j_tag;
-  t.j_a <- grow_int t.j_a;
-  t.j_b <- grow_int t.j_b;
-  t.j_f <- Array.append t.j_f (Array.make cap 0.0);
-  t.j_g <- Array.append t.j_g (Array.make cap 0.0);
-  t.j_obj <- Array.append t.j_obj (Array.make cap None);
-  ignore cap'
+(* ------------------------------------------------------------------ *)
+(* Committed log. *)
 
-(* Append a journal entry; [obj] is only non-None for flow-table ops. *)
-let[@inline] jpush t tag a b f =
-  if t.j_len = Array.length t.j_tag then grow_journal t;
-  let i = t.j_len in
-  Array.unsafe_set t.j_tag i tag;
-  Array.unsafe_set t.j_a i a;
-  Array.unsafe_set t.j_b i b;
-  Array.unsafe_set t.j_f i f;
-  t.j_len <- i + 1
+let[@inline] logging t = t.readers != []
 
-(* Variant carrying the second float operand (on-edge entries: the
-   removed/added flow's demand and size, needed to restore the parallel
-   arrays on undo). [jpush] leaves the slot stale, which is fine: undo
-   only reads [j_g] for on-edge tags. *)
-let[@inline] jpush2 t tag a b f g =
-  if t.j_len = Array.length t.j_tag then grow_journal t;
-  let i = t.j_len in
-  Array.unsafe_set t.j_tag i tag;
-  Array.unsafe_set t.j_a i a;
-  Array.unsafe_set t.j_b i b;
-  Array.unsafe_set t.j_f i f;
-  Array.unsafe_set t.j_g i g;
-  t.j_len <- i + 1
+(* Ops logged since absolute position [pos] that change a flow's
+   binding, oldest first. *)
+let iter_flow_ops t pos f =
+  let lo = t.log in
+  for i = pos - t.log_base to lo.n - 1 do
+    let tag = lo.tag.(i) in
+    if tag = rt_flow_put || tag = rt_flow_del then f lo.a.(i)
+  done
 
-let[@inline] jpush_obj t tag a obj =
-  if t.j_len = Array.length t.j_tag then grow_journal t;
-  let i = t.j_len in
-  Array.unsafe_set t.j_tag i tag;
-  Array.unsafe_set t.j_a i a;
-  Array.unsafe_set t.j_b i 0;
-  Array.unsafe_set t.j_f i 0.0;
-  Array.unsafe_set t.j_obj i obj;
-  t.j_len <- i + 1
+let count_flow_ops t pos =
+  let k = ref 0 in
+  iter_flow_ops t pos (fun _ -> incr k);
+  !k
 
-(* Redo-log append. Starts empty and doubles; the log is drained every
-   probe batch, so it stays at the high-water mark of one batch's
-   committed churn. *)
-let grow_redo t =
-  let cap = max 64 (2 * Array.length t.r_tag) in
-  let grow_int a = Array.append a (Array.make (max 64 (Array.length a)) 0) in
-  if Array.length t.r_tag = 0 then begin
-    t.r_tag <- Array.make cap 0;
-    t.r_a <- Array.make cap 0;
-    t.r_b <- Array.make cap 0;
-    t.r_f <- Array.make cap 0.0;
-    t.r_g <- Array.make cap 0.0;
-    t.r_obj <- Array.make cap None
-  end
-  else begin
-    t.r_tag <- grow_int t.r_tag;
-    t.r_a <- grow_int t.r_a;
-    t.r_b <- grow_int t.r_b;
-    t.r_f <- Array.append t.r_f (Array.make (Array.length t.r_f) 0.0);
-    t.r_g <- Array.append t.r_g (Array.make (Array.length t.r_g) 0.0);
-    t.r_obj <- Array.append t.r_obj (Array.make (Array.length t.r_obj) None)
+(* Drop the prefix every cursor has passed (all of it when none is
+   open), clearing the vacated binding slots. *)
+let truncate t =
+  let lo = t.log in
+  let cut =
+    List.fold_left (fun m c -> min m c.pos) (t.log_base + lo.n) t.readers
+    - t.log_base
+  in
+  if cut > 0 then begin
+    let rest = lo.n - cut in
+    Array.blit lo.tag cut lo.tag 0 rest;
+    Array.blit lo.a cut lo.a 0 rest;
+    Array.blit lo.b cut lo.b 0 rest;
+    Array.blit lo.f cut lo.f 0 rest;
+    Array.blit lo.g cut lo.g 0 rest;
+    Array.blit lo.obj cut lo.obj 0 rest;
+    Array.fill lo.obj rest cut None;
+    lo.n <- rest;
+    t.log_base <- t.log_base + cut
   end
 
-let[@inline] rpush t tag a b f g =
-  if t.r_len = Array.length t.r_tag then grow_redo t;
-  let i = t.r_len in
-  Array.unsafe_set t.r_tag i tag;
-  Array.unsafe_set t.r_a i a;
-  Array.unsafe_set t.r_b i b;
-  Array.unsafe_set t.r_f i f;
-  Array.unsafe_set t.r_g i g;
-  t.r_len <- i + 1
+(* The log is full. A bounded cursor lagging more flow changes behind
+   than the state has flows (plus slack) costs its reader as much as a
+   full sweep, so it is dropped rather than let the log grow without a
+   reader; then the log is truncated at the slowest remaining cursor
+   and doubled if still more than half full. Returns whether anyone
+   still reads. *)
+let make_room t =
+  let bound = Hashtbl.length t.flows + 1024 in
+  t.readers <-
+    List.filter
+      (fun c -> (not c.bounded) || count_flow_ops t c.pos <= bound)
+      t.readers;
+  truncate t;
+  if t.log.n > Array.length t.log.tag / 2 then grow t.log;
+  logging t
 
-let[@inline] rpush_obj t tag a obj =
-  if t.r_len = Array.length t.r_tag then grow_redo t;
-  let i = t.r_len in
-  Array.unsafe_set t.r_tag i tag;
-  Array.unsafe_set t.r_a i a;
-  Array.unsafe_set t.r_b i 0;
-  Array.unsafe_set t.r_f i 0.0;
-  Array.unsafe_set t.r_g i 0.0;
-  Array.unsafe_set t.r_obj i (Some obj);
-  t.r_len <- i + 1
+let[@inline] log_op t tag a b f g =
+  if logging t && (t.log.n < Array.length t.log.tag || make_room t) then
+    push t.log tag a b f g
 
-(* Flow-change log append. A span holding more ids than the state has
-   flows (plus slack) costs a reader as much as a full sweep, so it
-   stops growing there and is marked lost instead: memory stays bounded
-   even when nobody drains. *)
-let note_change t l id =
-  let n = l.len in
-  if n = Array.length l.ids && not l.lost then begin
-    if n >= Hashtbl.length t.flows + 1024 then l.lost <- true
-    else begin
-      let d = Array.make (max 256 (2 * n)) 0 in
-      Array.blit l.ids 0 d 0 n;
-      l.ids <- d
-    end
-  end;
-  if not l.lost then begin
-    Array.unsafe_set l.ids n id;
-    l.len <- n + 1
-  end
+let[@inline] log_obj t tag a p =
+  if logging t && (t.log.n < Array.length t.log.tag || make_room t) then
+    push_obj t.log tag a (Some p)
 
 (* Kahan-compensated accumulation keeps the running fabric-utilisation
    sum accurate across millions of occupy/release pairs. *)
@@ -552,10 +515,10 @@ let[@inline] kadd t x =
    tracking and the incremental utilisation sum. *)
 let[@inline] apply_residual t e delta =
   touch t e;
-  if journal_active t then jpush t tag_residual e 0 delta
+  if journal_active t then push t.journal tag_residual e 0 delta 0.0
   else begin
     t.versions.(e) <- t.versions.(e) + 1;
-    if t.redo_on then rpush t rt_residual e 0 delta 0.0
+    log_op t rt_residual e 0 delta 0.0
   end;
   t.residual.(e) <- t.residual.(e) +. delta;
   (* used = capacity - residual, so utilisation moves opposite to the
@@ -563,80 +526,78 @@ let[@inline] apply_residual t e delta =
   if Array.unsafe_get t.is_fabric e then
     kadd t (-.(delta *. Array.unsafe_get t.inv_cap e))
 
+(* On-edge journal entries carry the flow's demand and size, so undo
+   can restore the parallel arrays. *)
 let[@inline] on_edge_put t e fid dem size =
   let i = oe_index t e fid in
   if journal_active t then
-    jpush2 t (if i >= 0 then tag_on_put_old else tag_on_put_new) e fid dem size
-  else if t.redo_on then rpush t rt_on_put e fid dem size;
+    push t.journal
+      (if i >= 0 then tag_on_put_old else tag_on_put_new)
+      e fid dem size
+  else log_op t rt_on_put e fid dem size;
   if i < 0 then oe_append t e fid dem size
 
 let[@inline] on_edge_del t e fid =
   let i = oe_index t e fid in
   if journal_active t then begin
     if i >= 0 then
-      (* Journal the entry's demand/size so undo can re-append it. *)
-      jpush2 t tag_on_del_old e fid t.oe_dem.(e).(i) t.oe_size.(e).(i)
-    else jpush2 t tag_on_del_new e fid 0.0 0.0
+      push t.journal tag_on_del_old e fid t.oe_dem.(e).(i) t.oe_size.(e).(i)
+    else push t.journal tag_on_del_new e fid 0.0 0.0
   end
-  else if t.redo_on then rpush t rt_on_del e fid 0.0 0.0;
+  else log_op t rt_on_del e fid 0.0 0.0;
   if i >= 0 then oe_remove_at t e i
 
 let[@inline] flow_put t id p =
   if journal_active t then
-    jpush_obj t tag_flow_put id (Hashtbl.find_opt t.flows id)
-  else begin
-    if t.redo_on then rpush_obj t rt_flow_put id p;
-    match t.flog with Some l -> note_change t l id | None -> ()
-  end;
+    push_obj t.journal tag_flow_put id (Hashtbl.find_opt t.flows id)
+  else log_obj t rt_flow_put id p;
   Hashtbl.replace t.flows id p
 
 let[@inline] flow_del t id p =
-  if journal_active t then jpush_obj t tag_flow_del id (Some p)
-  else begin
-    if t.redo_on then rpush t rt_flow_del id 0 0.0 0.0;
-    match t.flog with Some l -> note_change t l id | None -> ()
-  end;
+  if journal_active t then push_obj t.journal tag_flow_del id (Some p)
+  else log_op t rt_flow_del id 0 0.0 0.0;
   Hashtbl.remove t.flows id
 
 (* Undo journal entry [i]; clears its binding slot. *)
 let undo t i =
-  let tag = t.j_tag.(i) and a = t.j_a.(i) in
+  let j = t.journal in
+  let tag = j.tag.(i) and a = j.a.(i) in
   if tag = tag_residual then begin
-    let delta = t.j_f.(i) in
+    let delta = j.f.(i) in
     t.residual.(a) <- t.residual.(a) -. delta;
     if t.is_fabric.(a) then kadd t (delta *. t.inv_cap.(a))
   end
   else if tag = tag_flow_put then begin
-    (match t.j_obj.(i) with
+    (match j.obj.(i) with
     | None -> Hashtbl.remove t.flows a
     | Some p -> Hashtbl.replace t.flows a p);
-    t.j_obj.(i) <- None
+    j.obj.(i) <- None
   end
   else if tag = tag_flow_del then begin
-    (match t.j_obj.(i) with
+    (match j.obj.(i) with
     | Some p -> Hashtbl.replace t.flows a p
     | None -> assert false);
-    t.j_obj.(i) <- None
+    j.obj.(i) <- None
   end
   else if tag = tag_on_put_new then begin
-    let j = oe_index t a t.j_b.(i) in
-    assert (j >= 0);
-    oe_remove_at t a j
+    let k = oe_index t a j.b.(i) in
+    assert (k >= 0);
+    oe_remove_at t a k
   end
-  else if tag = tag_on_del_old then oe_append t a t.j_b.(i) t.j_f.(i) t.j_g.(i)
+  else if tag = tag_on_del_old then oe_append t a j.b.(i) j.f.(i) j.g.(i)
   else if tag = tag_on_put_old || tag = tag_on_del_new then ()
   else if tag = tag_disabled_t || tag = tag_disabled_f then begin
     let prev = tag = tag_disabled_t in
     t.disabled.(a) <- prev;
     t.disabled_n <- t.disabled_n + (if prev then 1 else -1)
   end
-  else if tag = tag_degraded then t.degraded.(a) <- t.degraded.(a) -. t.j_f.(i)
+  else if tag = tag_degraded then t.degraded.(a) <- t.degraded.(a) -. j.f.(i)
   else assert false
 
 let begin_txn t =
   if t.txn_n = Array.length t.txn_marks then
     t.txn_marks <- Array.append t.txn_marks (Array.make t.txn_n 0);
-  t.txn_marks.(t.txn_n) <- t.j_len;
+  t.txn_marks.(t.txn_n) <- t.journal.n;
   t.txn_n <- t.txn_n + 1
 
 let rollback t =
@@ -644,35 +605,36 @@ let rollback t =
   else begin
     Nu_obs.Counters.incr Nu_obs.Counters.Txn_rollbacks;
     let mark = t.txn_marks.(t.txn_n - 1) in
-    for i = t.j_len - 1 downto mark do
+    for i = t.journal.n - 1 downto mark do
       undo t i
     done;
-    t.j_len <- mark;
+    t.journal.n <- mark;
     t.txn_n <- t.txn_n - 1
   end
 
 (* Convert the surviving journal — exactly the op stream of the
-   committing transaction, inner rollbacks already excised — into redo
+   committing transaction, inner rollbacks already excised — into log
    entries. Flow-table entries journal the *previous* binding, so the
    new one is read off the live table: only the final binding per id
-   matters to a replayer (no redo op in between reads the table), and
+   matters to a replayer (no logged op in between reads the table), and
    an [rt_flow_del] of an absent id replays as a no-op. *)
-let journal_to_redo t =
-  for i = 0 to t.j_len - 1 do
-    let tag = t.j_tag.(i) and a = t.j_a.(i) in
-    if tag = tag_residual then rpush t rt_residual a 0 t.j_f.(i) 0.0
+let journal_to_log t =
+  let j = t.journal in
+  for i = 0 to j.n - 1 do
+    let tag = j.tag.(i) and a = j.a.(i) in
+    if tag = tag_residual then log_op t rt_residual a 0 j.f.(i) 0.0
     else if tag = tag_on_put_old || tag = tag_on_put_new then
-      rpush t rt_on_put a t.j_b.(i) t.j_f.(i) t.j_g.(i)
-    else if tag = tag_on_del_old then rpush t rt_on_del a t.j_b.(i) 0.0 0.0
+      log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
+    else if tag = tag_on_del_old then log_op t rt_on_del a j.b.(i) 0.0 0.0
     else if tag = tag_on_del_new then ()
     else if tag = tag_flow_put || tag = tag_flow_del then begin
       match Hashtbl.find_opt t.flows a with
-      | Some p -> rpush_obj t rt_flow_put a p
-      | None -> rpush t rt_flow_del a 0 0.0 0.0
+      | Some p -> log_obj t rt_flow_put a p
+      | None -> log_op t rt_flow_del a 0 0.0 0.0
     end
-    else if tag = tag_disabled_t then rpush t rt_enable a 0 0.0 0.0
-    else if tag = tag_disabled_f then rpush t rt_disable a 0 0.0 0.0
-    else if tag = tag_degraded then rpush t rt_degraded a 0 t.j_f.(i) 0.0
+    else if tag = tag_disabled_t then log_op t rt_enable a 0 0.0 0.0
+    else if tag = tag_disabled_f then log_op t rt_disable a 0 0.0 0.0
+    else if tag = tag_degraded then log_op t rt_degraded a 0 j.f.(i) 0.0
     else assert false
   done
 
@@ -681,77 +643,69 @@ let commit t =
   else begin
     t.txn_n <- t.txn_n - 1;
     if t.txn_n = 0 then begin
-      if t.redo_on then journal_to_redo t;
+      if logging t then journal_to_log t;
       (* Outermost commit: the journaled writes become permanent, so
          stamp every edge they touched (once per entry, matching the
          per-write stamping outside transactions). Inner commits just
          merge into the enclosing transaction. *)
       Nu_obs.Counters.incr Nu_obs.Counters.Txn_commits;
-      for i = 0 to t.j_len - 1 do
-        let tag = t.j_tag.(i) in
+      let j = t.journal in
+      for i = 0 to j.n - 1 do
+        let tag = j.tag.(i) in
         if
           tag = tag_residual || tag = tag_disabled_t || tag = tag_disabled_f
         then begin
-          let e = t.j_a.(i) in
+          let e = j.a.(i) in
           t.versions.(e) <- t.versions.(e) + 1
         end
         (* tag_degraded rides on its paired residual entry for stamping. *)
-        else if tag = tag_flow_put || tag = tag_flow_del then begin
-          t.j_obj.(i) <- None;
-          match t.flog with
-          | Some l -> note_change t l t.j_a.(i)
-          | None -> ()
-        end
+        else if tag = tag_flow_put || tag = tag_flow_del then j.obj.(i) <- None
       done;
-      t.j_len <- 0
+      j.n <- 0
     end
   end
 
 (* ------------------------------------------------------------------ *)
-(* Redo log: public surface. *)
+(* Committed log: reader cursors. *)
 
-type redo = {
-  rd_tag : int array;
-  rd_a : int array;
-  rd_b : int array;
-  rd_f : float array;
-  rd_g : float array;
-  rd_obj : placed option array;
-  rd_n : int;
-}
+type batch = ops
 
-let redo_start t =
-  t.redo_on <- true;
-  t.r_len <- 0
+let open_cursor t ~bounded =
+  let c = { pos = t.log_base + t.log.n; bounded } in
+  t.readers <- c :: t.readers;
+  c
 
-let redo_stop t =
-  t.redo_on <- false;
-  Array.fill t.r_obj 0 (Array.length t.r_obj) None;
-  t.r_len <- 0
+let close_cursor t c =
+  t.readers <- List.filter (fun r -> r != c) t.readers;
+  truncate t
 
-let redo_active t = t.redo_on
+let log_length t = t.log.n
 
-let redo_drain t =
-  let n = t.r_len in
-  let rd =
+(* Move [c] past the whole log, then drop what every cursor has
+   passed. *)
+let advance t c =
+  c.pos <- t.log_base + t.log.n;
+  truncate t
+
+let drain_batch t c =
+  if not (List.memq c t.readers) then
+    invalid_arg "Net_state.drain_batch: cursor not open on this state";
+  let lo = t.log and i0 = c.pos - t.log_base in
+  let n = lo.n - i0 in
+  let sub col = Array.sub col i0 n in
+  let batch =
     {
-      rd_tag = Array.sub t.r_tag 0 n;
-      rd_a = Array.sub t.r_a 0 n;
-      rd_b = Array.sub t.r_b 0 n;
-      rd_f = Array.sub t.r_f 0 n;
-      rd_g = Array.sub t.r_g 0 n;
-      rd_obj = Array.sub t.r_obj 0 n;
-      rd_n = n;
+      tag = sub lo.tag;
+      a = sub lo.a;
+      b = sub lo.b;
+      f = sub lo.f;
+      g = sub lo.g;
+      obj = sub lo.obj;
+      n;
     }
   in
-  Array.fill t.r_obj 0 n None;
-  t.r_len <- 0;
-  rd
-
-let redo_size rd = rd.rd_n
-
-(* ------------------------------------------------------------------ *)
-(* Flow-change log: public surface. *)
+  advance t c;
+  batch
 
 (* Ascending, each id once: a flow written many times is revisited
    once. Sorts [ids] in place. *)
@@ -767,21 +721,14 @@ let dedup_sorted ids =
     ids;
   Array.sub ids 0 !n
 
-let track_flow_changes t =
-  let l = { ids = [||]; len = 0; lost = false } in
-  t.flog <- Some l;
-  l
-
-let drain_flow_changes t l =
-  match t.flog with
-  | Some cur when cur == l && not l.lost ->
-      let ids = Array.sub l.ids 0 l.len in
-      (* Drop the buffer rather than keep it at its high-water size for
-         the life of the state. *)
-      l.ids <- [||];
-      l.len <- 0;
-      Some (dedup_sorted ids)
-  | _ -> None
+let drain_flow_ids t c =
+  if not (List.memq c t.readers) then None
+  else begin
+    let ids = ref [] in
+    iter_flow_ops t c.pos (fun id -> ids := id :: !ids);
+    advance t c;
+    Some (dedup_sorted (Array.of_list !ids))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Capacity accounting. *)
@@ -829,11 +776,12 @@ let check_edge_id t id name =
 let set_disabled t id v =
   if t.disabled.(id) <> v then begin
     if journal_active t then
-      jpush t (if t.disabled.(id) then tag_disabled_t else tag_disabled_f) id 0
-        0.0
+      push t.journal
+        (if t.disabled.(id) then tag_disabled_t else tag_disabled_f)
+        id 0 0.0 0.0
     else begin
       t.versions.(id) <- t.versions.(id) + 1;
-      if t.redo_on then rpush t (if v then rt_disable else rt_enable) id 0 0.0 0.0
+      log_op t (if v then rt_disable else rt_enable) id 0 0.0 0.0
     end;
     (* The epoch stays bumped even if the write is rolled back — a
        spurious cache invalidation at worst, never a stale hit. *)
@@ -867,8 +815,8 @@ let degrade_edge t id ~lost_mbps =
   if lost_mbps < 0.0 then invalid_arg "Net_state.degrade_edge: negative loss";
   if lost_mbps > 0.0 then begin
     apply_residual t id (-.lost_mbps);
-    if journal_active t then jpush t tag_degraded id 0 lost_mbps
-    else if t.redo_on then rpush t rt_degraded id 0 lost_mbps 0.0;
+    if journal_active t then push t.journal tag_degraded id 0 lost_mbps 0.0
+    else log_op t rt_degraded id 0 lost_mbps 0.0;
     t.degraded.(id) <- t.degraded.(id) +. lost_mbps
   end
 
@@ -877,8 +825,8 @@ let restore_edge_capacity t id =
   let lost = t.degraded.(id) in
   if lost > 0.0 then begin
     apply_residual t id lost;
-    if journal_active t then jpush t tag_degraded id 0 (-.lost)
-    else if t.redo_on then rpush t rt_degraded id 0 (-.lost) 0.0;
+    if journal_active t then push t.journal tag_degraded id 0 (-.lost) 0.0
+    else log_op t rt_degraded id 0 (-.lost) 0.0;
     t.degraded.(id) <- 0.0
   end
 
@@ -886,35 +834,31 @@ let degraded_mbps t id =
   check_edge_id t id "degraded_mbps";
   t.degraded.(id)
 
-(* Replay a drained redo log against a mirror that was bit-identical to
-   the source when the log began. Ops funnel through the same
-   primitives the source executed, so membership scans, the Kahan
+(* Replay a drained batch against a mirror that was bit-identical to
+   the source when the batch's cursor opened. Ops funnel through the
+   same primitives the source executed, so membership scans, the Kahan
    utilisation sum and swap-remove order all evolve exactly as they did
    (or would have, for ops that only materialised at commit) on the
    source. The mirror must be quiescent: no open transaction, no active
-   probe, redo logging off. *)
-let redo_apply t rd =
-  if t.txn_n > 0 then invalid_arg "Net_state.redo_apply: open transaction";
-  if t.watch_on then invalid_arg "Net_state.redo_apply: active probe";
-  if t.redo_on then invalid_arg "Net_state.redo_apply: redo logging active";
-  for i = 0 to rd.rd_n - 1 do
-    let tag = rd.rd_tag.(i) and a = rd.rd_a.(i) in
-    if tag = rt_residual then apply_residual t a rd.rd_f.(i)
-    else if tag = rt_on_put then
-      on_edge_put t a rd.rd_b.(i) rd.rd_f.(i) rd.rd_g.(i)
-    else if tag = rt_on_del then on_edge_del t a rd.rd_b.(i)
+   probe, no cursor of its own. *)
+let apply_batch t (o : batch) =
+  if t.txn_n > 0 then invalid_arg "Net_state.apply_batch: open transaction";
+  if t.watch_on then invalid_arg "Net_state.apply_batch: active probe";
+  if logging t then invalid_arg "Net_state.apply_batch: cursor open";
+  for i = 0 to o.n - 1 do
+    let tag = o.tag.(i) and a = o.a.(i) in
+    if tag = rt_residual then apply_residual t a o.f.(i)
+    else if tag = rt_on_put then on_edge_put t a o.b.(i) o.f.(i) o.g.(i)
+    else if tag = rt_on_del then on_edge_del t a o.b.(i)
     else if tag = rt_flow_put then begin
-      match rd.rd_obj.(i) with
+      match o.obj.(i) with
       | Some p -> flow_put t a p
       | None -> assert false
     end
-    else if tag = rt_flow_del then begin
-      (match t.flog with Some l -> note_change t l a | None -> ());
-      Hashtbl.remove t.flows a
-    end
+    else if tag = rt_flow_del then Hashtbl.remove t.flows a
     else if tag = rt_disable then set_disabled t a true
     else if tag = rt_enable then set_disabled t a false
-    else if tag = rt_degraded then t.degraded.(a) <- t.degraded.(a) +. rd.rd_f.(i)
+    else if tag = rt_degraded then t.degraded.(a) <- t.degraded.(a) +. o.f.(i)
     else assert false
   done
 

@@ -69,8 +69,8 @@ val freeze : t -> frozen
 val thaw : Topology.t -> frozen -> t
 (** Rebuild a state over the same topology. The result behaves
     bit-identically to the frozen original under every future operation
-    sequence ([invariants_ok] holds; probe/cache bookkeeping and the
-    flow-change log restart empty). Raises [Invalid_argument] when the
+    sequence ([invariants_ok] holds; probe/cache bookkeeping restarts
+    empty and no log cursor is open). Raises [Invalid_argument] when the
     frozen arrays do not match the topology's edge count. *)
 
 (** {2 Transactions}
@@ -102,76 +102,63 @@ val in_txn : t -> bool
 val txn_depth : t -> int
 (** Number of open transactions. *)
 
-(** {2 Committed-mutation redo log}
+(** {2 Committed log and reader cursors}
 
-    Synchronises per-domain mirrors without re-copying the state. With
-    logging on, every mutation that {e survives} is recorded: writes
-    outside any transaction as they happen, writes inside a transaction
-    at its outermost {!commit} (rolled-back spans never appear). A
-    worker holding a mirror that was bit-identical when logging started
-    replays each drained batch with {!redo_apply} and stays
-    bit-identical — the paved road for the probe fan-out's persistent
-    lane states. *)
+    One append-only log of the mutations that {e survive}: writes
+    outside any transaction as they happen, and a transaction's writes
+    at its outermost {!commit} (a rolled-back span never appears). It
+    records only while some reader holds a {!cursor}; each reader
+    consumes it from its own cursor, so every reader sees one order of
+    committed mutations, and the prefix every cursor has passed is
+    truncated. The probe pool replays drained batches into its worker
+    mirrors ({!drain_batch}, {!apply_batch}); an incremental invariant
+    check revisits the flows they name ({!drain_flow_ids}). With no
+    cursor open a write pays one list test. *)
 
-type redo
-(** One drained batch of committed mutations, in execution order.
+type cursor
+(** One reader's position in the log. *)
+
+val open_cursor : t -> bounded:bool -> cursor
+(** A cursor at the log's current end: its reader sees every mutation
+    committed from now on. A [bounded] cursor is dropped once it lags
+    more flow changes behind than the state has flows plus 1024 (checked
+    when the log fills), so an idle reader cannot grow the log without
+    bound; an unbounded one holds the log until it drains. *)
+
+val close_cursor : t -> cursor -> unit
+(** Release the cursor; with none left the log stops recording.
+    Closing a cursor that is not open is a no-op. *)
+
+type batch
+(** One drained span of committed mutations, in execution order.
     Immutable; safe to share across domains (flow bindings are carried
     by pointer, and placements are immutable). *)
 
-val redo_start : t -> unit
-(** Start recording committed mutations (clears any previous log). *)
+val drain_batch : t -> cursor -> batch
+(** The mutations committed since the cursor opened or last drained;
+    advances the cursor to the log's end. May be called with
+    transactions open: ops journaled by a still-open transaction are
+    not part of the drain — they join the log if and when that
+    transaction commits. Raises [Invalid_argument] if the cursor is not
+    open on this state. *)
 
-val redo_stop : t -> unit
-(** Stop recording and discard the pending log. *)
-
-val redo_active : t -> bool
-
-val redo_drain : t -> redo
-(** Detach the mutations recorded since the last drain (or
-    {!redo_start}) and reset the log. May be called with transactions
-    open: ops journaled by a still-open transaction are not part of the
-    drain — they join the log if and when that transaction commits. *)
-
-val redo_size : redo -> int
-(** Number of ops in a drained batch. *)
-
-val redo_apply : t -> redo -> unit
+val apply_batch : t -> batch -> unit
 (** Replay a drained batch against a quiescent mirror (no open
-    transaction, no active probe, logging off — raises
+    transaction, no active probe, no cursor of its own — raises
     [Invalid_argument] otherwise). Applying every batch, in drain
-    order, to a mirror that was bit-identical at {!redo_start} keeps
-    it bit-identical to the source at each drain point. *)
+    order, to a mirror that was bit-identical when the cursor opened
+    keeps it bit-identical to the source at each drain point. *)
 
-(** {2 Committed flow-change log}
-
-    The ids of flows whose placement changed through a write that
-    survives, recorded at the same two points as the redo log: writes
-    outside any transaction as they happen, and a transaction's writes
-    at its outermost {!commit} (a rolled-back transaction adds nothing).
-    It lets an incremental checker revisit only those flows. Off until a
-    reader calls {!track_flow_changes}; while off a flow write pays one
-    bool test. *)
-
-type flow_log
-(** A reader's span of the log: the token {!drain_flow_changes} checks
-    ownership with. *)
-
-val track_flow_changes : t -> flow_log
-(** Start a fresh, empty span owned by the caller. A later call — by
-    any reader — ends the previous span: its owner's next drain
-    returns [None]. *)
-
-val drain_flow_changes : t -> flow_log -> int array option
+val drain_flow_ids : t -> cursor -> int array option
 (** [Some ids]: the distinct flow ids (ascending) whose binding changed
-    through a committed write since the span started or was last
-    drained, and the span is emptied. [None] when the span cannot vouch
-    for completeness: it is not this state's current span (another
-    reader started one, or it belongs to another state), or it
-    overflowed (a span stops growing past the flow count plus slack, so
-    memory stays bounded without a reader). The caller must then
-    re-sync with a full sweep and a new {!track_flow_changes}. May be
-    called with a transaction open; its writes join the span if and
-    when it commits. *)
+    through a committed write since the cursor opened or last drained;
+    advances the cursor like {!drain_batch}. [None] when the cursor
+    cannot vouch for completeness: it was dropped for lagging, closed,
+    or belongs to another state. The caller must then re-sync with a
+    full sweep and a new cursor. *)
+
+val log_length : t -> int
+(** Ops the log holds: those some open cursor has not passed. *)
 
 (** {2 Edge versions and probe read sets}
 

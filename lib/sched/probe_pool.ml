@@ -1,13 +1,13 @@
 module Counters = Nu_obs.Counters
 
 (* Persistent probe-worker pool: [n_workers] long-lived domains, each
-   holding a redo-synchronised mirror of the shared state (see the
+   holding a log-synchronised mirror of the shared state (see the
    interface comment for the protocol).
 
    Batch handoff is a single atomic cell carrying an epoch-stamped job.
    The job's work closure erases the per-call item/result types, so the
-   worker loop itself is monomorphic: it replays the batch's redo log
-   into its mirror, runs the closure on the mirror, parks its drained
+   worker loop itself is monomorphic: it replays the batch's committed
+   ops into its mirror, runs the closure on the mirror, parks its drained
    counter delta in its slot, and bumps the completion count. Epochs
    only ever advance by one (map is serial on the owner domain), so
    "epoch different from the last one I ran" is exactly "a new batch".
@@ -27,7 +27,7 @@ module Counters = Nu_obs.Counters
 
 type job = {
   j_epoch : int;
-  j_redo : Net_state.redo;
+  j_batch : Net_state.batch;
   j_run : Net_state.t -> unit;
 }
 
@@ -36,6 +36,7 @@ type msg = Run of job | Quit
 type t = {
   net : Net_state.t;
   n_workers : int;
+  cursor : Net_state.cursor option;  (* [net]'s log, while workers run *)
   mutable doms : unit Domain.t array;
   cell : msg option Atomic.t;
   done_c : int Atomic.t;  (* cumulative worker completions *)
@@ -51,7 +52,7 @@ let worker_loop pool ix ready =
   let rec loop seen =
     match Atomic.get pool.cell with
     | Some (Run j) when j.j_epoch <> seen ->
-        Net_state.redo_apply mirror j.j_redo;
+        Net_state.apply_batch mirror j.j_batch;
         j.j_run mirror;
         pool.deltas.(ix) <- Some (Counters.drain ());
         Atomic.incr pool.done_c;
@@ -67,18 +68,23 @@ let create ~domains ~net =
   let n_workers = max 0 (domains - 1) in
   (* The path memo is filled before the mirrors are taken: they share it
      read-only, and the owner lane probes [net] itself, so a miss there
-     would write the table while the workers read it. Recording starts
+     would write the table while the workers read it. The cursor opens
      before the mirrors are taken and the caller is parked below until
      they all exist, so no committed op can fall in the gap between a
-     mirror's snapshot and the first drained log. *)
-  if n_workers > 0 then begin
-    Net_state.warm_all_paths net;
-    Net_state.redo_start net
-  end;
+     mirror's snapshot and the first drained batch. The cursor is
+     unbounded: a mirror has no way to re-sync. *)
+  let cursor =
+    if n_workers > 0 then begin
+      Net_state.warm_all_paths net;
+      Some (Net_state.open_cursor net ~bounded:false)
+    end
+    else None
+  in
   let pool =
     {
       net;
       n_workers;
+      cursor;
       doms = [||];
       cell = Atomic.make None;
       done_c = Atomic.make 0;
@@ -115,12 +121,13 @@ let map pool ~f items =
       in
       claim ()
     in
-    if pool.n_workers > 0 then begin
-      let redo = Net_state.redo_drain pool.net in
-      pool.epoch <- pool.epoch + 1;
-      Atomic.set pool.cell
-        (Some (Run { j_epoch = pool.epoch; j_redo = redo; j_run = run_lane }))
-    end;
+    Option.iter
+      (fun c ->
+        let batch = Net_state.drain_batch pool.net c in
+        pool.epoch <- pool.epoch + 1;
+        Atomic.set pool.cell
+          (Some (Run { j_epoch = pool.epoch; j_batch = batch; j_run = run_lane })))
+      pool.cursor;
     Nu_obs.Obs_domain.quietly (fun () -> run_lane pool.net);
     if pool.n_workers > 0 then begin
       let target = pool.n_workers * pool.epoch in
@@ -148,7 +155,7 @@ let shutdown pool =
     pool.closed <- true;
     if pool.n_workers > 0 then begin
       Atomic.set pool.cell (Some Quit);
-      Array.iter Domain.join pool.doms;
-      Net_state.redo_stop pool.net
-    end
+      Array.iter Domain.join pool.doms
+    end;
+    Option.iter (Net_state.close_cursor pool.net) pool.cursor
   end

@@ -1,14 +1,17 @@
-(** Persistent pool of probe-worker domains with redo-synchronised
+(** Persistent pool of probe-worker domains with log-synchronised
     mirrors of the shared network state.
 
     A pool spawned with [create ~domains ~net] keeps [domains - 1]
     worker domains alive for its whole lifetime. Each worker owns a
     {!Net_state.snapshot} mirror of [net], taken once at creation; from
-    then on the pool records the committed mutations of [net]
-    ({!Net_state.redo_start}) and every {!map} call ships the drained
-    log to the workers, which replay it into their mirrors — a few
-    hundred ops per round instead of a multi-megabyte state copy per
-    lane per batch.
+    then on the pool holds a cursor on [net]'s committed log
+    ({!Net_state.open_cursor}, never dropped for lagging) and every
+    {!map} call ships the batch drained through it
+    ({!Net_state.drain_batch}) to the workers, which replay it into
+    their mirrors ({!Net_state.apply_batch}) — a few hundred ops per
+    round instead of a multi-megabyte state copy per lane per batch.
+    Other readers of the log, such as an injector's invariant checker,
+    hold cursors of their own and are not disturbed.
 
     [map pool ~f items] evaluates [f lane item] for every item and
     returns the results in item order. Lanes claim items off a shared
@@ -38,7 +41,7 @@
     a domain parked on a condition variable would drag every other
     domain's allocation into its slow wake-up handshake. Call
     {!shutdown} when planning is done to stop burning those cores and
-    to stop [net]'s redo recording. *)
+    to close the pool's cursor. *)
 
 type t
 
@@ -46,7 +49,7 @@ val create : domains:int -> net:Net_state.t -> t
 (** Spawn the worker domains and take their mirrors. [net] must be
     quiescent (the caller must not mutate it until [create] returns —
     it blocks until every mirror is built). With [domains <= 1] no
-    workers are spawned and no redo recording starts; {!map} then runs
+    workers are spawned and no cursor opens; {!map} then runs
     entirely on the calling domain. *)
 
 val domains : t -> int
@@ -58,5 +61,5 @@ val map : t -> f:(Net_state.t -> 'a -> 'b) -> 'a array -> 'b array
     {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Stop the workers, join them, and stop [net]'s redo recording.
+(** Stop the workers, join them, and close the pool's cursor.
     Idempotent. After shutdown the pool must not be used. *)

@@ -513,8 +513,8 @@ let full_sweeps () = Obs.Counters.get Obs.Counters.Invariant_checks
 
 let names vs = List.map (fun (v : Invariant.violation) -> v.Invariant.name) vs
 
-(* A flow write inside a transaction reaches the change log only if the
-   outermost transaction commits; writes outside one land at once. *)
+(* A flow write inside a transaction reaches the committed log only if
+   the outermost transaction commits; writes outside one land at once. *)
 let test_change_log_commit_only () =
   let net = Net_state.create (topo4 ()) in
   let place id src dst =
@@ -527,12 +527,13 @@ let test_change_log_commit_only () =
     | None -> Alcotest.fail "no path"
   in
   place 1 0 15;
-  let log = Net_state.track_flow_changes net in
-  let drain () =
-    match Net_state.drain_flow_changes net log with
+  let cursor = Net_state.open_cursor net ~bounded:true in
+  let drain_from c =
+    match Net_state.drain_flow_ids net c with
     | Some ids -> Array.to_list ids
-    | None -> Alcotest.fail "log cannot vouch"
+    | None -> Alcotest.fail "cursor cannot vouch"
   in
+  let drain () = drain_from cursor in
   Net_state.begin_txn net;
   place 2 1 14;
   ignore (Net_state.remove net 1);
@@ -552,10 +553,54 @@ let test_change_log_commit_only () =
   place 6 5 10;
   ignore (Net_state.remove net 6);
   Alcotest.(check (list int)) "writes outside a txn logged" [ 3; 6 ] (drain ());
-  (* A second reader starting a span ends the first's. *)
-  ignore (Net_state.track_flow_changes net);
-  Alcotest.(check bool) "an ended span cannot vouch" true
-    (Net_state.drain_flow_changes net log = None)
+  (* A second reader's cursor leaves the first's span whole. *)
+  let second = Net_state.open_cursor net ~bounded:true in
+  place 7 6 9;
+  Alcotest.(check (list int)) "first reader sees the write" [ 7 ] (drain ());
+  ignore (Net_state.remove net 7);
+  Alcotest.(check (list int)) "second reader sees both" [ 7 ]
+    (drain_from second);
+  Alcotest.(check (list int)) "first reader sees the rest" [ 7 ] (drain ());
+  Net_state.close_cursor net cursor;
+  Alcotest.(check bool) "a closed cursor cannot vouch" true
+    (Net_state.drain_flow_ids net cursor = None)
+
+(* A bounded cursor that falls more than the flow count + 1024 flow
+   changes behind is dropped: its drain cannot vouch, so an injector's
+   next check is the full sweep, on a fresh cursor. With no cursor left
+   the log records nothing. *)
+let test_lagging_cursor_dropped () =
+  let net = loaded_net () in
+  let churn () =
+    for _ = 1 to 3 * (Net_state.flow_count net + 1024) do
+      match Net_state.remove net 1000 with
+      | Ok p -> (
+          match Net_state.place net p.Net_state.record p.Net_state.path with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "re-place")
+      | Error `Not_found -> Alcotest.fail "flow 1000 missing"
+    done
+  in
+  let cursor = Net_state.open_cursor net ~bounded:true in
+  churn ();
+  Alcotest.(check bool) "a lagging cursor cannot vouch" true
+    (Net_state.drain_flow_ids net cursor = None);
+  Alcotest.(check int) "no cursor: nothing held" 0 (Net_state.log_length net);
+  ignore (Net_state.remove net 1001);
+  Alcotest.(check int) "no cursor: a flow write records nothing" 0
+    (Net_state.log_length net);
+  let inj = Injector.create [] in
+  let sweeps f =
+    let before = full_sweeps () in
+    f ();
+    full_sweeps () - before
+  in
+  let check () = ignore (Injector.check_now inj net ~now:0.0) in
+  Alcotest.(check int) "first check is full" 1 (sweeps check);
+  Alcotest.(check int) "second is incremental" 0 (sweeps check);
+  churn ();
+  Alcotest.(check int) "a dropped cursor forces a full sweep" 1 (sweeps check);
+  Alcotest.(check int) "then incremental on a fresh cursor" 0 (sweeps check)
 
 (* The injector's first check of a net is the full oracle sweep (after
    create and after thaw alike), later ones are incremental, and every
@@ -581,9 +626,9 @@ let test_thawed_injector_first_check_full () =
   Alcotest.(check int) "first check after thaw is full" 1
     (sweeps (fun () -> check thawed));
   Alcotest.(check int) "then incremental" 0 (sweeps (fun () -> check thawed));
-  (* The thawed injector restarted the log, so the original cannot
-     vouch for it any more. *)
-  Alcotest.(check int) "a second reader forces a full sweep" 1
+  (* The thawed injector reads through a cursor of its own, so the
+     original's span stays whole. *)
+  Alcotest.(check int) "a second reader leaves the first incremental" 0
     (sweeps (fun () -> check inj));
   let other = loaded_net () in
   Alcotest.(check int) "another net is swept fully" 1
@@ -591,7 +636,7 @@ let test_thawed_injector_first_check_full () =
 
 (* Differential: after every random operation — including ones that
    leave blackholes (disable without evacuation) and negative residuals
-   (degrade without shedding) — the injector's incremental check
+   (degrade without shedding) — each of two injectors reading one net
    reports the same violation names, in the same order and number, as
    the stateless full sweep. *)
 let prop_incremental_matches_full =
@@ -661,8 +706,7 @@ let prop_incremental_matches_full =
       for _ = 0 to 29 do
         place ()
       done;
-      let inj = Injector.create [] in
-      let sweeps0 = full_sweeps () in
+      let injectors = [ (Injector.create [], ref 0); (Injector.create [], ref 0) ] in
       let ok = ref true in
       let ops = 80 in
       for _ = 1 to ops do
@@ -680,14 +724,17 @@ let prop_incremental_matches_full =
             Net_state.degrade_edge net (Prng.int rng edge_n)
               ~lost_mbps:(Prng.float_in rng 1.0 600.0)
         | _ -> Net_state.restore_edge_capacity net (Prng.int rng edge_n));
-        let incremental = names (Injector.check_now inj net ~now:0.0) in
         let full = names (Invariant.check net) in
-        if incremental <> full then ok := false
+        List.iter
+          (fun (inj, full_n) ->
+            let before = full_sweeps () in
+            if names (Injector.check_now inj net ~now:0.0) <> full then
+              ok := false;
+            full_n := !full_n + full_sweeps () - before)
+          injectors
       done;
-      (* [ops] reference sweeps plus the injector's own full ones: the
-         injector must have run incrementally most of the time. *)
-      let injector_full = full_sweeps () - sweeps0 - ops in
-      !ok && injector_full < ops / 4)
+      (* Each injector must have run incrementally most of the time. *)
+      !ok && List.for_all (fun (_, full_n) -> !full_n < ops / 4) injectors)
 
 let suite =
   [
@@ -717,4 +764,6 @@ let suite =
     Alcotest.test_case "store-fault verdicts" `Quick test_store_fault_verdicts;
     Alcotest.test_case "store-fault fsync loss truncates" `Quick
       test_store_fault_fsync_loss_truncates;
+    Alcotest.test_case "lagging cursor dropped" `Quick
+      test_lagging_cursor_dropped;
   ]

@@ -361,7 +361,7 @@ let prop_mc_digest_equal =
     QCheck.small_int (fun seed ->
       (* Rotate through the probing schedulers: LMTF (bounded batches),
          Reorder (whole-queue batches) and P-LMTF (whose co-attempts
-         commit transactions between batches — the redo log's
+         commit transactions between batches — the committed log's
          commit-time conversion path). *)
       let policy =
         match seed mod 3 with
@@ -378,7 +378,7 @@ let prop_mc_digest_equal =
       digest 1 = digest 4)
 
 let test_mc_digest_with_faults () =
-  (* Faults exercise the remaining redo-op kinds (disable/enable,
+  (* Faults exercise the remaining committed-log op kinds (disable/enable,
      degrade/restore) and the round-guard transactions whose commits
      feed the log; the fan-out must still not move a single bit. *)
   let events = workload ~n:10 ~m:4 ~arrival:(fun i -> float_of_int i *. 0.01) () in
