@@ -670,7 +670,6 @@ let make_telemetry ~metrics_every ?(watch = false) metrics_dir =
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       Serve_telemetry.create
         {
-          Serve_telemetry.default_config with
           Serve_telemetry.metrics_dir = Some dir;
           metrics_every;
           lifecycle_path = Some (Filename.concat dir "lifecycle.jsonl");

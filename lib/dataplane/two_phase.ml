@@ -163,9 +163,3 @@ let execute_with_faults fabric ~fault transitions =
     extra_latency_s =
       List.fold_left (fun acc (_, _, _, _, s) -> acc +. s) 0.0 ok;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "two-phase[%d transitions, +%d rules staged (peak overhead %d), %d \
-     flips, %d rules collected]"
-    s.transitions s.rules_installed s.peak_extra_rules s.flips s.rules_removed

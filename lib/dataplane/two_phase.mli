@@ -75,5 +75,3 @@ val execute_with_faults :
     stretch the stage phase ([extra_latency_s]) but do not abort.
     With an oracle that never fires, the result's [stats] equals
     [execute]'s. *)
-
-val pp_stats : Format.formatter -> stats -> unit

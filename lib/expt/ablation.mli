@@ -6,28 +6,10 @@
     migration-set approximation, the admission mode (desired-path-first
     vs scan-first), and the path-selection policy. *)
 
-val alpha_sweep : ?seeds:int list -> ?alphas:int list -> unit -> unit
-(** LMTF and P-LMTF average/tail ECT reduction vs FIFO as α sweeps
-    (default 1, 2, 4, 8) — 30 events, churn on. *)
-
-val migration_order : ?seed:int -> unit -> unit
-(** For one planning pass over 30 events: Cost(U), move count and plan
-    units under each {!Migration.order}. *)
-
-val admission_mode : ?seed:int -> unit -> unit
-(** Desired-first vs scan-first planning: cost and failure profile. *)
-
-val routing_policy : ?seed:int -> unit -> unit
-(** First-fit / widest / least-loaded / random-fit relocation targets:
-    cost and plan-unit profile over one planning pass. *)
-
-val reorder_overhead : ?seeds:int list -> unit -> unit
-(** The "intrinsic" full-reordering baseline vs LMTF vs FIFO: ECT/cost
-    reductions and the plan-time blow-up the paper's §III-C predicts. *)
-
-val co_fit_vs_utilization : ?seed:int -> ?utilizations:float list -> unit -> unit
-(** P-LMTF's opportunistic-fit acceptance as static utilisation grows —
-    the mechanism behind EXPERIMENTS.md note 6 (reductions decay because
-    nothing fits alongside the head at 90% load). *)
-
 val run_all : unit -> unit
+(** Print every ablation in turn: LMTF and P-LMTF reductions vs FIFO as
+    α sweeps 1, 2, 4, 8; Cost(U), moves and plan units under each
+    {!Migration.order}; desired-first vs scan-first admission; the four
+    relocation-target routing policies; the full-reordering baseline's
+    plan-time blow-up (§III-C); and P-LMTF's opportunistic-fit
+    acceptance as static utilisation grows (EXPERIMENTS.md note 6). *)

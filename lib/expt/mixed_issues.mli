@@ -15,12 +15,11 @@ type mix = {
   link_failures : int;
 }
 
-val default_mix : mix
-(** 12 additions, 8 VM migrations, 6 switch upgrades, 4 link failures. *)
-
 val build_events :
   Scenario.t -> ?mix:mix -> seed:int -> unit -> Event.t list * Net_state.t
-(** Build the mixed queue against a scenario. Switch-upgrade and
+(** Build the mixed queue against a scenario ([mix] defaults to 12
+    additions, 8 VM migrations, 6 switch upgrades and 4 link
+    failures). Switch-upgrade and
     link-failure events are derived from (and the failed links disabled
     in) a dedicated copy of the scenario's network, which is returned —
     run the engine on copies of that state. *)

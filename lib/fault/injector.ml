@@ -30,7 +30,6 @@ let create ?(retry = Retry_policy.default) schedule =
   }
 
 let recovery t = t.recovery
-let retry_policy t = t.retry
 let violations t = t.violation_count
 
 (* Checkpoint support: the pieces of injector state that influence

@@ -22,7 +22,6 @@ val create : ?retry:Retry_policy.t -> Fault_model.schedule -> t
 (** Raises [Invalid_argument] on an invalid retry policy. *)
 
 val recovery : t -> Recovery.t
-val retry_policy : t -> Retry_policy.t
 
 (** {2 Checkpoint freeze/thaw}
 

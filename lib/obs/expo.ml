@@ -156,12 +156,7 @@ let render_slo buf s =
   family buf "nu_slo_queue_depth" "gauge";
   sample buf "nu_slo_queue_depth" [] (float_of_int (Slo.queue_depth s));
   family buf "nu_slo_engine_backlog" "gauge";
-  sample buf "nu_slo_engine_backlog" [] (float_of_int (Slo.engine_backlog s));
-  family buf "nu_slo_breaches_total" "counter";
-  sample buf "nu_slo_breaches_total" [] (float_of_int (Slo.breach_count s));
-  family buf "nu_slo_breaches_dropped_total" "counter";
-  sample buf "nu_slo_breaches_dropped_total" []
-    (float_of_int (Slo.breaches_dropped s))
+  sample buf "nu_slo_engine_backlog" [] (float_of_int (Slo.engine_backlog s))
 
 let render_watch buf w =
   family buf "nu_alerts_total" "counter";

@@ -108,7 +108,7 @@ let last_window t = t.last_window
 (* Jain's index (Sum x)^2 / (n * Sum x^2) over per-tenant values; 1 is
    perfect equality, 1/n is one tenant taking everything. All-zero
    values are defined as perfectly fair. *)
-let jain_of = function
+let jain = function
   | [] -> None
   | xs ->
       let n = float_of_int (List.length xs) in
@@ -117,14 +117,14 @@ let jain_of = function
       if s2 = 0.0 then Some 1.0 else Some (s *. s /. (n *. s2))
 
 let jain_index t =
-  jain_of
+  jain
     (List.filter_map
        (fun tn ->
          if Histogram.is_empty tn.ect then None else Some (Histogram.mean tn.ect))
        (sorted_tenants t))
 
 let window_jain_index t =
-  jain_of (List.map (fun w -> w.w_mean_ect_s) t.last_window)
+  jain (List.map (fun w -> w.w_mean_ect_s) t.last_window)
 
 type tenant_view = {
   v_tenant : string;

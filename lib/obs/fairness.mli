@@ -48,6 +48,11 @@ val last_window : t -> window_stat list
     tenants with no completions in that window omitted). Empty before
     the first rotation. *)
 
+val jain : float list -> float option
+(** Jain's index [(Sum x)^2 / (n * Sum x^2)]: 1 is perfect equality,
+    [1/n] one value taking everything. [None] on the empty list; an
+    all-zero list is perfectly fair ([Some 1.0]). *)
+
 val jain_index : t -> float option
 (** Jain's fairness index over cumulative per-tenant mean ECT. [None]
     until some tenant completes a request. *)

@@ -59,10 +59,3 @@ let state_name = function
   | Recovering -> "recovering"
 
 let state_rank = function Ok -> 0 | Warn -> 1 | Critical -> 2 | Recovering -> 3
-
-let state_of_name = function
-  | "ok" -> Some Ok
-  | "warn" -> Some Warn
-  | "critical" -> Some Critical
-  | "recovering" -> Some Recovering
-  | _ -> None

@@ -34,4 +34,3 @@ val state_rank : state -> int
 (** 0 = Ok, 1 = Warn, 2 = Critical, 3 = Recovering; used for the
     [nu_health_state] gauge. *)
 
-val state_of_name : string -> state option

@@ -1,53 +1,28 @@
 (* Rolling-window SLO tracker: tail-ECT quantiles over a two-bucket
    rotating histogram pair (current + previous window, so a readout
-   always covers between one and two windows of history), latest
-   backlog gauges, and threshold breach events evaluated once per
-   tick. *)
-
-type breach = {
-  b_tick : int;
-  b_metric : string;
-  b_value : float;
-  b_threshold : float;
-}
-
-let max_retained_breaches = 256
+   always covers between one and two windows of history) and the
+   latest backlog gauges. *)
 
 type t = {
   window : int;
   sub_buckets : int;
-  p99_target_s : float option;
-  p999_target_s : float option;
-  max_queue : int option;
-  max_backlog : int option;
   mutable cur : Histogram.t;
   mutable prev : Histogram.t;
   mutable tick_in_window : int;
   mutable queue_depth : int;
   mutable backlog : int;
-  mutable breaches_rev : breach list;  (* newest-first, bounded *)
-  mutable retained : int;  (* List.length breaches_rev, kept O(1) *)
-  mutable breach_total : int;
 }
 
-let create ?(window = 50) ?(sub_buckets = 64) ?p99_target_s ?p999_target_s
-    ?max_queue ?max_backlog () =
+let create ?(window = 50) ?(sub_buckets = 64) () =
   if window < 1 then invalid_arg "Slo.create: window < 1";
   {
     window;
     sub_buckets;
-    p99_target_s;
-    p999_target_s;
-    max_queue;
-    max_backlog;
     cur = Histogram.create ~sub_buckets ();
     prev = Histogram.create ~sub_buckets ();
     tick_in_window = 0;
     queue_depth = 0;
     backlog = 0;
-    breaches_rev = [];
-    retained = 0;
-    breach_total = 0;
   }
 
 let window_ticks t = t.window
@@ -68,59 +43,13 @@ let quantile_opt t q =
 let p99 t = quantile_opt t 0.99
 let p999 t = quantile_opt t 0.999
 
-let record_breach t ~tick ~metric ~value ~threshold =
-  let b =
-    { b_tick = tick; b_metric = metric; b_value = value; b_threshold = threshold }
-  in
-  t.breach_total <- t.breach_total + 1;
-  t.breaches_rev <- b :: t.breaches_rev;
-  t.retained <- t.retained + 1;
-  if t.retained > max_retained_breaches then begin
-    t.breaches_rev <-
-      List.filteri (fun i _ -> i < max_retained_breaches) t.breaches_rev;
-    t.retained <- max_retained_breaches
-  end
-
-let check t ~tick ~metric ~value = function
-  | Some threshold when value > threshold ->
-      record_breach t ~tick ~metric ~value ~threshold
-  | Some _ | None -> ()
-
-let on_tick t ~tick =
-  (match p99 t with
-  | Some v -> check t ~tick ~metric:"p99_ect_s" ~value:v t.p99_target_s
-  | None -> ());
-  (match p999 t with
-  | Some v -> check t ~tick ~metric:"p999_ect_s" ~value:v t.p999_target_s
-  | None -> ());
-  check t ~tick ~metric:"queue_depth"
-    ~value:(float_of_int t.queue_depth)
-    (Option.map float_of_int t.max_queue);
-  check t ~tick ~metric:"engine_backlog"
-    ~value:(float_of_int t.backlog)
-    (Option.map float_of_int t.max_backlog);
+let on_tick t =
   t.tick_in_window <- t.tick_in_window + 1;
   if t.tick_in_window >= t.window then begin
     t.prev <- t.cur;
     t.cur <- Histogram.create ~sub_buckets:t.sub_buckets ();
     t.tick_in_window <- 0
   end
-
-let breaches t = List.rev t.breaches_rev
-let breach_count t = t.breach_total
-
-(* Breaches evicted from the retained list: the cap used to drop them
-   silently, with nothing in the report saying the list was partial. *)
-let breaches_dropped t = t.breach_total - t.retained
-
-let breach_to_json b =
-  Json.Obj
-    [
-      ("tick", Json.Int b.b_tick);
-      ("metric", Json.String b.b_metric);
-      ("value", Json.Float b.b_value);
-      ("threshold", Json.Float b.b_threshold);
-    ]
 
 let opt_float = function None -> Json.Null | Some f -> Json.Float f
 
@@ -132,7 +61,4 @@ let to_json t =
       ("p999_ect_s", opt_float (p999 t));
       ("queue_depth", Json.Int t.queue_depth);
       ("engine_backlog", Json.Int t.backlog);
-      ("breach_total", Json.Int t.breach_total);
-      ("breaches_dropped", Json.Int (breaches_dropped t));
-      ("breaches", Json.List (List.map breach_to_json (breaches t)));
     ]

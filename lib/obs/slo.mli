@@ -1,39 +1,18 @@
-(** Rolling-window SLO tracker: tail-ECT quantiles, backlog gauges and
-    threshold breach events.
+(** Rolling-window SLO tracker: tail-ECT quantiles and backlog gauges.
 
     ECT samples land in a pair of rotating histograms (current +
     previous window), so {!p99}/{!p999} always answer from between one
     and two windows of recent history — a bounded-memory approximation
     of a sliding window. Queue-depth and engine-backlog gauges hold
-    the latest observed values. Once per tick ({!on_tick}) each
-    configured threshold is evaluated against the rolling readout and
-    an exceedance is recorded as a {!breach} event (total count exact;
-    the retained event list is bounded to the most recent 256).
+    the latest observed values.
 
-    Purely observational — thresholds gate nothing. *)
-
-type breach = {
-  b_tick : int;
-  b_metric : string;
-      (** ["p99_ect_s"], ["p999_ect_s"], ["queue_depth"] or
-          ["engine_backlog"]. *)
-  b_value : float;
-  b_threshold : float;
-}
+    Purely observational: it raises no alerts ({!Watch} does) and
+    gates nothing. *)
 
 type t
 
-val create :
-  ?window:int ->
-  ?sub_buckets:int ->
-  ?p99_target_s:float ->
-  ?p999_target_s:float ->
-  ?max_queue:int ->
-  ?max_backlog:int ->
-  unit ->
-  t
-(** [window] (default 50, minimum 1) is the rotation period in ticks.
-    Omitted targets are never evaluated. *)
+val create : ?window:int -> ?sub_buckets:int -> unit -> t
+(** [window] (default 50, minimum 1) is the rotation period in ticks. *)
 
 val window_ticks : t -> int
 
@@ -43,9 +22,8 @@ val observe_ect : t -> float -> unit
 val observe_gauges : t -> queue:int -> backlog:int -> unit
 (** Latest admission queue depth and engine backlog. *)
 
-val on_tick : t -> tick:int -> unit
-(** Evaluate thresholds (recording breaches against [tick]) and
-    advance the window clock, rotating every [window]-th call. *)
+val on_tick : t -> unit
+(** Advance the window clock, rotating every [window]-th call. *)
 
 val p99 : t -> float option
 (** Rolling-window ECT p99; [None] while the window pair is empty. *)
@@ -57,16 +35,4 @@ val rolling : t -> Histogram.t
 
 val queue_depth : t -> int
 val engine_backlog : t -> int
-
-val breaches : t -> breach list
-(** Retained breach events, oldest first (bounded to 256). *)
-
-val breach_count : t -> int
-(** Exact total, including events evicted from the retained list. *)
-
-val breaches_dropped : t -> int
-(** Breach events evicted from the retained list by the 256-record
-    cap: [breach_count t - List.length (breaches t)]. Non-zero means
-    {!breaches} is a suffix of the true sequence. *)
-
 val to_json : t -> Json.t

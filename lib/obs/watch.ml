@@ -371,15 +371,6 @@ let severity_of_entry = function
 (* ------------------------------------------------------------------ *)
 (* Evaluation *)
 
-let jain_of means =
-  match means with
-  | [] -> None
-  | _ ->
-      let n = float_of_int (List.length means) in
-      let s = List.fold_left ( +. ) 0.0 means in
-      let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 means in
-      if s2 = 0.0 then None else Some (s *. s /. (n *. s2))
-
 let sorted_tenants t =
   Hashtbl.fold (fun name ts acc -> (name, ts) :: acc) t.tenants []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -451,7 +442,7 @@ let eval t o =
           else Some (Histogram.mean ts.t_cur))
         tenant_stats
     in
-    (match if List.length means >= 2 then jain_of means else None with
+    (match if List.length means >= 2 then Fairness.jain means else None with
     | Some j ->
         t.last_jain <- Some j;
         if j < t.cfg.jain_min then t.jain_run <- t.jain_run + 1
@@ -677,9 +668,6 @@ let global_state t = Health.state t.g_health
 
 let tenant_states t =
   List.map (fun (name, ts) -> (name, Health.state ts.t_health)) (sorted_tenants t)
-
-let first_breach_tick t = t.first_breach
-let last_breach_tick t = t.last_breach
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

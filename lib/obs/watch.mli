@@ -116,15 +116,9 @@ val by_detector : t -> (string * int) list
 (** Alert counts keyed by detector, sorted by name. *)
 
 val by_severity : t -> (string * int) list
-val severity_name : severity -> string
 val global_state : t -> Health.state
 val tenant_states : t -> (string * Health.state) list
 (** Sorted by tenant name. *)
-
-val first_breach_tick : t -> int option
-(** First tick with a Warning-or-worse alert. *)
-
-val last_breach_tick : t -> int option
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

@@ -22,7 +22,6 @@ type t = {
   injector : Injector.frozen option;
   source : Source.frozen;
   shards : shard list;
-  partition : Partition.frozen;
   coord : Coord.frozen;
 }
 
@@ -52,7 +51,6 @@ let core_to_json cp =
                      Json.List (List.map Codec.request_to_json sh.deferred) );
                  ])
              cp.shards) );
-      ("partition", Partition.frozen_to_json cp.partition);
       ("coord", Coord.frozen_to_json cp.coord);
     ]
 
@@ -130,11 +128,9 @@ let core_of_json ~graph j =
   let* source = Source.frozen_of_json srcj in
   let* shl = Codec.list_field "shards" j in
   let* shards = Codec.map_m shard_of_json shl in
-  let* pj = Codec.field "partition" j in
-  let* partition = Partition.frozen_of_json pj in
   let* cj = Codec.field "coord" j in
   let* coord = Coord.frozen_of_json cj in
-  Ok { tick; seq; parent; meta; net; injector; source; shards; partition; coord }
+  Ok { tick; seq; parent; meta; net; injector; source; shards; coord }
 
 let of_string ~graph data =
   let* i, seq, claimed = read_header data in

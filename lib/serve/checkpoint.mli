@@ -4,8 +4,11 @@
     A checkpoint is the atomic bundle of frozen component states — the
     shared network, the optional fault injector, the arrival-source
     cursor, every shard's engine stepper, admission queue and deferred
-    requests, and the fabric's partition map and coordinator — stamped with the tick it was taken at and an opaque
-    caller [meta] blob (the fabric fingerprint, validated on restore).
+    requests, and the fabric's coordinator — stamped with the tick it
+    was taken at and an opaque caller [meta] blob (the fabric
+    fingerprint, validated on restore). The partition map is not
+    frozen: it is a function of the fingerprint's shard and region
+    counts, so a restore rebuilds it.
 
     On disk (format version 4) a checkpoint is two lines:
     {v {"format":"nu_serve_checkpoint","version":4,"seq":S,"hash":"H"}
@@ -15,9 +18,9 @@
     refuses a mismatch before parsing the core, so a flipped bit
     anywhere in the state is detected instead of thawed; it also
     refuses a header [seq] that differs from the core's. Other
-    versions are refused. Version-4 files from before the hot-shard
-    rebalance was removed also carry per-shard ["ewma"] and ["streak"]
-    lists; loads ignore them.
+    versions are refused. Older version-4 files may also carry
+    per-shard ["ewma"] and ["streak"] lists and a ["partition"]
+    section; loads ignore them.
 
     Saves publish through {!Nu_obs.Store.publish} — write-then-rename
     with an fsync of the file before the rename and of the containing
@@ -48,7 +51,6 @@ type t = {
   injector : Nu_fault.Injector.frozen option;
   source : Source.frozen;
   shards : shard list;  (** Shard order. *)
-  partition : Partition.frozen;
   coord : Coord.frozen;
 }
 

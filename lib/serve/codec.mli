@@ -15,23 +15,17 @@ module Json := Nu_obs.Json
 
 val field : string -> Json.t -> (Json.t, string) result
 val opt_field : string -> Json.t -> Json.t option
-val as_int : Json.t -> (int, string) result
-val as_float : Json.t -> (float, string) result
+val int_field : string -> Json.t -> (int, string) result
+val float_field : string -> Json.t -> (float, string) result
 (** Accepts [Int] too: an integral-valued float prints without a
     decimal point and re-parses as [Int]; the double is identical. *)
 
-val as_string : Json.t -> (string, string) result
-val as_list : Json.t -> (Json.t list, string) result
-val int_field : string -> Json.t -> (int, string) result
-val float_field : string -> Json.t -> (float, string) result
 val string_field : string -> Json.t -> (string, string) result
 val list_field : string -> Json.t -> (Json.t list, string) result
 val map_m : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 
 val int64_to_json : int64 -> Json.t
 val int64_of_json : Json.t -> (int64, string) result
-
-val flow_of_json : Json.t -> (Flow_record.t, string) result
 
 val event_to_json : Event.t -> Json.t
 val event_of_json : Json.t -> (Event.t, string) result
@@ -40,10 +34,8 @@ val request_to_json : Request.t -> Json.t
 val request_of_json : Json.t -> (Request.t, string) result
 
 val policy_to_json : Policy.t -> Json.t
-val policy_of_json : Json.t -> (Policy.t, string) result
 
 val fault_to_json : Nu_fault.Fault_model.fault -> Json.t
-val fault_of_json : Json.t -> (Nu_fault.Fault_model.fault, string) result
 
 val injector_frozen_to_json : Nu_fault.Injector.frozen -> Json.t
 
@@ -59,8 +51,6 @@ val float_column_of_json : n:int -> Json.t -> (float array, string) result
 (** Inverse of {!float_column_to_json}. [Error] — never an exception —
     unless the string holds exactly [n] values of lowercase hex. *)
 
-val path_to_json : Path.t -> Json.t
-
 val net_frozen_to_json : Net_state.frozen -> Json.t
 
 val net_frozen_of_json :
@@ -71,9 +61,6 @@ val net_frozen_of_json :
 
 val event_result_to_json : Engine.event_result -> Json.t
 val event_result_of_json : Json.t -> (Engine.event_result, string) result
-
-val round_info_to_json : Engine.round_info -> Json.t
-val round_info_of_json : Json.t -> (Engine.round_info, string) result
 
 val stepper_frozen_to_json : Engine.Stepper.frozen -> Json.t
 val stepper_frozen_of_json : Json.t -> (Engine.Stepper.frozen, string) result

@@ -212,7 +212,6 @@ let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
 
 let tick_count t = t.tick_count
 let now_s t = float_of_int t.tick_count *. t.cfg.base.Serve_config.tick_dt_s
-let partition t = t.partition
 let coord t = t.coord
 let shard_count t = t.cfg.shards
 let stepper t k = t.steppers.(k)
@@ -308,8 +307,8 @@ let apportion ~budget ~backlogs =
 (* ------------------------------------------------------------------ *)
 (* Escalation predicate.                                               *)
 
-(* A flow's home shard: the region of its source host under the
-   current assignment. None once the flow has left the network. *)
+(* A flow's home shard: the shard owning its source host's region.
+   None once the flow has left the network. *)
 let shard_of_flow t fid =
   match Net_state.flow t.net fid with
   | Some placed ->
@@ -542,7 +541,6 @@ let snapshot t =
             admission = Admission.freeze t.admissions.(k);
             deferred = t.deferred.(k);
           });
-    partition = Partition.freeze t.partition;
     coord = Coord.freeze t.coord;
   }
 
@@ -637,8 +635,7 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
         source =
           Source.thaw ?params:source_params ~host_count source_spec cp.source;
         partition =
-          Partition.thaw ~host_count ~regions:cfg.regions ~shards:cfg.shards
-            cp.partition;
+          Partition.create ~host_count ~regions:cfg.regions ~shards:cfg.shards;
         coord = Coord.thaw cfg.coord cp.coord;
         steppers =
           Array.mapi

@@ -119,7 +119,6 @@ val tick_count : t -> int
 
 val now_s : t -> float
 val shard_count : t -> int
-val partition : t -> Partition.t
 val coord : t -> Coord.t
 val stepper : t -> int -> Engine.Stepper.t
 val admission : t -> int -> Admission.t

@@ -48,7 +48,29 @@ let validate_synth ~rate_per_tick ~flows_per_event ~tenants ~host_count =
     invalid_arg "Source.create: empty tenant label";
   if host_count < 2 then invalid_arg "Source.create: need >= 2 hosts"
 
-let parse_stream_file path =
+(* Every installed flow's endpoints must be hosts of the fabric being
+   served: caught here, a bad command fails the load instead of the
+   tick that surfaces it. *)
+let check_hosts ~host_count (req : Request.t) =
+  let outside end_ (fr : Flow_record.t) h =
+    if h >= 0 && h < host_count then None
+    else
+      Some
+        (Printf.sprintf "flow %d %s host %d outside [0, %d)" fr.Flow_record.id
+           end_ h host_count)
+  in
+  let bad = function
+    | Event.Install fr -> (
+        match outside "src" fr fr.Flow_record.src with
+        | Some _ as e -> e
+        | None -> outside "dst" fr fr.Flow_record.dst)
+    | Event.Reroute _ -> None
+  in
+  match List.find_map bad req.Request.event.Event.work with
+  | Some msg -> Error msg
+  | None -> Ok ()
+
+let parse_stream_file ~host_count path =
   let ic =
     try open_in path
     with Sys_error msg -> invalid_arg ("Source.create: " ^ msg)
@@ -64,6 +86,7 @@ let parse_stream_file path =
           let* j = Json.of_string line in
           let* tick = Codec.int_field "tick" j in
           let* req = Codec.request_of_json j in
+          let* () = check_hosts ~host_count req in
           if tick < 0 then Error "negative tick" else Ok (tick, req)
         in
         match entry with
@@ -98,7 +121,8 @@ let create ?(params = default_params) ~host_count spec =
           sy_next_flow_id = first_flow_id;
           sy_tenant_cursor = 0;
         }
-  | Stream path -> Streamed { st_entries = parse_stream_file path; st_pos = 0 }
+  | Stream path ->
+      Streamed { st_entries = parse_stream_file ~host_count path; st_pos = 0 }
 
 (* Knuth's product-of-uniforms Poisson draw: exact, and consumes a
    deterministic (count-dependent) number of PRNG draws. *)

@@ -34,7 +34,9 @@ val default_params : Benson_trace.params
 
 val create : ?params:Benson_trace.params -> host_count:int -> spec -> t
 (** Raises [Invalid_argument] on bad parameters, an unreadable or
-    malformed command file, or out-of-order ticks. *)
+    malformed command file, an installed flow whose [src] or [dst] is
+    outside [\[0, host_count)], or out-of-order ticks. A command-file
+    error names the file and line. *)
 
 val poll : t -> tick:int -> now_s:float -> Request.t list
 (** The requests surfacing at [tick], events stamped [arrival_s =

@@ -20,7 +20,6 @@ type config = {
   metrics_dir : string option;
   metrics_every : int;
   lifecycle_path : string option;
-  p99_target_s : float option;
   watch : Watch.config option;
 }
 
@@ -29,7 +28,6 @@ let default_config =
     metrics_dir = None;
     metrics_every = 10;
     lifecycle_path = None;
-    p99_target_s = None;
     watch = None;
   }
 
@@ -61,7 +59,7 @@ let create cfg =
        trackers' own defaults. *)
     lifecycle = Lifecycle.create ?path:cfg.lifecycle_path ();
     fairness = Fairness.create ();
-    slo = Slo.create ?p99_target_s:cfg.p99_target_s ();
+    slo = Slo.create ();
     watch = Option.map Watch.create cfg.watch;
     last_corrupt = Counters.get_named "store.frames_corrupt";
     last_restarts = Counters.get_named "supervisor.restarts";
@@ -137,7 +135,7 @@ let on_drain t req ~wait_ticks =
 
 let on_tick_end t ~tick ~queue ~backlog =
   Slo.observe_gauges t.slo ~queue ~backlog;
-  Slo.on_tick t.slo ~tick;
+  Slo.on_tick t.slo;
   Fairness.on_tick t.fairness;
   (match t.watch with
   | Some w ->

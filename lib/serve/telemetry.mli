@@ -6,7 +6,7 @@
     path from arrival to completion, streamed to a record log), a
     {!Nu_obs.Fairness} tracker (per-tenant ECT histograms, shed/admit
     accounting, Jain's index) and a {!Nu_obs.Slo} tracker (rolling-
-    window tail quantiles, backlog gauges, threshold breaches). Pass it
+    window tail quantiles and backlog gauges). Pass it
     to {!Serve.create} — the controller calls the [on_*] hooks at the
     matching points of each tick and attaches {!observer} to its
     engine stepper.
@@ -30,8 +30,6 @@ type config = {
   metrics_every : int;  (** Write cadence in ticks (default 10). *)
   lifecycle_path : string option;
       (** Record log of lifecycle stamps; [None] keeps only the ring. *)
-  p99_target_s : float option;
-      (** SLO p99 breach threshold; [None] = never evaluated. *)
   watch : Nu_obs.Watch.config option;
       (** Attach an {!Nu_obs.Watch} watchdog: ECT samples and per-tick
           queue/backlog gauges plus WAL-corruption and supervisor-
@@ -42,11 +40,11 @@ type config = {
 }
 
 val default_config : config
-(** Everything off: no exposition, no record log, no threshold.
+(** Everything off: no exposition, no record log, no watchdog.
 
     The trackers always run at their own defaults: a lifecycle ring of
-    4096 stamps, fairness and SLO windows of 50 ticks, and no p99.9,
-    queue or backlog thresholds. *)
+    4096 stamps and fairness and SLO windows of 50 ticks. Alerts come
+    from the watchdog alone. *)
 
 type t
 

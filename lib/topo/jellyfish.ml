@@ -120,8 +120,6 @@ let host_index t v =
     invalid_arg "Jellyfish: not a host";
   v - t.host_off
 
-let switch_of_host t v = host_index t v / t.hosts_per_switch
-
 let degree_ok t =
   let deg = Array.make t.n_switches 0 in
   Graph.iter_edges t.graph (fun e ->

@@ -38,9 +38,6 @@ val host_count : t -> int
 val host : t -> int -> int
 (** Node id of the i-th host. *)
 
-val switch_of_host : t -> int -> int
-(** The switch a host node id attaches to. *)
-
 val degree_ok : t -> bool
 (** Every switch has exactly [inter_switch_ports] switch neighbours —
     construction postcondition, exposed for tests. *)

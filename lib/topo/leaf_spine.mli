@@ -27,9 +27,6 @@ val host_count : t -> int
 val host : t -> int -> int
 (** Node id of the i-th host. *)
 
-val leaf_of_host : t -> int -> int
-(** Leaf switch node id of a host node id. *)
-
 val paths : t -> src:int -> dst:int -> Path.t list
 (** Candidate paths between host node ids: the single intra-leaf path, or
     one path per spine for inter-leaf pairs. *)

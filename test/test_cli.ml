@@ -71,6 +71,36 @@ let test_serve_kill_shard_without_kill_at () =
   Alcotest.(check bool) "names --kill-at" true (contains out "--kill-at");
   Alcotest.(check bool) "served nothing" false (contains out "digest:")
 
+(* A stream command whose flow names a host outside the served fabric
+   (128 hosts) is refused at load with exit 1, naming the file and
+   line, before the valid command ahead of it is served or the WAL is
+   opened. *)
+let test_serve_stream_bad_host () =
+  let dir = Filename.temp_file "nu_cli_stream" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let stream = Filename.concat dir "cmds.jsonl" in
+  let command tick id src =
+    Printf.sprintf
+      {|{"tick": %d, "tenant": "a", "event": {"id": %d, "arrival_s": 0.0, "kind": {"kind": "additions"}, "work": [{"op": "install", "flow": {"id": %d, "src": %d, "dst": 77, "size_mbit": 40.0, "duration_s": 2.0, "arrival_s": 0.0}}]}}|}
+      tick id (9000 + id) src
+  in
+  Out_channel.with_open_text stream (fun oc ->
+      output_string oc (command 0 1 3 ^ "\n" ^ command 3 2 9999 ^ "\n"));
+  let journal = Filename.concat dir "wal" in
+  let status, out =
+    run_capture
+      [ "serve"; "--stream"; stream; "--ticks"; "10"; "--journal"; journal ]
+  in
+  Alcotest.(check int) "exit 1" 1 status;
+  Alcotest.(check bool) "names file and line" true
+    (contains out (stream ^ ":2:"));
+  Alcotest.(check bool) "names the host" true
+    (contains out "src host 9999 outside [0, 128)");
+  Alcotest.(check bool) "wrote no WAL" false (Sys.file_exists journal);
+  Sys.remove stream;
+  Sys.rmdir dir
+
 let suite =
   [
     ("unknown subcommand fails", `Quick, test_unknown_subcommand);
@@ -82,4 +112,5 @@ let suite =
     ( "serve --kill-shard without --kill-at fails",
       `Quick,
       test_serve_kill_shard_without_kill_at );
+    ("serve --stream with an out-of-range host fails", `Quick, test_serve_stream_bad_host);
   ]
