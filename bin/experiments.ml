@@ -675,7 +675,7 @@ let make_telemetry ~metrics_every ?(watch = false) metrics_dir =
           lifecycle_path = Some (Filename.concat dir "lifecycle.jsonl");
           watch =
             (if watch then
-               Some { Obs.Watch.default_config with Obs.Watch.dir = Some dir }
+               Some { Obs.Watch.dir = Some dir }
              else None);
         })
     metrics_dir
@@ -778,9 +778,13 @@ let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
    --checkpoint-every ticks (or once at the end), and optionally a
    mid-run crash of one shard's WAL followed by whole-fabric recovery.
    The printed digest must be bit-identical to the same run without the
-   crash. The crash flags are checked before anything is written. *)
+   crash. The crash flags are checked before anything is written.
+   [make_telemetry] builds each fabric's telemetry: the first fabric's,
+   and after a crash the recovered one's, which starts on fresh
+   telemetry as a restarted process would. Returns the last fabric and
+   its telemetry. *)
 let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
-    ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~telemetry =
+    ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~make_telemetry =
   let kill =
     if kill_shard < 0 then None
     else begin
@@ -812,6 +816,7 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
       Sys.mkdir dir 0o755
     end
   in
+  let telemetry = make_telemetry () in
   Option.iter ensure_parent journal_path;
   Option.iter ensure_parent checkpoint;
   let t =
@@ -828,8 +833,12 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
       Shard_fabric.kill_shard_journal t kill_shard;
       Format.printf "serve: killed shard %d's journal at tick %d@." kill_shard
         (Shard_fabric.tick_count t);
-      (* The crashed fabric is abandoned where it stands; recovery works
-         from durable state alone. *)
+      (* The crashed fabric is abandoned where it stands, its telemetry
+         retired; recovery works from durable state alone. The fresh
+         watcher rebuilds its state from watch.jsonl below the restored
+         tick, so the replayed ticks are observed once. *)
+      Option.iter Serve_telemetry.on_retire telemetry;
+      let telemetry = make_telemetry () in
       match
         Shard_fabric.recover ?telemetry fcfg
           ~topology:scenario.Scenario.topology ~source_spec:spec
@@ -844,14 +853,14 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
             replayed;
           let remaining = ticks - Shard_fabric.tick_count t2 in
           if remaining > 0 then Shard_fabric.run t2 ~ticks:remaining;
-          t2)
+          (t2, telemetry))
   | None ->
       Shard_fabric.run ?checkpoint_path:checkpoint ~checkpoint_every t ~ticks;
       (match checkpoint with
       | Some path when checkpoint_every = 0 ->
           Shard_fabric.save_checkpoint t ~path
       | _ -> ());
-      t
+      (t, telemetry)
 
 let serve_cmd =
   let run cfg spec seed util ticks fault_seed fault_rate retry_max checkpoint
@@ -873,11 +882,12 @@ let serve_cmd =
             Obs.Histogram.Registry.reset ();
             Obs.Histogram.Registry.enable ()
           end;
-          let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
           let before = Obs.Counters.snapshot () in
-          let t =
+          let t, telemetry =
             serve_fabric fcfg spec ?injector ~scenario ~ticks ~checkpoint
-              ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~telemetry
+              ~checkpoint_every ~journal_path ~kill_shard ~kill_at
+              ~make_telemetry:(fun () ->
+                make_telemetry ~metrics_every ~watch metrics_dir)
           in
           if not no_complete then Shard_fabric.complete t;
           let results = Shard_fabric.retire t in
@@ -1393,8 +1403,8 @@ let telemetry_cmd =
 
 let watch_dir_arg =
   let doc =
-    "Metrics directory recorded by $(b,serve --metrics-dir) (ideally with \
-     $(b,--watch), so it holds the watch.jsonl observation journal)."
+    "Metrics directory recorded by $(b,serve --metrics-dir --watch): it \
+     must hold the watch.jsonl observation journal."
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
 
@@ -1402,17 +1412,8 @@ let watch_out_arg =
   let doc = "Write alerts.json and health.json into $(docv) (default DIR)." in
   Arg.(value & opt (some string) None & info [ "o"; "out-dir" ] ~docv:"DIR" ~doc)
 
-let from_lifecycle_arg =
-  let doc =
-    "Reconstruct the observation stream from lifecycle.jsonl instead of \
-     watch.jsonl. Approximate (counter deltas are zero, gauges are \
-     rebuilt from stamps): alert digests are not comparable to a live \
-     watcher's, so no digest diff is performed."
-  in
-  Arg.(value & flag & info [ "from-lifecycle" ] ~doc)
-
 let watch_cmd =
-  let run dir out_dir from_lifecycle =
+  let run dir out_dir =
     let watch_jsonl = Filename.concat dir "watch.jsonl" in
     let alerts_jsonl = Filename.concat dir "alerts.jsonl" in
     let fail fmt =
@@ -1422,43 +1423,20 @@ let watch_cmd =
           exit 2)
         fmt
     in
-    let w, live_comparable =
-      if (not from_lifecycle) && Sys.file_exists watch_jsonl then begin
-        match Obs.Watch.read_journal watch_jsonl with
-        | Error m -> fail "%s" m
-        | Ok j ->
-            tolerate_torn_tail ~what:"watch" ~code:2 watch_jsonl
-              j.Obs.Watch.j_corrupt;
-            let cfg =
-              Option.value j.Obs.Watch.j_config
-                ~default:Obs.Watch.default_config
-            in
-            let w = Obs.Watch.create cfg in
-            List.iter (Obs.Watch.ingest w) j.Obs.Watch.j_obs;
-            Format.printf "watch: re-evaluated %d journaled tick(s) from %s@."
-              (List.length j.Obs.Watch.j_obs)
-              watch_jsonl;
-            (w, true)
-      end
-      else begin
-        let lifecycle = Filename.concat dir "lifecycle.jsonl" in
-        if not (Sys.file_exists lifecycle) then
-          fail "%s holds neither watch.jsonl nor lifecycle.jsonl" dir;
-        match Obs.Lifecycle.read_log lifecycle with
-        | Error m -> fail "%s" m
-        | Ok r ->
-            tolerate_torn_tail ~what:"watch" ~code:2 lifecycle
-              r.Obs.Store.corrupt;
-            let entries = r.Obs.Store.entries in
-            let w = Obs.Watch.create Obs.Watch.default_config in
-            let obs = Obs.Watch.obs_of_lifecycle entries in
-            List.iter (Obs.Watch.ingest w) obs;
-            Format.printf
-              "watch: reconstructed %d tick(s) from %d lifecycle stamp(s) \
-               (approximate: no counter deltas)@."
-              (List.length obs) (List.length entries);
-            (w, false)
-      end
+    if not (Sys.file_exists watch_jsonl) then
+      fail "%s not found (serve with --metrics-dir and --watch)" watch_jsonl;
+    let w =
+      match Obs.Watch.read_journal watch_jsonl with
+      | Error m -> fail "%s" m
+      | Ok j ->
+          tolerate_torn_tail ~what:"watch" ~code:2 watch_jsonl
+            j.Obs.Watch.j_corrupt;
+          let w = Obs.Watch.create Obs.Watch.default_config in
+          List.iter (Obs.Watch.ingest w) j.Obs.Watch.j_obs;
+          Format.printf "watch: re-evaluated %d journaled tick(s) from %s@."
+            (List.length j.Obs.Watch.j_obs)
+            watch_jsonl;
+          w
     in
     let out = Option.value out_dir ~default:dir in
     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
@@ -1475,7 +1453,7 @@ let watch_cmd =
       (Filename.concat out "health.json");
     (* Differential check against the live run's alert journal: the
        offline re-evaluation must reproduce it bit for bit. *)
-    if live_comparable && Sys.file_exists alerts_jsonl then begin
+    if Sys.file_exists alerts_jsonl then begin
       match Obs.Watch.read_alerts_digest alerts_jsonl with
       | Error m -> fail "%s" m
       | Ok (live_digest, records, corrupt) ->
@@ -1504,10 +1482,10 @@ let watch_cmd =
          [
            `P
              "Exit status: 0 = healthy, 1 = Critical alerts present, 2 = \
-              unreadable input, 3 = offline digest diverges from the live \
-              alert journal.";
+              no watch.jsonl or unreadable input, 3 = offline digest \
+              diverges from the live alert journal.";
          ])
-    Term.(const run $ watch_dir_arg $ watch_out_arg $ from_lifecycle_arg)
+    Term.(const run $ watch_dir_arg $ watch_out_arg)
 
 let all_cmd =
   let run seeds alpha trace counters =

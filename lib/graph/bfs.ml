@@ -59,53 +59,3 @@ let shortest_path g ?(usable = default_usable) ~src ~dst () =
       Some (Path.make g (collect dst []))
     end
   end
-
-let all_shortest_paths g ?(usable = default_usable) ?(max_paths = 64) ~src ~dst
-    () =
-  if src = dst then []
-  else begin
-    (* Distances from every node to [dst] over the reversed graph; a
-       forward edge (u,v) lies on a shortest path iff
-       dist_to_dst u = dist_to_dst v + 1. *)
-    let n = Graph.node_count g in
-    let dist_to_dst = Array.make n (-1) in
-    dist_to_dst.(dst) <- 0;
-    let q = Queue.create () in
-    Queue.push dst q;
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      Graph.iter_in g v (fun id ->
-          let u = Graph.src g id in
-          if dist_to_dst.(u) < 0 && usable (Graph.edge g id) then begin
-            dist_to_dst.(u) <- dist_to_dst.(v) + 1;
-            Queue.push u q
-          end)
-    done;
-    if dist_to_dst.(src) < 0 then []
-    else begin
-      let results = ref [] and count = ref 0 in
-      (* DFS along the shortest-path DAG, insertion order of out-edges. *)
-      let rec walk v acc =
-        if !count < max_paths then begin
-          if v = dst then begin
-            results := Path.make g (List.rev acc) :: !results;
-            incr count
-          end
-          else
-            Graph.iter_out g v (fun id ->
-                let e = Graph.edge g id in
-                if
-                  usable e
-                  && dist_to_dst.(e.Graph.dst) >= 0
-                  && dist_to_dst.(e.Graph.dst) = dist_to_dst.(v) - 1
-                then walk e.Graph.dst (e :: acc))
-        end
-      in
-      walk src [];
-      List.rev !results
-    end
-  end
-
-let reachable g ?(usable = default_usable) ~src () =
-  let dist = distances g usable src in
-  Array.map (fun d -> d >= 0) dist

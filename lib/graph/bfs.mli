@@ -15,19 +15,3 @@ val shortest_path :
   Path.t option
 (** One fewest-hop path (deterministic: first edge in insertion order
     wins). [None] when unreachable or [src = dst]. *)
-
-val all_shortest_paths :
-  Graph.t ->
-  ?usable:(Graph.edge -> bool) ->
-  ?max_paths:int ->
-  src:int ->
-  dst:int ->
-  unit ->
-  Path.t list
-(** All fewest-hop paths, enumerated from the BFS level DAG in
-    deterministic (insertion) order, truncated at [max_paths]
-    (default 64). Empty when unreachable or [src = dst]. *)
-
-val reachable : Graph.t -> ?usable:(Graph.edge -> bool) -> src:int -> unit ->
-  bool array
-(** [reachable g ~src ()] marks every node reachable from [src]. *)

@@ -46,55 +46,3 @@ let shortest_path g ?(usable = default_usable) ~weight ~src ~dst () =
       Some (Path.make g (collect dst []), dist.(dst))
     end
   end
-
-let widest_path g ?(usable = default_usable) ~width ~src ~dst () =
-  if src = dst then None
-  else begin
-    (* Max-bottleneck Dijkstra: labels are (-width, hops) so the standard
-       min-queue pops the widest (then shortest) candidate first. *)
-    let n = Graph.node_count g in
-    let best_width = Array.make n neg_infinity in
-    let best_hops = Array.make n max_int in
-    let parent_edge : Graph.edge option array = Array.make n None in
-    let settled = Array.make n false in
-    best_width.(src) <- infinity;
-    best_hops.(src) <- 0;
-    let pq = Pqueue.create () in
-    Pqueue.push pq 0.0 src;
-    let better w h v = w > best_width.(v) || (w = best_width.(v) && h < best_hops.(v)) in
-    let rec run () =
-      match Pqueue.pop pq with
-      | None -> ()
-      | Some (_, v) ->
-          if not settled.(v) then begin
-            settled.(v) <- true;
-            if v <> dst then begin
-              Graph.iter_out g v (fun id ->
-                  let e = Graph.edge g id in
-                  if usable e && not settled.(e.dst) then begin
-                    let w = min best_width.(v) (width e) in
-                    let h = best_hops.(v) + 1 in
-                    if better w h e.dst then begin
-                      best_width.(e.dst) <- w;
-                      best_hops.(e.dst) <- h;
-                      parent_edge.(e.dst) <- Some e;
-                      (* Priority favours width first, then fewer hops. *)
-                      Pqueue.push pq (-.w +. (1e-9 *. float_of_int h)) e.dst
-                    end
-                  end);
-              run ()
-            end
-          end
-          else run ()
-    in
-    run ();
-    if best_width.(dst) = neg_infinity then None
-    else begin
-      let rec collect v acc =
-        match parent_edge.(v) with
-        | None -> acc
-        | Some e -> collect e.src (e :: acc)
-      in
-      Some (Path.make g (collect dst []), best_width.(dst))
-    end
-  end

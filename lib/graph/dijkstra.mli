@@ -17,15 +17,3 @@ val shortest_path :
 (** Minimum-total-weight path and its weight. Weights must be
     non-negative; raises [Invalid_argument] on a negative weight. [None]
     when unreachable or [src = dst]. Deterministic tie-breaking. *)
-
-val widest_path :
-  Graph.t ->
-  ?usable:(Graph.edge -> bool) ->
-  width:(Graph.edge -> float) ->
-  src:int ->
-  dst:int ->
-  unit ->
-  (Path.t * float) option
-(** Maximum-bottleneck path: maximises the minimum of [width] along the
-    path (e.g. residual bandwidth). Returns the path and its bottleneck
-    width. Among equally wide paths prefers fewer hops. *)

@@ -2,24 +2,13 @@
    rate. Deterministic pure-state machines — see detector.mli. *)
 
 module Cusum = struct
-  type config = {
-    alpha : float;
-    k_sigma : float;
-    h_sigma : float;
-    warmup : int;
-    rel_floor : float;
-    abs_floor : float;
-  }
-
-  let default =
-    {
-      alpha = 0.2;
-      k_sigma = 0.5;
-      h_sigma = 5.0;
-      warmup = 10;
-      rel_floor = 0.05;
-      abs_floor = 1e-9;
-    }
+  (* The fixed parameters, documented in detector.mli. *)
+  let alpha = 0.2
+  let k_sigma = 0.5
+  let h_sigma = 5.0
+  let warmup = 10
+  let rel_floor = 0.05
+  let abs_floor = 1e-9
 
   type direction = Up | Down
 
@@ -33,7 +22,6 @@ module Cusum = struct
   }
 
   type t = {
-    cfg : config;
     mutable mean : float;
     mutable dev : float; (* EWMA of |x - mean|, the sigma proxy *)
     mutable s_pos : float; (* one-sided statistics, sigma units *)
@@ -52,12 +40,12 @@ module Cusum = struct
       sigma = 0.0;
     }
 
-  let create cfg =
-    { cfg; mean = 0.0; dev = 0.0; s_pos = 0.0; s_neg = 0.0; n = 0; st = quiet }
+  let create () =
+    { mean = 0.0; dev = 0.0; s_pos = 0.0; s_neg = 0.0; n = 0; st = quiet }
 
   let sigma_of t =
-    let floor_rel = t.cfg.rel_floor *. Float.abs t.mean in
-    Float.max t.cfg.abs_floor (Float.max floor_rel t.dev)
+    let floor_rel = rel_floor *. Float.abs t.mean in
+    Float.max abs_floor (Float.max floor_rel t.dev)
 
   let observe t x =
     if t.n = 0 then begin
@@ -70,21 +58,21 @@ module Cusum = struct
     let sigma = sigma_of t in
     let mean = t.mean in
     let z = (x -. mean) /. sigma in
-    if t.n >= t.cfg.warmup then begin
+    if t.n >= warmup then begin
       (* Capped so a long excursion cannot take unboundedly long to
          decay once the baseline catches up. *)
-      let cap = 2.0 *. t.cfg.h_sigma in
-      t.s_pos <- Float.min cap (Float.max 0.0 (t.s_pos +. z -. t.cfg.k_sigma));
-      t.s_neg <- Float.min cap (Float.max 0.0 (t.s_neg -. z -. t.cfg.k_sigma))
+      let cap = 2.0 *. h_sigma in
+      t.s_pos <- Float.min cap (Float.max 0.0 (t.s_pos +. z -. k_sigma));
+      t.s_neg <- Float.min cap (Float.max 0.0 (t.s_neg -. z -. k_sigma))
     end;
     let score = Float.max t.s_pos t.s_neg in
-    let firing = score > t.cfg.h_sigma in
+    let firing = score > h_sigma in
     let direction =
       if not firing then None
       else if t.s_pos >= t.s_neg then Some Up
       else Some Down
     in
-    let a = t.cfg.alpha in
+    let a = alpha in
     t.dev <- ((1.0 -. a) *. t.dev) +. (a *. Float.abs (x -. mean));
     t.mean <- ((1.0 -. a) *. mean) +. (a *. x);
     t.n <- t.n + 1;
@@ -94,7 +82,6 @@ module Cusum = struct
     t.st <- st;
     st
 
-  let samples t = t.n
   let last t = t.st
 end
 
@@ -149,6 +136,4 @@ module Rate = struct
     t.ring.(t.idx) <- d;
     t.idx <- (t.idx + 1) mod Array.length t.ring;
     t.total
-
-  let sum t = t.total
 end

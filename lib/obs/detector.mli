@@ -3,10 +3,9 @@
     All detectors are deterministic pure-state machines over the values
     fed to them: no wall clock, no RNG, no allocation beyond the fixed
     rings created at construction time. Feeding the same sequence of
-    samples to two instances with the same configuration produces the
-    same sequence of statuses bit for bit, which is what lets the
-    watchdog replay a journaled observation stream and reproduce the
-    live run's alerts exactly. *)
+    samples to two instances produces the same sequence of statuses
+    bit for bit, which is what lets the watchdog replay a journaled
+    observation stream and reproduce the live run's alerts exactly. *)
 
 module Cusum : sig
   (** EWMA baseline + two-sided CUSUM change-point detector.
@@ -15,18 +14,13 @@ module Cusum : sig
       not an edge: [firing] stays true while the statistic exceeds the
       decision threshold and decays naturally as the EWMA baseline
       absorbs the shift. That level semantics is what the health state
-      machine's consecutive-tick hysteresis counts over. *)
+      machine's consecutive-tick hysteresis counts over.
 
-  type config = {
-    alpha : float;  (** EWMA weight for the baseline and deviation. *)
-    k_sigma : float;  (** slack, in sigma units, subtracted per step *)
-    h_sigma : float;  (** decision threshold, in sigma units *)
-    warmup : int;  (** samples consumed before the statistic arms *)
-    rel_floor : float;  (** sigma floor as a fraction of |baseline| *)
-    abs_floor : float;  (** absolute sigma floor *)
-  }
-
-  val default : config
+      The parameters are fixed: EWMA weight 0.2 for the baseline and
+      the deviation; slack 0.5 sigma subtracted per step; decision
+      threshold 5 sigma (each one-sided statistic capped at 10);
+      10 warmup samples before the statistic arms; sigma floored at
+      5% of |baseline| and at 1e-9. *)
 
   type direction = Up | Down
 
@@ -41,9 +35,8 @@ module Cusum : sig
 
   type t
 
-  val create : config -> t
+  val create : unit -> t
   val observe : t -> float -> status
-  val samples : t -> int
   val last : t -> status
 end
 
@@ -66,5 +59,4 @@ module Rate : sig
 
   val create : window:int -> t
   val observe : t -> int -> int
-  val sum : t -> int
 end

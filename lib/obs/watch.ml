@@ -2,8 +2,9 @@
 
    Layout of the journal directory (both Store record logs, one JSON
    object per record):
-     watch.jsonl   header {"nu_watch":1,"config":{...}} then one obs
-                   object per tick, appended as ticks close
+     watch.jsonl   header {"nu_watch":1} then one obs object per tick,
+                   appended as ticks close (a header that still carries
+                   a "config" object loads; the object is ignored)
      alerts.jsonl  one alert object per record, appended as emitted
 
    Resume contract: the first ingest of a run at tick K > 0 replays the
@@ -13,38 +14,19 @@
 
 type severity = Info | Warning | Critical
 
-type config = {
-  window : int;
-  ect_cusum : Detector.Cusum.config;
-  queue_cusum : Detector.Cusum.config;
-  tenant_cusum : Detector.Cusum.config;
-  slope_window : int;
-  max_backlog_slope : float;
-  jain_min : float;
-  jain_windows : int;
-  max_corrupt_per_window : int;
-  max_restarts_per_window : int;
-  health : Health.config;
-  ring_capacity : int;
-  dir : string option;
-}
+type config = { dir : string option }
 
-let default_config =
-  {
-    window = 20;
-    ect_cusum = Detector.Cusum.default;
-    queue_cusum = Detector.Cusum.default;
-    tenant_cusum = Detector.Cusum.default;
-    slope_window = 20;
-    max_backlog_slope = 0.5;
-    jain_min = 0.6;
-    jain_windows = 2;
-    max_corrupt_per_window = 0;
-    max_restarts_per_window = 0;
-    health = Health.default;
-    ring_capacity = 512;
-    dir = None;
-  }
+let default_config = { dir = None }
+
+(* The fixed detector bank, documented in watch.mli. *)
+let window = 20
+let slope_window = 20
+let max_backlog_slope = 0.5
+let jain_min = 0.6
+let jain_windows = 2
+let max_corrupt_per_window = 0
+let max_restarts_per_window = 0
+let ring_capacity = 512
 
 type alert = {
   a_tick : int;
@@ -80,7 +62,7 @@ type tstate = {
 }
 
 type t = {
-  cfg : config;
+  dir : string option;
   mutable pending_rev : (string * float) list; (* live tick accumulation *)
   (* global detectors *)
   mutable g_cur : Histogram.t;
@@ -114,23 +96,23 @@ type t = {
   mutable alert_log : Store.writer option;
 }
 
-let create cfg =
+let create (cfg : config) =
   let sub_buckets = 64 in
   {
-    cfg;
+    dir = cfg.dir;
     pending_rev = [];
     g_cur = Histogram.create ~sub_buckets ();
     g_prev = Histogram.create ~sub_buckets ();
-    g_ect = Detector.Cusum.create cfg.ect_cusum;
-    g_queue = Detector.Cusum.create cfg.queue_cusum;
-    g_slope = Detector.Slope.create ~window:cfg.slope_window;
-    g_corrupt = Detector.Rate.create ~window:cfg.window;
-    g_restarts = Detector.Rate.create ~window:cfg.window;
+    g_ect = Detector.Cusum.create ();
+    g_queue = Detector.Cusum.create ();
+    g_slope = Detector.Slope.create ~window:slope_window;
+    g_corrupt = Detector.Rate.create ~window;
+    g_restarts = Detector.Rate.create ~window;
     tick_in_window = 0;
     jain_run = 0;
     jain_firing = false;
     last_jain = None;
-    g_health = Health.create cfg.health;
+    g_health = Health.create Health.default;
     g_timeline = [];
     g_last_detector = "none";
     tenants = Hashtbl.create 16;
@@ -210,108 +192,6 @@ let obs_of_json j =
   in
   Ok { o_tick; o_queue; o_backlog; o_ects; o_corrupt_d; o_restarts_d }
 
-let cusum_to_json (c : Detector.Cusum.config) =
-  Json.Obj
-    [
-      ("alpha", Json.Float c.alpha);
-      ("k_sigma", Json.Float c.k_sigma);
-      ("h_sigma", Json.Float c.h_sigma);
-      ("warmup", Json.Int c.warmup);
-      ("rel_floor", Json.Float c.rel_floor);
-      ("abs_floor", Json.Float c.abs_floor);
-    ]
-
-let cusum_of_json j =
-  let ( let* ) = Result.bind in
-  let num k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "watch config: missing number %S" k)
-  in
-  let int k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "watch config: missing int %S" k)
-  in
-  let* alpha = num "alpha" in
-  let* k_sigma = num "k_sigma" in
-  let* h_sigma = num "h_sigma" in
-  let* warmup = int "warmup" in
-  let* rel_floor = num "rel_floor" in
-  let* abs_floor = num "abs_floor" in
-  Ok { Detector.Cusum.alpha; k_sigma; h_sigma; warmup; rel_floor; abs_floor }
-
-let config_to_json c =
-  Json.Obj
-    [
-      ("window", Json.Int c.window);
-      ("ect_cusum", cusum_to_json c.ect_cusum);
-      ("queue_cusum", cusum_to_json c.queue_cusum);
-      ("tenant_cusum", cusum_to_json c.tenant_cusum);
-      ("slope_window", Json.Int c.slope_window);
-      ("max_backlog_slope", Json.Float c.max_backlog_slope);
-      ("jain_min", Json.Float c.jain_min);
-      ("jain_windows", Json.Int c.jain_windows);
-      ("max_corrupt_per_window", Json.Int c.max_corrupt_per_window);
-      ("max_restarts_per_window", Json.Int c.max_restarts_per_window);
-      ("warn_after", Json.Int c.health.Health.warn_after);
-      ("crit_after", Json.Int c.health.Health.crit_after);
-      ("clear_after", Json.Int c.health.Health.clear_after);
-      ("recover_after", Json.Int c.health.Health.recover_after);
-      ("ring_capacity", Json.Int c.ring_capacity);
-    ]
-
-let config_of_json j =
-  let ( let* ) = Result.bind in
-  let int k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "watch config: missing int %S" k)
-  in
-  let num k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "watch config: missing number %S" k)
-  in
-  let obj k =
-    match Json.member k j with
-    | Some o -> Ok o
-    | None -> Error (Printf.sprintf "watch config: missing object %S" k)
-  in
-  let* window = int "window" in
-  let* ect_cusum = Result.bind (obj "ect_cusum") cusum_of_json in
-  let* queue_cusum = Result.bind (obj "queue_cusum") cusum_of_json in
-  let* tenant_cusum = Result.bind (obj "tenant_cusum") cusum_of_json in
-  let* slope_window = int "slope_window" in
-  let* max_backlog_slope = num "max_backlog_slope" in
-  let* jain_min = num "jain_min" in
-  let* jain_windows = int "jain_windows" in
-  let* max_corrupt_per_window = int "max_corrupt_per_window" in
-  let* max_restarts_per_window = int "max_restarts_per_window" in
-  let* warn_after = int "warn_after" in
-  let* crit_after = int "crit_after" in
-  let* clear_after = int "clear_after" in
-  let* recover_after = int "recover_after" in
-  let* ring_capacity = int "ring_capacity" in
-  Ok
-    {
-      window;
-      ect_cusum;
-      queue_cusum;
-      tenant_cusum;
-      slope_window;
-      max_backlog_slope;
-      jain_min;
-      jain_windows;
-      max_corrupt_per_window;
-      max_restarts_per_window;
-      health = { Health.warn_after; crit_after; clear_after; recover_after };
-      ring_capacity;
-      dir = None;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* Journaling *)
 
@@ -326,9 +206,7 @@ let record log payload =
 let open_fresh t dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let obs_log = Store.open_writer (obs_path dir) in
-  record obs_log
-    (Json.to_string
-       (Json.Obj [ ("nu_watch", Json.Int 1); ("config", config_to_json t.cfg) ]));
+  record obs_log (Json.to_string (Json.Obj [ ("nu_watch", Json.Int 1) ]));
   t.obs_log <- Some obs_log;
   t.alert_log <- Some (Store.open_writer (alerts_path dir))
 
@@ -357,7 +235,7 @@ let emit t a =
       t.last_breach <- Some a.a_tick
   | Info -> ());
   Queue.push a t.ring;
-  if Queue.length t.ring > t.cfg.ring_capacity then begin
+  if Queue.length t.ring > ring_capacity then begin
     ignore (Queue.pop t.ring);
     t.dropped <- t.dropped + 1
   end;
@@ -384,8 +262,8 @@ let tenant_state t name =
         {
           t_cur = Histogram.create ~sub_buckets ();
           t_prev = Histogram.create ~sub_buckets ();
-          t_cusum = Detector.Cusum.create t.cfg.tenant_cusum;
-          t_health = Health.create t.cfg.health;
+          t_cusum = Detector.Cusum.create ();
+          t_health = Health.create Health.default;
           t_last_detector = "tenant_ect_cusum";
           t_timeline = [];
         }
@@ -417,12 +295,12 @@ let eval t o =
   let queue_st = Detector.Cusum.observe t.g_queue (float_of_int o.o_queue) in
   let slope_v = Detector.Slope.observe t.g_slope (float_of_int o.o_backlog) in
   let slope_firing =
-    match slope_v with Some s -> s > t.cfg.max_backlog_slope | None -> false
+    match slope_v with Some s -> s > max_backlog_slope | None -> false
   in
   let corrupt_w = Detector.Rate.observe t.g_corrupt o.o_corrupt_d in
-  let corrupt_firing = corrupt_w > t.cfg.max_corrupt_per_window in
+  let corrupt_firing = corrupt_w > max_corrupt_per_window in
   let restarts_w = Detector.Rate.observe t.g_restarts o.o_restarts_d in
-  let restarts_firing = restarts_w > t.cfg.max_restarts_per_window in
+  let restarts_firing = restarts_w > max_restarts_per_window in
   (* 3. Per-tenant CUSUM over the pre-rotation windows, sorted order. *)
   let tenant_stats =
     List.map
@@ -434,7 +312,7 @@ let eval t o =
   in
   (* 4. Fairness window: evaluate and rotate every window-th tick. *)
   t.tick_in_window <- t.tick_in_window + 1;
-  if t.tick_in_window >= t.cfg.window then begin
+  if t.tick_in_window >= window then begin
     let means =
       List.filter_map
         (fun (_, ts, _) ->
@@ -445,10 +323,10 @@ let eval t o =
     (match if List.length means >= 2 then Fairness.jain means else None with
     | Some j ->
         t.last_jain <- Some j;
-        if j < t.cfg.jain_min then t.jain_run <- t.jain_run + 1
+        if j < jain_min then t.jain_run <- t.jain_run + 1
         else t.jain_run <- 0
     | None -> t.jain_run <- 0);
-    t.jain_firing <- t.jain_run >= t.cfg.jain_windows;
+    t.jain_firing <- t.jain_run >= jain_windows;
     t.g_prev <- t.g_cur;
     t.g_cur <- Histogram.create ~sub_buckets:64 ();
     List.iter
@@ -561,37 +439,25 @@ let eval t o =
 (* ------------------------------------------------------------------ *)
 (* Journal reading: Store's damage rule *)
 
-type journal = {
-  j_config : config option;
-  j_obs : obs list;
-  j_corrupt : Store.corrupt_frame list;
-}
+type journal = { j_obs : obs list; j_corrupt : Store.corrupt_frame list }
 
-(* A record is the header (first, carrying the config) or one
-   observation; one that is neither is a corrupt frame. *)
+(* A record is the header ([None]; any other members it carries are
+   ignored) or one observation; one that is neither is a corrupt
+   frame. *)
 let decode_record payload =
   let ( let* ) = Result.bind in
   let* j = Json.of_string payload in
   match Json.member "nu_watch" j with
-  | Some _ ->
-      Ok
-        (`Header
-          (Option.bind (Json.member "config" j) (fun cj ->
-               Result.to_option (config_of_json cj))))
-  | None -> Result.map (fun o -> `Obs o) (obs_of_json j)
+  | Some _ -> Ok None
+  | None -> Result.map Option.some (obs_of_json j)
 
 let read_journal path =
   Result.map
     (fun r ->
-      let j_config =
-        match r.Store.entries with `Header c :: _ -> c | _ -> None
-      in
-      let j_obs =
-        List.filter_map
-          (function `Obs o -> Some o | `Header _ -> None)
-          r.Store.entries
-      in
-      { j_config; j_obs; j_corrupt = r.Store.corrupt })
+      {
+        j_obs = List.filter_map Fun.id r.Store.entries;
+        j_corrupt = r.Store.corrupt;
+      })
     (Store.read_report ~decode:decode_record path)
 
 let read_alerts_digest path =
@@ -621,7 +487,7 @@ let ingest_started t o =
 let ingest t o =
   if not t.started then begin
     t.started <- true;
-    match t.cfg.dir with
+    match t.dir with
     | Some dir when o.o_tick > 0 && Sys.file_exists (obs_path dir) ->
         (* Restore-and-replay run: rebuild detector state from the
            journaled prefix below the resume tick, re-journaling it
@@ -737,65 +603,3 @@ let health_json t =
       ("global", snd global);
       ("tenants", Json.Obj tenants);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle fallback reconstruction *)
-
-let obs_of_lifecycle entries =
-  match entries with
-  | [] -> []
-  | _ ->
-      let max_tick =
-        List.fold_left (fun m (e : Lifecycle.entry) -> max m e.tick) 0 entries
-      in
-      let by_tick = Array.make (max_tick + 1) [] in
-      List.iter
-        (fun (e : Lifecycle.entry) ->
-          if e.tick >= 0 then by_tick.(e.tick) <- e :: by_tick.(e.tick))
-        entries;
-      let queued = Hashtbl.create 64 in
-      let queue = ref 0 and backlog = ref 0 in
-      let out = ref [] in
-      for tick = 0 to max_tick do
-        let ects = ref [] in
-        List.iter
-          (fun (e : Lifecycle.entry) ->
-            match e.stage with
-            | Lifecycle.Admitted ->
-                if not (Hashtbl.mem queued e.id) then begin
-                  Hashtbl.replace queued e.id ();
-                  incr queue
-                end
-            | Lifecycle.Submitted _ ->
-                if Hashtbl.mem queued e.id then begin
-                  Hashtbl.remove queued e.id;
-                  decr queue
-                end;
-                incr backlog
-            | Lifecycle.Shed _ ->
-                if Hashtbl.mem queued e.id then begin
-                  Hashtbl.remove queued e.id;
-                  decr queue
-                end
-            | Lifecycle.Completed { ect_s } ->
-                backlog := max 0 (!backlog - 1);
-                ects := (e.tenant, ect_s) :: !ects
-            | Lifecycle.Degraded { ect_s; _ } ->
-                backlog := max 0 (!backlog - 1);
-                ects := (e.tenant, ect_s) :: !ects
-            | Lifecycle.Arrived | Lifecycle.Deferred | Lifecycle.Planned _
-            | Lifecycle.Aborted _ | Lifecycle.Retry_scheduled _ ->
-                ())
-          (List.rev by_tick.(tick));
-        out :=
-          {
-            o_tick = tick;
-            o_queue = max 0 !queue;
-            o_backlog = max 0 !backlog;
-            o_ects = List.rev !ects;
-            o_corrupt_d = 0;
-            o_restarts_d = 0;
-          }
-          :: !out
-      done;
-      List.rev !out

@@ -17,6 +17,21 @@
     - windowed WAL corrupt-frame-rate and supervisor-restart-rate
       budgets.
 
+    The bank is fixed; no run tunes it:
+
+    - every CUSUM uses {!Detector.Cusum}'s fixed parameters;
+    - the ECT and fairness windows rotate every 20 ticks, and a rolling
+      p99 reads the current window merged with the previous one;
+    - the backlog slope is regressed over the last 20 ticks and fires
+      above 0.5 events per tick;
+    - Jain's index over the per-tenant mean ECTs of a window (two
+      tenants or more) collapses below 0.6, and fires after 2
+      consecutive collapsed windows;
+    - the corrupt-frame and restart budgets are 0 per 20-tick window,
+      so one corrupt frame or one restart fires;
+    - every scope's health machine runs at {!Health.default};
+    - the alert ring retains the newest 512 alerts.
+
     Detector outcomes drive a {!Health} state machine per scope (global
     plus one per tenant); every state transition — and every CUSUM
     rising edge — emits a structured {!alert} into a bounded in-memory
@@ -38,24 +53,13 @@
 type severity = Info | Warning | Critical
 
 type config = {
-  window : int;  (** ECT/fairness window rotation period, ticks *)
-  ect_cusum : Detector.Cusum.config;
-  queue_cusum : Detector.Cusum.config;
-  tenant_cusum : Detector.Cusum.config;
-  slope_window : int;  (** backlog-slope regression window, ticks *)
-  max_backlog_slope : float;  (** events per tick; above fires *)
-  jain_min : float;  (** fairness floor *)
-  jain_windows : int;  (** consecutive collapsed windows to fire *)
-  max_corrupt_per_window : int;  (** corrupt-frame budget per window *)
-  max_restarts_per_window : int;  (** supervisor-restart budget *)
-  health : Health.config;
-  ring_capacity : int;  (** retained alerts; older ones drop *)
   dir : string option;
       (** journal directory (record logs [watch.jsonl] and
           [alerts.jsonl]); [None] keeps the watcher purely in-memory *)
 }
 
 val default_config : config
+(** [dir = None]. *)
 
 type alert = {
   a_tick : int;
@@ -138,7 +142,6 @@ val health_json : t -> Json.t
 (* Offline evaluation *)
 
 type journal = {
-  j_config : config option;  (** from the header record; [dir] is [None] *)
   j_obs : obs list;
   j_corrupt : Store.corrupt_frame list;
       (** damage skipped by the reader (see {!Store.read_report}) *)
@@ -147,18 +150,10 @@ type journal = {
 val read_journal : string -> (journal, string) result
 (** Read a [watch.jsonl] record log. Damage is skipped and reported in
     [j_corrupt], never raised; a record that is neither the header nor
-    an observation counts as damage. *)
+    an observation counts as damage. A header that carries a [config]
+    object (as older files do) loads; the object is ignored. *)
 
 val read_alerts_digest :
   string -> (string * int * Store.corrupt_frame list, string) result
 (** Recompute the FNV-1a digest and record count of an [alerts.jsonl]
     record log, with the damage the reader skipped. *)
-
-val obs_of_lifecycle : Lifecycle.entry list -> obs list
-(** Approximate an observation stream from lifecycle stamps alone:
-    per-tick completions and reconstructed queue/backlog gauges, with
-    counter deltas of zero. A fallback for metrics directories recorded
-    without [--watch]; digests computed from it are not comparable to a
-    live watcher's. *)
-
-val config_to_json : config -> Json.t

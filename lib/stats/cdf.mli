@@ -1,9 +1,7 @@
 (** Empirical cumulative distribution functions for reporting.
 
     Figure 9 of the paper plots per-event queuing delay series; producing
-    a CDF of metric samples is the standard way to compare schedulers.
-    This is the reporting-side counterpart of {!Dist.empirical} (which is
-    the sampling side). *)
+    a CDF of metric samples is the standard way to compare schedulers. *)
 
 type t
 
@@ -19,7 +17,7 @@ val inverse : t -> float -> float
 
 val points : t -> (float * float) array
 (** The ECDF as [(value, cumulative probability)] steps, deduplicated on
-    value, suitable for plotting or for {!Dist.empirical_of_cdf}. *)
+    value, suitable for plotting. *)
 
 val size : t -> int
 (** Number of underlying samples. *)

@@ -53,24 +53,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-let geometric_mean xs =
-  check_nonempty "geometric_mean" xs;
-  let logs =
-    Array.map
-      (fun x ->
-        if x <= 0.0 then
-          invalid_arg "Descriptive.geometric_mean: non-positive sample"
-        else log x)
-      xs
-  in
-  exp (total logs /. float_of_int (Array.length xs))
-
-let normalize_by_max xs =
-  check_nonempty "normalize_by_max" xs;
-  let mx = max_value xs in
-  if mx <= 0.0 then invalid_arg "Descriptive.normalize_by_max: max <= 0";
-  Array.map (fun x -> x /. mx) xs
-
 let reduction_vs ~baseline v =
   if baseline <= 0.0 then invalid_arg "Descriptive.reduction_vs: baseline";
   (baseline -. v) /. baseline

@@ -28,13 +28,6 @@ val percentile : float array -> float -> float
 val median : float array -> float
 (** [percentile xs 50.0]. *)
 
-val geometric_mean : float array -> float
-(** Geometric mean; requires strictly positive samples. *)
-
-val normalize_by_max : float array -> float array
-(** Divide every sample by the maximum; the paper reports figure series
-    normalised by the flow-level method's maximum. Requires max > 0. *)
-
 val reduction_vs : baseline:float -> float -> float
 (** [reduction_vs ~baseline v] is the fractional reduction
     [(baseline - v) / baseline] — the paper's "X% reduction against FIFO"

@@ -31,78 +31,3 @@ let normal rng ~mu ~sigma =
 let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
 
 let uniform rng ~lo ~hi = Prng.float_in rng lo hi
-
-let zipf rng ~n ~s =
-  if n < 1 then invalid_arg "Dist.zipf: n must be >= 1";
-  if s < 0.0 then invalid_arg "Dist.zipf: s must be >= 0";
-  if n = 1 then 1
-  else if s = 0.0 then Prng.int_in rng 1 n
-  else begin
-    (* Exact inverse-CDF draw over the harmonic weights. O(n) per call;
-       the callers draw ranks over at most a few thousand hosts, so a
-       table-free linear scan is simpler than Devroye rejection and
-       obviously correct. *)
-    let total = ref 0.0 in
-    for k = 1 to n do
-      total := !total +. (float_of_int k ** -.s)
-    done;
-    let target = Prng.unit_float rng *. !total in
-    let rec scan k acc =
-      if k >= n then n
-      else
-        let acc = acc +. (float_of_int k ** -.s) in
-        if acc >= target then k else scan (k + 1) acc
-    in
-    scan 1 0.0
-  end
-
-type empirical = { values : float array; cum : float array }
-
-let empirical_of_samples samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Dist.empirical_of_samples: empty";
-  let values = Array.copy samples in
-  Array.sort compare values;
-  let cum = Array.init n (fun i -> float_of_int (i + 1) /. float_of_int n) in
-  { values; cum }
-
-let empirical_of_cdf knots =
-  let n = Array.length knots in
-  if n = 0 then invalid_arg "Dist.empirical_of_cdf: empty";
-  let values = Array.map fst knots and cum = Array.map snd knots in
-  for i = 1 to n - 1 do
-    if cum.(i) < cum.(i - 1) then
-      invalid_arg "Dist.empirical_of_cdf: probabilities must be sorted"
-  done;
-  if abs_float (cum.(n - 1) -. 1.0) > 1e-9 then
-    invalid_arg "Dist.empirical_of_cdf: CDF must end at 1.0";
-  { values; cum }
-
-let empirical_draw e rng =
-  let u = Prng.unit_float rng in
-  let n = Array.length e.cum in
-  (* Binary search for the first knot with cum >= u. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if e.cum.(mid) >= u then search lo mid else search (mid + 1) hi
-  in
-  let i = search 0 (n - 1) in
-  if i = 0 then e.values.(0)
-  else begin
-    (* Linear interpolation between knots i-1 and i. *)
-    let p0 = e.cum.(i - 1) and p1 = e.cum.(i) in
-    let v0 = e.values.(i - 1) and v1 = e.values.(i) in
-    if p1 -. p0 <= 0.0 then v1
-    else v0 +. ((v1 -. v0) *. ((u -. p0) /. (p1 -. p0)))
-  end
-
-let empirical_mean e =
-  let n = Array.length e.values in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    let p_prev = if i = 0 then 0.0 else e.cum.(i - 1) in
-    total := !total +. (e.values.(i) *. (e.cum.(i) -. p_prev))
-  done;
-  !total

@@ -3,8 +3,7 @@
     The Yahoo! and Benson-style traces are heavy-tailed: flow sizes follow
     a Pareto-like law (a few elephant flows carry most bytes) and durations
     and inter-arrivals are log-normal / exponential. This module provides
-    the samplers plus an empirical distribution that replays an arbitrary
-    CDF, which is how a recorded trace histogram would be consumed. *)
+    the samplers. *)
 
 val exponential : Prng.t -> rate:float -> float
 (** [exponential rng ~rate] draws from Exp(rate); mean [1/rate].
@@ -27,25 +26,3 @@ val normal : Prng.t -> mu:float -> sigma:float -> float
 
 val uniform : Prng.t -> lo:float -> hi:float -> float
 (** Alias of {!Prng.float_in} for symmetry with the other samplers. *)
-
-val zipf : Prng.t -> n:int -> s:float -> int
-(** [zipf rng ~n ~s] draws a rank in [1, n] with probability proportional
-    to [1/rank^s], by inversion on a precomputed table-free approximation
-    (rejection sampling, Devroye). Requires [n >= 1] and [s >= 0]. *)
-
-type empirical
-(** Empirical distribution: replays samples according to an observed CDF. *)
-
-val empirical_of_samples : float array -> empirical
-(** Build from raw observations (copied and sorted). Raises
-    [Invalid_argument] on an empty array. *)
-
-val empirical_of_cdf : (float * float) array -> empirical
-(** Build from explicit [(value, cumulative_probability)] knots, which must
-    be sorted by probability and end at probability 1.0 (within 1e-9). *)
-
-val empirical_draw : empirical -> Prng.t -> float
-(** Inverse-CDF draw with linear interpolation between knots. *)
-
-val empirical_mean : empirical -> float
-(** Mean of the stored knots, weighted by probability mass. *)

@@ -44,12 +44,3 @@ let generate ?(shape = Heterogeneous) ?(arrivals = Batch) ?flow_params
       in
       { event_id; arrival_s; flows })
 
-let total_flow_count specs =
-  List.fold_left (fun acc s -> acc + List.length s.flows) 0 specs
-
-let total_demand_mbps spec =
-  List.fold_left (fun acc f -> acc +. Flow_record.demand_mbps f) 0.0 spec.flows
-
-let pp_spec ppf s =
-  Format.fprintf ppf "event#%d @%.2fs: %d flows, %.1f Mbps total" s.event_id
-    s.arrival_s (List.length s.flows) (total_demand_mbps s)

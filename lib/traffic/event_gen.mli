@@ -41,10 +41,3 @@ val generate :
     flow characteristics. Flow ids are unique across the whole workload;
     each flow's [arrival_s] equals its event's arrival. Requires
     [host_count >= 2], [n_events >= 0]. *)
-
-val total_flow_count : spec list -> int
-
-val total_demand_mbps : spec -> float
-(** Sum of bandwidth requirements of the event's flows. *)
-
-val pp_spec : Format.formatter -> spec -> unit

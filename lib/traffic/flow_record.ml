@@ -17,7 +17,6 @@ let v ~id ~src ~dst ~size_mbit ~duration_s ~arrival_s =
   { id; src; dst; size_mbit; duration_s; arrival_s }
 
 let demand_mbps t = t.size_mbit /. t.duration_s
-let departure_s t = t.arrival_s +. t.duration_s
 
 let compare_by_arrival a b =
   match compare a.arrival_s b.arrival_s with

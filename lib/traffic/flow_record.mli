@@ -29,9 +29,6 @@ val v :
 (** Checked constructor: positive size and duration, non-negative
     arrival, distinct non-negative endpoints. *)
 
-val departure_s : t -> float
-(** [arrival_s +. duration_s]. *)
-
 val compare_by_arrival : t -> t -> int
 (** Orders by arrival, then id — the trace replay order. *)
 

@@ -16,24 +16,3 @@ let host_pair ~host_count ~src_ip ~dst_ip =
   let s = host_of_ip ~host_count src_ip in
   let d = host_of_ip ~host_count dst_ip in
   if s <> d then (s, d) else (s, (d + 1) mod host_count)
-
-let ip_of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      let octet x =
-        match int_of_string_opt x with
-        | Some v when v >= 0 && v <= 255 -> Some v
-        | _ -> None
-      in
-      match (octet a, octet b, octet c, octet d) with
-      | Some a, Some b, Some c, Some d ->
-          Some
-            (Int32.logor
-               (Int32.shift_left (Int32.of_int a) 24)
-               (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d)))
-      | _ -> None)
-  | _ -> None
-
-let string_of_ip ip =
-  let b i = Int32.to_int (Int32.logand (Int32.shift_right_logical ip i) 0xFFl) in
-  Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)

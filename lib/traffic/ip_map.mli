@@ -16,8 +16,3 @@ val host_pair :
 (** Maps both endpoints; when they collide onto the same host the
     destination is shifted deterministically to the next host. Requires
     [host_count >= 2]. *)
-
-val ip_of_string : string -> int32 option
-(** Parse dotted-quad notation ("10.0.1.17"). *)
-
-val string_of_ip : int32 -> string

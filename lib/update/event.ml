@@ -78,11 +78,6 @@ let work_count t = List.length t.work
 let install_records t =
   List.filter_map (function Install r -> Some r | Reroute _ -> None) t.work
 
-let total_install_demand_mbps t =
-  List.fold_left
-    (fun acc r -> acc +. Flow_record.demand_mbps r)
-    0.0 (install_records t)
-
 let compare_by_arrival a b =
   match compare a.arrival_s b.arrival_s with
   | 0 -> compare a.id b.id

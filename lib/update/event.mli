@@ -77,8 +77,6 @@ val work_count : t -> int
 val install_records : t -> Flow_record.t list
 (** The records of the [Install] items, in work order. *)
 
-val total_install_demand_mbps : t -> float
-
 val compare_by_arrival : t -> t -> int
 (** Arrival order; ties by id. The queue order of §III-C. *)
 

@@ -101,6 +101,68 @@ let test_serve_stream_bad_host () =
   Sys.remove stream;
   Sys.rmdir dir
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let fresh_dir name =
+  let dir = Filename.temp_file name "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+(* The value after [prefix] on the output line that starts with it. *)
+let field out prefix =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' out)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no %S line in:\n%s" prefix out
+
+(* A killed and recovered run observes every tick once: its watchdog
+   prints the uninterrupted run's alert line, digest included. *)
+let test_serve_kill_watch_digest () =
+  let dir = fresh_dir "nu_cli_watch" in
+  let serve name extra =
+    let sub = Filename.concat dir name in
+    Sys.mkdir sub 0o755;
+    let status, out =
+      run_capture
+        ([
+           "serve"; "--ticks"; "60"; "--rate"; "0.5"; "--seed"; "42";
+           "--journal"; Filename.concat sub "wal"; "--checkpoint";
+           Filename.concat sub "cp.json"; "--metrics-dir";
+           Filename.concat sub "metrics"; "--watch";
+         ]
+        @ extra)
+    in
+    Alcotest.(check int) (name ^ " exit 0") 0 status;
+    out
+  in
+  let plain = serve "plain" [] in
+  let killed = serve "killed" [ "--kill-shard"; "0"; "--kill-at"; "30" ] in
+  Alcotest.(check bool) "recovered" true (contains killed "serve: recovered");
+  Alcotest.(check string) "decision digest" (field plain "digest:")
+    (field killed "digest:");
+  Alcotest.(check string) "alert line" (field plain "watch:")
+    (field killed "watch:");
+  rm_rf dir
+
+(* The offline watchdog reads watch.jsonl and nothing else: a metrics
+   directory without it exits 2 and names the missing file. *)
+let test_watch_without_journal () =
+  let dir = fresh_dir "nu_cli_watch" in
+  let status, out = run_capture [ "watch"; dir ] in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names the file" true
+    (contains out (Filename.concat dir "watch.jsonl"));
+  rm_rf dir
+
 let suite =
   [
     ("unknown subcommand fails", `Quick, test_unknown_subcommand);
@@ -113,4 +175,8 @@ let suite =
       `Quick,
       test_serve_kill_shard_without_kill_at );
     ("serve --stream with an out-of-range host fails", `Quick, test_serve_stream_bad_host);
+    ( "serve --kill-shard --watch = plain alert digest",
+      `Quick,
+      test_serve_kill_watch_digest );
+    ("watch without watch.jsonl fails", `Quick, test_watch_without_journal);
   ]

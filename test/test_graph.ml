@@ -313,38 +313,16 @@ let test_bfs_shortest_path () =
       Alcotest.(check int) "ends at 3" 3 (Path.dst p)
   | None -> Alcotest.fail "path exists"
 
-let test_bfs_all_shortest () =
-  let g, _ = diamond () in
-  let paths = Bfs.all_shortest_paths g ~src:0 ~dst:3 () in
-  Alcotest.(check int) "two 2-hop paths" 2 (List.length paths);
-  List.iter (fun p -> Alcotest.(check int) "hops" 2 (Path.hops p)) paths
-
-let test_bfs_max_paths () =
-  let g, _ = diamond () in
-  let paths = Bfs.all_shortest_paths g ~max_paths:1 ~src:0 ~dst:3 () in
-  Alcotest.(check int) "truncated" 1 (List.length paths)
-
 let test_bfs_usable_filter () =
   let g, (e01, _, _, _, _, _, _) = diamond () in
   let usable (e : Graph.edge) = e.Graph.id <> e01 in
-  let paths = Bfs.all_shortest_paths g ~usable ~src:0 ~dst:3 () in
-  Alcotest.(check int) "one survives" 1 (List.length paths);
   match Bfs.shortest_path g ~usable ~src:0 ~dst:3 () with
   | Some p -> Alcotest.(check bool) "avoids filtered edge" false (Path.mentions_edge p e01)
   | None -> Alcotest.fail "alternative exists"
 
 let test_bfs_same_node () =
   let g, _ = diamond () in
-  Alcotest.(check bool) "no self path" true (Bfs.shortest_path g ~src:0 ~dst:0 () = None);
-  Alcotest.(check (list pass)) "no self list" []
-    (Bfs.all_shortest_paths g ~src:0 ~dst:0 ())
-
-let test_bfs_reachable () =
-  let g, _ = diamond () in
-  let r = Bfs.reachable g ~src:0 () in
-  Alcotest.(check bool) "reaches 3" true r.(3);
-  let r3 = Bfs.reachable g ~src:3 () in
-  Alcotest.(check bool) "3 cannot reach 0" false r3.(0)
+  Alcotest.(check bool) "no self path" true (Bfs.shortest_path g ~src:0 ~dst:0 () = None)
 
 (* ------------------------------------------------------------------ *)
 (* Dijkstra                                                            *)
@@ -378,24 +356,6 @@ let test_dijkstra_unreachable () =
   let g, _ = diamond () in
   Alcotest.(check bool) "none" true
     (Dijkstra.shortest_path g ~weight:(fun _ -> 1.0) ~src:3 ~dst:0 () = None)
-
-let test_widest_path () =
-  let g, _ = diamond () in
-  match Dijkstra.widest_path g ~width:(fun e -> e.Graph.capacity) ~src:0 ~dst:3 () with
-  | Some (p, w) ->
-      Alcotest.(check (float 1e-9)) "bottleneck 100" 100.0 w;
-      Alcotest.(check (list int)) "detour route" [ 0; 4; 5; 3 ] (Path.nodes p)
-  | None -> Alcotest.fail "path exists"
-
-let test_widest_prefers_short_on_tie () =
-  let g = Graph.create ~initial_nodes:4 () in
-  ignore (Graph.add_edge g ~src:0 ~dst:1 ~capacity:10.0);
-  ignore (Graph.add_edge g ~src:1 ~dst:3 ~capacity:10.0);
-  ignore (Graph.add_edge g ~src:0 ~dst:2 ~capacity:10.0);
-  ignore (Graph.add_edge g ~src:2 ~dst:1 ~capacity:10.0);
-  match Dijkstra.widest_path g ~width:(fun e -> e.Graph.capacity) ~src:0 ~dst:3 () with
-  | Some (p, _) -> Alcotest.(check int) "short route" 2 (Path.hops p)
-  | None -> Alcotest.fail "path exists"
 
 (* ------------------------------------------------------------------ *)
 (* Yen                                                                 *)
@@ -459,17 +419,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_matches_reference;
     ("bfs distance", `Quick, test_bfs_distance);
     ("bfs shortest path", `Quick, test_bfs_shortest_path);
-    ("bfs all shortest", `Quick, test_bfs_all_shortest);
-    ("bfs max paths", `Quick, test_bfs_max_paths);
     ("bfs usable filter", `Quick, test_bfs_usable_filter);
     ("bfs same node", `Quick, test_bfs_same_node);
-    ("bfs reachable", `Quick, test_bfs_reachable);
     ("dijkstra weighted", `Quick, test_dijkstra_weighted);
     ("dijkstra hops", `Quick, test_dijkstra_hops);
     ("dijkstra negative weight", `Quick, test_dijkstra_negative_weight);
     ("dijkstra unreachable", `Quick, test_dijkstra_unreachable);
-    ("widest path", `Quick, test_widest_path);
-    ("widest short tie", `Quick, test_widest_prefers_short_on_tie);
     ("yen enumerates", `Quick, test_yen_enumerates);
     ("yen k too large", `Quick, test_yen_k_larger_than_paths);
     ("yen k zero", `Quick, test_yen_k_zero);

@@ -1318,7 +1318,7 @@ let contains_sub doc sub =
 
 let test_cusum_step_change () =
   let open Obs.Detector.Cusum in
-  let c = create default in
+  let c = create () in
   (* A stable, slightly dithered baseline never fires. *)
   for i = 0 to 29 do
     let st = observe c (1.0 +. (0.01 *. float_of_int (i mod 3))) in
@@ -1336,7 +1336,7 @@ let test_cusum_step_change () =
       Alcotest.(check bool) "detected within 5 samples" true (i <= 5);
       Alcotest.(check bool) "shift direction is up" true (dir = Some Up));
   (* Determinism: a twin fed the same stream agrees on every status. *)
-  let a = create default and b = create default in
+  let a = create () and b = create () in
   for i = 0 to 59 do
     let v = if i < 30 then 1.0 else 7.5 +. (0.1 *. float_of_int (i mod 4)) in
     Alcotest.(check bool) "twin statuses equal" true (observe a v = observe b v)
@@ -1464,90 +1464,102 @@ let test_watch_deterministic_twins () =
       Alcotest.(check int) "report totals agree" (Obs.Watch.alert_total a) n
   | _ -> Alcotest.fail "report_json lacks alert_total"
 
-(* The lifecycle-only fallback: per-tick completions in stamp order,
-   the queue/backlog gauges rebuilt from admission, drain and terminal
-   stamps, zero counter deltas, one observation per tick up to the last
-   (empty ticks included), and stamps outside a serving tick ignored. *)
-let test_watch_obs_of_lifecycle () =
-  let module L = Obs.Lifecycle in
-  let e tick id tenant stage =
-    { L.id; tenant; tick; t_s = 0.05 *. float_of_int tick; stage }
+(* Every detector of the fixed bank, pinned: over 100 ticks, each
+   stream departs from a quiet baseline (queue 2, backlog 1, two tenants
+   at 50 ms, no corrupt frames or restarts) in one signal only, and the
+   detectors that name the alerts it raises are exactly the ones listed.
+   The quiet baseline raises none. *)
+let test_watch_detector_bank () =
+  let stream ?(queue = fun _ -> 2) ?(backlog = fun _ -> 1)
+      ?(ects = fun _ -> [ ("a", 0.05); ("b", 0.05) ]) ?(corrupt = fun _ -> 0)
+      ?(restarts = fun _ -> 0) () =
+    List.init 100 (fun tick ->
+        {
+          Obs.Watch.o_tick = tick;
+          o_queue = queue tick;
+          o_backlog = backlog tick;
+          o_ects = ects tick;
+          o_corrupt_d = corrupt tick;
+          o_restarts_d = restarts tick;
+        })
   in
-  let entries =
+  let at_50 before after tick = if tick < 50 then before else after in
+  let once_at_50 tick = if tick = 50 then 1 else 0 in
+  let cases =
     [
-      e 0 1 "a" L.Arrived;
-      e 0 1 "a" L.Admitted;
-      e 0 2 "b" L.Arrived;
-      e 0 2 "b" L.Deferred;
-      e 0 3 "c" L.Arrived;
-      e 0 3 "c" (L.Shed "capacity");
-      e 1 2 "b" L.Admitted;
-      e 1 1 "a" (L.Submitted { wait_ticks = 1 });
-      e 1 1 "a" (L.Planned { round = 0; co_scheduled = false });
-      e (-1) 9 "" (L.Completed { ect_s = 9.0 });
-      e 2 1 "a" (L.Completed { ect_s = 0.5 });
-      e 2 2 "b" (L.Submitted { wait_ticks = 1 });
-      e 4 2 "b" (L.Degraded { ect_s = 1.25; failed_items = 1 });
+      ("quiet", stream (), []);
+      ("queue step", stream ~queue:(at_50 2 40) (), [ "queue_cusum" ]);
+      ( "backlog ramp",
+        stream ~backlog:(fun tick -> 2 * tick) (),
+        [ "backlog_slope" ] );
+      ( "unfair tenants",
+        stream ~ects:(fun _ -> [ ("a", 0.01); ("b", 10.0) ]) (),
+        [ "jain_collapse" ] );
+      ("one corrupt frame", stream ~corrupt:once_at_50 (), [ "wal_corrupt" ]);
+      ( "one restart",
+        stream ~restarts:once_at_50 (),
+        [ "supervisor_restarts" ] );
+      ( "ECT step",
+        stream
+          ~ects:
+            (at_50 [ ("a", 0.05); ("b", 0.05) ] [ ("a", 1.5); ("b", 1.5) ])
+          (),
+        [ "ect_cusum"; "tenant_ect_cusum" ] );
     ]
   in
-  let obs = Obs.Watch.obs_of_lifecycle entries in
-  let row tick queue backlog ects =
-    {
-      Obs.Watch.o_tick = tick;
-      o_queue = queue;
-      o_backlog = backlog;
-      o_ects = ects;
-      o_corrupt_d = 0;
-      o_restarts_d = 0;
-    }
-  in
-  let expected =
-    [
-      row 0 1 0 [];
-      row 1 1 1 [];
-      row 2 0 1 [ ("a", 0.5) ];
-      row 3 0 1 [];
-      row 4 0 0 [ ("b", 1.25) ];
-    ]
-  in
-  Alcotest.(check int) "one obs per tick" (List.length expected)
-    (List.length obs);
-  List.iter2
-    (fun (want : Obs.Watch.obs) (got : Obs.Watch.obs) ->
-      let at what = Printf.sprintf "tick %d %s" want.o_tick what in
-      Alcotest.(check int) (at "tick") want.o_tick got.o_tick;
-      Alcotest.(check int) (at "queue") want.o_queue got.o_queue;
-      Alcotest.(check int) (at "backlog") want.o_backlog got.o_backlog;
-      Alcotest.(check (list (pair string (float 0.0))))
-        (at "completions") want.o_ects got.o_ects;
-      Alcotest.(check int) (at "corrupt delta") 0 got.o_corrupt_d;
-      Alcotest.(check int) (at "restart delta") 0 got.o_restarts_d)
-    expected obs;
-  Alcotest.(check int) "empty stream" 0
-    (List.length (Obs.Watch.obs_of_lifecycle []))
+  List.iter
+    (fun (name, obs, expected) ->
+      let w = Obs.Watch.create Obs.Watch.default_config in
+      List.iter (Obs.Watch.ingest w) obs;
+      Alcotest.(check (list string)) name expected
+        (List.map fst (Obs.Watch.by_detector w)))
+    cases
+
+(* A header written with a [config] object (the format before the bank
+   was fixed) still loads: the object is ignored, not counted as
+   damage. *)
+let test_watch_journal_legacy_header () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "watch.jsonl" in
+      let log = Obs.Store.open_writer path in
+      List.iter (Obs.Store.append log)
+        [
+          {|{"nu_watch":1,"config":{"window":20,"jain_min":0.6}}|};
+          {|{"tick":0,"queue":1,"backlog":0,"corrupt":0,"restarts":0,|}
+          ^ {|"ects":[["a",0.5]]}|};
+        ];
+      Obs.Store.close log;
+      match Obs.Watch.read_journal path with
+      | Error m -> Alcotest.failf "read_journal: %s" m
+      | Ok { Obs.Watch.j_obs; j_corrupt } ->
+          Alcotest.(check bool) "no damage" true (j_corrupt = []);
+          Alcotest.(check bool) "the observation" true
+            (j_obs
+            = [
+                {
+                  Obs.Watch.o_tick = 0;
+                  o_queue = 1;
+                  o_backlog = 0;
+                  o_ects = [ ("a", 0.5) ];
+                  o_corrupt_d = 0;
+                  o_restarts_d = 0;
+                };
+              ]))
 
 let test_watch_journal_roundtrip () =
   with_temp_dir (fun dir ->
       let stream = synthetic_obs () in
-      let live =
-        Obs.Watch.create
-          { Obs.Watch.default_config with Obs.Watch.dir = Some dir }
-      in
+      let live = Obs.Watch.create { Obs.Watch.dir = Some dir } in
       List.iter (Obs.Watch.ingest live) stream;
       Obs.Watch.close live;
       match Obs.Watch.read_journal (Filename.concat dir "watch.jsonl") with
       | Error m -> Alcotest.failf "read_journal: %s" m
-      | Ok { Obs.Watch.j_config; j_obs; j_corrupt } -> (
+      | Ok { Obs.Watch.j_obs; j_corrupt } -> (
           Alcotest.(check bool) "no damage" true (j_corrupt = []);
           Alcotest.(check bool) "observations round-trip" true (j_obs = stream);
-          let cfg =
-            match j_config with
-            | Some c -> c
-            | None -> Alcotest.fail "config header missing"
-          in
           (* Offline re-evaluation from the journal alone reproduces the
              live digest bit for bit. *)
-          let offline = Obs.Watch.create cfg in
+          let offline = Obs.Watch.create Obs.Watch.default_config in
           List.iter (Obs.Watch.ingest offline) j_obs;
           Alcotest.(check string) "offline digest equals live"
             (Obs.Watch.alert_digest live)
@@ -1579,26 +1591,17 @@ let test_watch_resume_matches_uninterrupted () =
   let cut = 35 in
   with_temp_dir (fun dir_a ->
       with_temp_dir (fun dir_b ->
-          let full =
-            Obs.Watch.create
-              { Obs.Watch.default_config with Obs.Watch.dir = Some dir_a }
-          in
+          let full = Obs.Watch.create { Obs.Watch.dir = Some dir_a } in
           List.iter (Obs.Watch.ingest full) stream;
           Obs.Watch.close full;
           (* Crash after [cut] ticks, then a fresh watcher resumes on the
              same directory: its first observation at tick [cut] > 0
              triggers the journal-replay path. *)
-          let before =
-            Obs.Watch.create
-              { Obs.Watch.default_config with Obs.Watch.dir = Some dir_b }
-          in
+          let before = Obs.Watch.create { Obs.Watch.dir = Some dir_b } in
           List.iter (Obs.Watch.ingest before)
             (List.filter (fun o -> o.Obs.Watch.o_tick < cut) stream);
           Obs.Watch.close before;
-          let resumed =
-            Obs.Watch.create
-              { Obs.Watch.default_config with Obs.Watch.dir = Some dir_b }
-          in
+          let resumed = Obs.Watch.create { Obs.Watch.dir = Some dir_b } in
           List.iter (Obs.Watch.ingest resumed)
             (List.filter (fun o -> o.Obs.Watch.o_tick >= cut) stream);
           Obs.Watch.close resumed;
@@ -1652,10 +1655,7 @@ let check_damage what ~torn ~other (corrupt : Obs.Store.corrupt_frame list) =
 let test_watch_torn_tail_tolerated () =
   with_temp_dir (fun dir ->
       let stream = synthetic_obs ~n:21 ~spike_at:99 () in
-      let w =
-        Obs.Watch.create
-          { Obs.Watch.default_config with Obs.Watch.dir = Some dir }
-      in
+      let w = Obs.Watch.create { Obs.Watch.dir = Some dir } in
       List.iter (Obs.Watch.ingest w) stream;
       Obs.Watch.close w;
       let path = Filename.concat dir "watch.jsonl" in
@@ -1880,8 +1880,11 @@ let suite =
     ("health transition sequence", `Quick, test_health_full_transition_sequence);
     ("health no flapping", `Quick, test_health_no_flapping);
     ("watch deterministic twins", `Quick, test_watch_deterministic_twins);
+    ("watch detector bank pinned", `Quick, test_watch_detector_bank);
     ("watch journal round-trip", `Quick, test_watch_journal_roundtrip);
-    ("watch obs from a lifecycle stream", `Quick, test_watch_obs_of_lifecycle);
+    ( "watch journal ignores an old config header",
+      `Quick,
+      test_watch_journal_legacy_header );
     ( "watch resume matches uninterrupted",
       `Quick,
       test_watch_resume_matches_uninterrupted );

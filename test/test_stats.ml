@@ -195,44 +195,6 @@ let test_normal_moments () =
   check_approx "mean" 0.05 5.0 (Descriptive.mean samples);
   check_approx "stddev" 0.05 2.0 (Descriptive.stddev samples)
 
-let test_zipf_range_and_skew () =
-  let rng = Prng.create 14 in
-  let counts = Array.make 11 0 in
-  for _ = 1 to 5000 do
-    let v = Dist.zipf rng ~n:10 ~s:1.2 in
-    Alcotest.(check bool) "in [1,10]" true (v >= 1 && v <= 10);
-    counts.(v) <- counts.(v) + 1
-  done;
-  Alcotest.(check bool) "rank 1 most frequent" true
-    (counts.(1) > counts.(2) && counts.(2) > counts.(5))
-
-let test_zipf_s_zero_uniformish () =
-  let rng = Prng.create 14 in
-  for _ = 1 to 200 do
-    let v = Dist.zipf rng ~n:5 ~s:0.0 in
-    Alcotest.(check bool) "in [1,5]" true (v >= 1 && v <= 5)
-  done
-
-let test_empirical_samples_range () =
-  let e = Dist.empirical_of_samples [| 3.0; 1.0; 2.0 |] in
-  let rng = Prng.create 16 in
-  for _ = 1 to 500 do
-    let v = Dist.empirical_draw e rng in
-    Alcotest.(check bool) "within observed range" true (v >= 1.0 && v <= 3.0)
-  done
-
-let test_empirical_cdf_validation () =
-  Alcotest.check_raises "must end at 1"
-    (Invalid_argument "Dist.empirical_of_cdf: CDF must end at 1.0") (fun () ->
-      ignore (Dist.empirical_of_cdf [| (1.0, 0.5) |]));
-  Alcotest.check_raises "sorted"
-    (Invalid_argument "Dist.empirical_of_cdf: probabilities must be sorted")
-    (fun () -> ignore (Dist.empirical_of_cdf [| (1.0, 0.8); (2.0, 0.2) |]))
-
-let test_empirical_mean () =
-  let e = Dist.empirical_of_cdf [| (10.0, 0.5); (20.0, 1.0) |] in
-  check_float "mass-weighted mean" 15.0 (Dist.empirical_mean e)
-
 (* ------------------------------------------------------------------ *)
 (* Descriptive                                                         *)
 
@@ -261,19 +223,9 @@ let test_variance_stddev () =
   check_float "variance" 4.0 (Descriptive.variance xs);
   check_float "stddev" 2.0 (Descriptive.stddev xs)
 
-let test_normalize_by_max () =
-  let n = Descriptive.normalize_by_max [| 2.0; 8.0; 4.0 |] in
-  Alcotest.(check (array (float 1e-9))) "normalised" [| 0.25; 1.0; 0.5 |] n
-
 let test_reduction_speedup () =
   check_float "reduction" 0.75 (Descriptive.reduction_vs ~baseline:4.0 1.0);
   check_float "speedup" 4.0 (Descriptive.speedup_vs ~baseline:4.0 1.0)
-
-let test_geometric_mean () =
-  check_float "gm" 4.0 (Descriptive.geometric_mean [| 2.0; 8.0 |]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Descriptive.geometric_mean: non-positive sample")
-    (fun () -> ignore (Descriptive.geometric_mean [| 1.0; 0.0 |]))
 
 let test_summarize () =
   let s = Descriptive.summarize [| 1.0; 2.0; 3.0 |] in
@@ -364,19 +316,12 @@ let suite =
     ("bounded pareto skew", `Quick, test_bounded_pareto_skew);
     ("lognormal median", `Slow, test_lognormal_positive_median);
     ("normal moments", `Slow, test_normal_moments);
-    ("zipf", `Quick, test_zipf_range_and_skew);
-    ("zipf s=0", `Quick, test_zipf_s_zero_uniformish);
-    ("empirical samples", `Quick, test_empirical_samples_range);
-    ("empirical cdf validation", `Quick, test_empirical_cdf_validation);
-    ("empirical mean", `Quick, test_empirical_mean);
     ("mean/total", `Quick, test_mean_total);
     ("empty raises", `Quick, test_empty_raises);
     ("percentiles", `Quick, test_percentiles);
     ("percentile input untouched", `Quick, test_percentile_unsorted_input);
     ("variance", `Quick, test_variance_stddev);
-    ("normalize", `Quick, test_normalize_by_max);
     ("reduction/speedup", `Quick, test_reduction_speedup);
-    ("geometric mean", `Quick, test_geometric_mean);
     ("summarize", `Quick, test_summarize);
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_mean_between_min_max;

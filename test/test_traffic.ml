@@ -9,8 +9,7 @@ let mk ?(id = 0) ?(src = 1) ?(dst = 2) ?(size = 10.0) ?(dur = 2.0) ?(arr = 0.0)
 
 let test_record_demand () =
   let r = mk ~size:10.0 ~dur:2.0 () in
-  Alcotest.(check (float 1e-9)) "demand" 5.0 (Flow_record.demand_mbps r);
-  Alcotest.(check (float 1e-9)) "departure" 2.0 (Flow_record.departure_s r)
+  Alcotest.(check (float 1e-9)) "demand" 5.0 (Flow_record.demand_mbps r)
 
 let test_record_validation () =
   Alcotest.check_raises "src=dst" (Invalid_argument "Flow_record.v: src = dst")
@@ -34,20 +33,6 @@ let test_record_ordering () =
 
 (* ------------------------------------------------------------------ *)
 (* Ip_map                                                              *)
-
-let test_ip_parse_roundtrip () =
-  List.iter
-    (fun s ->
-      match Ip_map.ip_of_string s with
-      | Some ip -> Alcotest.(check string) "roundtrip" s (Ip_map.string_of_ip ip)
-      | None -> Alcotest.fail ("parse " ^ s))
-    [ "0.0.0.0"; "10.0.1.17"; "255.255.255.255"; "192.168.13.9" ]
-
-let test_ip_parse_invalid () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) ("reject " ^ s) true (Ip_map.ip_of_string s = None))
-    [ "256.0.0.1"; "1.2.3"; "a.b.c.d"; "1.2.3.4.5"; ""; "-1.2.3.4" ]
 
 let test_ip_host_range () =
   for i = 0 to 500 do
@@ -234,17 +219,6 @@ let test_event_gen_flow_arrival_matches_event () =
         s.Event_gen.flows)
     specs
 
-let test_event_gen_totals () =
-  let rng = Prng.create 8 in
-  let specs = Event_gen.generate rng ~host_count:64 ~n_events:4 in
-  let by_hand =
-    List.fold_left (fun a (s : Event_gen.spec) -> a + List.length s.Event_gen.flows) 0 specs
-  in
-  Alcotest.(check int) "total flows" by_hand (Event_gen.total_flow_count specs);
-  let first = List.hd specs in
-  Alcotest.(check bool) "demand positive" true
-    (Event_gen.total_demand_mbps first > 0.0)
-
 let prop_event_flows_valid =
   QCheck.Test.make ~name:"generated event flows are valid records" ~count:50
     QCheck.(pair small_int (int_range 1 20))
@@ -265,10 +239,7 @@ let prop_event_flows_valid =
 let test_pp_smoke () =
   let r = mk ~id:3 ~src:1 ~dst:2 ~size:10.0 ~dur:2.0 () in
   let s = Format.asprintf "%a" Flow_record.pp r in
-  Alcotest.(check bool) "mentions id" true (String.length s > 0);
-  let spec = { Event_gen.event_id = 7; arrival_s = 1.5; flows = [ r ] } in
-  let s2 = Format.asprintf "%a" Event_gen.pp_spec spec in
-  Alcotest.(check bool) "spec renders" true (String.length s2 > 0)
+  Alcotest.(check bool) "mentions id" true (String.length s > 0)
 
 let test_dist_uniform_bounds () =
   let rng = Prng.create 21 in
@@ -284,8 +255,6 @@ let suite =
     ("dist uniform", `Quick, test_dist_uniform_bounds);
     ("record validation", `Quick, test_record_validation);
     ("record ordering", `Quick, test_record_ordering);
-    ("ip parse roundtrip", `Quick, test_ip_parse_roundtrip);
-    ("ip parse invalid", `Quick, test_ip_parse_invalid);
     ("ip host range", `Quick, test_ip_host_range);
     ("ip deterministic", `Quick, test_ip_host_deterministic);
     ("ip pair distinct", `Quick, test_ip_pair_distinct);
@@ -304,6 +273,5 @@ let suite =
     ("event poisson", `Quick, test_event_gen_poisson_arrivals);
     ("event unique ids", `Quick, test_event_gen_unique_flow_ids);
     ("event flow arrivals", `Quick, test_event_gen_flow_arrival_matches_event);
-    ("event totals", `Quick, test_event_gen_totals);
     QCheck_alcotest.to_alcotest prop_event_flows_valid;
   ]

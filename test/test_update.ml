@@ -57,10 +57,6 @@ let test_event_of_spec_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Event.of_spec: empty flow list")
     (fun () -> ignore (Event.of_spec (spec_of_flows [])))
 
-let test_event_total_demand () =
-  let ev = Event.of_spec (spec_of_flows [ flow ~demand:10.0 0 1; flow ~id:1 ~demand:20.0 2 3 ]) in
-  Alcotest.(check (float 1e-9)) "sum" 30.0 (Event.total_install_demand_mbps ev)
-
 let test_event_compare () =
   let a = { (Event.of_spec (spec_of_flows [ flow 0 1 ])) with Event.id = 1; arrival_s = 1.0 } in
   let b = { (Event.of_spec (spec_of_flows [ flow 0 1 ])) with Event.id = 2; arrival_s = 2.0 } in
@@ -440,7 +436,6 @@ let suite =
   [
     ("event of_spec", `Quick, test_event_of_spec);
     ("event empty spec", `Quick, test_event_of_spec_empty);
-    ("event total demand", `Quick, test_event_total_demand);
     ("event compare", `Quick, test_event_compare);
     ("event switch upgrade", `Quick, test_switch_upgrade_event);
     ("event link failure", `Quick, test_link_failure_evacuates);
