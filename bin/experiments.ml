@@ -657,6 +657,13 @@ let print_summary t =
       (Shard_fabric.shard_digests t)
   end
 
+(* Create [dir] and any missing parents. *)
+let rec mkdir_p dir =
+  if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 (* Shared by serve and replay: telemetry is recording-only, so a replay
    may attach it even when the original run did not — the decision
    digest is unaffected either way. *)
@@ -667,7 +674,7 @@ let make_telemetry ~metrics_every ?(watch = false) metrics_dir =
   end;
   Option.map
     (fun dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      mkdir_p dir;
       Serve_telemetry.create
         {
           Serve_telemetry.metrics_dir = Some dir;
@@ -809,16 +816,9 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
           exit 2
     end
   in
-  let rec ensure_parent path =
-    let dir = Filename.dirname path in
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-      ensure_parent dir;
-      Sys.mkdir dir 0o755
-    end
-  in
   let telemetry = make_telemetry () in
-  Option.iter ensure_parent journal_path;
-  Option.iter ensure_parent checkpoint;
+  Option.iter (fun p -> mkdir_p (Filename.dirname p)) journal_path;
+  Option.iter (fun p -> mkdir_p (Filename.dirname p)) checkpoint;
   let t =
     Shard_fabric.create ?injector ?telemetry ?journal_base:journal_path fcfg
       ~topology:scenario.Scenario.topology ~net:scenario.Scenario.net
@@ -1123,7 +1123,7 @@ let crashstorm_cmd =
           ignore (Serve.retire t0 : Engine.run_result);
           Format.printf "uninterrupted digest: %s@." reference;
           (* Stormed run: durable store under seeded fault pressure. *)
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          mkdir_p dir;
           let journal_path = Filename.concat dir "journal.wal" in
           let checkpoint_path = Filename.concat dir "checkpoint.json" in
           let stale =
@@ -1439,7 +1439,7 @@ let watch_cmd =
           w
     in
     let out = Option.value out_dir ~default:dir in
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+    mkdir_p out;
     write_json (Filename.concat out "alerts.json") (Obs.Watch.alerts_json w);
     write_json (Filename.concat out "health.json") (Obs.Watch.health_json w);
     Format.printf

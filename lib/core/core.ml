@@ -102,16 +102,17 @@ module Scenario = struct
      utilisation sweeps (Fig. 7 goes to 90%) need access headroom too. *)
   let access_cap_for utilization = min 0.95 (max 0.75 (utilization +. 0.15))
 
-  let accept_under_access_cap ~cap topo net (r : Flow_record.t) path =
+  let accept_under_access_cap ~cap ~host_mask net (r : Flow_record.t) path =
     let d = Flow_record.demand_mbps r in
-    List.for_all
-      (fun (e : Graph.edge) ->
+    let g = Net_state.graph net in
+    Array.for_all
+      (fun id ->
         let touches_host =
-          Topology.is_host topo e.Graph.src || Topology.is_host topo e.Graph.dst
+          host_mask.(Graph.src g id) || host_mask.(Graph.dst g id)
         in
         (not touches_host)
-        || (Net_state.used net e.Graph.id +. d) /. e.Graph.capacity <= cap)
-      (Path.edges path)
+        || (Net_state.used net id +. d) /. Graph.capacity g id <= cap)
+      (Path.hop_ids path)
 
   type background = Yahoo | Benson
 
@@ -122,6 +123,8 @@ module Scenario = struct
     let net = Net_state.create topology in
     let rng = Prng.create seed in
     let host_count = Topology.host_count topology in
+    let host_mask = Array.make (Graph.node_count topology.Topology.graph) false in
+    Array.iter (fun h -> host_mask.(h) <- true) topology.Topology.hosts;
     let fill_rng = Prng.split rng in
     let make_flow =
       match background with
@@ -140,7 +143,7 @@ module Scenario = struct
         ~policy:Routing.Random_fit ~rng:fill_rng
         ~utilization:Net_state.mean_fabric_utilization
         ~accept:
-          (accept_under_access_cap ~cap:(access_cap_for utilization) topology)
+          (accept_under_access_cap ~cap:(access_cap_for utilization) ~host_mask)
         ~make_flow ~first_id:0
     in
     { fat_tree; topology; net; rng; host_count; background_report }

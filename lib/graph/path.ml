@@ -1,60 +1,53 @@
-(* Edge ids and visited nodes are flat int arrays so the placement /
-   feasibility loops in Nu_net can walk a path without chasing list
-   cells or hashing; [edge_list] is kept as the historical list view for
-   the many cold call sites that still consume records. Paths are short
-   (fabric diameter), so membership tests are linear scans — faster than
-   the hashtable they replace and allocation-free. *)
+(* Two flat arrays and nothing else: [ids] is the hot-path view
+   {!Nu_net} walks with [for] loops, [earr] the graph's shared records
+   (nodes derive from them), so polymorphic [=] on moves and placements
+   stays cheap. Paths are short (fabric diameter), so membership tests
+   are linear scans. *)
 type t = {
-  edge_list : Graph.edge list;  (* traversal order, compatibility view *)
   ids : int array;  (* edge ids, traversal order *)
-  node_arr : int array;  (* visited nodes, src first, dst last *)
+  earr : Graph.edge array;  (* the graph's edge records, same order *)
 }
 
-let make _g edges =
-  (match edges with
-  | [] -> invalid_arg "Path.make: empty"
-  | (first : Graph.edge) :: _ ->
-      let rec check prev_dst seen = function
-        | [] -> ()
-        | (e : Graph.edge) :: rest ->
-            if e.src <> prev_dst then
-              invalid_arg "Path.make: edges are not contiguous";
-            if List.mem e.dst seen then invalid_arg "Path.make: node loop";
-            check e.dst (e.dst :: seen) rest
-      in
-      check first.src [ first.src ] edges);
-  let n = List.length edges in
-  let ids = Array.make n (-1) in
-  let node_arr = Array.make (n + 1) (-1) in
-  List.iteri
-    (fun i (e : Graph.edge) ->
-      ids.(i) <- e.id;
-      if i = 0 then node_arr.(0) <- e.src;
-      node_arr.(i + 1) <- e.dst)
-    edges;
-  { edge_list = edges; ids; node_arr }
+let of_ids g ids =
+  let n = Array.length ids in
+  if n = 0 then invalid_arg "Path.make: empty";
+  let earr = Array.map (Graph.edge g) ids in
+  for i = 0 to n - 1 do
+    let e = earr.(i) in
+    if i > 0 && e.src <> earr.(i - 1).dst then
+      invalid_arg "Path.make: edges are not contiguous";
+    (* Loop-free: [e.dst] is neither the source nor an earlier hop's dst. *)
+    if e.dst = earr.(0).src then invalid_arg "Path.make: node loop";
+    for j = 0 to i - 1 do
+      if earr.(j).dst = e.dst then invalid_arg "Path.make: node loop"
+    done
+  done;
+  { ids; earr }
+
+let make g edges =
+  of_ids g (Array.of_list (List.map (fun (e : Graph.edge) -> e.id) edges))
 
 let of_nodes g node_list =
-  match node_list with
-  | [] | [ _ ] -> invalid_arg "Path.of_nodes: need at least two nodes"
-  | first :: rest ->
-      let rec resolve prev acc = function
-        | [] -> List.rev acc
-        | v :: tl -> (
-            match Graph.find_edge g ~src:prev ~dst:v with
-            | None -> invalid_arg "Path.of_nodes: missing edge"
-            | Some e -> resolve v (e :: acc) tl)
-      in
-      make g (resolve first [] rest)
+  let ns = Array.of_list node_list in
+  if Array.length ns < 2 then
+    invalid_arg "Path.of_nodes: need at least two nodes";
+  of_ids g
+    (Array.init
+       (Array.length ns - 1)
+       (fun i ->
+         match Graph.find_edge g ~src:ns.(i) ~dst:ns.(i + 1) with
+         | Some e -> e.id
+         | None -> invalid_arg "Path.of_nodes: missing edge"))
 
-let edges t = t.edge_list
-let src t = t.node_arr.(0)
-let dst t = t.node_arr.(Array.length t.node_arr - 1)
+let edges t = Array.to_list t.earr
+let src t = t.earr.(0).src
+let dst t = t.earr.(Array.length t.earr - 1).dst
 let edge_ids t = Array.to_list t.ids
 
 let hop_ids t = t.ids
 
-let nodes t = Array.to_list t.node_arr
+let nodes t =
+  src t :: Array.fold_right (fun (e : Graph.edge) acc -> e.dst :: acc) t.earr []
 let hops t = Array.length t.ids
 
 let mentions_edge t id =
@@ -64,13 +57,13 @@ let mentions_edge t id =
   scan 0
 
 let mentions_node t v =
-  let ns = t.node_arr in
-  let n = Array.length ns in
-  let rec scan i = i < n && (Array.unsafe_get ns i = v || scan (i + 1)) in
-  scan 0
+  let es = t.earr in
+  let n = Array.length es in
+  let rec scan i = i < n && ((Array.unsafe_get es i).dst = v || scan (i + 1)) in
+  src t = v || scan 0
 
 let bottleneck t ~capacity_of =
-  List.fold_left (fun acc e -> min acc (capacity_of e)) infinity t.edge_list
+  Array.fold_left (fun acc e -> min acc (capacity_of e)) infinity t.earr
 
 (* Same order as the list-lexicographic compare the id lists used to
    have: element-wise first, a strict prefix sorts before its

@@ -3,15 +3,24 @@
     A path is a contiguous, loop-free sequence of directed edges. Flows
     (paper §III-A) are unsplittable: each flow is pinned to exactly one
     path p ∈ P(f), so paths are the unit of placement, congestion checking
-    and migration. *)
+    and migration.
+
+    Layout: the edge ids and the graph's own shared edge records, two
+    flat arrays in traversal order and nothing else (no list, no
+    {!Graph.t}): 3 + 2(h+1) words for h hops, 17 for a 6-hop path. Nodes
+    and the list views are derived on demand. *)
 
 type t
 
-val make : Graph.t -> Graph.edge list -> t
-(** [make g edges] validates contiguity ([dst] of each edge equals [src]
-    of the next), non-emptiness and node-simplicity (no repeated node,
-    i.e. loop-free), and builds the path. Raises [Invalid_argument]
+val of_ids : Graph.t -> int array -> t
+(** [of_ids g ids] builds the path over edge ids of [g], retaining [ids]
+    (do not mutate it afterwards). Validates non-emptiness, contiguity
+    ([dst] of each edge equals [src] of the next) and node-simplicity
+    (no repeated node, i.e. loop-free); raises [Invalid_argument]
     otherwise. *)
+
+val make : Graph.t -> Graph.edge list -> t
+(** {!of_ids} over the edges' ids, with the same checks and messages. *)
 
 val of_nodes : Graph.t -> int list -> t
 (** [of_nodes g [v0; v1; ...; vn]] resolves each consecutive pair to the
@@ -22,7 +31,7 @@ val src : t -> int
 val dst : t -> int
 
 val edges : t -> Graph.edge list
-(** Edges in traversal order. *)
+(** Edges in traversal order (a fresh list; hot loops use {!hop_ids}). *)
 
 val edge_ids : t -> int list
 

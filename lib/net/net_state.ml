@@ -382,14 +382,14 @@ let thaw topo fz =
   List.iter
     (fun placed ->
       Hashtbl.replace t.flows placed.record.Flow_record.id placed;
-      List.iter
-        (fun (e : Graph.edge) ->
+      Array.iter
+        (fun id ->
           let fid = placed.record.Flow_record.id in
-          if oe_index t e.id fid < 0 then
-            oe_append t e.id fid
+          if oe_index t id fid < 0 then
+            oe_append t id fid
               (Flow_record.demand_mbps placed.record)
               placed.record.Flow_record.size_mbit)
-        (Path.edges placed.path))
+        (Path.hop_ids placed.path))
     fz.fz_flows;
   t
 

@@ -12,9 +12,9 @@ let bottleneck_residual net path =
   Path.bottleneck path ~capacity_of:(fun e -> Net_state.residual net e.Graph.id)
 
 let peak_utilization net path =
-  List.fold_left
-    (fun acc (e : Graph.edge) -> max acc (Net_state.edge_utilization net e.id))
-    0.0 (Path.edges path)
+  Array.fold_left
+    (fun acc id -> max acc (Net_state.edge_utilization net id))
+    0.0 (Path.hop_ids path)
 
 let select_from ?rng ?(policy = First_fit) net ~demand candidates =
   match policy with

@@ -97,46 +97,45 @@ let kind t v =
   else if v < t.host_off then Edge ((v - t.edge_off) / t.half)
   else Host (v - t.host_off)
 
-(* Resolve the (known to exist) edge between two adjacent fabric nodes. *)
+(* Id of the (known to exist) edge between two adjacent fabric nodes. *)
 let hop t a b =
   match Graph.find_edge t.graph ~src:a ~dst:b with
-  | Some e -> e
+  | Some e -> e.id
   | None -> invalid_arg "Fat_tree.hop: nodes are not adjacent"
 
-let path_of_nodes t ns =
-  let rec resolve prev acc = function
-    | [] -> List.rev acc
-    | v :: rest -> resolve v (hop t prev v :: acc) rest
-  in
-  match ns with
-  | [] | [ _ ] -> invalid_arg "Fat_tree.path_of_nodes"
-  | first :: rest -> Path.make t.graph (resolve first [] rest)
-
+(* Each path is built straight into its id array: the access hops and
+   the per-aggregation hops are resolved once per pair, only the core
+   hops once per path. *)
 let ecmp_paths t ~src ~dst =
   let si = host_index t src and di = host_index t dst in
   if si = di then []
   else begin
     let src_edge = edge_switch_of_host t src in
     let dst_edge = edge_switch_of_host t dst in
-    if src_edge = dst_edge then [ path_of_nodes t [ src; src_edge; dst ] ]
+    let up = hop t src src_edge and down = hop t dst_edge dst in
+    let path = Path.of_ids t.graph in
+    if src_edge = dst_edge then [ path [| up; down |] ]
     else begin
       let src_pod = pod_of_host t src and dst_pod = pod_of_host t dst in
       if src_pod = dst_pod then
         (* One path per aggregation switch of the shared pod. *)
         List.init t.half (fun j ->
             let agg = aggregation t ~pod:src_pod j in
-            path_of_nodes t [ src; src_edge; agg; dst_edge; dst ])
+            path [| up; hop t src_edge agg; hop t agg dst_edge; down |])
       else begin
         (* One path per (aggregation choice j, core under j) pair. *)
         let paths = ref [] in
         for j = t.half - 1 downto 0 do
+          let agg_up = aggregation t ~pod:src_pod j in
+          let agg_down = aggregation t ~pod:dst_pod j in
+          let to_agg = hop t src_edge agg_up in
+          let from_agg = hop t agg_down dst_edge in
           for c = t.half - 1 downto 0 do
-            let agg_up = aggregation t ~pod:src_pod j in
             let core_sw = (j * t.half) + c in
-            let agg_down = aggregation t ~pod:dst_pod j in
             paths :=
-              path_of_nodes t
-                [ src; src_edge; agg_up; core_sw; agg_down; dst_edge; dst ]
+              path
+                [| up; to_agg; hop t agg_up core_sw; hop t core_sw agg_down;
+                   from_agg; down |]
               :: !paths
           done
         done;

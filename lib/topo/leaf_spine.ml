@@ -52,27 +52,19 @@ let leaf_of_host t v = t.leaf_off + (host_index t v / t.hosts_per_leaf)
 
 let hop t a b =
   match Graph.find_edge t.graph ~src:a ~dst:b with
-  | Some e -> e
+  | Some e -> e.id
   | None -> invalid_arg "Leaf_spine.hop: nodes are not adjacent"
-
-let path_of_nodes t ns =
-  match ns with
-  | [] | [ _ ] -> invalid_arg "Leaf_spine.path_of_nodes"
-  | first :: rest ->
-      let rec resolve prev acc = function
-        | [] -> List.rev acc
-        | v :: tl -> resolve v (hop t prev v :: acc) tl
-      in
-      Path.make t.graph (resolve first [] rest)
 
 let paths t ~src ~dst =
   if host_index t src = host_index t dst then []
   else begin
     let src_leaf = leaf_of_host t src and dst_leaf = leaf_of_host t dst in
-    if src_leaf = dst_leaf then [ path_of_nodes t [ src; src_leaf; dst ] ]
+    let up = hop t src src_leaf and down = hop t dst_leaf dst in
+    let path = Path.of_ids t.graph in
+    if src_leaf = dst_leaf then [ path [| up; down |] ]
     else
       List.init t.spines (fun s ->
-          path_of_nodes t [ src; src_leaf; s; dst_leaf; dst ])
+          path [| up; hop t src_leaf s; hop t s dst_leaf; down |])
   end
 
 let to_topology t =

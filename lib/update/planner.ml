@@ -57,10 +57,9 @@ type t = {
    local adjustment). Ties keep the ranked candidate order. *)
 let rank_by_gap net ~demand candidates =
   let gap_of p =
-    List.fold_left
-      (fun acc (e : Graph.edge) ->
-        acc +. max 0.0 (Net_state.capacity_gap net e ~demand))
-      0.0 (Path.edges p)
+    Array.fold_left
+      (fun acc id -> acc +. max 0.0 (demand -. Net_state.residual net id))
+      0.0 (Path.hop_ids p)
   in
   List.stable_sort
     (fun (a, _) (b, _) -> Float.compare a b)

@@ -163,6 +163,19 @@ let test_watch_without_journal () =
     (contains out (Filename.concat dir "watch.jsonl"));
   rm_rf dir
 
+(* A metrics directory whose parents do not exist yet is created whole,
+   not refused with an uncaught Sys_error. *)
+let test_serve_nested_metrics_dir () =
+  let dir = fresh_dir "nu_cli_nested" in
+  let metrics = Filename.concat (Filename.concat dir "a") "b" in
+  let status, out =
+    run_capture [ "serve"; "--ticks"; "5"; "--metrics-dir"; metrics ]
+  in
+  Alcotest.(check int) ("exit 0: " ^ out) 0 status;
+  Alcotest.(check bool) "lifecycle.jsonl written" true
+    (Sys.file_exists (Filename.concat metrics "lifecycle.jsonl"));
+  rm_rf dir
+
 let suite =
   [
     ("unknown subcommand fails", `Quick, test_unknown_subcommand);
@@ -179,4 +192,5 @@ let suite =
       `Quick,
       test_serve_kill_watch_digest );
     ("watch without watch.jsonl fails", `Quick, test_watch_without_journal);
+    ("serve creates a nested --metrics-dir", `Quick, test_serve_nested_metrics_dir);
   ]

@@ -652,6 +652,30 @@ let test_disable_edge_copy () =
   Alcotest.check_raises "bad id" (Invalid_argument "Net_state.disable_edge: edge id")
     (fun () -> Net_state.disable_edge net 99999)
 
+(* A cold candidate-path fill on the paper's k=8 Fat-Tree allocates at
+   most 64 minor words per path: each path is built straight into its
+   two flat arrays, with no list of edge records beside them. *)
+let test_warm_all_paths_allocation () =
+  let topo = Fat_tree.to_topology (Fat_tree.create ~k:8 ()) in
+  let net = Net_state.create topo in
+  let before = Gc.minor_words () in
+  Net_state.warm_all_paths net;
+  let words = Gc.minor_words () -. before in
+  let hosts = topo.Topology.hosts in
+  let paths = ref 0 in
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          paths :=
+            !paths + List.length (topo.Topology.candidate_paths ~src ~dst))
+        hosts)
+    hosts;
+  Alcotest.(check int) "candidate paths" 235_904 !paths;
+  let per_path = words /. float_of_int !paths in
+  if per_path > 64.0 then
+    Alcotest.failf "%.1f minor words per candidate path (gate: 64)" per_path
+
 let suite =
   [
     ("place accounting", `Quick, test_place_accounting);
@@ -693,4 +717,5 @@ let suite =
     ("background invalid target", `Quick, test_background_invalid_target);
     ("background scaling", `Quick, test_background_scaling);
     ("background cap respected", `Quick, test_background_cap_respected);
+    ("warm_all_paths allocation", `Quick, test_warm_all_paths_allocation);
   ]

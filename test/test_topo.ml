@@ -233,6 +233,93 @@ let test_topology_validate_catches_overlap () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "validation must fail on overlapping partitions"
 
+(* ------------------------------------------------------------------ *)
+(* Candidate-path golden: every ordered host pair's [candidate_paths]
+   equals, in order, the paths built by [Path.of_nodes] from the node
+   sequences the fabrics document. *)
+
+let check_golden name (topo : Topology.t) expected =
+  let mismatch = ref None in
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if !mismatch = None && src <> dst then begin
+            let want =
+              List.map (Path.of_nodes topo.Topology.graph) (expected src dst)
+            in
+            let got = topo.Topology.candidate_paths ~src ~dst in
+            if not (List.equal Path.equal got want) then
+              mismatch := Some (src, dst, got, want)
+          end)
+        topo.Topology.hosts)
+    topo.Topology.hosts;
+  match !mismatch with
+  | None -> ()
+  | Some (src, dst, got, want) ->
+      let show ps = List.map (Format.asprintf "%a" Path.pp) ps in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s %d -> %d" name src dst)
+        (show want) (show got)
+
+let fat_tree_node_sequences ft src dst =
+  let half = Fat_tree.k ft / 2 in
+  let se = Fat_tree.edge_switch_of_host ft src
+  and de = Fat_tree.edge_switch_of_host ft dst in
+  let sp = Fat_tree.pod_of_host ft src and dp = Fat_tree.pod_of_host ft dst in
+  if se = de then [ [ src; se; dst ] ]
+  else if sp = dp then
+    List.init half (fun j ->
+        [ src; se; Fat_tree.aggregation ft ~pod:sp j; de; dst ])
+  else
+    List.concat_map
+      (fun j ->
+        List.init half (fun c ->
+            [ src; se; Fat_tree.aggregation ft ~pod:sp j;
+              Fat_tree.core ft ((j * half) + c);
+              Fat_tree.aggregation ft ~pod:dp j; de; dst ]))
+      (List.init half Fun.id)
+
+let test_candidate_paths_golden () =
+  List.iter
+    (fun k ->
+      let ft = Fat_tree.create ~k () in
+      check_golden
+        (Printf.sprintf "fat-tree k=%d" k)
+        (Fat_tree.to_topology ft)
+        (fat_tree_node_sequences ft))
+    [ 4; 8 ];
+  (* Leaf-spine numbering: spines [0, s), leaves [s, s + l), then hosts
+     leaf-major. *)
+  let leaves = 4 and spines = 3 and hosts_per_leaf = 3 in
+  let ls = Leaf_spine.create ~leaves ~spines ~hosts_per_leaf () in
+  let leaf_of v = spines + ((v - spines - leaves) / hosts_per_leaf) in
+  check_golden "leaf-spine" (Leaf_spine.to_topology ls) (fun src dst ->
+      let sl = leaf_of src and dl = leaf_of dst in
+      if sl = dl then [ [ src; sl; dst ] ]
+      else List.init spines (fun s -> [ src; sl; s; dl; dst ]))
+
+(* [of_ids] refuses what [make] refuses, with the same message. *)
+let test_path_of_ids_refuses () =
+  let ft = ft4 () in
+  let g = Fat_tree.graph ft in
+  let h0 = Fat_tree.host ft 0 and e0 = Fat_tree.edge ft ~pod:0 0 in
+  let a0 = Fat_tree.aggregation ft ~pod:0 0 and c0 = Fat_tree.core ft 0 in
+  let hop a b = (Option.get (Graph.find_edge g ~src:a ~dst:b)).Graph.id in
+  List.iter
+    (fun (what, ids, msg) ->
+      let exn = Invalid_argument msg in
+      Alcotest.check_raises (what ^ " make") exn (fun () ->
+          ignore (Path.make g (List.map (Graph.edge g) ids)));
+      Alcotest.check_raises (what ^ " of_ids") exn (fun () ->
+          ignore (Path.of_ids g (Array.of_list ids))))
+    [
+      ("empty", [], "Path.make: empty");
+      ("gap", [ hop h0 e0; hop a0 c0 ], "Path.make: edges are not contiguous");
+      ("loop", [ hop h0 e0; hop e0 a0; hop a0 e0 ], "Path.make: node loop");
+      ("back to source", [ hop h0 e0; hop e0 h0 ], "Path.make: node loop");
+    ]
+
 let suite =
   [
     ("fat-tree counts", `Quick, test_fat_tree_counts);
@@ -262,4 +349,6 @@ let suite =
     ("topology is_host", `Quick, test_topology_is_host);
     ("topology validate bad paths", `Quick, test_topology_validate_catches_bad_paths);
     ("topology validate overlap", `Quick, test_topology_validate_catches_overlap);
+    ("candidate paths golden", `Quick, test_candidate_paths_golden);
+    ("path of_ids refuses bad input", `Quick, test_path_of_ids_refuses);
   ]
