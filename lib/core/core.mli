@@ -127,13 +127,6 @@ module Scenario : sig
     background_report : Background.report;
   }
 
-  val access_cap_for : float -> float
-  (** Host-access-link utilisation cap used during the background fill
-      for a given fabric target: min(0.95, max(0.75, target + 0.15)).
-      Access links are on every candidate path of their host, so
-      congestion there cannot be fixed by migration; capping keeps the
-      update contention on the fabric (DESIGN.md §3). *)
-
   type background = Yahoo | Benson
   (** Which synthetic trace fills the background (paper Fig. 1 uses
       both). *)

@@ -1,12 +1,8 @@
-type mix = {
-  additions : int;
-  vm_migrations : int;
-  switch_upgrades : int;
-  link_failures : int;
-}
-
-let default_mix =
-  { additions = 12; vm_migrations = 8; switch_upgrades = 6; link_failures = 4 }
+(* The queue's make-up: 30 events, additions the largest share. *)
+let n_additions = 12
+let n_vm_migrations = 8
+let n_switch_upgrades = 6
+let n_link_failures = 4
 
 let vm_flows rng ~host_count ~first_id ~n =
   List.init n (fun i ->
@@ -20,7 +16,7 @@ let vm_flows rng ~host_count ~first_id ~n =
       Flow_record.v ~id:(first_id + i) ~src ~dst
         ~size_mbit:(demand *. duration) ~duration_s:duration ~arrival_s:0.0)
 
-let build_events (scenario : Scenario.t) ?(mix = default_mix) ~seed () =
+let build_events (scenario : Scenario.t) ~seed =
   let rng = Prng.create seed in
   let net = Net_state.copy scenario.Scenario.net in
   let next_event = ref 0 in
@@ -32,12 +28,12 @@ let build_events (scenario : Scenario.t) ?(mix = default_mix) ~seed () =
   let additions =
     Event_gen.generate ~flow_params:Scenario.event_flow_params
       ~first_flow_id:1_000_000 rng ~host_count:scenario.Scenario.host_count
-      ~n_events:mix.additions
+      ~n_events:n_additions
     |> Event.of_specs
     |> List.map (fun ev -> { ev with Event.id = fresh_event_id () })
   in
   let vm_events =
-    List.init mix.vm_migrations (fun i ->
+    List.init n_vm_migrations (fun i ->
         Event.vm_migration_event ~id:(fresh_event_id ()) ~arrival_s:0.0
           ~flows:
             (vm_flows rng ~host_count:scenario.Scenario.host_count
@@ -49,7 +45,7 @@ let build_events (scenario : Scenario.t) ?(mix = default_mix) ~seed () =
   let upgrade_events =
     let made = ref [] in
     let attempts = ref 0 in
-    while List.length !made < mix.switch_upgrades && !attempts < 64 do
+    while List.length !made < n_switch_upgrades && !attempts < 64 do
       incr attempts;
       let pod = Prng.int rng (Fat_tree.k ft) in
       let j = Prng.int rng (Fat_tree.k ft / 2) in
@@ -76,7 +72,7 @@ let build_events (scenario : Scenario.t) ?(mix = default_mix) ~seed () =
     let fabric_edges = Array.of_list (Net_state.fabric_edges net) in
     let made = ref [] in
     let attempts = ref 0 in
-    while List.length !made < mix.link_failures && !attempts < 64 do
+    while List.length !made < n_link_failures && !attempts < 64 do
       incr attempts;
       let edge = fabric_edges.(Prng.int rng (Array.length fabric_edges)) in
       if
@@ -112,7 +108,7 @@ let run ?(seed = 42) ?(alpha = Policy.default_alpha) () =
      utilisation (a realistic maintenance window), not the 70% of the
      addition-only figures. *)
   let scenario = Scenario.prepare ~utilization:0.50 ~seed () in
-  let events, net = build_events scenario ~seed:(seed + 1) () in
+  let events, net = build_events scenario ~seed:(seed + 1) in
   let by_kind kind_name pred =
     let n = List.length (List.filter pred events) in
     Printf.printf "  %-16s %d events\n" kind_name n

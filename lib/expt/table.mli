@@ -9,14 +9,12 @@ type t
 val create : title:string -> columns:string list -> t
 (** Start a table. [columns] are header labels. *)
 
-val add_row : t -> string list -> unit
-(** Append a row; must match the column count. *)
-
 val add_floats : t -> float list -> unit
-(** Row of "%.4g"-formatted numbers. *)
+(** Row of "%.4g"-formatted numbers; must match the column count. *)
 
 val add_mixed : t -> string -> float list -> unit
-(** Row with a leading label cell then numbers. *)
+(** Row with a leading label cell then numbers; must match the column
+    count. *)
 
 val print : t -> unit
 (** Render to stdout with aligned columns. *)

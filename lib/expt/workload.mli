@@ -19,16 +19,13 @@ val default_setup : setup
 (** 70% utilisation, 30 heterogeneous events, seed 42, churn on,
     default execution model. *)
 
-val run_policies : setup -> Policy.t list -> Metrics.summary list
-(** Prepare one scenario, then run every policy from a copy of the same
-    prepared state and identical sampling seed. Order follows the input
-    list. *)
-
 val averaged :
   setup -> seeds:int list -> Policy.t list ->
   (Policy.t * Metrics.summary list) list
-(** Replicate {!run_policies} across seeds; returns, per policy, the
-    per-seed summaries (callers aggregate whichever field they plot). *)
+(** Per seed, prepare one scenario, then run every policy from a copy
+    of the same prepared state and identical sampling seed. Returns,
+    per policy in input order, the per-seed summaries (callers
+    aggregate whichever field they plot). *)
 
 val mean_of : ('a -> float) -> 'a list -> float
 (** Average a field over replicate summaries. *)

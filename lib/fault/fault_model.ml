@@ -16,21 +16,16 @@ type config = {
   horizon_s : float;
   repair_s : float;
   degrade_frac : float;
-  w_link : float;
-  w_switch : float;
-  w_degrade : float;
 }
 
 let default_config =
-  {
-    rate_per_s = 0.2;
-    horizon_s = 40.0;
-    repair_s = 5.0;
-    degrade_frac = 0.5;
-    w_link = 3.0;
-    w_switch = 1.0;
-    w_degrade = 2.0;
-  }
+  { rate_per_s = 0.2; horizon_s = 40.0; repair_s = 5.0; degrade_frac = 0.5 }
+
+(* Relative weights of the three fault kinds: link down/up, switch
+   down/up and degrade/restore pairs. *)
+let link_weight = 3.0
+let switch_weight = 1.0
+let degrade_weight = 2.0
 
 (* Fabric edges (both endpoints switches) and non-host nodes, straight
    from the topology — the generator must not depend on live state. *)
@@ -58,18 +53,18 @@ let generate ?(config = default_config) ~seed topo =
   else begin
     let rng = Prng.create seed in
     let g = topo.Topology.graph in
-    let total = config.w_link +. config.w_switch +. config.w_degrade in
+    let total = link_weight +. switch_weight +. degrade_weight in
     let faults = ref [] in
     for _ = 1 to n do
       let at_s = Prng.float rng config.horizon_s in
       let up_s = at_s +. config.repair_s in
       let w = Prng.float rng total in
       let pair =
-        if w < config.w_link then begin
+        if w < link_weight then begin
           let e = Prng.choose rng fabric in
           [ { at_s; action = Link_down e }; { at_s = up_s; action = Link_up e } ]
         end
-        else if w < config.w_link +. config.w_switch then begin
+        else if w < link_weight +. switch_weight then begin
           let v = Prng.choose rng switches in
           [
             { at_s; action = Switch_down v };
@@ -96,19 +91,6 @@ let generate ?(config = default_config) ~seed topo =
       (fun a b -> compare a.at_s b.at_s)
       (List.rev !faults)
   end
-
-(* Order-independent install-fault oracle: one private PRNG draw per
-   (seed, switch, flow) triple. The multipliers are the SplitMix64 /
-   Knuth mixing constants; what matters is only that distinct triples
-   land on distinct, well-spread seeds. *)
-let install_hazard ~seed ~drop_rate ~delay_rate ~delay_s ~switch ~flow_id =
-  let mixed =
-    (seed * 0x9E3779B1) lxor (switch * 0x85EBCA77) lxor (flow_id * 0xC2B2AE3D)
-  in
-  let u = Prng.unit_float (Prng.create mixed) in
-  if u < drop_rate then Some `Drop
-  else if u < drop_rate +. delay_rate then Some (`Delay delay_s)
-  else None
 
 let action_tag = function
   | Link_down _ -> 1

@@ -33,34 +33,19 @@ type config = {
   horizon_s : float;  (** Primary faults are drawn in [0, horizon_s). *)
   repair_s : float;  (** Down/degraded duration before the paired repair. *)
   degrade_frac : float;  (** Fraction of capacity a degradation removes. *)
-  w_link : float;  (** Relative weight of link down/up pairs. *)
-  w_switch : float;  (** Relative weight of switch down/up pairs. *)
-  w_degrade : float;  (** Relative weight of degrade/restore pairs. *)
 }
 
 val default_config : config
-(** 0.2 faults/s over a 40 s horizon, 5 s repair, 50% degradation,
-    weights 3:1:2 (link:switch:degrade). *)
+(** 0.2 faults/s over a 40 s horizon, 5 s repair, 50% degradation. *)
 
 val generate : ?config:config -> seed:int -> Topology.t -> schedule
 (** Draw a schedule for the topology: link faults and degradations hit
     fabric (switch-to-switch) links, switch faults hit non-host nodes.
-    Every fault is paired with its repair [repair_s] later. Equal seeds
-    and topologies yield equal schedules. *)
-
-val install_hazard :
-  seed:int ->
-  drop_rate:float ->
-  delay_rate:float ->
-  delay_s:float ->
-  switch:int ->
-  flow_id:int ->
-  [ `Drop | `Delay of float ] option
-(** Deterministic dataplane install-fault oracle for
-    {!Nu_dataplane.Two_phase.execute_with_faults}: a pure hash of
-    [(seed, switch, flow_id)] decides whether that rule install is
-    dropped, delayed by [delay_s], or clean — independent of call order,
-    so staging order cannot perturb the fault pattern. *)
+    The fault kinds are drawn with the fixed weights
+    [link_weight]:[switch_weight]:[degrade_weight] = 3:1:2 (constants
+    in [fault_model.ml]). Every fault is paired with its
+    repair [repair_s] later. Equal seeds and topologies yield equal
+    schedules. *)
 
 val action_tag : action -> int
 (** Stable small integer code per constructor (digest material). *)

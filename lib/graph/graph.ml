@@ -45,15 +45,6 @@ let create ?(initial_nodes = 0) () =
 let node_count t = t.nodes
 let edge_count t = t.n_edges
 
-let add_node t =
-  let id = t.nodes in
-  t.nodes <- id + 1;
-  id
-
-let add_nodes t n =
-  if n < 0 then invalid_arg "Graph.add_nodes";
-  t.nodes <- t.nodes + n
-
 let add_edge t ~src ~dst ~capacity =
   if src < 0 || src >= t.nodes then invalid_arg "Graph.add_edge: src";
   if dst < 0 || dst >= t.nodes then invalid_arg "Graph.add_edge: dst";
@@ -173,25 +164,21 @@ let in_edges t v =
   done;
   !acc
 
-let out_degree t v =
-  if v < 0 || v >= t.nodes then invalid_arg "Graph.out_degree";
-  ensure_csr t;
-  t.out_off.(v + 1) - t.out_off.(v)
-
 let find_edge t ~src ~dst =
-  if src < 0 || src >= t.nodes then None
+  if src < 0 || src >= t.nodes then -1
   else begin
     ensure_csr t;
     (* CSR rows are in insertion order, so the first match is the
-       first-inserted edge. *)
+       first-inserted edge. A top-level loop and an int result keep the
+       lookup allocation-free. *)
+    let found = ref (-1) and k = ref t.out_off.(src) in
     let stop = t.out_off.(src + 1) in
-    let rec scan k =
-      if k >= stop then None
-      else
-        let id = t.out_ids.(k) in
-        if t.edst.(id) = dst then Some t.edges.(id) else scan (k + 1)
-    in
-    scan t.out_off.(src)
+    while !found < 0 && !k < stop do
+      let id = Array.unsafe_get t.out_ids !k in
+      if Array.unsafe_get t.edst id = dst then found := id;
+      incr k
+    done;
+    !found
   end
 
 let iter_edges t f =
@@ -204,7 +191,10 @@ let fold_edges t ~init ~f =
   iter_edges t (fun e -> acc := f !acc e);
   !acc
 
-let reverse_edge t e = find_edge t ~src:e.dst ~dst:e.src
+let reverse_edge t e =
+  match find_edge t ~src:e.dst ~dst:e.src with
+  | -1 -> None
+  | id -> Some t.edges.(id)
 
 let total_capacity t =
   let acc = ref 0.0 in

@@ -31,19 +31,10 @@ type edge = private {
 val create : ?initial_nodes:int -> unit -> t
 (** Fresh empty graph. [initial_nodes] pre-declares that many nodes. *)
 
-val add_node : t -> int
-(** Append a node; returns its id. *)
-
-val add_nodes : t -> int -> unit
-(** Append that many nodes at once. *)
-
-val add_edge : t -> src:int -> dst:int -> capacity:float -> int
-(** Append a directed edge and return its id. Requires both endpoints to
-    exist and [capacity >= 0]. Parallel edges are allowed. *)
-
 val add_link : t -> a:int -> b:int -> capacity:float -> int * int
-(** Convenience for network links: adds the two directed edges (a->b,
-    b->a) and returns both ids. *)
+(** Append a network link: the two directed edges a->b then b->a, and
+    return both ids. Requires both endpoints to exist and
+    [capacity >= 0]. Parallel links are allowed. *)
 
 val node_count : t -> int
 val edge_count : t -> int
@@ -77,19 +68,14 @@ val out_edges : t -> int -> edge list
 val in_edges : t -> int -> edge list
 (** Incoming edges of a node, in insertion order. *)
 
-val out_degree : t -> int -> int
+val find_edge : t -> src:int -> dst:int -> int
+(** Id of the first-inserted edge from [src] to [dst], or [-1] when
+    there is none. Allocation-free. *)
 
-val find_edge : t -> src:int -> dst:int -> edge option
-(** First edge from [src] to [dst], if any. *)
-
-val iter_edges : t -> (edge -> unit) -> unit
 val fold_edges : t -> init:'a -> f:('a -> edge -> 'a) -> 'a
 
 val reverse_edge : t -> edge -> edge option
 (** The paired opposite-direction edge, if one exists (first match). *)
-
-val total_capacity : t -> float
-(** Sum of all directed edge capacities. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line size summary. *)

@@ -36,8 +36,8 @@ let of_nodes g node_list =
        (Array.length ns - 1)
        (fun i ->
          match Graph.find_edge g ~src:ns.(i) ~dst:ns.(i + 1) with
-         | Some e -> e.id
-         | None -> invalid_arg "Path.of_nodes: missing edge"))
+         | -1 -> invalid_arg "Path.of_nodes: missing edge"
+         | id -> id))
 
 let edges t = Array.to_list t.earr
 let src t = t.earr.(0).src

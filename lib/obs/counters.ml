@@ -241,14 +241,8 @@ let diff ~before ~after =
   }
 
 let value snap k = snap.fixed.(index k)
-let named_value snap n = Option.value (List.assoc_opt n snap.dyn) ~default:0
-
 let to_alist snap =
   List.map (fun k -> (name k, snap.fixed.(index k))) all @ snap.dyn
-
-let is_zero snap =
-  Array.for_all (fun v -> v = 0) snap.fixed
-  && List.for_all (fun (_, v) -> v = 0) snap.dyn
 
 let to_json snap =
   Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (to_alist snap))

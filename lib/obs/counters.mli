@@ -126,14 +126,9 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 
 val value : snapshot -> key -> int
 
-val named_value : snapshot -> string -> int
-(** 0 for a name absent from the snapshot. *)
-
 val to_alist : snapshot -> (string * int) list
 (** All fixed keys in {!all} order (including zeros), then named
     counters sorted by name. *)
-
-val is_zero : snapshot -> bool
 
 val to_json : snapshot -> Json.t
 (** Object mapping {!name} to value. *)

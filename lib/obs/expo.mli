@@ -15,10 +15,6 @@
     family [nu_tenant_ect_seconds] with [tenant] and [quantile]
     labels. *)
 
-val metric_name : string -> string
-(** Mangle an internal metric name ("serve.admission_wait_s" →
-    ["nu_serve_admission_wait_seconds"]). *)
-
 val render :
   ?counters:Counters.snapshot ->
   ?histograms:(string * Histogram.t) list ->

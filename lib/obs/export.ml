@@ -12,25 +12,6 @@ let phase_string = function
   | Trace.End -> "E"
   | Trace.Instant -> "i"
 
-let event_to_json (e : Trace.event) =
-  Json.Obj
-    [
-      ("ph", Json.String (phase_string e.Trace.phase));
-      ("name", Json.String e.Trace.name);
-      ("ts_ns", Json.Int (Int64.to_int e.Trace.ts_ns));
-      ("depth", Json.Int e.Trace.depth);
-      ("args", attrs_to_json e.Trace.attrs);
-    ]
-
-let jsonl_of_events events =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Json.to_string (event_to_json e));
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
-
 (* Lifecycle instants stamped by [Lifecycle] carry a request id and a
    flow phase ("s" start / "t" step / "f" finish); rendered as Chrome
    flow events they draw arrows linking one request's stamps across the
@@ -47,7 +28,7 @@ let flow_of e =
         Some (ph, id)
     | _ -> None
 
-let chrome_of_events ?(pid = 1) events =
+let chrome_of_events events =
   let t0 =
     match events with [] -> 0L | e :: _ -> e.Trace.ts_ns
   in
@@ -59,7 +40,7 @@ let chrome_of_events ?(pid = 1) events =
       [
         ("name", Json.String e.Trace.name);
         ("ph", Json.String (phase_string e.Trace.phase));
-        ("pid", Json.Int pid);
+        ("pid", Json.Int 1);
         ("tid", Json.Int 1);
         ("ts", Json.Float (ts_us e));
         ("args", attrs_to_json e.Trace.attrs);
@@ -73,7 +54,7 @@ let chrome_of_events ?(pid = 1) events =
             ("cat", Json.String "lifecycle");
             ("ph", Json.String ph);
             ("id", Json.Int id);
-            ("pid", Json.Int pid);
+            ("pid", Json.Int 1);
             ("tid", Json.Int 1);
             ("ts", Json.Float (ts_us e));
             ("args", attrs_to_json e.Trace.attrs);

@@ -8,7 +8,7 @@
     every recorded value lands in a bucket whose width is at most
     [1/sub_buckets] of its value. Memory is O(occupied buckets)
     regardless of sample count, recording is O(1), and quantiles are
-    answered to within one bucket's relative error ({!rel_error}).
+    answered to within one bucket's relative error, [1 / sub_buckets].
 
     Exact count, sum, min and max are tracked on the side, so [mean],
     [min_value] and [max_value] are exact; only quantiles are
@@ -24,19 +24,12 @@ val create : ?sub_buckets:int -> unit -> t
 
 val sub_buckets : t -> int
 
-val rel_error : t -> float
-(** Upper bound on the relative error of {!quantile}:
-    [1 /. float_of_int (sub_buckets t)]. *)
-
 val record : t -> float -> unit
 (** Record one sample. Zero is tracked exactly in a dedicated bucket.
     Raises [Invalid_argument] on negative or non-finite samples — the
     recorded quantities (latencies, counts, traffic volumes) are
     non-negative by construction, so a negative sample is a bug worth
     surfacing. *)
-
-val record_n : t -> float -> int -> unit
-(** [record_n t v k] records [v] [k] times in O(1). *)
 
 val count : t -> int
 val sum : t -> float
@@ -56,7 +49,7 @@ val quantile : t -> float -> float
     ("type 7") quantile estimate — the same rank convention as
     {!Nu_stats.Descriptive.percentile} — answered from bucket midpoints
     and clamped into [[min_value, max_value]]. The result is within
-    [rel_error t] relative error of the exact quantile of the recorded
+    [1 / sub_buckets t] relative error of the exact quantile of the recorded
     samples. Raises [Invalid_argument] when empty or [q] out of
     range. *)
 

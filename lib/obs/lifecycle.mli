@@ -48,7 +48,6 @@ type entry = {
   stage : stage;
 }
 
-val stage_name : stage -> string
 val terminal : stage -> bool
 (** Terminal stages ({!Shed}, {!Completed}, {!Degraded}) end a
     request's lifecycle and retire its attribution entry. *)

@@ -30,8 +30,6 @@ let create ?(capacity = 4096) ~columns () =
 
 let columns t = Array.to_list t.cols
 let length t = t.len
-let total_samples t = t.total
-let stride t = t.stride
 
 (* Keep rows 0, 2, 4, ... — the decimated series stays anchored at the
    first sample and uniformly spaced at the doubled stride. *)

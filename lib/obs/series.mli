@@ -9,8 +9,10 @@
     Memory is bounded: the series retains at most [capacity] rows.
     When the cap is reached it decimates — every other retained row is
     dropped and the sampling stride doubles, so arbitrarily long runs
-    keep a uniformly-spaced summary at fixed memory. [stride] reports
-    the current cadence (1 until the first decimation). *)
+    keep a uniformly-spaced summary at fixed memory. {!to_json}'s
+    [stride] reports the current cadence (1 until the first
+    decimation), its [total_samples] every row offered, including ones
+    dropped by striding. *)
 
 type t
 
@@ -23,12 +25,6 @@ val create : ?capacity:int -> columns:string list -> unit -> t
 val columns : t -> string list
 val length : t -> int
 (** Retained rows (at most [capacity]). *)
-
-val total_samples : t -> int
-(** Rows offered via {!sample}, including ones dropped by striding. *)
-
-val stride : t -> int
-(** Current keep-every-nth cadence; doubles at each decimation. *)
 
 val sample : t -> t_s:float -> float array -> unit
 (** Offer one row at instant [t_s]. The row is copied. Rows that fall

@@ -16,38 +16,25 @@ type plan = fault list
 type config = {
   n_faults : int;
   ops_span : int;
-  w_torn : float;
-  w_flip : float;
-  w_short : float;
-  w_enospc : float;
-  w_fsync_loss : float;
-  w_kill : float;
 }
 
-let default_config =
-  {
-    n_faults = 8;
-    ops_span = 240;
-    w_torn = 3.0;
-    w_flip = 2.0;
-    w_short = 1.0;
-    w_enospc = 1.0;
-    w_fsync_loss = 1.0;
-    w_kill = 2.0;
-  }
+let default_config = { n_faults = 8; ops_span = 240 }
 
-let weights c =
+(* Relative weight of each fault kind in a generated plan. *)
+let weights =
   [
-    (Torn_write, c.w_torn);
-    (Bit_flip, c.w_flip);
-    (Short_read, c.w_short);
-    (Enospc, c.w_enospc);
-    (Fsync_loss, c.w_fsync_loss);
-    (Kill, c.w_kill);
+    (Torn_write, 3.0);
+    (Bit_flip, 2.0);
+    (Short_read, 1.0);
+    (Enospc, 1.0);
+    (Fsync_loss, 1.0);
+    (Kill, 2.0);
   ]
 
-let pick_kind rng c total =
-  let x = ref (Prng.unit_float rng *. total) in
+let total_weight = List.fold_left (fun a (_, w) -> a +. w) 0.0 weights
+
+let pick_kind rng =
+  let x = ref (Prng.unit_float rng *. total_weight) in
   let rec go = function
     | [] -> Kill
     | (k, w) :: rest ->
@@ -57,19 +44,16 @@ let pick_kind rng c total =
           go rest
         end
   in
-  go (weights c)
+  go weights
 
 let generate ?(config = default_config) ~seed () =
   if config.n_faults < 0 then invalid_arg "Store_fault.generate: n_faults < 0";
   if config.ops_span < 1 then invalid_arg "Store_fault.generate: ops_span < 1";
-  let total = List.fold_left (fun a (_, w) -> a +. w) 0.0 (weights config) in
-  if List.exists (fun (_, w) -> w < 0.0) (weights config) || total <= 0.0 then
-    invalid_arg "Store_fault.generate: weights must be >= 0 and sum > 0";
   let rng = Prng.create seed in
   let base =
     List.init config.n_faults (fun _ ->
         let at_op = 1 + Prng.int rng config.ops_span in
-        let kind = pick_kind rng config total in
+        let kind = pick_kind rng in
         let knob = Prng.unit_float rng in
         { at_op; kind; knob })
   in

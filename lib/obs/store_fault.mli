@@ -43,25 +43,18 @@ type plan = fault list
 type config = {
   n_faults : int;
   ops_span : int;  (** Fault indices are drawn from [1, ops_span]. *)
-  w_torn : float;
-  w_flip : float;
-  w_short : float;
-  w_enospc : float;
-  w_fsync_loss : float;
-  w_kill : float;
 }
 
 val default_config : config
-(** 8 faults over 240 ops; weights torn 3, flip 2, kill 2, short 1,
-    enospc 1, fsync-loss 1. *)
+(** 8 faults over 240 ops. *)
 
 val generate : ?config:config -> seed:int -> unit -> plan
-(** Deterministic: equal (config, seed) produce equal plans. Every
+(** Deterministic: equal (config, seed) produce equal plans. Fault kinds
+    are drawn with the fixed [weights] in [store_fault.ml]: torn 3,
+    flip 2, kill 2, short 1, enospc 1, fsync-loss 1. Every
     [Fsync_loss] is paired with a [Kill] a few ops later so the lost
     sync actually materialises. Raises [Invalid_argument] on a
-    non-positive span or weights that sum to zero. *)
-
-val plan_to_json : plan -> Json.t
+    negative fault count or a non-positive span. *)
 
 exception Crash of string
 (** Simulated process death. *)

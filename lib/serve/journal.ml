@@ -80,16 +80,3 @@ let write_committed w ~below groups =
       end)
     groups;
   Store.flush w
-
-type commits = Empty | Committed of int
-
-let last_commit entries =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Tick_done t -> (
-          match acc with
-          | Empty -> Committed t
-          | Committed u -> Committed (max t u))
-      | Arrive _ -> acc)
-    Empty entries

@@ -21,7 +21,6 @@ type writer = Nu_obs.Store.writer
 (** Flush, close and abort through {!Nu_obs.Store}. *)
 
 val open_writer :
-  ?append:bool ->
   ?segment_bytes:int ->
   ?fault:Nu_obs.Store_fault.t ->
   string ->
@@ -65,9 +64,3 @@ val write_committed :
     the clean committed prefix into a fresh segment chain this way,
     dropping corrupt frames and any uncommitted tail. *)
 
-type commits = Empty | Committed of int
-
-val last_commit : entry list -> commits
-(** Highest committed tick, or [Empty] when the journal holds no commit
-    marker at all — distinguishing "fresh/torn-to-nothing journal" from
-    "committed through tick 0". *)

@@ -12,9 +12,6 @@ val of_samples : float array -> t
 val eval : t -> float -> float
 (** [eval t x] is P(X <= x), a step function in [0, 1]. *)
 
-val inverse : t -> float -> float
-(** [inverse t p] is the p-quantile, [p] in [0, 1]. *)
-
 val points : t -> (float * float) array
 (** The ECDF as [(value, cumulative probability)] steps, deduplicated on
     value, suitable for plotting. *)
@@ -23,4 +20,6 @@ val size : t -> int
 (** Number of underlying samples. *)
 
 val pp : Format.formatter -> t -> unit
-(** Compact rendering: a fixed set of quantiles. *)
+(** Compact rendering: the sample count and the p10, p50, p90, p99 and
+    p100 quantiles, each the smallest sample whose cumulative
+    probability reaches it. *)

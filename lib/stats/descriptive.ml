@@ -18,14 +18,6 @@ let mean xs =
   check_nonempty "mean" xs;
   total xs /. float_of_int (Array.length xs)
 
-let variance xs =
-  check_nonempty "variance" xs;
-  let m = mean xs in
-  let acc = Array.map (fun x -> (x -. m) *. (x -. m)) xs in
-  total acc /. float_of_int (Array.length xs)
-
-let stddev xs = sqrt (variance xs)
-
 let min_value xs =
   check_nonempty "min_value" xs;
   Array.fold_left min xs.(0) xs
@@ -60,32 +52,3 @@ let reduction_vs ~baseline v =
 let speedup_vs ~baseline v =
   if v <= 0.0 then invalid_arg "Descriptive.speedup_vs: v";
   baseline /. v
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
-
-let summarize xs =
-  check_nonempty "summarize" xs;
-  {
-    count = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = min_value xs;
-    p50 = percentile xs 50.0;
-    p95 = percentile xs 95.0;
-    p99 = percentile xs 99.0;
-    max = max_value xs;
-  }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

@@ -11,12 +11,6 @@ val mean : float array -> float
 val total : float array -> float
 (** Kahan-compensated sum. *)
 
-val variance : float array -> float
-(** Population variance (division by n). *)
-
-val stddev : float array -> float
-(** Square root of {!variance}. *)
-
 val min_value : float array -> float
 val max_value : float array -> float
 
@@ -36,18 +30,3 @@ val reduction_vs : baseline:float -> float -> float
 val speedup_vs : baseline:float -> float -> float
 (** [speedup_vs ~baseline v = baseline /. v] — the paper's "10x faster".
     Requires [v > 0]. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
-(** One-shot summary used by the experiment harness tables. *)
-
-val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit

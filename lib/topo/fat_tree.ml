@@ -100,8 +100,8 @@ let kind t v =
 (* Id of the (known to exist) edge between two adjacent fabric nodes. *)
 let hop t a b =
   match Graph.find_edge t.graph ~src:a ~dst:b with
-  | Some e -> e.id
-  | None -> invalid_arg "Fat_tree.hop: nodes are not adjacent"
+  | -1 -> invalid_arg "Fat_tree.hop: nodes are not adjacent"
+  | id -> id
 
 (* Each path is built straight into its id array: the access hops and
    the per-aggregation hops are resolved once per pair, only the core

@@ -120,13 +120,6 @@ let host_index t v =
     invalid_arg "Jellyfish: not a host";
   v - t.host_off
 
-let degree_ok t =
-  let deg = Array.make t.n_switches 0 in
-  Graph.iter_edges t.graph (fun e ->
-      if e.src < t.n_switches && e.dst < t.n_switches then
-        deg.(e.src) <- deg.(e.src) + 1);
-  Array.for_all (fun d -> d = t.r) deg
-
 let paths t ~src ~dst =
   if host_index t src = host_index t dst then []
   else begin

@@ -38,10 +38,6 @@ val host_count : t -> int
 val host : t -> int -> int
 (** Node id of the i-th host. *)
 
-val degree_ok : t -> bool
-(** Every switch has exactly [inter_switch_ports] switch neighbours —
-    construction postcondition, exposed for tests. *)
-
 val paths : t -> src:int -> dst:int -> Path.t list
 (** Candidate paths between host node ids: the k shortest loopless paths
     (memoised). Empty for [src = dst]. *)

@@ -52,8 +52,8 @@ let leaf_of_host t v = t.leaf_off + (host_index t v / t.hosts_per_leaf)
 
 let hop t a b =
   match Graph.find_edge t.graph ~src:a ~dst:b with
-  | Some e -> e.id
-  | None -> invalid_arg "Leaf_spine.hop: nodes are not adjacent"
+  | -1 -> invalid_arg "Leaf_spine.hop: nodes are not adjacent"
+  | id -> id
 
 let paths t ~src ~dst =
   if host_index t src = host_index t dst then []

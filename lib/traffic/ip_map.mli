@@ -7,12 +7,9 @@
     host count, with a deterministic collision fix-up so a flow never
     maps to [src = dst]. *)
 
-val host_of_ip : host_count:int -> int32 -> int
-(** [host_of_ip ~host_count ip] maps an IPv4 address (as int32) to a host
-    index in [0, host_count). Requires [host_count >= 1]. *)
-
 val host_pair :
   host_count:int -> src_ip:int32 -> dst_ip:int32 -> int * int
-(** Maps both endpoints; when they collide onto the same host the
+(** Maps both endpoints, each IPv4 address (as int32) hashed to a host
+    index in [0, host_count); when they collide onto the same host the
     destination is shifted deterministically to the next host. Requires
     [host_count >= 2]. *)

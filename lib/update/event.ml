@@ -75,9 +75,6 @@ let link_failure_event net ~id ~arrival_s ~edge =
 
 let work_count t = List.length t.work
 
-let install_records t =
-  List.filter_map (function Install r -> Some r | Reroute _ -> None) t.work
-
 let compare_by_arrival a b =
   match compare a.arrival_s b.arrival_s with
   | 0 -> compare a.id b.id

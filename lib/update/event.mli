@@ -41,11 +41,10 @@ type t = {
   work : work list;  (** Non-empty. *)
 }
 
-val of_spec : ?kind:kind -> Event_gen.spec -> t
-(** Wrap a generated workload spec as an all-installs event
-    (default kind [Additions]). *)
-
 val of_specs : ?kind:kind -> Event_gen.spec list -> t list
+(** Wrap each generated workload spec as an all-installs event (default
+    kind [Additions]). Raises [Invalid_argument] on a spec with no
+    flows. *)
 
 val vm_migration_event :
   id:int ->
@@ -73,9 +72,6 @@ val path_respects : Nu_graph.Path.t -> avoid -> bool
 
 val work_count : t -> int
 (** w — the number of flows the event involves. *)
-
-val install_records : t -> Flow_record.t list
-(** The records of the [Install] items, in work order. *)
 
 val compare_by_arrival : t -> t -> int
 (** Arrival order; ties by id. The queue order of §III-C. *)

@@ -10,15 +10,17 @@ let test_prepare_reaches_target () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The background fill caps host-access links at
+   min(0.95, max(0.75, target + 0.15)): 0.75 for a 50% target. *)
 let test_prepare_access_cap () =
   let s = Scenario.prepare ~utilization:0.5 ~seed:3 () in
   let topo = s.Scenario.topology in
-  Graph.iter_edges (Net_state.graph s.Scenario.net) (fun e ->
+  Graph.fold_edges (Net_state.graph s.Scenario.net) ~init:() ~f:(fun () e ->
       if Topology.is_host topo e.Graph.src || Topology.is_host topo e.Graph.dst
       then
         Alcotest.(check bool) "access link under cap" true
           (Net_state.edge_utilization s.Scenario.net e.Graph.id
-          <= Scenario.access_cap_for 0.5 +. 1e-9))
+          <= 0.75 +. 1e-9))
 
 let test_prepare_deterministic () =
   let a = Scenario.prepare ~utilization:0.4 ~seed:9 () in
@@ -53,7 +55,9 @@ let test_events_shapes () =
       List.iter
         (fun (r : Flow_record.t) ->
           Alcotest.(check bool) "namespaced ids" true (r.Flow_record.id >= 1_000_000))
-        (Event.install_records ev))
+        (List.filter_map
+           (function Event.Install r -> Some r | Event.Reroute _ -> None)
+           ev.Event.work))
     events
 
 let test_churn_deterministic () =

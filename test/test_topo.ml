@@ -106,7 +106,7 @@ let test_fat_tree_topology_valid () =
 let test_fat_tree_link_capacity () =
   let t = Fat_tree.create ~k:4 ~link_capacity:250.0 () in
   Alcotest.(check (float 0.0)) "capacity" 250.0 (Fat_tree.link_capacity t);
-  Graph.iter_edges (Fat_tree.graph t) (fun e ->
+  Graph.fold_edges (Fat_tree.graph t) ~init:() ~f:(fun () e ->
       Alcotest.(check (float 0.0)) "uniform" 250.0 e.Graph.capacity)
 
 let test_fat_tree_edge_switch_of_host () =
@@ -116,7 +116,7 @@ let test_fat_tree_edge_switch_of_host () =
   Alcotest.(check bool) "edge kind" true
     (match Fat_tree.kind t sw with Fat_tree.Edge _ -> true | _ -> false);
   Alcotest.(check bool) "adjacent" true
-    (Graph.find_edge (Fat_tree.graph t) ~src:h0 ~dst:sw <> None)
+    (Graph.find_edge (Fat_tree.graph t) ~src:h0 ~dst:sw >= 0)
 
 (* ------------------------------------------------------------------ *)
 (* Leaf-spine                                                          *)
@@ -168,9 +168,15 @@ let test_jellyfish_counts () =
   (* 8x3/2 switch links + 16 host links, two directed edges each. *)
   Alcotest.(check int) "edges" ((12 + 16) * 2) (Graph.edge_count (Jellyfish.graph t))
 
+(* Every switch has exactly [inter_switch_ports] (3) switch neighbours. *)
 let test_jellyfish_regular () =
   let t = small_jf () in
-  Alcotest.(check bool) "r-regular" true (Jellyfish.degree_ok t)
+  let n = Jellyfish.switch_count t in
+  let deg = Array.make n 0 in
+  Graph.fold_edges (Jellyfish.graph t) ~init:() ~f:(fun () e ->
+      if e.Graph.src < n && e.Graph.dst < n then
+        deg.(e.Graph.src) <- deg.(e.Graph.src) + 1);
+  Alcotest.(check (array int)) "r-regular" (Array.make n 3) deg
 
 let test_jellyfish_deterministic () =
   let a = small_jf () and b = small_jf () in
@@ -305,7 +311,7 @@ let test_path_of_ids_refuses () =
   let g = Fat_tree.graph ft in
   let h0 = Fat_tree.host ft 0 and e0 = Fat_tree.edge ft ~pod:0 0 in
   let a0 = Fat_tree.aggregation ft ~pod:0 0 and c0 = Fat_tree.core ft 0 in
-  let hop a b = (Option.get (Graph.find_edge g ~src:a ~dst:b)).Graph.id in
+  let hop a b = Graph.find_edge g ~src:a ~dst:b in
   List.iter
     (fun (what, ids, msg) ->
       let exn = Invalid_argument msg in
@@ -319,6 +325,26 @@ let test_path_of_ids_refuses () =
       ("loop", [ hop h0 e0; hop e0 a0; hop a0 e0 ], "Path.make: node loop");
       ("back to source", [ hop h0 e0; hop e0 h0 ], "Path.make: node loop");
     ]
+
+(* [Graph.find_edge] is the lookup behind every Fat-Tree path build, so
+   it must not allocate: 1,000 lookups on the k=8 fabric, hits and
+   misses alike, take 0 minor words. *)
+let test_find_edge_allocation () =
+  let ft = ft8 () in
+  let g = Fat_tree.graph ft in
+  let e0 = Fat_tree.edge ft ~pod:0 0 in
+  let hosts = Array.init 500 (fun i -> Fat_tree.host ft (i mod 128)) in
+  Graph.freeze g;
+  let found = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length hosts - 1 do
+    let h = hosts.(i) in
+    if Graph.find_edge g ~src:h ~dst:e0 >= 0 then incr found;
+    if Graph.find_edge g ~src:e0 ~dst:h >= 0 then incr found
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "4 hosts under the edge switch, both ways" 32 !found;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
 
 let suite =
   [
@@ -351,4 +377,5 @@ let suite =
     ("topology validate overlap", `Quick, test_topology_validate_catches_overlap);
     ("candidate paths golden", `Quick, test_candidate_paths_golden);
     ("path of_ids refuses bad input", `Quick, test_path_of_ids_refuses);
+    ("fat-tree find_edge allocates nothing", `Quick, test_find_edge_allocation);
   ]
