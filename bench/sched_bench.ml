@@ -131,7 +131,9 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
          deterministic partition map, cross-shard migration sets
          escalated to the global coordinator. Shard 0 owns the
          background churn; siblings share the flow generator with a
-         zero refill setpoint so placements happen exactly once. *)
+         zero refill setpoint so placements happen exactly once. A
+         wave fans out through its first stepper's pool: shard 0 gets
+         one domain per shard. *)
       assert (injector = None);
       let host_count = s.Core.Scenario.host_count in
       let part =
@@ -145,7 +147,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
             in
             Core.Engine.Stepper.create
               ~seed:(if k = 0 then 3 else 3 + (k * 7919))
-              ~domains:1 ~churn:churn_k ~init_expiry:(k = 0) ?series
+              ~domains:(if k = 0 then shards else 1)
+              ~churn:churn_k ~init_expiry:(k = 0) ?series
               ~net:s.Core.Scenario.net policy)
       in
       List.iter
@@ -157,11 +160,6 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       let coordinator =
         Core.Shard_coord.create ~seed:(3 lxor 0x5eed)
           Core.Shard_coord.default_config
-      in
-      let pool =
-        if shards > 1 then
-          Some (Core.Probe_pool.create ~domains:shards ~net:s.Core.Scenario.net)
-        else None
       in
       let shard_of_flow fid =
         match Core.Net_state.flow s.Core.Scenario.net fid with
@@ -205,7 +203,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       let continue_ = ref true in
       while !continue_ do
         let stepped =
-          Core.Engine.Stepper.step_group ?pool ?escalate steppers = `Stepped
+          Core.Engine.Stepper.step_group ?escalate steppers = `Stepped
         in
         Core.Shard_coord.attempt_due coordinator ~net:s.Core.Scenario.net
           ~tick:!wave ~now_floor_s:0.0 ~shard_of_flow
@@ -229,7 +227,6 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
           (stepped || Core.Shard_coord.pending_count coordinator > 0)
           && churned < 1_000_000
       done;
-      (match pool with Some p -> Core.Probe_pool.shutdown p | None -> ());
       let runs = Array.map Core.Engine.Stepper.result steppers in
       Array.iter Core.Engine.Stepper.close steppers;
       let shard_digests =

@@ -1,11 +1,9 @@
-let default_usable (_ : Graph.edge) = true
 let hop_weight (_ : Graph.edge) = 1.0
 
-let k_shortest g ?(usable = default_usable) ?(weight = hop_weight) ~k ~src ~dst
-    () =
+let k_shortest g ?(weight = hop_weight) ~k ~src ~dst () =
   if k <= 0 || src = dst then []
   else begin
-    match Dijkstra.shortest_path g ~usable ~weight ~src ~dst () with
+    match Dijkstra.shortest_path g ~weight ~src ~dst () with
     | None -> []
     | Some first ->
         let accepted = ref [ first ] in
@@ -56,8 +54,7 @@ let k_shortest g ?(usable = default_usable) ?(weight = hop_weight) ~k ~src ~dst
                 Hashtbl.replace banned_nodes prev_nodes.(j) ()
               done;
               let usable' (e : Graph.edge) =
-                usable e
-                && (not (Hashtbl.mem banned_edges e.id))
+                (not (Hashtbl.mem banned_edges e.id))
                 && (not (Hashtbl.mem banned_nodes e.src))
                 && not (Hashtbl.mem banned_nodes e.dst)
               in

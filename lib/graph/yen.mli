@@ -7,7 +7,6 @@
 
 val k_shortest :
   Graph.t ->
-  ?usable:(Graph.edge -> bool) ->
   ?weight:(Graph.edge -> float) ->
   k:int ->
   src:int ->

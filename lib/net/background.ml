@@ -5,8 +5,13 @@ type report = {
   placed_ids : int list;
 }
 
-let fill ?(policy = Routing.First_fit) ?rng ?(max_consecutive_failures = 50)
-    ?(min_scale = 1.0 /. 64.0) ?(utilization = fun net -> Net_state.mean_utilization net)
+(* After this many rejected attempts in a row the flow scale halves;
+   the fill gives up once the scale falls below [min_scale]. *)
+let max_consecutive_failures = 50
+let min_scale = 1.0 /. 64.0
+
+let fill ?(policy = Routing.First_fit) ?rng
+    ?(utilization = Net_state.mean_utilization)
     ?(accept = fun _ _ _ -> true) net ~target ~make_flow ~first_id =
   if target < 0.0 || target >= 1.0 then invalid_arg "Background.fill: target";
   let placed = ref 0 and rejected = ref 0 and placed_ids = ref [] in

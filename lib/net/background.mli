@@ -18,8 +18,6 @@ type report = {
 val fill :
   ?policy:Routing.policy ->
   ?rng:Prng.t ->
-  ?max_consecutive_failures:int ->
-  ?min_scale:float ->
   ?utilization:(Net_state.t -> float) ->
   ?accept:(Net_state.t -> Flow_record.t -> Path.t -> bool) ->
   Net_state.t ->
@@ -30,9 +28,10 @@ val fill :
 (** [fill net ~target ~make_flow ~first_id] places flows
     [make_flow ~id ~scale] for ids from [first_id] upward until
     [utilization net >= target] (default probe: {!Net_state.mean_utilization}
-    over every edge). After [max_consecutive_failures] (default 50)
-    rejected attempts in a row, [scale] halves; the fill gives up when
-    [scale < min_scale] (default 1/64). [target] must be in [0, 1).
+    over every edge). After [max_consecutive_failures] (50) rejected
+    attempts in a row, [scale] halves; the fill gives up when
+    [scale < min_scale] (1/64); both are constants in [background.ml].
+    [target] must be in [0, 1).
     [accept] (default: always) vetoes individual placements — e.g. to keep
     host access links below a cap so that update-event flows contend on
     the fabric, not on unfixable access links. *)

@@ -6,23 +6,18 @@
     ticks to escalate, consecutive quiet ticks to de-escalate), so a
     signal oscillating at a detector threshold cannot flap the state.
     A detector firing during [Recovering] relapses straight back to
-    [Critical]. All counters reset on every transition. *)
+    [Critical]. All counters reset on every transition.
+
+    The thresholds are fixed ([warn_after], [crit_after], [clear_after]
+    and [recover_after] in [health.ml]): 3 firing ticks Ok -> Warn, 5
+    more Warn -> Critical, 5 quiet ticks Warn -> Ok or Critical ->
+    Recovering, 5 further quiet ticks Recovering -> Ok. *)
 
 type state = Ok | Warn | Critical | Recovering
 
-type config = {
-  warn_after : int;  (** consecutive firing ticks: Ok -> Warn *)
-  crit_after : int;  (** consecutive firing ticks: Warn -> Critical *)
-  clear_after : int;  (** consecutive quiet ticks: Warn -> Ok,
-                          Critical -> Recovering *)
-  recover_after : int;  (** further quiet ticks: Recovering -> Ok *)
-}
-
-val default : config
-
 type t
 
-val create : config -> t
+val create : unit -> t
 val state : t -> state
 
 val observe : t -> firing:bool -> state option

@@ -112,7 +112,7 @@ let create (cfg : config) =
     jain_run = 0;
     jain_firing = false;
     last_jain = None;
-    g_health = Health.create Health.default;
+    g_health = Health.create ();
     g_timeline = [];
     g_last_detector = "none";
     tenants = Hashtbl.create 16;
@@ -204,7 +204,7 @@ let record log payload =
   Store.flush log
 
 let open_fresh t dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  Store.mkdir_p dir;
   let obs_log = Store.open_writer (obs_path dir) in
   record obs_log (Json.to_string (Json.Obj [ ("nu_watch", Json.Int 1) ]));
   t.obs_log <- Some obs_log;
@@ -263,7 +263,7 @@ let tenant_state t name =
           t_cur = Histogram.create ~sub_buckets ();
           t_prev = Histogram.create ~sub_buckets ();
           t_cusum = Detector.Cusum.create ();
-          t_health = Health.create Health.default;
+          t_health = Health.create ();
           t_last_detector = "tenant_ect_cusum";
           t_timeline = [];
         }

@@ -29,7 +29,7 @@
       consecutive collapsed windows;
     - the corrupt-frame and restart budgets are 0 per 20-tick window,
       so one corrupt frame or one restart fires;
-    - every scope's health machine runs at {!Health.default};
+    - every scope's health machine runs at {!Health}'s fixed thresholds;
     - the alert ring retains the newest 512 alerts.
 
     Detector outcomes drive a {!Health} state machine per scope (global

@@ -503,14 +503,14 @@ let private_pool ctx =
    the batch is bit-identical however it is evaluated:
 
    - the candidates are probed in (stepper, candidate) order on the
-     calling domain, or fanned out through [pool] (else the first
-     stepper's private pool when it was created with [domains > 1]),
-     each lane probing its own mirror of the state;
+     calling domain, or fanned out through the pool of [owner] (the
+     wave's first stepper, with work or not) when it was created with
+     [domains > 1], each lane probing its own mirror of the state;
    - unit billing replays in (stepper, candidate) order.
 
    Random-fit planning consumes PRNG draws inside the probe, so it pins
    the batch to the calling domain, draws in candidate order. *)
-let probe_wave ?pool pres =
+let probe_wave ~owner pres =
   let slots =
     List.map (fun gp -> Array.make (Array.length gp.gp_candidates) None) pres
   in
@@ -523,10 +523,9 @@ let probe_wave ?pool pres =
             pres slots))
   in
   let n_probes = Array.length batch in
-  let ctx0 = (List.hd pres).gp_st.ctx in
   let sequential =
     n_probes < min_parallel_probes
-    || (Option.is_none pool && ctx0.domains <= 1)
+    || owner.ctx.domains <= 1
     || List.exists
          (fun gp ->
            gp.gp_st.ctx.config.Planner.policy = Routing.Random_fit)
@@ -546,9 +545,7 @@ let probe_wave ?pool pres =
                    gp.gp_candidates.(i))))
         batch
     else begin
-      let pool =
-        match pool with Some p -> p | None -> private_pool ctx0
-      in
+      let pool = private_pool owner.ctx in
       Counters.incr Counters.Probe_parallel_batches;
       Counters.add Counters.Domain_probes n_probes;
       let t0 = Monotonic_clock.now () in
@@ -916,7 +913,7 @@ let commit_round ?escalate gd =
       promote st;
       release_held st
 
-let step_group ?pool ?escalate steppers =
+let step_group ?escalate steppers =
   let n = Array.length steppers in
   if n = 0 then `Idle
   else begin
@@ -936,7 +933,7 @@ let step_group ?pool ?escalate steppers =
     let pres = List.rev !pres in
     if pres = [] then `Idle
     else begin
-      let costeds = probe_wave ?pool pres in
+      let costeds = probe_wave ~owner:steppers.(0) pres in
       let decisions =
         List.map2
           (fun gp costed ->
@@ -1239,8 +1236,7 @@ let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
 module Stepper = struct
   type t = stepper
 
-  let create ?(exec = Exec_model.default) ?(config = Planner.default_config)
-      ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
+  let create ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
       ?injector ?series ?(domains = 1) ?(init_expiry = true) ?observer
       ?(events = []) ~net policy =
     (match Policy.validate policy with
@@ -1252,8 +1248,8 @@ module Stepper = struct
     | _ -> ());
     let rng = match rng with Some r -> r | None -> Prng.create seed in
     let ctx =
-      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
-        ~injector ~series ~domains ~init_expiry ~net
+      make_ctx ~exec:Exec_model.default ~config:Planner.default_config ~rng
+        ~churn ~co_max_cost_mbit ~injector ~series ~domains ~init_expiry ~net
     in
     make_stepper ?observer ctx policy events
 
@@ -1322,13 +1318,13 @@ module Stepper = struct
       fz_rng = Prng.raw_state st.ctx.rng;
     }
 
-  let thaw ?(exec = Exec_model.default) ?(config = Planner.default_config)
-      ?churn ?(co_max_cost_mbit = 0.0) ?injector
+  let thaw ?churn ?(co_max_cost_mbit = 0.0) ?injector
       ?series ?(domains = 1) ?observer ~net fz =
     let rng = Prng.of_raw_state fz.fz_rng in
     let ctx =
-      make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
-        ~injector ~series ~domains ~init_expiry:false ~net
+      make_ctx ~exec:Exec_model.default ~config:Planner.default_config ~rng
+        ~churn ~co_max_cost_mbit ~injector ~series ~domains ~init_expiry:false
+        ~net
     in
     (* Restore the departure queue in pop order: pushing in that order
        reproduces the original pop sequence exactly (FIFO tie-break on

@@ -44,7 +44,7 @@ let round_to_json (r : Engine.round_info) =
       ("fabric_utilization", Json.Float r.Engine.fabric_utilization);
     ]
 
-let to_json ?counters ?recovery ?histograms ?series ?profile ?telemetry ?alerts
+let to_json ?counters ?histograms ?series ?profile ?telemetry ?alerts
     (run : Engine.run_result) =
   let summary = Metrics.of_run run in
   Json.Obj
@@ -61,9 +61,6 @@ let to_json ?counters ?recovery ?histograms ?series ?profile ?telemetry ?alerts
        ( "final_fabric_utilization",
          Json.Float run.Engine.final_fabric_utilization );
      ]
-    @ (match recovery with
-      | None -> []
-      | Some r -> [ ("recovery", Nu_fault.Recovery.stats_to_json r) ])
     @ (match counters with
       | None -> []
       | Some snap -> [ ("counters", Nu_obs.Counters.to_json snap) ])

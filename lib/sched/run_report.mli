@@ -13,7 +13,6 @@ val event_result_to_json : Engine.event_result -> Nu_obs.Json.t
 
 val to_json :
   ?counters:Nu_obs.Counters.snapshot ->
-  ?recovery:Nu_fault.Recovery.t ->
   ?histograms:(string * Nu_obs.Histogram.t) list ->
   ?series:Nu_obs.Series.t ->
   ?profile:Nu_obs.Profile.t ->
@@ -23,10 +22,7 @@ val to_json :
   Nu_obs.Json.t
 (** The full report: policy, summary, events (event-id order), round
     count, round log and, when given, the counter snapshot (typically a
-    {!Nu_obs.Counters.diff} scoped to the run). [recovery] — usually the
-    run's injector's {!Nu_fault.Injector.recovery} — adds a ["recovery"]
-    section with the fault/abort/retry/degrade statistics and the
-    deterministic recovery digest. [histograms] (typically
+    {!Nu_obs.Counters.diff} scoped to the run). [histograms] (typically
     {!Nu_obs.Histogram.Registry.snapshot}) adds a ["histograms"] object
     keyed by metric name; [series] (the run's per-round gauge series)
     adds a ["series"] block; [profile] (a {!Nu_obs.Profile.of_events}

@@ -37,15 +37,11 @@ val config_to_json : config -> Nu_obs.Json.t
 
 type t
 
-val create :
-  ?sink:Nu_obs.Store.writer ->
-  ?exec:Exec_model.t ->
-  ?plan_config:Planner.config ->
-  seed:int ->
-  config ->
-  t
+val create : ?sink:Nu_obs.Store.writer -> seed:int -> config -> t
 (** [sink] receives the decisions journal (one JSON object per record,
-    flushed per entry). The digest is maintained with or without it. *)
+    flushed per entry). The digest is maintained with or without it.
+    The coordinator plans with {!Planner.default_config} and bills time
+    with {!Exec_model.default}, as every shard's stepper does. *)
 
 val set_sink : t -> Nu_obs.Store.writer option -> unit
 val close : t -> unit
@@ -133,13 +129,7 @@ type frozen = {
 
 val freeze : t -> frozen
 
-val thaw :
-  ?sink:Nu_obs.Store.writer ->
-  ?exec:Exec_model.t ->
-  ?plan_config:Planner.config ->
-  config ->
-  frozen ->
-  t
+val thaw : ?sink:Nu_obs.Store.writer -> config -> frozen -> t
 
 val frozen_to_json : frozen -> Nu_obs.Json.t
 val frozen_of_json : Nu_obs.Json.t -> (frozen, string) result

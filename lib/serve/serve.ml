@@ -27,8 +27,8 @@ let set_journal t w = Shard_fabric.set_journal t 0 w
 let retire t = List.hd (Shard_fabric.retire t)
 let snapshot = Shard_fabric.snapshot
 
-let save_checkpoint ?fault ?keep t path =
-  Checkpoint.Chain.save ?fault ?keep path (snapshot t)
+let save_checkpoint ?fault t path =
+  Checkpoint.Chain.save ?fault path (snapshot t)
 
 let restore_snapshot ?source_params ?series ?telemetry ?retry ~config
     ~source_spec ~topology cp =

@@ -58,12 +58,12 @@ val run : ?checkpoint_path:string -> ?checkpoint_every:int -> ticks:int -> t -> 
     [checkpoint_every] > 0, saves an atomic checkpoint after every
     [checkpoint_every]-th tick. *)
 
-val complete : ?max_ticks:int -> t -> unit
+val complete : t -> unit
 (** Drain to quiescence: tick (without polling the source or writing
     the journal) until the admission queue, deferral list and engine
     are all empty. Deterministic given the controller state, which is
     why these ticks need no journal. Raises [Failure] if quiescence is
-    not reached within [max_ticks] (default 1_000_000). *)
+    not reached within 1_000_000 ticks. *)
 
 (** {2 Inspection} *)
 
@@ -102,7 +102,7 @@ val snapshot : t -> Checkpoint.t
     threads them from the previous chain generation. *)
 
 val save_checkpoint :
-  ?fault:Nu_obs.Store_fault.t -> ?keep:int -> t -> string -> string
+  ?fault:Nu_obs.Store_fault.t -> t -> string -> string
 (** {!snapshot} + {!Checkpoint.Chain.save}: rotates the chain
     generations, saves atomically and durably, and returns the new
     checkpoint's content hash. *)

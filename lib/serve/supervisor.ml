@@ -4,26 +4,21 @@ module Histogram = Nu_obs.Histogram
 module Store_fault = Nu_obs.Store_fault
 module Fnv = Nu_obs.Fnv
 
-type config = {
-  max_restarts : int;
-  backoff_base_s : float;
-  backoff_factor : float;
-  backoff_max_s : float;
-  backoff_jitter : float;
-  keep : int;
-  checkpoint_every : int;
-}
+type config = { max_restarts : int }
 
-let default_config =
-  {
-    max_restarts = 16;
-    backoff_base_s = 0.05;
-    backoff_factor = 2.0;
-    backoff_max_s = 5.0;
-    backoff_jitter = 0.25;
-    keep = Checkpoint.Chain.default_keep;
-    checkpoint_every = 10;
-  }
+let default_config = { max_restarts = 16 }
+
+(* Restart backoff: 50 ms doubling per restart to a 5 s cap, with 25%
+   relative PRNG jitter. The delays are recorded, never slept, and
+   they enter the recovery digest. *)
+let backoff_base_s = 0.05
+let backoff_factor = 2.0
+let backoff_max_s = 5.0
+let backoff_jitter = 0.25
+
+(* Chain save period in ticks. The chain keeps
+   [Checkpoint.Chain.default_keep] generations. *)
+let checkpoint_every = 10
 
 type failure_class =
   | Crash_injected
@@ -176,10 +171,10 @@ let outcome_to_json o =
 (* ------------------------------------------------------------------ *)
 (* The supervised loop.                                                *)
 
-let backoff_s sup rng ~attempt =
-  let raw = sup.backoff_base_s *. (sup.backoff_factor ** float_of_int (attempt - 1)) in
-  let capped = Float.min sup.backoff_max_s raw in
-  capped *. (1.0 +. (sup.backoff_jitter *. ((2.0 *. Prng.unit_float rng) -. 1.0)))
+let backoff_s rng ~attempt =
+  let raw = backoff_base_s *. (backoff_factor ** float_of_int (attempt - 1)) in
+  let capped = Float.min backoff_max_s raw in
+  capped *. (1.0 +. (backoff_jitter *. ((2.0 *. Prng.unit_float rng) -. 1.0)))
 
 let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
     ~serve_config ~source_spec ~topology ~fresh_net ~journal_path
@@ -212,7 +207,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
         ~source_spec
     in
     let replayed, _stop = Serve.replay_prefix t entries in
-    (t, sup.keep + 1, replayed)
+    (t, Checkpoint.Chain.default_keep + 1, replayed)
   in
   (* Recover a controller from the newest verifiable chain generation,
      replay the clean journal prefix past it, and fall through to a
@@ -222,7 +217,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
   let recover () =
     let entries = surviving_entries () in
     let t, depth, replayed =
-      match Checkpoint.Chain.fallback ?fault ~keep:sup.keep ~graph checkpoint_path with
+      match Checkpoint.Chain.fallback ?fault ~graph checkpoint_path with
       | Error e -> cold_start ~reason:("no verifiable checkpoint: " ^ e) entries
       | Ok (cp, depth) -> (
           match
@@ -266,14 +261,13 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
     while Serve.tick_count t < ticks do
       Serve.tick t;
       if
-        sup.checkpoint_every > 0
-        && Serve.tick_count t mod sup.checkpoint_every = 0
+        Serve.tick_count t mod checkpoint_every = 0
         && Serve.tick_count t < ticks
-      then ignore (Serve.save_checkpoint ?fault ~keep:sup.keep t checkpoint_path : string)
+      then ignore (Serve.save_checkpoint ?fault t checkpoint_path : string)
     done;
     (* Final chain generation at exactly the target tick: the replay
        audit restores this and must find zero ticks left to re-drive. *)
-    ignore (Serve.save_checkpoint ?fault ~keep:sup.keep t checkpoint_path : string)
+    ignore (Serve.save_checkpoint ?fault t checkpoint_path : string)
   in
   let rec supervise () =
     incr attempt;
@@ -332,7 +326,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
         else begin
           incr restarts;
           Counters.incr_named "supervisor.restarts";
-          let delay = backoff_s sup rng ~attempt:!restarts in
+          let delay = backoff_s rng ~attempt:!restarts in
           if Histogram.Registry.enabled () then
             Histogram.Registry.record "supervisor.backoff_s" delay;
           push (Backoff { attempt = !restarts; delay_s = delay });

@@ -19,17 +19,10 @@ module Watch = Nu_obs.Watch
 type config = {
   metrics_dir : string option;
   metrics_every : int;
-  lifecycle_path : string option;
   watch : Watch.config option;
 }
 
-let default_config =
-  {
-    metrics_dir = None;
-    metrics_every = 10;
-    lifecycle_path = None;
-    watch = None;
-  }
+let default_config = { metrics_dir = None; metrics_every = 10; watch = None }
 
 type t = {
   cfg : config;
@@ -53,11 +46,18 @@ let create cfg =
   (match cfg.metrics_dir with
   | Some "" -> invalid_arg "Telemetry.create: empty metrics_dir"
   | Some _ | None -> ());
+  Option.iter Nu_obs.Store.mkdir_p cfg.metrics_dir;
   {
     cfg;
     (* Lifecycle ring 4096, fairness and SLO windows of 50 ticks: the
        trackers' own defaults. *)
-    lifecycle = Lifecycle.create ?path:cfg.lifecycle_path ();
+    lifecycle =
+      Lifecycle.create
+        ?path:
+          (Option.map
+             (fun dir -> Filename.concat dir "lifecycle.jsonl")
+             cfg.metrics_dir)
+        ();
     fairness = Fairness.create ();
     slo = Slo.create ();
     watch = Option.map Watch.create cfg.watch;
@@ -95,7 +95,6 @@ let write_expo t =
   match t.cfg.metrics_dir with
   | None -> ()
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       Nu_obs.Store.publish (Filename.concat dir "metrics.prom") (render t);
       t.expo_writes <- t.expo_writes + 1;
       Counters.incr_named "telemetry.expo_writes"

@@ -18,7 +18,9 @@
     fingerprint either — a journal written with telemetry on replays
     cleanly with it off, and vice versa.
 
-    When [metrics_dir] is set, an OpenMetrics exposition file
+    When [metrics_dir] is set, {!create} creates it (with any missing
+    parents), the lifecycle stamps stream to the record log
+    [metrics_dir/lifecycle.jsonl], and an OpenMetrics exposition file
     ([metrics.prom]) is published ({!Nu_obs.Store.publish}) every
     [metrics_every] ticks and once at retirement, rendered from the
     live counter registry, histogram registry (when sampling is
@@ -26,10 +28,9 @@
 
 type config = {
   metrics_dir : string option;
-      (** Directory for the exposition file; [None] disables it. *)
+      (** Directory for the exposition file and the lifecycle record
+          log; [None] disables both (the lifecycle ring still runs). *)
   metrics_every : int;  (** Write cadence in ticks (default 10). *)
-  lifecycle_path : string option;
-      (** Record log of lifecycle stamps; [None] keeps only the ring. *)
   watch : Nu_obs.Watch.config option;
       (** Attach an {!Nu_obs.Watch} watchdog: ECT samples and per-tick
           queue/backlog gauges plus WAL-corruption and supervisor-
