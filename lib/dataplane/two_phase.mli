@@ -53,8 +53,9 @@ type install_fault =
   switch:int -> flow_id:int -> [ `Drop | `Delay of float ] option
 (** Per-hop install-fault oracle, consulted once per (switch, flow) rule
     write during staging. [`Drop] means the switch never acknowledged
-    the install; [`Delay d] means it acked [d] seconds late.
-    {!Nu_fault.Fault_model.install_hazard} partially applied is one. *)
+    the install; [`Delay d] means it acked [d] seconds late. A pure
+    function of (switch, flow) keeps the fault pattern independent of
+    staging order. *)
 
 type fault_report = {
   stats : stats;  (** Overheads of what actually went through. *)
