@@ -3,9 +3,10 @@
    always covers between one and two windows of history) and the
    latest backlog gauges. *)
 
+(* The rotation period in ticks. *)
+let window = 50
+
 type t = {
-  window : int;
-  sub_buckets : int;
   mutable cur : Histogram.t;
   mutable prev : Histogram.t;
   mutable tick_in_window : int;
@@ -13,19 +14,15 @@ type t = {
   mutable backlog : int;
 }
 
-let create ?(window = 50) ?(sub_buckets = 64) () =
-  if window < 1 then invalid_arg "Slo.create: window < 1";
+let create () =
   {
-    window;
-    sub_buckets;
-    cur = Histogram.create ~sub_buckets ();
-    prev = Histogram.create ~sub_buckets ();
+    cur = Histogram.create ();
+    prev = Histogram.create ();
     tick_in_window = 0;
     queue_depth = 0;
     backlog = 0;
   }
 
-let window_ticks t = t.window
 let observe_ect t v = Histogram.record t.cur v
 
 let observe_gauges t ~queue ~backlog =
@@ -45,9 +42,9 @@ let p999 t = quantile_opt t 0.999
 
 let on_tick t =
   t.tick_in_window <- t.tick_in_window + 1;
-  if t.tick_in_window >= t.window then begin
+  if t.tick_in_window >= window then begin
     t.prev <- t.cur;
-    t.cur <- Histogram.create ~sub_buckets:t.sub_buckets ();
+    t.cur <- Histogram.create ();
     t.tick_in_window <- 0
   end
 
@@ -56,7 +53,7 @@ let opt_float = function None -> Json.Null | Some f -> Json.Float f
 let to_json t =
   Json.Obj
     [
-      ("window_ticks", Json.Int t.window);
+      ("window_ticks", Json.Int window);
       ("p99_ect_s", opt_float (p99 t));
       ("p999_ect_s", opt_float (p999 t));
       ("queue_depth", Json.Int t.queue_depth);

@@ -11,10 +11,8 @@
 
 type t
 
-val create : ?window:int -> ?sub_buckets:int -> unit -> t
-(** [window] (default 50, minimum 1) is the rotation period in ticks. *)
-
-val window_ticks : t -> int
+val create : unit -> t
+(** The window pair rotates every 50 ticks ([window] in [slo.ml]). *)
 
 val observe_ect : t -> float -> unit
 (** Record one completed request's ECT into the current window. *)
@@ -23,7 +21,7 @@ val observe_gauges : t -> queue:int -> backlog:int -> unit
 (** Latest admission queue depth and engine backlog. *)
 
 val on_tick : t -> unit
-(** Advance the window clock, rotating every [window]-th call. *)
+(** Advance the window clock, rotating every 50th call. *)
 
 val p99 : t -> float option
 (** Rolling-window ECT p99; [None] while the window pair is empty. *)
