@@ -102,13 +102,15 @@ module Scenario = struct
      utilisation sweeps (Fig. 7 goes to 90%) need access headroom too. *)
   let access_cap_for utilization = min 0.95 (max 0.75 (utilization +. 0.15))
 
-  let accept_under_access_cap ~cap ~host_mask net (r : Flow_record.t) path =
+  let accept_under_access_cap ~cap net (r : Flow_record.t) path =
     let d = Flow_record.demand_mbps r in
+    let topo = Net_state.topology net in
     let g = Net_state.graph net in
     Array.for_all
       (fun id ->
         let touches_host =
-          host_mask.(Graph.src g id) || host_mask.(Graph.dst g id)
+          Topology.is_host topo (Graph.src g id)
+          || Topology.is_host topo (Graph.dst g id)
         in
         (not touches_host)
         || (Net_state.used net id +. d) /. Graph.capacity g id <= cap)
@@ -123,8 +125,6 @@ module Scenario = struct
     let net = Net_state.create topology in
     let rng = Prng.create seed in
     let host_count = Topology.host_count topology in
-    let host_mask = Array.make (Graph.node_count topology.Topology.graph) false in
-    Array.iter (fun h -> host_mask.(h) <- true) topology.Topology.hosts;
     let fill_rng = Prng.split rng in
     let make_flow =
       match background with
@@ -143,7 +143,7 @@ module Scenario = struct
         ~policy:Routing.Random_fit ~rng:fill_rng
         ~utilization:Net_state.mean_fabric_utilization
         ~accept:
-          (accept_under_access_cap ~cap:(access_cap_for utilization) ~host_mask)
+          (accept_under_access_cap ~cap:(access_cap_for utilization))
         ~make_flow ~first_id:0
     in
     { fat_tree; topology; net; rng; host_count; background_report }

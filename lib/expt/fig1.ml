@@ -14,16 +14,13 @@ let default_utilizations = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
    residual bandwidth for its demand; probes never mutate the state. *)
 let probe net record =
   let demand = Flow_record.demand_mbps record in
+  let c = Net_state.candidates net record in
   let desired_ok =
-    match Routing.desired_path net record with
-    | Some p -> Net_state.path_feasible net p ~demand
-    | None -> false
+    match Routing.desired record c with
+    | -1 -> false
+    | d -> Net_state.candidate_feasible net c d ~demand
   in
-  let any_ok =
-    List.exists
-      (fun p -> Net_state.path_feasible net p ~demand)
-      (Net_state.candidate_paths net record)
-  in
+  let any_ok = Routing.select_from net ~demand c >= 0 in
   (desired_ok, any_ok)
 
 let ratio num den = if den = 0 then nan else float_of_int num /. float_of_int den

@@ -66,8 +66,8 @@ let next_due_s t =
 (* ------------------------------------------------------------------ *)
 (* Evacuation: move a flow off failed capacity, deterministically.     *)
 
-(* Try every enabled candidate path in ranked order; candidate_paths
-   already filters paths crossing disabled edges, and reroute itself
+(* Try every enabled candidate in ranked order; the candidate view
+   already drops candidates crossing disabled edges, and reroute itself
    re-checks capacity with the flow's own usage released. A flow with no
    surviving feasible path is removed — a recorded drop, never a silent
    blackhole. *)
@@ -75,23 +75,24 @@ let evacuate_flow t net ~now flow_id =
   match Net_state.flow net flow_id with
   | None -> ()
   | Some (p : Net_state.placed) ->
-      let rec try_paths = function
-        | [] ->
-            (match Net_state.remove net flow_id with
-            | Ok _ | Error `Not_found -> ());
-            Recovery.record t.recovery
-              (Recovery.Flow_evacuated { flow_id; at_s = now; dropped = true })
-        | path :: rest -> (
-            if Path.equal path p.Net_state.path then try_paths rest
-            else
-              match Net_state.reroute net flow_id path with
-              | Ok _ ->
-                  Recovery.record t.recovery
-                    (Recovery.Flow_evacuated
-                       { flow_id; at_s = now; dropped = false })
-              | Error _ -> try_paths rest)
+      let c = Net_state.candidates net p.Net_state.record in
+      let rec try_from i =
+        if i >= Net_state.candidate_count c then begin
+          (match Net_state.remove net flow_id with
+          | Ok _ | Error `Not_found -> ());
+          Recovery.record t.recovery
+            (Recovery.Flow_evacuated { flow_id; at_s = now; dropped = true })
+        end
+        else if Net_state.candidate_is c i p.Net_state.path then try_from (i + 1)
+        else
+          match Net_state.reroute net flow_id (Net_state.candidate_path net c i) with
+          | Ok _ ->
+              Recovery.record t.recovery
+                (Recovery.Flow_evacuated
+                   { flow_id; at_s = now; dropped = false })
+          | Error _ -> try_from (i + 1)
       in
-      try_paths (Net_state.candidate_paths net p.Net_state.record)
+      try_from 0
 
 (* Flows crossing any of the given (now disabled) edges, in id order. *)
 let evacuate_edges t net ~now edges =

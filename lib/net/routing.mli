@@ -9,8 +9,12 @@
 
 type policy =
   | First_fit  (** First feasible candidate in ranked order. *)
-  | Widest  (** Feasible candidate with maximum bottleneck residual. *)
-  | Least_loaded  (** Feasible candidate with minimum peak utilisation. *)
+  | Widest
+      (** Feasible candidate with maximum bottleneck residual (the first
+          such in rank order). *)
+  | Least_loaded
+      (** Feasible candidate with minimum peak utilisation (the first
+          such in rank order). *)
   | Random_fit  (** Uniformly random feasible candidate (needs [rng]). *)
 
 val policy_name : policy -> string
@@ -23,39 +27,30 @@ val select :
   Net_state.t ->
   Flow_record.t ->
   Path.t option
-(** Choose a feasible path for the record among
-    {!Net_state.candidate_paths}. [None] when no candidate is feasible.
-    Default policy [First_fit]. [Random_fit] raises [Invalid_argument]
-    without an [rng]. *)
+(** Choose a feasible path for the record among its
+    {!Net_state.candidates}, and build it. [None] when no candidate is
+    feasible. Default policy [First_fit]. [Random_fit] raises
+    [Invalid_argument] without an [rng]. *)
 
 val select_from :
   ?rng:Prng.t ->
   ?policy:policy ->
+  ?eligible:(int -> bool) ->
   Net_state.t ->
   demand:float ->
-  Path.t list ->
-  Path.t option
-(** Same choice rule over an explicit candidate list (used when the
-    candidate set is restricted, e.g. migration targets that must avoid
-    the congested links). *)
+  Net_state.candidates ->
+  int
+(** Same choice rule over an existing candidate view, restricted to the
+    indices [eligible] accepts (default all; migration targets must
+    avoid the path being cleared). Returns the chosen index, or [-1]
+    when no eligible candidate is feasible. *)
 
-val bottleneck_residual : Net_state.t -> Path.t -> float
-(** Minimum residual along the path — the [Widest] ranking key. *)
-
-val peak_utilization : Net_state.t -> Path.t -> float
-(** Maximum edge utilisation along the path — the [Least_loaded] ranking
-    key. *)
-
-val desired_path : Net_state.t -> Flow_record.t -> Path.t option
-(** The flow's *desired* path regardless of feasibility: the candidate
-    picked by {!ecmp_index} over the flow's 5-tuple stand-in
-    (id, src, dst) — what a hash-based ECMP dataplane would assign, and
-    the path the paper checks for congestion first. [None] only when the
-    candidate set is empty. *)
+val desired : Flow_record.t -> Net_state.candidates -> int
+(** Index of the flow's *desired* candidate regardless of feasibility:
+    {!ecmp_index} over the flow's 5-tuple stand-in (id, src, dst) — what
+    a hash-based ECMP dataplane would assign, and the path the paper
+    checks for congestion first. [-1] only when the candidate set is
+    empty. *)
 
 val ecmp_index : Flow_record.t -> n:int -> int
 (** Deterministic hash of (id, src, dst) into [0, n). Requires [n >= 1]. *)
-
-val nth_candidate : Path.t list -> ecmp:int -> Path.t option
-(** Pick a list element by ECMP index (identity ordering); [None] on an
-    empty list. *)

@@ -10,10 +10,10 @@
     - aggregation switch j of every pod uplinks to core switches
       [j·k/2, (j+1)·k/2).
 
-    All host-to-host shortest paths are computed analytically (not by
-    search): 1 path for same-edge pairs, k/2 paths for same-pod pairs and
-    (k/2)² paths for inter-pod pairs — the ECMP set the paper's planner
-    draws candidate paths P(f) from. *)
+    All shortest paths are computed analytically (not by search): 1 path
+    for same-edge pairs, k/2 paths for same-pod pairs and (k/2)² paths
+    for inter-pod pairs — the ECMP set the paper's planner draws
+    candidate paths P(f) from. *)
 
 type t
 
@@ -46,27 +46,14 @@ val edge : t -> pod:int -> int -> int
 val host : t -> int -> int
 (** [host t i] with [i] in [0, k³/4): node id of the i-th host. *)
 
-val host_index : t -> int -> int
-(** Inverse of {!host}: index of a host node id. Raises
-    [Invalid_argument] when the node is not a host. *)
-
-val pod_of_host : t -> int -> int
-(** Pod number of a host node id. *)
-
-val edge_switch_of_host : t -> int -> int
-(** Edge switch a host node id attaches to. *)
-
 type node_kind = Core | Aggregation of int | Edge of int | Host of int
 (** Payload: pod number for switches, host index for hosts. *)
 
 val kind : t -> int -> node_kind
 (** Classify a node id. *)
 
-val ecmp_paths : t -> src:int -> dst:int -> Path.t list
-(** All shortest paths between two host node ids, in deterministic order.
-    Raises [Invalid_argument] if either id is not a host. Empty for
-    [src = dst]. *)
-
 val to_topology : t -> Topology.t
-(** Adapt to the generic {!Topology.t} interface; [candidate_paths] is
-    {!ecmp_paths}. *)
+(** Adapt to the generic {!Topology.t} interface. Its interior sets run
+    between edge switches: the one empty interior under a shared edge
+    switch, k/2 paths (one per aggregation switch) inside a pod and
+    (k/2)² paths (aggregation-major, then core) between pods. *)

@@ -43,40 +43,27 @@ let host t i =
   if i < 0 || i >= host_count t then invalid_arg "Leaf_spine.host";
   t.host_off + i
 
-let host_index t v =
-  if v < t.host_off || v >= t.host_off + host_count t then
-    invalid_arg "Leaf_spine: not a host";
-  v - t.host_off
-
-let leaf_of_host t v = t.leaf_off + (host_index t v / t.hosts_per_leaf)
-
 let hop t a b =
   match Graph.find_edge t.graph ~src:a ~dst:b with
   | -1 -> invalid_arg "Leaf_spine.hop: nodes are not adjacent"
   | id -> id
 
-let paths t ~src ~dst =
-  if host_index t src = host_index t dst then []
-  else begin
-    let src_leaf = leaf_of_host t src and dst_leaf = leaf_of_host t dst in
-    let up = hop t src src_leaf and down = hop t dst_leaf dst in
-    let path = Path.of_ids t.graph in
-    if src_leaf = dst_leaf then [ path [| up; down |] ]
-    else
-      List.init t.spines (fun s ->
-          path [| up; hop t src_leaf s; hop t s dst_leaf; down |])
-  end
+(* Interior paths between two leaves: the empty one under a shared
+   leaf, else one per spine. *)
+let interior_paths t ~src ~dst =
+  if src < t.leaf_off || src >= t.host_off || dst < t.leaf_off
+     || dst >= t.host_off
+  then invalid_arg "Leaf_spine: not a leaf";
+  if src = dst then [| [||] |]
+  else Array.init t.spines (fun s -> [| hop t src s; hop t s dst |])
 
 let to_topology t =
-  let hosts = Array.init (host_count t) (fun i -> host t i) in
-  let switches = Array.init (t.spines + t.leaves) (fun i -> i) in
-  {
-    Topology.name =
-      Printf.sprintf "leaf-spine(%dx%d,%d hosts/leaf)" t.leaves t.spines
-        t.hosts_per_leaf;
-    graph = t.graph;
-    hosts;
-    switches;
-    candidate_paths = (fun ~src ~dst -> paths t ~src ~dst);
-    diameter = 4;
-  }
+  Topology.make
+    ~name:
+      (Printf.sprintf "leaf-spine(%dx%d,%d hosts/leaf)" t.leaves t.spines
+         t.hosts_per_leaf)
+    ~graph:t.graph
+    ~hosts:(Array.init (host_count t) (fun i -> host t i))
+    ~switches:(Array.init (t.spines + t.leaves) (fun i -> i))
+    ~interior_paths:(fun ~src ~dst -> interior_paths t ~src ~dst)
+    ~diameter:4

@@ -27,8 +27,6 @@ val host_count : t -> int
 val host : t -> int -> int
 (** Node id of the i-th host. *)
 
-val paths : t -> src:int -> dst:int -> Path.t list
-(** Candidate paths between host node ids: the single intra-leaf path, or
-    one path per spine for inter-leaf pairs. *)
-
 val to_topology : t -> Topology.t
+(** Its interior sets run between leaves: the one empty interior under a
+    shared leaf, else one path per spine, in spine order. *)

@@ -67,8 +67,9 @@ val link_failure_event :
     avoid both directions. Raises [Invalid_argument] when the edge id is
     out of range or no flow crosses the link. *)
 
-val path_respects : Nu_graph.Path.t -> avoid -> bool
-(** Whether a path satisfies an avoidance constraint. *)
+val candidate_respects :
+  Net_state.t -> Net_state.candidates -> int -> avoid -> bool
+(** Whether candidate [i] satisfies an avoidance constraint. *)
 
 val work_count : t -> int
 (** w — the number of flows the event involves. *)

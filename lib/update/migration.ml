@@ -126,84 +126,42 @@ let select_next order ~gap s n =
    Net_state.reroute itself (which releases the flow's current usage
    first), so partially-overlapping current/target paths are handled.
 
-   The candidate walk is fused: eligibility, feasibility, policy ranking
-   and the reroute attempts all run over the memoised candidate list
-   directly, with no intermediate filtered/ranked lists. Eligibility is
-   pure (path arrays and the caller's [forbidden] closure), so
+   The candidate walk runs over the memoised candidate view: the
+   policy choice is {!Routing.select_from} restricted to eligible
+   indices, and only a reroute attempt builds a full path. Eligibility
+   is pure (edge-id arrays and the caller's [forbidden] predicate), so
    re-evaluating it per phase is unobservable; feasibility and the
-   policy keys read net state, but in the same candidate order as the
-   filter-then-rank formulation, and probe read sets are deduplicated,
-   so recorded read sets and every decision are bit-identical.
-   Random_fit still builds the explicit feasible list — [Prng.choose]
-   must see the same array it historically did. *)
-let try_relocate ?policy ?rng ?(forbidden = fun _ -> false) ~work_units net
-    ~desired_path (p : Net_state.placed) =
+   policy keys read net state in candidate order, so recorded read
+   sets and every decision are those of the path-list walk. *)
+let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
+    net ~desired_path (p : Net_state.placed) =
   let flow_id = p.record.Flow_record.id in
+  let c = Net_state.candidates net p.record in
   (* Disjointness test on the flat hop-id arrays: candidate sets are
-     ~16 paths of <=8 hops, so the nested scan beats any set building. *)
+     ~16 paths of <=8 hops, so the nested scan beats any set building.
+     The access hops are common to every candidate: test them once. *)
   let desired_ids = Path.hop_ids desired_path in
   let nd = Array.length desired_ids in
-  let off_desired cand =
-    let cand_ids = Path.hop_ids cand in
-    let nc = Array.length cand_ids in
-    let rec disjoint i =
-      i >= nc
-      ||
-      let id = Array.unsafe_get cand_ids i in
-      let rec absent j =
-        j >= nd || (Array.unsafe_get desired_ids j <> id && absent (j + 1))
-      in
-      absent 0 && disjoint (i + 1)
+  let off_desired id =
+    let rec absent j =
+      j >= nd || (Array.unsafe_get desired_ids j <> id && absent (j + 1))
     in
-    disjoint 0
+    absent 0
   in
-  let eligible cand =
-    off_desired cand
-    && (not (forbidden cand))
-    && not (Path.equal cand p.path)
+  let access_off = off_desired c.Net_state.up && off_desired c.Net_state.down in
+  let eligible i =
+    access_off
+    && Array.for_all off_desired c.Net_state.interior.(i)
+    && (not (forbidden c i))
+    && not (Net_state.candidate_is c i p.path)
   in
-  let all = Net_state.candidate_paths net p.record in
   let demand = Flow_record.demand_mbps p.record in
-  let feasible cand = Net_state.path_feasible net cand ~demand in
-  (* Best eligible+feasible candidate under the policy, or None. *)
-  let best =
-    match policy with
-    | None | Some Routing.First_fit ->
-        List.find_opt (fun c -> eligible c && feasible c) all
-    | Some Routing.Widest ->
-        let bp = ref None and bw = ref neg_infinity in
-        List.iter
-          (fun c ->
-            if eligible c && feasible c then begin
-              let w = Routing.bottleneck_residual net c in
-              if !bp = None || w > !bw then begin
-                bp := Some c;
-                bw := w
-              end
-            end)
-          all;
-        !bp
-    | Some Routing.Least_loaded ->
-        let bp = ref None and bu = ref infinity in
-        List.iter
-          (fun c ->
-            if eligible c && feasible c then begin
-              let u = Routing.peak_utilization net c in
-              if !bp = None || u < !bu then begin
-                bp := Some c;
-                bu := u
-              end
-            end)
-          all;
-        !bp
-    | Some Routing.Random_fit ->
-        Routing.select_from ?rng ~policy:Routing.Random_fit net ~demand
-          (List.filter eligible all)
-  in
+  let best = Routing.select_from ?rng ?policy ~eligible net ~demand c in
   (* Attempt reroutes: the ranked winner first, then the remaining
      eligible candidates in enumeration order. *)
-  let attempt cand =
+  let attempt i =
     incr work_units;
+    let cand = Net_state.candidate_path net c i in
     match Net_state.reroute net flow_id cand with
     | Ok old_path ->
         Some
@@ -216,24 +174,16 @@ let try_relocate ?policy ?rng ?(forbidden = fun _ -> false) ~work_units net
           }
     | Error _ -> None
   in
-  let rec attempt_rest skip = function
-    | [] -> None
-    | cand :: rest ->
-        if
-          eligible cand
-          && not (match skip with Some b -> Path.equal cand b | None -> false)
-        then
-          match attempt cand with
-          | Some _ as ok -> ok
-          | None -> attempt_rest skip rest
-        else attempt_rest skip rest
+  let n = Net_state.candidate_count c in
+  let rec attempt_rest i =
+    if i >= n then None
+    else if i <> best && eligible i then
+      match attempt i with Some _ as ok -> ok | None -> attempt_rest (i + 1)
+    else attempt_rest (i + 1)
   in
-  match best with
-  | Some b -> (
-      match attempt b with
-      | Some _ as ok -> ok
-      | None -> attempt_rest (Some b) all)
-  | None -> attempt_rest None all
+  if best >= 0 then
+    match attempt best with Some _ as ok -> ok | None -> attempt_rest 0
+  else attempt_rest 0
 
 let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
     ?(work_units = ref 0) net ~demand ~path ~exclude =

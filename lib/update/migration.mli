@@ -49,7 +49,7 @@ val clear_path :
   ?order:order ->
   ?policy:Routing.policy ->
   ?rng:Prng.t ->
-  ?forbidden:(Path.t -> bool) ->
+  ?forbidden:(Net_state.candidates -> int -> bool) ->
   ?work_units:int ref ->
   Net_state.t ->
   demand:float ->
@@ -63,4 +63,5 @@ val clear_path :
     back to exactly its entry value. [work_units], when given, is
     incremented once per feasibility probe — the planner's virtual
     plan-time meter. [policy]/[rng] choose relocation targets (default
-    first-fit). *)
+    first-fit) among a moved flow's candidates that [forbidden] (default
+    none) does not reject. *)

@@ -209,7 +209,7 @@ let test_two_phase_version_bump () =
   let other =
     List.find
       (fun p -> not (Path.equal p placed.Net_state.path))
-      (Net_state.candidate_paths net placed.Net_state.record)
+      (Test_util.candidate_paths net placed.Net_state.record)
   in
   (match Net_state.reroute net 100 other with
   | Ok _ -> ()
@@ -279,7 +279,7 @@ let reroute_transition net =
   let other =
     List.find
       (fun p -> not (Path.equal p placed.Net_state.path))
-      (Net_state.candidate_paths net placed.Net_state.record)
+      (Test_util.candidate_paths net placed.Net_state.record)
   in
   Two_phase.
     {
@@ -443,7 +443,7 @@ let test_ordering_dependency_rounds () =
   let path_via net r spine =
     List.find
       (fun p -> Path.mentions_node p spine)
-      (Net_state.candidate_paths net r)
+      (Test_util.candidate_paths net r)
   in
   (* Hosts 0,1 on leaf 0; hosts 2,3 on leaf 1; spines are nodes 0-2. *)
   let c = flow ~id:1 ~demand:400.0 0 2 in
@@ -477,7 +477,7 @@ let test_ordering_deadlock () =
   let topo = Leaf_spine.to_topology ls in
   let net = Net_state.create topo in
   let path_via net r spine =
-    List.find (fun p -> Path.mentions_node p spine) (Net_state.candidate_paths net r)
+    List.find (fun p -> Path.mentions_node p spine) (Test_util.candidate_paths net r)
   in
   let a = flow ~id:1 ~demand:700.0 0 2 in
   let b = flow ~id:2 ~demand:700.0 1 3 in
@@ -543,7 +543,7 @@ let test_ordering_leaves_state_unchanged () =
   let other =
     List.find
       (fun p -> not (Path.equal p placed.Net_state.path))
-      (Net_state.candidate_paths net placed.Net_state.record)
+      (Test_util.candidate_paths net placed.Net_state.record)
   in
   let before = Net_state.flow_count net in
   ignore (Ordering.schedule net [ Ordering.{ flow_id = 100; to_path = other } ]);

@@ -657,7 +657,7 @@ let prop_incremental_matches_full =
         match Option.bind (pick ()) (Net_state.flow net) with
         | None -> ()
         | Some p -> (
-            match Net_state.candidate_paths net p.Net_state.record with
+            match Test_util.candidate_paths net p.Net_state.record with
             | [] -> ()
             | cands ->
                 let target =

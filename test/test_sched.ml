@@ -407,20 +407,19 @@ let test_mc_digest_with_faults () =
   Alcotest.(check string) "fault run digest independent of domains"
     (digest 1) (digest 4)
 
-(* The pool's mirrors share the candidate-path memo read-only, and the
+(* The pool's mirrors share the interior-path memo read-only, and the
    owner lane probes the live state: after [Probe_pool.create] no probe
    on any lane may miss the memo and enumerate (and write) paths. *)
 let test_pool_create_warms_path_memo () =
   let base = topo4 () in
   let calls = Atomic.make 0 in
   let topo =
-    {
-      base with
-      Topology.candidate_paths =
-        (fun ~src ~dst ->
-          Atomic.incr calls;
-          base.Topology.candidate_paths ~src ~dst);
-    }
+    Topology.make ~name:base.Topology.name ~graph:base.Topology.graph
+      ~hosts:base.Topology.hosts ~switches:base.Topology.switches
+      ~interior_paths:(fun ~src ~dst ->
+        Atomic.incr calls;
+        base.Topology.interior_paths ~src ~dst)
+      ~diameter:base.Topology.diameter
   in
   let net = Net_state.create topo in
   let pool = Probe_pool.create ~domains:2 ~net in
