@@ -68,7 +68,7 @@ type measurement = {
   m_counters : Core.Obs.Counters.snapshot;
 }
 
-let now_s () = Unix.gettimeofday ()
+let now_s () = Int64.to_float (Core.Obs.Trace.now_ns ()) *. 1e-9
 
 let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
     ?(stepper = false) ?(telemetry = `Off) ?(wal = false) ?(domains = 1)

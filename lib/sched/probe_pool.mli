@@ -31,7 +31,7 @@
     caller's after the batch, in worker-index order — deterministic
     totals, independent of how the cursor distributed the items.
 
-    [create] fills [net]'s candidate-path memo for every host pair
+    [create] fills [net]'s interior-path memo for every switch pair
     ({!Net_state.warm_all_paths}) before taking the mirrors: they share
     the memo read-only, so no lane — the owner's included — ever writes
     it while a worker reads it.

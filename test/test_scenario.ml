@@ -69,6 +69,24 @@ let test_churn_deterministic () =
   Alcotest.(check bool) "same stream" true (f1 = f2);
   Alcotest.(check int) "id namespace" 10_000_000 c1.Engine.first_id
 
+(* The k=16 Fat-Tree (1,024 hosts, 320 switches) fits in memory: its
+   interior memo holds about 1 M paths, where a host-pair memo would
+   hold about 67 M (some 10 GB). A prepare at 70% plus a short LMTF run
+   must keep the process's top heap under 1 GB. *)
+let test_k16_fits_one_gb () =
+  let s = Scenario.prepare ~k:16 ~seed:1 ~background:Scenario.Benson () in
+  Alcotest.(check int) "hosts" 1024 s.Scenario.host_count;
+  let events = Scenario.events ~shape:Event_gen.Synchronous s ~n:8 in
+  let run =
+    Engine.run ~seed:5 ~net:s.Scenario.net ~events (Policy.Lmtf { alpha = 4 })
+  in
+  Alcotest.(check int) "every event ran" 8 (Array.length run.Engine.events);
+  let top_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+    /. 1e6
+  in
+  if top_mb > 1000.0 then Alcotest.failf "top heap %.0f MB (gate: 1000)" top_mb
+
 let suite =
   [
     ("prepare reaches target", `Slow, test_prepare_reaches_target);
@@ -77,4 +95,5 @@ let suite =
     ("prepare benson", `Slow, test_prepare_benson_background);
     ("events shapes", `Slow, test_events_shapes);
     ("churn deterministic", `Slow, test_churn_deterministic);
+    ("k=16 prepare and LMTF run fit 1 GB", `Slow, test_k16_fits_one_gb);
   ]
