@@ -610,6 +610,26 @@ let test_coord_journal_reads_back () =
 
 (* A fixed 4-shard run with escalations: the shard WALs' file bytes and
    the coordinator journal's records, pinned. *)
+(* The fabric checkpoint's bytes, pinned: four shards at a rate that
+   keeps the coordinator busy, snapshotted mid-run. *)
+let test_golden_checkpoint () =
+  let s = scenario () in
+  let fcfg =
+    Shard_fabric.default_config ~shards:4
+      { (cfg ()) with Serve.drain_per_tick = 12; admission_capacity = 32 }
+  in
+  let t =
+    Shard_fabric.create fcfg ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ~rate:3.0 ())
+  in
+  Shard_fabric.run t ~ticks:30;
+  let cp = Shard_fabric.snapshot t in
+  Shard_fabric.close t;
+  Alcotest.(check int) "four shards frozen" 4
+    (List.length cp.Serve_checkpoint.shards);
+  Alcotest.(check string) "fabric checkpoint bytes" "808c1423745ee762"
+    (Obs.Fnv.string_hex (Serve_checkpoint.to_string cp))
+
 let test_golden_storage () =
   with_tmp_dir @@ fun dir ->
   let jb = Filename.concat dir "wal" in
@@ -690,6 +710,7 @@ let suite =
     Alcotest.test_case "replay from journals alone" `Quick
       test_replay_from_journals;
     Alcotest.test_case "golden storage bytes" `Quick test_golden_storage;
+    Alcotest.test_case "golden checkpoint bytes" `Quick test_golden_checkpoint;
     Alcotest.test_case "coordinator journal reads back to its digest" `Quick
       test_coord_journal_reads_back;
   ]
