@@ -15,6 +15,11 @@ val float : int64 -> float -> int64
 (** Folds the IEEE bit pattern, so [-0.] and [0.] differ. *)
 
 val string : int64 -> string -> int64
+(** Folds the bytes in order. Allocates nothing per byte. *)
+
+val substring : int64 -> string -> pos:int -> len:int -> int64
+(** [string h (String.sub s pos len)] without the copy. Raises
+    [Invalid_argument] when the span is not inside [s]. *)
 
 val hex : int64 -> string
 (** [%016Lx]. *)

@@ -190,6 +190,36 @@ let test_json_parse_errors () =
   | Error msg -> Alcotest.failf "parse error: %s" msg
 
 (* ------------------------------------------------------------------ *)
+(* Fnv                                                                 *)
+
+let test_fnv_reference_vectors () =
+  List.iter
+    (fun (s, h) -> Alcotest.(check string) (Printf.sprintf "%S" s) h (Obs.Fnv.string_hex s))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  (* A span hashes like the substring it names, from any state. *)
+  let s = "xxfoobaryy" in
+  Alcotest.(check string) "span = substring" "85944171f73967e8"
+    (Obs.Fnv.hex (Obs.Fnv.substring Obs.Fnv.basis s ~pos:2 ~len:6));
+  let h = Obs.Fnv.int Obs.Fnv.basis 7 in
+  Alcotest.(check bool) "folds from any state" true
+    (Obs.Fnv.substring h s ~pos:0 ~len:10 = Obs.Fnv.string h s);
+  Alcotest.check_raises "span past the end" (Invalid_argument "Fnv.substring")
+    (fun () -> ignore (Obs.Fnv.substring h s ~pos:5 ~len:6))
+
+(* Hashing allocates nothing per byte: 1 MB costs what one byte costs,
+   the boxed result and nothing else. *)
+let test_fnv_allocation () =
+  let big = String.make (1 lsl 20) 'z' in
+  let words s =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Obs.Fnv.string Obs.Fnv.basis s));
+    Gc.minor_words () -. before
+  in
+  ignore (words "z");
+  let one = words "z" in
+  Alcotest.(check (float 0.0)) "1 MB allocates 0 minor words per byte" one (words big)
+
+(* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 
 let test_span_lifo_nesting () =
@@ -1877,6 +1907,8 @@ let suite =
     ( "json control/unicode escapes",
       `Quick,
       test_json_control_and_unicode_escapes );
+    ("fnv reference vectors", `Quick, test_fnv_reference_vectors);
+    ("fnv allocation", `Quick, test_fnv_allocation);
     ("span LIFO nesting", `Quick, test_span_lifo_nesting);
     ("span non-LIFO raises", `Quick, test_span_non_lifo_raises);
     ("span exception safety", `Quick, test_span_exception_safety);
