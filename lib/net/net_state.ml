@@ -204,16 +204,18 @@ let create topo =
     paths_memo = Hashtbl.create 256;
   }
 
+(* The capacity of a per-edge row holding [len] flows. 25% headroom
+   keeps speculative probe churn on a fresh copy or thaw from paying an
+   immediate re-grow (large-array allocation contends across domains);
+   [oe_append] re-grows a full (even empty) row on demand. *)
+let slack len = len + 4 + (len / 4)
+
 let copy_into ?(memo_ro = false) t =
   let flows = Hashtbl.copy t.flows in
   (* Copy only each edge's used prefix. Speculative migration churn can
      grow an edge's capacity far beyond its live occupancy (the arrays
      never shrink), and trimming turns tens of megabytes of dead slack
-     into a few hundred kilobytes of live entries. 25% headroom keeps
-     speculative probe churn on a fresh copy from paying an immediate
-     re-grow (large-array allocation contends across domains);
-     [oe_append] re-grows a trimmed (even empty) array on demand. *)
-  let slack len = len + 4 + (len / 4) in
+     into a few hundred kilobytes of live entries. *)
   let sub_int len a =
     let d = Array.make (slack len) 0 in
     Array.blit a 0 d 0 len;
@@ -378,16 +380,37 @@ let thaw topo fz =
   t.disabled_epoch <- fz.fz_disabled_epoch;
   t.util_sum <- fz.fz_util_sum;
   t.util_comp <- fz.fz_util_comp;
+  (* Each edge's rows in two passes: count the hops per edge, then fill
+     rows of [slack count] in flow order, which is the order appending
+     one flow at a time would leave. A path never repeats an edge, so
+     every hop is a new row once flow ids are distinct. *)
+  let count = Array.make n_edges 0 in
   List.iter
     (fun placed ->
+      let before = Hashtbl.length t.flows in
       Hashtbl.replace t.flows placed.record.Flow_record.id placed;
+      if Hashtbl.length t.flows = before then
+        invalid_arg "Net_state.thaw: duplicate flow id";
       Array.iter
-        (fun id ->
-          let fid = placed.record.Flow_record.id in
-          if oe_index t id fid < 0 then
-            oe_append t id fid
-              (Flow_record.demand_mbps placed.record)
-              placed.record.Flow_record.size_mbit)
+        (fun e -> count.(e) <- count.(e) + 1)
+        (Path.hop_ids placed.path))
+    fz.fz_flows;
+  for e = 0 to n_edges - 1 do
+    t.oe_data.(e) <- Array.make (slack count.(e)) 0;
+    t.oe_dem.(e) <- Array.make (slack count.(e)) 0.0;
+    t.oe_size.(e) <- Array.make (slack count.(e)) 0.0
+  done;
+  List.iter
+    (fun placed ->
+      let r = placed.record in
+      let dem = Flow_record.demand_mbps r in
+      Array.iter
+        (fun e ->
+          let i = t.oe_len.(e) in
+          t.oe_data.(e).(i) <- r.Flow_record.id;
+          t.oe_dem.(e).(i) <- dem;
+          t.oe_size.(e).(i) <- r.Flow_record.size_mbit;
+          t.oe_len.(e) <- i + 1)
         (Path.hop_ids placed.path))
     fz.fz_flows;
   t

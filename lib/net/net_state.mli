@@ -71,8 +71,10 @@ val thaw : Topology.t -> frozen -> t
 (** Rebuild a state over the same topology. The result behaves
     bit-identically to the frozen original under every future operation
     sequence ([invariants_ok] holds; probe/cache bookkeeping restarts
-    empty and no log cursor is open). Raises [Invalid_argument] when the
-    frozen arrays do not match the topology's edge count. *)
+    empty and no log cursor is open). Each edge's flow rows are sized
+    from a count of the hops that cross it, like {!copy}'s. Raises
+    [Invalid_argument] when the frozen arrays do not match the
+    topology's edge count or a flow id repeats. *)
 
 (** {2 Transactions}
 

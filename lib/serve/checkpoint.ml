@@ -25,40 +25,45 @@ type t = {
   coord : Coord.frozen;
 }
 
-let core_to_json cp =
-  Json.Obj
+let add_core buf cp =
+  let open Codec in
+  let trees f l = tree (Json.List (List.map f l)) in
+  add_obj buf
     [
-      ("tick", Json.Int cp.tick);
-      ("seq", Json.Int cp.seq);
+      ("tick", tree (Json.Int cp.tick));
+      ("seq", tree (Json.Int cp.seq));
       ( "parent",
-        match cp.parent with None -> Json.Null | Some h -> Json.String h );
-      ("meta", cp.meta);
-      ("net", Codec.net_frozen_to_json cp.net);
+        tree (match cp.parent with None -> Json.Null | Some h -> Json.String h)
+      );
+      ("meta", tree cp.meta);
+      ("net", fun buf -> add_net_frozen buf cp.net);
       ( "injector",
-        match cp.injector with
-        | None -> Json.Null
-        | Some fz -> Codec.injector_frozen_to_json fz );
-      ("source", Source.frozen_to_json cp.source);
+        tree
+          (match cp.injector with
+          | None -> Json.Null
+          | Some fz -> injector_frozen_to_json fz) );
+      ("source", tree (Source.frozen_to_json cp.source));
       ( "shards",
-        Json.List
-          (List.map
-             (fun sh ->
-               Json.Obj
-                 [
-                   ("stepper", Codec.stepper_frozen_to_json sh.stepper);
-                   ("admission", Codec.admission_frozen_to_json sh.admission);
-                   ( "deferred",
-                     Json.List (List.map Codec.request_to_json sh.deferred) );
-                 ])
-             cp.shards) );
-      ("coord", Coord.frozen_to_json cp.coord);
+        fun buf ->
+          add_list buf
+            (fun buf sh ->
+              add_obj buf
+                [
+                  ("stepper", fun buf -> add_stepper_frozen buf sh.stepper);
+                  ("admission", tree (admission_frozen_to_json sh.admission));
+                  ("deferred", trees request_to_json sh.deferred);
+                ])
+            cp.shards );
+      ("coord", tree (Coord.frozen_to_json cp.coord));
     ]
 
 (* The file is two lines: the header, then the printed core. The hash
    covers the core bytes exactly as stored, so a load checks it over
    the file's own span before parsing and never prints anything. *)
 let encode cp =
-  let core = Json.to_string (core_to_json cp) in
+  let buf = Buffer.create (1 lsl 16) in
+  add_core buf cp;
+  let core = Buffer.contents buf in
   let hash = Nu_obs.Fnv.string_hex core in
   let header =
     Json.Obj
@@ -82,7 +87,7 @@ let read_header data =
     Option.to_result ~none:(bad "line is not terminated")
       (String.index_opt data '\n')
   in
-  let* j = Result.map_error bad (Json.of_string (String.sub data 0 i)) in
+  let* j = Result.map_error bad (Json.read ~len:i data Json.value) in
   let field decode name = Result.map_error bad (decode name j) in
   let* tag = field Codec.string_field "format" in
   if tag <> format_tag then Error (Printf.sprintf "not a checkpoint: %S" tag)
@@ -97,57 +102,68 @@ let read_header data =
       let* hash = field Codec.string_field "hash" in
       Ok (i, seq, hash)
 
-let shard_of_json sj =
-  let* stj = Codec.field "stepper" sj in
-  let* stepper = Codec.stepper_frozen_of_json stj in
-  let* aj = Codec.field "admission" sj in
-  let* admission = Codec.admission_frozen_of_json aj in
-  let* dl = Codec.list_field "deferred" sj in
-  let* deferred = Codec.map_m Codec.request_of_json dl in
-  Ok { stepper; admission; deferred }
+let read_shard c =
+  let open Codec in
+  let stepper = ref None and admission = ref None and deferred = ref None in
+  Json.fields c (function
+    | "stepper" -> put c stepper read_stepper_frozen
+    | "admission" -> put c admission (sub admission_frozen_of_json)
+    | "deferred" -> put c deferred (list_of (sub request_of_json))
+    | _ -> Json.skip c);
+  {
+    stepper = get c "stepper" stepper;
+    admission = get c "admission" admission;
+    deferred = get c "deferred" deferred;
+  }
 
-let core_of_json ~graph j =
-  let* tick = Codec.int_field "tick" j in
-  let* seq = Codec.int_field "seq" j in
-  let parent =
-    match Codec.opt_field "parent" j with
-    | Some (Json.String h) -> Some h
-    | _ -> None
-  in
-  let meta = Option.value (Codec.opt_field "meta" j) ~default:Json.Null in
-  let* nj = Codec.field "net" j in
-  let* net = Codec.net_frozen_of_json graph nj in
-  let* injector =
-    match Codec.opt_field "injector" j with
-    | None | Some Json.Null -> Ok None
-    | Some ij ->
-        let* fz = Codec.injector_frozen_of_json ij in
-        Ok (Some fz)
-  in
-  let* srcj = Codec.field "source" j in
-  let* source = Source.frozen_of_json srcj in
-  let* shl = Codec.list_field "shards" j in
-  let* shards = Codec.map_m shard_of_json shl in
-  let* cj = Codec.field "coord" j in
-  let* coord = Coord.frozen_of_json cj in
-  Ok { tick; seq; parent; meta; net; injector; source; shards; coord }
+let read_core ~graph c =
+  let open Codec in
+  let tick = ref None and seq = ref None and parent = ref None in
+  let meta = ref None and net = ref None and injector = ref None in
+  let source = ref None and shards = ref None and coord = ref None in
+  Json.fields c (function
+    | "tick" -> put c tick Json.int
+    | "seq" -> put c seq Json.int
+    | "parent" ->
+        put c parent (fun c ->
+            match Json.value c with Json.String h -> Some h | _ -> None)
+    | "meta" -> put c meta Json.value
+    | "net" -> put c net (read_net_frozen graph)
+    | "injector" ->
+        put c injector (fun c ->
+            if Json.null c then None else Some (sub injector_frozen_of_json c))
+    | "source" -> put c source (sub Source.frozen_of_json)
+    | "shards" -> put c shards (list_of read_shard)
+    | "coord" -> put c coord (sub Coord.frozen_of_json)
+    | _ -> Json.skip c);
+  {
+    tick = get c "tick" tick;
+    seq = get c "seq" seq;
+    parent = Option.join !parent;
+    meta = Option.value !meta ~default:Json.Null;
+    net = get c "net" net;
+    injector = Option.join !injector;
+    source = get c "source" source;
+    shards = get c "shards" shards;
+    coord = get c "coord" coord;
+  }
 
+(* The core is hashed and read in place, as a span of the file bytes. *)
 let of_string ~graph data =
   let* i, seq, claimed = read_header data in
   let stop =
     if String.ends_with ~suffix:"\n" data then String.length data - 1
     else String.length data
   in
-  let core = String.sub data (i + 1) (max 0 (stop - i - 1)) in
-  let actual = Nu_obs.Fnv.string_hex core in
+  let pos = i + 1 and len = max 0 (stop - i - 1) in
+  let actual = Nu_obs.Fnv.(hex (substring basis data ~pos ~len)) in
   if claimed <> actual then
     Error
       (Printf.sprintf
          "checkpoint content hash mismatch: header says %s, core hashes to %s"
          claimed actual)
   else
-    let* j = Json.of_string core in
-    let* cp = core_of_json ~graph j in
+    let* cp = Json.read ~pos ~len data (read_core ~graph) in
     if cp.seq <> seq then
       Error
         (Printf.sprintf "checkpoint header seq %d disagrees with core seq %d" seq
@@ -186,13 +202,32 @@ module Chain = struct
     done;
     Store.sync_dir base
 
-  (* seq/parent come from the previous newest's header line alone; a
-     file without a usable header starts the chain afresh. The read
-     takes no fault device: it is not one of the save's storage
-     operations. *)
+  (* A file's first line, with its newline when it has one. *)
+  let first_line path =
+    let read ic =
+      let buf = Buffer.create 128 in
+      let rec go () =
+        match In_channel.input_char ic with
+        | None -> ()
+        | Some '\n' -> Buffer.add_char buf '\n'
+        | Some ch ->
+            Buffer.add_char buf ch;
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    match In_channel.with_open_bin path read with
+    | line -> Ok line
+    | exception Sys_error msg -> Error msg
+
+  (* seq/parent come from the previous newest's header line alone, and
+     only that line is read; a file without a usable header starts the
+     chain afresh. The read takes no fault device: it is not one of the
+     save's storage operations. *)
   let save ?fault base cp =
     let seq, parent =
-      match Result.bind (Store.read_file base) read_header with
+      match Result.bind (first_line base) read_header with
       | Ok (_, s, h) -> (s + 1, Some h)
       | Error _ -> (0, None)
     in
