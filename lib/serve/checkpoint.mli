@@ -25,10 +25,19 @@
     Saves publish through {!Nu_obs.Store.publish} — write-then-rename
     with an fsync of the file before the rename and of the containing
     directory after it, atomic {e and} durable — and print the core
-    once, hashing the same bytes they write. The bytes are a function
-    of the state alone (no wall clock), so equal runs write equal
-    files. Loads validate everything and return [Error] rather than
-    trusting the file.
+    once, hashing the same bytes they write. The network and stepper
+    sections, nearly all of the bytes, print straight into the core's
+    buffer ({!Codec.add_net_frozen}, {!Codec.add_stepper_frozen}); the
+    small sections print from their JSON trees. The bytes are a
+    function of the state alone (no wall clock), so equal runs write
+    equal files.
+
+    Loads hash the core where it lies in the file bytes, then read it
+    with one {!Nu_obs.Json.cursor}: the bulk sections straight into
+    frozen state, the small ones as subtrees through their tree
+    codecs, so no tree of the whole core is built. Members are
+    accepted in any order and unknown keys are skipped. Loads validate
+    everything and return [Error] rather than trusting the file.
 
     {!Chain} keeps the last few generations on disk ([base] newest,
     [base.1] its parent, ...), each recording its parent's content
@@ -86,8 +95,9 @@ module Chain : sig
   val save : ?fault:Nu_obs.Store_fault.t -> string -> t -> string
   (** Rotate generations (dropping the one beyond {!default_keep}), then save
       [cp] as the new newest with [seq]/[parent] threaded from the
-      previous newest's header line (its core is not read, so a
-      damaged core still threads). Returns the content hash. *)
+      previous newest's header line. Only that first line is read from
+      disk, so a damaged core still threads. Returns the content
+      hash. *)
 
   val fallback :
     ?fault:Nu_obs.Store_fault.t ->
