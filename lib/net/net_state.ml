@@ -13,19 +13,22 @@ let tag_residual = 0 (* a = edge id, f = applied delta *)
 
 let tag_flow_put = 1 (* a = flow id, obj = previous binding *)
 let tag_flow_del = 2 (* a = flow id, obj = removed binding *)
-let tag_on_put_old = 3 (* a = edge id, b = flow id, was present *)
-let tag_on_put_new = 4 (* a = edge id, b = flow id, was absent *)
-let tag_on_del_old = 5 (* a = edge id, b = flow id, was present *)
-let tag_on_del_new = 6 (* a = edge id, b = flow id, was absent *)
-let tag_disabled_t = 7 (* a = edge id, previous flag = true *)
-let tag_disabled_f = 8 (* a = edge id, previous flag = false *)
-let tag_degraded = 9 (* a = edge id, f = applied degradation delta *)
+let tag_on_put = 3 (* a = edge id, b = flow id (was absent) *)
+let tag_on_del_old = 4 (* a = edge id, b = flow id, was present *)
+let tag_on_del_new = 5 (* a = edge id, b = flow id, was absent *)
+let tag_disabled_t = 6 (* a = edge id, previous flag = true *)
+let tag_disabled_f = 7 (* a = edge id, previous flag = false *)
+let tag_degraded = 8 (* a = edge id, f = applied degradation delta *)
 
 (* Committed-log opcodes. Unlike journal tags these describe the
    *forward* effect, with every operand needed to re-apply it to an
    identical state: a mirror replays them through the same primitives,
-   so scans (duplicate put, absent del) resolve identically on both
-   sides. *)
+   so an absent del's scan resolves identically on both sides. A put is
+   never a duplicate: [place] rejects a placed id, [reroute] releases the
+   old path before it occupies the new one, and a mirror replays only
+   puts that were new at the source, so an on-edge put appends without
+   a membership scan. The structural sweep's entries = hops check
+   catches any put that breaks this. *)
 let rt_residual = 0 (* a = edge id, f = delta *)
 let rt_on_put = 1 (* a = edge id, b = flow id, f = demand, g = size *)
 let rt_on_del = 2 (* a = edge id, b = flow id *)
@@ -318,15 +321,14 @@ let freeze t =
 (* Position of [fid] in edge [e]'s set, or -1. The sets are small (the
    flows crossing one link) and contiguous, so the linear scan is
    competitive with a hashtable probe and allocation-free. *)
-let[@inline] oe_index t e fid =
+let oe_index t e fid =
   let data = Array.unsafe_get t.oe_data e in
   let n = Array.unsafe_get t.oe_len e in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get data i = fid then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get data !i <> fid do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let oe_append t e fid dem size =
   let n = t.oe_len.(e) in
@@ -551,15 +553,12 @@ let[@inline] apply_residual t e delta =
     kadd t (-.(delta *. Array.unsafe_get t.inv_cap e))
 
 (* On-edge journal entries carry the flow's demand and size, so undo
-   can restore the parallel arrays. *)
+   can restore the parallel arrays. [fid] is not on [e] (see the
+   committed-log opcodes). *)
 let[@inline] on_edge_put t e fid dem size =
-  let i = oe_index t e fid in
-  if journal_active t then
-    push t.journal
-      (if i >= 0 then tag_on_put_old else tag_on_put_new)
-      e fid dem size
+  if journal_active t then push t.journal tag_on_put e fid dem size
   else log_op t rt_on_put e fid dem size;
-  if i < 0 then oe_append t e fid dem size
+  oe_append t e fid dem size
 
 let[@inline] on_edge_del t e fid =
   let i = oe_index t e fid in
@@ -603,13 +602,13 @@ let undo t i =
     | None -> assert false);
     j.obj.(i) <- None
   end
-  else if tag = tag_on_put_new then begin
+  else if tag = tag_on_put then begin
     let k = oe_index t a j.b.(i) in
     assert (k >= 0);
     oe_remove_at t a k
   end
   else if tag = tag_on_del_old then oe_append t a j.b.(i) j.f.(i) j.g.(i)
-  else if tag = tag_on_put_old || tag = tag_on_del_new then ()
+  else if tag = tag_on_del_new then ()
   else if tag = tag_disabled_t || tag = tag_disabled_f then begin
     let prev = tag = tag_disabled_t in
     t.disabled.(a) <- prev;
@@ -647,8 +646,7 @@ let journal_to_log t =
   for i = 0 to j.n - 1 do
     let tag = j.tag.(i) and a = j.a.(i) in
     if tag = tag_residual then log_op t rt_residual a 0 j.f.(i) 0.0
-    else if tag = tag_on_put_old || tag = tag_on_put_new then
-      log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
+    else if tag = tag_on_put then log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
     else if tag = tag_on_del_old then log_op t rt_on_del a j.b.(i) 0.0 0.0
     else if tag = tag_on_del_new then ()
     else if tag = tag_flow_put || tag = tag_flow_del then begin

@@ -17,12 +17,15 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+(* CRC of the span [pos, pos + len) of [s]; callers keep it inside [s]. *)
+let crc32 s ~pos ~len =
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = pos to pos + len - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code s.[i]) land 0xff)
+      lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
@@ -56,7 +59,7 @@ let encode_frame payload =
   Buffer.add_char b 'N';
   Buffer.add_char b 'J';
   add_le32 b (String.length payload);
-  add_le32 b (crc32 payload);
+  add_le32 b (crc32 payload ~pos:0 ~len:(String.length payload));
   Buffer.add_string b payload;
   Buffer.contents b
 
@@ -241,7 +244,7 @@ let parse_segment ~seg ~decode data k_entry k_corrupt =
     let plen = payload_len at in
     plen <= max_frame_payload
     && at + frame_header_bytes + plen <= len
-    && crc32 (String.sub data (at + frame_header_bytes) plen)
+    && crc32 data ~pos:(at + frame_header_bytes) ~len:plen
        = rd_le32 data (at + 6)
   in
   let rec next_intact i =
@@ -269,21 +272,22 @@ let parse_segment ~seg ~decode data k_entry k_corrupt =
             report at "frame length past end of segment";
             scan p
       end
-      else
-        let payload = String.sub data (at + frame_header_bytes) plen in
-        if crc32 payload <> rd_le32 data (at + 6) then begin
-          (* The length field is untrusted once the CRC fails. *)
-          report at "crc mismatch";
-          scan (next_magic (at + 2))
-        end
-        else begin
-          (match decode payload with
-          | Ok e ->
-              k_entry e;
-              incr frames
-          | Error m -> report at ("payload decode: " ^ m));
-          scan (at + frame_header_bytes + plen)
-        end
+      else if
+        crc32 data ~pos:(at + frame_header_bytes) ~len:plen
+        <> rd_le32 data (at + 6)
+      then begin
+        (* The length field is untrusted once the CRC fails. *)
+        report at "crc mismatch";
+        scan (next_magic (at + 2))
+      end
+      else begin
+        (match decode (String.sub data (at + frame_header_bytes) plen) with
+        | Ok e ->
+            k_entry e;
+            incr frames
+        | Error m -> report at ("payload decode: " ^ m));
+        scan (at + frame_header_bytes + plen)
+      end
   in
   if len = 0 then () (* crash right after create: empty = no frames *)
   else if len < magic_bytes then report ~torn:true 0 "torn segment header"

@@ -428,6 +428,8 @@ let round_span st =
 (* Trace spans close LIFO, so only a one-wide wave ([solo]) opens its
    round span here, around its probes; in a wider wave the probe batch
    belongs to no single round and each round span opens at its commit.
+   The background refill's [churn] span closes before pre-round returns,
+   so it nests in a solo round span and stands alone in a wider wave.
    Returns [None] when the stepper has no work. *)
 let pre_round ~solo ~index st =
   if st.queue = [] && st.pending = [] && st.held = [] then None
@@ -443,7 +445,9 @@ let pre_round ~solo ~index st =
     | [] -> None
     | head :: tail ->
         let span = if solo then round_span st else None in
+        let churn_sp = Trace.span "churn" in
         sync_background ctx st.now;
+        Trace.finish churn_sp;
         let round_start_s = st.now in
         let round_utilization = Net_state.mean_fabric_utilization ctx.net in
         sample_series ctx ~round:st.rounds ~t_s:round_start_s

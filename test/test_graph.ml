@@ -235,6 +235,46 @@ let prop_pqueue_sorted =
       let out = drain [] in
       out = List.sort compare prios)
 
+(* Interleaved pushes (priorities drawn from five values, so ties are
+   the rule) and pops against a reference: each pop must return the head
+   of a stable sort of the pending entries by priority. At the end,
+   [to_list] must be that sort, and re-pushing it must rebuild a queue
+   that drains exactly like the original. *)
+let prop_pqueue_matches_stable_sort =
+  QCheck.Test.make ~name:"pqueue interleaved ops match a stable sort"
+    ~count:300
+    QCheck.(list (option (int_bound 4)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let by_prio = List.stable_sort (fun (a, _) (b, _) -> compare a b) in
+      let pending = ref [] and next = ref 0 and ok = ref true in
+      List.iter
+        (function
+          | Some k ->
+              let prio = float_of_int k /. 2.0 in
+              Pqueue.push q prio !next;
+              pending := !pending @ [ (prio, !next) ];
+              incr next
+          | None -> (
+              match by_prio !pending with
+              | [] -> if Pqueue.pop q <> None then ok := false
+              | head :: _ ->
+                  if Pqueue.pop q <> Some head then ok := false;
+                  pending := List.filter (fun x -> x <> head) !pending))
+        ops;
+      let listed = Pqueue.to_list q in
+      let rebuilt = Pqueue.create () in
+      List.iter (fun (p, v) -> Pqueue.push rebuilt p v) listed;
+      let rec drain q acc =
+        match Pqueue.pop q with None -> List.rev acc | Some x -> drain q (x :: acc)
+      in
+      let from_rebuilt = drain rebuilt [] in
+      !ok
+      && listed = by_prio !pending
+      && drain q [] = listed
+      && from_rebuilt = listed
+      && Pqueue.size q = 0)
+
 (* ------------------------------------------------------------------ *)
 (* CSR adjacency vs a reference model: the flat offsets+ids layout
    behind {!Graph.iter_out}/{!Graph.iter_in} must agree, edge for edge
@@ -424,4 +464,5 @@ let suite =
     ("yen k too large", `Quick, test_yen_k_larger_than_paths);
     ("yen k zero", `Quick, test_yen_k_zero);
     ("yen weighted order", `Quick, test_yen_weighted_order);
+    QCheck_alcotest.to_alcotest prop_pqueue_matches_stable_sort;
   ]

@@ -491,6 +491,137 @@ let prop_txn_rollback_differential =
            -. Net_state.mean_fabric_utilization snap)
          < 1e-9)
 
+(* On-edge puts append without a membership scan, which is sound only
+   if no put ever names a flow already on the edge. Random place,
+   reroute and remove, inside nested transactions that commit or roll
+   back, must keep the full sweep clean after every step: a duplicate
+   put would break its entries = hops count. Inside a transaction the
+   sweep runs on a probe snapshot, which carries the speculative sets. *)
+let prop_nested_txn_ops_keep_invariants =
+  QCheck.Test.make ~name:"nested txn place/reroute/remove keeps invariants"
+    ~count:25 QCheck.small_int (fun seed ->
+      let net = Net_state.create (topo4 ()) in
+      let rng = Prng.create (seed + 11) in
+      let clean () =
+        let view =
+          if Net_state.in_txn net then Net_state.snapshot net else net
+        in
+        match Invariant.check view with
+        | [] -> true
+        | v :: _ -> QCheck.Test.fail_reportf "%a" Invariant.pp v
+      in
+      let depth = ref 0 and ok = ref true in
+      for _ = 0 to 199 do
+        (match Prng.int rng 8 with
+        | 0 | 1 | 2 -> (
+            let src = Prng.int rng 16 in
+            let dst = (src + 1 + Prng.int rng 15) mod 16 in
+            (* A small id space makes duplicate places common. *)
+            let id = Prng.int rng 40 in
+            let r = flow ~id ~demand:(Prng.float_in rng 1.0 200.0) src dst in
+            match Routing.select ~rng ~policy:Routing.Random_fit net r with
+            | None -> ()
+            | Some path -> ignore (Net_state.place net r path))
+        | 3 -> ignore (Net_state.remove net (Prng.int rng 40))
+        | 4 -> (
+            match Net_state.flow net (Prng.int rng 40) with
+            | None -> ()
+            | Some p ->
+                let cands = Test_util.candidate_paths net p.Net_state.record in
+                let target = List.nth cands (Prng.int rng (List.length cands)) in
+                ignore
+                  (Net_state.reroute net p.Net_state.record.Flow_record.id target)
+            )
+        | 5 ->
+            Net_state.begin_txn net;
+            incr depth
+        | 6 when !depth > 0 ->
+            Net_state.rollback net;
+            decr depth
+        | _ when !depth > 0 ->
+            Net_state.commit net;
+            decr depth
+        | _ -> ());
+        if !ok then ok := clean ()
+      done;
+      while !depth > 0 do
+        if Prng.int rng 2 = 0 then Net_state.rollback net
+        else Net_state.commit net;
+        decr depth
+      done;
+      !ok && clean ())
+
+(* Swap-remove order, and so the order the migration pool receives an
+   edge's flows in, after a scripted mix of places, removes, a reroute
+   and transactions that roll back and commit. The values were recorded
+   before on-edge puts stopped scanning the set; any change to put,
+   delete or undo order moves them. *)
+let test_on_edge_order_pinned () =
+  let net = Net_state.create (topo4 ()) in
+  let rng = Prng.create 2024 in
+  let place_random id =
+    let src = Prng.int rng 16 in
+    let dst = (src + 1 + Prng.int rng 15) mod 16 in
+    let r = flow ~id ~demand:(Prng.float_in rng 1.0 120.0) src dst in
+    match Routing.select ~rng ~policy:Routing.Random_fit net r with
+    | None -> ()
+    | Some path -> ignore (Net_state.place net r path)
+  in
+  for id = 0 to 59 do
+    place_random id
+  done;
+  List.iter
+    (fun id -> ignore (Net_state.remove net id))
+    [ 3; 17; 0; 42; 8; 1; 16; 32; 27; 20 ];
+  Net_state.begin_txn net;
+  for id = 60 to 69 do
+    place_random id
+  done;
+  List.iter (fun id -> ignore (Net_state.remove net id)) [ 5; 61; 23 ];
+  Net_state.rollback net;
+  Net_state.begin_txn net;
+  for id = 70 to 79 do
+    place_random id
+  done;
+  List.iter (fun id -> ignore (Net_state.remove net id)) [ 11; 72; 30 ];
+  (match Net_state.flow net 12 with
+  | Some p -> (
+      match Test_util.candidate_paths net p.Net_state.record with
+      | _ :: second :: _ -> ignore (Net_state.reroute net 12 second)
+      | _ -> ())
+  | None -> ());
+  Net_state.commit net;
+  let edges = Graph.edge_count (Net_state.graph net) in
+  let order e =
+    let n = Net_state.edge_flow_count net e in
+    let ids = Array.make n 0 in
+    let dem = Array.make n 0.0 and size = Array.make n 0.0 in
+    ignore (Net_state.edge_flows_blit net e ~ids ~dem ~size);
+    Array.to_list ids
+  in
+  let busiest =
+    List.init edges Fun.id
+    |> List.stable_sort (fun a b ->
+           compare (Net_state.edge_flow_count net b)
+             (Net_state.edge_flow_count net a))
+    |> List.filteri (fun i _ -> i < 3)
+  in
+  let all =
+    List.init edges order
+    |> List.fold_left
+         (fun h ids -> Obs.Fnv.int (List.fold_left Obs.Fnv.int h ids) (-1))
+         Obs.Fnv.basis
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "busiest edges' entry order"
+    [
+      (24, [ 54; 45; 33; 37; 71; 76 ]);
+      (93, [ 73; 28; 48; 49; 52; 59 ]);
+      (1, [ 2; 35; 26; 5; 71 ]);
+    ]
+    (List.map (fun e -> (e, order e)) busiest);
+  Alcotest.(check string) "every edge's entry order" "1e0fb7ac7034c5f3" (Obs.Fnv.hex all)
+
 (* Capacity degradation and link disable/enable are journal-aware: a
    rolled-back transaction that degraded, restored, disabled and enabled
    random edges — bumping the disabled epoch mid-transaction — must
@@ -835,4 +966,6 @@ let suite =
     ("background scaling", `Quick, test_background_scaling);
     ("background cap respected", `Quick, test_background_cap_respected);
     ("warm_all_paths allocation", `Quick, test_warm_all_paths_allocation);
+    QCheck_alcotest.to_alcotest prop_nested_txn_ops_keep_invariants;
+    ("on-edge entry order pinned", `Quick, test_on_edge_order_pinned);
   ]
