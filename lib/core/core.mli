@@ -5,8 +5,7 @@
 
     {ul
     {- randomness and statistics: {!Prng}, {!Dist}, {!Descriptive}, {!Cdf};}
-    {- network graph: {!Graph}, {!Path}, {!Bfs}, {!Dijkstra}, {!Yen},
-       {!Pqueue};}
+    {- network graph: {!Graph}, {!Path}, {!Dijkstra}, {!Yen}, {!Pqueue};}
     {- fabrics: {!Topology}, {!Fat_tree}, {!Leaf_spine};}
     {- traffic: {!Flow_record}, {!Ip_map}, {!Yahoo_trace}, {!Benson_trace},
        {!Event_gen};}
@@ -34,7 +33,6 @@ module Descriptive = Nu_stats.Descriptive
 module Cdf = Nu_stats.Cdf
 module Graph = Nu_graph.Graph
 module Path = Nu_graph.Path
-module Bfs = Nu_graph.Bfs
 module Dijkstra = Nu_graph.Dijkstra
 module Yen = Nu_graph.Yen
 module Pqueue = Nu_graph.Pqueue

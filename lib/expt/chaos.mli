@@ -18,10 +18,6 @@ type params = {
   alpha : int;  (** P-LMTF sample size. *)
 }
 
-val default_params : params
-(** seed 42, fault_seed 7, rate 0.2/s, 3 retries, 70% utilisation,
-    30 events, alpha 4. *)
-
 type result = {
   params : params;
   schedule_length : int;
@@ -32,7 +28,9 @@ type result = {
 }
 
 val run : ?params:params -> ?policy:Core.Policy.t -> unit -> result
-(** One chaos run (default policy: P-LMTF with [params.alpha]). *)
+(** One chaos run (default policy: P-LMTF with [params.alpha]). Default
+    [params]: seed 42, fault_seed 7, rate 0.2/s, 3 retries, 70%
+    utilisation, 30 events, alpha 4. *)
 
 val result_to_json : result -> Core.Obs.Json.t
 (** The recovery-digest artifact: parameters, schedule length, recovery

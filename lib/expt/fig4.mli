@@ -7,18 +7,7 @@
     ~10x faster on average and ~6x on the tail. Event-level here is the
     grouped FIFO service; flow-level is the round-robin flow queue. *)
 
-type point = {
-  mean_flows : int;
-  flow_avg_ect : float;  (** Seconds (raw). *)
-  flow_tail_ect : float;
-  event_avg_ect : float;
-  event_tail_ect : float;
-}
-
-val compute :
-  ?seeds:int list -> ?n_events:int -> ?means:int list -> unit -> point list
-(** Defaults: seeds [42; 43], 10 events, means 15 to 75 by 10. *)
-
 val run : ?seeds:int list -> unit -> unit
 (** Print raw seconds, the normalised series (divided by the flow-level
-    maximum, as in the paper) and the per-point speedups. *)
+    maximum, as in the paper) and the per-point speedups. Seeds default
+    to [42; 43]; 10 events, means 15 to 75 by 10. *)

@@ -5,16 +5,6 @@
     with queue length, the flow-level method much faster — the paper
     reports ~5x (average) and ~2x (tail) gaps on average. *)
 
-type point = {
-  n_events : int;
-  flow_avg_ect : float;
-  flow_tail_ect : float;
-  event_avg_ect : float;
-  event_tail_ect : float;
-}
-
-val compute :
-  ?seeds:int list -> ?event_counts:int list -> unit -> point list
-(** Defaults: seeds [42; 43], event counts 10 to 50 by 10. *)
-
 val run : ?seeds:int list -> unit -> unit
+(** Print both methods' average and tail ECTs per queue length. Seeds
+    default to [42; 43]; event counts 10 to 50 by 10. *)

@@ -7,21 +7,6 @@
     (heterogeneous) and 40-50% (synchronous) average-ECT reductions, and
     40-60% / 30-50% tail reductions, roughly flat in utilisation. *)
 
-type point = {
-  utilization : float;
-  het_avg_red : float;  (** Percent reduction vs FIFO, heterogeneous. *)
-  het_tail_red : float;
-  sync_avg_red : float;  (** Synchronous events (50-60 flows). *)
-  sync_tail_red : float;
-}
-
-val compute :
-  ?seeds:int list ->
-  ?alpha:int ->
-  ?n_events:int ->
-  ?utilizations:float list ->
-  unit ->
-  point list
-(** Defaults: seeds [42; 43], α = 4, 30 events, utilisations 0.5-0.9. *)
-
 val run : ?seeds:int list -> ?alpha:int -> unit -> unit
+(** Print P-LMTF's percent reductions vs FIFO per utilisation.
+    Defaults: seeds [42; 43], α = 4; 30 events, utilisations 0.5-0.9. *)

@@ -5,14 +5,5 @@
     and P-LMTF, showing LMTF trimming most events and P-LMTF flattening
     the whole series. *)
 
-type row = {
-  event_id : int;
-  fifo_q : float;
-  lmtf_q : float;
-  plmtf_q : float;
-}
-
-val compute : ?seed:int -> ?alpha:int -> ?n_events:int -> unit -> row list
-
 val run : ?seed:int -> ?alpha:int -> unit -> unit
 (** Print the per-event series and the delay CDF quantiles per policy. *)

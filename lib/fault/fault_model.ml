@@ -9,7 +9,6 @@ type action =
 type fault = { at_s : float; action : action }
 type schedule = fault list
 
-let empty = []
 
 type config = {
   rate_per_s : float;
@@ -112,5 +111,3 @@ let pp_action ppf = function
   | Degrade { edge; lost_mbps } ->
       Format.fprintf ppf "degrade(%d,-%.0fMbps)" edge lost_mbps
   | Restore e -> Format.fprintf ppf "restore(%d)" e
-
-let pp ppf f = Format.fprintf ppf "@%.3fs %a" f.at_s pp_action f.action

@@ -26,8 +26,6 @@ type fault = { at_s : float; action : action }
 type schedule = fault list
 (** Sorted by [at_s]; ties keep generation order. *)
 
-val empty : schedule
-
 type config = {
   rate_per_s : float;  (** Expected primary faults per simulated second. *)
   horizon_s : float;  (** Primary faults are drawn in [0, horizon_s). *)
@@ -54,4 +52,3 @@ val subject : action -> int
 (** The edge or node id the action targets. *)
 
 val pp_action : Format.formatter -> action -> unit
-val pp : Format.formatter -> fault -> unit

@@ -41,5 +41,3 @@ let check net =
   report net (Net_state.sweep net)
 
 let check_changed net ~flows = report net (Net_state.sweep_changed net ~flows)
-
-let pp ppf v = Format.fprintf ppf "%s: %s" v.name v.detail

@@ -36,5 +36,3 @@ val check_changed : Net_state.t -> flows:int array -> violation list
     committed write. Walks only [flows]' paths; the rest is flat array
     reads over the edges' sets. Does not bump [Invariant_checks], which
     counts full sweeps. *)
-
-val pp : Format.formatter -> violation -> unit

@@ -58,11 +58,6 @@ let stats t =
     }
     t.log
 
-let violations t =
-  List.fold_left
-    (fun n -> function Invariant_violated _ -> n + 1 | _ -> n)
-    0 t.log
-
 let digest t =
   let h =
     List.fold_left
@@ -99,67 +94,3 @@ let stats_fields s =
 
 let stats_to_json t =
   Json.Obj (("digest", Json.String (digest t)) :: stats_fields (stats t))
-
-let decision_to_json = function
-  | Fault_applied { at_s; tag; subject } ->
-      Json.Obj
-        [
-          ("kind", Json.String "fault");
-          ("at_s", Json.Float at_s);
-          ("tag", Json.Int tag);
-          ("subject", Json.Int subject);
-        ]
-  | Migration_aborted { event_id; at_s; attempt } ->
-      Json.Obj
-        [
-          ("kind", Json.String "abort");
-          ("event_id", Json.Int event_id);
-          ("at_s", Json.Float at_s);
-          ("attempt", Json.Int attempt);
-        ]
-  | Retry_scheduled { event_id; ready_s; attempt } ->
-      Json.Obj
-        [
-          ("kind", Json.String "retry");
-          ("event_id", Json.Int event_id);
-          ("ready_s", Json.Float ready_s);
-          ("attempt", Json.Int attempt);
-        ]
-  | Event_degraded { event_id; at_s } ->
-      Json.Obj
-        [
-          ("kind", Json.String "degraded");
-          ("event_id", Json.Int event_id);
-          ("at_s", Json.Float at_s);
-        ]
-  | Flow_evacuated { flow_id; at_s; dropped } ->
-      Json.Obj
-        [
-          ("kind", Json.String "evacuated");
-          ("flow_id", Json.Int flow_id);
-          ("at_s", Json.Float at_s);
-          ("dropped", Json.Bool dropped);
-        ]
-  | Invariant_violated { at_s; name } ->
-      Json.Obj
-        [
-          ("kind", Json.String "violation");
-          ("at_s", Json.Float at_s);
-          ("name", Json.String name);
-        ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("digest", Json.String (digest t));
-      ("stats", Json.Obj (stats_fields (stats t)));
-      ("decisions", Json.List (List.map decision_to_json (decisions t)));
-    ]
-
-let pp ppf t =
-  let s = stats t in
-  Format.fprintf ppf
-    "recovery[faults %d, aborts %d, retries %d, degraded %d, evacuated %d, \
-     dropped %d, violations %d, digest %s]"
-    s.faults_applied s.aborts s.retries s.degraded s.evacuated s.dropped
-    s.violations (digest t)

@@ -34,9 +34,6 @@ val record : t -> decision -> unit
 (** Append and bump the matching counter ([Faults_injected],
     [Migrations_aborted], [Retries], [Events_degraded]). *)
 
-val decisions : t -> decision list
-(** Chronological. *)
-
 type stats = {
   faults_applied : int;
   aborts : int;
@@ -48,7 +45,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val violations : t -> int
 
 val digest : t -> string
 (** FNV-1a (64-bit, hex) over the ordered decision stream. Two runs are
@@ -57,9 +53,3 @@ val digest : t -> string
 
 val stats_to_json : t -> Nu_obs.Json.t
 (** Stats plus digest — the "recovery" object of run reports. *)
-
-val to_json : t -> Nu_obs.Json.t
-(** Full log: stats, digest and the decision list. *)
-
-val pp : Format.formatter -> t -> unit
-(** Stats one-liner. *)

@@ -15,7 +15,3 @@ let backoff_s t ~attempt =
 let decide t ~attempt =
   if attempt >= t.max_attempts then `Degrade
   else `Retry_after (backoff_s t ~attempt)
-
-let pp ppf t =
-  Format.fprintf ppf "retry[max %d, base %.3fs, x%.1f]" t.max_attempts
-    t.base_backoff_s t.multiplier

@@ -21,12 +21,7 @@ val default : t
 
 val validate : t -> (unit, string) result
 
-val backoff_s : t -> attempt:int -> float
-(** Backoff after the [attempt]-th abort (1-based):
-    [base_backoff_s *. multiplier ^ (attempt - 1)]. *)
-
 val decide : t -> attempt:int -> [ `Retry_after of float | `Degrade ]
-(** Decision after the [attempt]-th abort of one event: retry after
-    {!backoff_s}, or degrade once the budget is exhausted. *)
-
-val pp : Format.formatter -> t -> unit
+(** Decision after the [attempt]-th abort of one event (1-based): retry
+    after [base_backoff_s *. multiplier ^ (attempt - 1)], or degrade
+    once the budget is exhausted. *)

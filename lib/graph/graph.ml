@@ -138,14 +138,6 @@ let iter_out t v f =
     f (Array.unsafe_get t.out_ids k)
   done
 
-let iter_in t v f =
-  if v < 0 || v >= t.nodes then invalid_arg "Graph.iter_in";
-  ensure_csr t;
-  let stop = t.in_off.(v + 1) in
-  for k = t.in_off.(v) to stop - 1 do
-    f (Array.unsafe_get t.in_ids k)
-  done
-
 let out_edges t v =
   if v < 0 || v >= t.nodes then invalid_arg "Graph.out_edges";
   ensure_csr t;

@@ -13,7 +13,7 @@
     Storage is a flat CSR (compressed sparse row) layout: edge
     attributes live in struct-of-arrays columns indexed by edge id, and
     adjacency is an offsets-plus-edge-ids array pair rebuilt lazily
-    after appends. {!iter_out}/{!iter_in}/{!src}/{!dst}/{!capacity} read
+    after appends. {!iter_out}/{!src}/{!dst}/{!capacity} read
     it without allocating; {!out_edges}/{!in_edges} materialise the
     historical record-list view on demand. Call {!freeze} after the last
     append before sharing a graph across domains — the lazy rebuild is
@@ -54,9 +54,6 @@ val capacity : t -> int -> float
 val iter_out : t -> int -> (int -> unit) -> unit
 (** [iter_out t v f] applies [f] to each outgoing edge id of [v] in
     insertion order, straight off the CSR row — no allocation. *)
-
-val iter_in : t -> int -> (int -> unit) -> unit
-(** Incoming counterpart of {!iter_out}. *)
 
 val freeze : t -> unit
 (** Force the lazy CSR rebuild now. Required once after the final

@@ -27,18 +27,6 @@ let of_ids g ids =
 let make g edges =
   of_ids g (Array.of_list (List.map (fun (e : Graph.edge) -> e.id) edges))
 
-let of_nodes g node_list =
-  let ns = Array.of_list node_list in
-  if Array.length ns < 2 then
-    invalid_arg "Path.of_nodes: need at least two nodes";
-  of_ids g
-    (Array.init
-       (Array.length ns - 1)
-       (fun i ->
-         match Graph.find_edge g ~src:ns.(i) ~dst:ns.(i + 1) with
-         | -1 -> invalid_arg "Path.of_nodes: missing edge"
-         | id -> id))
-
 let edges t = Array.to_list t.earr
 let src t = t.earr.(0).src
 let dst t = t.earr.(Array.length t.earr - 1).dst
@@ -61,9 +49,6 @@ let mentions_node t v =
   let n = Array.length es in
   let rec scan i = i < n && ((Array.unsafe_get es i).dst = v || scan (i + 1)) in
   src t = v || scan 0
-
-let bottleneck t ~capacity_of =
-  Array.fold_left (fun acc e -> min acc (capacity_of e)) infinity t.earr
 
 (* Same order as the list-lexicographic compare the id lists used to
    have: element-wise first, a strict prefix sorts before its

@@ -22,11 +22,6 @@ val of_ids : Graph.t -> int array -> t
 val make : Graph.t -> Graph.edge list -> t
 (** {!of_ids} over the edges' ids, with the same checks and messages. *)
 
-val of_nodes : Graph.t -> int list -> t
-(** [of_nodes g [v0; v1; ...; vn]] resolves each consecutive pair to the
-    first matching edge. Raises [Invalid_argument] if some hop has no
-    edge or the node list is shorter than 2. *)
-
 val src : t -> int
 val dst : t -> int
 
@@ -51,14 +46,8 @@ val mentions_edge : t -> int -> bool
 
 val mentions_node : t -> int -> bool
 
-val bottleneck : t -> capacity_of:(Graph.edge -> float) -> float
-(** Minimum of [capacity_of] over the path's edges — e.g. residual
-    bandwidth of the path. *)
-
 val equal : t -> t -> bool
 (** Structural equality on edge id sequences. *)
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [v0->v1->...->vn]. *)

@@ -19,8 +19,6 @@ type 'a t = {
 let create () =
   { prio = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
 
-let is_empty t = t.size = 0
-let size t = t.size
 
 (* The sifts are plain loops over local refs: no closure, and the
    moving entry's priority stays an unboxed local. *)
@@ -116,7 +114,3 @@ let to_list t =
       | c -> c)
     order;
   Array.to_list (Array.map (fun i -> (t.prio.(i), t.value.(i))) order)
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0

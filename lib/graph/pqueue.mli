@@ -9,10 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int
-
 val push : 'a t -> float -> 'a -> unit
 (** [push q prio v] inserts [v] with priority [prio]. *)
 
@@ -27,5 +23,3 @@ val to_list : 'a t -> (float * 'a) list
     insertion order). Re-pushing the returned pairs into a fresh queue,
     in order, rebuilds a queue with identical pop behaviour — the
     checkpoint/restore path of {!Nu_serve} relies on this. *)
-
-val clear : 'a t -> unit

@@ -282,10 +282,6 @@ val flows_through_node : t -> int -> placed list
 (** Flows whose path visits the node (as switch or endpoint), sorted by
     flow id. Used to build switch-upgrade update events. *)
 
-val endpoints : t -> Flow_record.t -> int * int
-(** Graph node ids of a record's (src, dst) host indices. Raises
-    [Invalid_argument] if an index is out of range. *)
-
 (** {2 Candidate paths}
 
     The ranked candidate set P(f) of a flow is its source's access hop

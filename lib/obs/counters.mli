@@ -72,12 +72,6 @@ type key =
       (** Always 0: the fabric's hot-shard rebalance is gone. Kept
           because the benchmark reports it as [shard.rebalances]. *)
 
-val all : key list
-(** Every key, in rendering order. *)
-
-val name : key -> string
-(** Stable snake_case identifier, used in tables and JSON. *)
-
 val incr : key -> unit
 
 val add : key -> int -> unit
@@ -99,10 +93,6 @@ val add_named : string -> int -> unit
 val get_named : string -> int
 (** Current live value; 0 for a name never incremented. *)
 
-val reset : unit -> unit
-(** Zero every fixed counter and drop every named counter. Intended for
-    tests and benchmark harnesses. *)
-
 type snapshot
 (** Immutable copy of all counter values — fixed keys and named
     counters — at one instant. *)
@@ -110,9 +100,10 @@ type snapshot
 val snapshot : unit -> snapshot
 
 val drain : unit -> snapshot
-(** {!snapshot} then {!reset}, atomically from the calling domain's
-    point of view: a worker domain's parting gift, to be {!absorb}ed by
-    the domain that joins it. *)
+(** {!snapshot}, then zero every fixed counter and drop every named
+    counter, atomically from the calling domain's point of view: a
+    worker domain's parting gift, to be {!absorb}ed by the domain that
+    joins it. *)
 
 val absorb : snapshot -> unit
 (** Add a drained snapshot's values into the calling domain's counters.
@@ -127,11 +118,11 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 val value : snapshot -> key -> int
 
 val to_alist : snapshot -> (string * int) list
-(** All fixed keys in {!all} order (including zeros), then named
-    counters sorted by name. *)
+(** All fixed keys in declaration order (including zeros), each under
+    its stable snake_case name, then named counters sorted by name. *)
 
 val to_json : snapshot -> Json.t
-(** Object mapping {!name} to value. *)
+(** Object mapping each {!to_alist} name to its value. *)
 
 val pp_table : Format.formatter -> snapshot -> unit
 (** Two-column name/value table. *)

@@ -8,7 +8,6 @@
 val basis : int64
 (** The FNV-1a 64 offset basis — the digest of nothing. *)
 
-val int64 : int64 -> int64 -> int64
 val int : int64 -> int -> int64
 
 val float : int64 -> float -> int64

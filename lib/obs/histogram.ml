@@ -26,7 +26,6 @@ let create ?(sub_buckets = 64) () =
     maxv = neg_infinity;
   }
 
-let sub_buckets t = t.sub
 let count t = t.n
 let sum t = t.sum
 let is_empty t = t.n = 0
@@ -222,14 +221,9 @@ module Registry = struct
       record h v
     end
 
-  let find name = Hashtbl.find_opt table name
-
   let snapshot () =
     Hashtbl.fold (fun name h acc -> (name, copy h) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let reset () = Hashtbl.reset table
-
-  let to_json () =
-    Json.Obj (List.map (fun (name, h) -> (name, to_json h)) (snapshot ()))
 end

@@ -10,8 +10,8 @@
     regardless of sample count, recording is O(1), and quantiles are
     answered to within one bucket's relative error, [1 / sub_buckets].
 
-    Exact count, sum, min and max are tracked on the side, so [mean],
-    [min_value] and [max_value] are exact; only quantiles are
+    Exact count, sum, min and max are tracked on the side, so [mean]
+    and the JSON [min]/[max] are exact; only quantiles are
     approximate. *)
 
 type t
@@ -21,8 +21,6 @@ val create : ?sub_buckets:int -> unit -> t
     octave; must be at least 1. Larger values trade memory for quantile
     precision: the relative quantile error is bounded by
     [1 / sub_buckets]. *)
-
-val sub_buckets : t -> int
 
 val record : t -> float -> unit
 (** Record one sample. Zero is tracked exactly in a dedicated bucket.
@@ -36,25 +34,18 @@ val sum : t -> float
 val mean : t -> float
 (** Exact mean. Raises [Invalid_argument] when empty. *)
 
-val min_value : t -> float
-(** Exact minimum. Raises [Invalid_argument] when empty. *)
-
-val max_value : t -> float
-(** Exact maximum. Raises [Invalid_argument] when empty. *)
-
 val is_empty : t -> bool
 
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [0, 1]: the linear-interpolation
     ("type 7") quantile estimate — the same rank convention as
     {!Nu_stats.Descriptive.percentile} — answered from bucket midpoints
-    and clamped into [[min_value, max_value]]. The result is within
-    [1 / sub_buckets t] relative error of the exact quantile of the recorded
+    and clamped into the exact [[min, max]]. The result is within
+    [1 / sub_buckets] relative error of the exact quantile of the recorded
     samples. Raises [Invalid_argument] when empty or [q] out of
     range. *)
 
 val p50 : t -> float
-val p90 : t -> float
 val p99 : t -> float
 val p999 : t -> float
 
@@ -98,15 +89,9 @@ module Registry : sig
   (** Record into the named histogram, creating it on first use
       (default [sub_buckets]). No-op when disabled. *)
 
-  val find : string -> t option
-  (** The live histogram, if the name has ever been recorded. *)
-
   val snapshot : unit -> (string * t) list
   (** Independent copies of every named histogram, sorted by name. *)
 
   val reset : unit -> unit
   (** Drop every named histogram (does not change enablement). *)
-
-  val to_json : unit -> Json.t
-  (** Object mapping each name to {!to_json}, sorted by name. *)
 end

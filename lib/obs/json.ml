@@ -80,8 +80,6 @@ let to_string t =
   to_buf buf t;
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* ------------------------------------------------------------------ *)
 (* Pull lexer: a cursor over a span of a string. The tree reader
    ({!value}, {!of_string}) and the codecs' direct column readers both

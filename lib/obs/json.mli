@@ -32,9 +32,6 @@ val add_int : Buffer.t -> int -> unit
 (** [to_buf buf (Int i)] without building the tree node: the digits of
     [string_of_int i]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Same rendering as {!to_string}. *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. Numbers
     without [.], [e] or [E] that fit in [int] parse as [Int], everything
@@ -70,8 +67,6 @@ val int : cursor -> int
 
 val float : cursor -> float
 (** Any number; an [Int] token reads as the identical double. *)
-
-val string : cursor -> string
 
 val string_span : cursor -> string * int * int
 (** A string's contents as [(s, pos, len)] without copying them: a span

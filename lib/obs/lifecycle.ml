@@ -1,8 +1,8 @@
 (* Request-lifecycle tracker. Each stamp is a (request id, stage)
-   observation at a (tick, simulated instant); the tracker keeps a
-   bounded ring of recent entries, an id -> tenant attribution table
-   for the requests still in flight, and optionally streams every entry
-   to a Store record log as it is stamped. Terminal stages retire the
+   observation at a (tick, simulated instant); the tracker keeps an
+   id -> tenant attribution table for the requests still in flight and
+   optionally streams every entry to a Store record log as it is
+   stamped. Terminal stages retire the
    attribution entry so memory stays proportional to in-flight work. *)
 
 type stage =
@@ -123,18 +123,13 @@ let entry_of_json j =
   Ok { id; tenant; tick; t_s; stage }
 
 type t = {
-  capacity : int;
-  recent : entry Queue.t;
   tenants : (int, string) Hashtbl.t;
   mutable log : Store.writer option;
   mutable stamped : int;
 }
 
-let create ?path ?(capacity = 4096) () =
-  if capacity < 1 then invalid_arg "Lifecycle.create: capacity < 1";
+let create ?path () =
   {
-    capacity;
-    recent = Queue.create ();
     tenants = Hashtbl.create 64;
     log = Option.map (fun p -> Store.open_writer p) path;
     stamped = 0;
@@ -143,7 +138,6 @@ let create ?path ?(capacity = 4096) () =
 let tenant_of t id = Hashtbl.find_opt t.tenants id
 let stamped t = t.stamped
 let in_flight t = Hashtbl.length t.tenants
-let entries t = List.of_seq (Queue.to_seq t.recent)
 
 (* Flow-event phase for the Chrome trace linkage: a request's first
    stamp starts its flow arrow, the terminal stamp finishes it, and
@@ -162,8 +156,6 @@ let stamp t ~id ?tenant ~tick ~t_s stage =
   in
   if fresh && not (terminal stage) then Hashtbl.replace t.tenants id tenant;
   let e = { id; tenant; tick; t_s; stage } in
-  Queue.push e t.recent;
-  if Queue.length t.recent > t.capacity then ignore (Queue.pop t.recent);
   t.stamped <- t.stamped + 1;
   Option.iter
     (fun log -> Store.append log (Json.to_string (entry_to_json e)))

@@ -7,13 +7,11 @@
     pure observer: stamping reads nothing the scheduler consults, so a
     run with a tracker attached makes bit-identical decisions.
 
-    Entries land in three places:
+    Entries land in two places:
 
-    - a bounded in-memory ring of the most recent [capacity] entries
-      ({!entries}), for reports and tests;
-    - a {!Store} record log ([path]), one {!entry_to_json} object per
-      record, written as each stamp happens — the artifact that
-      [experiments telemetry] summarises;
+    - a {!Store} record log ([path]), one JSON object per record
+      ({!read_log} reads it back), written as each stamp happens — the
+      artifact that [experiments telemetry] summarises;
     - when {!Trace} has a sink installed, a ["lifecycle"] instant event
       per stamp carrying the request id, stage name and a flow phase
       ([s]tart / s[t]ep / [f]inish), which {!Export.chrome_of_events}
@@ -22,7 +20,7 @@
 
     The id → tenant attribution table retains only in-flight requests:
     a terminal stage ({!Shed}, {!Completed}, {!Degraded}) retires its
-    entry, so memory stays bounded by in-flight work plus the ring. *)
+    entry, so memory stays bounded by in-flight work. *)
 
 type stage =
   | Arrived  (** First seen by the controller. *)
@@ -48,19 +46,11 @@ type entry = {
   stage : stage;
 }
 
-val terminal : stage -> bool
-(** Terminal stages ({!Shed}, {!Completed}, {!Degraded}) end a
-    request's lifecycle and retire its attribution entry. *)
-
-val entry_to_json : entry -> Json.t
-val entry_of_json : Json.t -> (entry, string) result
-
 type t
 
-val create : ?path:string -> ?capacity:int -> unit -> t
+val create : ?path:string -> unit -> t
 (** [path] streams every stamp to a record log (truncated on open;
-    closed by {!close}). [capacity] (default 4096, minimum 1) bounds
-    the in-memory ring. *)
+    closed by {!close}). *)
 
 val stamp : t -> id:int -> ?tenant:string -> tick:int -> t_s:float -> stage -> unit
 (** Record one stage observation. A [tenant] argument (re)binds the
@@ -70,13 +60,10 @@ val tenant_of : t -> int -> string option
 (** Attribution of an in-flight request; [None] once terminal. *)
 
 val stamped : t -> int
-(** Total stamps recorded (including ones evicted from the ring). *)
+(** Total stamps recorded. *)
 
 val in_flight : t -> int
 (** Requests stamped but not yet terminal. *)
-
-val entries : t -> entry list
-(** The retained ring, oldest first. *)
 
 val close : t -> unit
 (** Flush and close the record log (idempotent). *)

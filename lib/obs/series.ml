@@ -28,9 +28,6 @@ let create ?(capacity = 4096) ~columns () =
     total = 0;
   }
 
-let columns t = Array.to_list t.cols
-let length t = t.len
-
 (* Keep rows 0, 2, 4, ... — the decimated series stays anchored at the
    first sample and uniformly spaced at the doubled stride. *)
 let decimate t =
@@ -60,16 +57,6 @@ let sample t ~t_s row =
     end
     else t.countdown <- t.stride - 1
   end
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Series.get: index out of range";
-  (t.times.(i), Array.copy t.rows.(i))
-
-let reset t =
-  t.len <- 0;
-  t.stride <- 1;
-  t.countdown <- 0;
-  t.total <- 0
 
 let to_json t =
   let column j =

@@ -22,21 +22,11 @@ val create : ?capacity:int -> columns:string list -> unit -> t
     names the gauges; every sampled row must supply one value per
     column. Raises [Invalid_argument] on an empty column list. *)
 
-val columns : t -> string list
-val length : t -> int
-(** Retained rows (at most [capacity]). *)
-
 val sample : t -> t_s:float -> float array -> unit
 (** Offer one row at instant [t_s]. The row is copied. Rows that fall
     between stride points are dropped in O(1). Raises
     [Invalid_argument] when the row length does not match the column
     count. *)
-
-val get : t -> int -> float * float array
-(** [get t i] is the [i]-th retained row (instant, values); the values
-    array is a copy. Raises [Invalid_argument] out of range. *)
-
-val reset : t -> unit
 
 val to_json : t -> Json.t
 (** [{"columns": [...], "stride": k, "total_samples": n,

@@ -28,9 +28,6 @@ val p99 : t -> float option
 
 val p999 : t -> float option
 
-val rolling : t -> Histogram.t
-(** Merged current + previous window histogram (a fresh copy). *)
-
 val queue_depth : t -> int
 val engine_backlog : t -> int
 val to_json : t -> Json.t

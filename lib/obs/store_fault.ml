@@ -98,8 +98,6 @@ type t = {
 }
 
 let create plan = { plan; op = 0; log = []; files = Hashtbl.create 8 }
-let ops t = t.op
-let pending t = t.plan
 let fired t = List.rev t.log
 let fired_count t = List.length t.log
 

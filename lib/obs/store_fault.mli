@@ -27,7 +27,6 @@ type kind =
           the last durable sync vanish at the next crash. *)
   | Kill  (** Process death before the operation runs. *)
 
-val kind_name : kind -> string
 
 type fault = {
   at_op : int;  (** 1-based store-operation index the fault arms at. *)
@@ -45,11 +44,9 @@ type config = {
   ops_span : int;  (** Fault indices are drawn from [1, ops_span]. *)
 }
 
-val default_config : config
-(** 8 faults over 240 ops. *)
-
 val generate : ?config:config -> seed:int -> unit -> plan
-(** Deterministic: equal (config, seed) produce equal plans. Fault kinds
+(** Deterministic: equal (config, seed) produce equal plans (default
+    config: 8 faults over 240 ops). Fault kinds
     are drawn with the fixed [weights] in [store_fault.ml]: torn 3,
     flip 2, kill 2, short 1, enospc 1, fsync-loss 1. Every
     [Fsync_loss] is paired with a [Kill] a few ops later so the lost
@@ -67,14 +64,6 @@ type t
     tracking and the fired-fault log. *)
 
 val create : plan -> t
-
-val ops : t -> int
-(** Store operations observed so far. *)
-
-val pending : t -> plan
-
-val fired : t -> (int * string) list
-(** (op, description) pairs of fired faults, in firing order. *)
 
 val fired_count : t -> int
 

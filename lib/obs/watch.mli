@@ -105,9 +105,6 @@ val close : t -> unit
 (* ------------------------------------------------------------------ *)
 (* Readouts *)
 
-val alerts : t -> alert list
-(** Retained ring, oldest first. *)
-
 val alert_total : t -> int
 (** Exact total emitted, including ring evictions. *)
 

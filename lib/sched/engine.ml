@@ -1285,8 +1285,6 @@ module Stepper = struct
 
   let completed st = List.length st.results
   let now_s st = st.now
-  let rounds st = st.rounds
-  let policy st = st.policy
 
   let result st =
     assemble_result st.ctx st.policy (st.results, st.rounds, List.rev st.log)

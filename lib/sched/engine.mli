@@ -304,9 +304,6 @@ module Stepper : sig
   val now_s : t -> float
   (** Current simulated instant. *)
 
-  val rounds : t -> int
-  val policy : t -> Policy.t
-
   val result : t -> run_result
   (** Assemble the result from the rounds executed so far. Pure — does
       not record histograms (the batch {!run} does; long-lived callers

@@ -13,8 +13,6 @@ let default =
     plan_unit_cost_s = 1e-4;
   }
 
-let sequential = { default with intra_event_parallelism = 1.0 }
-
 let execution_time t (plan : Planner.t) =
   if t.intra_event_parallelism < 1.0 then
     invalid_arg "Exec_model.execution_time: parallelism < 1";
@@ -33,9 +31,3 @@ let execution_time t (plan : Planner.t) =
 let plan_time t ~work_units =
   if work_units < 0 then invalid_arg "Exec_model.plan_time";
   float_of_int work_units *. t.plan_unit_cost_s
-
-let pp ppf t =
-  Format.fprintf ppf
-    "exec[%.1f ms/hop, %.0f Mbps migration, %gx parallel, %.2g s/unit]"
-    (1000.0 *. t.rule_install_s)
-    t.migration_rate_mbps t.intra_event_parallelism t.plan_unit_cost_s

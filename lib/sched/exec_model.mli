@@ -27,13 +27,7 @@ type t = {
 val default : t
 (** 1 ms/hop, 500 Mbps migration rate, 8-way parallelism, 0.1 ms/unit. *)
 
-val sequential : t
-(** [intra_event_parallelism = 1]; for the flow-level baseline, which
-    updates one flow at a time. *)
-
 val execution_time : t -> Planner.t -> float
 (** Virtual seconds to execute an applied plan. *)
 
 val plan_time : t -> work_units:int -> float
-
-val pp : Format.formatter -> t -> unit

@@ -70,7 +70,6 @@ let of_run (run : Engine.run_result) =
   }
 
 let reduction ~baseline v = Descriptive.reduction_vs ~baseline v
-let speedup ~baseline v = Descriptive.speedup_vs ~baseline v
 
 let pp_summary ppf s =
   Format.fprintf ppf

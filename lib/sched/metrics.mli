@@ -27,16 +27,11 @@ val of_run : Engine.run_result -> summary
 (** A run with no events yields an all-zero summary (totals still taken
     from the run) rather than raising. *)
 
-val ects : Engine.run_result -> float array
-(** Per-event completion times, indexed in event-id order. *)
-
 val queuing_delays : Engine.run_result -> float array
 
 val reduction : baseline:float -> float -> float
 (** The paper's headline form: fractional reduction vs a baseline value
     ({!Nu_stats.Descriptive.reduction_vs}). *)
-
-val speedup : baseline:float -> float -> float
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -102,7 +102,6 @@ let create ~domains ~net =
   done;
   pool
 
-let domains pool = pool.n_workers + 1
 
 let map pool ~f items =
   if pool.closed then invalid_arg "Probe_pool.map: pool is shut down";

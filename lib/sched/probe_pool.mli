@@ -52,9 +52,6 @@ val create : domains:int -> net:Net_state.t -> t
     workers are spawned and no cursor opens; {!map} then runs
     entirely on the calling domain. *)
 
-val domains : t -> int
-(** Lane count: workers + the calling domain. *)
-
 val map : t -> f:(Net_state.t -> 'a -> 'b) -> 'a array -> 'b array
 (** Evaluate the batch across the lanes; results in item order. Must
     only be called from the domain that ran {!create}, and not after

@@ -7,10 +7,6 @@
     can diff, plot or regression-check without re-running the
     simulation. *)
 
-val event_result_to_json : Engine.event_result -> Nu_obs.Json.t
-(** Includes the derived [ect_s] and [queuing_s] alongside the raw
-    fields. *)
-
 val to_json :
   ?counters:Nu_obs.Counters.snapshot ->
   ?histograms:(string * Nu_obs.Histogram.t) list ->

@@ -55,8 +55,6 @@ let create ~capacity ~policy =
     next_seq = 0;
   }
 
-let capacity t = t.capacity
-let policy t = t.policy
 let size t = t.size
 
 let stat_for t tenant =

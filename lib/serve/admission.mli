@@ -32,8 +32,6 @@ type t
 val create : capacity:int -> policy:policy -> t
 (** Raises [Invalid_argument] on non-positive capacity or quota. *)
 
-val capacity : t -> int
-val policy : t -> policy
 val size : t -> int
 (** Requests currently queued across all tenants. *)
 

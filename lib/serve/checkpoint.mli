@@ -71,11 +71,6 @@ val of_string : graph:Graph.t -> string -> (t, string) result
     hash over the stored core, header/core [seq] agreement, field
     shapes. *)
 
-val save : ?fault:Nu_obs.Store_fault.t -> string -> t -> string
-(** Atomic durable save of {!to_string}; returns the content hash and
-    bumps the [serve_checkpoints] counter. Physical I/O routes through [fault]
-    when given. *)
-
 val load :
   ?fault:Nu_obs.Store_fault.t ->
   graph:Graph.t ->
@@ -93,11 +88,13 @@ module Chain : sig
       [base ^ "." ^ i] otherwise. *)
 
   val save : ?fault:Nu_obs.Store_fault.t -> string -> t -> string
-  (** Rotate generations (dropping the one beyond {!default_keep}), then save
-      [cp] as the new newest with [seq]/[parent] threaded from the
-      previous newest's header line. Only that first line is read from
-      disk, so a damaged core still threads. Returns the content
-      hash. *)
+  (** Rotate generations (dropping the one beyond {!default_keep}), then
+      save [cp] as the new newest with [seq]/[parent] threaded from the
+      previous newest's header line: an atomic durable write of
+      {!to_string} that bumps the [serve_checkpoints] counter, with
+      physical I/O routed through [fault] when given. Only that first
+      line is read from disk, so a damaged core still threads. Returns
+      the content hash. *)
 
   val fallback :
     ?fault:Nu_obs.Store_fault.t ->

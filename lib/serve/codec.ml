@@ -12,7 +12,6 @@ let field name j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let opt_field name j = Json.member name j
 
 let as_int = function
   | Json.Int i -> Ok i
@@ -524,22 +523,22 @@ let add_flow_columns buf (flows : Net_state.placed list) =
             flows );
     ]
 
-(* A node list resolved to edge ids hop by hop as it is read, with
-   [Path.of_nodes]'s checks: at least two nodes, an edge for each hop,
-   then [Path.of_ids]'s. [ids] is scratch shared by one column. *)
+(* A node list resolved to edge ids hop by hop as it is read, checked
+   for at least two nodes and an edge for each hop, then by
+   [Path.of_ids]. [ids] is scratch shared by one column. *)
 let read_path graph ids c =
   let prev = ref (-1) and k = ref (-1) in
   Json.elements c (fun () ->
       let v = Json.int c in
       if !k >= 0 then begin
         let e = Graph.find_edge graph ~src:!prev ~dst:v in
-        if e < 0 then Json.fail c "Path.of_nodes: missing edge";
+        if e < 0 then Json.fail c "path: missing edge";
         if !k = Array.length !ids then ids := Array.append !ids !ids;
         !ids.(!k) <- e
       end;
       prev := v;
       incr k);
-  if !k < 1 then Json.fail c "Path.of_nodes: need at least two nodes";
+  if !k < 1 then Json.fail c "path: need at least two nodes";
   try Path.of_ids graph (Array.sub !ids 0 !k)
   with Invalid_argument m -> Json.fail c m
 

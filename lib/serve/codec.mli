@@ -22,7 +22,6 @@
 module Json := Nu_obs.Json
 
 val field : string -> Json.t -> (Json.t, string) result
-val opt_field : string -> Json.t -> Json.t option
 val int_field : string -> Json.t -> (int, string) result
 val float_field : string -> Json.t -> (float, string) result
 (** Accepts [Int] too: an integral-valued float prints without a
@@ -42,8 +41,6 @@ val request_to_json : Request.t -> Json.t
 val request_of_json : Json.t -> (Request.t, string) result
 
 val policy_to_json : Policy.t -> Json.t
-
-val fault_to_json : Nu_fault.Fault_model.fault -> Json.t
 
 val injector_frozen_to_json : Nu_fault.Injector.frozen -> Json.t
 

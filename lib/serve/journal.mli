@@ -12,9 +12,6 @@ type entry =
       (** A request surfaced at [tick], journaled before admission. *)
   | Tick_done of int  (** Commit marker: the tick completed. *)
 
-val entry_to_json : entry -> Nu_obs.Json.t
-val entry_of_json : Nu_obs.Json.t -> (entry, string) result
-
 (** {2 Writer} *)
 
 type writer = Nu_obs.Store.writer

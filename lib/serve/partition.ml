@@ -16,9 +16,6 @@ let create ~host_count ~regions ~shards =
     invalid_arg "Partition.create: host_count must be >= regions";
   { host_count; regions; shards }
 
-let host_count t = t.host_count
-let regions t = t.regions
-let shards t = t.shards
 
 let region_of_host t host =
   if host < 0 || host >= t.host_count then

@@ -18,10 +18,6 @@ val create : host_count:int -> regions:int -> shards:int -> t
     blocks). Raises [Invalid_argument] unless
     [host_count >= regions >= shards >= 1]. *)
 
-val host_count : t -> int
-val regions : t -> int
-val shards : t -> int
-
 val region_of_host : t -> int -> int
 (** [host * regions / host_count] — contiguous blocks. *)
 

@@ -4,10 +4,4 @@ let v ~tenant event =
   if tenant = "" then invalid_arg "Request.v: empty tenant";
   { tenant; event }
 
-let tenant t = t.tenant
-let event t = t.event
 let event_id t = t.event.Event.id
-
-let pp ppf t =
-  Format.fprintf ppf "%s/ev%d(w=%d)" t.tenant t.event.Event.id
-    (Event.work_count t.event)

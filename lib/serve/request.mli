@@ -10,7 +10,4 @@ type t = { tenant : string; event : Event.t }
 val v : tenant:string -> Event.t -> t
 (** Raises [Invalid_argument] on an empty tenant label. *)
 
-val tenant : t -> string
-val event : t -> Event.t
 val event_id : t -> int
-val pp : Format.formatter -> t -> unit

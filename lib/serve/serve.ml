@@ -18,17 +18,13 @@ let run ?checkpoint_path ?checkpoint_every ~ticks t =
 
 let complete = Shard_fabric.complete
 let tick_count = Shard_fabric.tick_count
-let admission t = Shard_fabric.admission t 0
-let telemetry = Shard_fabric.telemetry
-let completed = Shard_fabric.completed
 let result t = Engine.Stepper.result (Shard_fabric.stepper t 0)
 let digest = Shard_fabric.digest
 let set_journal t w = Shard_fabric.set_journal t 0 w
 let retire t = List.hd (Shard_fabric.retire t)
-let snapshot = Shard_fabric.snapshot
 
 let save_checkpoint ?fault t path =
-  Checkpoint.Chain.save ?fault path (snapshot t)
+  Checkpoint.Chain.save ?fault path (Shard_fabric.snapshot t)
 
 let restore_snapshot ?source_params ?series ?telemetry ?retry ~config
     ~source_spec ~topology cp =

@@ -17,8 +17,8 @@
     are {!Checkpoint} chain generations like any fabric's.
 
     Everything is deterministic: same config, topology, net and source
-    spec → bit-identical decision digest, and {!snapshot}/{!restore}/
-    {!replay} reproduce an interrupted run's digest exactly. *)
+    spec → bit-identical decision digest, and {!save_checkpoint}/
+    {!restore}/{!replay} reproduce an interrupted run's digest exactly. *)
 
 (** {2 Configuration} *)
 
@@ -28,7 +28,9 @@ end
 
 (** {2 Lifecycle} *)
 
-type t
+type t = Shard_fabric.t
+(** The one-shard fabric: {!Shard_fabric}'s inspection functions
+    ([snapshot], [admission t 0], [completed]) read it. *)
 
 val create :
   ?source_params:Benson_trace.params ->
@@ -70,13 +72,6 @@ val complete : t -> unit
 val tick_count : t -> int
 (** Ticks completed (= the next tick to execute). *)
 
-val admission : t -> Admission.t
-
-val telemetry : t -> Telemetry.t option
-(** The attached telemetry, if any. *)
-
-val completed : t -> int
-
 val result : t -> Engine.run_result
 (** Rounds executed so far (pure; see {!Engine.Stepper.result}). *)
 
@@ -96,14 +91,9 @@ val set_journal : t -> Journal.writer option -> unit
 
 (** {2 Checkpoint, restore, replay} *)
 
-val snapshot : t -> Checkpoint.t
-(** Freeze the full controller state. Call between ticks. [seq] and
-    [parent] are left at their defaults — {!Checkpoint.Chain.save}
-    threads them from the previous chain generation. *)
-
 val save_checkpoint :
   ?fault:Nu_obs.Store_fault.t -> t -> string -> string
-(** {!snapshot} + {!Checkpoint.Chain.save}: rotates the chain
+(** {!Shard_fabric.snapshot} + {!Checkpoint.Chain.save}: rotates the chain
     generations, saves atomically and durably, and returns the new
     checkpoint's content hash. *)
 
@@ -135,7 +125,7 @@ val restore :
 (** Load a checkpoint file and rebuild a controller that continues
     bit-identically. [config], [source_spec] and [topology] must be
     the ones the original run was created with — the checkpoint's
-    {!Shard_fabric.fingerprint} is validated and a mismatch is an
+    serving fingerprint is validated and a mismatch is an
     [Error]. The restored controller has no journal attached (see
     {!set_journal}). *)
 

@@ -49,6 +49,10 @@ let validate_config cfg =
   if cfg.regions < cfg.shards then
     invalid_arg "Shard_fabric: regions must be >= shards"
 
+(* The serving identity stored as checkpoint [meta] and validated on
+   restore: a restore under a different configuration or source spec is
+   refused rather than silently diverging. [domains] is not part of it —
+   decisions are width-independent. *)
 let fingerprint cfg spec =
   Json.Obj
     [
@@ -218,7 +222,6 @@ let coord t = t.coord
 let shard_count t = t.cfg.shards
 let stepper t k = t.steppers.(k)
 let admission t k = t.admissions.(k)
-let telemetry t = t.telemetry
 
 let backlog t k =
   Admission.size t.admissions.(k) + Engine.Stepper.backlog t.steppers.(k)

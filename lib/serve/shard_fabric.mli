@@ -44,14 +44,6 @@ val default_config : ?regions:int -> Serve_config.config -> shards:int -> config
 (** [regions] defaults to [max 8 shards]; default coordinator
     config. *)
 
-val validate_config : config -> unit
-
-val fingerprint : config -> Source.spec -> Nu_obs.Json.t
-(** The serving identity stored as checkpoint [meta] and validated on
-    restore: a restore under a different configuration or source spec
-    is refused rather than silently diverging. [domains] is not part of
-    it — decisions are width-independent. *)
-
 val shard_journal_path : string -> int -> string
 (** [<base>.shard<k>] — shard [k]'s WAL segment namespace when the
     fabric has two or more shards. One shard journals at [<base>]. With
@@ -94,7 +86,9 @@ val create :
     lifecycle stamps for every request, per-tenant fairness and SLO
     tracking, and periodic OpenMetrics exposition. Recording-only — the
     decision digest is bit-identical with or without it, and it is not
-    part of the {!fingerprint}. *)
+    part of the serving fingerprint (the configuration and source spec
+    a checkpoint's [meta] records and a restore checks; [domains] is
+    not part of it either — decisions are width-independent). *)
 
 val tick : t -> unit
 (** Poll → route → write-ahead per shard → admit → drain → waves →
@@ -115,20 +109,15 @@ val complete : t -> unit
 val tick_count : t -> int
 (** Ticks completed (= the next tick to execute). *)
 
-val now_s : t -> float
 val shard_count : t -> int
 val coord : t -> Coord.t
 val stepper : t -> int -> Engine.Stepper.t
 val admission : t -> int -> Admission.t
-val telemetry : t -> Telemetry.t option
 
 val backlog : t -> int -> int
 (** Shard load: admission queue + engine backlog. *)
 
 val deferred_count : t -> int
-
-val quiescent : t -> bool
-(** No queued, deferred, in-engine or coordinator work remains. *)
 
 val completed : t -> int
 

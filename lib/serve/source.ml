@@ -177,10 +177,6 @@ let poll t ~tick ~now_s =
       done;
       List.rev !out
 
-let exhausted = function
-  | Synth _ -> false
-  | Streamed st -> st.st_pos >= Array.length st.st_entries
-
 (* ------------------------------------------------------------------ *)
 (* Freeze/thaw.                                                        *)
 

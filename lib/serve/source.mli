@@ -28,12 +28,10 @@ type spec =
 
 type t
 
-val default_params : Benson_trace.params
-(** Benson marginals with elephants capped at 100 Mbps demand — the
-    batch scenario's update-flow parameters. *)
-
 val create : ?params:Benson_trace.params -> host_count:int -> spec -> t
-(** Raises [Invalid_argument] on bad parameters, an unreadable or
+(** [params] defaults to Benson marginals with elephants capped at
+    100 Mbps demand — the batch scenario's update-flow parameters.
+    Raises [Invalid_argument] on bad parameters, an unreadable or
     malformed command file, an installed flow whose [src] or [dst] is
     outside [\[0, host_count)], or out-of-order ticks. A command-file
     error names the file and line. *)
@@ -42,10 +40,6 @@ val poll : t -> tick:int -> now_s:float -> Request.t list
 (** The requests surfacing at [tick], events stamped [arrival_s =
     now_s]. Advances the source cursor — deterministic, not
     idempotent. *)
-
-val exhausted : t -> bool
-(** True when a stream source has no further commands (synthetic
-    sources never exhaust). *)
 
 (** {2 Checkpoint freeze/thaw} *)
 

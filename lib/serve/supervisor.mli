@@ -26,10 +26,9 @@
     [supervisor.backoff_s], [recovery.fallback_depth]. *)
 
 type config = { max_restarts : int }
-
-val default_config : config
-(** 16 restarts. The restart backoff (50 ms doubling to a 5 s cap, 25%
-    jitter) and the chain save period (every 10 ticks) are fixed:
+(** The default allows 16 restarts. The restart backoff (50 ms
+    doubling to a 5 s cap, 25% jitter) and the chain save period (every
+    10 ticks) are fixed:
     [backoff_base_s], [backoff_factor], [backoff_max_s],
     [backoff_jitter] and [checkpoint_every] in [supervisor.ml]. The
     chain keeps {!Checkpoint.Chain.default_keep} generations. *)
@@ -63,8 +62,6 @@ type event =
   | Cold_start of { attempt : int; reason : string }
   | Completed of { ticks : int; restarts : int }
   | Gave_up of { restarts : int }
-
-val event_to_json : event -> Nu_obs.Json.t
 
 type outcome = {
   digest : string option;

@@ -49,8 +49,8 @@ let create cfg =
   Option.iter Nu_obs.Store.mkdir_p cfg.metrics_dir;
   {
     cfg;
-    (* Lifecycle ring 4096, fairness and SLO windows of 50 ticks: the
-       trackers' own defaults. *)
+    (* Fairness and SLO windows of 50 ticks: the trackers' own
+       defaults. *)
     lifecycle =
       Lifecycle.create
         ?path:
@@ -68,10 +68,7 @@ let create cfg =
     expo_writes = 0;
   }
 
-let config t = t.cfg
 let lifecycle t = t.lifecycle
-let fairness t = t.fairness
-let slo t = t.slo
 let watch t = t.watch
 let expo_writes t = t.expo_writes
 

@@ -29,7 +29,7 @@
 type config = {
   metrics_dir : string option;
       (** Directory for the exposition file and the lifecycle record
-          log; [None] disables both (the lifecycle ring still runs). *)
+          log; [None] disables both. *)
   metrics_every : int;  (** Write cadence in ticks (default 10). *)
   watch : Nu_obs.Watch.config option;
       (** Attach an {!Nu_obs.Watch} watchdog: ECT samples and per-tick
@@ -43,9 +43,8 @@ type config = {
 val default_config : config
 (** Everything off: no exposition, no record log, no watchdog.
 
-    The trackers always run at their own defaults: a lifecycle ring of
-    4096 stamps and fairness and SLO windows of 50 ticks. Alerts come
-    from the watchdog alone. *)
+    The trackers always run at their own defaults: fairness and SLO
+    windows of 50 ticks. Alerts come from the watchdog alone. *)
 
 type t
 
@@ -53,10 +52,7 @@ val create : config -> t
 (** Raises [Invalid_argument] when [metrics_every < 1] or
     [metrics_dir = Some ""]. *)
 
-val config : t -> config
 val lifecycle : t -> Nu_obs.Lifecycle.t
-val fairness : t -> Nu_obs.Fairness.t
-val slo : t -> Nu_obs.Slo.t
 
 val watch : t -> Nu_obs.Watch.t option
 (** The attached watchdog, when the config carried one. *)
@@ -96,9 +92,6 @@ val observer : t -> Engine.observation -> unit
     {!Engine.Stepper.create} (done by {!Serve.create} when telemetry
     is attached). Maps round executions/aborts, retries and
     completions into lifecycle stamps and fairness/SLO samples. *)
-
-val render : t -> string
-(** The OpenMetrics document the exposition file would hold now. *)
 
 val to_json : t -> Nu_obs.Json.t
 (** Summary block for {!Run_report}: stamp counts, exposition writes,

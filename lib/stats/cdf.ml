@@ -8,42 +8,12 @@ let of_samples xs =
 
 let size t = Array.length t.sorted
 
-(* Index of the first element strictly greater than x, by binary search. *)
-let upper_bound a x =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) <= x then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
-
-let eval t x =
-  float_of_int (upper_bound t.sorted x) /. float_of_int (size t)
-
 let inverse t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Cdf.inverse: p";
   let n = size t in
   let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
   let idx = if idx < 0 then 0 else if idx >= n then n - 1 else idx in
   t.sorted.(idx)
-
-let points t =
-  let n = size t in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let v = t.sorted.(!i) in
-    (* Skip to the last duplicate so each value appears once with its
-       final cumulative probability. *)
-    let j = ref !i in
-    while !j + 1 < n && t.sorted.(!j + 1) = v do
-      incr j
-    done;
-    acc := (v, float_of_int (!j + 1) /. float_of_int n) :: !acc;
-    i := !j + 1
-  done;
-  Array.of_list (List.rev !acc)
 
 let pp ppf t =
   let q p = inverse t p in

@@ -9,16 +9,6 @@ val of_samples : float array -> t
 (** Build an ECDF from raw observations. Raises [Invalid_argument] on an
     empty array. *)
 
-val eval : t -> float -> float
-(** [eval t x] is P(X <= x), a step function in [0, 1]. *)
-
-val points : t -> (float * float) array
-(** The ECDF as [(value, cumulative probability)] steps, deduplicated on
-    value, suitable for plotting. *)
-
-val size : t -> int
-(** Number of underlying samples. *)
-
 val pp : Format.formatter -> t -> unit
 (** Compact rendering: the sample count and the p10, p50, p90, p99 and
     p100 quantiles, each the smallest sample whose cumulative

@@ -18,10 +18,6 @@ let mean xs =
   check_nonempty "mean" xs;
   total xs /. float_of_int (Array.length xs)
 
-let min_value xs =
-  check_nonempty "min_value" xs;
-  Array.fold_left min xs.(0) xs
-
 let max_value xs =
   check_nonempty "max_value" xs;
   Array.fold_left max xs.(0) xs
@@ -43,12 +39,6 @@ let percentile xs p =
       sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
-let median xs = percentile xs 50.0
-
 let reduction_vs ~baseline v =
   if baseline <= 0.0 then invalid_arg "Descriptive.reduction_vs: baseline";
   (baseline -. v) /. baseline
-
-let speedup_vs ~baseline v =
-  if v <= 0.0 then invalid_arg "Descriptive.speedup_vs: v";
-  baseline /. v

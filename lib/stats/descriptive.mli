@@ -6,12 +6,8 @@
     "no data" failures loud rather than silently producing NaN. *)
 
 val mean : float array -> float
-(** Arithmetic mean. *)
+(** Arithmetic mean, over a Kahan-compensated sum. *)
 
-val total : float array -> float
-(** Kahan-compensated sum. *)
-
-val min_value : float array -> float
 val max_value : float array -> float
 
 val percentile : float array -> float -> float
@@ -19,14 +15,7 @@ val percentile : float array -> float -> float
     closest ranks (the common "type 7" estimator). [percentile xs 100.0]
     equals [max_value xs]. The input is not modified. *)
 
-val median : float array -> float
-(** [percentile xs 50.0]. *)
-
 val reduction_vs : baseline:float -> float -> float
 (** [reduction_vs ~baseline v] is the fractional reduction
     [(baseline - v) / baseline] — the paper's "X% reduction against FIFO"
     metric. Requires [baseline > 0]. *)
-
-val speedup_vs : baseline:float -> float -> float
-(** [speedup_vs ~baseline v = baseline /. v] — the paper's "10x faster".
-    Requires [v > 0]. *)

@@ -3,11 +3,6 @@ let exponential rng ~rate =
   let u = 1.0 -. Prng.unit_float rng in
   -.log u /. rate
 
-let pareto rng ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Dist.pareto";
-  let u = 1.0 -. Prng.unit_float rng in
-  scale /. (u ** (1.0 /. shape))
-
 let bounded_pareto rng ~shape ~lo ~hi =
   if not (0.0 < lo && lo < hi) then invalid_arg "Dist.bounded_pareto";
   if shape <= 0.0 then invalid_arg "Dist.bounded_pareto: shape";
@@ -29,5 +24,3 @@ let normal rng ~mu ~sigma =
   mu +. (sigma *. draw ())
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
-
-let uniform rng ~lo ~hi = Prng.float_in rng lo hi

@@ -9,20 +9,9 @@ val exponential : Prng.t -> rate:float -> float
 (** [exponential rng ~rate] draws from Exp(rate); mean [1/rate].
     Requires [rate > 0]. *)
 
-val pareto : Prng.t -> shape:float -> scale:float -> float
-(** [pareto rng ~shape ~scale] draws from a Pareto law with minimum value
-    [scale] and tail index [shape]; heavy-tailed for [shape <= 2].
-    Requires both positive. *)
-
 val bounded_pareto : Prng.t -> shape:float -> lo:float -> hi:float -> float
 (** Pareto truncated to [lo, hi] by inverse-CDF on the truncated law
     (not rejection), so the draw is O(1). Requires [0 < lo < hi]. *)
 
 val lognormal : Prng.t -> mu:float -> sigma:float -> float
 (** [lognormal rng ~mu ~sigma] draws exp(N(mu, sigma^2)). *)
-
-val normal : Prng.t -> mu:float -> sigma:float -> float
-(** Gaussian via Box–Muller (polar form). *)
-
-val uniform : Prng.t -> lo:float -> hi:float -> float
-(** Alias of {!Prng.float_in} for symmetry with the other samplers. *)

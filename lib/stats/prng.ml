@@ -14,8 +14,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let raw_state t = t.state
 let of_raw_state state = { state }
 
@@ -57,8 +55,6 @@ let float t bound = unit_float t *. bound
 let float_in t lo hi =
   if lo > hi then invalid_arg "Prng.float_in: lo > hi";
   lo +. (unit_float t *. (hi -. lo))
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -15,9 +15,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal seeds
     yield equal streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves independently. *)
-
 val raw_state : t -> int64
 (** The generator's raw 64-bit counter — the whole state. Serialise it to
     checkpoint a stream mid-run; {!of_raw_state} resumes it exactly. *)
@@ -48,9 +45,6 @@ val float : t -> float -> float
 
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] draws uniformly from [lo, hi). Requires [lo <= hi]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val unit_float : t -> float
 (** Uniform draw in [0,1), 53-bit precision. *)

@@ -9,7 +9,6 @@ type t = {
   k : int;
   half : int;
   graph : Graph.t;
-  link_capacity : float;
   agg_off : int;
   edge_off : int;
   host_off : int;
@@ -29,7 +28,7 @@ let create ?(k = 8) ?(link_capacity = 1000.0) () =
   let agg_off = core_n in
   let edge_off = agg_off + agg_n in
   let host_off = edge_off + edge_n in
-  let t = { k; half; graph; link_capacity; agg_off; edge_off; host_off; node_total } in
+  let t = { k; half; graph; agg_off; edge_off; host_off; node_total } in
   let link a b = ignore (Graph.add_link graph ~a ~b ~capacity:link_capacity) in
   for pod = 0 to k - 1 do
     for j = 0 to half - 1 do
@@ -52,14 +51,8 @@ let create ?(k = 8) ?(link_capacity = 1000.0) () =
   t
 
 let k t = t.k
-let graph t = t.graph
-let link_capacity t = t.link_capacity
 let host_count t = t.k * t.half * t.half
 let switch_count t = (t.half * t.half) + (2 * t.k * t.half)
-
-let core t i =
-  if i < 0 || i >= t.half * t.half then invalid_arg "Fat_tree.core";
-  i
 
 let aggregation t ~pod j =
   if pod < 0 || pod >= t.k || j < 0 || j >= t.half then
@@ -70,10 +63,6 @@ let edge t ~pod j =
   if pod < 0 || pod >= t.k || j < 0 || j >= t.half then
     invalid_arg "Fat_tree.edge";
   t.edge_off + (pod * t.half) + j
-
-let host t i =
-  if i < 0 || i >= host_count t then invalid_arg "Fat_tree.host";
-  t.host_off + i
 
 type node_kind = Core | Aggregation of int | Edge of int | Host of int
 
@@ -127,7 +116,7 @@ let to_topology t =
   Topology.make
     ~name:(Printf.sprintf "fat-tree(k=%d)" t.k)
     ~graph:t.graph
-    ~hosts:(Array.init (host_count t) (fun i -> host t i))
+    ~hosts:(Array.init (host_count t) (fun i -> t.host_off + i))
     ~switches:(Array.init (switch_count t) (fun i -> i))
     ~interior_paths:(fun ~src ~dst -> interior_paths t ~src ~dst)
     ~diameter:6

@@ -23,34 +23,15 @@ val create : ?k:int -> ?link_capacity:float -> unit -> t
     [link_capacity] is in Mbit/s (default 1000 = 1 Gbps). *)
 
 val k : t -> int
-val graph : t -> Graph.t
-val link_capacity : t -> float
 
-val host_count : t -> int
-(** k³/4. *)
-
-val switch_count : t -> int
-(** 5k²/4. *)
-
-(** Node-id accessors. All indices are range-checked. *)
-
-val core : t -> int -> int
-(** [core t i] with [i] in [0, (k/2)²). *)
+(** Node-id accessors. All indices are range-checked. Core switches are
+    nodes [0, (k/2)²); hosts follow every switch, numbered edge-major. *)
 
 val aggregation : t -> pod:int -> int -> int
 (** [aggregation t ~pod j] with [pod] in [0,k), [j] in [0, k/2). *)
 
 val edge : t -> pod:int -> int -> int
 (** [edge t ~pod j], same ranges as {!aggregation}. *)
-
-val host : t -> int -> int
-(** [host t i] with [i] in [0, k³/4): node id of the i-th host. *)
-
-type node_kind = Core | Aggregation of int | Edge of int | Host of int
-(** Payload: pod number for switches, host index for hosts. *)
-
-val kind : t -> int -> node_kind
-(** Classify a node id. *)
 
 val to_topology : t -> Topology.t
 (** Adapt to the generic {!Topology.t} interface. Its interior sets run

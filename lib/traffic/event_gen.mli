@@ -20,9 +20,6 @@ type shape =
   | Fixed of int  (** Exactly that many flows per event. *)
   | Range of int * int  (** Uniform in a custom inclusive range. *)
 
-val flows_per_event : shape -> Prng.t -> int
-(** Draw a flow count for one event under the given shape. *)
-
 type arrival_process =
   | Batch  (** All events queued at t = 0 (the paper's queue setup). *)
   | Poisson of float  (** Mean inter-arrival seconds. *)

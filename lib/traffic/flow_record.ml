@@ -17,12 +17,3 @@ let v ~id ~src ~dst ~size_mbit ~duration_s ~arrival_s =
   { id; src; dst; size_mbit; duration_s; arrival_s }
 
 let demand_mbps t = t.size_mbit /. t.duration_s
-
-let compare_by_arrival a b =
-  match compare a.arrival_s b.arrival_s with
-  | 0 -> compare a.id b.id
-  | c -> c
-
-let pp ppf t =
-  Format.fprintf ppf "flow#%d %d->%d %.2f Mbit / %.2f s (%.2f Mbps) @%.2fs"
-    t.id t.src t.dst t.size_mbit t.duration_s (demand_mbps t) t.arrival_s

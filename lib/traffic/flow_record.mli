@@ -28,8 +28,3 @@ val v :
   t
 (** Checked constructor: positive size and duration, non-negative
     arrival, distinct non-negative endpoints. *)
-
-val compare_by_arrival : t -> t -> int
-(** Orders by arrival, then id — the trace replay order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,10 +17,6 @@ type params = {
   mean_interarrival_s : float;  (** Poisson arrival process. *)
 }
 
-val default_params : params
-(** Bounded-Pareto(1.1) demand on [1, 400] Mbps, log-normal durations with
-    median ~30 s, mean inter-arrival 50 ms. *)
-
 val generate :
   ?params:params ->
   ?first_id:int ->
@@ -31,4 +27,7 @@ val generate :
 (** [generate rng ~host_count ~n] draws [n] flows sorted by arrival, with
     ids [first_id, first_id + n) (default from 0). Endpoints are produced
     by drawing random anonymised IPv4 addresses and hashing them with
-    {!Ip_map.host_pair}. Requires [host_count >= 2] and [n >= 0]. *)
+    {!Ip_map.host_pair}. Requires [host_count >= 2] and [n >= 0]. The
+    default [params] draw bounded-Pareto(1.1) demand on [1, 400] Mbps,
+    log-normal durations with median ~30 s and a 50 ms mean
+    inter-arrival. *)

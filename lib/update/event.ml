@@ -84,13 +84,3 @@ let compare_by_arrival a b =
   match compare a.arrival_s b.arrival_s with
   | 0 -> compare a.id b.id
   | c -> c
-
-let pp_kind ppf = function
-  | Additions -> Format.pp_print_string ppf "additions"
-  | Vm_migration -> Format.pp_print_string ppf "vm-migration"
-  | Switch_upgrade s -> Format.fprintf ppf "switch-upgrade(%d)" s
-  | Link_failure (a, b) -> Format.fprintf ppf "link-failure(%d,%d)" a b
-
-let pp ppf t =
-  Format.fprintf ppf "update-event#%d @%.2fs %a: %d flows" t.id t.arrival_s
-    pp_kind t.kind (work_count t)

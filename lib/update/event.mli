@@ -76,5 +76,3 @@ val work_count : t -> int
 
 val compare_by_arrival : t -> t -> int
 (** Arrival order; ties by id. The queue order of §III-C. *)
-
-val pp : Format.formatter -> t -> unit

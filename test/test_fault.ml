@@ -96,8 +96,14 @@ let test_schedule_sorted_and_paired () =
 
 let test_retry_policy () =
   let p = { Retry_policy.max_attempts = 3; base_backoff_s = 0.1; multiplier = 2.0 } in
-  Alcotest.(check (float 1e-12)) "first backoff" 0.1 (Retry_policy.backoff_s p ~attempt:1);
-  Alcotest.(check (float 1e-12)) "doubles" 0.4 (Retry_policy.backoff_s p ~attempt:3);
+  let p5 = { p with Retry_policy.max_attempts = 5 } in
+  let backoff attempt =
+    match Retry_policy.decide p5 ~attempt with
+    | `Retry_after b -> b
+    | `Degrade -> Alcotest.fail "attempts below the budget retry"
+  in
+  Alcotest.(check (float 1e-12)) "first backoff" 0.1 (backoff 1);
+  Alcotest.(check (float 1e-12)) "doubles" 0.4 (backoff 3);
   (match Retry_policy.decide p ~attempt:2 with
   | `Retry_after b -> Alcotest.(check (float 1e-12)) "retry backoff" 0.2 b
   | `Degrade -> Alcotest.fail "attempt 2 of 3 must retry");

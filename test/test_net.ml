@@ -191,16 +191,19 @@ let test_capacity_gap () =
     (Net_state.capacity_gap net e ~demand:200.0);
   Alcotest.(check bool) "fits" true (Net_state.capacity_gap net e ~demand:50.0 <= 0.0)
 
+(* A record's host indices map to the topology's host nodes: every
+   candidate runs between them. *)
 let test_endpoints_mapping () =
   let topo = topo4 () in
   let net = Net_state.create topo in
-  let r = flow 3 12 in
-  let src, dst = Net_state.endpoints net r in
-  Alcotest.(check int) "src node" topo.Topology.hosts.(3) src;
-  Alcotest.(check int) "dst node" topo.Topology.hosts.(12) dst;
+  List.iter
+    (fun p ->
+      Alcotest.(check int) "src node" topo.Topology.hosts.(3) (Path.src p);
+      Alcotest.(check int) "dst node" topo.Topology.hosts.(12) (Path.dst p))
+    (Test_util.candidate_paths net (flow 3 12));
   Alcotest.check_raises "out of range"
     (Invalid_argument "Net_state.endpoints: host index out of range") (fun () ->
-      ignore (Net_state.endpoints net (flow 0 99)))
+      ignore (Net_state.candidates net (flow 0 99)))
 
 let prop_random_ops_keep_invariants =
   QCheck.Test.make ~name:"random place/remove keeps invariants" ~count:30
@@ -508,7 +511,9 @@ let prop_nested_txn_ops_keep_invariants =
         in
         match Invariant.check view with
         | [] -> true
-        | v :: _ -> QCheck.Test.fail_reportf "%a" Invariant.pp v
+        | v :: _ ->
+            QCheck.Test.fail_reportf "%s: %s" v.Invariant.name
+              v.Invariant.detail
       in
       let depth = ref 0 and ok = ref true in
       for _ = 0 to 199 do

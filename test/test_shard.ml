@@ -32,8 +32,8 @@ let reroute_event ~flow_id id =
 
 let test_partition_shape () =
   let p = Shard_partition.create ~host_count:16 ~regions:8 ~shards:4 in
-  Alcotest.(check int) "regions" 8 (Shard_partition.regions p);
-  Alcotest.(check int) "shards" 4 (Shard_partition.shards p);
+  Alcotest.(check int) "regions" 8
+    (1 + Shard_partition.region_of_host p 15);
   (* Every shard owns at least one region. *)
   let owners = List.init 8 (Shard_partition.shard_of_region p) in
   for k = 0 to 3 do

@@ -21,17 +21,6 @@ let test_prng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
-let test_prng_copy_independent () =
-  let a = Prng.create 7 in
-  let b = Prng.copy a in
-  let va = Prng.bits64 a in
-  let vb = Prng.bits64 b in
-  Alcotest.(check int64) "copy starts at same state" va vb;
-  ignore (Prng.bits64 a);
-  let a3 = Prng.bits64 a in
-  let b2 = Prng.bits64 b in
-  Alcotest.(check bool) "streams diverge after different draws" true (a3 <> b2)
-
 let test_prng_split_independent () =
   let parent = Prng.create 7 in
   let child = Prng.split parent in
@@ -160,13 +149,6 @@ let test_exponential_invalid () =
     (Invalid_argument "Dist.exponential: rate must be positive") (fun () ->
       ignore (Dist.exponential rng ~rate:0.0))
 
-let test_pareto_min () =
-  let rng = Prng.create 6 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "above scale" true
-      (Dist.pareto rng ~shape:1.5 ~scale:3.0 >= 3.0)
-  done
-
 let test_bounded_pareto_range () =
   let rng = Prng.create 8 in
   for _ = 1 to 2000 do
@@ -179,19 +161,22 @@ let test_bounded_pareto_skew () =
   let rng = Prng.create 8 in
   let samples = Array.init 5000 (fun _ ->
       Dist.bounded_pareto rng ~shape:1.1 ~lo:1.0 ~hi:400.0) in
-  let median = Descriptive.median samples in
+  let median = Descriptive.percentile samples 50.0 in
   Alcotest.(check bool) "median below 5" true (median < 5.0)
 
 let test_lognormal_positive_median () =
   let rng = Prng.create 10 in
   let samples = Array.init 20_000 (fun _ -> Dist.lognormal rng ~mu:(log 30.0) ~sigma:1.0) in
   Array.iter (fun v -> assert (v > 0.0)) samples;
-  let median = Descriptive.median samples in
+  let median = Descriptive.percentile samples 50.0 in
   check_approx "median e^mu" 2.0 30.0 median
 
+(* The Gaussian draw behind [lognormal]: log-samples have its moments. *)
 let test_normal_moments () =
   let rng = Prng.create 12 in
-  let samples = Array.init 30_000 (fun _ -> Dist.normal rng ~mu:5.0 ~sigma:2.0) in
+  let samples =
+    Array.init 30_000 (fun _ -> log (Dist.lognormal rng ~mu:5.0 ~sigma:2.0))
+  in
   check_approx "mean" 0.05 5.0 (Descriptive.mean samples);
   let var =
     Descriptive.mean (Array.map (fun x -> (x -. 5.0) *. (x -. 5.0)) samples)
@@ -203,7 +188,9 @@ let test_normal_moments () =
 
 let test_mean_total () =
   check_float "mean" 2.5 (Descriptive.mean [| 1.0; 2.0; 3.0; 4.0 |]);
-  check_float "total" 10.0 (Descriptive.total [| 1.0; 2.0; 3.0; 4.0 |])
+  (* Kahan summation: naive left-to-right addition loses the ones. *)
+  check_float "compensated sum" 1.0
+    (Descriptive.mean [| 1e16; 1.0; 1.0; -1e16 |] *. 2.0)
 
 let test_empty_raises () =
   Alcotest.check_raises "mean" (Invalid_argument "Descriptive.mean: empty")
@@ -211,19 +198,18 @@ let test_empty_raises () =
 
 let test_percentiles () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_float "median interpolates" 2.5 (Descriptive.median xs);
+  check_float "median interpolates" 2.5 (Descriptive.percentile xs 50.0);
   check_float "p0 = min" 1.0 (Descriptive.percentile xs 0.0);
   check_float "p100 = max" 4.0 (Descriptive.percentile xs 100.0);
   check_float "p25" 1.75 (Descriptive.percentile xs 25.0)
 
 let test_percentile_unsorted_input () =
   let xs = [| 4.0; 1.0; 3.0; 2.0 |] in
-  check_float "sorts internally" 2.5 (Descriptive.median xs);
+  check_float "sorts internally" 2.5 (Descriptive.percentile xs 50.0);
   Alcotest.(check (float 0.0)) "input untouched" 4.0 xs.(0)
 
 let test_reduction_speedup () =
-  check_float "reduction" 0.75 (Descriptive.reduction_vs ~baseline:4.0 1.0);
-  check_float "speedup" 4.0 (Descriptive.speedup_vs ~baseline:4.0 1.0)
+  check_float "reduction" 0.75 (Descriptive.reduction_vs ~baseline:4.0 1.0)
 
 let prop_percentile_monotone =
   QCheck.Test.make ~name:"percentile is monotone in p" ~count:200
@@ -240,52 +226,25 @@ let prop_mean_between_min_max =
     QCheck.(array_of_size (Gen.int_range 1 50) (float_range (-1000.) 1000.))
     (fun xs ->
       let m = Descriptive.mean xs in
-      m >= Descriptive.min_value xs -. 1e-6
+      m >= Array.fold_left min xs.(0) xs -. 1e-6
       && m <= Descriptive.max_value xs +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Cdf                                                                 *)
-
-let test_cdf_eval () =
-  let c = Cdf.of_samples [| 1.0; 2.0; 2.0; 4.0 |] in
-  check_float "below min" 0.0 (Cdf.eval c 0.5);
-  check_float "at 1" 0.25 (Cdf.eval c 1.0);
-  check_float "at 2" 0.75 (Cdf.eval c 2.0);
-  check_float "at max" 1.0 (Cdf.eval c 4.0);
-  check_float "above max" 1.0 (Cdf.eval c 100.0)
 
 let test_cdf_inverse () =
   let c = Cdf.of_samples [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check string) "quantiles" "cdf[n=4 p10=1 p50=2 p90=4 p99=4 max=4]"
     (Format.asprintf "%a" Cdf.pp c)
 
-let test_cdf_points_dedup () =
-  let c = Cdf.of_samples [| 2.0; 2.0; 1.0 |] in
-  let pts = Cdf.points c in
-  Alcotest.(check int) "two distinct values" 2 (Array.length pts);
-  let v, p = pts.(1) in
-  check_float "last value" 2.0 v;
-  check_float "last prob" 1.0 p
-
 let test_cdf_size () =
-  Alcotest.(check int) "size" 3 (Cdf.size (Cdf.of_samples [| 1.; 2.; 3. |]))
-
-let prop_cdf_eval_monotone =
-  QCheck.Test.make ~name:"ecdf is monotone" ~count:200
-    QCheck.(
-      pair
-        (array_of_size (Gen.int_range 1 40) (float_range (-50.) 50.))
-        (pair (float_range (-60.) 60.) (float_range (-60.) 60.)))
-    (fun (xs, (x1, x2)) ->
-      let c = Cdf.of_samples xs in
-      let lo = min x1 x2 and hi = max x1 x2 in
-      Cdf.eval c lo <= Cdf.eval c hi)
+  let s = Format.asprintf "%a" Cdf.pp (Cdf.of_samples [| 1.; 2.; 3. |]) in
+  Alcotest.(check string) "size" "cdf[n=3" (String.sub s 0 7)
 
 let suite =
   [
     ("prng determinism", `Quick, test_prng_determinism);
     ("prng seed sensitivity", `Quick, test_prng_seed_sensitivity);
-    ("prng copy", `Quick, test_prng_copy_independent);
     ("prng split", `Quick, test_prng_split_independent);
     ("prng int invalid", `Quick, test_prng_int_bounds_invalid);
     ("prng int_in range", `Quick, test_prng_int_in);
@@ -301,7 +260,6 @@ let suite =
     ("exponential mean", `Slow, test_exponential_mean);
     ("exponential positive", `Quick, test_exponential_positive);
     ("exponential invalid", `Quick, test_exponential_invalid);
-    ("pareto min", `Quick, test_pareto_min);
     ("bounded pareto range", `Quick, test_bounded_pareto_range);
     ("bounded pareto skew", `Quick, test_bounded_pareto_skew);
     ("lognormal median", `Slow, test_lognormal_positive_median);
@@ -313,9 +271,6 @@ let suite =
     ("reduction/speedup", `Quick, test_reduction_speedup);
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_mean_between_min_max;
-    ("cdf eval", `Quick, test_cdf_eval);
     ("cdf inverse", `Quick, test_cdf_inverse);
-    ("cdf points dedup", `Quick, test_cdf_points_dedup);
     ("cdf size", `Quick, test_cdf_size);
-    QCheck_alcotest.to_alcotest prop_cdf_eval_monotone;
   ]

@@ -25,31 +25,38 @@ let ft_paths t = candidates_of (Fat_tree.to_topology t)
 let flow_between src dst =
   Flow_record.v ~id:0 ~src ~dst ~size_mbit:1.0 ~duration_s:1.0 ~arrival_s:0.0
 
-(* Pod of the edge switch a Fat-Tree host attaches to. *)
+(* A Fat-Tree's graph and its i-th host, through its topology. *)
+let ft_graph t = (Fat_tree.to_topology t).Topology.graph
+let ft_host t i = (Fat_tree.to_topology t).Topology.hosts.(i)
+
+(* Pod of the edge switch a Fat-Tree host attaches to: edge switches
+   are numbered contiguously, pod-major. *)
 let pod_of t (topo : Topology.t) h =
-  match Fat_tree.kind t topo.Topology.attach.(h) with
-  | Fat_tree.Edge pod -> pod
-  | _ -> Alcotest.fail "a host attaches to an edge switch"
+  let half = Fat_tree.k t / 2 in
+  let i = topo.Topology.attach.(h) - Fat_tree.edge t ~pod:0 0 in
+  if i < 0 || i >= Fat_tree.k t * half then
+    Alcotest.fail "a host attaches to an edge switch";
+  i / half
 
 let pod_of_host t h = pod_of t (Fat_tree.to_topology t) h
 
 let test_fat_tree_counts () =
-  let t = ft4 () in
-  Alcotest.(check int) "hosts k=4" 16 (Fat_tree.host_count t);
-  Alcotest.(check int) "switches k=4" 20 (Fat_tree.switch_count t);
-  let t8 = ft8 () in
-  Alcotest.(check int) "hosts k=8" 128 (Fat_tree.host_count t8);
-  Alcotest.(check int) "switches k=8" 80 (Fat_tree.switch_count t8);
+  let t = Fat_tree.to_topology (ft4 ()) in
+  Alcotest.(check int) "hosts k=4" 16 (Topology.host_count t);
+  Alcotest.(check int) "switches k=4" 20 (Topology.switch_count t);
+  let t8 = Fat_tree.to_topology (ft8 ()) in
+  Alcotest.(check int) "hosts k=8" 128 (Topology.host_count t8);
+  Alcotest.(check int) "switches k=8" 80 (Topology.switch_count t8);
   (* 5k^2/4 and k^3/4 from the paper. *)
-  Alcotest.(check int) "5k^2/4" (5 * 8 * 8 / 4) (Fat_tree.switch_count t8);
-  Alcotest.(check int) "k^3/4" (8 * 8 * 8 / 4) (Fat_tree.host_count t8)
+  Alcotest.(check int) "5k^2/4" (5 * 8 * 8 / 4) (Topology.switch_count t8);
+  Alcotest.(check int) "k^3/4" (8 * 8 * 8 / 4) (Topology.host_count t8)
 
 let test_fat_tree_edge_count () =
   (* k=4: host links 16, edge-agg 4 per pod x 4 pods, agg-core 2 per agg x 8
      aggs; each link is two directed edges. *)
   let t = ft4 () in
   Alcotest.(check int) "directed edges" ((16 + 16 + 16) * 2)
-    (Graph.edge_count (Fat_tree.graph t))
+    (Graph.edge_count (ft_graph t))
 
 let test_fat_tree_invalid_k () =
   Alcotest.check_raises "odd k"
@@ -59,50 +66,61 @@ let test_fat_tree_invalid_k () =
     (Invalid_argument "Fat_tree.create: k must be a positive even integer")
     (fun () -> ignore (Fat_tree.create ~k:0 ()))
 
+(* Node classes, as the interior sets see them: only edge switches
+   (ids after the (k/2)^2 cores and the k*k/2 aggregation switches)
+   have interiors. *)
 let test_fat_tree_kinds () =
   let t = ft4 () in
-  Alcotest.(check bool) "core" true (Fat_tree.kind t 0 = Fat_tree.Core);
-  Alcotest.(check bool) "agg pod0" true
-    (Fat_tree.kind t (Fat_tree.aggregation t ~pod:0 0) = Fat_tree.Aggregation 0);
-  Alcotest.(check bool) "edge pod3" true
-    (Fat_tree.kind t (Fat_tree.edge t ~pod:3 1) = Fat_tree.Edge 3);
-  Alcotest.(check bool) "host" true
-    (Fat_tree.kind t (Fat_tree.host t 5) = Fat_tree.Host 5)
+  let topo = Fat_tree.to_topology t in
+  let has_interiors v =
+    match topo.Topology.interior_paths ~src:v ~dst:(Fat_tree.edge t ~pod:3 1) with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  Alcotest.(check bool) "core" false (has_interiors 0);
+  Alcotest.(check bool) "agg pod0" false
+    (has_interiors (Fat_tree.aggregation t ~pod:0 0));
+  Alcotest.(check bool) "edge pod0" true (has_interiors (Fat_tree.edge t ~pod:0 1));
+  Alcotest.(check int) "first edge switch" (4 + 8) (Fat_tree.edge t ~pod:0 0);
+  Alcotest.(check bool) "host" false (has_interiors (ft_host t 5))
 
-(* [kind] inverts [host]: its payload is the host index. *)
+(* Hosts are numbered edge-major: host i sits under edge switch i/(k/2)
+   of pod i/(k/2)^2, and host ids are dense after the switches. *)
 let test_fat_tree_host_index_roundtrip () =
   let t = ft4 () in
-  for i = 0 to Fat_tree.host_count t - 1 do
-    Alcotest.(check bool) "roundtrip" true
-      (Fat_tree.kind t (Fat_tree.host t i) = Fat_tree.Host i)
-  done;
-  Alcotest.check_raises "out of range" (Invalid_argument "Fat_tree.host")
-    (fun () -> ignore (Fat_tree.host t (Fat_tree.host_count t)))
+  let topo = Fat_tree.to_topology t in
+  Array.iteri
+    (fun i h ->
+      Alcotest.(check int) "dense" (20 + i) h;
+      Alcotest.(check int) "edge-major"
+        (Fat_tree.edge t ~pod:(i / 4) (i / 2 mod 2))
+        topo.Topology.attach.(h))
+    topo.Topology.hosts
 
 let test_fat_tree_pod_of_host () =
   let t = ft4 () in
   (* k=4: 4 hosts per pod (2 edge switches x 2 hosts). *)
-  Alcotest.(check int) "host 0 pod" 0 (pod_of_host t (Fat_tree.host t 0));
-  Alcotest.(check int) "host 4 pod" 1 (pod_of_host t (Fat_tree.host t 4));
-  Alcotest.(check int) "host 15 pod" 3 (pod_of_host t (Fat_tree.host t 15))
+  Alcotest.(check int) "host 0 pod" 0 (pod_of_host t (ft_host t 0));
+  Alcotest.(check int) "host 4 pod" 1 (pod_of_host t (ft_host t 4));
+  Alcotest.(check int) "host 15 pod" 3 (pod_of_host t (ft_host t 15))
 
 let test_fat_tree_ecmp_same_edge () =
   let t = ft4 () in
   (* hosts 0 and 1 share edge switch 0 of pod 0. *)
-  let paths = ft_paths t ~src:(Fat_tree.host t 0) ~dst:(Fat_tree.host t 1) in
+  let paths = ft_paths t ~src:(ft_host t 0) ~dst:(ft_host t 1) in
   Alcotest.(check int) "single path" 1 (List.length paths);
   Alcotest.(check int) "2 hops" 2 (Path.hops (List.hd paths))
 
 let test_fat_tree_ecmp_same_pod () =
   let t = ft4 () in
   (* hosts 0 and 2 are in pod 0 under different edge switches. *)
-  let paths = ft_paths t ~src:(Fat_tree.host t 0) ~dst:(Fat_tree.host t 2) in
+  let paths = ft_paths t ~src:(ft_host t 0) ~dst:(ft_host t 2) in
   Alcotest.(check int) "k/2 paths" 2 (List.length paths);
   List.iter (fun p -> Alcotest.(check int) "4 hops" 4 (Path.hops p)) paths
 
 let test_fat_tree_ecmp_inter_pod () =
   let t = ft4 () in
-  let src = Fat_tree.host t 0 and dst = Fat_tree.host t 15 in
+  let src = ft_host t 0 and dst = ft_host t 15 in
   let paths = ft_paths t ~src ~dst in
   Alcotest.(check int) "(k/2)^2 paths" 4 (List.length paths);
   List.iter
@@ -133,12 +151,12 @@ let test_fat_tree_ecmp_not_host () =
   Alcotest.check_raises "host id rejected"
     (Invalid_argument "Fat_tree: not an edge switch") (fun () ->
       ignore
-        (topo.Topology.interior_paths ~src:(Fat_tree.host t 0)
+        (topo.Topology.interior_paths ~src:(ft_host t 0)
            ~dst:(Fat_tree.edge t ~pod:1 0)));
   Alcotest.check_raises "core id rejected"
     (Invalid_argument "Fat_tree: not an edge switch") (fun () ->
       ignore
-        (topo.Topology.interior_paths ~src:(Fat_tree.core t 0)
+        (topo.Topology.interior_paths ~src:0
            ~dst:(Fat_tree.edge t ~pod:1 0)))
 
 let test_fat_tree_topology_valid () =
@@ -152,18 +170,16 @@ let test_fat_tree_topology_valid () =
 
 let test_fat_tree_link_capacity () =
   let t = Fat_tree.create ~k:4 ~link_capacity:250.0 () in
-  Alcotest.(check (float 0.0)) "capacity" 250.0 (Fat_tree.link_capacity t);
-  Graph.fold_edges (Fat_tree.graph t) ~init:() ~f:(fun () e ->
+  Graph.fold_edges (ft_graph t) ~init:() ~f:(fun () e ->
       Alcotest.(check (float 0.0)) "uniform" 250.0 e.Graph.capacity)
 
 let test_fat_tree_edge_switch_of_host () =
   let t = ft4 () in
   let topo = Fat_tree.to_topology t in
-  let g = Fat_tree.graph t in
-  let h0 = Fat_tree.host t 0 in
+  let g = topo.Topology.graph in
+  let h0 = topo.Topology.hosts.(0) in
   let sw = topo.Topology.attach.(h0) in
-  Alcotest.(check bool) "edge kind" true
-    (match Fat_tree.kind t sw with Fat_tree.Edge _ -> true | _ -> false);
+  Alcotest.(check int) "edge switch" (Fat_tree.edge t ~pod:0 0) sw;
   Alcotest.(check int) "up is the access link" (Graph.find_edge g ~src:h0 ~dst:sw)
     topo.Topology.up.(h0);
   Alcotest.(check int) "down is its reverse" (Graph.find_edge g ~src:sw ~dst:h0)
@@ -306,7 +322,7 @@ let test_topology_validate_catches_overlap () =
 
 (* ------------------------------------------------------------------ *)
 (* Candidate-path golden: every ordered host pair's [candidate_paths]
-   equals, in order, the paths built by [Path.of_nodes] from the node
+   equals, in order, the paths through the node
    sequences the fabrics document. *)
 
 let check_golden name (topo : Topology.t) expected =
@@ -318,7 +334,7 @@ let check_golden name (topo : Topology.t) expected =
         (fun dst ->
           if !mismatch = None && src <> dst then begin
             let want =
-              List.map (Path.of_nodes topo.Topology.graph) (expected src dst)
+              List.map (Test_util.path_of_nodes topo.Topology.graph) (expected src dst)
             in
             let got = candidates_of ~src ~dst in
             if not (List.equal Path.equal got want) then
@@ -349,7 +365,7 @@ let fat_tree_node_sequences ft =
         (fun j ->
           List.init half (fun c ->
               [ src; se; Fat_tree.aggregation ft ~pod:sp j;
-                Fat_tree.core ft ((j * half) + c);
+                (j * half) + c (* core ids are [0, half^2) *);
                 Fat_tree.aggregation ft ~pod:dp j; de; dst ]))
         (List.init half Fun.id)
 
@@ -397,9 +413,9 @@ let test_candidate_paths_golden () =
 (* [of_ids] refuses what [make] refuses, with the same message. *)
 let test_path_of_ids_refuses () =
   let ft = ft4 () in
-  let g = Fat_tree.graph ft in
-  let h0 = Fat_tree.host ft 0 and e0 = Fat_tree.edge ft ~pod:0 0 in
-  let a0 = Fat_tree.aggregation ft ~pod:0 0 and c0 = Fat_tree.core ft 0 in
+  let g = ft_graph ft in
+  let h0 = ft_host ft 0 and e0 = Fat_tree.edge ft ~pod:0 0 in
+  let a0 = Fat_tree.aggregation ft ~pod:0 0 and c0 = 0 in
   let hop a b = Graph.find_edge g ~src:a ~dst:b in
   List.iter
     (fun (what, ids, msg) ->
@@ -420,9 +436,10 @@ let test_path_of_ids_refuses () =
    misses alike, take 0 minor words. *)
 let test_find_edge_allocation () =
   let ft = ft8 () in
-  let g = Fat_tree.graph ft in
+  let topo = Fat_tree.to_topology ft in
+  let g = topo.Topology.graph in
   let e0 = Fat_tree.edge ft ~pod:0 0 in
-  let hosts = Array.init 500 (fun i -> Fat_tree.host ft (i mod 128)) in
+  let hosts = Array.init 500 (fun i -> topo.Topology.hosts.(i mod 128)) in
   Graph.freeze g;
   let found = ref 0 in
   let before = Gc.minor_words () in

@@ -1,5 +1,14 @@
 (* Helpers shared by several suites. *)
 
+(* The path through [nodes], one edge per consecutive pair: the node
+   sequences fabrics document, as paths to compare with. *)
+let path_of_nodes g nodes =
+  let ns = Array.of_list nodes in
+  Path.of_ids g
+    (Array.init
+       (Array.length ns - 1)
+       (fun i -> Graph.find_edge g ~src:ns.(i) ~dst:ns.(i + 1)))
+
 (* One generated spec as an all-installs event. *)
 let of_spec spec = List.hd (Event.of_specs [ spec ])
 
