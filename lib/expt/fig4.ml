@@ -6,10 +6,10 @@ type point = {
   event_tail_ect : float;
 }
 
-let default_means = [ 15; 25; 35; 45; 55; 65; 75 ]
+let n_events = 10
+let means = [ 15; 25; 35; 45; 55; 65; 75 ]
 
-let compute ?(seeds = [ 42; 43 ]) ?(n_events = 10) ?(means = default_means) ()
-    =
+let compute ?(seeds = [ 42; 43 ]) () =
   List.map
     (fun mean ->
       let setup =

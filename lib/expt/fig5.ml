@@ -6,9 +6,9 @@ type point = {
   event_tail_ect : float;
 }
 
-let default_counts = [ 10; 20; 30; 40; 50 ]
+let event_counts = [ 10; 20; 30; 40; 50 ]
 
-let compute ?(seeds = [ 42; 43 ]) ?(event_counts = default_counts) () =
+let compute ?(seeds = [ 42; 43 ]) () =
   List.map
     (fun n_events ->
       let setup = { Workload.default_setup with Workload.n_events } in

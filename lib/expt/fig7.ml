@@ -6,9 +6,10 @@ type point = {
   sync_tail_red : float;
 }
 
-let default_utils = [ 0.5; 0.6; 0.7; 0.8; 0.9 ]
+let n_events = 30
+let utilizations = [ 0.5; 0.6; 0.7; 0.8; 0.9 ]
 
-let reductions ?seeds ~alpha ~n_events ~utilization shape =
+let reductions ?seeds ~alpha ~utilization shape =
   let seeds = Option.value seeds ~default:[ 42; 43 ] in
   let setup =
     {
@@ -30,15 +31,14 @@ let reductions ?seeds ~alpha ~n_events ~utilization shape =
         Workload.reduction_pct ~baseline:(mean tail fifo) (mean tail plmtf) )
   | _ -> assert false
 
-let compute ?seeds ?(alpha = Policy.default_alpha) ?(n_events = 30)
-    ?(utilizations = default_utils) () =
+let compute ?seeds ?(alpha = Policy.default_alpha) () =
   List.map
     (fun utilization ->
       let het_avg_red, het_tail_red =
-        reductions ?seeds ~alpha ~n_events ~utilization Event_gen.Heterogeneous
+        reductions ?seeds ~alpha ~utilization Event_gen.Heterogeneous
       in
       let sync_avg_red, sync_tail_red =
-        reductions ?seeds ~alpha ~n_events ~utilization Event_gen.Synchronous
+        reductions ?seeds ~alpha ~utilization Event_gen.Synchronous
       in
       { utilization; het_avg_red; het_tail_red; sync_avg_red; sync_tail_red })
     utilizations

@@ -1,8 +1,10 @@
 type row = { event_id : int; fifo_q : float; lmtf_q : float; plmtf_q : float }
 
+let n_events = 30
+
 (* Fig. 9 needs per-event values, not summaries, so it drives the engine
    directly rather than through Workload. *)
-let compute ?(seed = 42) ?(alpha = Policy.default_alpha) ?(n_events = 30) () =
+let compute ?(seed = 42) ?(alpha = Policy.default_alpha) () =
   let scenario = Scenario.prepare ~utilization:0.70 ~seed () in
   let events = Scenario.events scenario ~n:n_events in
   let run_policy policy =

@@ -61,10 +61,10 @@ let scaled_record ~scale (r : Flow_record.t) =
       ~size_mbit:(r.size_mbit *. scale) ~duration_s:r.duration_s
       ~arrival_s:r.arrival_s
 
-let yahoo_flow_maker ?params rng ~host_count ~id ~scale =
-  let flows = Yahoo_trace.generate ?params ~first_id:id rng ~host_count ~n:1 in
+let yahoo_flow_maker rng ~host_count ~id ~scale =
+  let flows = Yahoo_trace.generate ~first_id:id rng ~host_count ~n:1 in
   scaled_record ~scale flows.(0)
 
-let benson_flow_maker ?params rng ~host_count ~id ~scale =
-  let flows = Benson_trace.generate ?params ~first_id:id rng ~host_count ~n:1 in
+let benson_flow_maker rng ~host_count ~id ~scale =
+  let flows = Benson_trace.generate ~first_id:id rng ~host_count ~n:1 in
   scaled_record ~scale flows.(0)

@@ -37,7 +37,6 @@ val fill :
     the fabric, not on unfixable access links. *)
 
 val yahoo_flow_maker :
-  ?params:Yahoo_trace.params ->
   Prng.t ->
   host_count:int ->
   id:int ->
@@ -47,7 +46,6 @@ val yahoo_flow_maker :
     by [scale] (duration preserved, size scaled accordingly). *)
 
 val benson_flow_maker :
-  ?params:Benson_trace.params ->
   Prng.t ->
   host_count:int ->
   id:int ->

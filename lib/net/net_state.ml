@@ -320,15 +320,17 @@ let freeze t =
 
 (* Position of [fid] in edge [e]'s set, or -1. The sets are small (the
    flows crossing one link) and contiguous, so the linear scan is
-   competitive with a hashtable probe and allocation-free. *)
+   competitive with a hashtable probe and allocation-free. It runs from
+   the back: a flow sits on an edge at most once, so the position is the
+   same either way, and the undo of an on-edge put looks for an entry
+   appended moments before. *)
 let oe_index t e fid =
   let data = Array.unsafe_get t.oe_data e in
-  let n = Array.unsafe_get t.oe_len e in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get data !i <> fid do
-    incr i
+  let i = ref (Array.unsafe_get t.oe_len e - 1) in
+  while !i >= 0 && Array.unsafe_get data !i <> fid do
+    decr i
   done;
-  if !i < n then !i else -1
+  !i
 
 let oe_append t e fid dem size =
   let n = t.oe_len.(e) in
@@ -1246,7 +1248,7 @@ let audit_entries t err =
         | Some placed ->
             if not (Path.mentions_edge placed.path e) then
               fail err "edge %d lists flow %d not crossing it" e fid
-            else if oe_index t e fid < i then
+            else if oe_index t e fid > i then
               fail err "edge %d lists flow %d twice" e fid
       done)
     t.oe_data

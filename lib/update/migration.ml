@@ -26,21 +26,28 @@ type blocked = Cannot_free of Graph.edge
 let moves_cost_mbit moves =
   List.fold_left (fun acc m -> acc +. m.size_mbit) 0.0 moves
 
-(* The per-link selection loop below rescans its candidate pool after
-   every migration attempt. The pool lives in domain-local scratch
-   arrays fed straight from Net_state's per-edge columns
-   ({!Net_state.edge_flows_blit}) — no per-pool list, no sort, no
-   hashtable resolution per flow. Entries arrive in unspecified order,
-   so {!select_next} breaks key ties by flow id explicitly; that picks
-   the same flow the historical first-wins scan over an id-sorted pool
-   did. A [used] mask covers both "already selected" and "not eligible"
-   (the event's own flows and flows migrated earlier in this clear). *)
+(* The per-link selection loop picks from a candidate pool that lives
+   in domain-local scratch arrays fed straight from Net_state's per-edge
+   columns ({!Net_state.edge_flows_blit}) — no per-pool list, no sort,
+   no hashtable resolution per flow. Each pick pops a binary heap of
+   pool indices ordered by (key, flow id); the id tie-break picks the
+   same flow the historical first-wins scan over an id-sorted pool did.
+   A [used] mask covers "already selected" and "found not eligible".
+   Eligibility (not one of the event's own flows, not migrated earlier
+   in this clear) is checked only for the entry a pick would return:
+   during one link's loop neither set gains an unused entry, so the
+   lazy check picks what an upfront one would. *)
+type heap = { mutable slot : int array; mutable len : int }
+
 type scratch = {
   mutable ids : int array;  (* flow id *)
   mutable dem : float array;  (* demand_mbps *)
   mutable size : float array;  (* size_mbit *)
   mutable skey : float array;  (* static key under the chosen order *)
   mutable used : bool array;
+  fit : heap;  (* best-fit phase: entries with dem >= fit_gap, by size *)
+  mutable fit_gap : float;  (* the gap [fit] was built for; nan: none *)
+  fallback : heap;  (* by skey; len -1 until the pool first falls back *)
 }
 
 let scratch_key =
@@ -51,6 +58,9 @@ let scratch_key =
         size = Array.make 64 0.0;
         skey = Array.make 64 0.0;
         used = Array.make 64 false;
+        fit = { slot = Array.make 64 0; len = 0 };
+        fit_gap = nan;
+        fallback = { slot = Array.make 64 0; len = -1 };
       })
 
 let ensure_scratch s n =
@@ -63,63 +73,120 @@ let ensure_scratch s n =
     s.dem <- Array.make !cap 0.0;
     s.size <- Array.make !cap 0.0;
     s.skey <- Array.make !cap 0.0;
-    s.used <- Array.make !cap false
+    s.used <- Array.make !cap false;
+    s.fit.slot <- Array.make !cap 0;
+    s.fallback.slot <- Array.make !cap 0
   end
 
 (* Fill the domain's scratch with edge [edge_id]'s flows; returns the
    entry count. Safe to reuse across the whole clear: nothing below
    (try_relocate, reroute) builds another pool before this link's loop
    finishes. *)
-let fill_pool order net edge_id ~exclude ~moved =
+let fill_pool net edge_id =
   let s = Domain.DLS.get scratch_key in
   ensure_scratch s (Net_state.edge_flow_count net edge_id);
   let n =
     Net_state.edge_flows_blit net edge_id ~ids:s.ids ~dem:s.dem ~size:s.size
   in
-  for i = 0 to n - 1 do
-    let id = Array.unsafe_get s.ids i in
-    s.used.(i) <- exclude id || Hashtbl.mem moved id;
-    s.skey.(i) <-
-      (match order with
-      | Smallest_size_first -> Array.unsafe_get s.size i
-      | Largest_demand_first -> -.Array.unsafe_get s.dem i
-      | Best_ratio_first | Best_fit_first ->
-          Array.unsafe_get s.size i /. Array.unsafe_get s.dem i)
-  done;
+  Array.fill s.used 0 n false;
+  s.fit_gap <- nan;
+  s.fallback.len <- -1;
   (s, n)
+
+(* One heap helper for both phases: the key column is an argument, not
+   a comparison closure. Entry [i] precedes [j] when its (key, flow id)
+   is lexicographically smaller. *)
+let[@inline] precedes (key : float array) (ids : int array) i j =
+  let ki = Array.unsafe_get key i and kj = Array.unsafe_get key j in
+  ki < kj || (ki = kj && Array.unsafe_get ids i < Array.unsafe_get ids j)
+
+let rec sift_down key ids h i =
+  let l = (2 * i) + 1 and a = h.slot in
+  if l < h.len then begin
+    let c =
+      if l + 1 < h.len && precedes key ids a.(l + 1) a.(l) then l + 1 else l
+    in
+    if precedes key ids a.(c) a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down key ids h c
+    end
+  end
+
+(* Heap order over the [h.len] entries already pushed. *)
+let heapify key ids h =
+  for i = (h.len / 2) - 1 downto 0 do
+    sift_down key ids h i
+  done
+
+let[@inline] push h i =
+  h.slot.(h.len) <- i;
+  h.len <- h.len + 1
+
+(* Remove and return [h]'s least unused entry, or -1. Entries selected
+   since the heap was built are dropped as they surface. *)
+let rec pop key s h =
+  if h.len = 0 then -1
+  else begin
+    let top = h.slot.(0) in
+    h.len <- h.len - 1;
+    h.slot.(0) <- h.slot.(h.len);
+    sift_down key s.ids h 0;
+    if Array.unsafe_get s.used top then pop key s h else top
+  end
 
 (* Pick the next flow to migrate for the remaining [gap] (index into the
    scratch, or -1 when exhausted). Best-fit is gap-dependent: prefer the
-   smallest flow that closes the gap alone; otherwise fall back to the
-   best static key. Lexicographic (key, flow id) minimisation with a
-   strict first comparison: entries whose key never beats infinity
-   (NaN, or an infinite ratio) stay unselectable, exactly as under the
-   strict [<] scan this replaces. *)
-let select_next order ~gap s n =
-  let best = ref (-1) and bk = ref infinity and bid = ref max_int in
-  let consider i k =
-    let id = Array.unsafe_get s.ids i in
-    if k < !bk || (!best >= 0 && k = !bk && id < !bid) then begin
-      best := i;
-      bk := k;
-      bid := id
+   smallest flow that closes the gap alone, from a heap rebuilt whenever
+   the gap differs from the one it was built for (nothing assumes the
+   gap only shrinks); otherwise fall back to the best static key, from a
+   heap built once per pool. A heap needs a total order, so a key that
+   is not below infinity (NaN, an infinite size or ratio) never enters
+   one, and such an entry is never picked. The filter is needed:
+   {!Flow_record.v} and {!Net_state.place} both let a NaN size or an
+   infinite duration (zero demand) through. *)
+let rec select_next order ~gap ~exclude ~moved s n =
+  let fit = s.fit and fb = s.fallback in
+  if order = Best_fit_first && gap <> s.fit_gap then begin
+    fit.len <- 0;
+    for i = 0 to n - 1 do
+      if
+        (not (Array.unsafe_get s.used i))
+        && Array.unsafe_get s.dem i >= gap
+        && Array.unsafe_get s.size i < infinity
+      then push fit i
+    done;
+    heapify s.size s.ids fit;
+    s.fit_gap <- gap
+  end;
+  let i = if order = Best_fit_first then pop s.size s fit else -1 in
+  let i =
+    if i >= 0 then i
+    else begin
+      if fb.len < 0 then begin
+        fb.len <- 0;
+        for i = 0 to n - 1 do
+          let k =
+            match order with
+            | Smallest_size_first -> Array.unsafe_get s.size i
+            | Largest_demand_first -> -.Array.unsafe_get s.dem i
+            | Best_ratio_first | Best_fit_first ->
+                Array.unsafe_get s.size i /. Array.unsafe_get s.dem i
+          in
+          Array.unsafe_set s.skey i k;
+          if k < infinity && not (Array.unsafe_get s.used i) then push fb i
+        done;
+        heapify s.skey s.ids fb
+      end;
+      pop s.skey s fb
     end
   in
-  (match order with
-  | Best_fit_first ->
-      for i = 0 to n - 1 do
-        if
-          (not (Array.unsafe_get s.used i))
-          && Array.unsafe_get s.dem i >= gap
-        then consider i (Array.unsafe_get s.size i)
-      done
-  | _ -> ());
-  if !best < 0 then
-    for i = 0 to n - 1 do
-      if not (Array.unsafe_get s.used i) then
-        consider i (Array.unsafe_get s.skey i)
-    done;
-  !best
+  if i >= 0 && (exclude s.ids.(i) || Hashtbl.mem moved s.ids.(i)) then begin
+    s.used.(i) <- true;
+    select_next order ~gap ~exclude ~moved s n
+  end
+  else i
 
 (* Relocation targets must leave the desired path entirely and be
    congestion-free for the migrated flow. Feasibility is judged by
@@ -149,41 +216,45 @@ let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
     absent 0
   in
   let access_off = off_desired c.Net_state.up && off_desired c.Net_state.down in
-  let eligible i =
-    access_off
-    && Array.for_all off_desired c.Net_state.interior.(i)
-    && (not (forbidden c i))
-    && not (Net_state.candidate_is c i p.path)
-  in
-  let demand = Flow_record.demand_mbps p.record in
-  let best = Routing.select_from ?rng ?policy ~eligible net ~demand c in
-  (* Attempt reroutes: the ranked winner first, then the remaining
-     eligible candidates in enumeration order. *)
-  let attempt i =
-    incr work_units;
-    let cand = Net_state.candidate_path net c i in
-    match Net_state.reroute net flow_id cand with
-    | Ok old_path ->
-        Some
-          {
-            flow_id;
-            from_path = old_path;
-            to_path = cand;
-            size_mbit = p.record.size_mbit;
-            demand_mbps = demand;
-          }
-    | Error _ -> None
-  in
-  let n = Net_state.candidate_count c in
-  let rec attempt_rest i =
-    if i >= n then None
-    else if i <> best && eligible i then
-      match attempt i with Some _ as ok -> ok | None -> attempt_rest (i + 1)
-    else attempt_rest (i + 1)
-  in
-  if best >= 0 then
-    match attempt best with Some _ as ok -> ok | None -> attempt_rest 0
-  else attempt_rest 0
+  (* An access hop on the desired path rules out every candidate, so
+     such a flow (most picks) returns before any policy scan: that scan
+     would read no net state and draw nothing for it. *)
+  if not access_off then None
+  else
+    let eligible i =
+      Array.for_all off_desired c.Net_state.interior.(i)
+      && (not (forbidden c i))
+      && not (Net_state.candidate_is c i p.path)
+    in
+    let demand = Flow_record.demand_mbps p.record in
+    let best = Routing.select_from ?rng ?policy ~eligible net ~demand c in
+    (* Attempt reroutes: the ranked winner first, then the remaining
+       eligible candidates in enumeration order. *)
+    let attempt i =
+      incr work_units;
+      let cand = Net_state.candidate_path net c i in
+      match Net_state.reroute net flow_id cand with
+      | Ok old_path ->
+          Some
+            {
+              flow_id;
+              from_path = old_path;
+              to_path = cand;
+              size_mbit = p.record.size_mbit;
+              demand_mbps = demand;
+            }
+      | Error _ -> None
+    in
+    let n = Net_state.candidate_count c in
+    let rec attempt_rest i =
+      if i >= n then None
+      else if i <> best && eligible i then
+        match attempt i with Some _ as ok -> ok | None -> attempt_rest (i + 1)
+      else attempt_rest (i + 1)
+    in
+    if best >= 0 then
+      match attempt best with Some _ as ok -> ok | None -> attempt_rest 0
+    else attempt_rest 0
 
 let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
     ?(work_units = ref 0) net ~demand ~path ~exclude =
@@ -220,12 +291,12 @@ let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
     | (e : Graph.edge) :: rest ->
         if Net_state.capacity_gap net e ~demand <= 0.0 then clear_links rest
         else begin
-          let pool, n = fill_pool order net e.id ~exclude ~moved in
+          let pool, n = fill_pool net e.id in
           let rec free_gap () =
             let gap = Net_state.capacity_gap net e ~demand in
             if gap <= 0.0 then `Cleared
             else begin
-              match select_next order ~gap pool n with
+              match select_next order ~gap ~exclude ~moved pool n with
               | -1 -> `Stuck
               | i -> (
                   pool.used.(i) <- true;

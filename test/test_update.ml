@@ -249,6 +249,82 @@ let test_clear_path_rollback_on_failure () =
     | Error _ -> check_same_residuals "rollback" before (residual_snapshot net)
   end
 
+(* A crafted pool that pins the greedy's pick order under every order.
+   Leaf-spine, 3 leaves x 4 hosts, 1200 Mbps fabric links. The probe
+   0 -> 4 wants spine 0, so both of its fabric hops are congested: A
+   (leaf 0 -> spine 0, full) then B (spine 0 -> leaf 1). Every other
+   flow rides spine 0 and can only move to spine 1.
+   - Flow 1 holds the best key on A under all four orders and is
+     excluded.
+   - Flow 3 crosses A and B and holds the best key on B; it moves while
+     A is cleared, before B's pool is read.
+   - Flow 2 leaves the probe's own source host, so it cannot move: a
+     pick that frees nothing and leaves the gap as it was.
+   - Ties: 3 and 8 share the size/demand ratio; 5 and 11 share every
+     key; 5, 8 and 11 share the demand. Placement order (row order)
+     puts the higher id first in each tie.
+   - Best-fit falls back to the ratio until the shrinking gap lets a
+     single flow close it (2, then 20); best-ratio-first moves 14
+     first. *)
+let test_clear_path_pick_order () =
+  let run order =
+    let ls =
+      Leaf_spine.create ~leaves:3 ~spines:2 ~hosts_per_leaf:4
+        ~leaf_spine_capacity:1200.0 ~host_capacity:1000.0 ()
+    in
+    let net = Net_state.create (Leaf_spine.to_topology ls) in
+    let via_spine0 (id, src, dst, demand, size_mbit) =
+      let r =
+        Flow_record.v ~id ~src ~dst ~size_mbit ~duration_s:(size_mbit /. demand)
+          ~arrival_s:0.0
+      in
+      let c = Net_state.candidates net r in
+      match Net_state.place net r (Net_state.candidate_path net c 0) with
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "placing flow %d" id
+    in
+    List.iter via_spine0
+      [
+        (20, 1, 9, 150.0, 900.0);
+        (11, 2, 11, 100.0, 200.0);
+        (8, 3, 9, 100.0, 50.0);
+        (2, 0, 11, 160.0, 640.0);
+        (14, 2, 8, 40.0, 120.0);
+        (1, 1, 8, 260.0, 26.0);
+        (5, 1, 10, 100.0, 200.0);
+        (3, 2, 5, 250.0, 125.0);
+        (31, 9, 7, 200.0, 200.0);
+        (32, 10, 5, 230.0, 920.0);
+        (30, 8, 6, 240.0, 480.0);
+      ];
+    let probe = flow ~id:99 ~demand:700.0 0 4 in
+    let c = Net_state.candidates net probe in
+    let path = Net_state.candidate_path net c 0 in
+    let units = ref 0 in
+    match
+      Migration.clear_path ~order ~work_units:units net ~demand:700.0 ~path
+        ~exclude:(fun id -> id = 1)
+    with
+    | Error _ -> Alcotest.failf "%s: clearing is possible" (Migration.order_name order)
+    | Ok moves ->
+        (match Net_state.invariants_ok net with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        (List.map (fun m -> m.Migration.flow_id) moves, !units)
+  in
+  List.iter
+    (fun (order, ids, units) ->
+      let name = Migration.order_name order in
+      let got_ids, got_units = run order in
+      Alcotest.(check (list int)) (name ^ " moves") ids got_ids;
+      Alcotest.(check int) (name ^ " work units") units got_units)
+    [
+      (Migration.Best_fit_first, [ 3; 8; 5; 11; 20; 31 ], 6);
+      (Migration.Smallest_size_first, [ 8; 14; 3; 5; 11; 20; 31 ], 7);
+      (Migration.Largest_demand_first, [ 3; 20; 5; 8; 11; 30 ], 6);
+      (Migration.Best_ratio_first, [ 3; 8; 5; 11; 14; 20; 31 ], 7);
+    ]
+
 let test_migration_orders_names () =
   Alcotest.(check int) "four orders" 4 (List.length Migration.all_orders);
   List.iter
@@ -454,6 +530,7 @@ let suite =
     ("clear_path exclude", `Quick, test_clear_path_exclude_blocks);
     ("clear_path noop", `Quick, test_clear_path_noop_when_free);
     ("clear_path rollback", `Quick, test_clear_path_rollback_on_failure);
+    ("clear_path pick order", `Quick, test_clear_path_pick_order);
     ("migration orders", `Quick, test_migration_orders_names);
     ("plan installs", `Quick, test_plan_installs_event);
     ("plan revert roundtrip", `Quick, test_plan_revert_roundtrip);
