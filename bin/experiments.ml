@@ -87,10 +87,12 @@ let with_obs ~trace ~counters f =
           (Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ())))
     f
 
-let policy_arg =
+(* The --policy flag of a one-policy run; [run] names it in the help. *)
+let policy_flag ~run default =
   let doc =
-    "Policy for the report run: $(b,fifo), $(b,reorder), $(b,lmtf), \
-     $(b,plmtf), $(b,flow-rr) or $(b,flow-arrival)."
+    "Policy for the " ^ run
+    ^ ": $(b,fifo), $(b,reorder), $(b,lmtf), $(b,plmtf), $(b,flow-rr) or \
+       $(b,flow-arrival)."
   in
   Arg.(
     value
@@ -104,8 +106,10 @@ let policy_arg =
              ("flow-rr", `Flow_rr);
              ("flow-arrival", `Flow_arrival);
            ])
-        `Plmtf
+        default
     & info [ "policy" ] ~docv:"POLICY" ~doc)
+
+let policy_arg = policy_flag ~run:"report run" `Plmtf
 
 let out_arg =
   let doc = "Write the JSON report to $(docv) instead of stdout." in
@@ -216,25 +220,7 @@ let report_cmd =
       $ policy_arg $ out_arg $ trace_arg $ counters_arg $ hist_arg
       $ series_arg)
 
-let profile_policy_arg =
-  let doc =
-    "Policy for the profiled run: $(b,fifo), $(b,reorder), $(b,lmtf), \
-     $(b,plmtf), $(b,flow-rr) or $(b,flow-arrival)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("fifo", `Fifo);
-             ("reorder", `Reorder);
-             ("lmtf", `Lmtf);
-             ("plmtf", `Plmtf);
-             ("flow-rr", `Flow_rr);
-             ("flow-arrival", `Flow_arrival);
-           ])
-        `Lmtf
-    & info [ "policy" ] ~docv:"POLICY" ~doc)
+let profile_policy_arg = policy_flag ~run:"profiled run" `Lmtf
 
 let collapsed_arg =
   let doc =

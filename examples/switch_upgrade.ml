@@ -37,7 +37,7 @@ let () =
   Format.printf "make-room migration cost: %.1f Mbit over %d extra moves@."
     plan.Planner.cost_mbit plan.Planner.move_count;
   Format.printf "virtual execution time: %.3f s@."
-    (Exec_model.execution_time Exec_model.default plan);
+    (Exec_model.execution_time plan);
   assert (evacuated || plan.Planner.failed_count > 0);
   match Net_state.invariants_ok net with
   | Ok () -> Format.printf "network invariants hold@."

@@ -8,10 +8,11 @@ type point = {
   plmtf_avg_q : float;
 }
 
-let default_interarrivals = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
+let interarrivals = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
-let compute ?(seed = 42) ?(alpha = Policy.default_alpha) ?(n_events = 40)
-    ?(interarrivals = default_interarrivals) () =
+let n_events = 40
+
+let compute ~seed ~alpha =
   let scenario = Scenario.prepare ~utilization:0.70 ~seed () in
   List.map
     (fun mean_interarrival_s ->
@@ -41,8 +42,8 @@ let compute ?(seed = 42) ?(alpha = Policy.default_alpha) ?(n_events = 40)
       })
     interarrivals
 
-let run ?seed ?alpha () =
-  let points = compute ?seed ?alpha () in
+let run ?(seed = 42) ?(alpha = Policy.default_alpha) () =
+  let points = compute ~seed ~alpha in
   let table =
     Table.create
       ~title:

@@ -19,14 +19,8 @@ type point = {
   plmtf_avg_q : float;
 }
 
-val compute :
-  ?seed:int ->
-  ?alpha:int ->
-  ?n_events:int ->
-  ?interarrivals:float list ->
-  unit ->
-  point list
-(** Defaults: seed 42, α = 4, 40 events, inter-arrivals
-    [0.25; 0.5; 1; 2; 4] seconds. *)
+val compute : seed:int -> alpha:int -> point list
+(** 40 events at mean inter-arrivals [0.25; 0.5; 1; 2; 4] seconds. *)
 
 val run : ?seed:int -> ?alpha:int -> unit -> unit
+(** Compute and print the table (defaults: seed 42, α = 4). *)

@@ -28,12 +28,8 @@ type result = {
   digest : string;
 }
 
-let run ?(params = default_params) ?policy () =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> Policy.Plmtf { alpha = params.alpha }
-  in
+let run ?(params = default_params) () =
+  let policy = Policy.Plmtf { alpha = params.alpha } in
   let scenario =
     Scenario.prepare ~utilization:params.utilization ~seed:params.seed ()
   in

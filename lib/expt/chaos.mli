@@ -27,8 +27,8 @@ type result = {
   digest : string;  (** {!Core.Recovery.digest} of the recovery log. *)
 }
 
-val run : ?params:params -> ?policy:Core.Policy.t -> unit -> result
-(** One chaos run (default policy: P-LMTF with [params.alpha]). Default
+val run : ?params:params -> unit -> result
+(** One chaos run of P-LMTF with [params.alpha]. Default
     [params]: seed 42, fault_seed 7, rate 0.2/s, 3 retries, 70%
     utilisation, 30 events, alpha 4. *)
 

@@ -8,7 +8,7 @@ type point = {
   p_any_all : float;
 }
 
-let default_utilizations = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
+let utilizations = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 
 (* A probe flow succeeds "without migration" when the checked path has
    residual bandwidth for its demand; probes never mutate the state. *)
@@ -66,8 +66,7 @@ let point_of ~trace ~utilization ~seed ~samples background make_probe =
     p_any_all = rate `All_any;
   }
 
-let compute ?(seed = 42) ?(samples = 400)
-    ?(utilizations = default_utilizations) () =
+let compute ~seed ~samples =
   let yahoo_probe rng (scenario : Scenario.t) i =
     (Yahoo_trace.generate ~first_id:(1_000_000 + i) rng
        ~host_count:scenario.Scenario.host_count ~n:1).(0)
@@ -86,8 +85,8 @@ let compute ?(seed = 42) ?(samples = 400)
       ])
     utilizations
 
-let run ?seed ?samples () =
-  let points = compute ?seed ?samples () in
+let run ?(seed = 42) ?(samples = 400) () =
+  let points = compute ~seed ~samples in
   let table =
     Table.create
       ~title:

@@ -18,9 +18,8 @@ type point = {
   p_any_all : float;  (** Some candidate path free, any size. *)
 }
 
-val compute : ?seed:int -> ?samples:int -> ?utilizations:float list -> unit ->
-  point list
-(** Default: 400 probe flows per point, utilisations 0.1 to 0.9. *)
+val compute : seed:int -> samples:int -> point list
+(** [samples] probe flows per point, utilisations 0.1 to 0.9. *)
 
 val run : ?seed:int -> ?samples:int -> unit -> unit
-(** Compute and print the table. *)
+(** Compute and print the table (defaults: seed 42, 400 samples). *)

@@ -18,10 +18,9 @@ type sweep_point = {
   plmtf : Metrics.summary list;
 }
 
-let default_counts = [ 10; 20; 30; 40; 50 ]
+let event_counts = [ 10; 20; 30; 40; 50 ]
 
-let sweep ?(seeds = [ 42; 43; 44 ]) ?(alpha = Policy.default_alpha)
-    ?(event_counts = default_counts) () =
+let sweep ?(seeds = [ 42; 43; 44 ]) ?(alpha = Policy.default_alpha) () =
   List.map
     (fun n_events ->
       let setup = { Workload.default_setup with Workload.n_events } in
@@ -57,8 +56,6 @@ let of_sweep =
         plmtf_plan_s = mean plan plmtf;
       })
 
-let compute ?seeds ?alpha ?event_counts () =
-  of_sweep (sweep ?seeds ?alpha ?event_counts ())
 
 let print points =
   let table =
@@ -98,4 +95,4 @@ let print points =
     points;
   Table.print table
 
-let run ?seeds ?alpha () = print (compute ?seeds ?alpha ())
+let run ?seeds ?alpha () = print (of_sweep (sweep ?seeds ?alpha ()))

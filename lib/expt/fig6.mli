@@ -29,12 +29,7 @@ type sweep_point = {
 }
 (** One queue length of the sweep Fig. 6 and Fig. 8 share. *)
 
-val sweep :
-  ?seeds:int list ->
-  ?alpha:int ->
-  ?event_counts:int list ->
-  unit ->
-  sweep_point list
+val sweep : ?seeds:int list -> ?alpha:int -> unit -> sweep_point list
 (** Run FIFO, LMTF and P-LMTF on each queue length. Defaults: seeds
     [42; 43; 44], α = 4, event counts 10 to 50 by 10. Utilisation
     setpoint 0.7 with churn (it fluctuates below between refills, the
@@ -42,16 +37,8 @@ val sweep :
 
 val of_sweep : sweep_point list -> point list
 
-val compute :
-  ?seeds:int list ->
-  ?alpha:int ->
-  ?event_counts:int list ->
-  unit ->
-  point list
-(** [of_sweep] of a fresh {!sweep}. *)
-
 val print : point list -> unit
 (** Print the Fig. 6 table. *)
 
 val run : ?seeds:int list -> ?alpha:int -> unit -> unit
-(** [print] of {!compute}. *)
+(** [print] of {!of_sweep} of a fresh {!sweep}. *)

@@ -4,7 +4,6 @@ type setup = {
   shape : Event_gen.shape;
   seed : int;
   churn : bool;
-  exec : Exec_model.t;
 }
 
 let default_setup =
@@ -14,7 +13,6 @@ let default_setup =
     shape = Event_gen.Heterogeneous;
     seed = 42;
     churn = true;
-    exec = Exec_model.default;
   }
 
 let run_policies setup policies =
@@ -34,7 +32,7 @@ let run_policies setup policies =
         else None
       in
       let run =
-        Engine.run ~exec:setup.exec ?churn ~seed:(setup.seed + 1)
+        Engine.run ?churn ~seed:(setup.seed + 1)
           ~net:(Net_state.copy scenario.Scenario.net)
           ~events policy
       in

@@ -12,12 +12,10 @@ type setup = {
   shape : Event_gen.shape;
   seed : int;
   churn : bool;  (** Dynamic background (Fig. 6/8/9) or static (Fig. 7). *)
-  exec : Exec_model.t;
 }
 
 val default_setup : setup
-(** 70% utilisation, 30 heterogeneous events, seed 42, churn on,
-    default execution model. *)
+(** 70% utilisation, 30 heterogeneous events, seed 42, churn on. *)
 
 val averaged :
   setup -> seeds:int list -> Policy.t list ->

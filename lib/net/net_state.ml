@@ -14,8 +14,7 @@ let tag_residual = 0 (* a = edge id, f = applied delta *)
 let tag_flow_put = 1 (* a = flow id, obj = previous binding *)
 let tag_flow_del = 2 (* a = flow id, obj = removed binding *)
 let tag_on_put = 3 (* a = edge id, b = flow id (was absent) *)
-let tag_on_del_old = 4 (* a = edge id, b = flow id, was present *)
-let tag_on_del_new = 5 (* a = edge id, b = flow id, was absent *)
+let tag_on_del = 4 (* a = edge id, b = flow id (was present) *)
 let tag_disabled_t = 6 (* a = edge id, previous flag = true *)
 let tag_disabled_f = 7 (* a = edge id, previous flag = false *)
 let tag_degraded = 8 (* a = edge id, f = applied degradation delta *)
@@ -23,12 +22,13 @@ let tag_degraded = 8 (* a = edge id, f = applied degradation delta *)
 (* Committed-log opcodes. Unlike journal tags these describe the
    *forward* effect, with every operand needed to re-apply it to an
    identical state: a mirror replays them through the same primitives,
-   so an absent del's scan resolves identically on both sides. A put is
-   never a duplicate: [place] rejects a placed id, [reroute] releases the
-   old path before it occupies the new one, and a mirror replays only
-   puts that were new at the source, so an on-edge put appends without
-   a membership scan. The structural sweep's entries = hops check
-   catches any put that breaks this. *)
+   so a del's scan resolves identically on both sides. A del always
+   finds its flow: [release] deletes only the hops of a placed flow's
+   simple path. A put is never a duplicate: [place] rejects a placed id,
+   [reroute] releases the old path before it occupies the new one, and a
+   mirror replays only puts that were new at the source, so an on-edge
+   put appends without a membership scan. The structural sweep's
+   entries = hops check catches any put that breaks this. *)
 let rt_residual = 0 (* a = edge id, f = delta *)
 let rt_on_put = 1 (* a = edge id, b = flow id, f = demand, g = size *)
 let rt_on_del = 2 (* a = edge id, b = flow id *)
@@ -562,15 +562,15 @@ let[@inline] on_edge_put t e fid dem size =
   else log_op t rt_on_put e fid dem size;
   oe_append t e fid dem size
 
+(* [fid] is on [e]: [release] deletes only the hops of a placed flow's
+   simple path, and a mirror replays only dels that found their flow at
+   the source. An absent flow fails the array bounds check. *)
 let[@inline] on_edge_del t e fid =
   let i = oe_index t e fid in
-  if journal_active t then begin
-    if i >= 0 then
-      push t.journal tag_on_del_old e fid t.oe_dem.(e).(i) t.oe_size.(e).(i)
-    else push t.journal tag_on_del_new e fid 0.0 0.0
-  end
+  if journal_active t then
+    push t.journal tag_on_del e fid t.oe_dem.(e).(i) t.oe_size.(e).(i)
   else log_op t rt_on_del e fid 0.0 0.0;
-  if i >= 0 then oe_remove_at t e i
+  oe_remove_at t e i
 
 let[@inline] flow_put t id p =
   if journal_active t then
@@ -609,8 +609,7 @@ let undo t i =
     assert (k >= 0);
     oe_remove_at t a k
   end
-  else if tag = tag_on_del_old then oe_append t a j.b.(i) j.f.(i) j.g.(i)
-  else if tag = tag_on_del_new then ()
+  else if tag = tag_on_del then oe_append t a j.b.(i) j.f.(i) j.g.(i)
   else if tag = tag_disabled_t || tag = tag_disabled_f then begin
     let prev = tag = tag_disabled_t in
     t.disabled.(a) <- prev;
@@ -649,8 +648,7 @@ let journal_to_log t =
     let tag = j.tag.(i) and a = j.a.(i) in
     if tag = tag_residual then log_op t rt_residual a 0 j.f.(i) 0.0
     else if tag = tag_on_put then log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
-    else if tag = tag_on_del_old then log_op t rt_on_del a j.b.(i) 0.0 0.0
-    else if tag = tag_on_del_new then ()
+    else if tag = tag_on_del then log_op t rt_on_del a j.b.(i) 0.0 0.0
     else if tag = tag_flow_put || tag = tag_flow_del then begin
       match Hashtbl.find_opt t.flows a with
       | Some p -> log_obj t rt_flow_put a p

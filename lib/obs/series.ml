@@ -1,6 +1,5 @@
 type t = {
   cols : string array;
-  capacity : int;
   times : float array;  (* first [len] slots are live *)
   rows : float array array;
   mutable len : int;
@@ -9,17 +8,15 @@ type t = {
   mutable total : int;
 }
 
-let create ?(capacity = 4096) ~columns () =
+(* Even: decimation assumes the buffer-filling row sits at an odd slot
+   (one old stride past the last even-grid row) so that halving drops
+   it. *)
+let capacity = 4096
+
+let create ~columns () =
   if columns = [] then invalid_arg "Series.create: no columns";
-  (* Decimation assumes the buffer-filling row sits at an odd slot (one
-     old stride past the last even-grid row) so that halving drops it.
-     An odd capacity would place that row at an even slot and leak an
-     off-grid sample into the retained set; round up instead. *)
-  let capacity = max 2 capacity in
-  let capacity = capacity + (capacity land 1) in
   {
     cols = Array.of_list columns;
-    capacity;
     times = Array.make capacity 0.0;
     rows = Array.make capacity [||];
     len = 0;
@@ -48,7 +45,7 @@ let sample t ~t_s row =
     t.times.(t.len) <- t_s;
     t.rows.(t.len) <- Array.copy row;
     t.len <- t.len + 1;
-    if t.len >= t.capacity then begin
+    if t.len >= capacity then begin
       (* The just-stored row sat one old stride past the last even-grid
          row and is dropped by the decimation; the next keep must land
          back on the (now doubled) grid, one old stride from here. *)

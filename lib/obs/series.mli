@@ -6,7 +6,7 @@
     the utilization-trajectory data of the paper's Figs. 4-9 without a
     trace export.
 
-    Memory is bounded: the series retains at most [capacity] rows.
+    Memory is bounded: the series retains at most 4096 rows.
     When the cap is reached it decimates — every other retained row is
     dropped and the sampling stride doubles, so arbitrarily long runs
     keep a uniformly-spaced summary at fixed memory. {!to_json}'s
@@ -16,10 +16,8 @@
 
 type t
 
-val create : ?capacity:int -> columns:string list -> unit -> t
-(** [capacity] (default 4096, minimum 2, rounded up to even — the
-    stride grid needs pairwise decimation) caps retained rows. [columns]
-    names the gauges; every sampled row must supply one value per
+val create : columns:string list -> unit -> t
+(** At most 4096 rows are retained. [columns] names the gauges; every sampled row must supply one value per
     column. Raises [Invalid_argument] on an empty column list. *)
 
 val sample : t -> t_s:float -> float array -> unit

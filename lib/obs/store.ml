@@ -71,11 +71,10 @@ let encode_frame payload =
 let segment_path base i =
   if i = 0 then base else Printf.sprintf "%s.seg%d" base i
 
-let default_segment_bytes = 4 * 1024 * 1024
+let segment_bytes = 4 * 1024 * 1024
 
 type writer = {
   base : string;
-  segment_bytes : int;
   fault : Store_fault.t option;
   mutable oc : out_channel;
   mutable seg_index : int;
@@ -121,14 +120,11 @@ let remove_stale_segments base =
     incr i
   done
 
-let open_writer ?(segment_bytes = default_segment_bytes) ?fault path =
-  if segment_bytes < magic_bytes + frame_header_bytes then
-    invalid_arg "Store.open_writer: segment_bytes too small";
+let open_writer ?fault path =
   remove_stale_segments path;
   let w =
     {
       base = path;
-      segment_bytes;
       fault;
       oc = open_segment ?fault path;
       seg_index = 0;
@@ -159,7 +155,7 @@ let append w payload =
   if w.closed then invalid_arg "Store.append: writer is closed";
   let frame = encode_frame payload in
   if
-    w.seg_size + String.length frame > w.segment_bytes
+    w.seg_size + String.length frame > segment_bytes
     && w.seg_size > magic_bytes
   then rotate w;
   emit w frame;

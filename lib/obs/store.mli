@@ -33,11 +33,9 @@ val segment_path : string -> int -> string
 
 type writer
 
-val open_writer :
-  ?segment_bytes:int -> ?fault:Store_fault.t -> string -> writer
+val open_writer : ?fault:Store_fault.t -> string -> writer
 (** Open a log for writing: truncate segment 0 and remove stale higher
-    segments. The writer rotates to a new segment past [segment_bytes]
-    (default 4 MiB). *)
+    segments. The writer rotates to a new segment past 4 MiB. *)
 
 val append : writer -> string -> unit
 (** Frame and append one payload, rotating to a new segment when the

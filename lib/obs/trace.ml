@@ -95,11 +95,11 @@ let unwind sp =
         end
         else sp.sp_closed <- true (* sink reinstalled mid-span *)
 
-let with_span ?attrs name f =
+let with_span name f =
   match if Obs_domain.in_worker () then None else !sink with
   | None -> f ()
   | Some _ -> (
-      let sp = span ?attrs name in
+      let sp = span name in
       match f () with
       | v ->
           if not sp.sp_closed then finish sp;

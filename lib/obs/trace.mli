@@ -47,7 +47,7 @@ val finish : ?attrs:(string * value) list -> span -> unit
     results go here). Raises [Invalid_argument] if [span] is not the
     innermost open span — spans must close in LIFO order. *)
 
-val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
+val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span, closing it on any exit
     (including exceptions). When tracing is off this is just [f ()]. *)
 

@@ -71,8 +71,6 @@ type churn = {
 (* Shared per-run mutable accounting. *)
 type ctx = {
   net : Net_state.t;
-  exec : Exec_model.t;
-  config : Planner.config;
   rng : Prng.t;
   churn : churn option;
   expiry : int Pqueue.t;  (* flow id keyed by departure instant *)
@@ -165,8 +163,7 @@ let series_columns =
     "max_link_utilization";
   ]
 
-let make_series ?capacity () =
-  Series.create ?capacity ~columns:series_columns ()
+let make_series () = Series.create ~columns:series_columns ()
 
 (* One gauge row per service round, sampled at the decision instant
    (after background sync, before planning). Pure reads of the network
@@ -197,15 +194,17 @@ let apply_winner ctx (pr : Planner.probe) =
 (* Apply a plan for execution. [billed] is false when the scheduler
    already paid for an estimate of this event this round and reuses it.
    [frozen] marks flows other plans of the same round are installing.
-   [config] overrides the planner configuration (P-LMTF's co-attempts
-   use scan-first admission). *)
-let apply ?frozen ?config ctx ~billed ev =
-  let config = Option.value config ~default:ctx.config in
+   [config] overrides {!Planner.default_config} (degraded rounds and
+   P-LMTF's co-attempts use {!scan_first}). *)
+let apply ?frozen ?(config = Planner.default_config) ctx ~billed ev =
   let plan =
     timed ctx (fun () -> Planner.plan ~rng:ctx.rng ~config ?frozen ctx.net ev)
   in
   if billed then ctx.units <- ctx.units + plan.Planner.work_units;
   plan
+
+let scan_first =
+  { Planner.default_config with Planner.admission = Planner.Scan_first }
 
 (* Flows a plan installs or reroutes as event work. These are mid-update
    during the round, so a co-scheduled plan must not migrate them. *)
@@ -325,15 +324,12 @@ let execute_degraded st ev =
   let round_utilization = Net_state.mean_fabric_utilization ctx.net in
   sample_series ctx ~round:st.rounds ~t_s:round_start_s
     ~queue_len:(List.length st.queue) ~retry_backlog:(List.length st.held);
-  let config =
-    { ctx.config with Planner.admission = Planner.Scan_first }
-  in
   let units_before = ctx.units in
-  let plan = apply ctx ~billed:true ~config ev in
+  let plan = apply ctx ~billed:true ~config:scan_first ev in
   let round_units = ctx.units - units_before in
-  let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
+  let plan_time = Exec_model.plan_time ~work_units:round_units in
   let start_s = st.now +. plan_time in
-  let completion_s = start_s +. Exec_model.execution_time ctx.exec plan in
+  let completion_s = start_s +. Exec_model.execution_time plan in
   schedule_departures ctx ~completion:completion_s plan;
   st.rounds <- st.rounds + 1;
   Counters.incr Counters.Engine_rounds;
@@ -527,14 +523,7 @@ let probe_wave ~owner pres =
             pres slots))
   in
   let n_probes = Array.length batch in
-  let sequential =
-    n_probes < min_parallel_probes
-    || owner.ctx.domains <= 1
-    || List.exists
-         (fun gp ->
-           gp.gp_st.ctx.config.Planner.policy = Routing.Random_fit)
-         pres
-  in
+  let sequential = n_probes < min_parallel_probes || owner.ctx.domains <= 1 in
   let store (_, (slot : Planner.probe option array), i) pr =
     slot.(i) <- Some pr
   in
@@ -545,8 +534,7 @@ let probe_wave ~owner pres =
           let ctx = gp.gp_st.ctx in
           store m
             (timed ctx (fun () ->
-                 Planner.probe ~rng:ctx.rng ~config:ctx.config ctx.net
-                   gp.gp_candidates.(i))))
+                 Planner.probe ~rng:ctx.rng ctx.net gp.gp_candidates.(i))))
         batch
     else begin
       let pool = private_pool owner.ctx in
@@ -556,8 +544,7 @@ let probe_wave ~owner pres =
       let fresh =
         Probe_pool.map pool
           ~f:(fun local (gp, _, i) ->
-            Planner.probe ~config:gp.gp_st.ctx.config local
-              gp.gp_candidates.(i))
+            Planner.probe local gp.gp_candidates.(i))
           batch
       in
       let dt =
@@ -614,13 +601,12 @@ let co_schedule ctx ~winner ~winner_plan candidates =
     List.sort Event.compare_by_arrival
       (List.filter (fun ev -> ev.Event.id <> winner.Event.id) candidates)
   in
-  let co_config = { ctx.config with Planner.admission = Planner.Scan_first } in
   List.filter_map
     (fun ev ->
       Net_state.begin_txn ctx.net;
       let plan =
-        apply ctx ~billed:true ~config:co_config ~frozen:(Hashtbl.mem protected)
-          ev
+        apply ctx ~billed:true ~config:scan_first
+          ~frozen:(Hashtbl.mem protected) ev
       in
       if
         plan.Planner.failed_count = 0
@@ -654,7 +640,7 @@ let escalation_round gd =
   let ctx = st.ctx in
   let _, winner = gd.gd_win in
   let round_units = ctx.units - gp.gp_units_before in
-  let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
+  let plan_time = Exec_model.plan_time ~work_units:round_units in
   st.queue <-
     List.filter (fun ev -> ev.Event.id <> winner.Event.id) st.queue;
   st.rounds <- st.rounds + 1;
@@ -887,12 +873,12 @@ let commit_round ?escalate gd =
         | _ -> [ (winner, winner_plan, false) ]
       in
       let round_units = ctx.units - gp.gp_units_before in
-      let plan_time = Exec_model.plan_time ctx.exec ~work_units:round_units in
+      let plan_time = Exec_model.plan_time ~work_units:round_units in
       let start_s = st.now +. plan_time in
       let timings =
         List.map
           (fun (ev, plan, co) ->
-            (ev, plan, co, start_s +. Exec_model.execution_time ctx.exec plan))
+            (ev, plan, co, start_s +. Exec_model.execution_time plan))
           batch
       in
       let head_finish =
@@ -1075,10 +1061,10 @@ let run_flow_level ctx order events =
         let plan = apply ctx ~billed:true pseudo in
         incr rounds;
         let plan_time =
-          Exec_model.plan_time ctx.exec ~work_units:plan.Planner.work_units
+          Exec_model.plan_time ~work_units:plan.Planner.work_units
         in
         let start_s = !now +. plan_time in
-        let completion_s = start_s +. Exec_model.execution_time ctx.exec plan in
+        let completion_s = start_s +. Exec_model.execution_time plan in
         schedule_departures ctx ~completion:completion_s plan;
         now := completion_s;
         add first_start item.fi_event start_s min;
@@ -1114,14 +1100,12 @@ let run_flow_level ctx order events =
 (* Construct the per-run context. [init_expiry] registers departures for
    flows already in the network (churn runs); a checkpoint thaw passes
    false and restores the frozen expiry queue verbatim instead. *)
-let make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit ~injector ~series
+let make_ctx ~rng ~churn ~co_max_cost_mbit ~injector ~series
     ~domains ~init_expiry ~net =
   if domains < 1 then invalid_arg "Engine: domains must be >= 1";
   let ctx =
     {
       net;
-      exec;
-      config;
       rng;
       churn;
       expiry = Pqueue.create ();
@@ -1179,16 +1163,15 @@ let assemble_result ctx policy (results, rounds, rounds_log) =
     rounds;
     rounds_log;
     total_plan_units = ctx.units;
-    total_plan_time_s = Exec_model.plan_time ctx.exec ~work_units:ctx.units;
+    total_plan_time_s = Exec_model.plan_time ~work_units:ctx.units;
     total_cost_mbit = total_cost;
     makespan_s = makespan;
     final_fabric_utilization = Net_state.mean_fabric_utilization ctx.net;
     planning_wall_s = ctx.wall;
   }
 
-let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
-    ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
-    ?injector ?series ?(domains = 1) ~net ~events policy =
+let run ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?injector ?series
+    ?(domains = 1) ~net ~events policy =
   (match Policy.validate policy with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.run: " ^ msg));
@@ -1204,10 +1187,9 @@ let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
              ])
     else None
   in
-  let rng = match rng with Some r -> r | None -> Prng.create seed in
   let ctx =
-    make_ctx ~exec ~config ~rng ~churn ~co_max_cost_mbit
-      ~injector ~series ~domains ~init_expiry:true ~net
+    make_ctx ~rng:(Prng.create seed) ~churn ~co_max_cost_mbit ~injector ~series
+      ~domains ~init_expiry:true ~net
   in
   let outcome =
     Fun.protect
@@ -1240,7 +1222,7 @@ let run ?(exec = Exec_model.default) ?(config = Planner.default_config) ?rng
 module Stepper = struct
   type t = stepper
 
-  let create ?rng ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
+  let create ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
       ?injector ?series ?(domains = 1) ?(init_expiry = true) ?observer
       ?(events = []) ~net policy =
     (match Policy.validate policy with
@@ -1250,10 +1232,9 @@ module Stepper = struct
     | Policy.Flow_level _ ->
         invalid_arg "Engine.Stepper.create: flow-level policies are batch-only"
     | _ -> ());
-    let rng = match rng with Some r -> r | None -> Prng.create seed in
     let ctx =
-      make_ctx ~exec:Exec_model.default ~config:Planner.default_config ~rng
-        ~churn ~co_max_cost_mbit ~injector ~series ~domains ~init_expiry ~net
+      make_ctx ~rng:(Prng.create seed) ~churn ~co_max_cost_mbit ~injector
+        ~series ~domains ~init_expiry ~net
     in
     make_stepper ?observer ctx policy events
 
@@ -1320,13 +1301,12 @@ module Stepper = struct
       fz_rng = Prng.raw_state st.ctx.rng;
     }
 
-  let thaw ?churn ?(co_max_cost_mbit = 0.0) ?injector
-      ?series ?(domains = 1) ?observer ~net fz =
+  let thaw ?churn ?(co_max_cost_mbit = 0.0) ?injector ?(domains = 1) ?observer
+      ~net fz =
     let rng = Prng.of_raw_state fz.fz_rng in
     let ctx =
-      make_ctx ~exec:Exec_model.default ~config:Planner.default_config ~rng
-        ~churn ~co_max_cost_mbit ~injector ~series ~domains ~init_expiry:false
-        ~net
+      make_ctx ~rng ~churn ~co_max_cost_mbit ~injector ~series:None ~domains
+        ~init_expiry:false ~net
     in
     (* Restore the departure queue in pop order: pushing in that order
        reproduces the original pop sequence exactly (FIFO tie-break on

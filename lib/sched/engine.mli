@@ -103,16 +103,13 @@ type churn = {
     a waiting event's cost drift between rounds — the fluctuation LMTF
     exploits. Without churn the background is static (§V-D). *)
 
-val make_series : ?capacity:int -> unit -> Nu_obs.Series.t
-(** Fresh bounded series of the gauges sampled per service round, in
+val make_series : unit -> Nu_obs.Series.t
+(** Fresh bounded series (the {!Nu_obs.Series} default capacity) of the gauges sampled per service round, in
     column order: [round], [queue_len], [retry_backlog], [active_flows],
     [mean_fabric_utilization], [max_link_utilization]. Ready to pass as
     {!run}'s [series]. *)
 
 val run :
-  ?exec:Exec_model.t ->
-  ?config:Planner.config ->
-  ?rng:Prng.t ->
   ?seed:int ->
   ?churn:churn ->
   ?co_max_cost_mbit:float ->
@@ -123,16 +120,16 @@ val run :
   events:Event.t list ->
   Policy.t ->
   run_result
-(** Simulate the queue to completion. [events] need not be sorted. [rng]
-    (or [seed], default 7; [rng] wins) drives LMTF/P-LMTF sampling and
-    churn — given equal seeds, runs are exactly reproducible.
-    [domains] (default 1) sets the candidate-probe fan-out width: with
-    [domains > 1] each round's candidate probes are evaluated in
-    parallel on that many worker domains ({!Probe_pool}), with
-    bit-identical decisions, digests and counter totals at any width —
-    only the planning wall clock changes. Random-fit planning consumes
-    PRNG draws inside probes and therefore always runs sequentially.
-    Raises [Invalid_argument] when [domains < 1].
+(** Simulate the queue to completion, planning with
+    {!Planner.default_config} and billing time with {!Exec_model}.
+    [events] need not be sorted. [seed] (default 7) drives LMTF/P-LMTF
+    sampling and churn — given equal seeds, runs are exactly
+    reproducible. [domains] (default 1) sets the candidate-probe fan-out
+    width: with [domains > 1] each round's candidate probes are
+    evaluated in parallel on that many worker domains ({!Probe_pool}),
+    with bit-identical decisions, digests and counter totals at any
+    width — only the planning wall clock changes. Raises
+    [Invalid_argument] when [domains < 1].
     [co_max_cost_mbit] (default 0) bounds opportunistic updating: a
     candidate is co-scheduled only when a scan-first plan alongside the
     in-flight batch fits within that migration budget — i.e. the
@@ -182,7 +179,6 @@ module Stepper : sig
   type t
 
   val create :
-    ?rng:Prng.t ->
     ?seed:int ->
     ?churn:churn ->
     ?co_max_cost_mbit:float ->
@@ -195,9 +191,7 @@ module Stepper : sig
     net:Net_state.t ->
     Policy.t ->
     t
-  (** Same optional knobs (and defaults) as {!run}; a stepper always
-      plans with {!Planner.default_config} and bills time with
-      {!Exec_model.default}. [events] (default
+  (** Same optional knobs (and defaults) as {!run}. [events] (default
       []) seeds the arrival queue. [observer] receives an
       {!observation} after each round and completion — recording only,
       never decision-relevant. [init_expiry] (default true) registers
@@ -345,7 +339,6 @@ module Stepper : sig
     ?churn:churn ->
     ?co_max_cost_mbit:float ->
     ?injector:Nu_fault.Injector.t ->
-    ?series:Nu_obs.Series.t ->
     ?domains:int ->
     ?observer:(observation -> unit) ->
     net:Net_state.t ->
@@ -354,7 +347,7 @@ module Stepper : sig
   (** Rebuild a stepper that continues bit-identically: same
       configuration knobs as the original run, [net] thawed from its
       own frozen snapshot, [injector] (if the original had one) thawed
-      likewise. The PRNG resumes from the frozen cursor — no [seed]
+      likewise; no series is attached. The PRNG resumes from the frozen cursor — no [seed]
       parameter. [domains] may differ from the
       original run's — the probe fan-out width is invisible to every
       decision, so a checkpoint taken at one width replays identically

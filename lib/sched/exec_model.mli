@@ -2,7 +2,8 @@
 
     The paper measures ECT on a simulated testbed; we map an applied
     {!Nu_update.Planner.t} to virtual seconds with three physical
-    components, all configurable:
+    components, fixed at 1 ms per programmed hop, a 500 Mbps migration
+    rate and 8-way parallelism:
 
     - rule installation: switches take on the order of a millisecond to
       commit a TCAM/flow-table update, paid once per programmed hop;
@@ -14,20 +15,9 @@
       one event concurrently, divided by a parallelism factor.
 
     Planning effort is metered in work units (feasibility probes); the
-    "total plan time" metric of Fig. 6(d) is units x unit cost. *)
+    "total plan time" metric of Fig. 6(d) is units x 0.1 ms. *)
 
-type t = {
-  rule_install_s : float;  (** Seconds per programmed path hop. *)
-  migration_rate_mbps : float;  (** Transfer rate for migrated traffic. *)
-  intra_event_parallelism : float;
-      (** >= 1; divides an event's execution time. *)
-  plan_unit_cost_s : float;  (** Seconds per planner work unit. *)
-}
-
-val default : t
-(** 1 ms/hop, 500 Mbps migration rate, 8-way parallelism, 0.1 ms/unit. *)
-
-val execution_time : t -> Planner.t -> float
+val execution_time : Planner.t -> float
 (** Virtual seconds to execute an applied plan. *)
 
-val plan_time : t -> work_units:int -> float
+val plan_time : work_units:int -> float

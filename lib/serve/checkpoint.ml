@@ -176,9 +176,12 @@ let save ?fault path cp =
   Nu_obs.Counters.incr Nu_obs.Counters.Serve_checkpoints;
   hash
 
-let load ?fault ~graph path =
+(* [fault] reaches a read only through [Chain.fallback]. *)
+let read ?fault ~graph path =
   let* data = Store.read_file ?fault path in
   of_string ~graph data
+
+let load ~graph path = read ~graph path
 
 (* ------------------------------------------------------------------ *)
 (* Verified checkpoint chain: [base] is the newest generation,
@@ -247,7 +250,7 @@ module Chain = struct
         if not (Sys.file_exists p) then
           go (Printf.sprintf "%s: missing" p :: errs) (i + 1)
         else
-          match load ?fault ~graph p with
+          match read ?fault ~graph p with
           | Ok cp -> Ok (cp, i)
           | Error e -> go (Printf.sprintf "%s: %s" p e :: errs) (i + 1)
     in

@@ -71,11 +71,7 @@ val of_string : graph:Graph.t -> string -> (t, string) result
     hash over the stored core, header/core [seq] agreement, field
     shapes. *)
 
-val load :
-  ?fault:Nu_obs.Store_fault.t ->
-  graph:Graph.t ->
-  string ->
-  (t, string) result
+val load : graph:Graph.t -> string -> (t, string) result
 (** {!of_string} of the file's bytes. *)
 
 (** Rotated generations of one checkpoint path. *)

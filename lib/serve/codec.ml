@@ -437,8 +437,7 @@ let add_float_column buf a =
   Buffer.add_bytes buf b;
   Buffer.add_char buf '"'
 
-let float_column_of_string ~n ?(pos = 0) ?len s =
-  let len = Option.value len ~default:(String.length s - pos) in
+let float_column_of_string ~n ~pos ~len s =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Codec.float_column_of_string";
   if len mod 16 <> 0 || len / 16 <> n then

@@ -76,10 +76,9 @@ val add_float_column : Buffer.t -> float array -> unit
     infinities and NaN payloads. *)
 
 val float_column_of_string :
-  n:int -> ?pos:int -> ?len:int -> string -> (float array, string) result
-(** Inverse of {!add_float_column}, from the string's contents, or from
-    its span [\[pos, pos + len)] (as {!Nu_obs.Json.string_span} gives
-    it). [Error] — never an exception — unless the span holds exactly
+  n:int -> pos:int -> len:int -> string -> (float array, string) result
+(** Inverse of {!add_float_column}, from the string's span
+    [\[pos, pos + len)] (as {!Nu_obs.Json.string_span} gives it). [Error] — never an exception — unless the span holds exactly
     [n] values of lowercase hex; [Invalid_argument] only for a span
     outside the string. *)
 

@@ -124,10 +124,8 @@ let finish t ~tick ~kind ~participants ~billed ~on_commit p
      the fabric's unit total. The virtual clock charges plan time
      either way — the decision was made somewhere. *)
   if billed then t.units <- t.units + plan.Planner.work_units;
-  let plan_t =
-    Exec_model.plan_time Exec_model.default ~work_units:plan.Planner.work_units
-  in
-  let exec_t = Exec_model.execution_time Exec_model.default plan in
+  let plan_t = Exec_model.plan_time ~work_units:plan.Planner.work_units in
+  let exec_t = Exec_model.execution_time plan in
   let start_s = t.now_s +. plan_t in
   let completion_s = start_s +. exec_t in
   t.now_s <- completion_s;
@@ -324,12 +322,12 @@ let freeze t =
     fz_rng = Prng.raw_state t.rng;
   }
 
-let thaw ?sink cfg fz =
+let thaw cfg fz =
   validate_config cfg;
   {
     cfg;
     rng = Prng.of_raw_state fz.fz_rng;
-    sink;
+    sink = None;
     queue =
       List.map
         (fun (ev, home, enq, att, nb) ->

@@ -41,7 +41,7 @@ val create : ?sink:Nu_obs.Store.writer -> seed:int -> config -> t
 (** [sink] receives the decisions journal (one JSON object per record,
     flushed per entry). The digest is maintained with or without it.
     The coordinator plans with {!Planner.default_config} and bills time
-    with {!Exec_model.default}, as every shard's stepper does. *)
+    with {!Exec_model}, as every shard's stepper does. *)
 
 val set_sink : t -> Nu_obs.Store.writer option -> unit
 val close : t -> unit
@@ -129,7 +129,8 @@ type frozen = {
 
 val freeze : t -> frozen
 
-val thaw : ?sink:Nu_obs.Store.writer -> config -> frozen -> t
+val thaw : config -> frozen -> t
+(** No sink attached (see {!set_sink}). *)
 
 val frozen_to_json : frozen -> Nu_obs.Json.t
 val frozen_of_json : Nu_obs.Json.t -> (frozen, string) result

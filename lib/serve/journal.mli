@@ -17,11 +17,7 @@ type entry =
 type writer = Nu_obs.Store.writer
 (** Flush, close and abort through {!Nu_obs.Store}. *)
 
-val open_writer :
-  ?segment_bytes:int ->
-  ?fault:Nu_obs.Store_fault.t ->
-  string ->
-  writer
+val open_writer : ?fault:Nu_obs.Store_fault.t -> string -> writer
 (** {!Nu_obs.Store.open_writer}. *)
 
 val segment_path : string -> int -> string

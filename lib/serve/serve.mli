@@ -33,9 +33,6 @@ type t = Shard_fabric.t
     ([snapshot], [admission t 0], [completed]) read it. *)
 
 val create :
-  ?source_params:Benson_trace.params ->
-  ?injector:Nu_fault.Injector.t ->
-  ?series:Nu_obs.Series.t ->
   ?telemetry:Telemetry.t ->
   ?journal:Journal.writer ->
   config ->
@@ -55,10 +52,8 @@ val create :
 val tick : t -> unit
 (** Run one full tick (poll → journal → admit → drain → step → commit). *)
 
-val run : ?checkpoint_path:string -> ?checkpoint_every:int -> ticks:int -> t -> unit
-(** [ticks] consecutive {!tick}s. With [checkpoint_path] and
-    [checkpoint_every] > 0, saves an atomic checkpoint after every
-    [checkpoint_every]-th tick. *)
+val run : ticks:int -> t -> unit
+(** [ticks] consecutive {!tick}s. *)
 
 val complete : t -> unit
 (** Drain to quiescence: tick (without polling the source or writing
@@ -98,10 +93,6 @@ val save_checkpoint :
     checkpoint's content hash. *)
 
 val restore_snapshot :
-  ?source_params:Benson_trace.params ->
-  ?series:Nu_obs.Series.t ->
-  ?telemetry:Telemetry.t ->
-  ?retry:Nu_fault.Retry_policy.t ->
   config:config ->
   source_spec:Source.spec ->
   topology:Topology.t ->
@@ -112,11 +103,6 @@ val restore_snapshot :
     {!restore}. *)
 
 val restore :
-  ?source_params:Benson_trace.params ->
-  ?series:Nu_obs.Series.t ->
-  ?telemetry:Telemetry.t ->
-  ?retry:Nu_fault.Retry_policy.t ->
-  ?fault:Nu_obs.Store_fault.t ->
   config:config ->
   source_spec:Source.spec ->
   topology:Topology.t ->
@@ -137,10 +123,10 @@ val replay_prefix : t -> Journal.entry list -> int * string option
     remaining ticks can be re-served live and regenerate the exact
     same arrivals. *)
 
-val replay : ?upto:int -> journal:string -> t -> (int, string) result
+val replay : journal:string -> t -> (int, string) result
 (** Re-drive a restored controller from its operation journal: for
-    every committed tick at or after the controller's current tick
-    (and below [upto], when given), re-poll the source — validating
+    every committed tick at or after the controller's current tick,
+    re-poll the source — validating
     that it regenerates exactly the journaled arrivals — and execute
     the tick with the journaled requests. Trailing uncommitted
     arrivals (crash mid-tick) are ignored; the deterministic source

@@ -76,7 +76,6 @@ type t = {
   topology : Topology.t;
   net : Net_state.t;
   source_spec : Source.spec;
-  source_params : Benson_trace.params option;
       (* Kept so a replay stop can rewind the source cursor by
          re-thawing a pre-poll freeze. *)
   mutable source : Source.t;
@@ -130,33 +129,30 @@ let shard_seed base k =
   if k = 0 then base.Serve_config.engine_seed
   else base.Serve_config.engine_seed + (k * 7919)
 
-(* Shard 0 carries the fault injector (one shard only), the series
-   sampler and the probe pool: a wave fans out through its first
-   stepper's workers, so shard 0 gets the fabric's domains and every
-   other shard one. *)
+(* Shard 0 carries the fault injector (one shard only) and the probe
+   pool: a wave fans out through its first stepper's workers, so shard 0
+   gets the fabric's domains and every other shard one. *)
 let shard_domains base k = if k = 0 then base.Serve_config.domains else 1
 
-let make_stepper ?injector ?series ?telemetry cfg ~host_count ~net k =
+let make_stepper ?injector ?telemetry cfg ~host_count ~net k =
   let base = cfg.base in
   Engine.Stepper.create ~seed:(shard_seed base k)
     ~domains:(shard_domains base k)
     ?churn:(shard_churn ~host_count base k)
     ~init_expiry:(k = 0)
     ?injector:(if k = 0 then injector else None)
-    ?series:(if k = 0 then series else None)
     ?observer:(shard_observer cfg telemetry k)
     ~net base.Serve_config.policy
 
-let thaw_stepper ?injector ?series ?telemetry cfg ~host_count ~net k fz =
+let thaw_stepper ?injector ?telemetry cfg ~host_count ~net k fz =
   let base = cfg.base in
   Engine.Stepper.thaw ~domains:(shard_domains base k)
     ?churn:(shard_churn ~host_count base k)
     ?injector:(if k = 0 then injector else None)
-    ?series:(if k = 0 then series else None)
     ?observer:(shard_observer cfg telemetry k)
     ~net fz
 
-let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
+let create ?injector ?telemetry ?journal ?journal_base
     cfg ~topology ~net ~source_spec =
   validate_config cfg;
   if cfg.shards > 1 && injector <> None then
@@ -169,10 +165,9 @@ let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
   let partition =
     Partition.create ~host_count ~regions:cfg.regions ~shards:cfg.shards
   in
-  let source = Source.create ?params:source_params ~host_count source_spec in
+  let source = Source.create ~host_count source_spec in
   let steppers =
-    Array.init cfg.shards
-      (make_stepper ?injector ?series ?telemetry cfg ~host_count ~net)
+    Array.init cfg.shards (make_stepper ?injector ?telemetry cfg ~host_count ~net)
   in
   let admissions =
     Array.init cfg.shards (fun _ ->
@@ -203,7 +198,6 @@ let create ?source_params ?injector ?series ?telemetry ?journal ?journal_base
     topology;
     net;
     source_spec;
-    source_params;
     source;
     partition;
     coord;
@@ -536,8 +530,8 @@ let snapshot t =
     coord = Coord.freeze t.coord;
   }
 
-let save_checkpoint ?fault t ~path =
-  ignore (Checkpoint.Chain.save ?fault path (snapshot t) : string)
+let save_checkpoint t ~path =
+  ignore (Checkpoint.Chain.save path (snapshot t) : string)
 
 let run ?checkpoint_path ?(checkpoint_every = 0) t ~ticks =
   for _ = 1 to ticks do
@@ -600,8 +594,8 @@ let retire t =
 (* ------------------------------------------------------------------ *)
 (* Restore + replay.                                                   *)
 
-let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
-    ~source_spec (cp : Checkpoint.t) =
+let thaw_fabric ?telemetry ?retry cfg ~topology ~source_spec
+    (cp : Checkpoint.t) =
   let* () = try Ok (validate_config cfg) with Invalid_argument m -> Error m in
   let expected = fingerprint cfg source_spec in
   if not (Serve_config.fingerprint_matches cp.meta expected) then
@@ -622,16 +616,14 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
         topology;
         net;
         source_spec;
-        source_params;
-        source =
-          Source.thaw ?params:source_params ~host_count source_spec cp.source;
+        source = Source.thaw ~host_count source_spec cp.source;
         partition =
           Partition.create ~host_count ~regions:cfg.regions ~shards:cfg.shards;
         coord = Coord.thaw cfg.coord cp.coord;
         steppers =
           Array.mapi
             (fun k (sh : Checkpoint.shard) ->
-              thaw_stepper ?injector ?series ?telemetry cfg ~host_count ~net k
+              thaw_stepper ?injector ?telemetry cfg ~host_count ~net k
                 sh.stepper)
             shards;
         admissions =
@@ -650,6 +642,9 @@ let restore_snapshot ?source_params ?series ?telemetry ?retry cfg ~topology
     with
     | t -> Ok t
     | exception Invalid_argument m -> Error ("checkpoint restore: " ^ m)
+
+let restore_snapshot cfg ~topology ~source_spec cp =
+  thaw_fabric cfg ~topology ~source_spec cp
 
 let committed path =
   let* report = Journal.read_report path in
@@ -670,7 +665,7 @@ let request_eq a b =
    arrivals differ (a divergence); a stop rewinds the source to its
    pre-poll cursor, because the mismatched poll consumed draws the
    live re-serve must make again. *)
-let replay_groups ?upto t groups =
+let replay_below ?upto t groups =
   let horizon =
     Array.fold_left
       (fun acc g ->
@@ -715,7 +710,7 @@ let replay_groups ?upto t groups =
           match first_shard differs with
           | Some k ->
               t.source <-
-                Source.thaw ?params:t.source_params
+                Source.thaw
                   ~host_count:(Topology.host_count t.topology)
                   t.source_spec fz;
               ( n,
@@ -732,6 +727,8 @@ let replay_groups ?upto t groups =
               go (n + 1))
   in
   go 0
+
+let replay_groups t groups = replay_below t groups
 
 let strict = function n, None -> Ok n | _, Some stop -> Error stop
 
@@ -752,7 +749,7 @@ let recover ?telemetry cfg ~topology ~source_spec ~checkpoint_path
   let* cp, _depth =
     Checkpoint.Chain.fallback ~graph:topology.Topology.graph checkpoint_path
   in
-  let* t = restore_snapshot ?telemetry cfg ~topology ~source_spec cp in
+  let* t = thaw_fabric ?telemetry cfg ~topology ~source_spec cp in
   let groups = read_groups cfg journal_base in
   (* Re-attach the coordinator audit sink before replay so regenerated
      decisions land in a fresh log (the pre-checkpoint history lives on
@@ -778,7 +775,7 @@ let replay ?telemetry ?retry ?checkpoint_path ?upto cfg ~topology ~net
     match checkpoint_path with
     | Some path ->
         let* cp = Checkpoint.load ~graph:topology.Topology.graph path in
-        restore_snapshot ?telemetry ?retry cfg ~topology ~source_spec cp
+        thaw_fabric ?telemetry ?retry cfg ~topology ~source_spec cp
     | None -> (
         try Ok (create ?telemetry cfg ~topology ~net ~source_spec)
         with Invalid_argument m -> Error m)
@@ -791,5 +788,5 @@ let replay ?telemetry ?retry ?checkpoint_path ?upto cfg ~topology ~net
           fully torn; nothing to re-drive"
          journal_base)
   else
-    let* n = strict (replay_groups ?upto t groups) in
+    let* n = strict (replay_below ?upto t groups) in
     Ok (t, n)

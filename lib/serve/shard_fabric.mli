@@ -63,9 +63,7 @@ val apportion : budget:int -> backlogs:int array -> int array
 type t
 
 val create :
-  ?source_params:Benson_trace.params ->
   ?injector:Nu_fault.Injector.t ->
-  ?series:Nu_obs.Series.t ->
   ?telemetry:Telemetry.t ->
   ?journal:Journal.writer ->
   ?journal_base:string ->
@@ -80,7 +78,6 @@ val create :
     [journal_base]. [journal_base] opens one WAL per shard (at
     [journal_base] itself for one shard, under {!shard_journal_path}
     otherwise) plus, with two or more shards, the coordinator journal.
-    [series] samples through shard 0.
 
     [telemetry] attaches live serving telemetry ({!Telemetry}):
     lifecycle stamps for every request, per-tenant fairness and SLO
@@ -152,23 +149,19 @@ val snapshot : t -> Checkpoint.t
     are left at their defaults — {!Checkpoint.Chain.save} threads them
     from the previous chain generation. *)
 
-val save_checkpoint :
-  ?fault:Nu_obs.Store_fault.t -> t -> path:string -> unit
+val save_checkpoint : t -> path:string -> unit
 (** {!snapshot} + {!Checkpoint.Chain.save}: rotate the generations,
     then save atomically and durably. *)
 
 val restore_snapshot :
-  ?source_params:Benson_trace.params ->
-  ?series:Nu_obs.Series.t ->
-  ?telemetry:Telemetry.t ->
-  ?retry:Nu_fault.Retry_policy.t ->
   config ->
   topology:Topology.t ->
   source_spec:Source.spec ->
   Checkpoint.t ->
   (t, string) result
 (** Rebuild the whole fabric from a loaded checkpoint, journals
-    detached. Refuses a fingerprint or shard-count mismatch. *)
+    detached, telemetry off and a thawed injector on the default retry
+    policy. Refuses a fingerprint or shard-count mismatch. *)
 
 val committed : string -> ((int * Request.t list) list, string) result
 (** One WAL's committed (tick, arrivals) groups in tick order, read
@@ -177,10 +170,10 @@ val committed : string -> ((int * Request.t list) list, string) result
     first segment. *)
 
 val replay_groups :
-  ?upto:int -> t -> (int * Request.t list) list array -> int * string option
+  t -> (int * Request.t list) list array -> int * string option
 (** The one replay loop, over per-shard committed groups: for every
     tick from the fabric's own up to the shards' common commit horizon
-    (and below [upto]), re-poll the source, check that every shard's
+    ({!replay}'s [upto] lowers it), re-poll the source, check that every shard's
     routed slice equals its journaled group, and execute the tick with
     the journaled requests. Stops at the first gap (a shard with no
     commit for the tick) or divergence, rewinding the source cursor so

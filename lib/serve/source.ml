@@ -18,7 +18,6 @@ type synth = {
   sy_rate : float;
   sy_flows_per_event : int;
   sy_tenants : string array;
-  sy_params : Benson_trace.params;
   sy_host_count : int;
   mutable sy_next_event_id : int;
   mutable sy_next_flow_id : int;
@@ -35,7 +34,7 @@ type t = Synth of synth | Streamed of stream
 (* Serve workloads follow the batch scenario's flow marginals: Benson
    characteristics with elephants capped to stay under access-link
    headroom. *)
-let default_params =
+let params =
   { Benson_trace.default_params with Benson_trace.elephant_demand_hi_mbps = 100.0 }
 
 let validate_synth ~rate_per_tick ~flows_per_event ~tenants ~host_count =
@@ -103,7 +102,7 @@ let parse_stream_file ~host_count path =
     invalid_arg ("Source.create: " ^ path ^ ": entries must be tick-sorted");
   arr
 
-let create ?(params = default_params) ~host_count spec =
+let create ~host_count spec =
   match spec with
   | Synthetic
       { seed; rate_per_tick; flows_per_event; tenants; first_event_id;
@@ -115,7 +114,6 @@ let create ?(params = default_params) ~host_count spec =
           sy_rate = rate_per_tick;
           sy_flows_per_event = flows_per_event;
           sy_tenants = Array.of_list tenants;
-          sy_params = params;
           sy_host_count = host_count;
           sy_next_event_id = first_event_id;
           sy_next_flow_id = first_flow_id;
@@ -148,7 +146,7 @@ let draw_event sy ~now_s =
         let d = Prng.int sy.sy_rng (sy.sy_host_count - 1) in
         let dst = if d >= src then d + 1 else d in
         Event.Install
-          (Benson_trace.draw_flow ~params:sy.sy_params sy.sy_rng ~id:fid ~src
+          (Benson_trace.draw_flow ~params sy.sy_rng ~id:fid ~src
              ~dst ~arrival_s:now_s))
   in
   let tenant = sy.sy_tenants.(sy.sy_tenant_cursor) in
@@ -200,8 +198,8 @@ let freeze = function
         }
   | Streamed st -> F_stream { pos = st.st_pos }
 
-let thaw ?params ~host_count spec fz =
-  let t = create ?params ~host_count spec in
+let thaw ~host_count spec fz =
+  let t = create ~host_count spec in
   (match (t, fz) with
   | Synth sy, F_synthetic f ->
       (* Replace the freshly seeded stream with the frozen cursor. *)

@@ -28,8 +28,8 @@ type spec =
 
 type t
 
-val create : ?params:Benson_trace.params -> host_count:int -> spec -> t
-(** [params] defaults to Benson marginals with elephants capped at
+val create : host_count:int -> spec -> t
+(** Synthetic flows draw Benson marginals with elephants capped at
     100 Mbps demand — the batch scenario's update-flow parameters.
     Raises [Invalid_argument] on bad parameters, an unreadable or
     malformed command file, an installed flow whose [src] or [dst] is
@@ -54,8 +54,7 @@ type frozen =
 
 val freeze : t -> frozen
 
-val thaw :
-  ?params:Benson_trace.params -> host_count:int -> spec -> frozen -> t
+val thaw : host_count:int -> spec -> frozen -> t
 (** Rebuild from the same [spec] the original was created with; future
     {!poll}s produce bit-identical arrivals. Raises [Invalid_argument]
     when the frozen shape does not match the spec. *)

@@ -176,7 +176,7 @@ let backoff_s rng ~attempt =
   let capped = Float.min backoff_max_s raw in
   capped *. (1.0 +. (backoff_jitter *. ((2.0 *. Prng.unit_float rng) -. 1.0)))
 
-let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
+let run ?(sup = default_config) ?fault ~jitter_seed
     ~serve_config ~source_spec ~topology ~fresh_net ~journal_path
     ~checkpoint_path ~ticks () =
   let rng = Prng.create jitter_seed in
@@ -203,8 +203,7 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
   let cold_start ~reason entries =
     push (Cold_start { attempt = !attempt; reason });
     let t =
-      Serve.create ?source_params serve_config ~topology ~net:(fresh_net ())
-        ~source_spec
+      Serve.create serve_config ~topology ~net:(fresh_net ()) ~source_spec
     in
     let replayed, _stop = Serve.replay_prefix t entries in
     (t, Checkpoint.Chain.default_keep + 1, replayed)
@@ -221,8 +220,8 @@ let run ?(sup = default_config) ?source_params ?retry ?fault ~jitter_seed
       | Error e -> cold_start ~reason:("no verifiable checkpoint: " ^ e) entries
       | Ok (cp, depth) -> (
           match
-            Serve.restore_snapshot ?source_params ?retry ~config:serve_config
-              ~source_spec ~topology cp
+            Serve.restore_snapshot ~config:serve_config ~source_spec ~topology
+              cp
           with
           | Error e -> cold_start ~reason:("restore refused: " ^ e) entries
           | Ok t ->

@@ -85,8 +85,6 @@ val outcome_to_json : outcome -> Nu_obs.Json.t
 
 val run :
   ?sup:config ->
-  ?source_params:Benson_trace.params ->
-  ?retry:Nu_fault.Retry_policy.t ->
   ?fault:Nu_obs.Store_fault.t ->
   jitter_seed:int ->
   serve_config:Serve.config ->

@@ -15,10 +15,12 @@ type t = {
   node_total : int;
 }
 
-let create ?(k = 8) ?(link_capacity = 1000.0) () =
+(* Mbit/s: every link is 1 Gbps. *)
+let link_capacity = 1000.0
+
+let create ?(k = 8) () =
   if k <= 0 || k mod 2 <> 0 then
     invalid_arg "Fat_tree.create: k must be a positive even integer";
-  if link_capacity <= 0.0 then invalid_arg "Fat_tree.create: link_capacity";
   let half = k / 2 in
   let core_n = half * half in
   let agg_n = k * half and edge_n = k * half in

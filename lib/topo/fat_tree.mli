@@ -17,10 +17,10 @@
 
 type t
 
-val create : ?k:int -> ?link_capacity:float -> unit -> t
-(** [create ~k ~link_capacity ()] builds the fabric. [k] must be a
-    positive even integer (default 8, the paper's setting);
-    [link_capacity] is in Mbit/s (default 1000 = 1 Gbps). *)
+val create : ?k:int -> unit -> t
+(** [create ~k ()] builds the fabric. [k] must be a positive even
+    integer (default 8, the paper's setting); every link carries
+    1000 Mbit/s (1 Gbps). *)
 
 val k : t -> int
 

@@ -50,7 +50,7 @@ let draw_flow ?(params = default_params) rng ~id ~src ~dst ~arrival_s =
     ~size_mbit:(demand *. duration)
     ~duration_s:duration ~arrival_s
 
-let generate ?(params = default_params) ?(first_id = 0) rng ~host_count ~n =
+let generate ?(first_id = 0) rng ~host_count ~n =
   if host_count < 2 then invalid_arg "Benson_trace.generate: host_count";
   if n < 0 then invalid_arg "Benson_trace.generate: n";
   let clock = ref 0.0 in
@@ -58,11 +58,11 @@ let generate ?(params = default_params) ?(first_id = 0) rng ~host_count ~n =
       let id = first_id + i in
       clock :=
         !clock
-        +. Dist.lognormal rng ~mu:params.interarrival_log_mean
-             ~sigma:params.interarrival_log_sigma;
+        +. Dist.lognormal rng ~mu:default_params.interarrival_log_mean
+             ~sigma:default_params.interarrival_log_sigma;
       let src = Prng.int rng host_count in
       let dst =
         let d = Prng.int rng (host_count - 1) in
         if d >= src then d + 1 else d
       in
-      draw_flow ~params rng ~id ~src ~dst ~arrival_s:!clock)
+      draw_flow rng ~id ~src ~dst ~arrival_s:!clock)

@@ -27,13 +27,13 @@ val default_params : params
     Pareto(1.2) on [10, 200] Mbps for ~10 s; bursty arrivals. *)
 
 val generate :
-  ?params:params ->
   ?first_id:int ->
   Prng.t ->
   host_count:int ->
   n:int ->
   Flow_record.t array
-(** [n] flows sorted by arrival with ids from [first_id] (default 0);
+(** [n] flows with {!default_params}, sorted by arrival with ids from
+    [first_id] (default 0);
     endpoints drawn uniformly over distinct host pairs. Requires
     [host_count >= 2], [n >= 0]. *)
 

@@ -26,5 +26,5 @@ val v :
   duration_s:float ->
   arrival_s:float ->
   t
-(** Checked constructor: positive size and duration, non-negative
-    arrival, distinct non-negative endpoints. *)
+(** Checked constructor: finite positive size and duration, finite
+    non-negative arrival, distinct non-negative endpoints. *)

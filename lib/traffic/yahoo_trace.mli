@@ -8,17 +8,7 @@
     most bytes over inter-DC links — log-normal durations, and Poisson
     arrivals. See DESIGN.md §2 for the substitution argument. *)
 
-type params = {
-  demand_shape : float;  (** Pareto tail index of flow bandwidth. *)
-  demand_lo_mbps : float;
-  demand_hi_mbps : float;
-  duration_log_mean : float;  (** mu of log-normal duration (log-seconds). *)
-  duration_log_sigma : float;
-  mean_interarrival_s : float;  (** Poisson arrival process. *)
-}
-
 val generate :
-  ?params:params ->
   ?first_id:int ->
   Prng.t ->
   host_count:int ->
@@ -27,7 +17,7 @@ val generate :
 (** [generate rng ~host_count ~n] draws [n] flows sorted by arrival, with
     ids [first_id, first_id + n) (default from 0). Endpoints are produced
     by drawing random anonymised IPv4 addresses and hashing them with
-    {!Ip_map.host_pair}. Requires [host_count >= 2] and [n >= 0]. The
-    default [params] draw bounded-Pareto(1.1) demand on [1, 400] Mbps,
+    {!Ip_map.host_pair}. Requires [host_count >= 2] and [n >= 0]. Flows
+    draw bounded-Pareto(1.1) demand on [1, 400] Mbps,
     log-normal durations with median ~30 s and a 50 ms mean
     inter-arrival. *)

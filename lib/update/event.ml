@@ -22,16 +22,16 @@ let candidate_respects net c i = function
 
 type t = { id : int; arrival_s : float; kind : kind; work : work list }
 
-let of_spec ?(kind = Additions) (spec : Event_gen.spec) =
+let of_spec (spec : Event_gen.spec) =
   if spec.flows = [] then invalid_arg "Event.of_spec: empty flow list";
   {
     id = spec.event_id;
     arrival_s = spec.arrival_s;
-    kind;
+    kind = Additions;
     work = List.map (fun f -> Install f) spec.flows;
   }
 
-let of_specs ?kind specs = List.map (fun s -> of_spec ?kind s) specs
+let of_specs specs = List.map of_spec specs
 
 let vm_migration_event ~id ~arrival_s ~flows =
   if flows = [] then invalid_arg "Event.vm_migration_event: no flows";

@@ -41,10 +41,9 @@ type t = {
   work : work list;  (** Non-empty. *)
 }
 
-val of_specs : ?kind:kind -> Event_gen.spec list -> t list
-(** Wrap each generated workload spec as an all-installs event (default
-    kind [Additions]). Raises [Invalid_argument] on a spec with no
-    flows. *)
+val of_specs : Event_gen.spec list -> t list
+(** Wrap each generated workload spec as an all-installs [Additions]
+    event. Raises [Invalid_argument] on a spec with no flows. *)
 
 val vm_migration_event :
   id:int ->

@@ -12,7 +12,6 @@ type config = {
   policy : Routing.policy;
   order : Migration.order;
   admission : admission;
-  max_clear_attempts : int;
 }
 
 let default_config =
@@ -20,8 +19,10 @@ let default_config =
     policy = Routing.First_fit;
     order = Migration.Best_fit_first;
     admission = Desired_first;
-    max_clear_attempts = 4;
   }
+
+(* Candidate paths tried with migration before an item fails. *)
+let max_clear_attempts = 4
 
 type failure_reason =
   | No_candidate_path
@@ -114,7 +115,7 @@ let plan_install ?rng ~config ~work_units ~exclude net record =
       in
       let ranked_clears () =
         let ranked = rank_by_gap net ~demand c all in
-        List.filteri (fun i _ -> i < config.max_clear_attempts) ranked
+        List.filteri (fun i _ -> i < max_clear_attempts) ranked
       in
       let attempt_sequence =
         match config.admission with
@@ -197,7 +198,7 @@ let plan_reroute ?rng ~config ~work_units ~exclude net ~flow_id ~avoid =
         in
         let ranked_clears () =
           let ranked = rank_by_gap net ~demand c candidates in
-          List.filteri (fun i _ -> i < config.max_clear_attempts) ranked
+          List.filteri (fun i _ -> i < max_clear_attempts) ranked
         in
         let attempt_sequence =
           match config.admission with
@@ -434,7 +435,7 @@ type probe = {
   probe_touched : int array;
 }
 
-let probe ?rng ?config ?frozen net event =
+let probe ?rng net event =
   Counters.incr Counters.Cost_estimates;
   let sp =
     if Trace.enabled () then
@@ -451,7 +452,7 @@ let probe ?rng ?config ?frozen net event =
      wrote, which is what makes the plan replayable. *)
   Net_state.start_probe net;
   Net_state.begin_txn net;
-  let p = plan ?rng ?config ?frozen net event in
+  let p = plan ?rng net event in
   Net_state.rollback net;
   let touched = Net_state.stop_probe net in
   let est = estimate_of p in
@@ -471,8 +472,7 @@ let probe ?rng ?config ?frozen net event =
   | None -> ());
   { probe_est = est; probe_plan = p; probe_touched = touched }
 
-let cost_of ?rng ?config ?frozen net event =
-  (probe ?rng ?config ?frozen net event).probe_est
+let cost_of net event = (probe net event).probe_est
 
 let pp ppf t =
   Format.fprintf ppf

@@ -29,12 +29,12 @@ type config = {
   policy : Routing.policy;  (** Path selection for installs and targets. *)
   order : Migration.order;  (** Greedy order inside {!Migration}. *)
   admission : admission;
-  max_clear_attempts : int;
-      (** Candidate paths tried with migration before the item fails. *)
 }
+(** Every plan tries migration on at most 4 candidate paths before an
+    item fails. *)
 
 val default_config : config
-(** First-fit, best-fit-first, desired-first, 4 clear attempts. *)
+(** First-fit, best-fit-first, desired-first. *)
 
 type failure_reason =
   | No_candidate_path  (** P(f) is empty (or all filtered out). *)
@@ -109,25 +109,13 @@ type probe = {
       (** Edge ids the plan read or wrote, sorted ascending. *)
 }
 
-val probe :
-  ?rng:Prng.t ->
-  ?config:config ->
-  ?frozen:(int -> bool) ->
-  Net_state.t ->
-  Event.t ->
-  probe
-(** Plan inside a {!Nu_net.Net_state.begin_txn}/[rollback] bracket and
+val probe : ?rng:Prng.t -> Net_state.t -> Event.t -> probe
+(** {!plan} with {!default_config} and nothing frozen, inside a {!Nu_net.Net_state.begin_txn}/[rollback] bracket and
     record the touched-edge set. The state is unchanged on return; the
     rollback costs O(operations performed) rather than a full revert
     re-plan. This is the replayable form of {!cost_of}. *)
 
-val cost_of :
-  ?rng:Prng.t ->
-  ?config:config ->
-  ?frozen:(int -> bool) ->
-  Net_state.t ->
-  Event.t ->
-  estimate
+val cost_of : Net_state.t -> Event.t -> estimate
 (** [(probe net event).probe_est] — plan, read Cost(U), roll back. The
     state is unchanged on return. *)
 

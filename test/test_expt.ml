@@ -63,13 +63,11 @@ let test_fig3_paper_numbers () =
   Alcotest.(check (float 1e-9)) "same tail" 9.0 (Nu_expt.Fig3.tail by_cost)
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 1 (small configuration)                                        *)
+(* Fig. 1 (150 probe flows per point)                                   *)
 
 let test_fig1_probabilities_decline () =
-  let points =
-    Nu_expt.Fig1.compute ~seed:3 ~samples:150 ~utilizations:[ 0.2; 0.8 ] ()
-  in
-  Alcotest.(check int) "two traces x two utils" 4 (List.length points);
+  let points = Nu_expt.Fig1.compute ~seed:3 ~samples:150 in
+  Alcotest.(check int) "two traces x nine utils" 18 (List.length points);
   List.iter
     (fun (p : Nu_expt.Fig1.point) ->
       Alcotest.(check bool) "probability range" true
@@ -144,11 +142,8 @@ let test_event_level_beats_flow_level_small () =
   | _ -> Alcotest.fail "two summaries"
 
 let test_arrival_study_structure () =
-  let points =
-    Nu_expt.Arrival_study.compute ~seed:4 ~n_events:6
-      ~interarrivals:[ 0.5; 8.0 ] ()
-  in
-  Alcotest.(check int) "two points" 2 (List.length points);
+  let points = Nu_expt.Arrival_study.compute ~seed:4 ~alpha:4 in
+  Alcotest.(check int) "five points" 5 (List.length points);
   List.iter
     (fun (p : Nu_expt.Arrival_study.point) ->
       Alcotest.(check bool) "positive ECTs" true
@@ -156,17 +151,26 @@ let test_arrival_study_structure () =
         && p.Nu_expt.Arrival_study.lmtf_avg_ect > 0.0
         && p.Nu_expt.Arrival_study.plmtf_avg_ect > 0.0))
     points;
-  (* With 8 s between events nothing queues: delays are ~0 and the
+  (* With 4 s between events nothing queues: delays are ~0 and the
      policies coincide. *)
-  let sparse = List.nth points 1 in
+  let sparse = List.nth points 4 in
   Alcotest.(check bool) "no backlog at sparse arrivals" true
     (sparse.Nu_expt.Arrival_study.fifo_avg_q < 1.0)
 
+(* One 6-event queue length, built as [Fig6.sweep] builds each of its
+   points. *)
 let test_fig6_compute_smoke () =
-  let points =
-    Nu_expt.Fig6.compute ~seeds:[ 42 ] ~alpha:2 ~event_counts:[ 6 ] ()
+  let setup = { Nu_expt.Workload.default_setup with Nu_expt.Workload.n_events = 6 } in
+  let point =
+    match
+      Nu_expt.Workload.averaged setup ~seeds:[ 42 ]
+        [ Policy.Fifo; Policy.Lmtf { alpha = 2 }; Policy.Plmtf { alpha = 2 } ]
+    with
+    | [ (_, fifo); (_, lmtf); (_, plmtf) ] ->
+        { Nu_expt.Fig6.sweep_events = 6; fifo; lmtf; plmtf }
+    | _ -> Alcotest.fail "three policies"
   in
-  match points with
+  match Nu_expt.Fig6.of_sweep [ point ] with
   | [ p ] ->
       Alcotest.(check int) "n" 6 p.Nu_expt.Fig6.n_events;
       (* Reductions are percentages; they must be finite and below 100. *)

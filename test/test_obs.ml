@@ -635,14 +635,17 @@ let test_histogram_registry_gated () =
 (* ------------------------------------------------------------------ *)
 (* Series                                                              *)
 
+(* Every series retains at most this many rows. *)
+let series_capacity = 4096
+
 let test_series_bounded_decimation () =
-  let s = Obs.Series.create ~capacity:16 ~columns:[ "v" ] () in
-  for i = 0 to 999 do
+  let s = Obs.Series.create ~columns:[ "v" ] () in
+  for i = 0 to 19_999 do
     Obs.Series.sample s ~t_s:(float_of_int i) [| float_of_int i |]
   done;
-  Alcotest.(check int) "total samples" 1000 (series_field s "total_samples");
+  Alcotest.(check int) "total samples" 20_000 (series_field s "total_samples");
   let times = series_times s in
-  Alcotest.(check bool) "bounded" true (List.length times <= 16);
+  Alcotest.(check bool) "bounded" true (List.length times <= series_capacity);
   let stride = series_field s "stride" in
   Alcotest.(check bool)
     "stride is a power of two" true
@@ -662,7 +665,7 @@ let test_series_bounded_decimation () =
   Alcotest.(check (float 0.0)) "first sample kept" 0.0 (List.hd times)
 
 let test_series_csv_and_json () =
-  let s = Obs.Series.create ~capacity:8 ~columns:[ "a"; "b" ] () in
+  let s = Obs.Series.create ~columns:[ "a"; "b" ] () in
   Obs.Series.sample s ~t_s:0.0 [| 1.5; 2.5 |];
   Obs.Series.sample s ~t_s:0.5 [| 3.5; 4.5 |];
   let lines =
@@ -1044,11 +1047,9 @@ let prop_histogram_merge_equals_concat =
 let prop_series_stride_grid =
   QCheck.Test.make ~name:"series retains exactly the stride-grid rows"
     ~count:200
-    QCheck.(pair (int_range 2 12) (int_range 1 300))
-    (fun (capacity, n) ->
-      let s = Obs.Series.create ~capacity ~columns:[ "v" ] () in
-      (* create rounds an odd capacity up to even. *)
-      let effective = capacity + (capacity land 1) in
+    QCheck.(int_range 1 (5 * series_capacity))
+    (fun n ->
+      let s = Obs.Series.create ~columns:[ "v" ] () in
       for i = 0 to n - 1 do
         Obs.Series.sample s ~t_s:(float_of_int i) [| float_of_int i |]
       done;
@@ -1058,29 +1059,33 @@ let prop_series_stride_grid =
       in
       let retained = List.map int_of_float (series_times s) in
       series_field s "total_samples" = n
-      && List.length retained <= effective
+      && List.length retained <= series_capacity
       && retained = expected)
 
 let test_series_decimation_boundary () =
-  (* Pin the exact boundary behaviour at capacity 4: the offer that
+  (* Pin the exact boundary behaviour at the capacity: the offer that
      fills the buffer triggers decimation and is itself dropped (it sits
      off the doubled grid); retention snaps to the new grid. *)
-  let s = Obs.Series.create ~capacity:4 ~columns:[ "v" ] () in
+  let cap = series_capacity in
+  let s = Obs.Series.create ~columns:[ "v" ] () in
   let offer i = Obs.Series.sample s ~t_s:(float_of_int i) [| 0.0 |] in
   let retained () = List.map int_of_float (series_times s) in
-  for i = 0 to 2 do offer i done;
-  Alcotest.(check (list int)) "below capacity: everything" [ 0; 1; 2 ]
+  let evens_to k = List.init ((k / 2) + 1) (fun i -> 2 * i) in
+  for i = 0 to cap - 2 do offer i done;
+  Alcotest.(check (list int)) "below capacity: everything"
+    (List.init (cap - 1) Fun.id)
     (retained ());
   Alcotest.(check int) "stride still 1" 1 (series_field s "stride");
-  offer 3;
-  (* 4th row fills the buffer: decimate to evens, stride doubles. *)
-  Alcotest.(check (list int)) "decimated to evens" [ 0; 2 ] (retained ());
-  Alcotest.(check int) "stride doubled" 2 (series_field s "stride");
-  offer 4;
-  Alcotest.(check (list int)) "next keep lands on the new grid" [ 0; 2; 4 ]
+  offer (cap - 1);
+  (* The row that fills the buffer: decimate to evens, stride doubles. *)
+  Alcotest.(check (list int)) "decimated to evens" (evens_to (cap - 2))
     (retained ());
-  offer 5;
-  Alcotest.(check (list int)) "odd row dropped in O(1)" [ 0; 2; 4 ]
+  Alcotest.(check int) "stride doubled" 2 (series_field s "stride");
+  offer cap;
+  Alcotest.(check (list int)) "next keep lands on the new grid" (evens_to cap)
+    (retained ());
+  offer (cap + 1);
+  Alcotest.(check (list int)) "odd row dropped in O(1)" (evens_to cap)
     (retained ())
 
 (* ------------------------------------------------------------------ *)

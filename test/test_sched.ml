@@ -42,48 +42,36 @@ let loaded_net () =
 (* Exec_model                                                          *)
 
 let test_exec_plan_time () =
-  let m = Exec_model.default in
-  Alcotest.(check (float 1e-12)) "linear" (m.Exec_model.plan_unit_cost_s *. 100.0)
-    (Exec_model.plan_time m ~work_units:100);
+  Alcotest.(check (float 1e-12)) "0.1 ms per unit" (1e-4 *. 100.0)
+    (Exec_model.plan_time ~work_units:100);
   Alcotest.check_raises "negative" (Invalid_argument "Exec_model.plan_time")
-    (fun () -> ignore (Exec_model.plan_time m ~work_units:(-1)))
+    (fun () -> ignore (Exec_model.plan_time ~work_units:(-1)))
+
+(* One plan's serial execution time: 1 ms per programmed hop plus its
+   transfer at 500 Mbps. *)
+let serial_time (plan : Planner.t) =
+  (float_of_int plan.Planner.rule_hops *. 0.001)
+  +. (plan.Planner.transfer_mbit /. 500.0)
 
 let test_exec_execution_time () =
   let net = loaded_net () in
   let ev = of_spec { Event_gen.event_id = 0; arrival_s = 0.0; flows = [ flow ~id:0 0 15 ] } in
   let plan = Planner.plan net ev in
-  let m = Exec_model.default in
-  let t = Exec_model.execution_time m plan in
   (* One flow: no intra-event speedup applies. *)
-  let expected =
-    (float_of_int plan.Planner.rule_hops *. m.Exec_model.rule_install_s
-    +. plan.Planner.transfer_mbit /. m.Exec_model.migration_rate_mbps)
-  in
-  Alcotest.(check (float 1e-9)) "single flow no parallelism" expected t
+  Alcotest.(check (float 1e-9)) "single flow no parallelism"
+    (serial_time plan)
+    (Exec_model.execution_time plan)
 
 let test_exec_parallelism_cap () =
   let net = loaded_net () in
   let flows = List.init 10 (fun i -> flow ~id:i ~demand:5.0 (i mod 8) ((i + 5) mod 16)) in
   let ev = of_spec { Event_gen.event_id = 0; arrival_s = 0.0; flows } in
   let plan = Planner.plan net ev in
-  let sequential =
-    { Exec_model.default with Exec_model.intra_event_parallelism = 1.0 }
-  in
-  let seq = Exec_model.execution_time sequential plan in
-  let par = Exec_model.execution_time Exec_model.default plan in
-  Alcotest.(check bool) "parallel faster" true (par < seq);
-  Alcotest.(check (float 1e-9)) "factor 8" (seq /. 8.0) par
-
-let test_exec_validation () =
-  let net = loaded_net () in
-  let ev = of_spec { Event_gen.event_id = 0; arrival_s = 0.0; flows = [ flow ~id:0 0 15 ] } in
-  let plan = Planner.plan net ev in
-  Alcotest.check_raises "parallelism < 1"
-    (Invalid_argument "Exec_model.execution_time: parallelism < 1") (fun () ->
-      ignore
-        (Exec_model.execution_time
-           { Exec_model.default with Exec_model.intra_event_parallelism = 0.5 }
-           plan))
+  Alcotest.(check int) "ten flows placed" 0 plan.Planner.failed_count;
+  (* Ten satisfied flows: the 8-way parallelism cap applies. *)
+  Alcotest.(check (float 1e-9)) "factor 8"
+    (serial_time plan /. 8.0)
+    (Exec_model.execution_time plan)
 
 (* ------------------------------------------------------------------ *)
 (* Policy                                                              *)
@@ -212,7 +200,7 @@ let test_engine_plan_accounting () =
   Alcotest.(check bool) "lmtf pays more planning" true
     (lmtf.Engine.total_plan_units > fifo.Engine.total_plan_units);
   Alcotest.(check (float 1e-9)) "plan time = units x cost"
-    (Exec_model.plan_time Exec_model.default ~work_units:fifo.Engine.total_plan_units)
+    (Exec_model.plan_time ~work_units:fifo.Engine.total_plan_units)
     fifo.Engine.total_plan_time_s
 
 let test_engine_total_cost_matches_events () =
@@ -736,7 +724,6 @@ let suite =
     ("exec plan time", `Quick, test_exec_plan_time);
     ("exec execution time", `Quick, test_exec_execution_time);
     ("exec parallelism", `Quick, test_exec_parallelism_cap);
-    ("exec validation", `Quick, test_exec_validation);
     ("policy names", `Quick, test_policy_names);
     ("policy validate", `Quick, test_policy_validate);
     ("engine completes all", `Quick, test_engine_completes_all);

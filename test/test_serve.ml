@@ -273,13 +273,22 @@ let remove_segments path =
 
 let test_journal_segment_rotation_and_append () =
   let path = Filename.temp_file "nu_wal_seg" ".wal" in
-  let entries =
-    List.init 30 (fun i ->
-        if i mod 3 = 2 then Journal.Tick_done (i / 3)
-        else Journal.Arrive { tick = i / 3; request = req i })
+  let entry i =
+    if i mod 3 = 2 then Journal.Tick_done (i / 3)
+    else Journal.Arrive { tick = i / 3; request = req i }
   in
-  let w = Journal.open_writer ~segment_bytes:512 path in
-  List.iter (Journal.write w) entries;
+  let w = Journal.open_writer path in
+  (* Segments rotate past 4 MiB: write until the second one opens, then
+     30 entries more. *)
+  let rec fill i more =
+    if more = 0 then i
+    else begin
+      Journal.write w (entry i);
+      let rotated = Sys.file_exists (Journal.segment_path path 1) in
+      fill (i + 1) (if rotated then more - 1 else more)
+    end
+  in
+  let entries = List.init (fill 0 30) entry in
   Obs.Store.close w;
   Alcotest.(check bool) "rotated to a second segment" true
     (Sys.file_exists (Journal.segment_path path 1));
@@ -445,10 +454,18 @@ let remove_chain cp =
       if Sys.file_exists p then Sys.remove p)
     [ 0; 1; 2; 3 ]
 
+(* [Serve.create] with a fault injector: the one-shard fabric, built
+   directly. *)
+let fabric_create ?injector ?telemetry ?journal config ~topology ~net
+    ~source_spec =
+  Shard_fabric.create ?injector ?telemetry ?journal
+    (Shard_fabric.default_config config ~shards:1)
+    ~topology ~net ~source_spec
+
 let serve_uninterrupted ?injector ~ticks () =
   let s = scenario () in
   let t =
-    Serve.create ?injector (cfg ()) ~topology:s.Scenario.topology
+    fabric_create ?injector (cfg ()) ~topology:s.Scenario.topology
       ~net:s.Scenario.net ~source_spec:(spec_of ())
   in
   Serve.run ~ticks t;
@@ -470,7 +487,7 @@ let test_serve_checkpoint_restore_differential () =
     Serve.create ~journal:w (cfg ()) ~topology:s.Scenario.topology
       ~net:s.Scenario.net ~source_spec:(spec_of ())
   in
-  Serve.run ~checkpoint_path:cp ~checkpoint_every:8 ~ticks:27 t;
+  Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:8 t ~ticks:27;
   Obs.Store.close w;
   (* Recover elsewhere: only the checkpoint, the journal, the topology
      and the original configuration cross the "crash". *)
@@ -515,11 +532,11 @@ let test_serve_crash_recovery_under_faults () =
   let s = scenario () in
   let w = Journal.open_writer jp in
   let t =
-    Serve.create ~injector:(make_injector s.Scenario.topology) ~journal:w
+    fabric_create ~injector:(make_injector s.Scenario.topology) ~journal:w
       (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
       ~source_spec:(spec_of ())
   in
-  Serve.run ~checkpoint_path:cp ~checkpoint_every:10 ~ticks:15 t;
+  Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:10 t ~ticks:15;
   (* Simulate a crash mid-tick 15: arrivals hit the journal, the commit
      marker never did. Replay must discard them; the resumed source
      regenerates the real tick-15 arrivals bit-identically. *)
@@ -911,21 +928,20 @@ let prop_watch_replay_alert_digest =
               (cfg ()) ~topology:s.Scenario.topology ~net:s.Scenario.net
               ~source_spec:(spec_of ~seed ())
           in
-          Serve.run ~checkpoint_path:cp ~checkpoint_every:16 ~ticks:50 t;
+          Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:16 t ~ticks:50;
           Obs.Store.close w;
           let topology = Fat_tree.to_topology (Fat_tree.create ~k:4 ()) in
           let tel2 = watch_telemetry (Some dir_b) in
           match
-            Serve.restore ~config:(cfg ()) ~telemetry:tel2
-              ~source_spec:(spec_of ~seed ()) ~topology cp
+            Shard_fabric.replay ~telemetry:tel2 ~checkpoint_path:cp
+              (Shard_fabric.default_config (cfg ()) ~shards:1)
+              ~topology ~net:(scenario ()).Scenario.net
+              ~source_spec:(spec_of ~seed ()) ~journal_base:jp
           with
-          | Error m -> Alcotest.failf "restore: %s" m
-          | Ok t2 -> (
-              match Serve.replay ~journal:jp t2 with
-              | Error m -> Alcotest.failf "replay: %s" m
-              | Ok _ ->
-                  let _, _, alerts = uninterrupted in
-                  alerts > 0 && uninterrupted = finish t2 tel2)))
+          | Error m -> Alcotest.failf "restore + replay: %s" m
+          | Ok (t2, _) ->
+              let _, _, alerts = uninterrupted in
+              alerts > 0 && uninterrupted = finish t2 tel2))
 
 let prop_watch_domains_alert_digest =
   (* The probe fan-out width is a wall-clock knob: the watchdog's alert
@@ -1085,7 +1101,7 @@ let golden_serve ?(faults = false) ?telemetry ?(config = cfg ()) ~ticks () =
     if faults then Some (golden_injector s.Scenario.topology) else None
   in
   let t =
-    Serve.create ?injector ?telemetry config ~topology:s.Scenario.topology
+    fabric_create ?injector ?telemetry config ~topology:s.Scenario.topology
       ~net:s.Scenario.net ~source_spec:golden_spec
   in
   Serve.run ~ticks t;
@@ -1118,7 +1134,7 @@ let golden_restore_continuation () =
         Serve.create ~journal:w config ~topology:s.Scenario.topology
           ~net:s.Scenario.net ~source_spec:golden_spec
       in
-      Serve.run ~checkpoint_path:cp ~checkpoint_every:8 ~ticks:27 t;
+      Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:8 t ~ticks:27;
       Obs.Store.close w;
       match
         Serve.restore ~config ~source_spec:golden_spec
@@ -1238,7 +1254,7 @@ let golden_checkpoint_bytes () =
   let s = scenario () in
   let injector = golden_injector s.Scenario.topology in
   let t =
-    Serve.create ~injector
+    fabric_create ~injector
       (cfg ~capacity:4 ~churn:golden_churn ())
       ~topology:s.Scenario.topology ~net:s.Scenario.net
       ~source_spec:
@@ -1434,15 +1450,17 @@ let float_column bits =
   | Ok (Obs.Json.String s) -> s
   | _ -> Alcotest.fail "a float column is a JSON string"
 
+(* Decode a whole string as one float column. *)
+let decode_column ~n s =
+  Serve_codec.float_column_of_string ~n ~pos:0 ~len:(String.length s) s
+
 let prop_float_column_roundtrip =
   QCheck.Test.make ~name:"float column round-trips any bit pattern" ~count:300
     QCheck.(list int64)
     (fun drawn ->
       let bits = special_bits @ drawn in
       let n = List.length bits in
-      match
-        Serve_codec.float_column_of_string ~n (float_column bits)
-      with
+      match decode_column ~n (float_column bits) with
       | Ok a -> List.map Int64.bits_of_float (Array.to_list a) = bits
       | Error _ -> false)
 
@@ -1469,7 +1487,7 @@ let prop_float_column_damage =
             Bytes.set b (pos mod Bytes.length b) c;
             (n, Bytes.to_string b, is_hex c)
       in
-      match Serve_codec.float_column_of_string ~n:n' s' with
+      match decode_column ~n:n' s' with
       | Ok a -> ok && Array.length a = n
       | Error _ -> not ok
       | exception _ -> false)
@@ -1482,7 +1500,7 @@ let damage_base =
   lazy
     (let s = scenario () in
      let t =
-       Serve.create
+       fabric_create
          ~injector:(golden_injector s.Scenario.topology)
          (cfg ~capacity:4 ~churn:golden_churn ())
          ~topology:s.Scenario.topology ~net:s.Scenario.net
@@ -1708,7 +1726,7 @@ let test_stream_checkpoint_replay () =
   let jp = Filename.concat dir "wal" in
   let w = Journal.open_writer jp in
   let t = fresh ~journal:w () in
-  Serve.run ~checkpoint_path:cp ~checkpoint_every:6 ~ticks:14 t;
+  Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:6 t ~ticks:14;
   Obs.Store.close w;
   (match Serve.restore ~config:(cfg ()) ~source_spec:spec ~topology cp with
   | Error m -> Alcotest.fail m

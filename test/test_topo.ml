@@ -169,9 +169,9 @@ let test_fat_tree_topology_valid () =
   Alcotest.(check int) "diameter" 6 topo.Topology.diameter
 
 let test_fat_tree_link_capacity () =
-  let t = Fat_tree.create ~k:4 ~link_capacity:250.0 () in
+  let t = Fat_tree.create ~k:4 () in
   Graph.fold_edges (ft_graph t) ~init:() ~f:(fun () e ->
-      Alcotest.(check (float 0.0)) "uniform" 250.0 e.Graph.capacity)
+      Alcotest.(check (float 0.0)) "uniform 1 Gbps" 1000.0 e.Graph.capacity)
 
 let test_fat_tree_edge_switch_of_host () =
   let t = ft4 () in

@@ -25,6 +25,21 @@ let test_record_validation () =
     (Invalid_argument "Flow_record.v: negative endpoint") (fun () ->
       ignore (mk ~src:(-1) ()))
 
+(* NaN slips past every [<= 0.0] check, and an infinite duration makes
+   a flow of zero demand: each must be refused before it is placed. *)
+let test_record_non_finite () =
+  let refused what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Flow_record.v: non-finite size, duration or arrival")
+      (fun () -> ignore (f ()))
+  in
+  refused "nan size" (mk ~size:Float.nan);
+  refused "infinite size" (mk ~size:Float.infinity);
+  refused "nan duration" (mk ~dur:Float.nan);
+  refused "infinite duration" (mk ~dur:Float.infinity);
+  refused "nan arrival" (mk ~arr:Float.nan);
+  refused "infinite arrival" (mk ~arr:Float.infinity)
+
 (* ------------------------------------------------------------------ *)
 (* Ip_map                                                              *)
 
@@ -117,7 +132,10 @@ let test_benson_mixture_params () =
     { Benson_trace.default_params with Benson_trace.mice_fraction = 0.0 }
   in
   let rng = Prng.create 6 in
-  let flows = Benson_trace.generate ~params rng ~host_count:64 ~n:100 in
+  let flows =
+    Array.init 100 (fun id ->
+        Benson_trace.draw_flow ~params rng ~id ~src:0 ~dst:1 ~arrival_s:0.0)
+  in
   Array.iter
     (fun f ->
       Alcotest.(check bool) "all elephants" true
@@ -241,6 +259,7 @@ let suite =
   [
     ("record demand", `Quick, test_record_demand);
     ("record validation", `Quick, test_record_validation);
+    ("record non-finite", `Quick, test_record_non_finite);
     ("ip host range", `Quick, test_ip_host_range);
     ("ip deterministic", `Quick, test_ip_host_deterministic);
     ("ip pair distinct", `Quick, test_ip_pair_distinct);

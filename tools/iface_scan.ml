@@ -12,10 +12,18 @@
    packed as a first-class value counts as reached; [include M] re-exports
    [M]'s values under the including module's path.
 
-   A value with no such caller fails the scan unless the allowlist
-   [tools/iface_scan.allow] names it with a reason. An allowlist entry without a
-   reason, naming no exported value, or naming a value that now has a
-   production caller fails too, so the list cannot rot.
+   Every optional parameter [?l] of such a value must likewise be
+   supplied ([~l:x] or [?l:x]) by an application outside the value's own
+   module under those directories; an argument the compiler fills in for
+   an omitted one does not count. A value alias ([let f = M.f]) passes
+   the labels its callers supply on to its target.
+
+   A value with no such caller, or a parameter with no such setter, fails
+   the scan unless the allowlist [tools/iface_scan.allow] names it with a
+   reason ([M.v] for a value, [M.v?l] for a parameter). An allowlist entry
+   without a reason, naming no exported value or parameter, or naming one
+   that now has a production caller or setter fails too, so the list
+   cannot rot.
 
    Run it at the repository root through [tools/iface_scan.sh], which
    builds the typed trees first. Exit 0: clean; 1: a finding; 2: no
@@ -58,9 +66,11 @@ let typed_trees ext dirs =
   |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
 
 (* Module paths are strings "Unit.M.N"; [aliases] maps an alias to the
-   path it names, [includes] a module to each module it includes. *)
+   path it names, [includes] a module to each module it includes and
+   [value_aliases] a value bound as [let v = M.w] to [M.w]'s path. *)
 let aliases : (string, string) Hashtbl.t = Hashtbl.create 256
 let includes : (string, string) Hashtbl.t = Hashtbl.create 16
+let value_aliases : (string, string) Hashtbl.t = Hashtbl.create 16
 
 let rec resolve_whole depth s =
   match Hashtbl.find_opt aliases s with
@@ -99,8 +109,8 @@ let rec structure_of me =
   | Tmod_constraint (me, _, _, _) -> structure_of me
   | _ -> None
 
-(* Pass 1: record the module aliases and includes of one implementation
-   and return its table of local module identifiers. *)
+(* Pass 1: record the module aliases, includes and value aliases of one
+   implementation and return its table of local module identifiers. *)
 let collect_aliases (cmt : Cmt_format.cmt_infos) =
   let locals = Hashtbl.create 16 in
   let rec structure prefix str =
@@ -112,6 +122,17 @@ let collect_aliases (cmt : Cmt_format.cmt_infos) =
         | Tstr_include { incl_mod; _ } ->
             Option.bind (ident_of incl_mod) (raw_path locals)
             |> Option.iter (Hashtbl.add includes prefix)
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+                | Tpat_var (id, _), Texp_ident (p, _, _) ->
+                    raw_path locals p
+                    |> Option.iter
+                         (Hashtbl.replace value_aliases
+                            (prefix ^ "." ^ Ident.name id))
+                | _ -> ())
+              vbs
         | _ -> ())
       str.str_items
   and binding prefix mb =
@@ -130,23 +151,43 @@ let collect_aliases (cmt : Cmt_format.cmt_infos) =
   | _ -> ());
   locals
 
-(* The values and whole modules the callers reach. *)
+(* The values and whole modules the callers reach, and the optional
+   parameters they supply, as "Unit.M.v?l". *)
 type reach = {
   values : (string, unit) Hashtbl.t;
   modules : (string, unit) Hashtbl.t;
+  labels : (string, unit) Hashtbl.t;
 }
+
+let split_last s =
+  match String.rindex_opt s '.' with
+  | None -> None
+  | Some i ->
+      Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+
+(* The values [s] stands for in the modules its module includes. *)
+let included s =
+  match split_last s with
+  | None -> []
+  | Some (m, v) ->
+      List.map (fun inc -> resolve 0 inc ^ "." ^ v) (Hashtbl.find_all includes m)
 
 let rec mark_value r s =
   if not (Hashtbl.mem r.values s) then begin
     Hashtbl.replace r.values s ();
-    match String.rindex_opt s '.' with
-    | None -> ()
-    | Some i ->
-        let m = String.sub s 0 i
-        and v = String.sub s (i + 1) (String.length s - i - 1) in
-        List.iter
-          (fun inc -> mark_value r (resolve 0 inc ^ "." ^ v))
-          (Hashtbl.find_all includes m)
+    List.iter (mark_value r) (included s)
+  end
+
+(* A label supplied to [s] is supplied to whatever [s] includes or
+   aliases, too. *)
+let rec mark_label r s l =
+  let k = s ^ "?" ^ l in
+  if not (Hashtbl.mem r.labels k) then begin
+    Hashtbl.replace r.labels k ();
+    let aliased = Hashtbl.find_opt value_aliases s in
+    List.iter
+      (fun s -> mark_label r s l)
+      (included s @ Option.to_list (Option.map (resolve 0) aliased))
   end
 
 let rec mark_module r s =
@@ -175,6 +216,17 @@ let collect_reach r (cmt : Cmt_format.cmt_infos) locals =
         (fun sub e ->
           (match e.exp_desc with
           | Texp_ident (p, _, _) -> Option.iter (mark_value r) (target p)
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+              Option.iter
+                (fun s ->
+                  List.iter
+                    (function
+                      | Asttypes.Optional l, Some a
+                        when a.exp_loc <> Location.none ->
+                          mark_label r s l
+                      | _ -> ())
+                    args)
+                (target p)
           | _ -> ());
           default_iterator.expr sub e);
       binding_op =
@@ -209,24 +261,44 @@ let collect_reach r (cmt : Cmt_format.cmt_infos) locals =
   | Implementation str -> it.structure it str
   | _ -> ()
 
-let reached r path =
-  Hashtbl.mem r.values path
-  ||
-  let rec any_prefix s =
-    Hashtbl.mem r.modules s
-    ||
-    match String.rindex_opt s '.' with
-    | Some i -> any_prefix (String.sub s 0 i)
-    | None -> false
-  in
-  any_prefix path
+let rec module_reached r s =
+  Hashtbl.mem r.modules s
+  || match split_last s with Some (m, _) -> module_reached r m | None -> false
+
+let reached r path = Hashtbl.mem r.values path || module_reached r path
+
+(* A module reached whole may supply any label of its values. *)
+let supplied r path l =
+  Hashtbl.mem r.labels (path ^ "?" ^ l) || module_reached r path
 
 (* An exported value: its resolved path, its interface file, its name
-   below the unit ([M.v] inside a nested module) and its line. *)
-type export = { path : string; mli : string; name : string; line : int }
+   below the unit ([M.v] inside a nested module), its line and its
+   optional parameters. *)
+type export = {
+  path : string;
+  mli : string;
+  name : string;
+  line : int;
+  params : string list;
+}
 
-(* The allowlist's name for a value: "lib/dir/m.mli:M.v". *)
+(* The allowlist's name for a value: "lib/dir/m.mli:M.v"; one of its
+   parameters appends "?l". *)
 let key e = e.mli ^ ":" ^ e.name
+
+(* A value or one of its optional parameters, by its allowlist key. *)
+type item = {
+  id : string;
+  export : export;
+  label : string option;
+  ok : bool;  (* a production caller reaches or supplies it *)
+}
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, rest, _) -> l :: optional_labels rest
+  | Tarrow (_, _, rest, _) -> optional_labels rest
+  | _ -> []
 
 let exports (src, (cmt : Cmt_format.cmt_infos)) =
   let rec signature prefix local sg =
@@ -241,6 +313,7 @@ let exports (src, (cmt : Cmt_format.cmt_infos)) =
                 mli = src;
                 name = local ^ v;
                 line = vd.val_loc.loc_start.pos_lnum;
+                params = optional_labels vd.val_val.val_type;
               };
             ]
         | Tsig_module
@@ -281,7 +354,10 @@ let () =
   let impls = typed_trees ".cmt" caller_dirs in
   (* Every alias must be known before any path is resolved. *)
   let locals = List.map (fun (_, cmt) -> collect_aliases cmt) impls in
-  let prod = { values = Hashtbl.create 4096; modules = Hashtbl.create 64 } in
+  let prod =
+    { values = Hashtbl.create 4096; modules = Hashtbl.create 64;
+      labels = Hashtbl.create 256 }
+  in
   List.iter2 (fun (_, cmt) locals -> collect_reach prod cmt locals) impls locals;
   let vals = List.concat_map exports (typed_trees ".cmti" [ "lib" ]) in
   let allow = read_allowlist allow_file in
@@ -290,32 +366,67 @@ let () =
     fail := true;
     Printf.printf fmt
   in
+  (* One item per value and per optional parameter, by its allowlist
+     key, with whether a production caller reaches or supplies it. *)
+  let items =
+    List.concat_map
+      (fun e ->
+        { id = key e; export = e; label = None; ok = reached prod e.path }
+        :: List.map
+             (fun l ->
+               {
+                 id = key e ^ "?" ^ l;
+                 export = e;
+                 label = Some l;
+                 ok = supplied prod e.path l;
+               })
+             e.params)
+      (List.sort compare vals)
+  in
   let allowed = Hashtbl.create 16 in
   List.iter
     (fun (n, k, reason) ->
-      match List.find_opt (fun e -> key e = k) vals with
+      match List.find_opt (fun it -> it.id = k) items with
       | _ when reason = "" ->
           error "%s:%d: allowlist entry %s gives no reason\n" allow_file n k
       | None ->
-          error "%s:%d: stale allowlist entry %s: no such interface value\n"
+          error
+            "%s:%d: stale allowlist entry %s: no such interface value or \
+             parameter\n"
             allow_file n k
-      | Some e when reached prod e.path ->
-          error "%s:%d: stale allowlist entry %s: it has a production caller\n"
+      | Some { ok = true; label; _ } ->
+          error "%s:%d: stale allowlist entry %s: it has a production %s\n"
             allow_file n k
+            (if label = None then "caller" else "setter")
       | Some _ -> Hashtbl.replace allowed k reason)
     allow;
-  let flagged = ref 0 in
-  List.iter
-    (fun e ->
-      if reached prod e.path then ()
-      else
-        match Hashtbl.find_opt allowed (key e) with
-        | Some reason -> Printf.printf "allowed: %s  %s\n" (key e) reason
-        | None ->
-            incr flagged;
-            error "%s:%d: val %s has no caller outside its own module\n" e.mli
-              e.line e.name)
-    (List.sort compare vals);
+  (* Allowlisted and flagged counts of [items]. *)
+  let report items =
+    List.fold_left
+      (fun (a, f) it ->
+        if it.ok then (a, f)
+        else
+          match (Hashtbl.find_opt allowed it.id, it.label) with
+          | Some reason, _ ->
+              Printf.printf "allowed: %s  %s\n" it.id reason;
+              (a + 1, f)
+          | None, None ->
+              error "%s:%d: val %s has no caller outside its own module\n"
+                it.export.mli it.export.line it.export.name;
+              (a, f + 1)
+          | None, Some l ->
+              error
+                "%s:%d: val %s: ?%s is set by no caller outside its own \
+                 module\n"
+                it.export.mli it.export.line it.export.name l;
+              (a, f + 1))
+      (0, 0) items
+  in
+  let values, params = List.partition (fun it -> it.label = None) items in
+  let av, fv = report values in
+  let ap, fp = report params in
   Printf.printf "%d interface values, %d allowlisted, %d without a caller\n"
-    (List.length vals) (Hashtbl.length allowed) !flagged;
+    (List.length values) av fv;
+  Printf.printf "%d optional parameters, %d allowlisted, %d without a setter\n"
+    (List.length params) ap fp;
   exit (if !fail then 1 else 0)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Qualified interface scan: every value a lib/**/*.mli exports needs a
 # caller outside its own module under lib/, bin/, bench/, perfbench/ or
-# examples/, unless tools/iface_scan.allow names it with a reason.
+# examples/, and every optional parameter of it such a caller that
+# supplies it, unless tools/iface_scan.allow names it with a reason.
 #
 #   bash tools/iface_scan.sh
 #
