@@ -1344,15 +1344,11 @@ let telemetry_cmd =
                 else Some (Obs.Histogram.mean h))
               rows
           in
-          (match means with
-          | [] -> Format.printf "jain index: - (no completions)@."
-          | xs ->
-              let n = float_of_int (List.length xs) in
-              let s = List.fold_left ( +. ) 0.0 xs in
-              let s2 = List.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-              Format.printf "jain index: %.4f over %d tenant(s)@."
-                (if s2 = 0.0 then 1.0 else s *. s /. (n *. s2))
-                (List.length xs));
+          (match Obs.Fairness.jain means with
+          | None -> Format.printf "jain index: - (no completions)@."
+          | Some j ->
+              Format.printf "jain index: %.4f over %d tenant(s)@." j
+                (List.length means));
           if not (Obs.Histogram.is_empty overall) then
             Format.printf "overall ECT: mean %.3f s, p99 %.3f s, p999 %.3f s \
                            (%d completion(s))@."

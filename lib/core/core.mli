@@ -12,8 +12,6 @@
     {- network state: {!Net_state}, {!Routing}, {!Background};}
     {- the paper's contribution: {!Event}, {!Migration}, {!Planner},
        {!Ordering};}
-    {- consistent-update dataplane: {!Rule}, {!Switch_table}, {!Fabric},
-       {!Two_phase};}
     {- fault injection and recovery: {!Fault_model}, {!Retry_policy},
        {!Injector}, {!Invariant}, {!Recovery};}
     {- inter-event scheduling: {!Policy}, {!Exec_model}, {!Engine},
@@ -52,10 +50,6 @@ module Event = Nu_update.Event
 module Migration = Nu_update.Migration
 module Planner = Nu_update.Planner
 module Ordering = Nu_update.Ordering
-module Rule = Nu_dataplane.Rule
-module Switch_table = Nu_dataplane.Switch_table
-module Fabric = Nu_dataplane.Fabric
-module Two_phase = Nu_dataplane.Two_phase
 module Fault_model = Nu_fault.Fault_model
 module Retry_policy = Nu_fault.Retry_policy
 module Injector = Nu_fault.Injector

@@ -99,9 +99,8 @@ let routing_policy ?(seed = 42) () =
     (fun policy ->
       match policy with
       | Routing.Random_fit ->
-          (* Random_fit needs an rng threaded through Planner.plan; the
-             deterministic pass would not isolate the policy effect, so
-             it is exercised in the engine tests instead. *)
+          (* Random_fit is a fill policy, not a planning one: planning
+             draws no randomness and refuses it. *)
           ()
       | _ ->
           let cost, moves, failed, units =

@@ -20,7 +20,7 @@ let peak_utilization net c i =
 
 let any _ = true
 
-let select_from ?rng ?(policy = First_fit) ?(eligible = any) net ~demand c =
+let choose ?rng ?(policy = First_fit) ?(eligible = any) net ~demand c =
   let best = ref (-1) in
   let scan f = Net_state.iter_feasible net c ~demand ~eligible f in
   (match policy with
@@ -60,9 +60,12 @@ let select_from ?rng ?(policy = First_fit) ?(eligible = any) net ~demand c =
       | l, Some rng -> best := Prng.choose rng (Array.of_list (List.rev l))));
   !best
 
+let select_from ?policy ?eligible net ~demand c =
+  choose ?policy ?eligible net ~demand c
+
 let select ?rng ?policy net record =
   let c = Net_state.candidates net record in
-  match select_from ?rng ?policy net ~demand:(Flow_record.demand_mbps record) c with
+  match choose ?rng ?policy net ~demand:(Flow_record.demand_mbps record) c with
   | -1 -> None
   | i -> Some (Net_state.candidate_path net c i)
 

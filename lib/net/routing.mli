@@ -33,7 +33,6 @@ val select :
     [Invalid_argument] without an [rng]. *)
 
 val select_from :
-  ?rng:Prng.t ->
   ?policy:policy ->
   ?eligible:(int -> bool) ->
   Net_state.t ->
@@ -43,7 +42,9 @@ val select_from :
 (** Same choice rule over an existing candidate view, restricted to the
     indices [eligible] accepts (default all; migration targets must
     avoid the path being cleared). Returns the chosen index, or [-1]
-    when no eligible candidate is feasible. *)
+    when no eligible candidate is feasible. It takes no [rng]: the
+    planner draws no randomness, so [Random_fit] raises
+    [Invalid_argument] here once a candidate is feasible. *)
 
 val desired : Flow_record.t -> Net_state.candidates -> int
 (** Index of the flow's *desired* candidate regardless of feasibility:

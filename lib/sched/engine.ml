@@ -116,7 +116,7 @@ let sync_background ctx now =
         let id = ctx.next_churn_id in
         ctx.next_churn_id <- id + 1;
         let record = ch.make_flow ~id in
-        match Routing.select ~rng:ctx.rng ctx.net record with
+        match Routing.select ctx.net record with
         | None -> ()
         | Some path -> (
             match Net_state.place ctx.net record path with
@@ -198,7 +198,7 @@ let apply_winner ctx (pr : Planner.probe) =
    P-LMTF's co-attempts use {!scan_first}). *)
 let apply ?frozen ?(config = Planner.default_config) ctx ~billed ev =
   let plan =
-    timed ctx (fun () -> Planner.plan ~rng:ctx.rng ~config ?frozen ctx.net ev)
+    timed ctx (fun () -> Planner.plan ~config ?frozen ctx.net ev)
   in
   if billed then ctx.units <- ctx.units + plan.Planner.work_units;
   plan
@@ -508,8 +508,8 @@ let private_pool ctx =
      [domains > 1], each lane probing its own mirror of the state;
    - unit billing replays in (stepper, candidate) order.
 
-   Random-fit planning consumes PRNG draws inside the probe, so it pins
-   the batch to the calling domain, draws in candidate order. *)
+   Planning draws no randomness, so where a probe runs cannot change
+   what it returns. *)
 let probe_wave ~owner pres =
   let slots =
     List.map (fun gp -> Array.make (Array.length gp.gp_candidates) None) pres
@@ -534,7 +534,7 @@ let probe_wave ~owner pres =
           let ctx = gp.gp_st.ctx in
           store m
             (timed ctx (fun () ->
-                 Planner.probe ~rng:ctx.rng ctx.net gp.gp_candidates.(i))))
+                 Planner.probe ctx.net gp.gp_candidates.(i))))
         batch
     else begin
       let pool = private_pool owner.ctx in

@@ -11,12 +11,12 @@
    of times before degrading (scan-first admission, failures accepted,
    outside any vote).
 
-   Everything is deterministic: the coordinator has its own PRNG and a
-   virtual clock floored by the tick wall, and the decisions journal is
-   an ordered Store record log of JSON decisions whose running FNV-1a
-   digest is part of the fabric digest. Recovery does not read the
-   journal back — the coordinator's whole state (queue, clock, results,
-   digest cursor, PRNG) freezes into the fabric checkpoint and the
+   Everything is deterministic: the coordinator draws no randomness; it
+   keeps a virtual clock floored by the tick wall, and the decisions
+   journal is an ordered Store record log of JSON decisions whose
+   running FNV-1a digest is part of the fabric digest. Recovery does not
+   read the journal back — the coordinator's whole state (queue, clock,
+   results, digest cursor) freezes into the fabric checkpoint and the
    replayed WAL regenerates the post-checkpoint entries
    bit-identically. *)
 
@@ -51,6 +51,10 @@ type pending = {
 type t = {
   cfg : config;
   rng : Prng.t;
+      (* Never drawn from: planning takes no PRNG. Kept only because its
+         frozen state ([fz_rng], the seed's initial state) is in every
+         checkpoint's bytes and the golden pins; drop it at the next
+         checkpoint-format change. *)
   mutable sink : Nu_obs.Store.writer option;
   mutable queue : pending list;  (* oldest-first *)
   mutable now_s : float;
@@ -260,7 +264,7 @@ let attempt_due t ~net ~tick ~now_floor_s ~shard_of_flow ~backlogs ~on_commit =
       p.p_attempts <- p.p_attempts + 1;
       Net_state.begin_txn net;
       let plan =
-        Planner.plan ~rng:t.rng ~config:Planner.default_config net p.p_event
+        Planner.plan ~config:Planner.default_config net p.p_event
       in
       if
         two_phase t ~net ~tick ~shard_of_flow ~backlogs ~on_commit ~billed:true
@@ -270,7 +274,7 @@ let attempt_due t ~net ~tick ~now_floor_s ~shard_of_flow ~backlogs ~on_commit =
       else if p.p_attempts < t.cfg.max_attempts then false
       else begin
         let dplan =
-          Planner.plan ~rng:t.rng
+          Planner.plan
             ~config:
               {
                 Planner.default_config with

@@ -125,6 +125,8 @@ type frozen = {
   fz_entries : int;
   fz_digest : int64;
   fz_rng : int64;
+      (** The initial state of [seed]'s PRNG, which nothing draws from;
+          kept for checkpoint-byte compatibility. *)
 }
 
 val freeze : t -> frozen

@@ -30,7 +30,6 @@ let make ~name ~graph ~hosts ~switches ~interior_paths ~diameter =
   { name; graph; hosts; switches; attach; up; down; interior_paths; diameter }
 
 let host_count t = Array.length t.hosts
-let switch_count t = Array.length t.switches
 let is_host t v = t.attach.(v) >= 0
 
 let validate t =
@@ -81,4 +80,4 @@ let validate t =
 
 let pp ppf t =
   Format.fprintf ppf "%s[%d hosts, %d switches, %a, diameter %d]" t.name
-    (host_count t) (switch_count t) Graph.pp t.graph t.diameter
+    (host_count t) (Array.length t.switches) Graph.pp t.graph t.diameter

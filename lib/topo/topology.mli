@@ -50,7 +50,6 @@ val make :
     construction rather than at the first candidate lookup. *)
 
 val host_count : t -> int
-val switch_count : t -> int
 
 val is_host : t -> int -> bool
 (** [attach.(v) >= 0]. *)

@@ -200,7 +200,7 @@ let rec select_next order ~gap ~exclude ~moved s n =
    re-evaluating it per phase is unobservable; feasibility and the
    policy keys read net state in candidate order, so recorded read
    sets and every decision are those of the path-list walk. *)
-let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
+let try_relocate ?policy ?(forbidden = fun _ _ -> false) ~work_units
     net ~desired_path (p : Net_state.placed) =
   let flow_id = p.record.Flow_record.id in
   let c = Net_state.candidates net p.record in
@@ -218,7 +218,7 @@ let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
   let access_off = off_desired c.Net_state.up && off_desired c.Net_state.down in
   (* An access hop on the desired path rules out every candidate, so
      such a flow (most picks) returns before any policy scan: that scan
-     would read no net state and draw nothing for it. *)
+     would read no net state for it. *)
   if not access_off then None
   else
     let eligible i =
@@ -227,7 +227,7 @@ let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
       && not (Net_state.candidate_is c i p.path)
     in
     let demand = Flow_record.demand_mbps p.record in
-    let best = Routing.select_from ?rng ?policy ~eligible net ~demand c in
+    let best = Routing.select_from ?policy ~eligible net ~demand c in
     (* Attempt reroutes: the ranked winner first, then the remaining
        eligible candidates in enumeration order. *)
     let attempt i =
@@ -256,7 +256,7 @@ let try_relocate ?policy ?rng ?(forbidden = fun _ _ -> false) ~work_units
       match attempt best with Some _ as ok -> ok | None -> attempt_rest 0
     else attempt_rest 0
 
-let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
+let clear_path ?(order = Best_fit_first) ?policy ?forbidden
     ?(work_units = ref 0) net ~demand ~path ~exclude =
   Nu_obs.Counters.incr Nu_obs.Counters.Clear_attempts;
   let sp =
@@ -309,7 +309,7 @@ let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
                     | None -> assert false (* on-edge flows are placed *)
                   in
                   match
-                    try_relocate ?policy ?rng ?forbidden ~work_units net
+                    try_relocate ?policy ?forbidden ~work_units net
                       ~desired_path:path placed
                   with
                   | Some move ->

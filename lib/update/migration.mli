@@ -48,7 +48,6 @@ val moves_cost_mbit : move list -> float
 val clear_path :
   ?order:order ->
   ?policy:Routing.policy ->
-  ?rng:Prng.t ->
   ?forbidden:(Net_state.candidates -> int -> bool) ->
   ?work_units:int ref ->
   Net_state.t ->
@@ -62,6 +61,7 @@ val clear_path :
     migrated (the event's own flows). On [Error _] the state is rolled
     back to exactly its entry value. [work_units], when given, is
     incremented once per feasibility probe — the planner's virtual
-    plan-time meter. [policy]/[rng] choose relocation targets (default
+    plan-time meter. [policy] chooses relocation targets (default
     first-fit) among a moved flow's candidates that [forbidden] (default
-    none) does not reject. *)
+    none) does not reject. Planning draws no randomness, so
+    [Random_fit] raises [Invalid_argument]. *)

@@ -73,7 +73,7 @@ let rank_by_gap net ~demand c idxs =
    flows off a path, then commits. The admission mode decides the order
    in which the desired candidate, the remaining free candidates, and
    migration clearing are attempted. *)
-let plan_install ?rng ~config ~work_units ~exclude net record =
+let plan_install ~config ~work_units ~exclude net record =
   let demand = Flow_record.demand_mbps record in
   if Net_state.is_placed net record.Flow_record.id then Failed Already_placed
   else
@@ -95,7 +95,7 @@ let plan_install ?rng ~config ~work_units ~exclude net record =
       in
       let scan_free () =
         incr work_units;
-        match Routing.select_from ?rng ~policy:config.policy net ~demand c with
+        match Routing.select_from ~policy:config.policy net ~demand c with
         | -1 -> None
         | i -> install (Net_state.candidate_path net c i) []
       in
@@ -106,7 +106,7 @@ let plan_install ?rng ~config ~work_units ~exclude net record =
               let path = Net_state.candidate_path net c i in
               match
                 Migration.clear_path ~order:config.order ~policy:config.policy
-                  ?rng ~work_units net ~demand ~path ~exclude
+                  ~work_units net ~demand ~path ~exclude
               with
               | Error _ -> try_clear rest
               | Ok moves -> install path moves (* clear_path guarantees room *))
@@ -139,7 +139,7 @@ let plan_install ?rng ~config ~work_units ~exclude net record =
       in
       run attempt_sequence
 
-let plan_reroute ?rng ~config ~work_units ~exclude net ~flow_id ~avoid =
+let plan_reroute ~config ~work_units ~exclude net ~flow_id ~avoid =
   match Net_state.flow net flow_id with
   | None -> Failed Flow_not_placed
   | Some placed ->
@@ -178,7 +178,6 @@ let plan_reroute ?rng ~config ~work_units ~exclude net ~flow_id ~avoid =
                 let path = Net_state.candidate_path net c i in
                 match
                   Migration.clear_path ~order:config.order ~policy:config.policy
-                    ?rng
                     ~forbidden:(fun c' j ->
                       not (Event.candidate_respects net c' j avoid))
                     ~work_units net ~demand ~path ~exclude:exclude'
@@ -229,7 +228,7 @@ let plan_reroute ?rng ~config ~work_units ~exclude net ~flow_id ~avoid =
         run attempt_sequence
       end
 
-let plan ?rng ?(config = default_config) ?(frozen = fun _ -> false) net event =
+let plan ?(config = default_config) ?(frozen = fun _ -> false) net event =
   let sp =
     if Trace.enabled () then
       Some
@@ -253,7 +252,7 @@ let plan ?rng ?(config = default_config) ?(frozen = fun _ -> false) net event =
           match work with
           | Event.Install record ->
               let o =
-                plan_install ?rng ~config ~work_units ~exclude net record
+                plan_install ~config ~work_units ~exclude net record
               in
               (match o with
               | Installed _ -> Hashtbl.replace touched record.Flow_record.id ()
@@ -261,7 +260,7 @@ let plan ?rng ?(config = default_config) ?(frozen = fun _ -> false) net event =
               o
           | Event.Reroute { flow_id; avoid } ->
               let o =
-                plan_reroute ?rng ~config ~work_units ~exclude net ~flow_id
+                plan_reroute ~config ~work_units ~exclude net ~flow_id
                   ~avoid
               in
               (match o with
@@ -435,7 +434,7 @@ type probe = {
   probe_touched : int array;
 }
 
-let probe ?rng net event =
+let probe net event =
   Counters.incr Counters.Cost_estimates;
   let sp =
     if Trace.enabled () then
@@ -452,7 +451,7 @@ let probe ?rng net event =
      wrote, which is what makes the plan replayable. *)
   Net_state.start_probe net;
   Net_state.begin_txn net;
-  let p = plan ?rng net event in
+  let p = plan net event in
   Net_state.rollback net;
   let touched = Net_state.stop_probe net in
   let est = estimate_of p in

@@ -26,7 +26,11 @@ type admission =
 val admission_name : admission -> string
 
 type config = {
-  policy : Routing.policy;  (** Path selection for installs and targets. *)
+  policy : Routing.policy;
+      (** Path selection for installs and targets. [Random_fit] is a fill
+          policy ({!Nu_net.Background.fill}), not a planning one: planning
+          draws no randomness, so a plan with it raises
+          [Invalid_argument]. *)
   order : Migration.order;  (** Greedy order inside {!Migration}. *)
   admission : admission;
 }
@@ -69,7 +73,6 @@ type t = {
 }
 
 val plan :
-  ?rng:Prng.t ->
   ?config:config ->
   ?frozen:(int -> bool) ->
   Net_state.t ->
@@ -109,7 +112,7 @@ type probe = {
       (** Edge ids the plan read or wrote, sorted ascending. *)
 }
 
-val probe : ?rng:Prng.t -> Net_state.t -> Event.t -> probe
+val probe : Net_state.t -> Event.t -> probe
 (** {!plan} with {!default_config} and nothing frozen, inside a {!Nu_net.Net_state.begin_txn}/[rollback] bracket and
     record the touched-edge set. The state is unchanged on return; the
     rollback costs O(operations performed) rather than a full revert

@@ -176,6 +176,54 @@ let test_serve_nested_metrics_dir () =
     (Sys.file_exists (Filename.concat metrics "lifecycle.jsonl"));
   rm_rf dir
 
+(* [telemetry DIR] over a lifecycle log written through Obs.Lifecycle:
+   each request is [(id, tenant, terminal stage)], stamped Arrived,
+   Admitted (unless shed) and then its terminal stage. *)
+let telemetry_of requests =
+  let dir = fresh_dir "nu_cli_telemetry" in
+  let lc =
+    Obs.Lifecycle.create ~path:(Filename.concat dir "lifecycle.jsonl") ()
+  in
+  List.iter
+    (fun (id, tenant, terminal) ->
+      let stamp stage = Obs.Lifecycle.stamp lc ~id ~tenant ~tick:0 ~t_s:0.0 stage in
+      stamp Obs.Lifecycle.Arrived;
+      (match terminal with
+      | Obs.Lifecycle.Shed _ -> ()
+      | _ -> stamp Obs.Lifecycle.Admitted);
+      stamp terminal)
+    requests;
+  Obs.Lifecycle.close lc;
+  let status, out = run_capture [ "telemetry"; dir ] in
+  rm_rf dir;
+  Alcotest.(check int) ("exit 0: " ^ out) 0 status;
+  out
+
+(* Two tenants with mean ECTs 2 s and 4 s: Jain's index is
+   (2 + 4)^2 / (2 * (2^2 + 4^2)) = 0.9. *)
+let test_telemetry_summary () =
+  let completed ect_s = Obs.Lifecycle.Completed { ect_s } in
+  let out =
+    telemetry_of
+      [ (1, "a", completed 1.0); (2, "a", completed 3.0); (3, "b", completed 4.0) ]
+  in
+  Alcotest.(check string) "jain line" "jain index: 0.9000 over 2 tenant(s)"
+    (field out "jain index:");
+  Alcotest.(check string) "overall line"
+    "overall ECT: mean 2.667 s, p99 4.000 s, p999 4.000 s (3 completion(s))"
+    (field out "overall ECT:")
+
+(* Arrivals that never complete leave no mean to compare: the index is
+   reported as absent and no overall-ECT line is printed. *)
+let test_telemetry_no_completion () =
+  let out =
+    telemetry_of
+      [ (1, "a", Obs.Lifecycle.Shed "capacity"); (2, "b", Obs.Lifecycle.Shed "capacity") ]
+  in
+  Alcotest.(check string) "jain line" "jain index: - (no completions)"
+    (field out "jain index:");
+  Alcotest.(check bool) "no overall line" false (contains out "overall ECT:")
+
 let suite =
   [
     ("unknown subcommand fails", `Quick, test_unknown_subcommand);
@@ -193,4 +241,6 @@ let suite =
       test_serve_kill_watch_digest );
     ("watch without watch.jsonl fails", `Quick, test_watch_without_journal);
     ("serve creates a nested --metrics-dir", `Quick, test_serve_nested_metrics_dir);
+    ("telemetry summary over two tenants", `Quick, test_telemetry_summary);
+    ("telemetry without completions", `Quick, test_telemetry_no_completion);
   ]

@@ -10,7 +10,6 @@ let () =
       ("traffic", Test_traffic.suite);
       ("net", Test_net.suite);
       ("update", Test_update.suite);
-      ("dataplane", Test_dataplane.suite);
       ("fault", Test_fault.suite);
       ("sched", Test_sched.suite);
       ("obs", Test_obs.suite);

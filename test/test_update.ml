@@ -1,4 +1,5 @@
-(* nu_update: event abstraction, migration approximation, planner. *)
+(* nu_update: event abstraction, migration approximation, planner,
+   move ordering. *)
 
 let of_spec = Test_util.of_spec
 
@@ -18,14 +19,14 @@ let place_exn net record =
 
 (* A k=4 network loaded so the update machinery has something to chew on.
    Deterministic and fast (no trace generation). *)
-let loaded_net () =
+let loaded_net ?(demand = 300.0) () =
   let net = Net_state.create (topo4 ()) in
   (* Saturate the desired (hash-chosen) path of a later probe by loading
      inter-pod pairs moderately. *)
   let next = ref 100 in
   for src = 0 to 7 do
     let dst = 15 - src in
-    let r = flow ~id:!next ~demand:300.0 src dst in
+    let r = flow ~id:!next ~demand src dst in
     incr next;
     ignore (place_exn net r)
   done;
@@ -523,6 +524,180 @@ let prop_plan_revert_preserves_invariants =
           ok_applied && Net_state.invariants_ok net = Ok ())
         events)
 
+(* ------------------------------------------------------------------ *)
+(* Ordering                                                            *)
+
+(* Dionysus-style dependency rounds. These cases run against their own
+   load: the eight inter-pod flows at 250 Mbps instead of 300. *)
+module Ordering_cases = struct
+  let loaded_net () = loaded_net ~demand:250.0 ()
+
+  let test_ordering_empty () =
+    let net = loaded_net () in
+    match Ordering.schedule net [] with
+    | Ok s ->
+        Alcotest.(check int) "no rounds" 0 s.Ordering.depth;
+        Alcotest.(check int) "width" 0 s.Ordering.width
+    | Error _ -> Alcotest.fail "empty schedules trivially"
+
+  let test_ordering_plan_moves () =
+    let net = loaded_net () in
+    let before = Net_state.copy net in
+    let ev =
+      of_spec
+        {
+          Event_gen.event_id = 0;
+          arrival_s = 0.0;
+          flows = [ flow ~id:0 ~demand:300.0 0 15; flow ~id:1 ~demand:300.0 1 14 ];
+        }
+    in
+    let plan = Planner.plan net ev in
+    let moves =
+      List.concat_map
+        (fun (item : Planner.item_plan) ->
+          match item.Planner.outcome with
+          | Planner.Installed { moves; _ } | Planner.Rerouted { moves; _ } -> moves
+          | Planner.Failed _ -> [])
+        plan.Planner.items
+    in
+    match Ordering.schedule before (Ordering.of_moves moves) with
+    | Ok s ->
+        Alcotest.(check int) "every move scheduled" (List.length moves)
+          (List.fold_left (fun a r -> a + List.length r) 0 s.Ordering.rounds);
+        Alcotest.(check bool) "depth sane" true (s.Ordering.depth <= max 1 (List.length moves))
+    | Error (Ordering.Deadlock _) ->
+        Alcotest.fail "planner moves replayed from pre-state cannot deadlock"
+    | Error (Ordering.Unknown_flow id) -> Alcotest.failf "unknown flow %d" id
+
+  let test_ordering_unknown_flow () =
+    let net = loaded_net () in
+    let placed = Option.get (Net_state.flow net 100) in
+    let spec = Ordering.{ flow_id = 424242; to_path = placed.Net_state.path } in
+    match Ordering.schedule net [ spec ] with
+    | Error (Ordering.Unknown_flow 424242) -> ()
+    | _ -> Alcotest.fail "expected Unknown_flow"
+
+  let test_ordering_dependency_rounds () =
+    (* A two-round dependency on a 3-spine leaf-spine: flow B (700 Mbps,
+       on spine 1) wants spine 0, but flow C (400 Mbps) sits there; C must
+       first move to the empty spine 2. *)
+    let ls = Leaf_spine.create ~leaves:2 ~spines:3 ~hosts_per_leaf:2
+        ~leaf_spine_capacity:1000.0 ~host_capacity:1000.0 () in
+    let topo = Leaf_spine.to_topology ls in
+    let net = Net_state.create topo in
+    let path_via net r spine =
+      List.find
+        (fun p -> Path.mentions_node p spine)
+        (Test_util.candidate_paths net r)
+    in
+    (* Hosts 0,1 on leaf 0; hosts 2,3 on leaf 1; spines are nodes 0-2. *)
+    let c = flow ~id:1 ~demand:400.0 0 2 in
+    let b = flow ~id:2 ~demand:700.0 1 3 in
+    (match Net_state.place net c (path_via net c 0) with Ok () -> () | Error _ -> assert false);
+    (match Net_state.place net b (path_via net b 1) with Ok () -> () | Error _ -> assert false);
+    let moves =
+      Ordering.
+        [
+          { flow_id = 2; to_path = path_via net b 0 };  (* blocked by C *)
+          { flow_id = 1; to_path = path_via net c 2 };  (* free *)
+        ]
+    in
+    match Ordering.schedule net moves with
+    | Ok s ->
+        Alcotest.(check int) "two rounds" 2 s.Ordering.depth;
+        (match s.Ordering.rounds with
+        | [ first; second ] ->
+            Alcotest.(check (list int)) "C moves first" [ 1 ]
+              (List.map (fun m -> m.Ordering.flow_id) first);
+            Alcotest.(check (list int)) "B follows" [ 2 ]
+              (List.map (fun m -> m.Ordering.flow_id) second)
+        | _ -> Alcotest.fail "round shape")
+    | Error _ -> Alcotest.fail "schedulable in two rounds"
+
+  let test_ordering_deadlock () =
+    (* Both flows want to swap onto each other's spine, but both spines are
+       too full to host two flows at once: a genuine deadlock. *)
+    let ls = Leaf_spine.create ~leaves:2 ~spines:2 ~hosts_per_leaf:2
+        ~leaf_spine_capacity:1000.0 ~host_capacity:1000.0 () in
+    let topo = Leaf_spine.to_topology ls in
+    let net = Net_state.create topo in
+    let path_via net r spine =
+      List.find (fun p -> Path.mentions_node p spine) (Test_util.candidate_paths net r)
+    in
+    let a = flow ~id:1 ~demand:700.0 0 2 in
+    let b = flow ~id:2 ~demand:700.0 1 3 in
+    (match Net_state.place net a (path_via net a 0) with Ok () -> () | Error _ -> assert false);
+    (match Net_state.place net b (path_via net b 1) with Ok () -> () | Error _ -> assert false);
+    let moves =
+      Ordering.
+        [
+          { flow_id = 1; to_path = path_via net a 1 };
+          { flow_id = 2; to_path = path_via net b 0 };
+        ]
+    in
+    match Ordering.schedule net moves with
+    | Error (Ordering.Deadlock blocked) ->
+        Alcotest.(check int) "both stuck" 2 (List.length blocked)
+    | Ok _ -> Alcotest.fail "700+700 cannot share a 1000 link"
+    | Error (Ordering.Unknown_flow _) -> Alcotest.fail "flows exist"
+
+  let test_ordering_verify () =
+    let net = loaded_net () in
+    let before = Net_state.copy net in
+    let ev =
+      of_spec
+        {
+          Event_gen.event_id = 0;
+          arrival_s = 0.0;
+          flows = [ flow ~id:0 ~demand:300.0 0 15; flow ~id:1 ~demand:300.0 1 14 ];
+        }
+    in
+    let plan = Planner.plan net ev in
+    let moves =
+      List.concat_map
+        (fun (item : Planner.item_plan) ->
+          match item.Planner.outcome with
+          | Planner.Installed { moves; _ } | Planner.Rerouted { moves; _ } -> moves
+          | Planner.Failed _ -> [])
+        plan.Planner.items
+    in
+    match Ordering.schedule before (Ordering.of_moves moves) with
+    | Ok s -> (
+        match Ordering.verify before s with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail ("schedule must verify: " ^ e))
+    | Error _ -> Alcotest.fail "schedulable"
+
+  let test_ordering_verify_rejects_bogus () =
+    let net = loaded_net () in
+    let placed = Option.get (Net_state.flow net 100) in
+    let bogus =
+      {
+        Ordering.rounds = [ [ Ordering.{ flow_id = 31337; to_path = placed.Net_state.path } ] ];
+        depth = 1;
+        width = 1;
+      }
+    in
+    match Ordering.verify net bogus with
+    | Error _ -> ()
+    | Ok () -> Alcotest.fail "unknown flow must not verify"
+
+  let test_ordering_leaves_state_unchanged () =
+    let net = loaded_net () in
+    let placed = Option.get (Net_state.flow net 100) in
+    let other =
+      List.find
+        (fun p -> not (Path.equal p placed.Net_state.path))
+        (Test_util.candidate_paths net placed.Net_state.record)
+    in
+    let before = Net_state.flow_count net in
+    ignore (Ordering.schedule net [ Ordering.{ flow_id = 100; to_path = other } ]);
+    Alcotest.(check int) "flow count unchanged" before (Net_state.flow_count net);
+    let placed' = Option.get (Net_state.flow net 100) in
+    Alcotest.(check bool) "path unchanged" true
+      (Path.equal placed.Net_state.path placed'.Net_state.path)
+end
+
 let suite =
   [
     ("event of_spec", `Quick, test_event_of_spec);
@@ -549,4 +724,12 @@ let suite =
     ("plan frozen", `Quick, test_plan_frozen_respected);
     ("plan work units monotone", `Quick, test_plan_work_units_monotone);
     QCheck_alcotest.to_alcotest prop_plan_revert_preserves_invariants;
+    ("ordering empty", `Quick, Ordering_cases.test_ordering_empty);
+    ("ordering plan moves", `Quick, Ordering_cases.test_ordering_plan_moves);
+    ("ordering unknown flow", `Quick, Ordering_cases.test_ordering_unknown_flow);
+    ("ordering dependency rounds", `Quick, Ordering_cases.test_ordering_dependency_rounds);
+    ("ordering deadlock", `Quick, Ordering_cases.test_ordering_deadlock);
+    ("ordering verify", `Quick, Ordering_cases.test_ordering_verify);
+    ("ordering verify bogus", `Quick, Ordering_cases.test_ordering_verify_rejects_bogus);
+    ("ordering state unchanged", `Quick, Ordering_cases.test_ordering_leaves_state_unchanged);
   ]
