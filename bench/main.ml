@@ -66,18 +66,19 @@ let substrate_tests () =
       ~allocate:(fun () -> (Lazy.force scenario).Core.Scenario.net)
       ~free:ignore
       (Staged.stage (fun net -> ignore (Core.Net_state.copy net)));
-    Test.make_with_resource ~name:"planner-cost-of" Test.uniq
+    Test.make_with_resource ~name:"planner-probe" Test.uniq
       ~allocate:(fun () ->
         ((Lazy.force scenario).Core.Scenario.net, Lazy.force bench_event))
       ~free:ignore
-      (Staged.stage (fun (net, ev) -> ignore (Core.Planner.cost_of net ev)));
-    Test.make_with_resource ~name:"planner-plan-revert" Test.uniq
+      (Staged.stage (fun (net, ev) -> ignore (Core.Planner.probe net ev)));
+    Test.make_with_resource ~name:"planner-plan-rollback" Test.uniq
       ~allocate:(fun () ->
         ((Lazy.force scenario).Core.Scenario.net, Lazy.force bench_event))
       ~free:ignore
       (Staged.stage (fun (net, ev) ->
-           let plan = Core.Planner.plan net ev in
-           Core.Planner.revert net plan));
+           Core.Net_state.begin_txn net;
+           ignore (Core.Planner.plan net ev);
+           Core.Net_state.rollback net));
   ]
 
 let figure_tests () =

@@ -38,7 +38,7 @@ let run_fabric ~seed topo =
       (Path.edges path)
   in
   let report =
-    Background.fill net ~target:0.6 ~policy:Routing.Random_fit ~rng ~accept
+    Background.fill net ~target:0.6 ~rng ~accept
       ~utilization:Net_state.mean_fabric_utilization
       ~make_flow:(fun ~id ~scale ->
         Background.benson_flow_maker rng ~host_count ~id ~scale)

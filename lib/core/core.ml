@@ -128,11 +128,11 @@ module Scenario = struct
             Background.benson_flow_maker fill_rng ~host_count ~id ~scale
     in
     let background_report =
-      (* Random-fit placement mimics hash-based ECMP spreading; first-fit
-         would concentrate the whole load on the first candidate paths
-         and saturate a few links even at low mean utilisation. *)
-      Background.fill net ~target:utilization
-        ~policy:Routing.Random_fit ~rng:fill_rng
+      (* The fill's random-fit placement mimics hash-based ECMP
+         spreading; first-fit would concentrate the whole load on the
+         first candidate paths and saturate a few links even at low mean
+         utilisation. *)
+      Background.fill net ~target:utilization ~rng:fill_rng
         ~utilization:Net_state.mean_fabric_utilization
         ~accept:
           (accept_under_access_cap ~cap:(access_cap_for utilization))

@@ -97,20 +97,12 @@ let routing_policy ?(seed = 42) () =
   in
   List.iter
     (fun policy ->
-      match policy with
-      | Routing.Random_fit ->
-          (* Random_fit is a fill policy, not a planning one: planning
-             draws no randomness and refuses it. *)
-          ()
-      | _ ->
-          let cost, moves, failed, units =
-            planning_pass ~seed { Planner.default_config with Planner.policy }
-          in
-          Table.add_mixed table
-            (Routing.policy_name policy)
-            [
-              cost; float_of_int moves; float_of_int failed; float_of_int units;
-            ])
+      let cost, moves, failed, units =
+        planning_pass ~seed { Planner.default_config with Planner.policy }
+      in
+      Table.add_mixed table
+        (Routing.policy_name policy)
+        [ cost; float_of_int moves; float_of_int failed; float_of_int units ])
     Routing.all_policies;
   Table.print table
 

@@ -9,7 +9,7 @@
 val run_all : unit -> unit
 (** Print every ablation in turn: LMTF and P-LMTF reductions vs FIFO as
     α sweeps 1, 2, 4, 8; Cost(U), moves and plan units under each
-    {!Migration.order}; desired-first vs scan-first admission; the four
+    {!Migration.order}; desired-first vs scan-first admission; the two
     relocation-target routing policies; the full-reordering baseline's
     plan-time blow-up (§III-C); and P-LMTF's opportunistic-fit
     acceptance as static utilisation grows (EXPERIMENTS.md note 6). *)

@@ -1,10 +1,8 @@
 (** Weighted shortest paths.
 
-    Migration targets in the paper must avoid creating new congestion
-    (constraint (5)); routing a migrated flow along the *least-loaded*
-    feasible path is the natural policy. Dijkstra over a caller-supplied
-    non-negative edge weight supports hop count ([fun _ -> 1.0]),
-    utilisation-aware weights, and anything in between. *)
+    Dijkstra over a caller-supplied non-negative edge weight supports
+    hop count ([fun _ -> 1.0]), utilisation-aware weights, and anything
+    in between. {!Yen} builds its k-shortest candidate sets on it. *)
 
 val shortest_path :
   Graph.t ->

@@ -10,9 +10,8 @@ type report = {
 let max_consecutive_failures = 50
 let min_scale = 1.0 /. 64.0
 
-let fill ?(policy = Routing.First_fit) ?rng
-    ?(utilization = Net_state.mean_utilization)
-    ?(accept = fun _ _ _ -> true) net ~target ~make_flow ~first_id =
+let fill ?(utilization = Net_state.mean_utilization)
+    ?(accept = fun _ _ _ -> true) ~rng net ~target ~make_flow ~first_id =
   if target < 0.0 || target >= 1.0 then invalid_arg "Background.fill: target";
   let placed = ref 0 and rejected = ref 0 and placed_ids = ref [] in
   let next_id = ref first_id in
@@ -24,7 +23,7 @@ let fill ?(policy = Routing.First_fit) ?rng
     incr next_id;
     let record = make_flow ~id ~scale:!scale in
     let outcome =
-      match Routing.select ?rng ~policy net record with
+      match Routing.select_random rng net record with
       | None -> Error ()
       | Some path ->
           if not (accept net record path) then Error ()

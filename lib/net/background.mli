@@ -2,11 +2,13 @@
 
     "We inject a large amount of traffic into the Fat-Tree datacenter as
     background traffic, so that the network utilization grows up to
-    70%." The fill places generator-supplied flows until the utilisation
-    probe reaches the target. Because first-fit packing stalls when only
-    large flows remain, {!fill} retries with geometrically shrunk flow
-    demands (the [scale] argument to [make_flow]) — mirroring how a real
-    trace's mice can still be admitted once elephants no longer fit. *)
+    70%." The fill places generator-supplied flows on random feasible
+    candidates ({!Routing.select_random}, which mimics hash-based ECMP
+    spreading) until the utilisation probe reaches the target. Because
+    packing stalls when only large flows remain, {!fill} retries with
+    geometrically shrunk flow demands (the [scale] argument to
+    [make_flow]) — mirroring how a real trace's mice can still be
+    admitted once elephants no longer fit. *)
 
 type report = {
   placed : int;  (** Flows successfully placed. *)
@@ -16,17 +18,17 @@ type report = {
 }
 
 val fill :
-  ?policy:Routing.policy ->
-  ?rng:Prng.t ->
   ?utilization:(Net_state.t -> float) ->
   ?accept:(Net_state.t -> Flow_record.t -> Path.t -> bool) ->
+  rng:Prng.t ->
   Net_state.t ->
   target:float ->
   make_flow:(id:int -> scale:float -> Flow_record.t) ->
   first_id:int ->
   report
-(** [fill net ~target ~make_flow ~first_id] places flows
-    [make_flow ~id ~scale] for ids from [first_id] upward until
+(** [fill ~rng net ~target ~make_flow ~first_id] places flows
+    [make_flow ~id ~scale] for ids from [first_id] upward, each on a
+    candidate drawn from [rng] after the flow is made, until
     [utilization net >= target] (default probe: {!Net_state.mean_utilization}
     over every edge). After [max_consecutive_failures] (50) rejected
     attempts in a row, [scale] halves; the fill gives up when

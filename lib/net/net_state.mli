@@ -195,11 +195,9 @@ val residual : t -> int -> float
 val used : t -> int -> float
 (** [capacity - residual] of an edge id. *)
 
-val edge_utilization : t -> int -> float
-(** [used / capacity], in [0, 1]. Zero-capacity edges report 0. *)
-
 val mean_utilization : t -> float
-(** Mean utilisation over every edge. *)
+(** Mean of [used / capacity] over every edge (zero-capacity edges
+    count 0). *)
 
 val max_utilization : t -> float
 
@@ -240,7 +238,7 @@ val mean_fabric_utilization : t -> float
 (** Mean utilisation over {!fabric_edges}, maintained incrementally by
     {!place}/{!remove}/{!reroute} (Kahan-compensated running sum), so
     the per-round churn refill loop pays O(1) per probe instead of
-    O(edges). Agrees with the mean of {!edge_utilization} over
+    O(edges). Agrees with the mean of [used / capacity] over
     {!fabric_edges} to floating-point accumulation accuracy (checked by
     {!invariants_ok}). *)
 

@@ -1,26 +1,17 @@
-type policy = First_fit | Widest | Least_loaded | Random_fit
+type policy = First_fit | Widest
 
-let policy_name = function
-  | First_fit -> "first-fit"
-  | Widest -> "widest"
-  | Least_loaded -> "least-loaded"
-  | Random_fit -> "random-fit"
+let policy_name = function First_fit -> "first-fit" | Widest -> "widest"
+let all_policies = [ First_fit; Widest ]
 
-let all_policies = [ First_fit; Widest; Least_loaded; Random_fit ]
-
-(* Both keys fold the hops in traversal order, as the path-level folds
+(* The key folds the hops in traversal order, as the path-level fold
    did. *)
 let bottleneck_residual net c i =
   Net_state.fold_hops c i ~init:infinity ~f:(fun acc e ->
       min acc (Net_state.residual net e))
 
-let peak_utilization net c i =
-  Net_state.fold_hops c i ~init:0.0 ~f:(fun acc e ->
-      max acc (Net_state.edge_utilization net e))
-
 let any _ = true
 
-let choose ?rng ?(policy = First_fit) ?(eligible = any) net ~demand c =
+let select_from ?(policy = First_fit) ?(eligible = any) net ~demand c =
   let best = ref (-1) in
   let scan f = Net_state.iter_feasible net c ~demand ~eligible f in
   (match policy with
@@ -39,35 +30,27 @@ let choose ?rng ?(policy = First_fit) ?(eligible = any) net ~demand c =
             best := i;
             bw := w
           end;
-          true)
-  | Least_loaded ->
-      let bu = ref infinity in
-      scan (fun i ->
-          let u = peak_utilization net c i in
-          if !best < 0 || u < !bu then begin
-            best := i;
-            bu := u
-          end;
-          true)
-  | Random_fit -> (
-      let feasible = ref [] in
-      scan (fun i ->
-          feasible := i :: !feasible;
-          true);
-      match (!feasible, rng) with
-      | [], _ -> ()
-      | _, None -> invalid_arg "Routing.select_from: Random_fit needs an rng"
-      | l, Some rng -> best := Prng.choose rng (Array.of_list (List.rev l))));
+          true));
   !best
 
-let select_from ?policy ?eligible net ~demand c =
-  choose ?policy ?eligible net ~demand c
-
-let select ?rng ?policy net record =
+let select net record =
   let c = Net_state.candidates net record in
-  match choose ?rng ?policy net ~demand:(Flow_record.demand_mbps record) c with
+  match select_from net ~demand:(Flow_record.demand_mbps record) c with
   | -1 -> None
   | i -> Some (Net_state.candidate_path net c i)
+
+let select_random rng net record =
+  let c = Net_state.candidates net record in
+  let demand = Flow_record.demand_mbps record in
+  let feasible = ref [] in
+  Net_state.iter_feasible net c ~demand ~eligible:any (fun i ->
+      feasible := i :: !feasible;
+      true);
+  match !feasible with
+  | [] -> None
+  | l ->
+      let i = Prng.choose rng (Array.of_list (List.rev l)) in
+      Some (Net_state.candidate_path net c i)
 
 (* SplitMix64 finalizer — same mixing family as Ip_map, applied to the
    flow identity so the desired path is stable across replans. *)

@@ -4,33 +4,29 @@
     new flow, and which path to move a migrated flow to. Both are "pick
     from P(f) subject to feasibility" problems; the policy controls the
     tie-breaking and therefore load spread. First-fit is the paper's
-    implicit default (desired path first); the alternatives exist for the
-    ablation benches. *)
+    implicit default (desired path first); [Widest] exists for the
+    ablation benches. The background fill spreads its load with
+    {!select_random} instead. *)
 
 type policy =
   | First_fit  (** First feasible candidate in ranked order. *)
   | Widest
       (** Feasible candidate with maximum bottleneck residual (the first
           such in rank order). *)
-  | Least_loaded
-      (** Feasible candidate with minimum peak utilisation (the first
-          such in rank order). *)
-  | Random_fit  (** Uniformly random feasible candidate (needs [rng]). *)
 
 val policy_name : policy -> string
 
 val all_policies : policy list
 
-val select :
-  ?rng:Prng.t ->
-  ?policy:policy ->
-  Net_state.t ->
-  Flow_record.t ->
-  Path.t option
-(** Choose a feasible path for the record among its
-    {!Net_state.candidates}, and build it. [None] when no candidate is
-    feasible. Default policy [First_fit]. [Random_fit] raises
-    [Invalid_argument] without an [rng]. *)
+val select : Net_state.t -> Flow_record.t -> Path.t option
+(** Build the record's first feasible path among its
+    {!Net_state.candidates}, in rank order. [None] when no candidate is
+    feasible. *)
+
+val select_random : Prng.t -> Net_state.t -> Flow_record.t -> Path.t option
+(** A uniformly random feasible candidate: one {!Prng.choose} over the
+    feasible indices in rank order, drawn only when one exists.
+    Random-fit placement mimics hash-based ECMP spreading. *)
 
 val select_from :
   ?policy:policy ->
@@ -39,12 +35,10 @@ val select_from :
   demand:float ->
   Net_state.candidates ->
   int
-(** Same choice rule over an existing candidate view, restricted to the
-    indices [eligible] accepts (default all; migration targets must
-    avoid the path being cleared). Returns the chosen index, or [-1]
-    when no eligible candidate is feasible. It takes no [rng]: the
-    planner draws no randomness, so [Random_fit] raises
-    [Invalid_argument] here once a candidate is feasible. *)
+(** The [policy] choice (default first-fit) over an existing candidate
+    view, restricted to the indices [eligible] accepts (default all;
+    migration targets must avoid the path being cleared). Returns the
+    chosen index, or [-1] when no eligible candidate is feasible. *)
 
 val desired : Flow_record.t -> Net_state.candidates -> int
 (** Index of the flow's *desired* candidate regardless of feasibility:

@@ -1,7 +1,6 @@
 type key =
   | Planner_plans
   | Planner_probes
-  | Plan_reverts
   | Cost_estimates
   | Migration_moves
   | Clear_attempts
@@ -39,46 +38,44 @@ type key =
 let index = function
   | Planner_plans -> 0
   | Planner_probes -> 1
-  | Plan_reverts -> 2
-  | Cost_estimates -> 3
-  | Migration_moves -> 4
-  | Clear_attempts -> 5
-  | Path_enumerations -> 6
-  | State_copies -> 7
-  | Engine_rounds -> 8
-  | Events_executed -> 9
-  | Co_scheduled_events -> 10
-  | Churn_placements -> 11
-  | Txn_rollbacks -> 12
-  | Txn_commits -> 13
-  | Plan_replays -> 14
-  | Estimate_cache_hits -> 15
-  | Estimate_cache_misses -> 16
-  | Faults_injected -> 17
-  | Migrations_aborted -> 18
-  | Retries -> 19
-  | Events_degraded -> 20
-  | Invariant_checks -> 21
-  | Serve_ticks -> 22
-  | Serve_admitted -> 23
-  | Serve_shed -> 24
-  | Serve_deferred -> 25
-  | Serve_drained -> 26
-  | Serve_checkpoints -> 27
-  | Probe_parallel_batches -> 28
-  | Domain_probes -> 29
-  | Shard_escalations -> 30
-  | Shard_wave_replans -> 31
-  | Shard_coord_commits -> 32
-  | Shard_coord_aborts -> 33
-  | Shard_coord_degraded -> 34
-  | Shard_rebalances -> 35
+  | Cost_estimates -> 2
+  | Migration_moves -> 3
+  | Clear_attempts -> 4
+  | Path_enumerations -> 5
+  | State_copies -> 6
+  | Engine_rounds -> 7
+  | Events_executed -> 8
+  | Co_scheduled_events -> 9
+  | Churn_placements -> 10
+  | Txn_rollbacks -> 11
+  | Txn_commits -> 12
+  | Plan_replays -> 13
+  | Estimate_cache_hits -> 14
+  | Estimate_cache_misses -> 15
+  | Faults_injected -> 16
+  | Migrations_aborted -> 17
+  | Retries -> 18
+  | Events_degraded -> 19
+  | Invariant_checks -> 20
+  | Serve_ticks -> 21
+  | Serve_admitted -> 22
+  | Serve_shed -> 23
+  | Serve_deferred -> 24
+  | Serve_drained -> 25
+  | Serve_checkpoints -> 26
+  | Probe_parallel_batches -> 27
+  | Domain_probes -> 28
+  | Shard_escalations -> 29
+  | Shard_wave_replans -> 30
+  | Shard_coord_commits -> 31
+  | Shard_coord_aborts -> 32
+  | Shard_coord_degraded -> 33
+  | Shard_rebalances -> 34
 
 let all =
   [
     Planner_plans;
     Planner_probes;
-    Plan_reverts;
     Cost_estimates;
     Migration_moves;
     Clear_attempts;
@@ -119,7 +116,6 @@ let size = List.length all
 let name = function
   | Planner_plans -> "planner_plans"
   | Planner_probes -> "planner_probes"
-  | Plan_reverts -> "plan_reverts"
   | Cost_estimates -> "cost_estimates"
   | Migration_moves -> "migration_moves"
   | Clear_attempts -> "clear_attempts"

@@ -21,8 +21,8 @@
 type key =
   | Planner_plans  (** Applied plans ({!Nu_update.Planner.plan} calls). *)
   | Planner_probes  (** Feasibility probes (summed plan work units). *)
-  | Plan_reverts  (** {!Nu_update.Planner.revert} calls. *)
-  | Cost_estimates  (** Plan-and-revert probes ({!Nu_update.Planner.cost_of}). *)
+  | Cost_estimates
+      (** Plan-and-roll-back probes ({!Nu_update.Planner.probe}). *)
   | Migration_moves  (** Make-room flow relocations committed. *)
   | Clear_attempts  (** {!Nu_update.Migration.clear_path} invocations. *)
   | Path_enumerations  (** Candidate-path set constructions. *)

@@ -74,7 +74,6 @@ type ctx = {
   rng : Prng.t;
   churn : churn option;
   expiry : int Pqueue.t;  (* flow id keyed by departure instant *)
-  co_max_cost_mbit : float;
   injector : Injector.t option;  (* fault schedule; None = fault-free *)
   series : Series.t option;  (* per-round gauge samples; None = off *)
   domains : int;  (* probe fan-out width; 1 = sequential *)
@@ -587,9 +586,9 @@ let probe_wave ~owner pres =
    on the shared state.
 
    "Can be updated together" is a fit check: the candidate's flows must
-   be accommodated in the capacity left around the in-flight batch,
-   essentially without displacing anything — so co-attempts plan
-   scan-first and are accepted only up to a small migration budget.
+   be accommodated in the capacity left around the in-flight batch
+   without displacing anything — so co-attempts plan scan-first and are
+   accepted only when every item is satisfied at zero migration cost.
    Each attempt runs in a transaction: acceptance commits, rejection
    rolls the journal back instead of re-planning every reroute. *)
 let co_schedule ctx ~winner ~winner_plan candidates =
@@ -609,8 +608,7 @@ let co_schedule ctx ~winner ~winner_plan candidates =
           ~frozen:(Hashtbl.mem protected) ev
       in
       if
-        plan.Planner.failed_count = 0
-        && plan.Planner.cost_mbit <= ctx.co_max_cost_mbit
+        plan.Planner.failed_count = 0 && plan.Planner.cost_mbit <= 0.0
       then begin
         Net_state.commit ctx.net;
         List.iter
@@ -1100,8 +1098,7 @@ let run_flow_level ctx order events =
 (* Construct the per-run context. [init_expiry] registers departures for
    flows already in the network (churn runs); a checkpoint thaw passes
    false and restores the frozen expiry queue verbatim instead. *)
-let make_ctx ~rng ~churn ~co_max_cost_mbit ~injector ~series
-    ~domains ~init_expiry ~net =
+let make_ctx ~rng ~churn ~injector ~series ~domains ~init_expiry ~net =
   if domains < 1 then invalid_arg "Engine: domains must be >= 1";
   let ctx =
     {
@@ -1109,7 +1106,6 @@ let make_ctx ~rng ~churn ~co_max_cost_mbit ~injector ~series
       rng;
       churn;
       expiry = Pqueue.create ();
-      co_max_cost_mbit;
       injector;
       series;
       domains;
@@ -1170,8 +1166,8 @@ let assemble_result ctx policy (results, rounds, rounds_log) =
     planning_wall_s = ctx.wall;
   }
 
-let run ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?injector ?series
-    ?(domains = 1) ~net ~events policy =
+let run ?(seed = 7) ?churn ?injector ?series ?(domains = 1) ~net ~events
+    policy =
   (match Policy.validate policy with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.run: " ^ msg));
@@ -1188,8 +1184,8 @@ let run ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?injector ?series
     else None
   in
   let ctx =
-    make_ctx ~rng:(Prng.create seed) ~churn ~co_max_cost_mbit ~injector ~series
-      ~domains ~init_expiry:true ~net
+    make_ctx ~rng:(Prng.create seed) ~churn ~injector ~series ~domains
+      ~init_expiry:true ~net
   in
   let outcome =
     Fun.protect
@@ -1222,9 +1218,8 @@ let run ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0) ?injector ?series
 module Stepper = struct
   type t = stepper
 
-  let create ?(seed = 7) ?churn ?(co_max_cost_mbit = 0.0)
-      ?injector ?series ?(domains = 1) ?(init_expiry = true) ?observer
-      ?(events = []) ~net policy =
+  let create ?(seed = 7) ?churn ?injector ?series ?(domains = 1)
+      ?(init_expiry = true) ?observer ?(events = []) ~net policy =
     (match Policy.validate policy with
     | Ok () -> ()
     | Error msg -> invalid_arg ("Engine.Stepper.create: " ^ msg));
@@ -1233,8 +1228,8 @@ module Stepper = struct
         invalid_arg "Engine.Stepper.create: flow-level policies are batch-only"
     | _ -> ());
     let ctx =
-      make_ctx ~rng:(Prng.create seed) ~churn ~co_max_cost_mbit ~injector
-        ~series ~domains ~init_expiry ~net
+      make_ctx ~rng:(Prng.create seed) ~churn ~injector ~series ~domains
+        ~init_expiry ~net
     in
     make_stepper ?observer ctx policy events
 
@@ -1301,12 +1296,11 @@ module Stepper = struct
       fz_rng = Prng.raw_state st.ctx.rng;
     }
 
-  let thaw ?churn ?(co_max_cost_mbit = 0.0) ?injector ?(domains = 1) ?observer
-      ~net fz =
+  let thaw ?churn ?injector ?(domains = 1) ?observer ~net fz =
     let rng = Prng.of_raw_state fz.fz_rng in
     let ctx =
-      make_ctx ~rng ~churn ~co_max_cost_mbit ~injector ~series:None ~domains
-        ~init_expiry:false ~net
+      make_ctx ~rng ~churn ~injector ~series:None ~domains ~init_expiry:false
+        ~net
     in
     (* Restore the departure queue in pop order: pushing in that order
        reproduces the original pop sequence exactly (FIFO tie-break on

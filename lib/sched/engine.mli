@@ -112,7 +112,6 @@ val make_series : unit -> Nu_obs.Series.t
 val run :
   ?seed:int ->
   ?churn:churn ->
-  ?co_max_cost_mbit:float ->
   ?injector:Nu_fault.Injector.t ->
   ?series:Nu_obs.Series.t ->
   ?domains:int ->
@@ -130,12 +129,11 @@ val run :
     with bit-identical decisions, digests and counter totals at any
     width — only the planning wall clock changes. Raises
     [Invalid_argument] when [domains < 1].
-    [co_max_cost_mbit] (default 0) bounds opportunistic updating: a
-    candidate is co-scheduled only when a scan-first plan alongside the
-    in-flight batch fits within that migration budget — i.e. the
-    candidate's flows can be accommodated in the residual capacity
-    without displacing anything (§IV-C's "can be updated with the first
-    event together"). Raises [Invalid_argument] on an invalid
+    P-LMTF co-schedules a candidate only when a scan-first plan
+    alongside the in-flight batch satisfies every item at zero
+    migration cost — i.e. the candidate's flows fit in the residual
+    capacity without displacing anything (§IV-C's "can be updated with
+    the first event together"). Raises [Invalid_argument] on an invalid
     policy.
 
     [injector] attaches a fault schedule ({!Nu_fault.Injector}). While
@@ -181,7 +179,6 @@ module Stepper : sig
   val create :
     ?seed:int ->
     ?churn:churn ->
-    ?co_max_cost_mbit:float ->
     ?injector:Nu_fault.Injector.t ->
     ?series:Nu_obs.Series.t ->
     ?domains:int ->
@@ -337,7 +334,6 @@ module Stepper : sig
 
   val thaw :
     ?churn:churn ->
-    ?co_max_cost_mbit:float ->
     ?injector:Nu_fault.Injector.t ->
     ?domains:int ->
     ?observer:(observation -> unit) ->

@@ -8,18 +8,15 @@ type move = {
 
 type order =
   | Best_fit_first
-  | Smallest_size_first
   | Largest_demand_first
   | Best_ratio_first
 
 let order_name = function
   | Best_fit_first -> "best-fit-first"
-  | Smallest_size_first -> "smallest-size-first"
   | Largest_demand_first -> "largest-demand-first"
   | Best_ratio_first -> "best-ratio-first"
 
-let all_orders =
-  [ Best_fit_first; Smallest_size_first; Largest_demand_first; Best_ratio_first ]
+let all_orders = [ Best_fit_first; Largest_demand_first; Best_ratio_first ]
 
 type blocked = Cannot_free of Graph.edge
 
@@ -169,7 +166,6 @@ let rec select_next order ~gap ~exclude ~moved s n =
         for i = 0 to n - 1 do
           let k =
             match order with
-            | Smallest_size_first -> Array.unsafe_get s.size i
             | Largest_demand_first -> -.Array.unsafe_get s.dem i
             | Best_ratio_first | Best_fit_first ->
                 Array.unsafe_get s.size i /. Array.unsafe_get s.dem i

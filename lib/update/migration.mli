@@ -26,9 +26,6 @@ type order =
           with the best size-per-Mbps ratio and recurse. Closes gaps with
           few moves ("a few existing flows", §I) at near-minimal migrated
           traffic. *)
-  | Smallest_size_first
-      (** Strictly cheapest-traffic-first; can migrate many mice per gap
-          (ablation). *)
   | Largest_demand_first
       (** Close the gap with the fewest moves regardless of traffic
           (ablation). *)
@@ -63,5 +60,4 @@ val clear_path :
     incremented once per feasibility probe — the planner's virtual
     plan-time meter. [policy] chooses relocation targets (default
     first-fit) among a moved flow's candidates that [forbidden] (default
-    none) does not reject. Planning draws no randomness, so
-    [Random_fit] raises [Invalid_argument]. *)
+    none) does not reject. *)

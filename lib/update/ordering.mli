@@ -40,7 +40,7 @@ val schedule :
   Net_state.t -> move_spec list -> (schedule, error) result
 (** [schedule net moves] computes the round decomposition against a
     network state in which the moves have *not* yet been applied (e.g. a
-    copy taken before {!Planner.plan}, or after {!Planner.revert}).
+    copy taken before {!Planner.plan}, or after a transaction rollback).
     The state is left unchanged. *)
 
 val verify : Net_state.t -> schedule -> (unit, string) result

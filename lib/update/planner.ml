@@ -344,48 +344,6 @@ let plan ?(config = default_config) ?(frozen = fun _ -> false) net event =
   | None -> ());
   t
 
-let revert net plan =
-  Counters.incr Counters.Plan_reverts;
-  let sp =
-    if Trace.enabled () then
-      Some
-        (Trace.span "revert" ~attrs:[ ("event", Trace.Int plan.event.Event.id) ])
-    else None
-  in
-  (* Undo newest-first: each item's own action first, then its make-room
-     moves, walking the item list backwards. *)
-  List.iter
-    (fun item ->
-      (match item.outcome with
-      | Installed { path = _; moves = _ } -> (
-          match item.work with
-          | Event.Install record -> (
-              match Net_state.remove net record.Flow_record.id with
-              | Ok _ -> ()
-              | Error `Not_found -> assert false)
-          | Event.Reroute _ -> assert false)
-      | Rerouted { from_path; to_path = _; moves = _ } -> (
-          match item.work with
-          | Event.Reroute { flow_id; _ } -> (
-              match Net_state.reroute ~admit_disabled:true net flow_id from_path with
-              | Ok _ -> ()
-              | Error _ -> assert false)
-          | Event.Install _ -> assert false)
-      | Failed _ -> ());
-      match item.outcome with
-      | Installed { moves; _ } | Rerouted { moves; _ } ->
-          List.iter
-            (fun (m : Migration.move) ->
-              match
-                Net_state.reroute ~admit_disabled:true net m.flow_id m.from_path
-              with
-              | Ok _ -> ()
-              | Error _ -> assert false)
-            (List.rev moves)
-      | Failed _ -> ())
-    (List.rev plan.items);
-  match sp with Some sp -> Trace.finish sp | None -> ()
-
 let replay net plan =
   Counters.incr Counters.Plan_replays;
   let replay_move (m : Migration.move) =
@@ -445,10 +403,9 @@ let probe net event =
   let h_on = Histogram.Registry.enabled () in
   let h_t0 = if h_on then Trace.now_ns () else 0L in
   (* Plan speculatively inside a transaction: the undo journal restores
-     the state in O(operations performed), where the historical
-     plan-then-revert pair re-ran every reroute through full feasibility
-     checks. The probe bracket records every edge the plan read or
-     wrote, which is what makes the plan replayable. *)
+     the state in O(operations performed). The probe bracket records
+     every edge the plan read or wrote, which is what makes the plan
+     replayable. *)
   Net_state.start_probe net;
   Net_state.begin_txn net;
   let p = plan net event in
@@ -470,8 +427,6 @@ let probe net event =
           ]
   | None -> ());
   { probe_est = est; probe_plan = p; probe_touched = touched }
-
-let cost_of net event = (probe net event).probe_est
 
 let pp ppf t =
   Format.fprintf ppf

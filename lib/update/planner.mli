@@ -7,10 +7,11 @@
     Cost(U) of Definition 2 — the scheduling metric of LMTF/P-LMTF.
 
     [plan] mutates the network (the event becomes installed) and returns
-    a reversible record; [revert] undoes it exactly. Cost estimation for
-    queue scheduling is plan-then-revert ({!cost_of}), which is how the
-    paper's schedulers "calculate the update costs for α+1 update events"
-    against the live network state each round. *)
+    a replayable record. Cost estimation for queue scheduling is
+    {!probe}: plan inside a {!Nu_net.Net_state} transaction and roll it
+    back, which is how the paper's schedulers "calculate the update
+    costs for α+1 update events" against the live network state each
+    round. *)
 
 type admission =
   | Desired_first
@@ -26,11 +27,7 @@ type admission =
 val admission_name : admission -> string
 
 type config = {
-  policy : Routing.policy;
-      (** Path selection for installs and targets. [Random_fit] is a fill
-          policy ({!Nu_net.Background.fill}), not a planning one: planning
-          draws no randomness, so a plan with it raises
-          [Invalid_argument]. *)
+  policy : Routing.policy;  (** Path selection for installs and targets. *)
   order : Migration.order;  (** Greedy order inside {!Migration}. *)
   admission : admission;
 }
@@ -83,19 +80,15 @@ val plan :
     migrated to make room — P-LMTF uses it for flows other events of the
     same round are still installing. *)
 
-val revert : Net_state.t -> t -> unit
-(** Undo a plan returned by {!plan}, newest-first, restoring the exact
-    prior placements. Must be called on the same state value, with no
-    interleaved conflicting mutations. *)
-
 val replay : Net_state.t -> t -> unit
-(** Re-apply a plan whose effects were undone (by {!revert} or a
-    transaction rollback), replaying the recorded make-room moves and
-    install/reroute actions directly — no candidate search, no clear
-    attempts, O(recorded operations). Only valid when the state is
-    identical to the one the plan was computed against (the estimate
-    cache's version stamps guarantee this); raises [Invalid_argument]
-    if the state has diverged. *)
+(** Re-apply a plan whose effects a transaction rollback undid,
+    replaying the recorded make-room moves and install/reroute actions
+    directly — no candidate search, no clear attempts, O(recorded
+    operations). Only valid when no edge in the probe's
+    [probe_touched] set changed since the plan was computed (the engine
+    checks their {!Nu_net.Net_state.edge_version} stamps before it
+    replays a round's winner); raises [Invalid_argument] if the state
+    has diverged. *)
 
 type estimate = {
   est_cost_mbit : float;
@@ -113,13 +106,9 @@ type probe = {
 }
 
 val probe : Net_state.t -> Event.t -> probe
-(** {!plan} with {!default_config} and nothing frozen, inside a {!Nu_net.Net_state.begin_txn}/[rollback] bracket and
-    record the touched-edge set. The state is unchanged on return; the
-    rollback costs O(operations performed) rather than a full revert
-    re-plan. This is the replayable form of {!cost_of}. *)
-
-val cost_of : Net_state.t -> Event.t -> estimate
-(** [(probe net event).probe_est] — plan, read Cost(U), roll back. The
-    state is unchanged on return. *)
+(** {!plan} with {!default_config} and nothing frozen, inside a
+    {!Nu_net.Net_state.begin_txn}/[rollback] bracket, recording the
+    touched-edge set. The state is unchanged on return; the rollback
+    costs O(operations performed). *)
 
 val pp : Format.formatter -> t -> unit

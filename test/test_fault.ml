@@ -645,7 +645,7 @@ let prop_incremental_matches_full =
         let id = !next in
         incr next;
         let r = flow ~id ~demand:(Prng.float_in rng 1.0 250.0) src dst in
-        match Routing.select ~rng ~policy:Routing.Random_fit net r with
+        match Routing.select_random rng net r with
         | None -> ()
         | Some path -> (
             match Net_state.place net r path with

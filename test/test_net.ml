@@ -139,7 +139,8 @@ let test_utilization_math () =
   let r = flow ~demand:500.0 0 15 in
   let path = place_exn net r in
   let e0 = (List.hd (Path.edges path)).Graph.id in
-  Alcotest.(check (float 1e-9)) "edge util" 0.5 (Net_state.edge_utilization net e0);
+  Alcotest.(check (float 1e-9)) "edge util" 0.5
+    (Test_util.edge_utilization net e0);
   Alcotest.(check bool) "mean positive" true (Net_state.mean_utilization net > 0.0);
   Alcotest.(check (float 1e-9)) "max util" 0.5 (Net_state.max_utilization net)
 
@@ -150,7 +151,9 @@ let test_mean_utilization_subset () =
   let _ = place_exn net r in
   let fabric = Net_state.fabric_edges net in
   let subset_mean =
-    List.fold_left (fun acc id -> acc +. Net_state.edge_utilization net id) 0.0 fabric
+    List.fold_left
+      (fun acc id -> acc +. Test_util.edge_utilization net id)
+      0.0 fabric
     /. float_of_int (List.length fabric)
   in
   Alcotest.(check bool) "a busy fabric" true (subset_mean > 0.0);
@@ -217,7 +220,7 @@ let prop_random_ops_keep_invariants =
           let src = Prng.int rng 16 in
           let dst = (src + 1 + Prng.int rng 15) mod 16 in
           let r = flow ~id:i ~demand:(Prng.float_in rng 1.0 300.0) src dst in
-          match Routing.select ~rng ~policy:Routing.Random_fit net r with
+          match Routing.select_random rng net r with
           | None -> ()
           | Some path -> (
               match Net_state.place net r path with
@@ -425,7 +428,7 @@ let prop_txn_rollback_differential =
         let src = Prng.int rng 16 in
         let dst = (src + 1 + Prng.int rng 15) mod 16 in
         let r = flow ~id:i ~demand:(Prng.float_in rng 1.0 250.0) src dst in
-        match Routing.select ~rng ~policy:Routing.Random_fit net r with
+        match Routing.select_random rng net r with
         | None -> ()
         | Some path -> (
             match Net_state.place net r path with
@@ -441,7 +444,7 @@ let prop_txn_rollback_differential =
             let src = Prng.int rng 16 in
             let dst = (src + 1 + Prng.int rng 15) mod 16 in
             let r = flow ~id:i ~demand:(Prng.float_in rng 1.0 250.0) src dst in
-            match Routing.select ~rng ~policy:Routing.Random_fit net r with
+            match Routing.select_random rng net r with
             | None -> ()
             | Some path -> ignore (Net_state.place net r path))
         | 2 -> (
@@ -524,7 +527,7 @@ let prop_nested_txn_ops_keep_invariants =
             (* A small id space makes duplicate places common. *)
             let id = Prng.int rng 40 in
             let r = flow ~id ~demand:(Prng.float_in rng 1.0 200.0) src dst in
-            match Routing.select ~rng ~policy:Routing.Random_fit net r with
+            match Routing.select_random rng net r with
             | None -> ()
             | Some path -> ignore (Net_state.place net r path))
         | 3 -> ignore (Net_state.remove net (Prng.int rng 40))
@@ -568,7 +571,7 @@ let test_on_edge_order_pinned () =
     let src = Prng.int rng 16 in
     let dst = (src + 1 + Prng.int rng 15) mod 16 in
     let r = flow ~id ~demand:(Prng.float_in rng 1.0 120.0) src dst in
-    match Routing.select ~rng ~policy:Routing.Random_fit net r with
+    match Routing.select_random rng net r with
     | None -> ()
     | Some path -> ignore (Net_state.place net r path)
   in
@@ -643,7 +646,7 @@ let prop_txn_degrade_differential =
         let src = Prng.int rng 16 in
         let dst = (src + 1 + Prng.int rng 15) mod 16 in
         let r = flow ~id:i ~demand:(Prng.float_in rng 1.0 200.0) src dst in
-        match Routing.select ~rng ~policy:Routing.Random_fit net r with
+        match Routing.select_random rng net r with
         | None -> ()
         | Some path -> ignore (Net_state.place net r path)
       done;
@@ -709,28 +712,16 @@ let test_routing_widest () =
           || Topology.is_host (Net_state.topology net) e.Graph.dst))
       (Path.edges sibling_first)
   in
-  match Routing.select ~policy:Routing.Widest net r with
-  | Some p ->
+  let c = Net_state.candidates net r in
+  match Routing.select_from ~policy:Routing.Widest net ~demand:10.0 c with
+  | -1 -> Alcotest.fail "feasible"
+  | i ->
+      let p = Net_state.candidate_path net c i in
       List.iter
         (fun (e : Graph.edge) ->
           Alcotest.(check bool) "avoids loaded fabric" false
             (Path.mentions_edge p e.Graph.id))
         loaded_fabric
-  | None -> Alcotest.fail "feasible"
-
-let test_routing_least_loaded () =
-  let net = Net_state.create (topo4 ()) in
-  let r = flow ~demand:10.0 0 15 in
-  match Routing.select ~policy:Routing.Least_loaded net r with
-  | Some _ -> ()
-  | None -> Alcotest.fail "feasible"
-
-let test_routing_random_needs_rng () =
-  let net = Net_state.create (topo4 ()) in
-  let r = flow ~demand:10.0 0 15 in
-  Alcotest.check_raises "no rng"
-    (Invalid_argument "Routing.select_from: Random_fit needs an rng") (fun () ->
-      ignore (Routing.select ~policy:Routing.Random_fit net r))
 
 let test_routing_random_feasible () =
   let net = Net_state.create (topo4 ()) in
@@ -738,7 +729,7 @@ let test_routing_random_feasible () =
   let r = flow ~demand:10.0 0 15 in
   let c = Net_state.candidates net r in
   for _ = 1 to 20 do
-    match Routing.select ~rng ~policy:Routing.Random_fit net r with
+    match Routing.select_random rng net r with
     | Some p ->
         Alcotest.(check bool) "feasible" true
           (Net_state.candidate_feasible net c (Test_util.candidate_index c p)
@@ -787,7 +778,7 @@ let test_background_fill_reaches_target () =
   let net = Net_state.create (topo4 ()) in
   let rng = Prng.create 10 in
   let report =
-    Background.fill net ~target:0.3
+    Background.fill net ~target:0.3 ~rng
       ~utilization:Net_state.mean_fabric_utilization
       ~make_flow:(fun ~id ~scale ->
         Background.yahoo_flow_maker rng ~host_count:16 ~id ~scale)
@@ -805,7 +796,7 @@ let test_background_accept_veto () =
   let net = Net_state.create (topo4 ()) in
   let rng = Prng.create 10 in
   let report =
-    Background.fill net ~target:0.5 ~accept:(fun _ _ _ -> false)
+    Background.fill net ~target:0.5 ~rng ~accept:(fun _ _ _ -> false)
       ~make_flow:(fun ~id ~scale ->
         Background.yahoo_flow_maker rng ~host_count:16 ~id ~scale)
       ~first_id:0
@@ -818,7 +809,7 @@ let test_background_invalid_target () =
   Alcotest.check_raises "target >= 1" (Invalid_argument "Background.fill: target")
     (fun () ->
       ignore
-        (Background.fill net ~target:1.0
+        (Background.fill net ~target:1.0 ~rng:(Prng.create 1)
            ~make_flow:(fun ~id ~scale ->
              ignore scale;
              flow ~id 0 1)
@@ -850,7 +841,7 @@ let test_background_cap_respected () =
       (Path.edges path)
   in
   let _ =
-    Background.fill net ~target:0.4 ~accept
+    Background.fill net ~target:0.4 ~rng ~accept
       ~utilization:Net_state.mean_fabric_utilization
       ~make_flow:(fun ~id ~scale ->
         Background.yahoo_flow_maker rng ~host_count:16 ~id ~scale)
@@ -860,7 +851,7 @@ let test_background_cap_respected () =
       if Topology.is_host topo e.Graph.src || Topology.is_host topo e.Graph.dst
       then
         Alcotest.(check bool) "host link under cap" true
-          (Net_state.edge_utilization net e.Graph.id <= cap +. 1e-9))
+          (Test_util.edge_utilization net e.Graph.id <= cap +. 1e-9))
 
 let test_disable_edge () =
   let net = Net_state.create (topo4 ()) in
@@ -958,8 +949,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_txn_degrade_differential;
     ("routing first fit", `Quick, test_routing_first_fit);
     ("routing widest", `Quick, test_routing_widest);
-    ("routing least loaded", `Quick, test_routing_least_loaded);
-    ("routing random needs rng", `Quick, test_routing_random_needs_rng);
     ("routing random feasible", `Quick, test_routing_random_feasible);
     ("routing infeasible", `Quick, test_routing_infeasible_none);
     ("ecmp index", `Quick, test_ecmp_index);

@@ -19,7 +19,7 @@ let test_prepare_access_cap () =
       if Topology.is_host topo e.Graph.src || Topology.is_host topo e.Graph.dst
       then
         Alcotest.(check bool) "access link under cap" true
-          (Net_state.edge_utilization s.Scenario.net e.Graph.id
+          (Test_util.edge_utilization s.Scenario.net e.Graph.id
           <= 0.75 +. 1e-9))
 
 let test_prepare_deterministic () =

@@ -243,6 +243,68 @@ let test_engine_plmtf_co_schedules () =
   Alcotest.(check bool) "co-scheduling happens" true (co > 0);
   Alcotest.(check bool) "fewer rounds than events" true (run.Engine.rounds < 10)
 
+(* A P-LMTF round whose second candidate fits only by migrating.
+   Leaf-spine, 3 leaves x 4 hosts, 1000 Mbps everywhere. Both downlinks
+   into leaf 1 keep 60 Mbps free, so B (host 0 -> 4, 100 Mbps) fits on
+   neither spine, but moving flow 101 (50 Mbps, 50 Mbit) to spine 1
+   clears spine 0. A (host 1 -> 2, inside leaf 0) costs nothing and
+   wins the round; B's co-attempt costs 50 Mbit, so it must roll back
+   and leave the net as the winner's plan alone leaves it. *)
+let test_engine_plmtf_co_attempt_needing_migration () =
+  let fixture () =
+    let ls =
+      Leaf_spine.create ~leaves:3 ~spines:2 ~hosts_per_leaf:4
+        ~leaf_spine_capacity:1000.0 ~host_capacity:1000.0 ()
+    in
+    let net = Net_state.create (Leaf_spine.to_topology ls) in
+    List.iter
+      (fun (id, src, dst, demand, duration, spine) ->
+        let r = flow ~id ~demand ~duration src dst in
+        let c = Net_state.candidates net r in
+        match Net_state.place net r (Net_state.candidate_path net c spine) with
+        | Ok () -> ()
+        | Error _ -> Alcotest.failf "placing flow %d" id)
+      [
+        (100, 8, 5, 890.0, 10.0, 0);
+        (101, 9, 6, 50.0, 1.0, 0);
+        (102, 10, 7, 940.0, 10.0, 1);
+      ];
+    net
+  in
+  let event id flows =
+    of_spec { Event_gen.event_id = id; arrival_s = 0.0; flows }
+  in
+  let a = event 0 [ flow ~id:1 ~demand:10.0 1 2 ] in
+  let b = event 1 [ flow ~id:2 ~demand:100.0 0 4 ] in
+  let net = fixture () in
+  let st =
+    Engine.Stepper.create ~net ~seed:5 ~events:[ a; b ]
+      (Policy.Plmtf { alpha = 4 })
+  in
+  ignore (Engine.Stepper.step st);
+  (match (Engine.Stepper.result st).Engine.rounds_log with
+  | [ ri ] ->
+      Alcotest.(check (list int))
+        "the winner runs alone" [ 0 ] ri.Engine.executed;
+      Alcotest.(check int) "nothing co-scheduled" 0 ri.Engine.co_count
+  | _ -> Alcotest.fail "one round");
+  let expected = fixture () in
+  ignore (Planner.plan expected a);
+  let g = Net_state.graph net in
+  for e = 0 to Graph.edge_count g - 1 do
+    Alcotest.(check (float 1e-9)) "residual" (Net_state.residual expected e)
+      (Net_state.residual net e)
+  done;
+  List.iter
+    (fun id ->
+      match (Net_state.flow net id, Net_state.flow expected id) with
+      | Some p, Some q ->
+          Alcotest.(check bool) "flow on its path" true
+            (Path.equal p.Net_state.path q.Net_state.path)
+      | None, None -> ()
+      | _ -> Alcotest.failf "flow %d placement differs" id)
+    [ 1; 2; 100; 101; 102 ]
+
 let test_engine_flow_level_orders_differ () =
   let events = workload ~n:4 ~m:4 ~arrival:(fun i -> float_of_int i *. 0.001) () in
   let rr = Engine.run ~net:(loaded_net ()) ~events ~seed:5 (Policy.Flow_level Policy.Round_robin) in
@@ -368,7 +430,7 @@ let prop_mc_digest_equal =
       let digest domains =
         Run_digest.of_run
           (Engine.run ~net:(loaded_net ()) ~events ~seed:(seed + 3)
-             ~churn:(mc_churn seed) ~co_max_cost_mbit:100.0 ~domains policy)
+             ~churn:(mc_churn seed) ~domains policy)
       in
       digest 1 = digest 4)
 
@@ -556,7 +618,6 @@ let golden_stepper policy variant =
   in
   let st =
     Engine.Stepper.create ~net ~seed:13 ?churn ?injector
-      ~co_max_cost_mbit:100.0
       ~events:(golden_events ~base:0 ~n:12)
       policy
   in
@@ -577,12 +638,10 @@ let golden_group policy ~escalate =
   let net = loaded_net () in
   let a =
     Engine.Stepper.create ~net ~seed:21 ~churn:(mc_churn 3)
-      ~co_max_cost_mbit:100.0
       ~events:(golden_events ~base:0 ~n:10)
       policy
   and b =
     Engine.Stepper.create ~net ~seed:22 ~init_expiry:false
-      ~co_max_cost_mbit:100.0
       ~events:(golden_events ~base:200 ~n:10)
       policy
   in
@@ -684,7 +743,7 @@ let faulted_wave_run () =
   let net = loaded_net () in
   let inj = Injector.create (golden_schedule net) in
   let mk ~seed ~base =
-    Engine.Stepper.create ~net ~seed ~injector:inj ~co_max_cost_mbit:100.0
+    Engine.Stepper.create ~net ~seed ~injector:inj
       ~events:(golden_events ~base ~n:10)
       (Policy.Plmtf { alpha = 2 })
   in
@@ -739,6 +798,9 @@ let suite =
     ("engine total cost", `Quick, test_engine_total_cost_matches_events);
     ("engine churn", `Quick, test_engine_churn_expires_and_refills);
     ("engine plmtf co-schedules", `Quick, test_engine_plmtf_co_schedules);
+    ( "engine plmtf co-attempt needing migration",
+      `Quick,
+      test_engine_plmtf_co_attempt_needing_migration );
     ("edge version exact invalidation", `Quick, test_edge_version_exact_invalidation);
     ("probe pool warms the path memo", `Quick, test_pool_create_warms_path_memo);
     QCheck_alcotest.to_alcotest prop_mc_digest_equal;

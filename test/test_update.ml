@@ -255,7 +255,7 @@ let test_clear_path_rollback_on_failure () =
    0 -> 4 wants spine 0, so both of its fabric hops are congested: A
    (leaf 0 -> spine 0, full) then B (spine 0 -> leaf 1). Every other
    flow rides spine 0 and can only move to spine 1.
-   - Flow 1 holds the best key on A under all four orders and is
+   - Flow 1 holds the best key on A under all three orders and is
      excluded.
    - Flow 3 crosses A and B and holds the best key on B; it moves while
      A is cleared, before B's pool is read.
@@ -321,13 +321,12 @@ let test_clear_path_pick_order () =
       Alcotest.(check int) (name ^ " work units") units got_units)
     [
       (Migration.Best_fit_first, [ 3; 8; 5; 11; 20; 31 ], 6);
-      (Migration.Smallest_size_first, [ 8; 14; 3; 5; 11; 20; 31 ], 7);
       (Migration.Largest_demand_first, [ 3; 20; 5; 8; 11; 30 ], 6);
       (Migration.Best_ratio_first, [ 3; 8; 5; 11; 14; 20; 31 ], 7);
     ]
 
 let test_migration_orders_names () =
-  Alcotest.(check int) "four orders" 4 (List.length Migration.all_orders);
+  Alcotest.(check int) "three orders" 3 (List.length Migration.all_orders);
   List.iter
     (fun o -> Alcotest.(check bool) "named" true (Migration.order_name o <> ""))
     Migration.all_orders
@@ -363,20 +362,21 @@ let test_plan_revert_roundtrip () =
            flow ~id:2 ~demand:10.0 2 13;
          ])
   in
-  let plan = Planner.plan net ev in
-  Planner.revert net plan;
+  Net_state.begin_txn net;
+  ignore (Planner.plan net ev);
+  Net_state.rollback net;
   check_same_residuals "residuals restored" before (residual_snapshot net);
   Alcotest.(check int) "flow count restored" flows_before (Net_state.flow_count net);
   match Net_state.invariants_ok net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_cost_of_pure () =
+let test_probe_pure () =
   let net = loaded_net () in
   let before = residual_snapshot net in
   let ev = of_spec (spec_of_flows [ flow ~id:0 ~demand:300.0 0 15 ]) in
-  let est1 = Planner.cost_of net ev in
-  let est2 = Planner.cost_of net ev in
+  let est1 = (Planner.probe net ev).Planner.probe_est in
+  let est2 = (Planner.probe net ev).Planner.probe_est in
   check_same_residuals "state unchanged" before (residual_snapshot net);
   Alcotest.(check (float 1e-9)) "estimates deterministic"
     est1.Planner.est_cost_mbit est2.Planner.est_cost_mbit;
@@ -402,8 +402,9 @@ let test_plan_desired_first_pays_more () =
   let desired_cfg = Planner.default_config in
   let scan_cfg = { Planner.default_config with Planner.admission = Planner.Scan_first } in
   let cost config =
+    Net_state.begin_txn net;
     let plan = Planner.plan ~config net ev in
-    Planner.revert net plan;
+    Net_state.rollback net;
     plan.Planner.cost_mbit
   in
   let est_desired = cost desired_cfg in
@@ -454,12 +455,13 @@ let test_plan_duplicate_install () =
   let r = flow ~id:0 ~demand:10.0 0 15 in
   let _ = place_exn net r in
   let ev = of_spec (spec_of_flows [ r ]) in
+  Net_state.begin_txn net;
   let plan = Planner.plan net ev in
   (match plan.Planner.items with
   | [ { Planner.outcome = Planner.Failed Planner.Already_placed; _ } ] -> ()
   | _ -> Alcotest.fail "expected Already_placed");
-  (* Revert must not disturb the pre-existing placement. *)
-  Planner.revert net plan;
+  (* Undoing the plan must not disturb the pre-existing placement. *)
+  Net_state.rollback net;
   Alcotest.(check bool) "original placement intact" true (Net_state.is_placed net 0)
 
 let test_plan_reroute_unknown_flow () =
@@ -502,8 +504,8 @@ let test_plan_work_units_monotone () =
     of_spec
       (spec_of_flows (List.init 20 (fun i -> flow ~id:i ~demand:10.0 (i mod 8) (15 - (i mod 8)))))
   in
-  let e_small = Planner.cost_of net small in
-  let e_big = Planner.cost_of net big in
+  let e_small = (Planner.probe net small).Planner.probe_est in
+  let e_big = (Planner.probe net big).Planner.probe_est in
   Alcotest.(check bool) "more work for more flows" true
     (e_big.Planner.est_work_units > e_small.Planner.est_work_units)
 
@@ -518,9 +520,14 @@ let prop_plan_revert_preserves_invariants =
       let events = Event.of_specs specs in
       List.for_all
         (fun ev ->
-          let plan = Planner.plan net ev in
-          let ok_applied = Net_state.invariants_ok net = Ok () in
-          Planner.revert net plan;
+          (* An open transaction fails the audit, so the applied plan
+             is checked on a copy. *)
+          let applied = Net_state.copy net in
+          ignore (Planner.plan applied ev);
+          let ok_applied = Net_state.invariants_ok applied = Ok () in
+          Net_state.begin_txn net;
+          ignore (Planner.plan net ev);
+          Net_state.rollback net;
           ok_applied && Net_state.invariants_ok net = Ok ())
         events)
 
@@ -714,7 +721,7 @@ let suite =
     ("migration orders", `Quick, test_migration_orders_names);
     ("plan installs", `Quick, test_plan_installs_event);
     ("plan revert roundtrip", `Quick, test_plan_revert_roundtrip);
-    ("cost_of pure", `Quick, test_cost_of_pure);
+    ("probe pure", `Quick, test_probe_pure);
     ("plan migration cost", `Quick, test_plan_migration_cost_positive);
     ("admission cost relation", `Quick, test_plan_desired_first_pays_more);
     ("plan failure reason", `Quick, test_plan_failure_reason);

@@ -26,3 +26,7 @@ let candidate_index c path =
     else go (i + 1)
   in
   go 0
+
+(* [used / capacity] of an edge id. *)
+let edge_utilization net id =
+  Net_state.used net id /. Graph.capacity (Net_state.graph net) id
