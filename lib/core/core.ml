@@ -164,8 +164,8 @@ module Scenario = struct
     {
       Engine.make_flow =
         (fun ~id ->
-          (Yahoo_trace.generate ~first_id:id churn_rng ~host_count:t.host_count
-             ~n:1).(0));
+          Yahoo_trace.next churn_rng ~host_count:t.host_count ~id
+            ~after_s:0.0);
       target_utilization = target;
       max_placements_per_round = 200;
       first_id = 10_000_000;

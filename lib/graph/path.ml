@@ -11,7 +11,12 @@ type t = {
 let of_ids g ids =
   let n = Array.length ids in
   if n = 0 then invalid_arg "Path.make: empty";
-  let earr = Array.map (Graph.edge g) ids in
+  (* A loop rather than [Array.map (Graph.edge g)], whose partial
+     application is a closure allocated per path. *)
+  let earr = Array.make n (Graph.edge g ids.(0)) in
+  for i = 1 to n - 1 do
+    earr.(i) <- Graph.edge g ids.(i)
+  done;
   for i = 0 to n - 1 do
     let e = earr.(i) in
     if i > 0 && e.src <> earr.(i - 1).dst then

@@ -93,17 +93,23 @@ let push t prio value =
   t.size <- i + 1;
   sift_up t i prio s value
 
+let pop_value t =
+  if t.size = 0 then invalid_arg "Pqueue.pop_value: empty queue";
+  let v = t.value.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t 0 ~src:n;
+  v
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = (t.prio.(0), t.value.(0)) in
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then sift_down t 0 ~src:n;
-    Some top
-  end
+  else
+    let p = t.prio.(0) in
+    Some (p, pop_value t)
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.value.(0))
+(* A bool, not the priority: a float returned across the module
+   boundary would be boxed on every call. *)
+let min_le t bound = t.size > 0 && Array.unsafe_get t.prio 0 <= bound
 
 let to_list t =
   let order = Array.init t.size Fun.id in

@@ -16,7 +16,15 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority entry. Equal priorities come
     out in insertion order (FIFO). *)
 
-val peek : 'a t -> (float * 'a) option
+val min_le : 'a t -> float -> bool
+(** [min_le q bound]: [q] is non-empty and its minimum priority is
+    [<= bound]. Allocates nothing — with {!pop_value}, the way to drain
+    every entry due by some instant. *)
+
+val pop_value : 'a t -> 'a
+(** Removes the minimum-priority entry, as {!pop} does, and returns
+    only its value, allocating nothing. Raises [Invalid_argument] on an
+    empty queue. *)
 
 val to_list : 'a t -> (float * 'a) list
 (** Non-destructive snapshot in exact pop order (priority, then

@@ -61,9 +61,7 @@ let scaled_record ~scale (r : Flow_record.t) =
       ~arrival_s:r.arrival_s
 
 let yahoo_flow_maker rng ~host_count ~id ~scale =
-  let flows = Yahoo_trace.generate ~first_id:id rng ~host_count ~n:1 in
-  scaled_record ~scale flows.(0)
+  scaled_record ~scale (Yahoo_trace.next rng ~host_count ~id ~after_s:0.0)
 
 let benson_flow_maker rng ~host_count ~id ~scale =
-  let flows = Benson_trace.generate ~first_id:id rng ~host_count ~n:1 in
-  scaled_record ~scale flows.(0)
+  scaled_record ~scale (Benson_trace.next rng ~host_count ~id ~after_s:0.0)

@@ -81,8 +81,10 @@ type t = {
   is_fabric : bool array;
   inv_cap : float array;  (* 1/capacity for fabric edges, else 0 *)
   fabric_n : int;
-  mutable util_sum : float;  (* running sum of fabric used/capacity *)
-  mutable util_comp : float;  (* Kahan compensation for util_sum *)
+  util : float array;
+      (* [| running sum of fabric used/capacity; its Kahan compensation |]:
+         a float array stores them unboxed, where a mutable float field
+         of this record would box a fresh float on every write *)
   journal : ops;  (* undo journal of the open transactions *)
   mutable txn_marks : int array;  (* journal positions of open txns *)
   mutable txn_n : int;
@@ -189,8 +191,7 @@ let create topo =
     is_fabric;
     inv_cap;
     fabric_n = List.length fabric;
-    util_sum = 0.0;
-    util_comp = 0.0;
+    util = [| 0.0; 0.0 |];
     journal = ops_create journal_cap0;
     txn_marks = Array.make 8 0;
     txn_n = 0;
@@ -247,8 +248,7 @@ let copy_into ?(memo_ro = false) t =
     is_fabric = t.is_fabric;
     inv_cap = t.inv_cap;
     fabric_n = t.fabric_n;
-    util_sum = t.util_sum;
-    util_comp = t.util_comp;
+    util = Array.copy t.util;
     journal = ops_create journal_cap0;
     txn_marks = Array.make 8 0;
     txn_n = 0;
@@ -314,8 +314,8 @@ let freeze t =
     fz_disabled = Array.copy t.disabled;
     fz_versions = Array.copy t.versions;
     fz_disabled_epoch = t.disabled_epoch;
-    fz_util_sum = t.util_sum;
-    fz_util_comp = t.util_comp;
+    fz_util_sum = t.util.(0);
+    fz_util_comp = t.util.(1);
   }
 
 (* Position of [fid] in edge [e]'s set, or -1. The sets are small (the
@@ -332,25 +332,29 @@ let oe_index t e fid =
   done;
   !i
 
-let oe_append t e fid dem size =
+(* Double edge [e]'s full row of [n] entries. [max 8] also covers
+   exact-size (possibly empty) arrays from {!copy_into}'s trimmed
+   per-edge copies. *)
+let oe_grow t e n =
+  let grow_int a =
+    let d = Array.make (max 8 (2 * n)) 0 in
+    Array.blit a 0 d 0 n;
+    d
+  in
+  let grow_float a =
+    let d = Array.make (max 8 (2 * n)) 0.0 in
+    Array.blit a 0 d 0 n;
+    d
+  in
+  t.oe_data.(e) <- grow_int t.oe_data.(e);
+  t.oe_dem.(e) <- grow_float t.oe_dem.(e);
+  t.oe_size.(e) <- grow_float t.oe_size.(e)
+
+(* Inlined, with the growth out of line: a call would box [dem] and
+   [size] on every hop. *)
+let[@inline] oe_append t e fid dem size =
   let n = t.oe_len.(e) in
-  if n = Array.length t.oe_data.(e) then begin
-    (* [max 8] also covers exact-size (possibly empty) arrays from
-       {!copy_into}'s trimmed per-edge copies. *)
-    let grow_int a =
-      let d = Array.make (max 8 (2 * n)) 0 in
-      Array.blit a 0 d 0 n;
-      d
-    in
-    let grow_float a =
-      let d = Array.make (max 8 (2 * n)) 0.0 in
-      Array.blit a 0 d 0 n;
-      d
-    in
-    t.oe_data.(e) <- grow_int t.oe_data.(e);
-    t.oe_dem.(e) <- grow_float t.oe_dem.(e);
-    t.oe_size.(e) <- grow_float t.oe_size.(e)
-  end;
+  if n = Array.length t.oe_data.(e) then oe_grow t e n;
   t.oe_data.(e).(n) <- fid;
   t.oe_dem.(e).(n) <- dem;
   t.oe_size.(e).(n) <- size;
@@ -382,8 +386,8 @@ let thaw topo fz =
   Array.iter (fun d -> if d then incr disabled_n) t.disabled;
   t.disabled_n <- !disabled_n;
   t.disabled_epoch <- fz.fz_disabled_epoch;
-  t.util_sum <- fz.fz_util_sum;
-  t.util_comp <- fz.fz_util_comp;
+  t.util.(0) <- fz.fz_util_sum;
+  t.util.(1) <- fz.fz_util_comp;
   (* Each edge's rows in two passes: count the hops per edge, then fill
      rows of [slack count] in flow order, which is the order appending
      one flow at a time would leave. A path never repeats an edge, so
@@ -533,10 +537,12 @@ let[@inline] log_obj t tag a p =
 (* Kahan-compensated accumulation keeps the running fabric-utilisation
    sum accurate across millions of occupy/release pairs. *)
 let[@inline] kadd t x =
-  let y = x -. t.util_comp in
-  let s = t.util_sum +. y in
-  t.util_comp <- (s -. t.util_sum) -. y;
-  t.util_sum <- s
+  let u = t.util in
+  let sum = Array.unsafe_get u 0 in
+  let y = x -. Array.unsafe_get u 1 in
+  let s = sum +. y in
+  Array.unsafe_set u 1 ((s -. sum) -. y);
+  Array.unsafe_set u 0 s
 
 (* Every residual change funnels through here: journaling, version
    stamping (deferred to commit while inside a transaction), probe
@@ -879,7 +885,7 @@ let mean_fabric_utilization t =
      over fabric edge ids was O(edges) per call. *)
   if t.fabric_n = 0 then 0.0
   else
-    let v = t.util_sum /. float_of_int t.fabric_n in
+    let v = t.util.(0) /. float_of_int t.fabric_n in
     if v < 0.0 then 0.0 else v
 
 let flow t id =
@@ -947,12 +953,19 @@ let flows_through_node t v =
     t.flows;
   List.map (fun id -> Hashtbl.find t.flows id) (List.sort compare !acc)
 
-let endpoints t (record : Flow_record.t) =
+(* The node of host index [h], one endpoint at a time: a pair would be
+   a tuple allocated on every candidate lookup and placement. *)
+let[@inline] host_node t h =
   let hosts = t.topo.Topology.hosts in
-  let n = Array.length hosts in
-  if record.src < 0 || record.src >= n || record.dst < 0 || record.dst >= n
-  then invalid_arg "Net_state.endpoints: host index out of range";
-  (hosts.(record.src), hosts.(record.dst))
+  if h < 0 || h >= Array.length hosts then
+    invalid_arg "Net_state.endpoints: host index out of range";
+  Array.unsafe_get hosts h
+
+(* [Flow_record.demand_mbps], inlined: the call would return a boxed
+   float across the module boundary (the dev profile compiles with
+   [-opaque], so nothing is inlined across modules), while here the
+   demand stays in a register. *)
+let[@inline] demand_of (r : Flow_record.t) = r.size_mbit /. r.duration_s
 
 let memo_key t ~src ~dst = (src * Graph.node_count (graph t)) + dst
 
@@ -963,9 +976,9 @@ let memo_key t ~src ~dst = (src * Graph.node_count (graph t)) + dst
    them, so worker misses are a cold fallback, not the norm. *)
 let interiors t ~src ~dst =
   let key = memo_key t ~src ~dst in
-  match Hashtbl.find_opt t.paths_memo key with
-  | Some ps -> ps
-  | None ->
+  match Hashtbl.find t.paths_memo key with
+  | ps -> ps
+  | exception Not_found ->
       let ps = t.topo.Topology.interior_paths ~src ~dst in
       if not t.memo_ro then Hashtbl.add t.paths_memo key ps;
       ps
@@ -983,7 +996,8 @@ let interior_enabled t ids =
 
 let candidates t record =
   Nu_obs.Counters.incr Nu_obs.Counters.Path_enumerations;
-  let src, dst = endpoints t record in
+  let src = host_node t record.Flow_record.src in
+  let dst = host_node t record.Flow_record.dst in
   if src = dst then no_candidates
   else begin
     let topo = t.topo in
@@ -1057,39 +1071,47 @@ let[@inline] edge_fits t e ~demand =
   touch t e;
   (not (Array.unsafe_get t.disabled e)) && Array.unsafe_get t.residual e >= demand
 
+(* A loop, not a local recursive function: that would be a closure
+   allocated per call. *)
 let interior_fits t ids ~demand =
   let n = Array.length ids in
-  let rec go i = i >= n || (edge_fits t (Array.unsafe_get ids i) ~demand && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && edge_fits t (Array.unsafe_get ids !i) ~demand do
+    incr i
+  done;
+  !i >= n
 
 let candidate_feasible t c i ~demand =
   edge_fits t c.up ~demand
   && interior_fits t c.interior.(i) ~demand
   && edge_fits t c.down ~demand
 
-(* Each access hop is checked once per scan, when the first candidate
-   that needs it reaches it, so the edges read — and so the probe read
-   set — are exactly those of checking every candidate's full path in
-   turn: [up] before any interior edge, [down] only after a whole
-   interior fits. *)
-let iter_feasible t c ~demand ~eligible f =
+(* The one first-fit scan. Each access hop is checked at most once per
+   call, when the first candidate that needs it reaches it, so the edges
+   read — and so the probe read set — are exactly those of checking
+   every eligible candidate's full path in turn: [up] before any
+   interior edge, [down] only after a whole interior fits. Once [up]
+   fails no candidate can fit, and no further edge is read. Local refs
+   and no closure: a call allocates nothing. *)
+let first_feasible t c ~demand ~eligible ~from =
   let n = Array.length c.interior in
+  (* Access-hop states: 0 unread, 1 fits, 2 does not. *)
   let up_st = ref 0 and down_st = ref 0 in
-  let access e st =
-    if !st = 0 then st := if edge_fits t e ~demand then 1 else 2;
-    !st = 1
-  in
-  let rec go i =
-    if i < n then
-      if
-        eligible i
-        && access c.up up_st
-        && interior_fits t c.interior.(i) ~demand
-        && access c.down down_st
-      then (if f i then go (i + 1))
-      else go (i + 1)
-  in
-  go 0
+  let found = ref (-1) and i = ref (if from < 0 then 0 else from) in
+  while !found < 0 && !i < n do
+    let k = !i in
+    i := k + 1;
+    if eligible k then begin
+      if !up_st = 0 then up_st := if edge_fits t c.up ~demand then 1 else 2;
+      if !up_st = 2 then i := n
+      else if interior_fits t (Array.unsafe_get c.interior k) ~demand then begin
+        if !down_st = 0 then
+          down_st := if edge_fits t c.down ~demand then 1 else 2;
+        if !down_st = 1 then found := k
+      end
+    end
+  done;
+  !found
 
 let congested_links t path ~demand =
   let ids = Path.hop_ids path in
@@ -1109,7 +1131,7 @@ let capacity_gap t (e : Graph.edge) ~demand =
 type place_error = Duplicate_flow | Congested of Graph.edge list
 
 let occupy t placed =
-  let demand = Flow_record.demand_mbps placed.record in
+  let demand = demand_of placed.record in
   let size = placed.record.Flow_record.size_mbit in
   let fid = placed.record.Flow_record.id in
   let ids = Path.hop_ids placed.path in
@@ -1120,7 +1142,7 @@ let occupy t placed =
   done
 
 let release t placed =
-  let demand = Flow_record.demand_mbps placed.record in
+  let demand = demand_of placed.record in
   let fid = placed.record.Flow_record.id in
   let ids = Path.hop_ids placed.path in
   for i = 0 to Array.length ids - 1 do
@@ -1139,27 +1161,44 @@ let disabled_links t path =
   done;
   !acc
 
+(* Every hop enabled and with room: exactly when {!disabled_links} and
+   {!congested_links} are both empty. Like [congested_links], it records
+   every hop in an open probe's read set. Inlined, so the demand stays
+   unboxed on the success path. *)
+let[@inline] path_clear t ids ~demand =
+  let clear = ref true in
+  for i = 0 to Array.length ids - 1 do
+    let e = Array.unsafe_get ids i in
+    touch t e;
+    if Array.unsafe_get t.disabled e || Array.unsafe_get t.residual e < demand
+    then clear := false
+  done;
+  !clear
+
 let place t record path =
   if Hashtbl.mem t.flows record.Flow_record.id then Error Duplicate_flow
   else begin
-    let src, dst = endpoints t record in
+    let src = host_node t record.src in
+    let dst = host_node t record.dst in
     if Path.src path <> src || Path.dst path <> dst then
       invalid_arg "Net_state.place: path does not connect the flow endpoints";
-    let demand = Flow_record.demand_mbps record in
-    let dead = disabled_links t path in
-    match dead @ congested_links t path ~demand with
-    | _ :: _ as blocked -> Error (Congested blocked)
-    | [] ->
-        let placed = { record; path } in
-        flow_put t record.id placed;
-        occupy t placed;
-        Ok ()
+    let demand = demand_of record in
+    if path_clear t (Path.hop_ids path) ~demand then begin
+      (* The only allocations: the binding and its table entry. *)
+      let placed = { record; path } in
+      flow_put t record.id placed;
+      occupy t placed;
+      Ok ()
+    end
+    else
+      Error
+        (Congested (disabled_links t path @ congested_links t path ~demand))
   end
 
 let remove t id =
-  match Hashtbl.find_opt t.flows id with
-  | None -> Error `Not_found
-  | Some placed ->
+  match Hashtbl.find t.flows id with
+  | exception Not_found -> Error `Not_found
+  | placed ->
       flow_del t id placed;
       release t placed;
       Ok placed
@@ -1174,7 +1213,7 @@ let reroute ?(admit_disabled = false) t id new_path =
          restoring the placement, so a rejected attempt costs no journal
          or flow-table traffic. The additions match what release used to
          apply, keeping the comparisons bit-identical. *)
-      let demand = Flow_record.demand_mbps placed.record in
+      let demand = demand_of placed.record in
       let dead = if admit_disabled then [] else disabled_links t new_path in
       let congested =
         let ids = Path.hop_ids new_path in
@@ -1194,7 +1233,8 @@ let reroute ?(admit_disabled = false) t id new_path =
       (match dead @ congested with
       | _ :: _ as blocked -> Error (Congested blocked)
       | [] ->
-          let src, dst = endpoints t placed.record in
+          let src = host_node t placed.record.src in
+          let dst = host_node t placed.record.dst in
           if Path.src new_path <> src || Path.dst new_path <> dst then
             invalid_arg "Net_state.reroute: path does not connect endpoints"
           else begin
@@ -1276,8 +1316,8 @@ let audit_net t err ~expected ~hops =
           if cap <= 0.0 then acc else acc +. ((cap -. t.residual.(id)) /. cap))
         0.0 t.fabric
     in
-    if abs_float (folded -. t.util_sum) > 1e-6 then
-      fail err "fabric util sum %.9f, expected %.9f" t.util_sum folded
+    if abs_float (folded -. t.util.(0)) > 1e-6 then
+      fail err "fabric util sum %.9f, expected %.9f" t.util.(0) folded
   end;
   if t.txn_n > 0 then fail err "transaction left open";
   let held = passed t in

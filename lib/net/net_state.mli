@@ -321,19 +321,16 @@ val candidate_feasible : t -> candidates -> int -> demand:float -> bool
     residual >= demand. Stops at the first edge that fails: edges past
     it are not recorded in an open probe's read set. *)
 
-val iter_feasible :
-  t ->
-  candidates ->
-  demand:float ->
-  eligible:(int -> bool) ->
-  (int -> bool) ->
-  unit
-(** [iter_feasible t c ~demand ~eligible f] calls [f i] on each
-    candidate, in rank order, that is [eligible] and
-    {!candidate_feasible}, until [f] returns [false]. Each access hop is
-    checked at most once per call, yet the edges recorded in an open
-    probe's read set are exactly those of checking each eligible
-    candidate's full path in turn. *)
+val first_feasible :
+  t -> candidates -> demand:float -> eligible:(int -> bool) -> from:int -> int
+(** [first_feasible t c ~demand ~eligible ~from] is the first candidate
+    at index [from] or later, in rank order, that is [eligible] and
+    {!candidate_feasible}; [-1] when there is none. This is the one
+    first-fit scan: each access hop is checked at most once per call,
+    yet the edges recorded in an open probe's read set are exactly
+    those of checking each eligible candidate's full path in turn,
+    stopping at the one returned. [eligible] must be pure. Allocates
+    nothing. *)
 
 (** {2 Feasibility and congestion} *)
 
@@ -354,10 +351,13 @@ type place_error =
 
 val place : t -> Flow_record.t -> Path.t -> (unit, place_error) result
 (** Atomically place the flow on the path (checks the endpoints match the
-    path and capacity suffices everywhere). *)
+    path and capacity suffices everywhere). On success it allocates only
+    what the state keeps: the binding and its flow-table entry (plus a
+    committed-log slot while a cursor is open). *)
 
 val remove : t -> int -> (placed, [ `Not_found ]) result
-(** Remove a flow by id, restoring its bandwidth. *)
+(** Remove a flow by id, restoring its bandwidth. Allocates only the
+    [Ok] it returns. *)
 
 val reroute :
   ?admit_disabled:bool -> t -> int -> Path.t -> (Path.t, place_error) result

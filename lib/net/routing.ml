@@ -12,45 +12,51 @@ let bottleneck_residual net c i =
 let any _ = true
 
 let select_from ?(policy = First_fit) ?(eligible = any) net ~demand c =
-  let best = ref (-1) in
-  let scan f = Net_state.iter_feasible net c ~demand ~eligible f in
-  (match policy with
-  | First_fit ->
-      (* First-fit needs only the first feasible candidate — don't pay
-         feasibility checks for the rest. *)
-      scan (fun i ->
-          best := i;
-          false)
+  match policy with
+  | First_fit -> Net_state.first_feasible net c ~demand ~eligible ~from:0
   | Widest ->
-      (* The first candidate of the widest bottleneck. *)
-      let bw = ref neg_infinity in
-      scan (fun i ->
-          let w = bottleneck_residual net c i in
-          if !best < 0 || w > !bw then begin
-            best := i;
-            bw := w
-          end;
-          true));
-  !best
+      (* The first candidate of the widest bottleneck, walking the
+         feasible candidates with the first-fit scan. *)
+      let best = ref (-1) and bw = ref neg_infinity and from = ref 0 in
+      while !from >= 0 do
+        match Net_state.first_feasible net c ~demand ~eligible ~from:!from with
+        | -1 -> from := -1
+        | i ->
+            let w = bottleneck_residual net c i in
+            if !best < 0 || w > !bw then begin
+              best := i;
+              bw := w
+            end;
+            from := i + 1
+      done;
+      !best
 
 let select net record =
   let c = Net_state.candidates net record in
-  match select_from net ~demand:(Flow_record.demand_mbps record) c with
+  match
+    Net_state.first_feasible net c ~demand:(Flow_record.demand_mbps record)
+      ~eligible:any ~from:0
+  with
   | -1 -> None
   | i -> Some (Net_state.candidate_path net c i)
 
 let select_random rng net record =
   let c = Net_state.candidates net record in
   let demand = Flow_record.demand_mbps record in
-  let feasible = ref [] in
-  Net_state.iter_feasible net c ~demand ~eligible:any (fun i ->
-      feasible := i :: !feasible;
-      true);
-  match !feasible with
-  | [] -> None
-  | l ->
-      let i = Prng.choose rng (Array.of_list (List.rev l)) in
-      Some (Net_state.candidate_path net c i)
+  let n = Net_state.candidate_count c in
+  (* The feasible indices in rank order, then one [Prng.int] over their
+     count: the draw [Prng.choose] makes over the same array. *)
+  let feasible = Array.make n 0 and count = ref 0 and from = ref 0 in
+  while !from < n do
+    match Net_state.first_feasible net c ~demand ~eligible:any ~from:!from with
+    | -1 -> from := n
+    | i ->
+        feasible.(!count) <- i;
+        incr count;
+        from := i + 1
+  done;
+  if !count = 0 then None
+  else Some (Net_state.candidate_path net c feasible.(Prng.int rng !count))
 
 (* SplitMix64 finalizer — same mixing family as Ip_map, applied to the
    flow identity so the desired path is stable across replans. *)

@@ -20,13 +20,16 @@ val all_policies : policy list
 
 val select : Net_state.t -> Flow_record.t -> Path.t option
 (** Build the record's first feasible path among its
-    {!Net_state.candidates}, in rank order. [None] when no candidate is
-    feasible. *)
+    {!Net_state.candidates}, in rank order
+    ({!Net_state.first_feasible}). [None] when no candidate is
+    feasible. Besides the path, allocates only the candidate view, the
+    demand and the option. *)
 
 val select_random : Prng.t -> Net_state.t -> Flow_record.t -> Path.t option
-(** A uniformly random feasible candidate: one {!Prng.choose} over the
-    feasible indices in rank order, drawn only when one exists.
-    Random-fit placement mimics hash-based ECMP spreading. *)
+(** A uniformly random feasible candidate: one {!Prng.int} over the
+    count of feasible indices in rank order — the draw {!Prng.choose}
+    makes over their array — drawn only when one exists. Random-fit
+    placement mimics hash-based ECMP spreading. *)
 
 val select_from :
   ?policy:policy ->
@@ -38,7 +41,8 @@ val select_from :
 (** The [policy] choice (default first-fit) over an existing candidate
     view, restricted to the indices [eligible] accepts (default all;
     migration targets must avoid the path being cleared). Returns the
-    chosen index, or [-1] when no eligible candidate is feasible. *)
+    chosen index, or [-1] when no eligible candidate is feasible. Both
+    policies walk the candidates with {!Net_state.first_feasible}. *)
 
 val desired : Flow_record.t -> Net_state.candidates -> int
 (** Index of the flow's *desired* candidate regardless of feasibility:

@@ -92,18 +92,13 @@ let sync_background ctx now =
   match ctx.churn with
   | None -> ()
   | Some ch ->
-      let rec expire () =
-        match Pqueue.peek ctx.expiry with
-        | Some (dep, flow_id) when dep <= now ->
-            ignore (Pqueue.pop ctx.expiry);
-            (* The flow may already be gone (e.g. double registration);
-               removal is idempotent through the error case. *)
-            (match Net_state.remove ctx.net flow_id with
-            | Ok _ | Error `Not_found -> ());
-            expire ()
-        | Some _ | None -> ()
-      in
-      expire ();
+      while Pqueue.min_le ctx.expiry now do
+        let flow_id = Pqueue.pop_value ctx.expiry in
+        (* The flow may already be gone (e.g. double registration);
+           removal is idempotent through the error case. *)
+        match Net_state.remove ctx.net flow_id with
+        | Ok _ | Error `Not_found -> ()
+      done;
       let attempts = ref 0 and placed = ref 0 in
       let max_attempts = 3 * ch.max_placements_per_round in
       while

@@ -67,7 +67,7 @@ let engine_churn ~host_count = function
   | Some cs ->
       let make_flow ~id =
         let rng = Prng.create (cs.churn_seed lxor (id * 0x9E3779B1)) in
-        (Yahoo_trace.generate ~first_id:id rng ~host_count ~n:1).(0)
+        Yahoo_trace.next rng ~host_count ~id ~after_s:0.0
       in
       Some
         {

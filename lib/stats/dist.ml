@@ -13,14 +13,16 @@ let bounded_pareto rng ~shape ~lo ~hi =
   lo /. (denom ** (1.0 /. shape))
 
 let normal rng ~mu ~sigma =
-  (* Polar Box-Muller; rejection keeps the pair inside the unit disc. *)
-  let rec draw () =
-    let u = (2.0 *. Prng.unit_float rng) -. 1.0 in
+  (* Polar Box-Muller; rejection keeps the pair inside the unit disc. A
+     loop over local float refs, not a recursive closure: the refs stay
+     unboxed, so a draw allocates only the floats [Prng] returns. *)
+  let u = ref 0.0 and s = ref 1.0 in
+  while !s >= 1.0 || !s = 0.0 do
+    u := (2.0 *. Prng.unit_float rng) -. 1.0;
     let v = (2.0 *. Prng.unit_float rng) -. 1.0 in
-    let s = (u *. u) +. (v *. v) in
-    if s >= 1.0 || s = 0.0 then draw ()
-    else u *. sqrt (-2.0 *. log s /. s)
-  in
-  mu +. (sigma *. draw ())
+    s := (!u *. !u) +. (v *. v)
+  done;
+  let u = !u and s = !s in
+  mu +. (sigma *. (u *. sqrt (-2.0 *. log s /. s)))
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)

@@ -1,44 +1,57 @@
 (* SplitMix64. Reference: Steele, Lea, Flood, "Fast splittable
    pseudorandom number generators", OOPSLA 2014. The state is a single
    64-bit counter advanced by the golden-gamma constant; output mixing is
-   the murmur3-style finalizer variant from the paper. *)
+   the murmur3-style finalizer variant from the paper.
 
-type t = { mutable state : int64 }
+   The counter lives unboxed in an 8-byte cell: a [mutable int64] field
+   would box a fresh Int64 on every draw. Reads and writes go through
+   the unchecked native-endian primitives, so the arithmetic of a draw
+   stays in registers; only a value returned across the module boundary
+   ([bits64]'s int64, a float) is boxed. *)
+
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let[@inline] of_raw_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let raw_state t = t.state
-let of_raw_state state = { state }
+let create seed = of_raw_state (mix64 (Int64.of_int seed))
+let raw_state t = get_state t 0
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let bits64 t = next t
+let split t = of_raw_state (mix64 (next t))
 
 (* Unbiased bounded draw by rejection on the top bits. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound = 1 then 0
   else begin
-    let mask =
-      let rec widen m = if m >= bound - 1 then m else widen ((m lsl 1) lor 1) in
-      widen 1
-    in
-    let rec draw () =
-      let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-      if v < bound then v else draw ()
-    in
-    draw ()
+    let mask = ref 1 in
+    while !mask < bound - 1 do
+      mask := (!mask lsl 1) lor 1
+    done;
+    (* Starts out of range, so at least one draw is made. *)
+    let v = ref bound in
+    while !v >= bound do
+      v := Int64.to_int (Int64.shift_right_logical (next t) 2) land !mask
+    done;
+    !v
   end
 
 let int_in t lo hi =
@@ -47,7 +60,7 @@ let int_in t lo hi =
 
 let unit_float t =
   (* 53 significant bits, uniform in [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int bits *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound

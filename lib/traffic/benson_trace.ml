@@ -50,19 +50,30 @@ let draw_flow ?(params = default_params) rng ~id ~src ~dst ~arrival_s =
     ~size_mbit:(demand *. duration)
     ~duration_s:duration ~arrival_s
 
+let next rng ~host_count ~id ~after_s =
+  if host_count < 2 then invalid_arg "Benson_trace.next: host_count";
+  let arrival_s =
+    after_s
+    +. Dist.lognormal rng ~mu:default_params.interarrival_log_mean
+         ~sigma:default_params.interarrival_log_sigma
+  in
+  let src = Prng.int rng host_count in
+  let dst =
+    let d = Prng.int rng (host_count - 1) in
+    if d >= src then d + 1 else d
+  in
+  draw_flow rng ~id ~src ~dst ~arrival_s
+
 let generate ?(first_id = 0) rng ~host_count ~n =
   if host_count < 2 then invalid_arg "Benson_trace.generate: host_count";
   if n < 0 then invalid_arg "Benson_trace.generate: n";
-  let clock = ref 0.0 in
-  Array.init n (fun i ->
-      let id = first_id + i in
-      clock :=
-        !clock
-        +. Dist.lognormal rng ~mu:default_params.interarrival_log_mean
-             ~sigma:default_params.interarrival_log_sigma;
-      let src = Prng.int rng host_count in
-      let dst =
-        let d = Prng.int rng (host_count - 1) in
-        if d >= src then d + 1 else d
-      in
-      draw_flow rng ~id ~src ~dst ~arrival_s:!clock)
+  if n = 0 then [||]
+  else begin
+    let flows = Array.make n (next rng ~host_count ~id:first_id ~after_s:0.0) in
+    for i = 1 to n - 1 do
+      flows.(i) <-
+        next rng ~host_count ~id:(first_id + i)
+          ~after_s:flows.(i - 1).Flow_record.arrival_s
+    done;
+    flows
+  end

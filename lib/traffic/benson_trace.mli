@@ -26,6 +26,17 @@ val default_params : params
 (** 80% mice at U[0.1, 10] Mbps for ~1 s; 20% elephants at bounded
     Pareto(1.2) on [10, 200] Mbps for ~10 s; bursty arrivals. *)
 
+val next :
+  Prng.t -> host_count:int -> id:int -> after_s:float -> Flow_record.t
+(** [next rng ~host_count ~id ~after_s] draws one flow with id [id] and
+    {!default_params}, arriving one log-normal inter-arrival gap after
+    [after_s]. It draws, in order: the gap, the endpoints (uniform over
+    distinct host pairs), then {!draw_flow}'s size and duration.
+    {!generate} is [n] of these chained through their arrivals, so
+    [next rng ~host_count ~id ~after_s:0.0] is
+    [(generate ~first_id:id rng ~host_count ~n:1).(0)] without the
+    array. Requires [host_count >= 2]. *)
+
 val generate :
   ?first_id:int ->
   Prng.t ->

@@ -5,11 +5,17 @@
     each flow into our datacenter network". This module is that hash: a
     64-bit mix (same finalizer family as SplitMix64) reduced modulo the
     host count, with a deterministic collision fix-up so a flow never
-    maps to [src = dst]. *)
+    maps to [src = dst].
 
-val host_pair :
-  host_count:int -> src_ip:int32 -> dst_ip:int32 -> int * int
-(** Maps both endpoints, each IPv4 address (as int32) hashed to a host
-    index in [0, host_count); when they collide onto the same host the
-    destination is shifted deterministically to the next host. Requires
-    [host_count >= 2]. *)
+    An IPv4 address is passed as its [int32] value held in an [int]
+    ([Int32.to_int]): an [int32] argument would be boxed on every
+    call. *)
+
+val host_of_ip : host_count:int -> int -> int
+(** The host index in [0, host_count) an address hashes to. Requires
+    [host_count >= 1]. *)
+
+val peer_of_ip : host_count:int -> src:int -> int -> int
+(** The destination host of a flow from host [src]: the address's
+    {!host_of_ip}, shifted deterministically to the next host when it
+    collides with [src]. Requires [host_count >= 2]. *)

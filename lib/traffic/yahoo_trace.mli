@@ -8,6 +8,16 @@
     most bytes over inter-DC links — log-normal durations, and Poisson
     arrivals. See DESIGN.md §2 for the substitution argument. *)
 
+val next :
+  Prng.t -> host_count:int -> id:int -> after_s:float -> Flow_record.t
+(** [next rng ~host_count ~id ~after_s] draws one flow with id [id],
+    arriving one exponential inter-arrival gap after [after_s]. It
+    draws, in order: the gap, the source and destination IPs, the
+    demand and the duration. {!generate} is [n] of these chained through
+    their arrivals, so [next rng ~host_count ~id ~after_s:0.0] is
+    [(generate ~first_id:id rng ~host_count ~n:1).(0)] without the
+    array. Requires [host_count >= 2]. *)
+
 val generate :
   ?first_id:int ->
   Prng.t ->

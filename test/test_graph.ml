@@ -155,15 +155,19 @@ let test_pqueue_ordering () =
   Pqueue.push q 3.0 "c";
   Pqueue.push q 1.0 "a";
   Pqueue.push q 2.0 "b";
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a"))
-    (Pqueue.peek q);
+  Alcotest.(check bool) "min at most 1" true (Pqueue.min_le q 1.0);
+  Alcotest.(check bool) "min above 0.5" false (Pqueue.min_le q 0.5);
   Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a"))
     (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b"))
-    (Pqueue.pop q);
+  Alcotest.(check bool) "min above 1.5" false (Pqueue.min_le q 1.5);
+  Alcotest.(check string) "pop_value b" "b" (Pqueue.pop_value q);
   Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c"))
     (Pqueue.pop q);
-  Alcotest.(check bool) "empty" true (Pqueue.pop q = None)
+  Alcotest.(check bool) "empty" true (Pqueue.pop q = None);
+  Alcotest.(check bool) "empty: no min" false (Pqueue.min_le q infinity);
+  Alcotest.check_raises "pop_value on empty"
+    (Invalid_argument "Pqueue.pop_value: empty queue") (fun () ->
+      ignore (Pqueue.pop_value q))
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
@@ -252,7 +256,7 @@ let prop_pqueue_matches_stable_sort =
       && listed = by_prio !pending
       && drain q [] = listed
       && from_rebuilt = listed
-      && Pqueue.peek q = None)
+      && not (Pqueue.min_le q infinity))
 
 (* ------------------------------------------------------------------ *)
 (* CSR adjacency vs a reference model: the flat offsets+ids layout

@@ -328,10 +328,11 @@ let test_probe_tracking () =
   Alcotest.(check (list int)) "empty probe" []
     (Array.to_list (read_set net ignore))
 
-(* [iter_feasible] checks each access hop once per scan; its read set
+(* [first_feasible] checks each access hop once per call; its read set
    must still be exactly that of checking each eligible candidate's
-   full path in turn with [candidate_feasible], stopping where [f]
-   stops, and it must report the same candidates. *)
+   full path in turn with [candidate_feasible], up to the first hit
+   ([stop]) or, scanning on from each hit, to the end, and it must
+   report the same candidates. *)
 let check_scan_reads ?(eligible = fun _ -> true) ?(stop = false) name net c
     ~demand =
   let n = Net_state.candidate_count c in
@@ -352,16 +353,21 @@ let check_scan_reads ?(eligible = fun _ -> true) ?(stop = false) name net c
   let got = ref [] in
   let scan =
     read_set net (fun () ->
-        Net_state.iter_feasible net c ~demand ~eligible (fun i ->
-            got := i :: !got;
-            not stop))
+        let rec go from =
+          match Net_state.first_feasible net c ~demand ~eligible ~from with
+          | -1 -> ()
+          | i ->
+              got := i :: !got;
+              if not stop then go (i + 1)
+        in
+        go 0)
   in
   Alcotest.(check (array int)) (name ^ ": read set") each scan;
   Alcotest.(check (list int)) (name ^ ": candidates") (List.rev !expected)
     (List.rev !got);
   scan
 
-let test_iter_feasible_read_set () =
+let test_first_fit_read_set () =
   let r = flow ~id:0 ~demand:100.0 0 15 in
   (* Free fabric: first fit over the odd candidates only. *)
   let net = Net_state.create (topo4 ()) in
@@ -412,6 +418,80 @@ let test_iter_feasible_read_set () =
   let scan = check_scan_reads "no interior" net c ~demand:100.0 in
   Alcotest.(check bool) "down hop not read" false
     (Array.mem c.Net_state.down scan)
+
+(* The first-fit scan against the candidate walk it stands for: on a
+   loaded k=4 Fat-Tree, for random flows, demands and eligibility, the
+   first hit of [first_feasible] and the edges it records must be those
+   of checking each eligible candidate's full path in turn with
+   [candidate_feasible] until one fits — with no edge down, with an
+   interior edge down, and with an access hop down, each disabled
+   after the candidate view was taken (so the scan, not the view,
+   meets the dead edge). *)
+let test_first_fit_matches_walk () =
+  let rng = Prng.create 2024 in
+  let trials = ref 0 and hits = ref 0 and misses = ref 0 in
+  for round = 0 to 29 do
+    let net = Net_state.create (topo4 ()) in
+    for i = 0 to 39 do
+      let src = Prng.int rng 16 in
+      let dst = (src + 1 + Prng.int rng 15) mod 16 in
+      let r = flow ~id:(1000 + i) ~demand:(Prng.float_in rng 10.0 400.0) src dst in
+      match Routing.select_random rng net r with
+      | Some path -> ignore (Net_state.place net r path)
+      | None -> ()
+    done;
+    for k = 0 to 9 do
+      let src = Prng.int rng 16 in
+      let dst = (src + 1 + Prng.int rng 15) mod 16 in
+      let demand = Prng.float_in rng 1.0 700.0 in
+      let r = flow ~id:k ~demand src dst in
+      let c = Net_state.candidates net r in
+      let n = Net_state.candidate_count c in
+      let mode = (round + k) mod 3 in
+      let undo =
+        match mode with
+        | 1 when Array.length c.Net_state.interior.(0) > 0 ->
+            (* Hosts under one switch have one candidate and no
+               interior edge; they run as mode 0. *)
+            let mid = c.Net_state.interior.(Prng.int rng n) in
+            let e = mid.(Prng.int rng (Array.length mid)) in
+            Net_state.disable_edge net e;
+            fun () -> Net_state.enable_edge net e
+        | 2 ->
+            let e = if Prng.int rng 2 = 0 then c.Net_state.up else c.Net_state.down in
+            Net_state.disable_edge net e;
+            fun () -> Net_state.enable_edge net e
+        | _ -> ignore
+      in
+      let parity = Prng.int rng 3 in
+      let eligible i = parity = 2 || i mod 2 = parity in
+      let walk = ref (-1) in
+      let walk_reads =
+        read_set net (fun () ->
+            let i = ref 0 in
+            while !walk < 0 && !i < n do
+              if eligible !i && Net_state.candidate_feasible net c !i ~demand
+              then walk := !i;
+              incr i
+            done)
+      in
+      let scan = ref (-2) in
+      let scan_reads =
+        read_set net (fun () ->
+            scan := Net_state.first_feasible net c ~demand ~eligible ~from:0)
+      in
+      let what = Printf.sprintf "round %d flow %d mode %d" round k mode in
+      Alcotest.(check int) (what ^ ": index") !walk !scan;
+      Alcotest.(check (array int)) (what ^ ": read set") walk_reads scan_reads;
+      incr trials;
+      if !scan >= 0 then incr hits else incr misses;
+      undo ()
+    done
+  done;
+  (* Both outcomes were exercised. *)
+  Alcotest.(check bool) "some hits" true (!hits > 30);
+  Alcotest.(check bool) "some misses" true (!misses > 30);
+  Alcotest.(check int) "trials" 300 !trials
 
 (* The tentpole's correctness property: a rolled-back transaction leaves
    the state indistinguishable from a pre-transaction copy, whatever
@@ -944,7 +1024,7 @@ let suite =
     ("txn nested", `Quick, test_txn_nested);
     ("txn copy rejected", `Quick, test_txn_copy_rejected);
     ("probe tracking", `Quick, test_probe_tracking);
-    ("iter_feasible read set", `Quick, test_iter_feasible_read_set);
+    ("first-fit scan read set", `Quick, test_first_fit_read_set);
     QCheck_alcotest.to_alcotest prop_txn_rollback_differential;
     QCheck_alcotest.to_alcotest prop_txn_degrade_differential;
     ("routing first fit", `Quick, test_routing_first_fit);
@@ -962,4 +1042,5 @@ let suite =
     ("warm_all_paths allocation", `Quick, test_warm_all_paths_allocation);
     QCheck_alcotest.to_alcotest prop_nested_txn_ops_keep_invariants;
     ("on-edge entry order pinned", `Quick, test_on_edge_order_pinned);
+    ("first-fit scan = candidate walk", `Quick, test_first_fit_matches_walk);
   ]

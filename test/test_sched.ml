@@ -230,6 +230,77 @@ let test_engine_churn_expires_and_refills () =
   Alcotest.(check bool) "utilization maintained" true
     (run.Engine.final_fabric_utilization >= 0.0)
 
+(* The background refill's allocation, per placement. A fixed churn
+   stepper runs the cycle [Engine.sync_background] runs — expire what is
+   due, then draw with the serving layer's churn maker, pick the first
+   feasible candidate and place it — on a k=4 Fat-Tree, and
+   [Gc.minor_words] over the measured rounds is divided by the
+   placements they made. [Gc.minor_words] is exact for one build
+   ([Gc.allocated_bytes] moves with minor-GC timing). The words a
+   placement keeps are its record and floats (13), the path (about 20
+   with its id array), the binding and its table entry (7), and the
+   departure's priority (2); the draws and selects of failed attempts
+   are spread over the placements. *)
+let churn_words_per_placement () =
+  let net = Net_state.create (Fat_tree.to_topology (Fat_tree.create ~k:4 ())) in
+  let spec =
+    {
+      Serve.churn_seed = 5;
+      churn_target = 0.5;
+      churn_max_per_round = 50;
+      churn_first_id = 0;
+    }
+  in
+  let churn = Option.get (Serve.engine_churn ~host_count:16 (Some spec)) in
+  let expiry = Pqueue.create () in
+  let next_id = ref 0 and placed = ref 0 in
+  let step now =
+    while Pqueue.min_le expiry now do
+      match Net_state.remove net (Pqueue.pop_value expiry) with
+      | Ok _ | Error `Not_found -> ()
+    done;
+    let attempts = ref 0 and round_placed = ref 0 in
+    while
+      !round_placed < spec.churn_max_per_round
+      && !attempts < 3 * spec.churn_max_per_round
+      && Net_state.mean_fabric_utilization net < spec.churn_target
+    do
+      incr attempts;
+      let id = !next_id in
+      incr next_id;
+      let record = churn.Engine.make_flow ~id in
+      match Routing.select net record with
+      | None -> ()
+      | Some path -> (
+          match Net_state.place net record path with
+          | Ok () ->
+              incr round_placed;
+              Pqueue.push expiry (now +. record.Flow_record.duration_s) id
+          | Error _ -> ())
+    done;
+    placed := !placed + !round_placed
+  in
+  (* Warm-up: fill to the setpoint and grow every table, so the
+     measured rounds see steady-state churn only. *)
+  for round = 1 to 200 do
+    step (float_of_int round *. 0.5)
+  done;
+  let placed0 = !placed and w0 = Gc.minor_words () in
+  for round = 201 to 1200 do
+    step (float_of_int round *. 0.5)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  (words /. float_of_int (!placed - placed0), !placed - placed0)
+
+let test_churn_refill_words () =
+  let per_placement, placements = churn_words_per_placement () in
+  Alcotest.(check bool) "steady churn" true (placements > 5_000);
+  (* This cycle measures 74.3 words per placement here; before each
+     refill step allocated only what it keeps, it measured 251.8. *)
+  if per_placement > 90.0 then
+    Alcotest.failf "%.1f minor words per churn placement, bound 90"
+      per_placement
+
 let test_engine_plmtf_co_schedules () =
   (* Many small events on a lightly loaded network: P-LMTF must manage
      to co-schedule at least one event. *)
@@ -817,4 +888,5 @@ let suite =
     ("metrics arrays", `Quick, test_metrics_arrays);
     ("metrics reduction", `Quick, test_metrics_reduction);
     ("metrics comparison", `Quick, test_metrics_comparison_renders);
+    ("churn refill words per placement", `Quick, test_churn_refill_words);
   ]

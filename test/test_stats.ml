@@ -99,6 +99,34 @@ let test_prng_choose () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.choose: empty array")
     (fun () -> ignore (Prng.choose rng [||]))
 
+(* The stream itself, pinned: values recorded from the boxed-int64
+   generator this one replaced. Comparing two streams of one build
+   cannot see a change of representation; these can. *)
+let test_prng_stream_pinned () =
+  let r = Prng.create 42 in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "create 42: bits64" expected (Prng.bits64 r))
+    [
+      -7450291807549245335L;
+      2958219263312191191L;
+      3069497704473277141L;
+      885919558081284366L;
+    ];
+  Alcotest.(check int64) "then unit_float (bits)"
+    (Int64.bits_of_float 0x1.f62d40dca5d82p-1)
+    (Int64.bits_of_float (Prng.unit_float r));
+  Alcotest.(check int) "then int 1000" 176 (Prng.int r 1000);
+  let child = Prng.split (Prng.create 42) in
+  Alcotest.(check int64) "split child: first bits64" 3734525477312840781L
+    (Prng.bits64 child);
+  let q = Prng.create 42 in
+  for _ = 1 to 3 do
+    ignore (Prng.bits64 q)
+  done;
+  Alcotest.(check int64) "raw_state after three draws" (-9079160829108950431L)
+    (Prng.raw_state q)
+
 (* Checkpointing captures a PRNG as its raw SplitMix64 cursor; a stream
    rebuilt from that cursor must be indistinguishable from the one that
    kept running. *)
@@ -273,4 +301,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mean_between_min_max;
     ("cdf inverse", `Quick, test_cdf_inverse);
     ("cdf size", `Quick, test_cdf_size);
+    ("prng stream pinned", `Quick, test_prng_stream_pinned);
   ]

@@ -43,9 +43,7 @@ let test_record_non_finite () =
 (* ------------------------------------------------------------------ *)
 (* Ip_map                                                              *)
 
-(* The host a source address maps to. *)
-let host_of_ip ~host_count ip =
-  fst (Ip_map.host_pair ~host_count ~src_ip:ip ~dst_ip:0l)
+let host_of_ip ~host_count ip = Ip_map.host_of_ip ~host_count (Int32.to_int ip)
 
 let test_ip_host_range () =
   for i = 0 to 500 do
@@ -62,7 +60,8 @@ let test_ip_host_deterministic () =
 let test_ip_pair_distinct () =
   for i = 0 to 500 do
     let ip = Int32.of_int (i * 131) in
-    let s, d = Ip_map.host_pair ~host_count:16 ~src_ip:ip ~dst_ip:ip in
+    let s = host_of_ip ~host_count:16 ip in
+    let d = Ip_map.peer_of_ip ~host_count:16 ~src:s (Int32.to_int ip) in
     Alcotest.(check bool) "never equal" true (s <> d)
   done
 
@@ -149,6 +148,157 @@ let test_benson_draw_flow_endpoints () =
   Alcotest.(check int) "src" 3 f.Flow_record.src;
   Alcotest.(check int) "dst" 9 f.Flow_record.dst;
   Alcotest.(check (float 0.0)) "arrival" 1.5 f.Flow_record.arrival_s
+
+(* ------------------------------------------------------------------ *)
+(* Single-flow draws                                                   *)
+
+(* Reference models of the one-flow draws as they were written before
+   [next] existed: [generate ~n:1] built an [Array.init] over a clock
+   ref, and Yahoo hashed its int32 IPs in pairs. The draws under test
+   must equal them field for field, floats bit for bit. *)
+let ref_mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+let ref_host ~host_count ip =
+  Int64.to_int (Int64.shift_right_logical (ref_mix64 (Int64.of_int32 ip)) 2)
+  mod host_count
+
+let ref_yahoo rng ~host_count ~id =
+  let clock = ref 0.0 in
+  clock := !clock +. Dist.exponential rng ~rate:(1.0 /. 0.05);
+  let src_ip = Int64.to_int32 (Prng.bits64 rng) in
+  let dst_ip = Int64.to_int32 (Prng.bits64 rng) in
+  let s = ref_host ~host_count src_ip and d = ref_host ~host_count dst_ip in
+  let src, dst = if s <> d then (s, d) else (s, (d + 1) mod host_count) in
+  let demand = Dist.bounded_pareto rng ~shape:1.1 ~lo:1.0 ~hi:400.0 in
+  let duration = Dist.lognormal rng ~mu:(log 30.0) ~sigma:1.0 in
+  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
+    ~duration_s:duration ~arrival_s:!clock
+
+let ref_benson rng ~host_count ~id =
+  let clock = ref 0.0 in
+  clock := !clock +. Dist.lognormal rng ~mu:(log 0.01) ~sigma:1.0;
+  let src = Prng.int rng host_count in
+  let dst =
+    let d = Prng.int rng (host_count - 1) in
+    if d >= src then d + 1 else d
+  in
+  Benson_trace.draw_flow rng ~id ~src ~dst ~arrival_s:!clock
+
+let ref_scaled ~scale (r : Flow_record.t) =
+  if scale >= 1.0 then r
+  else
+    Flow_record.v ~id:r.id ~src:r.src ~dst:r.dst
+      ~size_mbit:(r.size_mbit *. scale) ~duration_s:r.duration_s
+      ~arrival_s:r.arrival_s
+
+let record_fields (r : Flow_record.t) =
+  Printf.sprintf "id %d src %d dst %d size %Lx duration %Lx arrival %Lx" r.id
+    r.src r.dst
+    (Int64.bits_of_float r.size_mbit)
+    (Int64.bits_of_float r.duration_s)
+    (Int64.bits_of_float r.arrival_s)
+
+let same_record (a : Flow_record.t) (b : Flow_record.t) =
+  a.id = b.id && a.src = b.src && a.dst = b.dst
+  && Int64.equal (Int64.bits_of_float a.size_mbit) (Int64.bits_of_float b.size_mbit)
+  && Int64.equal (Int64.bits_of_float a.duration_s) (Int64.bits_of_float b.duration_s)
+  && Int64.equal (Int64.bits_of_float a.arrival_s) (Int64.bits_of_float b.arrival_s)
+
+let fold_record h (r : Flow_record.t) =
+  let module Fnv = Obs.Fnv in
+  let h = Fnv.int (Fnv.int (Fnv.int h r.id) r.src) r.dst in
+  let h = Fnv.float (Fnv.float h r.size_mbit) r.duration_s in
+  Fnv.float h r.arrival_s
+
+(* 10,000 ids on one stream per seed, the draw under test and its
+   reference on twin streams. Returns the FNV digest of the draws. *)
+let check_draws name ~seed ~draw ~reference =
+  let a = Prng.create seed and b = Prng.create seed in
+  let h = ref Obs.Fnv.basis in
+  for id = 0 to 9_999 do
+    let got = draw a id and want = reference b id in
+    if not (same_record got want) then
+      Alcotest.failf "%s, seed %d, id %d: got %s, want %s" name seed id
+        (record_fields got) (record_fields want);
+    h := fold_record !h got
+  done;
+  Alcotest.(check int64) (Printf.sprintf "%s, seed %d: streams in step" name seed)
+    (Prng.raw_state b) (Prng.raw_state a);
+  Obs.Fnv.hex !h
+
+(* The digests were recorded from [generate ~first_id:id rng ~n:1]
+   (and the fill makers built on it) before the single-flow draws
+   replaced it. *)
+let test_single_flow_draws () =
+  let host_count = 128 in
+  let scales = [| 1.0; 0.5; 0.25; 1.0 /. 64.0 |] in
+  List.iter
+    (fun (seed, yahoo, benson, yfill, bfill) ->
+      let check name expected ~draw ~reference =
+        Alcotest.(check string)
+          (Printf.sprintf "%s, seed %d: digest" name seed)
+          expected
+          (check_draws name ~seed ~draw ~reference)
+      in
+      check "yahoo next" yahoo
+        ~draw:(fun rng id -> Yahoo_trace.next rng ~host_count ~id ~after_s:0.0)
+        ~reference:(fun rng id -> ref_yahoo rng ~host_count ~id);
+      check "benson next" benson
+        ~draw:(fun rng id -> Benson_trace.next rng ~host_count ~id ~after_s:0.0)
+        ~reference:(fun rng id -> ref_benson rng ~host_count ~id);
+      check "yahoo fill maker" yfill
+        ~draw:(fun rng id ->
+          Background.yahoo_flow_maker rng ~host_count ~id
+            ~scale:scales.(id mod 4))
+        ~reference:(fun rng id ->
+          ref_scaled ~scale:scales.(id mod 4) (ref_yahoo rng ~host_count ~id));
+      check "benson fill maker" bfill
+        ~draw:(fun rng id ->
+          Background.benson_flow_maker rng ~host_count ~id
+            ~scale:scales.(id mod 4))
+        ~reference:(fun rng id ->
+          ref_scaled ~scale:scales.(id mod 4) (ref_benson rng ~host_count ~id)))
+    [
+      (1, "8c6622d0bb9adb54", "7a8c71661cefabc2", "272622d0bb9adb54",
+       "62ec71661cefabc2");
+      (42, "79f71a89d29f6896", "5043544b63b6b16f", "d1571a89d29f6896",
+       "9cc3544b63b6b16f");
+      (7919, "291841136e02588c", "f5e31daab1e8d8e3", "131841136e02588c",
+       "81631daab1e8d8e3");
+    ]
+
+(* [generate] chains [next] through the arrivals: its first record of
+   fifty, recorded before the single-flow draw existed. *)
+let test_generate_first_record_pinned () =
+  let check name (r : Flow_record.t) ~src ~dst ~size ~duration ~arrival =
+    Alcotest.(check string) name
+      (record_fields
+         (Flow_record.v ~id:0 ~src ~dst ~size_mbit:size ~duration_s:duration
+            ~arrival_s:arrival))
+      (record_fields r)
+  in
+  check "yahoo"
+    (Yahoo_trace.generate (Prng.create 9) ~host_count:128 ~n:50).(0)
+    ~src:76 ~dst:72 ~size:0x1.c4b3dcb916c97p+7 ~duration:0x1.a41834e774c89p+6
+    ~arrival:0x1.79cfa6834c039p-7;
+  check "benson"
+    (Benson_trace.generate (Prng.create 9) ~host_count:128 ~n:50).(0)
+    ~src:85 ~dst:16 ~size:0x1.b4ffde431bc32p+1 ~duration:0x1.0943a24366b9cp-1
+    ~arrival:0x1.317dcf81cbc55p-9;
+  (* And the later records continue the chain: [next] after the
+     previous arrival, on the same stream. *)
+  let rng = Prng.create 9 in
+  let flows = Yahoo_trace.generate rng ~host_count:128 ~n:3 in
+  let rng' = Prng.create 9 in
+  let first = Yahoo_trace.next rng' ~host_count:128 ~id:0 ~after_s:0.0 in
+  let second =
+    Yahoo_trace.next rng' ~host_count:128 ~id:1 ~after_s:first.arrival_s
+  in
+  Alcotest.(check string) "second record" (record_fields second)
+    (record_fields flows.(1))
 
 (* ------------------------------------------------------------------ *)
 (* Event_gen                                                           *)
@@ -279,4 +429,6 @@ let suite =
     ("event unique ids", `Quick, test_event_gen_unique_flow_ids);
     ("event flow arrivals", `Quick, test_event_gen_flow_arrival_matches_event);
     QCheck_alcotest.to_alcotest prop_event_flows_valid;
+    ("single-flow draws = n:1 draws", `Quick, test_single_flow_draws);
+    ("generate first record pinned", `Quick, test_generate_first_record_pinned);
   ]
