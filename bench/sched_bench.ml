@@ -66,6 +66,11 @@ type measurement = {
   m_digest : string;
   m_recovery_digest : string option;
   m_counters : Core.Obs.Counters.snapshot;
+  m_minor_words : float option;
+      (* [Gc.minor_words] over the run, when it runs on this domain alone:
+         a deterministic work signal, reported and not gated. Worker
+         domains' allocations are not counted, so a run with probe
+         domains or several shards records none. *)
 }
 
 let now_s () = Int64.to_float (Core.Obs.Trace.now_ns ()) *. 1e-9
@@ -118,6 +123,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
                 s.Core.Scenario.topology))
   in
   let before = Core.Obs.Counters.snapshot () in
+  let w0 = Gc.minor_words () in
   let t0 = now_s () in
   (* Sharded fabric digest override: the shard scenarios digest the
      combined fabric decision stream (per-shard digests folded with the
@@ -365,6 +371,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         ~net:s.Core.Scenario.net ~events policy
   in
   let wall = now_s () -. t0 in
+  let minor_words = Gc.minor_words () -. w0 in
   if obs then begin
     Core.Obs.Histogram.Registry.disable ();
     Core.Obs.Trace.uninstall ()
@@ -396,6 +403,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         (fun inj -> Core.Recovery.digest (Core.Injector.recovery inj))
         injector;
     m_counters = counters;
+    m_minor_words =
+      (if domains = 1 && shards <= 1 then Some minor_words else None);
   }
 
 let json_of_measurement m =
@@ -416,6 +425,10 @@ let json_of_measurement m =
         | Some d -> Core.Obs.Json.String d
         | None -> Core.Obs.Json.Null );
       ("counters", Core.Obs.Counters.to_json m.m_counters);
+      ( "minor_words",
+        match m.m_minor_words with
+        | Some w -> Core.Obs.Json.Float w
+        | None -> Core.Obs.Json.Null );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -585,9 +598,13 @@ let () =
     (fun m ->
       Printf.printf
         "%-20s events %4d  rounds %5d  probes/round %7.1f  planning %7.3fs  \
-         wall %7.3fs  ev/s %7.1f  digest %s\n"
+         wall %7.3fs  ev/s %7.1f  minor words %s  digest %s\n"
         m.m_name m.m_events m.m_rounds m.m_probes_per_round m.m_planning_wall_s
-        m.m_run_wall_s m.m_events_per_s m.m_digest)
+        m.m_run_wall_s m.m_events_per_s
+        (match m.m_minor_words with
+        | Some w -> Printf.sprintf "%7.1fM" (w /. 1e6)
+        | None -> "      -")
+        m.m_digest)
     measurements;
   let baseline =
     if !baseline_file = "" then None

@@ -20,7 +20,11 @@ let probe net record =
     | -1 -> false
     | d -> Net_state.candidate_feasible net c d ~demand
   in
-  let any_ok = Routing.select_from net ~demand c >= 0 in
+  let any_ok =
+    Routing.select_from ~policy:Routing.First_fit ~eligible:(fun _ -> true) net
+      ~demand c
+    >= 0
+  in
   (desired_ok, any_ok)
 
 let ratio num den = if den = 0 then nan else float_of_int num /. float_of_int den

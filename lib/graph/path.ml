@@ -43,17 +43,25 @@ let nodes t =
   src t :: Array.fold_right (fun (e : Graph.edge) acc -> e.dst :: acc) t.earr []
 let hops t = Array.length t.ids
 
+(* Loops over a local ref, not local recursive functions: those would
+   be closures allocated per call. *)
 let mentions_edge t id =
   let ids = t.ids in
   let n = Array.length ids in
-  let rec scan i = i < n && (Array.unsafe_get ids i = id || scan (i + 1)) in
-  scan 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get ids !i <> id do
+    incr i
+  done;
+  !i < n
 
 let mentions_node t v =
   let es = t.earr in
   let n = Array.length es in
-  let rec scan i = i < n && ((Array.unsafe_get es i).dst = v || scan (i + 1)) in
-  src t = v || scan 0
+  let i = ref 0 in
+  while !i < n && (Array.unsafe_get es !i).dst <> v do
+    incr i
+  done;
+  src t = v || !i < n
 
 (* Same order as the list-lexicographic compare the id lists used to
    have: element-wise first, a strict prefix sorts before its

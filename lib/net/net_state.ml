@@ -944,7 +944,7 @@ let edge_flows_blit t edge_id ~ids ~dem ~size =
   Array.blit t.oe_size.(edge_id) 0 size 0 n;
   n
 
-let peek_flow t id = Hashtbl.find_opt t.flows id
+let peek_flow t id = Hashtbl.find t.flows id
 
 let flows_through_node t v =
   let acc = ref [] in
@@ -989,10 +989,28 @@ let no_candidates = { up = -1; down = -1; interior = [||] }
 
 let interior_enabled t ids =
   let n = Array.length ids in
-  let rec go i =
-    i >= n || ((not t.disabled.(Array.unsafe_get ids i)) && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && not t.disabled.(Array.unsafe_get ids !i) do
+    incr i
+  done;
+  !i >= n
+
+(* The enabled interiors, in rank order, straight into their array. *)
+let enabled_interiors t all =
+  let n = ref 0 in
+  for i = 0 to Array.length all - 1 do
+    if interior_enabled t (Array.unsafe_get all i) then incr n
+  done;
+  let out = Array.make !n [||] in
+  let j = ref 0 in
+  for i = 0 to Array.length all - 1 do
+    let ids = Array.unsafe_get all i in
+    if interior_enabled t ids then begin
+      out.(!j) <- ids;
+      incr j
+    end
+  done;
+  out
 
 let candidates t record =
   Nu_obs.Counters.incr Nu_obs.Counters.Path_enumerations;
@@ -1013,13 +1031,7 @@ let candidates t record =
     if t.disabled_n = 0 then { up; down; interior = all }
     else if t.disabled.(up) || t.disabled.(down) then
       { up; down; interior = [||] }
-    else
-      {
-        up;
-        down;
-        interior =
-          Array.of_list (List.filter (interior_enabled t) (Array.to_list all));
-      }
+    else { up; down; interior = enabled_interiors t all }
   end
 
 let candidate_count c = Array.length c.interior
@@ -1046,8 +1058,11 @@ let candidate_is c i path =
   && ids.(0) = c.up
   && ids.(n + 1) = c.down
   &&
-  let rec go j = j >= n || (ids.(j + 1) = mid.(j) && go (j + 1)) in
-  go 0
+  let j = ref 0 in
+  while !j < n && ids.(!j + 1) = mid.(!j) do
+    incr j
+  done;
+  !j >= n
 
 let warm_all_paths t =
   (* Populate the memo for every ordered pair of attachment switches,
@@ -1128,6 +1143,22 @@ let capacity_gap t (e : Graph.edge) ~demand =
   touch t e.id;
   demand -. t.residual.(e.id)
 
+(* [Stdlib.max 0.0 (demand -. residual)] for one hop, with the
+   polymorphic test spelled for floats (a NaN gap stays NaN, -0.0
+   becomes 0.0), so the sum stays unboxed. *)
+let[@inline] hop_gap t e ~demand =
+  touch t e;
+  let d = demand -. Array.unsafe_get t.residual e in
+  if 0.0 >= d then 0.0 else d
+
+let candidate_gap t c i ~demand ~into =
+  let mid = c.interior.(i) in
+  let acc = ref (0.0 +. hop_gap t c.up ~demand) in
+  for j = 0 to Array.length mid - 1 do
+    acc := !acc +. hop_gap t (Array.unsafe_get mid j) ~demand
+  done;
+  into.(i) <- !acc +. hop_gap t c.down ~demand
+
 type place_error = Duplicate_flow | Congested of Graph.edge list
 
 let occupy t placed =
@@ -1203,48 +1234,88 @@ let remove t id =
       release t placed;
       Ok placed
 
+(* Feasibility of a reroute is judged with the flow's own usage
+   released — computed arithmetically (residual +. demand on edges the
+   old path shares with the new one) rather than by physically releasing
+   and restoring the placement, so a rejected attempt costs no journal
+   or flow-table traffic. The additions match what release used to
+   apply, keeping the comparisons bit-identical. [reroute_avail] is one
+   hop's room, recorded in an open probe's read set. *)
+let[@inline] reroute_avail t old e ~demand =
+  touch t e;
+  let r = Array.unsafe_get t.residual e in
+  if Path.mentions_edge old e then r +. demand else r
+
+(* One hop of the check: enabled (unless [admit_disabled]), and with
+   room for [demand] on top of [old]'s own share. *)
+let[@inline] reroute_hop_fits t ~admit_disabled old e ~demand =
+  (not (reroute_avail t old e ~demand < demand))
+  && (admit_disabled || not (Array.unsafe_get t.disabled e))
+
+(* Why a reroute onto [new_path] failed: its disabled hops, then its
+   congested ones, each in path order. Built only on failure, and it
+   computes the demand itself: passing [reroute]'s would box it on every
+   call. *)
+let reroute_blocked t ~admit_disabled placed new_path =
+  let demand = demand_of placed.record in
+  let dead = if admit_disabled then [] else disabled_links t new_path in
+  let ids = Path.hop_ids new_path in
+  let g = graph t in
+  let acc = ref [] in
+  for i = Array.length ids - 1 downto 0 do
+    let e = Array.unsafe_get ids i in
+    if reroute_avail t placed.path e ~demand < demand then
+      acc := Graph.edge g e :: !acc
+  done;
+  dead @ !acc
+
+(* Every hop is checked, and so recorded in an open probe's read set,
+   even after one fails: the read set is the one a walk building the
+   blocked list records. *)
 let reroute ?(admit_disabled = false) t id new_path =
-  match Hashtbl.find_opt t.flows id with
-  | None -> invalid_arg "Net_state.reroute: flow not placed"
-  | Some placed ->
-      (* Judge feasibility with the flow's own usage released — computed
-         arithmetically (residual +. demand on edges the old path shares
-         with the new one) rather than by physically releasing and
-         restoring the placement, so a rejected attempt costs no journal
-         or flow-table traffic. The additions match what release used to
-         apply, keeping the comparisons bit-identical. *)
+  match Hashtbl.find t.flows id with
+  | exception Not_found -> invalid_arg "Net_state.reroute: flow not placed"
+  | placed ->
       let demand = demand_of placed.record in
-      let dead = if admit_disabled then [] else disabled_links t new_path in
-      let congested =
-        let ids = Path.hop_ids new_path in
-        let g = graph t in
-        let acc = ref [] in
-        for i = Array.length ids - 1 downto 0 do
-          let e = Array.unsafe_get ids i in
-          touch t e;
-          let r = Array.unsafe_get t.residual e in
-          let avail =
-            if Path.mentions_edge placed.path e then r +. demand else r
-          in
-          if avail < demand then acc := Graph.edge g e :: !acc
-        done;
-        !acc
-      in
-      (match dead @ congested with
-      | _ :: _ as blocked -> Error (Congested blocked)
-      | [] ->
-          let src = host_node t placed.record.src in
-          let dst = host_node t placed.record.dst in
-          if Path.src new_path <> src || Path.dst new_path <> dst then
-            invalid_arg "Net_state.reroute: path does not connect endpoints"
-          else begin
-            flow_del t id placed;
-            release t placed;
-            let placed' = { placed with path = new_path } in
-            flow_put t id placed';
-            occupy t placed';
-            Ok placed.path
-          end)
+      let ids = Path.hop_ids new_path in
+      let clear = ref true in
+      for i = 0 to Array.length ids - 1 do
+        if
+          not
+            (reroute_hop_fits t ~admit_disabled placed.path
+               (Array.unsafe_get ids i) ~demand)
+        then clear := false
+      done;
+      if not !clear then
+        Error
+          (Congested (reroute_blocked t ~admit_disabled placed new_path))
+      else begin
+        let src = host_node t placed.record.src in
+        let dst = host_node t placed.record.dst in
+        if Path.src new_path <> src || Path.dst new_path <> dst then
+          invalid_arg "Net_state.reroute: path does not connect endpoints"
+        else begin
+          flow_del t id placed;
+          release t placed;
+          let placed' = { placed with path = new_path } in
+          flow_put t id placed';
+          occupy t placed';
+          Ok placed.path
+        end
+      end
+
+let candidate_reroutable t placed c i =
+  let demand = demand_of placed.record and old = placed.path in
+  let mid = c.interior.(i) in
+  let fits = ref (reroute_hop_fits t ~admit_disabled:false old c.up ~demand) in
+  for j = 0 to Array.length mid - 1 do
+    if
+      not
+        (reroute_hop_fits t ~admit_disabled:false old (Array.unsafe_get mid j)
+           ~demand)
+    then fits := false
+  done;
+  reroute_hop_fits t ~admit_disabled:false old c.down ~demand && !fits
 
 (* ------------------------------------------------------------------ *)
 (* Structural sweeps. Both share one proof: if every placed flow is

@@ -271,10 +271,12 @@ val edge_flows_blit :
     exactly like {!flows_on_edge}. Raises [Invalid_argument] if any
     scratch array is shorter than {!edge_flow_count}. *)
 
-val peek_flow : t -> int -> placed option
+val peek_flow : t -> int -> placed
 (** Current placement of a flow id without recording anything in an open
     probe's read set ({!flows_on_edge}'s resolution step, exposed for
-    callers that already hold the edge read via {!edge_flows_blit}). *)
+    callers that already hold the edge read via {!edge_flows_blit}).
+    Raises [Not_found] when the id is not placed; no option is
+    allocated. *)
 
 val flows_through_node : t -> int -> placed list
 (** Flows whose path visits the node (as switch or endpoint), sorted by
@@ -297,6 +299,9 @@ type candidates = private {
   interior : int array array;
       (** Interior edge ids of each candidate, in rank order. *)
 }
+
+val no_candidates : candidates
+(** The empty view ([up] and [down] are [-1]). *)
 
 val candidates : t -> Flow_record.t -> candidates
 (** The record's candidates, minus any crossing a disabled edge (none
@@ -342,6 +347,14 @@ val capacity_gap : t -> Graph.edge -> demand:float -> float
 (** [demand - residual] of an edge — how much bandwidth migrations must
     free on it. Non-positive means the edge already fits the demand. *)
 
+val candidate_gap :
+  t -> candidates -> int -> demand:float -> into:float array -> unit
+(** Store in [into.(i)] the sum, over candidate [i]'s hops in traversal
+    order, of [max 0.0 (demand - residual)]: how much bandwidth a
+    clearing of it would have to free. Records every hop in an open
+    probe's read set. Writing into the caller's array keeps the sum
+    unboxed. *)
+
 (** {2 Mutations} *)
 
 type place_error =
@@ -368,7 +381,14 @@ val reroute :
     unchanged. [admit_disabled] (default false) skips the disabled-edge
     check — exclusively for rollback paths that must restore a placement
     that legitimately predates a link failure; capacity is still
-    checked. *)
+    checked. Every hop is recorded in an open probe's read set, also
+    after one fails; the error lists are built only on failure. *)
+
+val candidate_reroutable : t -> placed -> candidates -> int -> bool
+(** Whether {!reroute} of the placed flow onto candidate [i] (without
+    [admit_disabled]) would succeed, recording the same edges in an open
+    probe's read set — without building the candidate's path or an
+    error. [placed] must be the flow's current placement. *)
 
 (** {2 Structural invariants}
 

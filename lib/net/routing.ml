@@ -11,7 +11,7 @@ let bottleneck_residual net c i =
 
 let any _ = true
 
-let select_from ?(policy = First_fit) ?(eligible = any) net ~demand c =
+let select_from ~policy ~eligible net ~demand c =
   match policy with
   | First_fit -> Net_state.first_feasible net c ~demand ~eligible ~from:0
   | Widest ->
@@ -59,8 +59,9 @@ let select_random rng net record =
   else Some (Net_state.candidate_path net c feasible.(Prng.int rng !count))
 
 (* SplitMix64 finalizer — same mixing family as Ip_map, applied to the
-   flow identity so the desired path is stable across replans. *)
-let mix64 z =
+   flow identity so the desired path is stable across replans. Inlined,
+   so the int64 arithmetic stays unboxed in [ecmp_index]. *)
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))

@@ -32,17 +32,18 @@ val select_random : Prng.t -> Net_state.t -> Flow_record.t -> Path.t option
     placement mimics hash-based ECMP spreading. *)
 
 val select_from :
-  ?policy:policy ->
-  ?eligible:(int -> bool) ->
+  policy:policy ->
+  eligible:(int -> bool) ->
   Net_state.t ->
   demand:float ->
   Net_state.candidates ->
   int
-(** The [policy] choice (default first-fit) over an existing candidate
-    view, restricted to the indices [eligible] accepts (default all;
-    migration targets must avoid the path being cleared). Returns the
-    chosen index, or [-1] when no eligible candidate is feasible. Both
-    policies walk the candidates with {!Net_state.first_feasible}. *)
+(** The [policy] choice over an existing candidate view, restricted to
+    the indices [eligible] accepts (migration targets must avoid the
+    path being cleared). Returns the chosen index, or [-1] when no
+    eligible candidate is feasible. Both policies walk the candidates
+    with {!Net_state.first_feasible}. Both are plain labels: an optional
+    argument is boxed in [Some] on every call that supplies it. *)
 
 val desired : Flow_record.t -> Net_state.candidates -> int
 (** Index of the flow's *desired* candidate regardless of feasibility:

@@ -25,7 +25,12 @@ type key =
       (** Plan-and-roll-back probes ({!Nu_update.Planner.probe}). *)
   | Migration_moves  (** Make-room flow relocations committed. *)
   | Clear_attempts  (** {!Nu_update.Migration.clear_path} invocations. *)
-  | Path_enumerations  (** Candidate-path set constructions. *)
+  | Path_enumerations
+      (** Candidate views built ({!Nu_net.Net_state.candidates} calls):
+          one per planned install or reroute item, per routed placement
+          (the churn refill, the background fill, fault evacuation) and
+          per migration pick that can move. A pick whose access hop
+          lies on the cleared path cannot move and builds none. *)
   | State_copies  (** {!Nu_net.Net_state.copy} calls. *)
   | Engine_rounds  (** Service rounds executed (both abstractions). *)
   | Events_executed  (** Events completed by event-level rounds. *)

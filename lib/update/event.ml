@@ -10,15 +10,27 @@ type kind =
   | Switch_upgrade of int
   | Link_failure of int * int
 
-let candidate_respects net c i = function
+(* Whether edge [e] keeps clear of the constraint. *)
+let hop_respects g e = function
   | Unconstrained -> true
-  | Avoid_node v ->
+  | Avoid_node v -> Graph.src g e <> v && Graph.dst g e <> v
+  | Avoid_edges ids -> not (List.mem e ids)
+
+(* The hops in traversal order, stopping at the first that fails: the
+   check is pure, so stopping early decides what the full fold did,
+   and the loop allocates no closure. *)
+let candidate_respects net (c : Net_state.candidates) i avoid =
+  match avoid with
+  | Unconstrained -> true
+  | Avoid_node _ | Avoid_edges _ ->
       let g = Net_state.graph net in
-      Net_state.fold_hops c i ~init:true ~f:(fun ok e ->
-          ok && Graph.src g e <> v && Graph.dst g e <> v)
-  | Avoid_edges ids ->
-      Net_state.fold_hops c i ~init:true ~f:(fun ok e ->
-          ok && not (List.mem e ids))
+      let mid = c.interior.(i) in
+      let n = Array.length mid in
+      let j = ref 0 in
+      while !j < n && hop_respects g (Array.unsafe_get mid !j) avoid do
+        incr j
+      done;
+      hop_respects g c.up avoid && !j = n && hop_respects g c.down avoid
 
 type t = { id : int; arrival_s : float; kind : kind; work : work list }
 

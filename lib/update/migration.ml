@@ -79,8 +79,7 @@ let ensure_scratch s n =
    entry count. Safe to reuse across the whole clear: nothing below
    (try_relocate, reroute) builds another pool before this link's loop
    finishes. *)
-let fill_pool net edge_id =
-  let s = Domain.DLS.get scratch_key in
+let fill_pool s net edge_id =
   ensure_scratch s (Net_state.edge_flow_count net edge_id);
   let n =
     Net_state.edge_flows_blit net edge_id ~ids:s.ids ~dem:s.dem ~size:s.size
@@ -88,7 +87,7 @@ let fill_pool net edge_id =
   Array.fill s.used 0 n false;
   s.fit_gap <- nan;
   s.fallback.len <- -1;
-  (s, n)
+  n
 
 (* One heap helper for both phases: the key column is an argument, not
    a comparison closure. Entry [i] precedes [j] when its (key, flow id)
@@ -133,6 +132,30 @@ let rec pop key s h =
     if Array.unsafe_get s.used top then pop key s h else top
   end
 
+(* One clear's fixed inputs, the moves it has applied, and the pick
+   being relocated. The relocation eligibility closure reads [cands] and
+   [current], which each relocation sets before its policy scan: one
+   closure per clear rather than one per pick, and no labelled-argument
+   threading through the loops below. *)
+type clearing = {
+  net : Net_state.t;
+  order : order;
+  policy : Routing.policy;
+  avoid : Event.avoid;
+  work_units : int ref;
+  exclude : int -> bool;
+  desired : int array;  (* the cleared path's hop ids *)
+  mutable applied : move list;  (* newest first *)
+  mutable cands : Net_state.candidates;  (* the pick's candidate view *)
+  mutable current : Path.t;  (* the pick's placed path *)
+}
+
+(* Whether [id] was migrated earlier in this clear: moves per clear are
+   few, so a scan of the applied list serves as the set. *)
+let rec was_moved id = function
+  | [] -> false
+  | m :: rest -> m.flow_id = id || was_moved id rest
+
 (* Pick the next flow to migrate for the remaining [gap] (index into the
    scratch, or -1 when exhausted). Best-fit is gap-dependent: prefer the
    smallest flow that closes the gap alone, from a heap rebuilt whenever
@@ -143,7 +166,7 @@ let rec pop key s h =
    one, and such an entry is never picked. The filter is needed:
    {!Flow_record.v} and {!Net_state.place} both let a NaN size or an
    infinite duration (zero demand) through. *)
-let rec select_next order ~gap ~exclude ~moved s n =
+let rec select_next order ~gap ~exclude ~applied s n =
   let fit = s.fit and fb = s.fallback in
   if order = Best_fit_first && gap <> s.fit_gap then begin
     fit.len <- 0;
@@ -178,82 +201,133 @@ let rec select_next order ~gap ~exclude ~moved s n =
       pop s.skey s fb
     end
   in
-  if i >= 0 && (exclude s.ids.(i) || Hashtbl.mem moved s.ids.(i)) then begin
+  if i >= 0 && (exclude s.ids.(i) || was_moved s.ids.(i) applied) then begin
     s.used.(i) <- true;
-    select_next order ~gap ~exclude ~moved s n
+    select_next order ~gap ~exclude ~applied s n
   end
   else i
 
-(* Relocation targets must leave the desired path entirely and be
-   congestion-free for the migrated flow. Feasibility is judged by
-   Net_state.reroute itself (which releases the flow's current usage
-   first), so partially-overlapping current/target paths are handled.
+(* [id] is not among the hop ids [ids]. A loop, not a local recursive
+   function: that would be a closure allocated per call. *)
+let off_path (ids : int array) (id : int) =
+  let n = Array.length ids in
+  let j = ref 0 in
+  while !j < n && Array.unsafe_get ids !j <> id do
+    incr j
+  done;
+  !j >= n
 
-   The candidate walk runs over the memoised candidate view: the
-   policy choice is {!Routing.select_from} restricted to eligible
-   indices, and only a reroute attempt builds a full path. Eligibility
-   is pure (edge-id arrays and the caller's [forbidden] predicate), so
-   re-evaluating it per phase is unobservable; feasibility and the
-   policy keys read net state in candidate order, so recorded read
-   sets and every decision are those of the path-list walk. *)
-let try_relocate ?policy ?(forbidden = fun _ _ -> false) ~work_units
-    net ~desired_path (p : Net_state.placed) =
-  let flow_id = p.record.Flow_record.id in
-  let c = Net_state.candidates net p.record in
-  (* Disjointness test on the flat hop-id arrays: candidate sets are
-     ~16 paths of <=8 hops, so the nested scan beats any set building.
-     The access hops are common to every candidate: test them once. *)
-  let desired_ids = Path.hop_ids desired_path in
-  let nd = Array.length desired_ids in
-  let off_desired id =
-    let rec absent j =
-      j >= nd || (Array.unsafe_get desired_ids j <> id && absent (j + 1))
-    in
-    absent 0
-  in
-  let access_off = off_desired c.Net_state.up && off_desired c.Net_state.down in
-  (* An access hop on the desired path rules out every candidate, so
-     such a flow (most picks) returns before any policy scan: that scan
-     would read no net state for it. *)
-  if not access_off then None
-  else
-    let eligible i =
-      Array.for_all off_desired c.Net_state.interior.(i)
-      && (not (forbidden c i))
-      && not (Net_state.candidate_is c i p.path)
-    in
-    let demand = Flow_record.demand_mbps p.record in
-    let best = Routing.select_from ?policy ~eligible net ~demand c in
-    (* Attempt reroutes: the ranked winner first, then the remaining
-       eligible candidates in enumeration order. *)
-    let attempt i =
-      incr work_units;
-      let cand = Net_state.candidate_path net c i in
-      match Net_state.reroute net flow_id cand with
-      | Ok old_path ->
-          Some
-            {
-              flow_id;
-              from_path = old_path;
-              to_path = cand;
-              size_mbit = p.record.size_mbit;
-              demand_mbps = demand;
-            }
-      | Error _ -> None
-    in
-    let n = Net_state.candidate_count c in
-    let rec attempt_rest i =
-      if i >= n then None
-      else if i <> best && eligible i then
-        match attempt i with Some _ as ok -> ok | None -> attempt_rest (i + 1)
-      else attempt_rest (i + 1)
-    in
-    if best >= 0 then
-      match attempt best with Some _ as ok -> ok | None -> attempt_rest 0
-    else attempt_rest 0
+let all_off_path ids (hops : int array) =
+  let n = Array.length hops in
+  let j = ref 0 in
+  while !j < n && off_path ids (Array.unsafe_get hops !j) do
+    incr j
+  done;
+  !j >= n
 
-let clear_path ?(order = Best_fit_first) ?policy ?forbidden
-    ?(work_units = ref 0) net ~demand ~path ~exclude =
+(* Relocation targets must leave the desired path entirely, respect the
+   clear's avoidance constraint, differ from the flow's current path and
+   be congestion-free for the migrated flow. Feasibility is judged as
+   Net_state.reroute judges it (the flow's current usage released), so
+   partially-overlapping current/target paths are handled.
+
+   The candidate walk runs over the memoised candidate view: the policy
+   choice is {!Routing.select_from} restricted to eligible indices, and
+   only a reroute that will succeed builds a full path
+   ({!Net_state.candidate_reroutable} reads the edges the reroute
+   would). Eligibility is pure (edge-id arrays and the avoidance
+   constraint), so re-evaluating it per phase is unobservable;
+   feasibility and the policy keys read net state in candidate order, so
+   recorded read sets and every decision are those of the path-list
+   walk. *)
+let relocatable cl i =
+  let c = cl.cands in
+  all_off_path cl.desired c.Net_state.interior.(i)
+  && Event.candidate_respects cl.net c i cl.avoid
+  && not (Net_state.candidate_is c i cl.current)
+
+(* One reroute attempt of the pick [p] onto candidate [i]. *)
+let attempt cl (p : Net_state.placed) ~demand i =
+  incr cl.work_units;
+  Net_state.candidate_reroutable cl.net p cl.cands i
+  &&
+  let to_path = Net_state.candidate_path cl.net cl.cands i in
+  match Net_state.reroute cl.net p.record.Flow_record.id to_path with
+  | Ok from_path ->
+      cl.applied <-
+        {
+          flow_id = p.record.id;
+          from_path;
+          to_path;
+          size_mbit = p.record.size_mbit;
+          demand_mbps = demand;
+        }
+        :: cl.applied;
+      true
+  | Error _ -> assert false (* candidate_reroutable said it fits *)
+
+(* The remaining eligible candidates in enumeration order, after the
+   ranked winner [best]. *)
+let rec attempt_rest cl p ~demand best i =
+  i < Net_state.candidate_count cl.cands
+  && ((i <> best && relocatable cl i && attempt cl p ~demand i)
+     || attempt_rest cl p ~demand best (i + 1))
+
+(* Relocate the pick [p]; true when it moved. Every fabric attaches a
+   host by one link, so the placed path's first and last hops are the
+   access hops every candidate of the flow shares: when either lies on
+   the desired path no candidate is eligible, and such a pick (most of
+   them) returns before its candidate view is built. *)
+let try_relocate cl eligible (p : Net_state.placed) =
+  let hops = Path.hop_ids p.path in
+  off_path cl.desired (Array.unsafe_get hops 0)
+  && off_path cl.desired (Array.unsafe_get hops (Array.length hops - 1))
+  &&
+  let c = Net_state.candidates cl.net p.record in
+  cl.cands <- c;
+  cl.current <- p.path;
+  let demand = Flow_record.demand_mbps p.record in
+  let best = Routing.select_from ~policy:cl.policy ~eligible cl.net ~demand c in
+  (best >= 0 && attempt cl p ~demand best) || attempt_rest cl p ~demand best 0
+
+(* Relocate picks off [e] until its gap closes (true) or no pick is left
+   (false). Placements are resolved lazily: only selected flows are ever
+   rerouted, so an unselected entry's placement cannot have changed
+   since the blit. *)
+let rec free_gap cl eligible s n (e : Graph.edge) ~demand ~gap =
+  match select_next cl.order ~gap ~exclude:cl.exclude ~applied:cl.applied s n with
+  | -1 -> false
+  | i ->
+      s.used.(i) <- true;
+      (* On-edge flows are placed, so the lookup cannot raise. *)
+      ignore (try_relocate cl eligible (Net_state.peek_flow cl.net s.ids.(i)));
+      let gap = Net_state.capacity_gap cl.net e ~demand in
+      gap <= 0.0 || free_gap cl eligible s n e ~demand ~gap
+
+(* Undo the applied moves, newest first. admit_disabled: the origin
+   path may cross a link that failed after the flow was placed there;
+   rollback must restore the placement regardless. *)
+let rec rollback net = function
+  | [] -> ()
+  | m :: rest ->
+      (match Net_state.reroute ~admit_disabled:true net m.flow_id m.from_path with
+      | Ok _ -> ()
+      | Error _ -> assert false (* reverse order restores capacity *));
+      rollback net rest
+
+let rec clear_links cl eligible s ~demand = function
+  | [] -> Ok (List.rev cl.applied)
+  | (e : Graph.edge) :: rest ->
+      let gap = Net_state.capacity_gap cl.net e ~demand in
+      if gap <= 0.0 then clear_links cl eligible s ~demand rest
+      else if free_gap cl eligible s (fill_pool s cl.net e.id) e ~demand ~gap
+      then clear_links cl eligible s ~demand rest
+      else begin
+        rollback cl.net cl.applied;
+        Error (Cannot_free e)
+      end
+
+let clear_path ~order ~policy ~avoid ~work_units net ~demand ~path ~exclude =
   Nu_obs.Counters.incr Nu_obs.Counters.Clear_attempts;
   let sp =
     if Nu_obs.Trace.enabled () then
@@ -268,61 +342,27 @@ let clear_path ?(order = Best_fit_first) ?policy ?forbidden
   in
   let h_on = Nu_obs.Histogram.Registry.enabled () in
   let h_t0 = if h_on then Nu_obs.Trace.now_ns () else 0L in
-  let applied = ref [] in
-  let rollback () =
-    List.iter
-      (fun m ->
-        (* admit_disabled: the origin path may cross a link that failed
-           after the flow was placed there; rollback must restore the
-           placement regardless. *)
-        match Net_state.reroute ~admit_disabled:true net m.flow_id m.from_path with
-        | Ok _ -> ()
-        | Error _ -> assert false (* reverse order restores capacity *))
-      !applied
+  let cl =
+    {
+      net;
+      order;
+      policy;
+      avoid;
+      work_units;
+      exclude;
+      desired = Path.hop_ids path;
+      applied = [];
+      cands = Net_state.no_candidates;
+      current = path;
+    }
   in
-  let moved = Hashtbl.create 16 in
-  let congested = Net_state.congested_links net path ~demand in
-  let rec clear_links = function
-    | [] -> Ok (List.rev !applied)
-    | (e : Graph.edge) :: rest ->
-        if Net_state.capacity_gap net e ~demand <= 0.0 then clear_links rest
-        else begin
-          let pool, n = fill_pool net e.id in
-          let rec free_gap () =
-            let gap = Net_state.capacity_gap net e ~demand in
-            if gap <= 0.0 then `Cleared
-            else begin
-              match select_next order ~gap ~exclude ~moved pool n with
-              | -1 -> `Stuck
-              | i -> (
-                  pool.used.(i) <- true;
-                  (* Resolve the placement lazily: only selected flows
-                     are ever rerouted, so an unselected entry's
-                     placement cannot have changed since the blit. *)
-                  let placed =
-                    match Net_state.peek_flow net pool.ids.(i) with
-                    | Some p -> p
-                    | None -> assert false (* on-edge flows are placed *)
-                  in
-                  match
-                    try_relocate ?policy ?forbidden ~work_units net
-                      ~desired_path:path placed
-                  with
-                  | Some move ->
-                      applied := move :: !applied;
-                      Hashtbl.replace moved move.flow_id ();
-                      free_gap ()
-                  | None -> free_gap ())
-            end
-          in
-          match free_gap () with
-          | `Cleared -> clear_links rest
-          | `Stuck ->
-              rollback ();
-              Error (Cannot_free e)
-        end
+  let eligible i = relocatable cl i in
+  let result =
+    clear_links cl eligible
+      (Domain.DLS.get scratch_key)
+      ~demand
+      (Net_state.congested_links net path ~demand)
   in
-  let result = clear_links congested in
   (match result with
   | Ok moves -> Nu_obs.Counters.add Nu_obs.Counters.Migration_moves (List.length moves)
   | Error _ -> ());

@@ -43,21 +43,25 @@ val moves_cost_mbit : move list -> float
 (** Sum of migrated traffic — sum(F_a) of Definition 2. *)
 
 val clear_path :
-  ?order:order ->
-  ?policy:Routing.policy ->
-  ?forbidden:(Net_state.candidates -> int -> bool) ->
-  ?work_units:int ref ->
+  order:order ->
+  policy:Routing.policy ->
+  avoid:Event.avoid ->
+  work_units:int ref ->
   Net_state.t ->
   demand:float ->
   path:Path.t ->
   exclude:(int -> bool) ->
   (move list, blocked) result
-(** [clear_path net ~demand ~path ~exclude] migrates existing flows until
-    every edge of [path] has residual >= demand, mutating [net] (the
-    chosen reroutes are applied). [exclude] marks flows that must not be
-    migrated (the event's own flows). On [Error _] the state is rolled
-    back to exactly its entry value. [work_units], when given, is
-    incremented once per feasibility probe — the planner's virtual
-    plan-time meter. [policy] chooses relocation targets (default
-    first-fit) among a moved flow's candidates that [forbidden] (default
-    none) does not reject. *)
+(** [clear_path ~order ~policy ~avoid ~work_units net ~demand ~path
+    ~exclude] migrates existing flows until every edge of [path] has
+    residual >= demand, mutating [net] (the chosen reroutes are
+    applied). [exclude] marks flows that must not be migrated (the
+    event's own flows). On [Error _] the state is rolled back to exactly
+    its entry value. [work_units] is incremented once per feasibility
+    probe — the planner's virtual plan-time meter. [order] picks the
+    flows to move; [policy] chooses their relocation targets among the
+    candidates that respect [avoid] ([Event.Unconstrained] for an
+    install). The arguments are plain labels, not optional ones, as a
+    supplied optional argument is boxed on every call. A pick whose
+    access hop lies on [path] cannot be relocated and costs no candidate
+    view ({!Net_state.candidates}). *)

@@ -793,7 +793,10 @@ let test_routing_widest () =
       (Path.edges sibling_first)
   in
   let c = Net_state.candidates net r in
-  match Routing.select_from ~policy:Routing.Widest net ~demand:10.0 c with
+  match
+    Routing.select_from ~policy:Routing.Widest ~eligible:(fun _ -> true) net
+      ~demand:10.0 c
+  with
   | -1 -> Alcotest.fail "feasible"
   | i ->
       let p = Net_state.candidate_path net c i in
@@ -844,10 +847,11 @@ let test_select_from_restricted () =
   let r = flow ~demand:10.0 0 15 in
   let c = Net_state.candidates net r in
   Alcotest.(check int) "nothing eligible" (-1)
-    (Routing.select_from ~eligible:(fun _ -> false) net ~demand:1.0 c);
+    (Routing.select_from ~policy:Routing.First_fit ~eligible:(fun _ -> false) net
+       ~demand:1.0 c);
   Alcotest.(check int) "only the last eligible"
     (Net_state.candidate_count c - 1)
-    (Routing.select_from
+    (Routing.select_from ~policy:Routing.First_fit
        ~eligible:(fun i -> i = Net_state.candidate_count c - 1)
        net ~demand:1.0 c)
 

@@ -149,6 +149,12 @@ let clearing_scenario () =
   | Error _ -> Alcotest.fail "blocker placement");
   (net, via_spine0)
 
+(* [Migration.clear_path] with the planner's defaults: best-fit picks,
+   first-fit targets, no avoidance constraint. *)
+let clear_path ?(order = Migration.Best_fit_first) ?(work_units = ref 0) net =
+  Migration.clear_path ~order ~policy:Routing.First_fit
+    ~avoid:Event.Unconstrained ~work_units net
+
 let test_clear_path_moves_blocker () =
   let net, blocked_path = clearing_scenario () in
   (* A new 0->2 flow wants spine 0 (shares the leaf-spine links). *)
@@ -167,7 +173,7 @@ let test_clear_path_moves_blocker () =
     (Net_state.candidate_feasible net c i ~demand:400.0);
   let units = ref 0 in
   match
-    Migration.clear_path ~work_units:units net ~demand:400.0 ~path:desired
+    clear_path ~work_units:units net ~demand:400.0 ~path:desired
       ~exclude:(fun _ -> false)
   with
   | Error _ -> Alcotest.fail "clearing is possible via spine 1"
@@ -197,7 +203,7 @@ let test_clear_path_exclude_blocks () =
   in
   let before = residual_snapshot net in
   (match
-     Migration.clear_path net ~demand:400.0 ~path:desired ~exclude:(fun id ->
+     clear_path net ~demand:400.0 ~path:desired ~exclude:(fun id ->
          id = 1)
    with
   | Ok _ -> Alcotest.fail "the only movable flow is excluded"
@@ -208,7 +214,7 @@ let test_clear_path_noop_when_free () =
   let net = Net_state.create (topo4 ()) in
   let probe = flow ~id:2 ~demand:100.0 0 15 in
   let path = List.hd (Test_util.candidate_paths net probe) in
-  match Migration.clear_path net ~demand:100.0 ~path ~exclude:(fun _ -> false) with
+  match clear_path net ~demand:100.0 ~path ~exclude:(fun _ -> false) with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "no moves needed"
   | Error _ -> Alcotest.fail "path already free"
@@ -245,7 +251,7 @@ let test_clear_path_rollback_on_failure () =
   if Net_state.candidate_feasible net c 0 ~demand:500.0 then ()
   else begin
     let before = residual_snapshot net in
-    match Migration.clear_path net ~demand:500.0 ~path ~exclude:(fun _ -> false) with
+    match clear_path net ~demand:500.0 ~path ~exclude:(fun _ -> false) with
     | Ok _ -> ()  (* clearing may legitimately succeed on fabric links *)
     | Error _ -> check_same_residuals "rollback" before (residual_snapshot net)
   end
@@ -303,7 +309,7 @@ let test_clear_path_pick_order () =
     let path = Net_state.candidate_path net c 0 in
     let units = ref 0 in
     match
-      Migration.clear_path ~order ~work_units:units net ~demand:700.0 ~path
+      clear_path ~order ~work_units:units net ~demand:700.0 ~path
         ~exclude:(fun id -> id = 1)
     with
     | Error _ -> Alcotest.failf "%s: clearing is possible" (Migration.order_name order)
@@ -705,6 +711,58 @@ module Ordering_cases = struct
       (Path.equal placed.Net_state.path placed'.Net_state.path)
 end
 
+(* The planning probe's allocation, per planned item. A k=4 Fat-Tree
+   is filled to 70%, and a fixed event set is probed on it: 40
+   synchronous addition events plus a switch upgrade and a link failure,
+   so both admission paths and the migration greedy run (the test checks
+   that clears and moves happen). After one warm-up pass (the undo
+   journal, the probe buffers and the planning scratch grow to size),
+   [Gc.minor_words] over five passes is divided by the items planned. A
+   probe keeps its plan: per installed item the path, its binding and
+   table entry, the outcome and item cells, plus the read set and the
+   journal the rollback replays. *)
+let probe_words_per_item () =
+  let sc = Scenario.prepare ~k:4 ~utilization:0.7 ~seed:3 () in
+  let net = sc.Scenario.net in
+  let busy =
+    List.find
+      (fun e -> Net_state.edge_flow_count net e > 0)
+      (Net_state.fabric_edges net)
+  in
+  let events =
+    Scenario.events ~shape:Event_gen.Synchronous sc ~n:40
+    @ [
+        Event.switch_upgrade_event net ~id:40 ~arrival_s:0.0
+          ~switch:(Fat_tree.aggregation sc.Scenario.fat_tree ~pod:0 0);
+        Event.link_failure_event net ~id:41 ~arrival_s:0.0 ~edge:busy;
+      ]
+  in
+  let items = List.fold_left (fun acc ev -> acc + Event.work_count ev) 0 events in
+  let pass () = List.iter (fun ev -> ignore (Planner.probe net ev)) events in
+  pass ();
+  let before = Obs.Counters.snapshot () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 5 do
+    pass ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let d = Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ()) in
+  ( words /. float_of_int (5 * items),
+    Obs.Counters.value d Obs.Counters.Clear_attempts,
+    Obs.Counters.value d Obs.Counters.Migration_moves )
+
+let test_probe_words_per_item () =
+  let per_item, clears, moves = probe_words_per_item () in
+  Alcotest.(check bool) "clears run" true (clears > 0);
+  Alcotest.(check bool) "moves happen" true (moves > 0);
+  (* This set measures 282.6 words per item here; before admission and
+     the migration greedy allocated only what the plan keeps, it
+     measured 6,056.8. Most of the gap is the greedy's picks: a local
+     closure per pick to test the picked flow's access hops against the
+     cleared path alone reads 1,009.4. *)
+  if per_item > 350.0 then
+    Alcotest.failf "%.1f minor words per planned item, bound 350" per_item
+
 let suite =
   [
     ("event of_spec", `Quick, test_event_of_spec);
@@ -730,6 +788,7 @@ let suite =
     ("plan reroute unknown", `Quick, test_plan_reroute_unknown_flow);
     ("plan frozen", `Quick, test_plan_frozen_respected);
     ("plan work units monotone", `Quick, test_plan_work_units_monotone);
+    ("probe words per planned item", `Quick, test_probe_words_per_item);
     QCheck_alcotest.to_alcotest prop_plan_revert_preserves_invariants;
     ("ordering empty", `Quick, Ordering_cases.test_ordering_empty);
     ("ordering plan moves", `Quick, Ordering_cases.test_ordering_plan_moves);
