@@ -33,7 +33,9 @@ type key =
           lies on the cleared path cannot move and builds none. *)
   | State_copies  (** {!Nu_net.Net_state.copy} calls. *)
   | Engine_rounds  (** Service rounds executed (both abstractions). *)
-  | Events_executed  (** Events completed by event-level rounds. *)
+  | Events_executed
+      (** Events completed by service rounds; a flow-level run counts
+          one per flow. *)
   | Co_scheduled_events  (** P-LMTF opportunistic co-executions. *)
   | Churn_placements  (** Background flows re-admitted by churn. *)
   | Txn_rollbacks  (** {!Nu_net.Net_state.rollback} calls (probe undos). *)

@@ -261,12 +261,15 @@ let fault_mode_of injector =
 let notify st obs =
   match st.observer with Some f -> f obs | None -> ()
 
+(* The queue is kept sorted by (arrival, id) however events reach it —
+   one [submit] or several, in any order — so FIFO serves its head and
+   every policy sees one candidate order. *)
 let promote st =
   let arrived, later =
     List.partition (fun ev -> ev.Event.arrival_s <= st.now) st.pending
   in
   st.pending <- later;
-  st.queue <- st.queue @ arrived
+  st.queue <- List.merge Event.compare_by_arrival st.queue arrived
 
 (* Re-admit aborted events whose backoff has elapsed, at their arrival
    rank: a retried event competes again exactly as if it were still
@@ -277,8 +280,8 @@ let release_held st =
     st.held <- waiting;
     if ready <> [] then
       st.queue <-
-        List.stable_sort Event.compare_by_arrival
-          (st.queue @ List.map snd ready)
+        List.merge Event.compare_by_arrival st.queue
+          (List.sort Event.compare_by_arrival (List.map snd ready))
   end
 
 (* Earliest instant at which new work can appear while the queue is
@@ -445,7 +448,7 @@ let pre_round ~solo ~index st =
           ~retry_backlog:(List.length st.held);
         let candidates =
           match st.policy with
-          | Policy.Fifo -> [ head ]
+          | Policy.Fifo | Policy.Flow_level _ -> [ head ]
           | Policy.Reorder -> st.queue
           | Policy.Lmtf { alpha } | Policy.Plmtf { alpha } ->
               let sampled =
@@ -460,8 +463,6 @@ let pre_round ~solo ~index st =
                 end
               in
               head :: sampled
-          | Policy.Flow_level _ ->
-              invalid_arg "Engine.step_group: flow-level policies are batch-only"
         in
         Some
           {
@@ -969,126 +970,68 @@ let run_event_level ctx policy events =
   done;
   (st.results, st.rounds, List.rev st.log)
 
-(* Flow-level baseline: the queue holds individual flows. *)
-type flow_item = {
-  fi_event : int;
-  fi_arrival : float;
-  fi_intra : int;
-  fi_work : Event.work;
-}
-
-let flow_level_items order events =
-  let items =
-    List.concat_map
-      (fun ev ->
-        List.mapi
-          (fun i w ->
-            {
-              fi_event = ev.Event.id;
-              fi_arrival = ev.Event.arrival_s;
-              fi_intra = i;
-              fi_work = w;
-            })
-          ev.Event.work)
-      events
-  in
-  let key item =
+(* The flow-level baseline is FIFO over one-flow events. Each work item
+   becomes a pseudo-event with its parent's arrival, numbered by its rank
+   in the order's sort key, so the stepper's (arrival, id) queue serves
+   exactly that order. Results fold back into their parents in execution
+   order: first start, last completion, summed cost, units and failed
+   items. An event with no work completes at its arrival. *)
+let flow_level_as_fifo ctx order events =
+  let key (ev, intra, _) =
     match order with
-    | Policy.Round_robin -> (item.fi_arrival, item.fi_intra, item.fi_event)
-    | Policy.By_arrival -> (item.fi_arrival, item.fi_event, item.fi_intra)
+    | Policy.Round_robin -> (ev.Event.arrival_s, intra, ev.Event.id)
+    | Policy.By_arrival -> (ev.Event.arrival_s, ev.Event.id, intra)
   in
-  List.sort (fun a b -> compare (key a) (key b)) items
-
-let run_flow_level ctx order events =
-  let items = ref (flow_level_items order events) in
-  let now = ref 0.0 in
-  let rounds = ref 0 in
-  (* Per-event aggregation. *)
-  let first_start = Hashtbl.create 64 in
-  let last_completion = Hashtbl.create 64 in
-  let cost = Hashtbl.create 64 in
-  let units = Hashtbl.create 64 in
-  let failed = Hashtbl.create 64 in
-  let add tbl k v plus =
-    Hashtbl.replace tbl k (match Hashtbl.find_opt tbl k with
-      | None -> v
-      | Some old -> plus old v)
+  let items =
+    List.sort
+      (fun a b -> compare (key a) (key b))
+      (List.concat_map
+         (fun ev -> List.mapi (fun intra w -> (ev, intra, w)) ev.Event.work)
+         events)
   in
-  while !items <> [] do
-    match !items with
-    | [] -> assert false
-    | item :: rest ->
-        items := rest;
-        now := max !now item.fi_arrival;
-        (* Flow-level runs take faults at item boundaries; there is no
-           round transaction to abort, so no retry machinery either. *)
-        (match ctx.injector with
-        | Some inj ->
-            let n = Injector.apply_due inj ctx.net ~now:!now in
-            if n > 0 then ignore (Injector.check_now inj ctx.net ~now:!now)
-        | None -> ());
-        let round_sp =
-          if Trace.enabled () then
-            Some
-              (Trace.span "round"
-                 ~attrs:
-                   [
-                     ("event", Trace.Int item.fi_event);
-                     ("intra", Trace.Int item.fi_intra);
-                     ("start_s", Trace.Float !now);
-                   ])
-          else None
-        in
-        sync_background ctx !now;
-        sample_series ctx ~round:!rounds ~t_s:!now
-          ~queue_len:(List.length !items) ~retry_backlog:0;
-        Counters.incr Counters.Engine_rounds;
-        let pseudo =
-          {
-            Event.id = item.fi_event;
-            arrival_s = item.fi_arrival;
-            kind = Event.Additions;
-            work = [ item.fi_work ];
-          }
-        in
-        let plan = apply ctx ~billed:true pseudo in
-        incr rounds;
-        let plan_time =
-          Exec_model.plan_time ~work_units:plan.Planner.work_units
-        in
-        let start_s = !now +. plan_time in
-        let completion_s = start_s +. Exec_model.execution_time plan in
-        schedule_departures ctx ~completion:completion_s plan;
-        now := completion_s;
-        add first_start item.fi_event start_s min;
-        add last_completion item.fi_event completion_s max;
-        add cost item.fi_event plan.Planner.cost_mbit ( +. );
-        add units item.fi_event plan.Planner.work_units ( + );
-        add failed item.fi_event plan.Planner.failed_count ( + );
-        (match round_sp with
-        | Some sp ->
-            Trace.finish sp
-              ~attrs:[ ("completion_s", Trace.Float completion_s) ]
-        | None -> ())
-  done;
-  let results =
-    List.map
-      (fun ev ->
-        let id = ev.Event.id in
+  let parent = Array.of_list (List.map (fun (ev, _, _) -> ev.Event.id) items) in
+  let results, rounds, log =
+    run_event_level ctx Policy.Fifo
+      (List.mapi
+         (fun rank (ev, _, w) -> { ev with Event.id = rank; work = [ w ] })
+         items)
+  in
+  let folded = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      let id = parent.(r.event_id) in
+      Hashtbl.replace folded id
+        (match Hashtbl.find_opt folded id with
+        | None -> { r with event_id = id }
+        | Some acc ->
+            {
+              acc with
+              completion_s = r.completion_s;
+              cost_mbit = acc.cost_mbit +. r.cost_mbit;
+              plan_work_units = acc.plan_work_units + r.plan_work_units;
+              failed_items = acc.failed_items + r.failed_items;
+            }))
+    (List.rev results);
+  let result_of ev =
+    match Hashtbl.find_opt folded ev.Event.id with
+    | Some r -> r
+    | None ->
         {
-          event_id = id;
+          event_id = ev.Event.id;
           arrival_s = ev.Event.arrival_s;
-          start_s = (try Hashtbl.find first_start id with Not_found -> ev.Event.arrival_s);
-          completion_s =
-            (try Hashtbl.find last_completion id with Not_found -> ev.Event.arrival_s);
-          cost_mbit = (try Hashtbl.find cost id with Not_found -> 0.0);
-          plan_work_units = (try Hashtbl.find units id with Not_found -> 0);
-          failed_items = (try Hashtbl.find failed id with Not_found -> 0);
+          start_s = ev.Event.arrival_s;
+          completion_s = ev.Event.arrival_s;
+          cost_mbit = 0.0;
+          plan_work_units = 0;
+          failed_items = 0;
           co_scheduled = false;
-        })
-      events
+        }
   in
-  (results, !rounds, [])
+  ( List.map result_of events,
+    rounds,
+    List.map
+      (fun ri -> { ri with executed = List.map (Array.get parent) ri.executed })
+      log )
 
 (* Construct the per-run context. [init_expiry] registers departures for
    flows already in the network (churn runs); a checkpoint thaw passes
@@ -1187,7 +1130,7 @@ let run ?(seed = 7) ?churn ?injector ?series ?(domains = 1) ~net ~events
       ~finally:(fun () -> close_ctx ctx)
       (fun () ->
         match policy with
-        | Policy.Flow_level order -> run_flow_level ctx order events
+        | Policy.Flow_level order -> flow_level_as_fifo ctx order events
         | _ -> run_event_level ctx policy events)
   in
   let result = assemble_result ctx policy outcome in

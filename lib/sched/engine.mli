@@ -75,7 +75,8 @@ type run_result = {
   events : event_result array;  (** Sorted by event id. *)
   rounds : int;  (** Service rounds executed. *)
   rounds_log : round_info list;
-      (** Chronological; empty for flow-level runs. *)
+      (** Chronological. A flow-level run logs one round per flow, whose
+          [executed] names the flow's parent event. *)
   total_plan_units : int;
       (** Every planner probe across the run: estimates, co-scheduling
           attempts and executed plans. *)
@@ -137,7 +138,7 @@ val run :
     policy.
 
     [injector] attaches a fault schedule ({!Nu_fault.Injector}). While
-    faults remain pending, each event-level round runs inside a
+    faults remain pending, each round runs inside a
     {!Nu_net.Net_state} transaction: a fault whose instant falls before
     the round's head event completes aborts the round — the network
     rolls back to the round's start, the fault strikes the pre-round
@@ -148,15 +149,14 @@ val run :
     every fault application and every completed round the injector's
     invariant checker runs; violations land in the recovery log. An
     absent injector — or one whose schedule is empty — leaves the run
-    bit-identical to a fault-free run. Flow-level runs apply due faults
-    at item boundaries only (no per-item transactions, so no aborts or
-    retries).
+    bit-identical to a fault-free run. A flow-level run is FIFO over
+    one-flow events, so a fault that lands mid-flow aborts and retries
+    that flow alone.
 
     [series] attaches a per-round gauge time-series (build one with
-    {!make_series}): every service round — event-level,
-    degraded, and flow-level (whose rounds are individual flows, with a
-    [retry_backlog] of 0) — appends one row sampled at the decision
-    instant. Sampling only reads the network state, so an attached
+    {!make_series}): every service round — including degraded rounds and
+    a flow-level run's one-flow rounds, whose [queue_len] counts arrived
+    flows — appends one row sampled at the decision instant. Sampling only reads the network state, so an attached
     series leaves every scheduling decision bit-identical; when absent
     the per-round cost is one pattern match. Independently, when
     {!Nu_obs.Histogram.Registry} sampling is enabled, the run records
@@ -196,12 +196,14 @@ module Stepper : sig
       fabric passes [false] for every shard but the one that owns the
       background churn, so the shared pre-placed flows are expired
       exactly once. Raises [Invalid_argument] on an invalid policy, or
-      on a flow-level policy — those are batch-only. *)
+      on a flow-level policy: {!run} splits its events into one-flow
+      events up front, which a stepper fed by {!submit} cannot do. *)
 
   val submit : t -> Event.t list -> unit
   (** Merge new arrivals (any order) into the arrival queue at their
       arrival rank. Events whose [arrival_s] is already due enter the
-      service queue immediately. Submitting every event up front and
+      service queue immediately, at their (arrival, id) rank, so one
+      [submit] or several before a step give the same queue. Submitting every event up front and
       stepping to exhaustion is bit-identical to {!run}. *)
 
   val step : t -> [ `Stepped | `Idle ]

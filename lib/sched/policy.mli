@@ -16,7 +16,8 @@
       they remain satisfiable alongside the new head (§IV-C).
     - {!Flow_level}: the paper's baseline abstraction — individual flows
       scheduled with no event grouping; an event finishes when its last
-      flow does. *)
+      flow does. The engine runs it as {!Fifo} over one-flow events
+      ordered by {!flow_order}. *)
 
 type flow_order =
   | Round_robin

@@ -376,19 +376,28 @@ let test_engine_abort_then_degrade () =
   Alcotest.(check int) "event still reported" 1 (Array.length run.Engine.events);
   Alcotest.(check int) "no violations" 0 (Injector.violations inj)
 
+(* Flow-level runs are FIFO over one-flow events, so they take faults
+   as every stepper round does: the first is due before the first flow
+   is planned, the second lands mid-flow and aborts that flow's round
+   for a retry. *)
 let test_engine_flow_level_faults () =
   let net = loaded_net () in
   let e = fabric_edge_of_some_flow net in
   let inj =
     Injector.create
-      [ { Fault_model.at_s = 0.0; action = Fault_model.Link_down e } ]
+      [
+        { Fault_model.at_s = 0.0; action = Fault_model.Link_down e };
+        { Fault_model.at_s = 1e-6; action = Fault_model.Link_up e };
+      ]
   in
   let run =
     Engine.run ~seed:3 ~injector:inj ~net ~events:(workload ~n:2 ())
       (Policy.Flow_level Policy.Round_robin)
   in
   let s = Recovery.stats (Injector.recovery inj) in
-  Alcotest.(check int) "fault applied at item boundary" 1 s.Recovery.faults_applied;
+  Alcotest.(check int) "both faults applied" 2 s.Recovery.faults_applied;
+  Alcotest.(check int) "mid-item fault aborts" 1 s.Recovery.aborts;
+  Alcotest.(check int) "aborted flow retried" 1 s.Recovery.retries;
   Alcotest.(check int) "no violations" 0 (Injector.violations inj);
   Alcotest.(check int) "both events reported" 2 (Array.length run.Engine.events)
 

@@ -420,9 +420,25 @@ let test_engine_round_log_plmtf_batches () =
   in
   Alcotest.(check int) "log and results agree on co-scheduling" co_results co_total
 
-let test_engine_flow_level_empty_log () =
-  let run = run_policy (Policy.Flow_level Policy.Round_robin) in
-  Alcotest.(check int) "no event-level rounds" 0 (List.length run.Engine.rounds_log)
+(* Flow-level rounds are FIFO rounds over one flow each: one log entry
+   per work item, naming the flow's parent event. *)
+let test_engine_flow_level_log () =
+  let events = workload () in
+  let run = run_policy ~events (Policy.Flow_level Policy.Round_robin) in
+  let log = run.Engine.rounds_log in
+  Alcotest.(check int) "one round per work item"
+    (List.fold_left (fun a ev -> a + List.length ev.Event.work) 0 events)
+    (List.length log);
+  List.iter
+    (fun ev ->
+      Alcotest.(check int)
+        (Printf.sprintf "rounds of event %d" ev.Event.id)
+        (List.length ev.Event.work)
+        (List.length
+           (List.filter (fun ri -> ri.Engine.executed = [ ev.Event.id ]) log)))
+    events;
+  let starts = List.map (fun ri -> ri.Engine.round_start_s) log in
+  Alcotest.(check bool) "chronological" true (List.sort compare starts = starts)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -532,6 +548,91 @@ let test_mc_digest_with_faults () =
   in
   Alcotest.(check string) "fault run digest independent of domains"
     (digest 1) (digest 4)
+
+(* ------------------------------------------------------------------ *)
+(* Flow-level decisions, pinned: both orders, churn off and on, two
+   seeds. Each digest covers the per-event results and the run totals
+   but not [rounds_log] (one entry per flow). The values were recorded
+   from the dedicated flow-level loop that FIFO over one-flow events
+   replaced, so they hold the baseline to its historical decisions. *)
+
+let flow_level_pins =
+  [
+    (Policy.Round_robin, false, 1, "3826b49f5536db74");
+    (Policy.Round_robin, false, 2, "4ab1e6b57f7910dd");
+    (Policy.Round_robin, true, 1, "c8a00af6691f8491");
+    (Policy.Round_robin, true, 2, "ae7d77cebbb4fd3b");
+    (Policy.By_arrival, false, 1, "c10086f01f5818a9");
+    (Policy.By_arrival, false, 2, "4b7b57c3e89ba2fd");
+    (Policy.By_arrival, true, 1, "59fd4138f962c00c");
+    (Policy.By_arrival, true, 2, "e73ffe860a07da0f");
+  ]
+
+let test_flow_level_pinned () =
+  List.iter
+    (fun (order, churn, seed, expected) ->
+      (* Arrivals repeat, so round-robin and by-arrival interleave the
+         flows of simultaneous events differently. *)
+      let events =
+        workload ~n:8 ~m:4
+          ~arrival:(fun i -> float_of_int (i * (seed + 2) mod 3) *. 0.02)
+          ()
+      in
+      let churn = if churn then Some (mc_churn seed) else None in
+      let run =
+        Engine.run ~net:(loaded_net ()) ~events ~seed ?churn
+          (Policy.Flow_level order)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s churn=%b seed=%d"
+           (Policy.name (Policy.Flow_level order))
+           (Option.is_some churn) seed)
+        expected
+        (Run_digest.of_run { run with Engine.rounds_log = [] }))
+    flow_level_pins
+
+(* ------------------------------------------------------------------ *)
+(* Submission-order independence: the stepper queues events by
+   (arrival, id) however they reach it, so one batch, a permuted batch
+   and several [submit] calls before the first step give one digest. *)
+
+let rec random_chunks rng = function
+  | [] -> []
+  | l ->
+      let n = 1 + Prng.int rng (min 3 (List.length l)) in
+      List.filteri (fun i _ -> i < n) l
+      :: random_chunks rng (List.filteri (fun i _ -> i >= n) l)
+
+let prop_submission_order =
+  QCheck.Test.make ~name:"submission order does not move the digest"
+    ~count:12 QCheck.small_int (fun seed ->
+      let policy =
+        match seed mod 3 with
+        | 0 -> Policy.Fifo
+        | 1 -> Policy.Lmtf { alpha = 4 }
+        | _ -> Policy.Plmtf { alpha = 4 }
+      in
+      (* Half the events arrive at t = 0, when every submit promotes
+         them straight into the queue. *)
+      let events =
+        workload ~n:8 ~m:3 ~arrival:(fun i -> float_of_int (i mod 2) *. 0.01) ()
+      in
+      let rng = Prng.create seed in
+      let permuted = Array.of_list events in
+      Prng.shuffle rng permuted;
+      let permuted = Array.to_list permuted in
+      let digest submits =
+        let st =
+          Engine.Stepper.create ~net:(loaded_net ()) ~seed:(seed + 1) policy
+        in
+        List.iter (Engine.Stepper.submit st) submits;
+        while Engine.Stepper.step st <> `Idle do
+          ()
+        done;
+        Run_digest.of_run (Engine.Stepper.result st)
+      in
+      let one = digest [ events ] in
+      one = digest [ permuted ] && one = digest (random_chunks rng permuted))
 
 (* The pool's mirrors share the interior-path memo read-only, and the
    owner lane probes the live state: after [Probe_pool.create] no probe
@@ -876,13 +977,15 @@ let suite =
     ("probe pool warms the path memo", `Quick, test_pool_create_warms_path_memo);
     QCheck_alcotest.to_alcotest prop_mc_digest_equal;
     ("mc digest with faults", `Quick, test_mc_digest_with_faults);
+    ("flow-level decisions pinned", `Quick, test_flow_level_pinned);
+    QCheck_alcotest.to_alcotest prop_submission_order;
     ("golden stepper digests", `Quick, test_golden_stepper);
     ("golden step_group digests", `Quick, test_golden_group);
     ("faults in step_group waves", `Quick, test_faults_in_waves);
     ("engine flow order variants", `Quick, test_engine_flow_level_orders_differ);
     ("engine round log", `Quick, test_engine_round_log);
     ("engine round log plmtf", `Quick, test_engine_round_log_plmtf_batches);
-    ("engine flow-level log", `Quick, test_engine_flow_level_empty_log);
+    ("engine flow-level log", `Quick, test_engine_flow_level_log);
     ("metrics summary", `Quick, test_metrics_summary);
     ("metrics zero events", `Quick, test_metrics_zero_events);
     ("metrics arrays", `Quick, test_metrics_arrays);
