@@ -274,8 +274,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       (* The serving ingest path: the same workload submitted through the
          incremental stepper and stepped round by round. Required to be a
          bit-identical (and near-free) rewrite of the batch loop. With
-         [telemetry], a full Telemetry observer (lifecycle + fairness +
-         SLO) is attached to the stepper — recording every round and
+         [telemetry], a full Telemetry observer (lifecycle + fairness)
+         is attached to the stepper — recording every round and
          completion while the digest must not move. *)
       let tel =
         match telemetry with
@@ -461,7 +461,7 @@ let () =
          restructuring of the batch loop, not a re-decision. *)
       ("serve-churn-k8", Core.Policy.Lmtf { alpha = 4 }, `Off, false, true, `Off);
       (* Digest must equal serve-churn-k8's: the serving telemetry
-         observer (lifecycle stamps, fairness, SLO) records every round
+         observer (lifecycle stamps, fairness) records every round
          and completion without perturbing one decision. *)
       ( "serve-telemetry-k8",
         Core.Policy.Lmtf { alpha = 4 },

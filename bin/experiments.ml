@@ -1214,8 +1214,8 @@ let crashstorm_cmd =
       $ storm_dir_arg $ trace_arg $ counters_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry summary: render a metrics dir (lifecycle log + exposition
-   file) into a per-tenant / SLO table.                                 *)
+(* Telemetry summary: validate a metrics dir's exposition file and fold
+   its lifecycle log into the per-tenant fairness table.               *)
 
 (* The offline readers' verdict on a record log's damage: a torn tail
    (the writer died mid-append) is reported and tolerated; any other
@@ -1275,80 +1275,42 @@ let telemetry_cmd =
           tolerate_torn_tail ~what:"telemetry" ~code:1 jsonl
             r.Obs.Store.corrupt;
           let entries = r.Obs.Store.entries in
-          (* Rebuild per-tenant stats from the stamp stream. Terminal
-             stamps carry the tenant attribution; a degraded completion
-             is counted as completed too. *)
-          let tenants : (string, int array * Obs.Histogram.t) Hashtbl.t =
-            Hashtbl.create 8
-          in
-          let overall = Obs.Histogram.create () in
-          (* slots: arrived admitted shed completed degraded *)
-          let slot name i =
-            let stats, hist =
-              match Hashtbl.find_opt tenants name with
-              | Some v -> v
-              | None ->
-                  let v = (Array.make 5 0, Obs.Histogram.create ()) in
-                  Hashtbl.add tenants name v;
-                  v
-            in
-            stats.(i) <- stats.(i) + 1;
-            hist
-          in
-          let tn (e : Obs.Lifecycle.entry) =
-            if e.Obs.Lifecycle.tenant = "" then "unknown"
-            else e.Obs.Lifecycle.tenant
-          in
-          List.iter
-            (fun (e : Obs.Lifecycle.entry) ->
-              match e.Obs.Lifecycle.stage with
-              | Obs.Lifecycle.Arrived -> ignore (slot (tn e) 0)
-              | Obs.Lifecycle.Admitted -> ignore (slot (tn e) 1)
-              | Obs.Lifecycle.Shed _ -> ignore (slot (tn e) 2)
-              | Obs.Lifecycle.Completed { ect_s } ->
-                  Obs.Histogram.record (slot (tn e) 3) ect_s;
-                  Obs.Histogram.record overall ect_s
-              | Obs.Lifecycle.Degraded { ect_s; _ } ->
-                  Obs.Histogram.record (slot (tn e) 3) ect_s;
-                  ignore (slot (tn e) 4);
-                  Obs.Histogram.record overall ect_s
-              | Obs.Lifecycle.Deferred | Obs.Lifecycle.Submitted _
-              | Obs.Lifecycle.Planned _ | Obs.Lifecycle.Aborted _
-              | Obs.Lifecycle.Retry_scheduled _ -> ())
-            entries;
-          let rows =
-            Hashtbl.fold (fun name v acc -> (name, v) :: acc) tenants []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
+          (* Serving telemetry's live fold, over the logged stamps. *)
+          let f = Obs.Fairness.of_log entries in
+          let views = Obs.Fairness.view f in
           Format.printf "lifecycle: %s, %d stamp(s), %d tenant(s)@." jsonl
-            (List.length entries) (List.length rows);
-          Format.printf "%-14s %8s %8s %6s %9s %8s %10s %10s@." "tenant"
-            "arrived" "admitted" "shed" "completed" "degraded" "mean-ect"
-            "p99-ect";
-          let fopt h f =
-            if Obs.Histogram.is_empty h then "-"
-            else Printf.sprintf "%.3f" (f h)
+            (List.length entries) (List.length views);
+          Format.printf "%-14s %8s %6s %9s %8s %10s %10s@." "tenant"
+            "admitted" "shed" "completed" "degraded" "mean-ect" "p99-ect";
+          let fopt = function
+            | None -> "-"
+            | Some v -> Printf.sprintf "%.3f" v
           in
           List.iter
-            (fun (name, (stats, hist)) ->
-              Format.printf "%-14s %8d %8d %6d %9d %8d %10s %10s@." name
-                stats.(0) stats.(1) stats.(2) stats.(3) stats.(4)
-                (fopt hist Obs.Histogram.mean)
-                (fopt hist Obs.Histogram.p99))
-            rows;
-          (* Jain's fairness index over per-tenant mean ECT. *)
-          let means =
-            List.filter_map
-              (fun (_, (_, h)) ->
-                if Obs.Histogram.is_empty h then None
-                else Some (Obs.Histogram.mean h))
-              rows
-          in
-          (match Obs.Fairness.jain means with
+            (fun (v : Obs.Fairness.tenant_view) ->
+              Format.printf "%-14s %8d %6d %9d %8d %10s %10s@."
+                v.Obs.Fairness.v_tenant v.Obs.Fairness.v_admitted
+                v.Obs.Fairness.v_shed v.Obs.Fairness.v_completed
+                v.Obs.Fairness.v_degraded
+                (fopt v.Obs.Fairness.v_mean_ect_s)
+                (fopt v.Obs.Fairness.v_p99_ect_s))
+            views;
+          (match Obs.Fairness.jain_index f with
           | None -> Format.printf "jain index: - (no completions)@."
           | Some j ->
               Format.printf "jain index: %.4f over %d tenant(s)@." j
-                (List.length means));
+                (List.length
+                   (List.filter
+                      (fun v -> v.Obs.Fairness.v_mean_ect_s <> None)
+                      views)));
+          let overall =
+            List.fold_left
+              (fun acc (v : Obs.Fairness.tenant_view) ->
+                match Obs.Fairness.ect_histogram f v.Obs.Fairness.v_tenant with
+                | Some h -> Obs.Histogram.merge acc h
+                | None -> acc)
+              (Obs.Histogram.create ()) views
+          in
           if not (Obs.Histogram.is_empty overall) then
             Format.printf "overall ECT: mean %.3f s, p99 %.3f s, p999 %.3f s \
                            (%d completion(s))@."
@@ -1363,7 +1325,7 @@ let telemetry_cmd =
        ~doc:
          "Validate a serve metrics directory (OpenMetrics exposition file) \
           and summarise its lifecycle record log into a per-tenant \
-          fairness/SLO table")
+          fairness table")
     Term.(const run $ telemetry_dir_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -82,7 +82,7 @@ module Serve_codec = Nu_serve.Codec
 
 module Serve_telemetry = Nu_serve.Telemetry
 (** Live serving telemetry: request lifecycle stamps, per-tenant
-    fairness/SLO tracking and OpenMetrics exposition. *)
+    fairness accounting and OpenMetrics exposition. *)
 
 module Supervisor = Nu_serve.Supervisor
 (** Bounded-restart supervision of the serving loop: checkpoint-chain

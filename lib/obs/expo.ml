@@ -1,8 +1,8 @@
 (* OpenMetrics/Prometheus text exposition. Rendering walks the counter
-   registry, histogram snapshots and the fairness/SLO trackers into one
-   self-terminated text document, published through Store so scrapers
-   never observe a torn snapshot; [validate] is the parser the CI smoke
-   job runs against the file. *)
+   registry, histogram snapshots, the fairness tracker and the watchdog
+   into one self-terminated text document, published through Store so
+   scrapers never observe a torn snapshot; [validate] is the parser the
+   CI smoke job runs against the file. *)
 
 (* Metric naming scheme: internal names ("serve.admission_wait_s") are
    mangled to [a-z0-9_], prefixed "nu_", and a trailing "_s" becomes
@@ -128,35 +128,11 @@ let render_fairness buf f =
           v.Fairness.v_shed_ratio)
       views
   end;
-  (match Fairness.jain_index f with
+  match Fairness.jain_index f with
   | Some j ->
       family buf "nu_fairness_jain_index" "gauge";
       sample buf "nu_fairness_jain_index" [] j
-  | None -> ());
-  (match Fairness.window_jain_index f with
-  | Some j ->
-      family buf "nu_fairness_window_jain_index" "gauge";
-      sample buf "nu_fairness_window_jain_index" [] j
-  | None -> ());
-  family buf "nu_fairness_windows_total" "counter";
-  sample buf "nu_fairness_windows_total" []
-    (float_of_int (Fairness.windows_completed f))
-
-let render_slo buf s =
-  (match (Slo.p99 s, Slo.p999 s) with
-  | None, None -> ()
-  | p99, p999 ->
-      family buf "nu_slo_ect_seconds" "gauge";
-      (match p99 with
-      | Some v -> sample buf "nu_slo_ect_seconds" [ ("quantile", "0.99") ] v
-      | None -> ());
-      (match p999 with
-      | Some v -> sample buf "nu_slo_ect_seconds" [ ("quantile", "0.999") ] v
-      | None -> ()));
-  family buf "nu_slo_queue_depth" "gauge";
-  sample buf "nu_slo_queue_depth" [] (float_of_int (Slo.queue_depth s));
-  family buf "nu_slo_engine_backlog" "gauge";
-  sample buf "nu_slo_engine_backlog" [] (float_of_int (Slo.engine_backlog s))
+  | None -> ()
 
 let render_watch buf w =
   family buf "nu_alerts_total" "counter";
@@ -194,12 +170,11 @@ let render_watch buf w =
       tenants
   end
 
-let render ?counters ?(histograms = []) ?fairness ?slo ?watch () =
+let render ?counters ?(histograms = []) ?fairness ?watch () =
   let buf = Buffer.create 4096 in
   (match counters with Some snap -> render_counters buf snap | None -> ());
   render_histograms buf histograms;
   (match fairness with Some f -> render_fairness buf f | None -> ());
-  (match slo with Some s -> render_slo buf s | None -> ());
   (match watch with Some w -> render_watch buf w | None -> ());
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf

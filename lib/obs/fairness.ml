@@ -1,12 +1,10 @@
-(* Rolling per-tenant fairness metrics. Each tenant accumulates a
-   cumulative ECT histogram plus a current-window histogram that is
-   frozen into [last_window] and restarted every [window] ticks; Jain's
-   index is computed over per-tenant mean ECTs. *)
+(* Per-tenant fairness accounting: one fold over lifecycle stages. Each
+   tenant accumulates admission counts and a cumulative ECT histogram;
+   Jain's index is computed over per-tenant mean ECTs. *)
 
 type tenant = {
   t_name : string;
-  ect : Histogram.t;  (* cumulative *)
-  window_ect : Histogram.t;  (* current window, reset at rotation *)
+  ect : Histogram.t;
   mutable admitted : int;
   mutable shed : int;
   mutable drained : int;
@@ -14,27 +12,9 @@ type tenant = {
   mutable degraded : int;
 }
 
-type window_stat = { w_tenant : string; w_count : int; w_mean_ect_s : float }
+type t = { tenants : (string, tenant) Hashtbl.t }
 
-(* The rotation period in ticks. *)
-let window = 50
-
-type t = {
-  tenants : (string, tenant) Hashtbl.t;
-  mutable tick_in_window : int;
-  mutable windows : int;
-  mutable last_window : window_stat list;  (* tenant-sorted *)
-}
-
-let create () =
-  {
-    tenants = Hashtbl.create 8;
-    tick_in_window = 0;
-    windows = 0;
-    last_window = [];
-  }
-
-let windows_completed t = t.windows
+let create () = { tenants = Hashtbl.create 8 }
 
 let tenant t name =
   match Hashtbl.find_opt t.tenants name with
@@ -44,7 +24,6 @@ let tenant t name =
         {
           t_name = name;
           ect = Histogram.create ();
-          window_ect = Histogram.create ();
           admitted = 0;
           shed = 0;
           drained = 0;
@@ -55,48 +34,41 @@ let tenant t name =
       Hashtbl.add t.tenants name tn;
       tn
 
-let observe_admit t ~tenant:name =
-  let tn = tenant t name in
-  tn.admitted <- tn.admitted + 1
-
-let observe_shed t ~tenant:name =
-  let tn = tenant t name in
-  tn.shed <- tn.shed + 1
-
-let observe_drain t ~tenant:name =
-  let tn = tenant t name in
-  tn.drained <- tn.drained + 1
-
-let observe_completion t ~tenant:name ~ect_s ~degraded =
-  let tn = tenant t name in
+let complete tn ect_s =
   Histogram.record tn.ect ect_s;
-  Histogram.record tn.window_ect ect_s;
-  tn.completed <- tn.completed + 1;
-  if degraded then tn.degraded <- tn.degraded + 1
+  tn.completed <- tn.completed + 1
+
+let observe t ~tenant:name (stage : Lifecycle.stage) =
+  match stage with
+  | Admitted ->
+      let tn = tenant t name in
+      tn.admitted <- tn.admitted + 1
+  | Shed _ ->
+      let tn = tenant t name in
+      tn.shed <- tn.shed + 1
+  | Submitted _ ->
+      let tn = tenant t name in
+      tn.drained <- tn.drained + 1
+  | Completed { ect_s } -> complete (tenant t name) ect_s
+  | Degraded { ect_s; failed_items = _ } ->
+      let tn = tenant t name in
+      complete tn ect_s;
+      tn.degraded <- tn.degraded + 1
+  | Arrived | Deferred | Planned _ | Aborted _ | Retry_scheduled _ -> ()
+
+let attribution = function "" -> "unknown" | tenant -> tenant
+
+let of_log entries =
+  let t = create () in
+  List.iter
+    (fun (e : Lifecycle.entry) ->
+      observe t ~tenant:(attribution e.tenant) e.stage)
+    entries;
+  t
 
 let sorted_tenants t =
   Hashtbl.fold (fun _ tn acc -> tn :: acc) t.tenants []
   |> List.sort (fun a b -> compare a.t_name b.t_name)
-
-let on_tick t =
-  t.tick_in_window <- t.tick_in_window + 1;
-  if t.tick_in_window >= window then begin
-    t.last_window <-
-      List.filter_map
-        (fun tn ->
-          if Histogram.is_empty tn.window_ect then None
-          else
-            Some
-              {
-                w_tenant = tn.t_name;
-                w_count = Histogram.count tn.window_ect;
-                w_mean_ect_s = Histogram.mean tn.window_ect;
-              })
-        (sorted_tenants t);
-    Hashtbl.iter (fun _ tn -> Histogram.reset tn.window_ect) t.tenants;
-    t.windows <- t.windows + 1;
-    t.tick_in_window <- 0
-  end
 
 (* Jain's index (Sum x)^2 / (n * Sum x^2) over per-tenant values; 1 is
    perfect equality, 1/n is one tenant taking everything. All-zero
@@ -115,9 +87,6 @@ let jain_index t =
        (fun tn ->
          if Histogram.is_empty tn.ect then None else Some (Histogram.mean tn.ect))
        (sorted_tenants t))
-
-let window_jain_index t =
-  jain (List.map (fun w -> w.w_mean_ect_s) t.last_window)
 
 type tenant_view = {
   v_tenant : string;
@@ -159,10 +128,7 @@ let opt_float = function None -> Json.Null | Some f -> Json.Float f
 let to_json t =
   Json.Obj
     [
-      ("window_ticks", Json.Int window);
-      ("windows_completed", Json.Int t.windows);
       ("jain_index", opt_float (jain_index t));
-      ("window_jain_index", opt_float (window_jain_index t));
       ( "tenants",
         Json.Obj
           (List.map
@@ -182,15 +148,4 @@ let to_json t =
                      ("ect", Histogram.to_json tn.ect);
                    ] ))
              (sorted_tenants t)) );
-      ( "last_window",
-        Json.List
-          (List.map
-             (fun w ->
-               Json.Obj
-                 [
-                   ("tenant", Json.String w.w_tenant);
-                   ("count", Json.Int w.w_count);
-                   ("mean_ect_s", Json.Float w.w_mean_ect_s);
-                 ])
-             t.last_window) );
     ]

@@ -1,15 +1,13 @@
-(** Rolling per-tenant fairness metrics.
+(** Per-tenant fairness accounting.
 
     The paper's evaluation judges scheduling on efficiency {e and}
-    fairness; this module watches the serving layer's fairness live.
-    Per tenant it keeps a cumulative ECT histogram (via {!Histogram}),
-    admission accounting (admitted / shed / drained), and a
-    current-window ECT histogram that rotates every 50 ticks —
-    the [last_window] field of {!to_json} is the most recently
-    completed window (per-tenant completion count and mean ECT,
-    tenant-sorted, tenants with no completions omitted, empty before
-    the first rotation), so scrapers see a stable summary instead of a
-    half-filled one.
+    fairness; this module is the one definition of per-tenant
+    accounting. It folds {!Lifecycle} stages ({!observe}): per tenant
+    it keeps admission counts (admitted / shed / drained) and a
+    cumulative ECT histogram (via {!Histogram}). Serving telemetry
+    feeds it the same stamps it writes to the lifecycle log, so folding
+    that log ([experiments telemetry]) rebuilds the live state. The one
+    windowed fairness readout is {!Watch}'s Jain-collapse detector.
 
     Fairness is summarised by Jain's index over per-tenant mean ECTs:
     [(Σx)² / (n·Σx²)], 1.0 when every tenant sees the same mean
@@ -22,24 +20,22 @@
 type t
 
 val create : unit -> t
-(** The window rotates every 50 ticks ([window] in [fairness.ml]); the
-    ECT histograms keep {!Histogram}'s default resolution. *)
+(** The ECT histograms keep {!Histogram}'s default resolution. *)
 
-val windows_completed : t -> int
+val observe : t -> tenant:string -> Lifecycle.stage -> unit
+(** Account one lifecycle stage to [tenant]. [Admitted], [Shed],
+    [Submitted] (drained), [Completed] and [Degraded] count; a
+    degraded completion counts as completed too, and both record their
+    ECT. Every other stage is ignored and creates no tenant. *)
 
-(** {2 Observations} *)
+val attribution : string -> string
+(** The tenant a stamp is accounted to: its own, or ["unknown"] for a
+    stamp logged without one ([""]). *)
 
-val observe_admit : t -> tenant:string -> unit
-val observe_shed : t -> tenant:string -> unit
-val observe_drain : t -> tenant:string -> unit
-
-val observe_completion : t -> tenant:string -> ect_s:float -> degraded:bool -> unit
-(** Record a completed request's ECT into the tenant's cumulative and
-    current-window histograms. *)
-
-val on_tick : t -> unit
-(** Advance the window clock; every 50th call freezes the
-    current window into the last completed window and restarts it. *)
+val of_log : Lifecycle.entry list -> t
+(** A fresh tracker fed every entry, in order, under its
+    {!attribution}: the offline twin of serving telemetry's live
+    fold. *)
 
 (** {2 Readouts} *)
 
@@ -51,9 +47,6 @@ val jain : float list -> float option
 val jain_index : t -> float option
 (** Jain's fairness index over cumulative per-tenant mean ECT. [None]
     until some tenant completes a request. *)
-
-val window_jain_index : t -> float option
-(** Jain's index over the last completed window's means. *)
 
 type tenant_view = {
   v_tenant : string;
@@ -74,3 +67,5 @@ val ect_histogram : t -> string -> Histogram.t option
 (** Copy of a tenant's cumulative ECT histogram. *)
 
 val to_json : t -> Json.t
+(** [jain_index] and a tenant-sorted [tenants] object: each tenant's
+    counts, shed ratio, mean and p99 ECT, and its ECT histogram. *)

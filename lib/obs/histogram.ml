@@ -158,14 +158,6 @@ let merge a b =
   t.maxv <- Float.max t.maxv b.maxv;
   t
 
-let reset t =
-  Hashtbl.reset t.buckets;
-  t.zero <- 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.minv <- infinity;
-  t.maxv <- neg_infinity
-
 let to_json t =
   let q f = if t.n = 0 then Json.Null else Json.Float (f t) in
   Json.Obj

@@ -64,8 +64,6 @@ val merge : t -> t -> t
     associations). Raises [Invalid_argument] when the two histograms
     have different [sub_buckets]. *)
 
-val reset : t -> unit
-
 val to_json : t -> Json.t
 (** Object with exact [count]/[sum]/[min]/[max]/[mean], the [p50]/
     [p90]/[p99]/[p999] estimates ([null] when empty), [sub_buckets],

@@ -14,7 +14,7 @@
       artifact that [experiments telemetry] summarises;
     - when {!Trace} has a sink installed, a ["lifecycle"] instant event
       per stamp carrying the request id, stage name and a flow phase
-      ([s]tart / s[t]ep / [f]inish), which {!Export.chrome_of_events}
+      ([s]tart / s[t]ep / [f]inish), which {!Export.write_chrome}
       turns into Chrome-trace flow arrows threaded through the engine's
       span tree.
 

@@ -261,15 +261,31 @@ let fault_mode_of injector =
 let notify st obs =
   match st.observer with Some f -> f obs | None -> ()
 
+(* What follows the events of an arrival-sorted list that arrived by
+   [now]: the list itself when none has. *)
+let rec drop_arrived now = function
+  | ev :: rest when ev.Event.arrival_s <= now -> drop_arrived now rest
+  | later -> later
+
+(* The cells of [l] before its suffix [stop]. *)
+let rec prefix_until stop l =
+  if l == stop then []
+  else match l with ev :: rest -> ev :: prefix_until stop rest | [] -> []
+
 (* The queue is kept sorted by (arrival, id) however events reach it —
    one [submit] or several, in any order — so FIFO serves its head and
-   every policy sees one candidate order. *)
+   every policy sees one candidate order. [pending] is arrival-sorted,
+   so the arrived events are its prefix: nothing is allocated when none
+   has arrived, and the list is shared when all have. *)
 let promote st =
-  let arrived, later =
-    List.partition (fun ev -> ev.Event.arrival_s <= st.now) st.pending
-  in
-  st.pending <- later;
-  st.queue <- List.merge Event.compare_by_arrival st.queue arrived
+  let later = drop_arrived st.now st.pending in
+  if later != st.pending then begin
+    let arrived =
+      match later with [] -> st.pending | _ -> prefix_until later st.pending
+    in
+    st.pending <- later;
+    st.queue <- List.merge Event.compare_by_arrival st.queue arrived
+  end
 
 (* Re-admit aborted events whose backoff has elapsed, at their arrival
    rank: a retried event competes again exactly as if it were still

@@ -44,8 +44,8 @@ val create :
     drain/steps/dt, flow-level policy, bad churn spec) or source spec.
 
     [telemetry] attaches live serving telemetry ({!Telemetry}):
-    lifecycle stamps for every request, per-tenant fairness and SLO
-    tracking, and periodic OpenMetrics exposition. Recording-only — the
+    lifecycle stamps for every request, per-tenant fairness, and
+    periodic OpenMetrics exposition. Recording-only — the
     decision digest is bit-identical with or without it, and it is not
     part of the checkpoint fingerprint. *)
 

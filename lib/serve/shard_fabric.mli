@@ -80,8 +80,8 @@ val create :
     otherwise) plus, with two or more shards, the coordinator journal.
 
     [telemetry] attaches live serving telemetry ({!Telemetry}):
-    lifecycle stamps for every request, per-tenant fairness and SLO
-    tracking, and periodic OpenMetrics exposition. Recording-only — the
+    lifecycle stamps for every request, per-tenant fairness, and
+    periodic OpenMetrics exposition. Recording-only — the
     decision digest is bit-identical with or without it, and it is not
     part of the serving fingerprint (the configuration and source spec
     a checkpoint's [meta] records and a restore checks; [domains] is

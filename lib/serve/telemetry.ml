@@ -1,6 +1,6 @@
 (* Live serving telemetry: one object owning the request-lifecycle
-   tracker, the per-tenant fairness tracker and the SLO tracker, plus
-   the OpenMetrics exposition writer. The controller calls the on_*
+   tracker, the per-tenant fairness fold and the optional watchdog,
+   plus the OpenMetrics exposition writer. The controller calls the on_*
    hooks at the matching points of its tick; the engine-side
    observations arrive through [observer] attached to the stepper.
    Everything here is recording-only: no hook reads state the scheduler
@@ -12,7 +12,6 @@ module Counters = Nu_obs.Counters
 module Histogram = Nu_obs.Histogram
 module Lifecycle = Nu_obs.Lifecycle
 module Fairness = Nu_obs.Fairness
-module Slo = Nu_obs.Slo
 module Expo = Nu_obs.Expo
 module Watch = Nu_obs.Watch
 
@@ -28,7 +27,6 @@ type t = {
   cfg : config;
   lifecycle : Lifecycle.t;
   fairness : Fairness.t;
-  slo : Slo.t;
   watch : Watch.t option;
   (* Counter baselines so the watcher sees per-tick deltas: the named
      counters are process-global and carry values from earlier runs in
@@ -49,8 +47,6 @@ let create cfg =
   Option.iter Nu_obs.Store.mkdir_p cfg.metrics_dir;
   {
     cfg;
-    (* Fairness and SLO windows of 50 ticks: the trackers' own
-       defaults. *)
     lifecycle =
       Lifecycle.create
         ?path:
@@ -59,7 +55,6 @@ let create cfg =
              cfg.metrics_dir)
         ();
     fairness = Fairness.create ();
-    slo = Slo.create ();
     watch = Option.map Watch.create cfg.watch;
     last_corrupt = Counters.get_named "store.frames_corrupt";
     last_restarts = Counters.get_named "supervisor.restarts";
@@ -72,21 +67,12 @@ let lifecycle t = t.lifecycle
 let watch t = t.watch
 let expo_writes t = t.expo_writes
 
-(* Fairness attribution for engine-side observations: the lifecycle
-   table remembers which tenant an event id belongs to; ids the
-   controller never stamped (stepper-only runs) chalk up to a
-   catch-all. *)
-let tenant_for t id =
-  match Lifecycle.tenant_of t.lifecycle id with
-  | Some tn when tn <> "" -> tn
-  | Some _ | None -> "unknown"
-
 let render t =
   Expo.render ~counters:(Counters.snapshot ())
     ~histograms:
       (if Histogram.Registry.enabled () then Histogram.Registry.snapshot ()
        else [])
-    ~fairness:t.fairness ~slo:t.slo ?watch:t.watch ()
+    ~fairness:t.fairness ?watch:t.watch ()
 
 let write_expo t =
   match t.cfg.metrics_dir with
@@ -103,36 +89,30 @@ let on_tick_start t ~tick ~now_s =
   t.tick <- tick;
   t.now_s <- now_s
 
-let stamp t ~id ?tenant stage =
-  Lifecycle.stamp t.lifecycle ~id ?tenant ~tick:t.tick ~t_s:t.now_s stage
+(* Every tenant-bearing stamp goes to the lifecycle log and the fairness
+   fold together, so [Fairness.of_log] over the log rebuilds the live
+   fairness state. *)
+let record t ~id ~tenant ~t_s stage =
+  Lifecycle.stamp t.lifecycle ~id ~tenant ~tick:t.tick ~t_s stage;
+  Fairness.observe t.fairness ~tenant:(Fairness.attribution tenant) stage
 
-let on_arrival t req =
-  stamp t ~id:(Request.event_id req) ~tenant:req.Request.tenant
-    Lifecycle.Arrived
+let record_request t req stage =
+  record t ~id:(Request.event_id req) ~tenant:req.Request.tenant
+    ~t_s:t.now_s stage
+
+let on_arrival t req = record_request t req Lifecycle.Arrived
 
 let on_admission t req (outcome : Admission.outcome) =
-  let id = Request.event_id req in
-  let tenant = req.Request.tenant in
-  match outcome with
-  | Admission.Admitted ->
-      Fairness.observe_admit t.fairness ~tenant;
-      stamp t ~id ~tenant Lifecycle.Admitted
-  | Admission.Shed reason ->
-      Fairness.observe_shed t.fairness ~tenant;
-      stamp t ~id ~tenant (Lifecycle.Shed reason)
-  | Admission.Deferred -> stamp t ~id ~tenant Lifecycle.Deferred
+  record_request t req
+    (match outcome with
+    | Admission.Admitted -> Lifecycle.Admitted
+    | Admission.Shed reason -> Lifecycle.Shed reason
+    | Admission.Deferred -> Lifecycle.Deferred)
 
 let on_drain t req ~wait_ticks =
-  Fairness.observe_drain t.fairness ~tenant:req.Request.tenant;
-  stamp t
-    ~id:(Request.event_id req)
-    ~tenant:req.Request.tenant
-    (Lifecycle.Submitted { wait_ticks })
+  record_request t req (Lifecycle.Submitted { wait_ticks })
 
 let on_tick_end t ~tick ~queue ~backlog =
-  Slo.observe_gauges t.slo ~queue ~backlog;
-  Slo.on_tick t.slo;
-  Fairness.on_tick t.fairness;
   (match t.watch with
   | Some w ->
       let corrupt = Counters.get_named "store.frames_corrupt" in
@@ -157,20 +137,19 @@ let on_retire t =
 let complete t (r : Engine.event_result) ~degraded =
   let id = r.Engine.event_id in
   let ect_s = Engine.ect r in
-  (* Read the attribution before the terminal stamp retires it. *)
-  let tenant = tenant_for t id in
-  Fairness.observe_completion t.fairness ~tenant ~ect_s ~degraded;
-  Slo.observe_ect t.slo ect_s;
-  (match t.watch with
-  | Some w -> Watch.observe_ect w ~tenant ~ect_s
-  | None -> ());
-  let stage =
-    if degraded then
-      Lifecycle.Degraded { ect_s; failed_items = r.Engine.failed_items }
-    else Lifecycle.Completed { ect_s }
+  (* Read the attribution before the terminal stamp retires it; an id
+     the controller never stamped (a run restored mid-flight) has
+     none. *)
+  let tenant =
+    Option.value (Lifecycle.tenant_of t.lifecycle id) ~default:""
   in
-  Lifecycle.stamp t.lifecycle ~id ~tenant ~tick:t.tick
-    ~t_s:r.Engine.completion_s stage
+  (match t.watch with
+  | Some w -> Watch.observe_ect w ~tenant:(Fairness.attribution tenant) ~ect_s
+  | None -> ());
+  record t ~id ~tenant ~t_s:r.Engine.completion_s
+    (if degraded then
+       Lifecycle.Degraded { ect_s; failed_items = r.Engine.failed_items }
+     else Lifecycle.Completed { ect_s })
 
 let observer t (obs : Engine.observation) =
   match obs with
@@ -204,7 +183,6 @@ let to_json t =
       ("in_flight", Json.Int (Lifecycle.in_flight t.lifecycle));
       ("expo_writes", Json.Int t.expo_writes);
       ("fairness", Fairness.to_json t.fairness);
-      ("slo", Slo.to_json t.slo);
     ]
     @ match t.watch with
       | Some w -> [ ("watch", Watch.report_json w) ]

@@ -1,13 +1,17 @@
-(** Live serving telemetry: lifecycle stamps, per-tenant fairness, SLO
-    tracking and OpenMetrics exposition, wired into one object the
-    controller drives.
+(** Live serving telemetry: lifecycle stamps, per-tenant fairness, the
+    optional watchdog and OpenMetrics exposition, wired into one object
+    the controller drives.
 
     A [Telemetry.t] owns a {!Nu_obs.Lifecycle} tracker (every request's
-    path from arrival to completion, streamed to a record log), a
-    {!Nu_obs.Fairness} tracker (per-tenant ECT histograms, shed/admit
-    accounting, Jain's index) and a {!Nu_obs.Slo} tracker (rolling-
-    window tail quantiles and backlog gauges). Pass it
-    to {!Serve.create} — the controller calls the [on_*] hooks at the
+    path from arrival to completion, streamed to a record log) and a
+    {!Nu_obs.Fairness} fold (per-tenant ECT histograms, shed/admit
+    accounting, Jain's index). Every tenant-bearing stamp goes to both
+    through one helper, so folding the record log through
+    {!Nu_obs.Fairness.observe} ([experiments telemetry]) rebuilds the
+    live fairness state exactly. A stamp with no attribution (an event
+    the controller never saw arrive, as after a mid-flight restore) is
+    logged with tenant [""] and accounted to ["unknown"]. Pass it to
+    {!Serve.create} — the controller calls the [on_*] hooks at the
     matching points of each tick and attaches {!observer} to its
     engine stepper.
 
@@ -24,7 +28,7 @@
     ([metrics.prom]) is published ({!Nu_obs.Store.publish}) every
     [metrics_every] ticks and once at retirement, rendered from the
     live counter registry, histogram registry (when sampling is
-    enabled), and the fairness/SLO state. *)
+    enabled), the fairness fold and the watchdog. *)
 
 type config = {
   metrics_dir : string option;
@@ -41,10 +45,9 @@ type config = {
 }
 
 val default_config : config
-(** Everything off: no exposition, no record log, no watchdog.
-
-    The trackers always run at their own defaults: fairness and SLO
-    windows of 50 ticks. Alerts come from the watchdog alone. *)
+(** Everything off: no exposition, no record log, no watchdog. The
+    watchdog's rolling windows are the only windowed readouts, and its
+    alerts the only alerts. *)
 
 type t
 
@@ -73,15 +76,17 @@ val on_arrival : t -> Request.t -> unit
     already stamped when first seen. *)
 
 val on_admission : t -> Request.t -> Admission.outcome -> unit
-(** Stamp the admission decision and account it to the tenant. *)
+(** Stamp the admission decision; [Admitted] and [Shed] count toward
+    the tenant's fairness. *)
 
 val on_drain : t -> Request.t -> wait_ticks:int -> unit
-(** Stamp [Submitted] with the queueing delay in ticks. *)
+(** Stamp [Submitted] with the queueing delay in ticks (the tenant's
+    drained count). *)
 
 val on_tick_end : t -> tick:int -> queue:int -> backlog:int -> unit
-(** Record gauges, advance the fairness/SLO window clocks, feed the
-    watchdog its per-tick observation, and write the exposition file
-    on the [metrics_every] cadence. *)
+(** Feed the watchdog its per-tick observation (queue and backlog
+    gauges, counter deltas), and write the exposition file on the
+    [metrics_every] cadence. *)
 
 val on_retire : t -> unit
 (** Final exposition write, watchdog-journal close and
@@ -91,8 +96,9 @@ val observer : t -> Engine.observation -> unit
 (** Engine-side progress: pass [observer t] to
     {!Engine.Stepper.create} (done by {!Serve.create} when telemetry
     is attached). Maps round executions/aborts, retries and
-    completions into lifecycle stamps and fairness/SLO samples. *)
+    completions into lifecycle stamps; completions also reach the
+    fairness fold and the watchdog. *)
 
 val to_json : t -> Nu_obs.Json.t
 (** Summary block for {!Run_report}: stamp counts, exposition writes,
-    fairness and SLO state. *)
+    the fairness state and, with a watchdog, its report. *)

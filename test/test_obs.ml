@@ -508,9 +508,7 @@ let test_histogram_exact_side_stats () =
   Alcotest.(check bool) "max exact" true (side "max" = Some (Obs.Json.Float 5.0));
   Alcotest.check_raises "negative rejected"
     (Invalid_argument "Histogram.record: sample must be finite and non-negative")
-    (fun () -> Obs.Histogram.record h (-1.0));
-  Obs.Histogram.reset h;
-  Alcotest.(check bool) "reset empties" true (Obs.Histogram.is_empty h)
+    (fun () -> Obs.Histogram.record h (-1.0))
 
 let test_histogram_quantile_bounds () =
   let h = Obs.Histogram.create ~sub_buckets:64 () in
@@ -1180,94 +1178,52 @@ let test_lifecycle_entry_json_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Fairness                                                            *)
 
-(* The rotation period a tracker reports in its JSON document. *)
-let window_ticks doc =
-  match Obs.Json.member "window_ticks" doc with
-  | Some (Obs.Json.Int w) -> w
-  | _ -> Alcotest.fail "window_ticks expected"
-
-let test_fairness_jain_and_windows () =
+let test_fairness_jain_and_fold () =
   let f = Obs.Fairness.create () in
+  let observe tenant stage = Obs.Fairness.observe f ~tenant stage in
+  let completed ect_s = Obs.Lifecycle.Completed { ect_s } in
   Alcotest.(check (option (float 0.0)))
     "no completions, no index" None (Obs.Fairness.jain_index f);
-  Obs.Fairness.observe_admit f ~tenant:"a";
-  Obs.Fairness.observe_admit f ~tenant:"b";
-  Obs.Fairness.observe_shed f ~tenant:"b";
-  Obs.Fairness.observe_completion f ~tenant:"a" ~ect_s:1.0 ~degraded:false;
-  Obs.Fairness.observe_completion f ~tenant:"b" ~ect_s:1.0 ~degraded:true;
+  (* Stages that do not count create no tenant. *)
+  List.iter (observe "idle")
+    [
+      Obs.Lifecycle.Arrived;
+      Obs.Lifecycle.Deferred;
+      Obs.Lifecycle.Planned { round = 0; co_scheduled = false };
+      Obs.Lifecycle.Aborted { round = 0 };
+      Obs.Lifecycle.Retry_scheduled { ready_s = 1.0 };
+    ];
+  Alcotest.(check int) "ignored stages add no tenant" 0
+    (List.length (Obs.Fairness.view f));
+  observe "a" Obs.Lifecycle.Admitted;
+  observe "b" Obs.Lifecycle.Admitted;
+  observe "b" (Obs.Lifecycle.Shed "capacity");
+  observe "a" (Obs.Lifecycle.Submitted { wait_ticks = 2 });
+  observe "a" (completed 1.0);
+  observe "b" (Obs.Lifecycle.Degraded { ect_s = 1.0; failed_items = 1 });
   (* Equal means => perfectly fair. *)
   (match Obs.Fairness.jain_index f with
   | Some j -> Alcotest.(check (float 1e-9)) "equal means" 1.0 j
   | None -> Alcotest.fail "index expected");
-  Obs.Fairness.observe_completion f ~tenant:"a" ~ect_s:1.0 ~degraded:false;
+  observe "a" (completed 1.0);
   (* a: mean 1.0 over 2; b: mean 1.0 — still equal. Skew b hard. *)
-  Obs.Fairness.observe_completion f ~tenant:"b" ~ect_s:31.0 ~degraded:false;
+  observe "b" (completed 31.0);
   (match Obs.Fairness.jain_index f with
   | Some j ->
       (* means 1 and 16: (17)^2 / (2 * 257) = 289/514. *)
       Alcotest.(check (float 1e-6)) "skewed index" (289.0 /. 514.0) j
   | None -> Alcotest.fail "index expected");
-  (match Obs.Fairness.view f with
+  match Obs.Fairness.view f with
   | [ a; b ] ->
       Alcotest.(check string) "a first" "a" a.Obs.Fairness.v_tenant;
+      Alcotest.(check int) "a drained" 1 a.Obs.Fairness.v_drained;
       Alcotest.(check int) "a completed" 2 a.Obs.Fairness.v_completed;
+      Alcotest.(check int) "degraded counts as completed" 2
+        b.Obs.Fairness.v_completed;
       Alcotest.(check int) "b degraded" 1 b.Obs.Fairness.v_degraded;
       Alcotest.(check (float 1e-9))
         "b shed ratio" 0.5 b.Obs.Fairness.v_shed_ratio
-  | _ -> Alcotest.fail "two tenants expected");
-  (* Window rotation: nothing before the first full window. *)
-  Alcotest.(check int) "no window yet" 0 (Obs.Fairness.windows_completed f);
-  (* The last completed window, as (tenant, count) pairs. *)
-  let last_window () =
-    match Obs.Json.member "last_window" (Obs.Fairness.to_json f) with
-    | Some (Obs.Json.List ws) ->
-        List.map
-          (fun w ->
-            match (Obs.Json.member "tenant" w, Obs.Json.member "count" w) with
-            | Some (Obs.Json.String tenant), Some (Obs.Json.Int n) -> (tenant, n)
-            | _ -> Alcotest.fail "window entry shape")
-          ws
-    | _ -> Alcotest.fail "last_window list expected"
-  in
-  Alcotest.(check bool) "last_window empty" true (last_window () = []);
-  let window = window_ticks (Obs.Fairness.to_json f) in
-  for _ = 1 to window - 1 do Obs.Fairness.on_tick f done;
-  Alcotest.(check int) "not before the window's last tick" 0
-    (Obs.Fairness.windows_completed f);
-  Obs.Fairness.on_tick f;
-  Alcotest.(check int) "one window" 1 (Obs.Fairness.windows_completed f);
-  Alcotest.(check (list (pair string int)))
-    "both tenants completed twice in window 0" [ ("a", 2); ("b", 2) ]
-    (last_window ());
-  (* The frozen window is stable: a new completion lands in the next. *)
-  Obs.Fairness.observe_completion f ~tenant:"a" ~ect_s:9.0 ~degraded:false;
-  Alcotest.(check (list (pair string int)))
-    "frozen" [ ("a", 2); ("b", 2) ] (last_window ())
-
-(* ------------------------------------------------------------------ *)
-(* Slo                                                                 *)
-
-let test_slo_rolling () =
-  let s = Obs.Slo.create () in
-  let window = window_ticks (Obs.Slo.to_json s) in
-  Alcotest.(check (option (float 0.0))) "empty p99" None (Obs.Slo.p99 s);
-  Obs.Slo.observe_ect s 0.1;
-  Obs.Slo.observe_gauges s ~queue:4 ~backlog:1;
-  Obs.Slo.on_tick s;
-  for _ = 1 to 50 do Obs.Slo.observe_ect s 2.0 done;
-  Obs.Slo.observe_gauges s ~queue:4 ~backlog:7;
-  Obs.Slo.on_tick s;
-  Alcotest.(check bool)
-    "p99 reflects the spike" true
-    (match Obs.Slo.p99 s with Some v -> v > 1.5 | None -> false);
-  Alcotest.(check int) "latest backlog gauge" 7 (Obs.Slo.engine_backlog s);
-  (* Rotation bounds history: the samples rotate into the previous
-     window at tick [window] and out of the pair at tick [2 * window]. *)
-  for _ = 3 to (2 * window) - 1 do Obs.Slo.on_tick s done;
-  Alcotest.(check bool) "one tick short: the spike still counts" true
-    (Obs.Slo.p99 s <> None);
-  Obs.Slo.on_tick s;
-  Alcotest.(check (option (float 0.0))) "old spike aged out" None (Obs.Slo.p99 s)
+  | _ -> Alcotest.fail "two tenants expected"
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                              *)
@@ -1293,20 +1249,16 @@ let test_expo_metric_name () =
 
 let test_expo_render_validates () =
   let f = Obs.Fairness.create () in
-  Obs.Fairness.observe_admit f ~tenant:"quoted\"tenant\nx";
-  Obs.Fairness.observe_completion f ~tenant:"quoted\"tenant\nx" ~ect_s:0.25
-    ~degraded:false;
-  let slo = Obs.Slo.create () in
-  Obs.Slo.observe_ect slo 0.5;
-  Obs.Slo.observe_gauges slo ~queue:2 ~backlog:1;
-  Obs.Slo.on_tick slo;
+  let tenant = "quoted\"tenant\nx" in
+  Obs.Fairness.observe f ~tenant Obs.Lifecycle.Admitted;
+  Obs.Fairness.observe f ~tenant (Obs.Lifecycle.Completed { ect_s = 0.25 });
   let h = Obs.Histogram.create ~sub_buckets:4 () in
   List.iter (Obs.Histogram.record h) [ 0.1; 0.2; 3.0 ];
   let doc =
     Obs.Expo.render
       ~counters:(Obs.Counters.snapshot ())
       ~histograms:[ ("serve.wait_s", h) ]
-      ~fairness:f ~slo ()
+      ~fairness:f ()
   in
   (match Obs.Expo.validate doc with
   | Ok () -> ()
@@ -1983,8 +1935,7 @@ let suite =
     ( "lifecycle entry json round-trip",
       `Quick,
       test_lifecycle_entry_json_roundtrip );
-    ("fairness jain + windows", `Quick, test_fairness_jain_and_windows);
-    ("slo rolling + breaches", `Quick, test_slo_rolling);
+    ("fairness jain + fold", `Quick, test_fairness_jain_and_fold);
     ("cusum step change", `Quick, test_cusum_step_change);
     ("slope + rate detectors", `Quick, test_slope_and_rate);
     ("health transition sequence", `Quick, test_health_full_transition_sequence);

@@ -756,9 +756,6 @@ let test_serve_telemetry_digest_differential () =
     | _ -> false
   in
   Alcotest.(check bool)
-    "slo saw completions" true
-    (measured (summary "slo" "p99_ect_s"));
-  Alcotest.(check bool)
     "fairness saw completions" true
     (measured (summary "fairness" "jain_index"));
   (* The scrape file is well-formed exposition text. *)
@@ -1245,6 +1242,105 @@ let test_serve_golden_storage () =
   Alcotest.(check string) "WAL bytes" "8412f89f03a485ea" (golden_wal_bytes ());
   Alcotest.(check string) "watch, alert and lifecycle records" "ca4a25abb53d3be5"
     (golden_watch_records ())
+
+(* Live fairness equals the lifecycle fold: [experiments telemetry]
+   rebuilds the per-tenant table with [Fairness.of_log], a fresh
+   tracker fed every logged entry, so its JSON must equal the live
+   tracker's. The run is one churned, faulted
+   serve with a 2-slot Drop_newest queue and one round per tick,
+   restored mid-flight from its own checkpoint with telemetry attached.
+   It has all three cases the fold must agree on, and the test asserts
+   each: the queue sheds; events in flight at the checkpoint complete
+   with no attribution (logged as tenant [""], accounted to
+   "unknown"); and one of those degrades (the golden fault schedule
+   degrades none after the restore, hence the denser one here). *)
+let test_serve_fairness_equals_lifecycle_fold () =
+  let dir = temp_dir () in
+  let cp = Filename.concat dir "cp.json" in
+  let jp = Filename.concat dir "journal.wal" in
+  Fun.protect
+    ~finally:(fun () ->
+      remove_chain cp;
+      remove_segments jp;
+      rm_rf dir)
+    (fun () ->
+      let config =
+        {
+          (cfg ~capacity:2 ~admission:Admission.Drop_newest ~churn:golden_churn
+             ())
+          with
+          Serve.steps_per_tick = 1;
+        }
+      in
+      let s = scenario () in
+      let injector =
+        Injector.create
+          (Fault_model.generate
+             ~config:
+               {
+                 Fault_model.default_config with
+                 Fault_model.rate_per_s = 16.0;
+                 horizon_s = 2.0;
+               }
+             ~seed:1 s.Scenario.topology)
+      in
+      let w = Journal.open_writer jp in
+      let t =
+        fabric_create ~injector ~journal:w config
+          ~topology:s.Scenario.topology ~net:s.Scenario.net
+          ~source_spec:golden_spec
+      in
+      Shard_fabric.run ~checkpoint_path:cp ~checkpoint_every:8 t ~ticks:20;
+      Obs.Store.close w;
+      let tel =
+        Serve_telemetry.create
+          {
+            Serve_telemetry.default_config with
+            Serve_telemetry.metrics_dir = Some dir;
+          }
+      in
+      (match
+         Shard_fabric.recover ~telemetry:tel
+           (Shard_fabric.default_config config ~shards:1)
+           ~topology:s.Scenario.topology ~source_spec:golden_spec
+           ~checkpoint_path:cp ~journal_base:jp
+       with
+      | Error m -> Alcotest.fail m
+      | Ok (t2, _) ->
+          Serve.run ~ticks:20 t2;
+          Serve.complete t2;
+          ignore (Serve.retire t2 : Engine.run_result));
+      let live =
+        match Obs.Json.member "fairness" (Serve_telemetry.to_json tel) with
+        | Some j -> Obs.Json.to_string j
+        | None -> Alcotest.fail "no fairness block"
+      in
+      let entries =
+        match Obs.Lifecycle.read_log (Filename.concat dir "lifecycle.jsonl") with
+        | Ok { Obs.Store.entries; corrupt = []; _ } -> entries
+        | Ok _ -> Alcotest.fail "lifecycle log damaged"
+        | Error m -> Alcotest.fail m
+      in
+      let f = Obs.Fairness.of_log entries in
+      let total field =
+        List.fold_left (fun n v -> n + field v) 0 (Obs.Fairness.view f)
+      in
+      Alcotest.(check bool) "the queue shed" true
+        (total (fun v -> v.Obs.Fairness.v_shed) > 0);
+      Alcotest.(check bool) "a completion degraded" true
+        (total (fun v -> v.Obs.Fairness.v_degraded) > 0);
+      Alcotest.(check bool) "a completion logged without attribution" true
+        (List.exists
+           (fun (e : Obs.Lifecycle.entry) ->
+             e.Obs.Lifecycle.tenant = ""
+             &&
+             match e.Obs.Lifecycle.stage with
+             | Completed _ | Degraded _ -> true
+             | _ -> false)
+           entries);
+      Alcotest.(check string)
+        "live fairness = fold of the log" live
+        (Obs.Json.to_string (Obs.Fairness.to_json f)))
 
 (* Checkpoint bytes, pinned: the FNV of [Checkpoint.to_string] for a
    churned, faulted one-shard run whose admission queue and deferred
@@ -1811,6 +1907,9 @@ let suite =
     ("golden digests", `Quick, test_serve_golden_digests);
     ("golden storage bytes", `Quick, test_serve_golden_storage);
     ("golden checkpoint bytes", `Quick, test_serve_golden_checkpoint);
+    ( "live fairness equals the lifecycle fold",
+      `Quick,
+      test_serve_fairness_equals_lifecycle_fold );
     ( "restore accepts a legacy cache flag",
       `Quick,
       test_serve_restore_accepts_cache_flag );
