@@ -733,10 +733,15 @@ let fabric_config cfg ~shards ~regions =
     ?regions:(if regions > 0 then Some regions else None)
     cfg ~shards
 
+(* The retry budget of --retry-max: serve's injector aborts on it, and
+   recovery and replay must thaw the checkpoint's injector on it too. *)
+let retry_of_max retry_max =
+  { Retry_policy.default with Retry_policy.max_attempts = retry_max }
+
 (* Serve's fault injector: a seeded schedule over the run's simulated
    horizon. Fault injection needs the single controller. *)
 let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
-    ~retry_max =
+    ~retry =
   if fault_rate <= 0.0 then None
   else if shards > 1 then begin
     Format.eprintf "fault injection needs one shard (--shards 1)@.";
@@ -749,9 +754,6 @@ let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
         Fault_model.rate_per_s = fault_rate;
         horizon_s = float_of_int ticks *. cfg.Serve.tick_dt_s;
       }
-    in
-    let retry =
-      { Retry_policy.default with Retry_policy.max_attempts = retry_max }
     in
     Some
       (Injector.create ~retry
@@ -767,7 +769,7 @@ let make_injector cfg ~shards ~topology ~ticks ~fault_seed ~fault_rate
    and after a crash the recovered one's, which starts on fresh
    telemetry as a restarted process would. Returns the last fabric and
    its telemetry. *)
-let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
+let serve_fabric ?injector ~retry fcfg spec ~scenario ~ticks ~checkpoint
     ~checkpoint_every ~journal_path ~kill_shard ~kill_at ~make_telemetry =
   let kill =
     if kill_shard < 0 then None
@@ -817,7 +819,7 @@ let serve_fabric ?injector fcfg spec ~scenario ~ticks ~checkpoint
       Option.iter Serve_telemetry.on_retire telemetry;
       let telemetry = make_telemetry () in
       match
-        Shard_fabric.recover ?telemetry fcfg
+        Shard_fabric.recover ?telemetry ~retry fcfg
           ~topology:scenario.Scenario.topology ~source_spec:spec
           ~checkpoint_path:cp_path ~journal_base
       with
@@ -851,9 +853,10 @@ let serve_cmd =
             exit 2
           end;
           let scenario = Scenario.prepare ~utilization:util ~seed () in
+          let retry = retry_of_max retry_max in
           let injector =
             make_injector cfg ~shards ~topology:scenario.Scenario.topology
-              ~ticks ~fault_seed ~fault_rate ~retry_max
+              ~ticks ~fault_seed ~fault_rate ~retry
           in
           if hist then begin
             Obs.Histogram.Registry.reset ();
@@ -861,7 +864,7 @@ let serve_cmd =
           end;
           let before = Obs.Counters.snapshot () in
           let t, telemetry =
-            serve_fabric fcfg spec ?injector ~scenario ~ticks ~checkpoint
+            serve_fabric fcfg spec ?injector ~retry ~scenario ~ticks ~checkpoint
               ~checkpoint_every ~journal_path ~kill_shard ~kill_at
               ~make_telemetry:(fun () ->
                 make_telemetry ~metrics_every ~watch metrics_dir)
@@ -1006,9 +1009,7 @@ let replay_cmd =
       exit 2
     end;
     let scenario = Scenario.prepare ~utilization:util ~seed () in
-    let retry =
-      { Retry_policy.default with Retry_policy.max_attempts = retry_max }
-    in
+    let retry = retry_of_max retry_max in
     let telemetry = make_telemetry ~metrics_every ~watch metrics_dir in
     match
       Shard_fabric.replay ?telemetry ~retry ?checkpoint_path:checkpoint

@@ -7,8 +7,12 @@ type t = {
   attempts : (int, int) Hashtbl.t;  (* event id -> aborts so far *)
   mutable violation_count : int;
   mutable checks : int;  (* check_now calls outside a transaction *)
+  mutable walked : int;
+      (* flows the last check walked incrementally; -1 when it was full *)
   mutable cursor : (Net_state.t * Net_state.cursor) option;
       (* the net this injector checks, and its place in that net's log *)
+  changed : int array ref;  (* the flow ids the last drain wrote *)
+  evacuees : int array ref;  (* the flow ids on the edges being evacuated *)
 }
 
 let create ?(retry = Retry_policy.default) schedule =
@@ -26,7 +30,10 @@ let create ?(retry = Retry_policy.default) schedule =
     attempts = Hashtbl.create 32;
     violation_count = 0;
     checks = 0;
+    walked = -1;
     cursor = None;
+    changed = ref [||];
+    evacuees = ref [||];
   }
 
 let recovery t = t.recovery
@@ -67,58 +74,58 @@ let next_due_s t =
 (* Evacuation: move a flow off failed capacity, deterministically.     *)
 
 (* Try every enabled candidate in ranked order; the candidate view
-   already drops candidates crossing disabled edges, and reroute itself
-   re-checks capacity with the flow's own usage released. A flow with no
-   surviving feasible path is removed — a recorded drop, never a silent
+   already drops candidates crossing disabled edges, and the reroute
+   test judges capacity with the flow's own usage released. Only the
+   candidate taken is built into a path. A flow with no surviving
+   feasible path is removed — a recorded drop, never a silent
    blackhole. *)
 let evacuate_flow t net ~now flow_id =
-  match Net_state.flow net flow_id with
-  | None -> ()
-  | Some (p : Net_state.placed) ->
+  match Net_state.peek_flow net flow_id with
+  | exception Not_found -> ()
+  | p ->
       let c = Net_state.candidates net p.Net_state.record in
-      let rec try_from i =
-        if i >= Net_state.candidate_count c then begin
-          (match Net_state.remove net flow_id with
-          | Ok _ | Error `Not_found -> ());
-          Recovery.record t.recovery
-            (Recovery.Flow_evacuated { flow_id; at_s = now; dropped = true })
-        end
-        else if Net_state.candidate_is c i p.Net_state.path then try_from (i + 1)
-        else
-          match Net_state.reroute net flow_id (Net_state.candidate_path net c i) with
-          | Ok _ ->
-              Recovery.record t.recovery
-                (Recovery.Flow_evacuated
-                   { flow_id; at_s = now; dropped = false })
-          | Error _ -> try_from (i + 1)
-      in
-      try_from 0
+      let n = Net_state.candidate_count c in
+      let i = ref 0 and moved = ref false in
+      while (not !moved) && !i < n do
+        if
+          (not (Net_state.candidate_is c !i p.Net_state.path))
+          && Net_state.candidate_reroutable net p c !i
+        then begin
+          match
+            Net_state.reroute net flow_id (Net_state.candidate_path net c !i)
+          with
+          | Ok _ -> moved := true
+          | Error _ -> ()
+        end;
+        incr i
+      done;
+      if not !moved then
+        ignore (Net_state.remove net flow_id : (_, _) result);
+      Recovery.record t.recovery
+        (Recovery.Flow_evacuated
+           { flow_id; at_s = now; dropped = not !moved })
 
 (* Flows crossing any of the given (now disabled) edges, in id order. *)
 let evacuate_edges t net ~now edges =
-  let ids =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun e ->
-           List.map
-             (fun (p : Net_state.placed) -> p.Net_state.record.Flow_record.id)
-             (Net_state.flows_on_edge net e))
-         edges)
-  in
-  List.iter (evacuate_flow t net ~now) ids
+  let n = Net_state.edge_flow_ids net edges ~into:t.evacuees in
+  let ids = !(t.evacuees) in
+  for i = 0 to n - 1 do
+    evacuate_flow t net ~now ids.(i)
+  done
 
 (* Shed flows (id order) until the degraded edge's residual is
-   non-negative again. *)
+   non-negative again. Each shed flow leaves the edge (no candidate
+   through an overdrawn edge fits) and no other flow joins it, so the
+   ids read once are the ids a re-read would give. *)
 let shed_overload t net ~now edge =
-  let rec shed () =
-    if Net_state.residual net edge < 0.0 then
-      match Net_state.flows_on_edge net edge with
-      | [] -> ()
-      | p :: _ ->
-          evacuate_flow t net ~now p.Net_state.record.Flow_record.id;
-          shed ()
-  in
-  shed ()
+  if Net_state.residual net edge < 0.0 then begin
+    let n = Net_state.edge_flow_ids net [ edge ] ~into:t.evacuees in
+    let ids = !(t.evacuees) and i = ref 0 in
+    while !i < n && Net_state.residual net edge < 0.0 do
+      evacuate_flow t net ~now ids.(!i);
+      incr i
+    done
+  end
 
 let with_reverse net e =
   let g = Net_state.graph net in
@@ -126,12 +133,19 @@ let with_reverse net e =
   | Some r -> [ e; r.Graph.id ]
   | None -> [ e ]
 
+(* The ids of the edges into or out of node [v], ascending and each
+   once: both rows list their edges in id order, so they merge. *)
 let incident_edges net v =
+  let rec merge (outs : Graph.edge list) (ins : Graph.edge list) =
+    match (outs, ins) with
+    | [], rest | rest, [] -> List.map (fun (e : Graph.edge) -> e.Graph.id) rest
+    | o :: os, i :: is ->
+        if o.Graph.id < i.Graph.id then o.Graph.id :: merge os ins
+        else if i.Graph.id < o.Graph.id then i.Graph.id :: merge outs is
+        else o.Graph.id :: merge os is
+  in
   let g = Net_state.graph net in
-  List.sort_uniq compare
-    (List.map
-       (fun (e : Graph.edge) -> e.Graph.id)
-       (Graph.out_edges g v @ Graph.in_edges g v))
+  merge (Graph.out_edges g v) (Graph.in_edges g v)
 
 let apply_fault t net ~now (f : Fault_model.fault) =
   Recovery.record t.recovery
@@ -211,32 +225,60 @@ let full_every = 16
    or thaw, or when handed a different net), on every [full_every]-th
    check, when the cursor was dropped for lagging, and inside an open
    transaction — whose writes are not in the log yet, so that check
-   leaves the cursor to the next one. *)
+   leaves the cursor to the next one. Sets [walked]. *)
 let sweep t net =
+  t.walked <- -1;
   if Net_state.in_txn net then Invariant.check net
   else begin
     t.checks <- t.checks + 1;
     let changed =
       match t.cursor with
-      | Some (n, c) when n == net -> Net_state.drain_flow_ids net c
-      | _ -> None
+      | Some (n, c) when n == net ->
+          Net_state.drain_changed net c ~into:t.changed
+      | _ -> -1
     in
-    match changed with
-    | Some flows when t.checks mod full_every <> 0 ->
-        Invariant.check_changed net ~flows
-    | Some _ -> Invariant.check net
-    | None ->
+    if changed >= 0 && t.checks mod full_every <> 0 then begin
+      t.walked <- changed;
+      Invariant.check_changed net ~flows:!(t.changed) ~n:changed
+    end
+    else begin
+      if changed < 0 then begin
         Option.iter (fun (n, c) -> Net_state.close_cursor n c) t.cursor;
-        t.cursor <- Some (net, Net_state.open_cursor net ~bounded:true);
-        Invariant.check net
+        t.cursor <- Some (net, Net_state.open_cursor net ~bounded:true)
+      end;
+      Invariant.check net
+    end
   end
 
+(* Named apart from the benchmark's own [invariant_check] span, which
+   times a standalone full check outside every driving call. *)
 let check_now t net ~now =
-  let vs = sweep t net in
-  List.iter
-    (fun (v : Invariant.violation) ->
-      t.violation_count <- t.violation_count + 1;
-      Recovery.record t.recovery
-        (Recovery.Invariant_violated { at_s = now; name = v.Invariant.name }))
-    vs;
+  let vs =
+    if Trace.enabled () then begin
+      let sp = Trace.span "fault.invariant_check" in
+      let vs = sweep t net in
+      let full = t.walked < 0 in
+      Trace.finish sp
+        ~attrs:
+          [
+            ("mode", Trace.Str (if full then "full" else "incremental"));
+            ( "flows",
+              Trace.Int (if full then Net_state.flow_count net else t.walked)
+            );
+            ("violations", Trace.Int (List.length vs));
+          ];
+      vs
+    end
+    else sweep t net
+  in
+  (match vs with
+  | [] -> ()
+  | vs ->
+      List.iter
+        (fun (v : Invariant.violation) ->
+          t.violation_count <- t.violation_count + 1;
+          Recovery.record t.recovery
+            (Recovery.Invariant_violated
+               { at_s = now; name = v.Invariant.name }))
+        vs);
   vs

@@ -64,7 +64,7 @@ val check_now : t -> Net_state.t -> now:float -> Invariant.violation list
 (** Check the invariants, record every violation in the recovery log,
     and return them. The check is incremental: the injector holds a
     bounded cursor on the net's committed log
-    ({!Nu_net.Net_state.drain_flow_ids}) and runs
+    ({!Nu_net.Net_state.drain_changed}) and runs
     {!Invariant.check_changed} over the flows written since its
     previous check, at O(changed flows × their paths) plus flat array
     reads over the edges. Other readers of the log — a probe pool, a

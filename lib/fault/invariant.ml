@@ -3,41 +3,57 @@ module Counters = Nu_obs.Counters
 
 type violation = { name : string; detail : string }
 
-(* One structural sweep, reported as violations: blackholes (collected
-   during the sweep), then capacity over every edge, then consistency. *)
-let report net sweep =
-  let blackholes = ref [] in
-  let consistency =
-    sweep ~blackhole:(fun ~flow ~edge ->
-        blackholes :=
-          {
-            name = "blackhole";
-            detail =
-              Printf.sprintf "flow %d crosses disabled edge %d" flow edge;
-          }
-          :: !blackholes)
-  in
-  let acc = ref !blackholes in
-  let add name detail = acc := { name; detail } :: !acc in
-  (* Capacity non-violation: every residual >= 0. *)
-  let g = Net_state.graph net in
-  for e = 0 to Graph.edge_count g - 1 do
-    let r = Net_state.residual net e in
-    if r < -1e-6 then
-      add "capacity" (Printf.sprintf "edge %d residual %.3f < 0" e r)
-  done;
-  (match consistency with Ok () -> () | Error msg -> add "consistency" msg);
-  let violations = List.rev !acc in
-  if Trace.enabled () then
-    List.iter
-      (fun v ->
-        Trace.instant "invariant_violation"
-          ~attrs:[ ("name", Trace.Str v.name); ("detail", Trace.Str v.detail) ])
-      violations;
-  violations
+(* The sweeps' callbacks: top-level functions over the accumulator the
+   sweep hands back, so a check builds no closure. A sweep reports every
+   blackhole before any overdrawn edge. *)
+let add_blackhole acc ~flow ~edge =
+  acc :=
+    {
+      name = "blackhole";
+      detail = Printf.sprintf "flow %d crosses disabled edge %d" flow edge;
+    }
+    :: !acc
+
+let add_overdrawn acc ~edge ~residual =
+  acc :=
+    {
+      name = "capacity";
+      detail = Printf.sprintf "edge %d residual %.3f < 0" edge residual;
+    }
+    :: !acc
+
+(* One structural sweep's result as violations: the blackholes, then
+   the overdrawn edges, both collected into [acc] in sweep order, then
+   consistency. *)
+let report acc consistency =
+  (match consistency with
+  | Ok () -> ()
+  | Error detail -> acc := { name = "consistency"; detail } :: !acc);
+  match !acc with
+  | [] -> []
+  | rev ->
+      let violations = List.rev rev in
+      if Trace.enabled () then
+        List.iter
+          (fun v ->
+            Trace.instant "invariant_violation"
+              ~attrs:
+                [ ("name", Trace.Str v.name); ("detail", Trace.Str v.detail) ])
+          violations;
+      violations
 
 let check net =
   Counters.incr Counters.Invariant_checks;
-  report net (Net_state.sweep net)
+  let acc = ref [] in
+  let consistency =
+    Net_state.sweep net ~blackhole:add_blackhole ~overdrawn:add_overdrawn acc
+  in
+  report acc consistency
 
-let check_changed net ~flows = report net (Net_state.sweep_changed net ~flows)
+let check_changed net ~flows ~n =
+  let acc = ref [] in
+  let consistency =
+    Net_state.sweep_changed net ~flows ~n ~blackhole:add_blackhole
+      ~overdrawn:add_overdrawn acc
+  in
+  report acc consistency

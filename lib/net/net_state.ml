@@ -8,11 +8,12 @@ type placed = { record : Flow_record.t; path : Path.t }
    delta — the exact arithmetic the symmetric plan/revert pair used to
    perform, so rollback is bit-compatible with the historical
    revert-based probes. Flow-table entries store the previous binding
-   in the [obj] slot. *)
+   in the [obj] slot ({!absent} when there was none) and the hop count
+   they added to or took from the running total in [b]. *)
 let tag_residual = 0 (* a = edge id, f = applied delta *)
 
-let tag_flow_put = 1 (* a = flow id, obj = previous binding *)
-let tag_flow_del = 2 (* a = flow id, obj = removed binding *)
+let tag_flow_put = 1 (* a = flow id, b = new hops, obj = previous binding *)
+let tag_flow_del = 2 (* a = flow id, b = its hops, obj = removed binding *)
 let tag_on_put = 3 (* a = edge id, b = flow id (was absent) *)
 let tag_on_del = 4 (* a = edge id, b = flow id (was present) *)
 let tag_disabled_t = 6 (* a = edge id, previous flag = true *)
@@ -38,6 +39,27 @@ let rt_disable = 5 (* a = edge id (set the disabled flag) *)
 let rt_enable = 6 (* a = edge id (clear the disabled flag) *)
 let rt_degraded = 7 (* a = edge id, f = ledger delta *)
 
+(* The binding slot's "no binding": a flow-table put of a new id
+   journals it as the previous binding, and vacated slots hold it. A
+   sentinel rather than an option, so a journaled put boxes nothing. It
+   is told apart by physical equality; its one-hop path lives on a
+   graph of its own. *)
+let absent =
+  let g = Graph.create ~initial_nodes:2 () in
+  let e, _ = Graph.add_link g ~a:0 ~b:1 ~capacity:0.0 in
+  {
+    record =
+      {
+        Flow_record.id = -1;
+        src = 0;
+        dst = 1;
+        size_mbit = 0.0;
+        duration_s = 1.0;
+        arrival_s = 0.0;
+      };
+    path = Path.of_ids g [| e |];
+  }
+
 (* A flat op buffer: six parallel columns (tag / int operands / float
    operands / binding slot), used prefix [0, n). The undo journal and
    the committed log are both one. The [obj] slot is only meaningful
@@ -48,7 +70,7 @@ type ops = {
   mutable b : int array;
   mutable f : float array;
   mutable g : float array;
-  mutable obj : placed option array;
+  mutable obj : placed array;
   mutable n : int;
 }
 
@@ -58,8 +80,14 @@ type cursor = { mutable pos : int; bounded : bool }
 
 type t = {
   topo : Topology.t;
+  capacity : float array;
+      (* edge id -> capacity, unboxed; topology-pure, shared by copies *)
   residual : float array;  (* indexed by edge id *)
   flows : (int, placed) Hashtbl.t;  (* flow id -> placement *)
+  mutable hops : int;
+      (* the placed paths' hops summed over [flows]: what the on-edge
+         sets must hold in all, read by the incremental sweep in place
+         of a fold over every flow *)
   (* Per-edge flow-id sets as flat growable parallel arrays (used prefix
      is [0, oe_len.(e))): flow id, its demand in Mbps and its size in
      Mbit, side by side. Order within a set is insertion-and-swap-remove
@@ -109,6 +137,9 @@ type t = {
   paths_memo : (int, int array array) Hashtbl.t;
       (* (src switch, dst switch) -> ranked interior edge-id arrays;
          topology-pure, shared by copies *)
+  (* Sweep scratch, sized on first use so copies that are never swept
+     pay nothing: the expected residual per edge. *)
+  mutable expected : float array;
 }
 
 let compute_fabric topo =
@@ -124,7 +155,7 @@ let ops_create cap =
     b = Array.make cap 0;
     f = Array.make cap 0.0;
     g = Array.make cap 0.0;
-    obj = Array.make cap None;
+    obj = Array.make cap absent;
     n = 0;
   }
 
@@ -141,7 +172,7 @@ let grow o =
   o.b <- ext o.b 0;
   o.f <- ext o.f 0.0;
   o.g <- ext o.g 0.0;
-  o.obj <- ext o.obj None
+  o.obj <- ext o.obj absent
 
 let[@inline] push o tag a b f g =
   if o.n = Array.length o.tag then grow o;
@@ -153,8 +184,8 @@ let[@inline] push o tag a b f g =
   Array.unsafe_set o.g i g;
   o.n <- i + 1
 
-let[@inline] push_obj o tag a obj =
-  push o tag a 0 0.0 0.0;
+let[@inline] push_obj o tag a b obj =
+  push o tag a b 0.0 0.0;
   Array.unsafe_set o.obj (o.n - 1) obj
 
 let journal_cap0 = 256
@@ -166,20 +197,22 @@ let create topo =
      domain-safe. *)
   Graph.freeze g;
   let n_edges = Graph.edge_count g in
-  let residual = Array.init n_edges (fun id -> Graph.capacity g id) in
+  let capacity = Array.init n_edges (fun id -> Graph.capacity g id) in
   let fabric = compute_fabric topo in
   let is_fabric = Array.make n_edges false in
   let inv_cap = Array.make n_edges 0.0 in
   List.iter
     (fun id ->
       is_fabric.(id) <- true;
-      let cap = Graph.capacity g id in
+      let cap = capacity.(id) in
       if cap > 0.0 then inv_cap.(id) <- 1.0 /. cap)
     fabric;
   {
     topo;
-    residual;
+    capacity;
+    residual = Array.copy capacity;
     flows = Hashtbl.create 1024;
+    hops = 0;
     oe_data = Array.init n_edges (fun _ -> Array.make 8 0);
     oe_dem = Array.init n_edges (fun _ -> Array.make 8 0.0);
     oe_size = Array.init n_edges (fun _ -> Array.make 8 0.0);
@@ -206,6 +239,7 @@ let create topo =
     readers = [];
     memo_ro = false;
     paths_memo = Hashtbl.create 256;
+    expected = [||];
   }
 
 (* The capacity of a per-edge row holding [len] flows. 25% headroom
@@ -235,8 +269,10 @@ let copy_into ?(memo_ro = false) t =
   let oe_size = Array.mapi (fun e a -> sub_float t.oe_len.(e) a) t.oe_size in
   {
     topo = t.topo;
+    capacity = t.capacity;
     residual = Array.copy t.residual;
     flows;
+    hops = t.hops;
     oe_data;
     oe_dem;
     oe_size;
@@ -263,6 +299,7 @@ let copy_into ?(memo_ro = false) t =
     readers = [];
     memo_ro;
     paths_memo = t.paths_memo;
+    expected = [||];
   }
 
 let copy t =
@@ -399,6 +436,7 @@ let thaw topo fz =
       Hashtbl.replace t.flows placed.record.Flow_record.id placed;
       if Hashtbl.length t.flows = before then
         invalid_arg "Net_state.thaw: duplicate flow id";
+      t.hops <- t.hops + Path.hops placed.path;
       Array.iter
         (fun e -> count.(e) <- count.(e) + 1)
         (Path.hop_ids placed.path))
@@ -472,18 +510,15 @@ let edge_version t id =
 
 let[@inline] logging t = t.readers != []
 
-(* Ops logged since absolute position [pos] that change a flow's
-   binding, oldest first. *)
-let iter_flow_ops t pos f =
-  let lo = t.log in
-  for i = pos - t.log_base to lo.n - 1 do
-    let tag = lo.tag.(i) in
-    if tag = rt_flow_put || tag = rt_flow_del then f lo.a.(i)
-  done
+let[@inline] is_flow_op tag = tag = rt_flow_put || tag = rt_flow_del
 
+(* How many ops logged since absolute position [pos] change a flow's
+   binding. *)
 let count_flow_ops t pos =
-  let k = ref 0 in
-  iter_flow_ops t pos (fun _ -> incr k);
+  let lo = t.log and k = ref 0 in
+  for i = pos - t.log_base to lo.n - 1 do
+    if is_flow_op lo.tag.(i) then incr k
+  done;
   !k
 
 (* The length of the logged prefix every cursor has passed: all of
@@ -505,7 +540,7 @@ let truncate t =
     Array.blit lo.f cut lo.f 0 rest;
     Array.blit lo.g cut lo.g 0 rest;
     Array.blit lo.obj cut lo.obj 0 rest;
-    Array.fill lo.obj rest cut None;
+    Array.fill lo.obj rest cut absent;
     lo.n <- rest;
     t.log_base <- t.log_base + cut
   end
@@ -532,7 +567,7 @@ let[@inline] log_op t tag a b f g =
 
 let[@inline] log_obj t tag a p =
   if logging t && (t.log.n < Array.length t.log.tag || make_room t) then
-    push_obj t.log tag a (Some p)
+    push_obj t.log tag a 0 p
 
 (* Kahan-compensated accumulation keeps the running fabric-utilisation
    sum accurate across millions of occupy/release pairs. *)
@@ -578,15 +613,25 @@ let[@inline] on_edge_del t e fid =
   else log_op t rt_on_del e fid 0.0 0.0;
   oe_remove_at t e i
 
+(* A put replaces any previous binding ({!apply_batch} replays a
+   committed reroute as two puts of its final binding), so the running
+   hop count trades the previous path's hops for the new one's. *)
 let[@inline] flow_put t id p =
-  if journal_active t then
-    push_obj t.journal tag_flow_put id (Hashtbl.find_opt t.flows id)
+  let prev =
+    match Hashtbl.find t.flows id with q -> q | exception Not_found -> absent
+  in
+  let h = Path.hops p.path in
+  if journal_active t then push_obj t.journal tag_flow_put id h prev
   else log_obj t rt_flow_put id p;
+  if prev != absent then t.hops <- t.hops - Path.hops prev.path;
+  t.hops <- t.hops + h;
   Hashtbl.replace t.flows id p
 
 let[@inline] flow_del t id p =
-  if journal_active t then push_obj t.journal tag_flow_del id (Some p)
+  let h = Path.hops p.path in
+  if journal_active t then push_obj t.journal tag_flow_del id h p
   else log_op t rt_flow_del id 0 0.0 0.0;
+  t.hops <- t.hops - h;
   Hashtbl.remove t.flows id
 
 (* Undo journal entry [i]; clears its binding slot. *)
@@ -599,16 +644,21 @@ let undo t i =
     if t.is_fabric.(a) then kadd t (delta *. t.inv_cap.(a))
   end
   else if tag = tag_flow_put then begin
-    (match j.obj.(i) with
-    | None -> Hashtbl.remove t.flows a
-    | Some p -> Hashtbl.replace t.flows a p);
-    j.obj.(i) <- None
+    let prev = j.obj.(i) in
+    t.hops <- t.hops - j.b.(i);
+    if prev == absent then Hashtbl.remove t.flows a
+    else begin
+      t.hops <- t.hops + Path.hops prev.path;
+      Hashtbl.replace t.flows a prev
+    end;
+    j.obj.(i) <- absent
   end
   else if tag = tag_flow_del then begin
-    (match j.obj.(i) with
-    | Some p -> Hashtbl.replace t.flows a p
-    | None -> assert false);
-    j.obj.(i) <- None
+    let p = j.obj.(i) in
+    assert (p != absent);
+    t.hops <- t.hops + j.b.(i);
+    Hashtbl.replace t.flows a p;
+    j.obj.(i) <- absent
   end
   else if tag = tag_on_put then begin
     let k = oe_index t a j.b.(i) in
@@ -656,9 +706,9 @@ let journal_to_log t =
     else if tag = tag_on_put then log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
     else if tag = tag_on_del then log_op t rt_on_del a j.b.(i) 0.0 0.0
     else if tag = tag_flow_put || tag = tag_flow_del then begin
-      match Hashtbl.find_opt t.flows a with
-      | Some p -> log_obj t rt_flow_put a p
-      | None -> log_op t rt_flow_del a 0 0.0 0.0
+      match Hashtbl.find t.flows a with
+      | p -> log_obj t rt_flow_put a p
+      | exception Not_found -> log_op t rt_flow_del a 0 0.0 0.0
     end
     else if tag = tag_disabled_t then log_op t rt_enable a 0 0.0 0.0
     else if tag = tag_disabled_f then log_op t rt_disable a 0 0.0 0.0
@@ -687,7 +737,8 @@ let commit t =
           t.versions.(e) <- t.versions.(e) + 1
         end
         (* tag_degraded rides on its paired residual entry for stamping. *)
-        else if tag = tag_flow_put || tag = tag_flow_del then j.obj.(i) <- None
+        else if tag = tag_flow_put || tag = tag_flow_del then
+          j.obj.(i) <- absent
       done;
       j.n <- 0
     end
@@ -733,27 +784,70 @@ let drain_batch t c =
   advance t c;
   batch
 
-(* Ascending, each id once: a flow written many times is revisited
-   once. Sorts [ids] in place. *)
-let dedup_sorted ids =
-  Array.sort Int.compare ids;
-  let n = ref 0 in
-  Array.iteri
-    (fun i id ->
-      if i = 0 || id <> ids.(!n - 1) then begin
-        ids.(!n) <- id;
-        incr n
-      end)
-    ids;
-  Array.sub ids 0 !n
+(* Heapsort of the prefix [0, bound) of [a]: in place and allocation
+   free, where [Array.sort] takes a whole array. [sift] restores the
+   max-heap below [root]. *)
+let sift (a : int array) root bound =
+  let r = ref root and go = ref true in
+  while !go do
+    let c = (2 * !r) + 1 in
+    if c >= bound then go := false
+    else begin
+      let c = if c + 1 < bound && a.(c + 1) > a.(c) then c + 1 else c in
+      let v = a.(!r) in
+      if a.(c) > v then begin
+        a.(!r) <- a.(c);
+        a.(c) <- v;
+        r := c
+      end
+      else go := false
+    end
+  done
 
-let drain_flow_ids t c =
-  if not (List.memq c t.readers) then None
+(* Sort the prefix [0, n) of [a] ascending and keep each id once, in
+   place; returns the new prefix length. *)
+let sort_uniq (a : int array) n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    let v = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- v;
+    sift a 0 last
+  done;
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  !k
+
+(* Room for [need] ids in the caller's buffer, keeping its prefix
+   [0, keep). *)
+let reserve (into : int array ref) ~keep need =
+  if Array.length !into < need then begin
+    let d = Array.make (max need (max 64 (2 * Array.length !into))) 0 in
+    Array.blit !into 0 d 0 keep;
+    into := d
+  end
+
+let drain_changed t c ~into =
+  if not (List.memq c t.readers) then -1
   else begin
-    let ids = ref [] in
-    iter_flow_ops t c.pos (fun id -> ids := id :: !ids);
+    let lo = t.log and n = ref 0 in
+    for i = c.pos - t.log_base to lo.n - 1 do
+      if is_flow_op lo.tag.(i) then begin
+        reserve into ~keep:!n (!n + 1);
+        !into.(!n) <- lo.a.(i);
+        incr n
+      end
+    done;
     advance t c;
-    Some (dedup_sorted (Array.of_list !ids))
+    (* A flow written many times is revisited once. *)
+    sort_uniq !into !n
   end
 
 (* ------------------------------------------------------------------ *)
@@ -866,12 +960,12 @@ let apply_batch t (o : batch) =
     if tag = rt_residual then apply_residual t a o.f.(i)
     else if tag = rt_on_put then on_edge_put t a o.b.(i) o.f.(i) o.g.(i)
     else if tag = rt_on_del then on_edge_del t a o.b.(i)
-    else if tag = rt_flow_put then begin
-      match o.obj.(i) with
-      | Some p -> flow_put t a p
-      | None -> assert false
+    else if tag = rt_flow_put then flow_put t a o.obj.(i)
+    else if tag = rt_flow_del then begin
+      match Hashtbl.find t.flows a with
+      | p -> flow_del t a p
+      | exception Not_found -> ()
     end
-    else if tag = rt_flow_del then Hashtbl.remove t.flows a
     else if tag = rt_disable then set_disabled t a true
     else if tag = rt_enable then set_disabled t a false
     else if tag = rt_degraded then t.degraded.(a) <- t.degraded.(a) +. o.f.(i)
@@ -943,6 +1037,21 @@ let edge_flows_blit t edge_id ~ids ~dem ~size =
   Array.blit t.oe_dem.(edge_id) 0 dem 0 n;
   Array.blit t.oe_size.(edge_id) 0 size 0 n;
   n
+
+(* Append the ids on [edges] to the buffer's prefix [0, n); a top-level
+   loop, so a call builds no closure. *)
+let rec blit_edge_ids t into n = function
+  | [] -> n
+  | e :: rest ->
+      if e < 0 || e >= Array.length t.oe_len then
+        invalid_arg "Net_state.edge_flow_ids: edge id";
+      touch t e;
+      let k = t.oe_len.(e) in
+      reserve into ~keep:n (n + k);
+      Array.blit t.oe_data.(e) 0 !into n k;
+      blit_edge_ids t into (n + k) rest
+
+let edge_flow_ids t edges ~into = sort_uniq !into (blit_edge_ids t into 0 edges)
 
 let peek_flow t id = Hashtbl.find t.flows id
 
@@ -1323,7 +1432,10 @@ let candidate_reroutable t placed c i =
    on-edge sets hold exactly as many entries as the paths have hops,
    then (paths being loop-free) the sets equal the paths — no ghost,
    stray or duplicate entry can hide. Residuals are then recomputed per
-   edge and compared. The first error wins. *)
+   edge and compared. The first error wins. On a clean state neither
+   allocates more than its error cell (and the full sweep its hop
+   counter and iteration closure): the expected residuals go to
+   net-owned scratch, and capacities and demands are read unboxed. *)
 
 let fail err fmt =
   Printf.ksprintf (fun msg -> if !err = None then err := Some msg) fmt
@@ -1333,7 +1445,7 @@ let fail err fmt =
 let audit_flow t err id placed =
   if placed.record.Flow_record.id <> id then
     fail err "flow %d stored under wrong key" id;
-  let demand = Flow_record.demand_mbps placed.record in
+  let demand = demand_of placed.record in
   let ids = Path.hop_ids placed.path in
   for i = 0 to Array.length ids - 1 do
     let e = Array.unsafe_get ids i in
@@ -1362,94 +1474,103 @@ let audit_entries t err =
       done)
     t.oe_data
 
-(* Whole-net half: residuals against [expected], the entry count
-   against [hops], the fabric-utilisation fold, the transaction depth
-   and the committed log's freed prefix. *)
-let audit_net t err ~expected ~hops =
-  Array.iteri
-    (fun id expect ->
-      if expect < -1e-6 then fail err "edge %d oversubscribed" id
-      else if abs_float (expect -. t.residual.(id)) > 1e-6 then
-        fail err "edge %d residual %.6f, expected %.6f" id t.residual.(id)
-          expect)
-    expected;
-  let entries = Array.fold_left ( + ) 0 t.oe_len in
-  if entries <> hops then begin
+(* The expected-residual scratch, one slot per edge. *)
+let expected_scratch t =
+  let n = Array.length t.residual in
+  if Array.length t.expected <> n then t.expected <- Array.make n 0.0;
+  t.expected
+
+(* Whole-net half: negative residuals to [overdrawn], residuals against
+   [expected], the entry count and the running hop count against
+   [hops], the fabric-utilisation fold, the transaction depth and the
+   committed log's freed prefix. *)
+let audit_net t err ~overdrawn acc ~expected ~hops =
+  for id = 0 to Array.length expected - 1 do
+    let r = t.residual.(id) and expect = expected.(id) in
+    if r < -1e-6 then overdrawn acc ~edge:id ~residual:r;
+    if expect < -1e-6 then fail err "edge %d oversubscribed" id
+    else if abs_float (expect -. r) > 1e-6 then
+      fail err "edge %d residual %.6f, expected %.6f" id r expect
+  done;
+  let entries = ref 0 in
+  for e = 0 to Array.length t.oe_len - 1 do
+    entries := !entries + t.oe_len.(e)
+  done;
+  if !entries <> hops then begin
     audit_entries t err;
-    fail err "on-edge sets hold %d entries, paths have %d hops" entries hops
+    fail err "on-edge sets hold %d entries, paths have %d hops" !entries hops
   end;
+  if t.hops <> hops then
+    fail err "running hop count %d, paths have %d hops" t.hops hops;
   if t.fabric_n > 0 then begin
-    let g = graph t in
-    let folded =
-      List.fold_left
-        (fun acc id ->
-          let cap = Graph.capacity g id in
-          if cap <= 0.0 then acc else acc +. ((cap -. t.residual.(id)) /. cap))
-        0.0 t.fabric
-    in
-    if abs_float (folded -. t.util.(0)) > 1e-6 then
-      fail err "fabric util sum %.9f, expected %.9f" t.util.(0) folded
+    (* Ascending edge id: the order of [t.fabric]. *)
+    let folded = ref 0.0 in
+    for id = 0 to Array.length t.is_fabric - 1 do
+      let cap = t.capacity.(id) in
+      if t.is_fabric.(id) && cap > 0.0 then
+        folded := !folded +. ((cap -. t.residual.(id)) /. cap)
+    done;
+    if abs_float (!folded -. t.util.(0)) > 1e-6 then
+      fail err "fabric util sum %.9f, expected %.9f" t.util.(0) !folded
   end;
   if t.txn_n > 0 then fail err "transaction left open";
   let held = passed t in
   if held > 0 then fail err "log holds %d ops every cursor has passed" held;
   match !err with Some msg -> Error msg | None -> Ok ()
 
-let sweep t ~blackhole =
-  let g = graph t in
-  let expected =
-    Array.init (Graph.edge_count g) (fun id ->
-        Graph.capacity g id -. t.degraded.(id))
-  in
+let sweep t ~blackhole ~overdrawn acc =
+  let expected = expected_scratch t in
+  for id = 0 to Array.length expected - 1 do
+    expected.(id) <- t.capacity.(id) -. t.degraded.(id)
+  done;
   let err = ref None in
   let hops = ref 0 in
   Hashtbl.iter
     (fun id placed ->
       audit_flow t err id placed;
-      let demand = Flow_record.demand_mbps placed.record in
+      let demand = demand_of placed.record in
       let ids = Path.hop_ids placed.path in
       hops := !hops + Array.length ids;
       for i = 0 to Array.length ids - 1 do
         let e = Array.unsafe_get ids i in
         expected.(e) <- expected.(e) -. demand;
         if t.disabled.(e) then
-          blackhole ~flow:placed.record.Flow_record.id ~edge:e
+          blackhole acc ~flow:placed.record.Flow_record.id ~edge:e
       done)
     t.flows;
-  audit_net t err ~expected ~hops:!hops
+  audit_net t err ~overdrawn acc ~expected ~hops:!hops
 
-let sweep_changed t ~flows ~blackhole =
+let sweep_changed t ~flows ~n ~blackhole ~overdrawn acc =
   let err = ref None in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.flows id with
-      | Some placed -> audit_flow t err id placed
-      | None -> ())
-    flows;
-  let hops =
-    Hashtbl.fold (fun _ placed acc -> acc + Path.hops placed.path) t.flows 0
-  in
-  let g = graph t in
-  let expected =
-    Array.init (Graph.edge_count g) (fun e ->
-        let dem = t.oe_dem.(e) in
-        let r = ref (Graph.capacity g e -. t.degraded.(e)) in
-        for i = 0 to t.oe_len.(e) - 1 do
-          r := !r -. Array.unsafe_get dem i
-        done;
-        !r)
-  in
+  for k = 0 to n - 1 do
+    let id = flows.(k) in
+    match Hashtbl.find t.flows id with
+    | placed -> audit_flow t err id placed
+    | exception Not_found -> ()
+  done;
+  let expected = expected_scratch t in
+  for e = 0 to Array.length expected - 1 do
+    let dem = t.oe_dem.(e) in
+    let r = ref (t.capacity.(e) -. t.degraded.(e)) in
+    for i = 0 to t.oe_len.(e) - 1 do
+      r := !r -. Array.unsafe_get dem i
+    done;
+    expected.(e) <- !r
+  done;
   if t.disabled_n > 0 then
-    Array.iteri
-      (fun e off ->
-        if off then
-          for i = 0 to t.oe_len.(e) - 1 do
-            blackhole ~flow:t.oe_data.(e).(i) ~edge:e
-          done)
-      t.disabled;
-  audit_net t err ~expected ~hops
+    for e = 0 to Array.length t.disabled - 1 do
+      if t.disabled.(e) then
+        for i = 0 to t.oe_len.(e) - 1 do
+          blackhole acc ~flow:t.oe_data.(e).(i) ~edge:e
+        done
+    done;
+  audit_net t err ~overdrawn acc ~expected ~hops:t.hops
 
-let invariants_ok t = sweep t ~blackhole:(fun ~flow:_ ~edge:_ -> ())
+let invariants_ok t =
+  sweep t
+    ~blackhole:(fun () ~flow:_ ~edge:_ -> ())
+    ~overdrawn:(fun () ~edge:_ ~residual:_ -> ())
+    ()
 
 let pp ppf t =
   Format.fprintf ppf "net[%s: %d flows, mean util %.1f%%, max util %.1f%%]"

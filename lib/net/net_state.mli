@@ -112,7 +112,7 @@ val in_txn : t -> bool
     committed mutations, and the prefix every cursor has passed is
     truncated. The probe pool replays drained batches into its worker
     mirrors ({!drain_batch}, {!apply_batch}); an incremental invariant
-    check revisits the flows they name ({!drain_flow_ids}). With no
+    check revisits the flows they name ({!drain_changed}). With no
     cursor open a write pays one list test. *)
 
 type cursor
@@ -149,13 +149,17 @@ val apply_batch : t -> batch -> unit
     order, to a mirror that was bit-identical when the cursor opened
     keeps it bit-identical to the source at each drain point. *)
 
-val drain_flow_ids : t -> cursor -> int array option
-(** [Some ids]: the distinct flow ids (ascending) whose binding changed
-    through a committed write since the cursor opened or last drained;
-    advances the cursor like {!drain_batch}. [None] when the cursor
-    cannot vouch for completeness: it was dropped for lagging, closed,
-    or belongs to another state. The caller must then re-sync with a
-    full sweep and a new cursor. *)
+val drain_changed : t -> cursor -> into:int array ref -> int
+(** Write the distinct flow ids whose binding changed through a
+    committed write since the cursor opened or last drained to the
+    prefix of [!into], ascending, and return how many there are;
+    advances the cursor like {!drain_batch}. [into] is replaced by a
+    larger array when it is too short, so a caller that keeps it
+    allocates only while it grows. [-1] when the cursor cannot vouch for
+    completeness: it was dropped for lagging, closed, or belongs to
+    another state. The caller must then re-sync with a full sweep and a
+    new cursor. O(ops logged since the last drain + n log n for the n
+    ids drawn). *)
 
 (** {2 Edge versions and probe read sets}
 
@@ -270,6 +274,13 @@ val edge_flows_blit :
     for determinism. Records the edge in an open probe's read set,
     exactly like {!flows_on_edge}. Raises [Invalid_argument] if any
     scratch array is shorter than {!edge_flow_count}. *)
+
+val edge_flow_ids : t -> int list -> into:int array ref -> int
+(** Write the distinct ids of the flows crossing any of the edge ids to
+    the prefix of [!into], ascending, and return how many there are.
+    [into] grows as {!drain_changed}'s does. Records each edge in an
+    open probe's read set, exactly like {!flows_on_edge}. O(n log n) for
+    the n entries on the edges. *)
 
 val peek_flow : t -> int -> placed
 (** Current placement of a flow id without recording anything in an open
@@ -402,33 +413,53 @@ val candidate_reroutable : t -> placed -> candidates -> int -> bool
     and transaction depth are checked, as is that the committed log
     holds nothing every open cursor has passed (nothing at all when no
     cursor is open). The first error found is
-    returned; [blackhole] is called once per (flow, disabled edge) pair
-    of a placed flow. Let P be the number of (flow, edge) pairs and
-    n_e the flows on edge e: each membership test scans one edge's set,
-    so finding the pairs costs O(Σ_e n_e²). *)
+    returned. The callbacks get the [acc] the sweep was given, so a
+    caller's need not be closures: [blackhole acc ~flow ~edge] once per
+    (flow, disabled edge) pair of a placed flow, then [overdrawn acc
+    ~edge ~residual] once per edge whose residual is below -1e-6 (the
+    §III-A capacity constraint broken), in edge order. Let P be the
+    number of (flow, edge) pairs and n_e the flows on edge e: each
+    membership test scans one edge's set, so finding the pairs costs
+    O(Σ_e n_e²). On a clean state neither sweep allocates more than a
+    few words per call: the expected residuals go to scratch the state
+    keeps. *)
 
 val sweep :
-  t -> blackhole:(flow:int -> edge:int -> unit) -> (unit, string) result
+  t ->
+  blackhole:('a -> flow:int -> edge:int -> unit) ->
+  overdrawn:('a -> edge:int -> residual:float -> unit) ->
+  'a ->
+  (unit, string) result
 (** The full sweep: every placed flow's path is walked, residuals are
-    recomputed from the flows' demands. O(Σ_e n_e² + flows + edges);
-    stateless — the reference oracle for {!sweep_changed}. *)
+    recomputed from the flows' demands, and the hops are summed afresh
+    and compared with the running count the state keeps.
+    O(Σ_e n_e² + flows + edges); stateless — the reference oracle for
+    {!sweep_changed}. *)
 
 val sweep_changed :
   t ->
   flows:int array ->
-  blackhole:(flow:int -> edge:int -> unit) ->
+  n:int ->
+  blackhole:('a -> flow:int -> edge:int -> unit) ->
+  overdrawn:('a -> edge:int -> residual:float -> unit) ->
+  'a ->
   (unit, string) result
-(** The incremental sweep: only the listed flows' paths are walked
-    (ids no longer placed are skipped); residuals are recomputed from
-    the demands cached on each edge and blackholes read off the
-    disabled edges' sets. When every placed flow outside [flows] passed
-    a sweep since its last committed write — which is what
-    {!drain_flow_changes} vouches for — its verdict and [blackhole]
-    count equal {!sweep}'s. O(Σ over [flows] of hops × n_e + P as flat
-    array reads + flows + edges), with no hashtable lookup per pair. *)
+(** The incremental sweep: only the flow ids in [flows]' prefix
+    [0, n) are walked (ids no longer placed are skipped); residuals are
+    recomputed from the demands cached on each edge, blackholes are read
+    off the disabled edges' sets, and the entries are counted against
+    the running hop count the state keeps through every put, delete,
+    rollback, replay, copy and thaw. When every placed flow outside
+    those listed passed a sweep since its last committed write — which
+    is what {!drain_changed} vouches for — its verdict and callback
+    counts equal {!sweep}'s. O(Σ over the listed flows of hops × n_e +
+    P as flat array reads + edges): nothing in it grows with the flow
+    count except the on-edge entries, and there is no hashtable lookup
+    per pair. *)
 
 val invariants_ok : t -> (unit, string) result
-(** {!sweep} without the blackhole report. For tests and debugging. *)
+(** {!sweep} without the blackhole and overdrawn-edge reports. For
+    tests and debugging. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line occupancy summary. *)

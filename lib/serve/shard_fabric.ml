@@ -744,12 +744,12 @@ let read_groups cfg journal_base =
    exactly the replayed groups, never appending past a torn tail. The
    caller re-serves the remaining ticks live; the deterministic source
    makes the continuation bit-identical to the uninterrupted run. *)
-let recover ?telemetry cfg ~topology ~source_spec ~checkpoint_path
+let recover ?telemetry ?retry cfg ~topology ~source_spec ~checkpoint_path
     ~journal_base =
   let* cp, _depth =
     Checkpoint.Chain.fallback ~graph:topology.Topology.graph checkpoint_path
   in
-  let* t = thaw_fabric ?telemetry cfg ~topology ~source_spec cp in
+  let* t = thaw_fabric ?telemetry ?retry cfg ~topology ~source_spec cp in
   let groups = read_groups cfg journal_base in
   (* Re-attach the coordinator audit sink before replay so regenerated
      decisions land in a fresh log (the pre-checkpoint history lives on

@@ -160,8 +160,10 @@ val restore_snapshot :
   Checkpoint.t ->
   (t, string) result
 (** Rebuild the whole fabric from a loaded checkpoint, journals
-    detached, telemetry off and a thawed injector on the default retry
-    policy. Refuses a fingerprint or shard-count mismatch. *)
+    detached, telemetry off and the checkpoint's injector (if any)
+    thawed on the default retry policy. A faulted run served at another budget restores
+    through {!recover} or {!replay}, which take it as [retry]. Refuses
+    a fingerprint or shard-count mismatch. *)
 
 val committed : string -> ((int * Request.t list) list, string) result
 (** One WAL's committed (tick, arrivals) groups in tick order, read
@@ -183,6 +185,7 @@ val replay_groups :
 
 val recover :
   ?telemetry:Telemetry.t ->
+  ?retry:Nu_fault.Retry_policy.t ->
   config ->
   topology:Topology.t ->
   source_spec:Source.spec ->
@@ -194,8 +197,12 @@ val recover :
     committed ticks (torn WAL tails tolerated, stopping early at a gap
     or divergence), re-roll the per-shard journals as fresh segment
     chains holding exactly the replayed groups, and re-attach
-    everything. Returns the fabric and the number of ticks replayed;
-    the caller re-serves the remaining horizon live. *)
+    everything. The checkpoint's fault injector is thawed on [retry]
+    (default {!Nu_fault.Retry_policy.default}), which must be the
+    budget the crashed run served with, or the continuation's
+    abort/retry/degrade decisions differ from the uninterrupted run's.
+    Returns the fabric and the number of ticks replayed; the caller
+    re-serves the remaining horizon live. *)
 
 val replay :
   ?telemetry:Telemetry.t ->

@@ -523,10 +523,11 @@ let test_change_log_commit_only () =
   in
   place 1 0 15;
   let cursor = Net_state.open_cursor net ~bounded:true in
+  let buf = ref [||] in
   let drain_from c =
-    match Net_state.drain_flow_ids net c with
-    | Some ids -> Array.to_list ids
-    | None -> Alcotest.fail "cursor cannot vouch"
+    match Net_state.drain_changed net c ~into:buf with
+    | -1 -> Alcotest.fail "cursor cannot vouch"
+    | n -> Array.to_list (Array.sub !buf 0 n)
   in
   let drain () = drain_from cursor in
   Net_state.begin_txn net;
@@ -557,8 +558,8 @@ let test_change_log_commit_only () =
     (drain_from second);
   Alcotest.(check (list int)) "first reader sees the rest" [ 7 ] (drain ());
   Net_state.close_cursor net cursor;
-  Alcotest.(check bool) "a closed cursor cannot vouch" true
-    (Net_state.drain_flow_ids net cursor = None)
+  Alcotest.(check int) "a closed cursor cannot vouch" (-1)
+    (Net_state.drain_changed net cursor ~into:buf)
 
 (* A bounded cursor that falls more than the flow count + 1024 flow
    changes behind is dropped: its drain cannot vouch, so an injector's
@@ -578,8 +579,8 @@ let test_lagging_cursor_dropped () =
   in
   let cursor = Net_state.open_cursor net ~bounded:true in
   churn ();
-  Alcotest.(check bool) "a lagging cursor cannot vouch" true
-    (Net_state.drain_flow_ids net cursor = None);
+  Alcotest.(check int) "a lagging cursor cannot vouch" (-1)
+    (Net_state.drain_changed net cursor ~into:(ref [||]));
   let freed () = Net_state.invariants_ok net = Ok () in
   Alcotest.(check bool) "no cursor: nothing held" true (freed ());
   ignore (Net_state.remove net 1001);
@@ -597,6 +598,114 @@ let test_lagging_cursor_dropped () =
   churn ();
   Alcotest.(check int) "a dropped cursor forces a full sweep" 1 (sweeps check);
   Alcotest.(check int) "then incremental on a fresh cursor" 0 (sweeps check)
+
+(* The evacuation feed: the flows on a node's incident edges, each once
+   and ascending, whatever order the on-edge sets hold them in, read into
+   a buffer that starts too short. *)
+let test_edge_flow_ids () =
+  let net = loaded_net () in
+  let g = Net_state.graph net in
+  let buf = ref [| 0 |] in
+  for v = 0 to Graph.node_count g - 1 do
+    let edges =
+      List.map
+        (fun (e : Graph.edge) -> e.Graph.id)
+        (Graph.out_edges g v @ Graph.in_edges g v)
+    in
+    let expected =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun e ->
+             List.map
+               (fun (p : Net_state.placed) -> p.Net_state.record.Flow_record.id)
+               (Net_state.flows_on_edge net e))
+           edges)
+    in
+    let n = Net_state.edge_flow_ids net edges ~into:buf in
+    Alcotest.(check (list int))
+      (Printf.sprintf "node %d" v)
+      expected
+      (Array.to_list (Array.sub !buf 0 n))
+  done
+
+(* Minor words of one incremental check on a loaded k=4 net, after a
+   few committed writes. The net, its flows and the check are fixed, so
+   the count repeats exactly. *)
+let incremental_check_words () =
+  let net = Net_state.create (topo4 ()) in
+  let rng = Prng.create 3 in
+  let next = ref 1 in
+  let place () =
+    let src = Prng.int rng 16 in
+    let dst = (src + 1 + Prng.int rng 15) mod 16 in
+    let r = flow ~id:!next ~demand:4.0 src dst in
+    incr next;
+    match Routing.select_random rng net r with
+    | Some p -> ignore (Net_state.place net r p : (unit, _) result)
+    | None -> ()
+  in
+  for _ = 1 to 200 do
+    place ()
+  done;
+  let inj = Injector.create [] in
+  let check () = Injector.check_now inj net ~now:0.0 in
+  let write () =
+    ignore (Net_state.remove net (1 + Prng.int rng (!next - 1)));
+    place ()
+  in
+  (* The first check is full and opens the cursor; the next, after a
+     write, sizes the scratch. *)
+  ignore (check ());
+  write ();
+  ignore (check ());
+  Net_state.begin_txn net;
+  write ();
+  write ();
+  Net_state.commit net;
+  write ();
+  let before = full_sweeps () in
+  let w0 = Gc.minor_words () in
+  let vs = check () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "the check was incremental" 0 (full_sweeps () - before);
+  Alcotest.(check int) "no violation" 0 (List.length vs);
+  (Net_state.flow_count net, words)
+
+let test_incremental_check_words () =
+  let flows, words = incremental_check_words () in
+  Alcotest.(check bool) "a loaded net" true (flows > 150);
+  (* This check measures 4 words here (the violation accumulator and
+     the sweep's error cell); before the sweeps wrote to scratch the net
+     keeps, read a running hop count and took top-level callbacks, it
+     measured 1285. *)
+  if words > 64.0 then
+    Alcotest.failf "%.0f minor words per incremental check, bound 64" words
+
+(* Each injector check is one [fault.invariant_check] span whose end
+   names its mode and how many flows it walked. *)
+let test_check_span () =
+  let net = loaded_net () in
+  let inj = Injector.create [] in
+  let sink, events = Obs.Trace.memory () in
+  Obs.Trace.install sink;
+  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+      ignore (Injector.check_now inj net ~now:0.0);
+      ignore (Net_state.remove net 1000);
+      ignore (Injector.check_now inj net ~now:0.0));
+  let ends =
+    List.filter_map
+      (fun (e : Obs.Trace.event) ->
+        if e.Obs.Trace.phase = Obs.Trace.End && e.name = "fault.invariant_check"
+        then Some (List.assoc "mode" e.attrs, List.assoc "flows" e.attrs)
+        else None)
+      (events ())
+  in
+  Alcotest.(check bool) "full over every flow, then incremental over one" true
+    (ends
+    = [
+        (Obs.Trace.Str "full", Obs.Trace.Int (Net_state.flow_count net + 1));
+        (Obs.Trace.Str "incremental", Obs.Trace.Int 1);
+      ])
 
 (* The injector's first check of a net is the full oracle sweep (after
    create and after thaw alike), later ones are incremental, and every
@@ -634,7 +743,10 @@ let test_thawed_injector_first_check_full () =
    leave blackholes (disable without evacuation) and negative residuals
    (degrade without shedding) — each of two injectors reading one net
    reports the same violation names, in the same order and number, as
-   the stateless full sweep. *)
+   the stateless full sweep. So do a mirror fed the net's drained
+   batches, a copy and a freeze/thaw round trip: the full sweep sums the
+   hops afresh, so each must have carried the running hop count
+   exactly. *)
 let prop_incremental_matches_full =
   QCheck.Test.make ~name:"incremental check = full sweep" ~count:30
     QCheck.small_int (fun seed ->
@@ -702,6 +814,8 @@ let prop_incremental_matches_full =
       for _ = 0 to 29 do
         place ()
       done;
+      let mirror = Net_state.copy net in
+      let feed = Net_state.open_cursor net ~bounded:false in
       let injectors = [ (Injector.create [], ref 0); (Injector.create [], ref 0) ] in
       let ok = ref true in
       let ops = 80 in
@@ -721,6 +835,13 @@ let prop_incremental_matches_full =
               ~lost_mbps:(Prng.float_in rng 1.0 600.0)
         | _ -> Net_state.restore_edge_capacity net (Prng.int rng edge_n));
         let full = names (Invariant.check net) in
+        Net_state.apply_batch mirror (Net_state.drain_batch net feed);
+        let thawed =
+          Net_state.thaw (Net_state.topology net) (Net_state.freeze net)
+        in
+        List.iter
+          (fun other -> if names (Invariant.check other) <> full then ok := false)
+          [ mirror; Net_state.copy net; thawed ];
         List.iter
           (fun (inj, full_n) ->
             let before = full_sweeps () in
@@ -761,4 +882,9 @@ let suite =
       test_store_fault_fsync_loss_truncates;
     Alcotest.test_case "lagging cursor dropped" `Quick
       test_lagging_cursor_dropped;
+    Alcotest.test_case "edge flow ids: ascending, once" `Quick
+      test_edge_flow_ids;
+    Alcotest.test_case "incremental check words" `Quick
+      test_incremental_check_words;
+    Alcotest.test_case "check span names its mode" `Quick test_check_span;
   ]

@@ -155,13 +155,16 @@ let spec_of ?(seed = 21) ?(rate = 0.7) () =
       first_flow_id = 1_000_000;
     }
 
+(* [faults] builds the fabric's injector from its topology. *)
 let fabric_digest ?journal_base ?(shards = 4) ?(base = cfg ()) ?rate ?coord
-    ?(s = scenario ()) ~ticks () =
+    ?faults ?(s = scenario ()) ~ticks () =
   let fcfg = Shard_fabric.default_config base ~shards in
   let fcfg = match coord with None -> fcfg | Some c -> { fcfg with Shard_fabric.coord = c } in
+  let injector = Option.map (fun f -> f s.Scenario.topology) faults in
   let t =
-    Shard_fabric.create ?journal_base fcfg ~topology:s.Scenario.topology
-      ~net:s.Scenario.net ~source_spec:(spec_of ?rate ())
+    Shard_fabric.create ?injector ?journal_base fcfg
+      ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ?rate ())
   in
   Shard_fabric.run t ~ticks;
   Shard_fabric.complete t;
@@ -480,24 +483,29 @@ let test_restore_retired_fingerprint_fields () =
 (* Kill one shard's WAL mid-run, recover the whole fabric from the
    checkpoint + journals, keep serving: the digest must equal the
    uninterrupted run's. *)
-let test_crash_recover_differential () =
+(* Checkpoint at tick 20, lose shard [kill]'s WAL at tick 30, recover
+   (thawing the checkpoint's injector on [retry]) and serve to tick 40:
+   the digest must be the uninterrupted run's. *)
+let crash_recover ?faults ?retry ~shards ~kill () =
   with_tmp_dir @@ fun dir ->
   let jb = Filename.concat dir "wal" in
   let cp_path = Filename.concat dir "cp.json" in
-  let expected = fabric_digest ~shards:4 ~ticks:40 () in
+  let expected = fabric_digest ?faults ~shards ~ticks:40 () in
   let s = scenario () in
-  let fcfg = Shard_fabric.default_config (cfg ()) ~shards:4 in
+  let fcfg = Shard_fabric.default_config (cfg ()) ~shards in
+  let injector = Option.map (fun f -> f s.Scenario.topology) faults in
   let t =
-    Shard_fabric.create ~journal_base:jb fcfg ~topology:s.Scenario.topology
-      ~net:s.Scenario.net ~source_spec:(spec_of ())
+    Shard_fabric.create ?injector ~journal_base:jb fcfg
+      ~topology:s.Scenario.topology ~net:s.Scenario.net
+      ~source_spec:(spec_of ())
   in
   Shard_fabric.run t ~ticks:20;
   Shard_fabric.save_checkpoint t ~path:cp_path;
   Shard_fabric.run t ~ticks:10;
-  Shard_fabric.kill_shard_journal t 2;
+  Shard_fabric.kill_shard_journal t kill;
   (* The crashed fabric is abandoned where it stands. *)
   match
-    Shard_fabric.recover fcfg ~topology:s.Scenario.topology
+    Shard_fabric.recover ?retry fcfg ~topology:s.Scenario.topology
       ~source_spec:(spec_of ()) ~checkpoint_path:cp_path ~journal_base:jb
   with
   | Error m -> Alcotest.fail m
@@ -511,6 +519,29 @@ let test_crash_recover_differential () =
       Alcotest.(check string) "digest equal" expected
         (Shard_fabric.digest t2);
       Shard_fabric.close t2
+
+(* A dense fault schedule over the 40 ticks (2 s simulated), so events
+   abort and the retry budget decides between retrying and degrading. *)
+let faults ?retry topology =
+  let config =
+    {
+      Fault_model.default_config with
+      Fault_model.rate_per_s = 8.0;
+      horizon_s = 2.0;
+    }
+  in
+  Injector.create ?retry (Fault_model.generate ~config ~seed:1 topology)
+
+let test_crash_recover_differential () =
+  crash_recover ~shards:4 ~kill:2 ();
+  (* One faulted shard at a budget of one attempt: the checkpoint
+     carries the injector's schedule and abort counts but not its
+     policy, so recovery must be handed the budget again. *)
+  let retry = { Retry_policy.default with Retry_policy.max_attempts = 1 } in
+  Alcotest.(check bool) "the budget moves the faulted digest" true
+    (fabric_digest ~shards:1 ~faults:(faults ~retry) ~ticks:40 ()
+    <> fabric_digest ~shards:1 ~faults:(faults ?retry:None) ~ticks:40 ());
+  crash_recover ~shards:1 ~kill:0 ~faults:(faults ~retry) ~retry ()
 
 (* The fabric's checkpoints form a verified chain: damage the newest
    generation and recovery must fall back to its parent, replay the
