@@ -92,18 +92,14 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
     else Core.Scenario.churn ~target:0.70 s
   in
   (* [obs] turns the whole observability stack on for the run — memory
-     trace sink, histogram registry, per-round series — to measure its
-     overhead and prove it does not perturb a single decision. *)
-  let series =
-    if obs then begin
-      let sink, _ = Core.Obs.Trace.memory () in
-      Core.Obs.Trace.install sink;
-      Core.Obs.Histogram.Registry.reset ();
-      Core.Obs.Histogram.Registry.enable ();
-      Some (Core.Engine.make_series ())
-    end
-    else None
-  in
+     trace sink and histogram registry — to measure its overhead and
+     prove it does not perturb a single decision. *)
+  if obs then begin
+    let sink, _ = Core.Obs.Trace.memory () in
+    Core.Obs.Trace.install sink;
+    Core.Obs.Histogram.Registry.reset ();
+    Core.Obs.Histogram.Registry.enable ()
+  end;
   let injector =
     match faults with
     | `Off -> None
@@ -154,8 +150,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
             Core.Engine.Stepper.create
               ~seed:(if k = 0 then 3 else 3 + (k * 7919))
               ~domains:(if k = 0 then shards else 1)
-              ~churn:churn_k ~init_expiry:(k = 0) ?series
-              ~net:s.Core.Scenario.net policy)
+              ~churn:churn_k ~init_expiry:(k = 0) ~net:s.Core.Scenario.net
+              policy)
       in
       List.iter
         (fun ev ->
@@ -295,8 +291,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       in
       let observer = Option.map Core.Serve_telemetry.observer tel in
       let st =
-        Core.Engine.Stepper.create ~seed:3 ~domains ~churn ?injector ?series
-          ?observer ~net:s.Core.Scenario.net policy
+        Core.Engine.Stepper.create ~seed:3 ~domains ~churn ?injector ?observer
+          ~net:s.Core.Scenario.net policy
       in
       (* [wal] journals the whole workload through the CRC32-framed
          write-ahead log alongside the run — measuring the durable
@@ -367,8 +363,8 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
       Core.Engine.Stepper.result st
     end
     else
-      Core.Engine.run ~seed:3 ~domains ~churn ?injector ?series
-        ~net:s.Core.Scenario.net ~events policy
+      Core.Engine.run ~seed:3 ~domains ~churn ?injector ~net:s.Core.Scenario.net
+        ~events policy
   in
   let wall = now_s () -. t0 in
   let minor_words = Gc.minor_words () -. w0 in
@@ -453,8 +449,8 @@ let () =
         false,
         false,
         `Off );
-      (* Digest must equal lmtf-churn-k8's: tracing, histograms and the
-         per-round series are read-only observers of the run. *)
+      (* Digest must equal lmtf-churn-k8's: tracing and histograms are
+         read-only observers of the run. *)
       ("lmtf-obs-on-k8", Core.Policy.Lmtf { alpha = 4 }, `Off, true, false, `Off);
       (* Digest must equal lmtf-churn-k8's: the online controller's
          ingest path (stepper submit + incremental stepping) is a

@@ -52,13 +52,6 @@ let hist_arg =
   in
   Arg.(value & flag & info [ "hist" ] ~doc)
 
-let series_arg =
-  let doc =
-    "Sample the per-round gauge time-series (queue length, retry backlog, \
-     utilisation) during the run and include it in the JSON report."
-  in
-  Arg.(value & flag & info [ "series" ] ~doc)
-
 (* Run [f] under the requested instrumentation: capture spans in memory
    and export them as a Chrome trace on exit; print the counter delta
    attributable to [f]. *)
@@ -166,8 +159,7 @@ let policy_of_tag ~alpha = function
   | `Flow_arrival -> Policy.Flow_level Policy.By_arrival
 
 let report_cmd =
-  let run seed alpha util n_events no_churn policy_tag out trace counters hist
-      with_series =
+  let run seed alpha util n_events no_churn policy_tag out trace counters hist =
     with_obs ~trace ~counters (fun () ->
         let scenario = Scenario.prepare ~utilization:util ~seed () in
         let events = Scenario.events scenario ~n:n_events in
@@ -180,10 +172,9 @@ let report_cmd =
           Obs.Histogram.Registry.reset ();
           Obs.Histogram.Registry.enable ()
         end;
-        let series = if with_series then Some (Engine.make_series ()) else None in
         let before = Obs.Counters.snapshot () in
         let run_result =
-          Engine.run ?churn ?series ~seed:(seed + 1)
+          Engine.run ?churn ~seed:(seed + 1)
             ~net:(Net_state.copy scenario.Scenario.net)
             ~events policy
         in
@@ -198,8 +189,7 @@ let report_cmd =
           else None
         in
         let json =
-          Run_report.to_json ~counters:run_counters ?histograms ?series
-            run_result
+          Run_report.to_json ~counters:run_counters ?histograms run_result
         in
         match out with
         | None -> print_endline (Obs.Json.to_string json)
@@ -213,12 +203,10 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Emit one run as a JSON artifact: summary, per-event results, \
-          round log, counter snapshot and (on request) histograms and the \
-          per-round series")
+          round log, counter snapshot and (on request) histograms")
     Term.(
       const run $ seed_arg $ alpha_arg $ util_arg $ events_arg $ no_churn_arg
-      $ policy_arg $ out_arg $ trace_arg $ counters_arg $ hist_arg
-      $ series_arg)
+      $ policy_arg $ out_arg $ trace_arg $ counters_arg $ hist_arg)
 
 let profile_policy_arg = policy_flag ~run:"profiled run" `Lmtf
 
@@ -233,13 +221,8 @@ let top_arg =
   let doc = "Rows in the printed hotspot table." in
   Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
 
-let series_csv_arg =
-  let doc = "Write the per-round gauge series to $(docv) as CSV." in
-  Arg.(value & opt (some string) None & info [ "series-csv" ] ~docv:"FILE" ~doc)
-
 let profile_cmd =
-  let run seed alpha util n_events no_churn policy_tag top collapsed series_csv
-      out =
+  let run seed alpha util n_events no_churn policy_tag top collapsed out =
     let scenario = Scenario.prepare ~utilization:util ~seed () in
     let events = Scenario.events scenario ~n:n_events in
     let policy = policy_of_tag ~alpha policy_tag in
@@ -248,13 +231,11 @@ let profile_cmd =
       else Some (Scenario.churn ~target:util ~seed:(seed + 2) scenario)
     in
     (* The whole observability stack goes on for the run: spans feed the
-       profiler, the registry feeds the histogram blocks, the series
-       captures the per-round trajectory. *)
+       profiler, the registry feeds the histogram blocks. *)
     let sink, captured = Obs.Trace.memory () in
     Obs.Trace.install sink;
     Obs.Histogram.Registry.reset ();
     Obs.Histogram.Registry.enable ();
-    let series = Engine.make_series () in
     let before = Obs.Counters.snapshot () in
     let run_result =
       Fun.protect
@@ -262,7 +243,7 @@ let profile_cmd =
           Obs.Histogram.Registry.disable ();
           Obs.Trace.uninstall ())
         (fun () ->
-          Engine.run ?churn ~series ~seed:(seed + 1)
+          Engine.run ?churn ~seed:(seed + 1)
             ~net:(Net_state.copy scenario.Scenario.net)
             ~events policy)
     in
@@ -285,18 +266,12 @@ let profile_cmd =
         Out_channel.with_open_text path (fun oc ->
             output_string oc (Obs.Profile.collapsed profile));
         Format.printf "profile: wrote collapsed stacks to %s@." path);
-    (match series_csv with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Obs.Series.to_csv series));
-        Format.printf "profile: wrote series CSV to %s@." path);
     match out with
     | None -> ()
     | Some path ->
         let json =
-          Run_report.to_json ~counters:run_counters ~histograms ~series
-            ~profile run_result
+          Run_report.to_json ~counters:run_counters ~histograms ~profile
+            run_result
         in
         Out_channel.with_open_text path (fun oc ->
             output_string oc (Obs.Json.to_string json);
@@ -307,12 +282,10 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Profile one run: span-tree hotspot table, histogram summaries, \
-          flamegraph-ready collapsed stacks, per-round series CSV and a \
-          full JSON report")
+          flamegraph-ready collapsed stacks and a full JSON report")
     Term.(
       const run $ seed_arg $ alpha_arg $ util_arg $ events_arg $ no_churn_arg
-      $ profile_policy_arg $ top_arg $ collapsed_arg $ series_csv_arg
-      $ out_arg)
+      $ profile_policy_arg $ top_arg $ collapsed_arg $ out_arg)
 
 let fig1_cmd =
   let run seed samples = Nu_expt.Fig1.run ~seed ~samples () in

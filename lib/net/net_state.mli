@@ -203,8 +203,6 @@ val mean_utilization : t -> float
 (** Mean of [used / capacity] over every edge (zero-capacity edges
     count 0). *)
 
-val max_utilization : t -> float
-
 (** {2 Link administrative state} *)
 
 val disable_edge : t -> int -> unit

@@ -1,7 +1,6 @@
 module Trace = Nu_obs.Trace
 module Counters = Nu_obs.Counters
 module Histogram = Nu_obs.Histogram
-module Series = Nu_obs.Series
 module Injector = Nu_fault.Injector
 
 type event_result = {
@@ -75,7 +74,6 @@ type ctx = {
   churn : churn option;
   expiry : int Pqueue.t;  (* flow id keyed by departure instant *)
   injector : Injector.t option;  (* fault schedule; None = fault-free *)
-  series : Series.t option;  (* per-round gauge samples; None = off *)
   domains : int;  (* probe fan-out width; 1 = sequential *)
   mutable next_churn_id : int;
   mutable units : int;  (* plan-time-billable probes *)
@@ -146,36 +144,6 @@ let timed ctx f =
   ctx.wall <-
     ctx.wall +. (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9);
   v
-
-let series_columns =
-  [
-    "round";
-    "queue_len";
-    "retry_backlog";
-    "active_flows";
-    "mean_fabric_utilization";
-    "max_link_utilization";
-  ]
-
-let make_series () = Series.create ~columns:series_columns ()
-
-(* One gauge row per service round, sampled at the decision instant
-   (after background sync, before planning). Pure reads of the network
-   state — attaching a series cannot perturb a scheduling decision —
-   and with no series attached the cost is one match on [None]. *)
-let sample_series ctx ~round ~t_s ~queue_len ~retry_backlog =
-  match ctx.series with
-  | None -> ()
-  | Some s ->
-      Series.sample s ~t_s
-        [|
-          float_of_int round;
-          float_of_int queue_len;
-          float_of_int retry_backlog;
-          float_of_int (Net_state.flow_count ctx.net);
-          Net_state.mean_fabric_utilization ctx.net;
-          Net_state.max_utilization ctx.net;
-        |]
 
 (* Re-apply the round winner's probe plan. Every losing probe rolled
    back, so the state is exactly the one the winner's plan was computed
@@ -335,8 +303,6 @@ let execute_degraded st ev =
   in
   let round_start_s = st.now in
   let round_utilization = Net_state.mean_fabric_utilization ctx.net in
-  sample_series ctx ~round:st.rounds ~t_s:round_start_s
-    ~queue_len:(List.length st.queue) ~retry_backlog:(List.length st.held);
   let units_before = ctx.units in
   let plan = apply ctx ~billed:true ~config:scan_first ev in
   let round_units = ctx.units - units_before in
@@ -393,8 +359,8 @@ let execute_degraded st ev =
    network, in three phases:
 
    - pre-round, per stepper in array order: due faults, the empty-queue
-     time jump, background churn sync, the series sample, and candidate
-     selection with its PRNG draws on the calling domain;
+     time jump, background churn sync, and candidate selection with its
+     PRNG draws on the calling domain;
    - probe: every candidate of every stepper in one batch, against the
      quiescent state the pre-rounds left ([probe_wave]);
    - commit, per stepper in array order: the winner replays its probe
@@ -459,9 +425,6 @@ let pre_round ~solo ~index st =
         Trace.finish churn_sp;
         let round_start_s = st.now in
         let round_utilization = Net_state.mean_fabric_utilization ctx.net in
-        sample_series ctx ~round:st.rounds ~t_s:round_start_s
-          ~queue_len:(List.length st.queue)
-          ~retry_backlog:(List.length st.held);
         let candidates =
           match st.policy with
           | Policy.Fifo | Policy.Flow_level _ -> [ head ]
@@ -1052,7 +1015,7 @@ let flow_level_as_fifo ctx order events =
 (* Construct the per-run context. [init_expiry] registers departures for
    flows already in the network (churn runs); a checkpoint thaw passes
    false and restores the frozen expiry queue verbatim instead. *)
-let make_ctx ~rng ~churn ~injector ~series ~domains ~init_expiry ~net =
+let make_ctx ~rng ~churn ~injector ~domains ~init_expiry ~net =
   if domains < 1 then invalid_arg "Engine: domains must be >= 1";
   let ctx =
     {
@@ -1061,7 +1024,6 @@ let make_ctx ~rng ~churn ~injector ~series ~domains ~init_expiry ~net =
       churn;
       expiry = Pqueue.create ();
       injector;
-      series;
       domains;
       next_churn_id = (match churn with Some c -> c.first_id | None -> 0);
       units = 0;
@@ -1120,8 +1082,7 @@ let assemble_result ctx policy (results, rounds, rounds_log) =
     planning_wall_s = ctx.wall;
   }
 
-let run ?(seed = 7) ?churn ?injector ?series ?(domains = 1) ~net ~events
-    policy =
+let run ?(seed = 7) ?churn ?injector ?(domains = 1) ~net ~events policy =
   (match Policy.validate policy with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.run: " ^ msg));
@@ -1138,8 +1099,8 @@ let run ?(seed = 7) ?churn ?injector ?series ?(domains = 1) ~net ~events
     else None
   in
   let ctx =
-    make_ctx ~rng:(Prng.create seed) ~churn ~injector ~series ~domains
-      ~init_expiry:true ~net
+    make_ctx ~rng:(Prng.create seed) ~churn ~injector ~domains ~init_expiry:true
+      ~net
   in
   let outcome =
     Fun.protect
@@ -1172,7 +1133,7 @@ let run ?(seed = 7) ?churn ?injector ?series ?(domains = 1) ~net ~events
 module Stepper = struct
   type t = stepper
 
-  let create ?(seed = 7) ?churn ?injector ?series ?(domains = 1)
+  let create ?(seed = 7) ?churn ?injector ?(domains = 1)
       ?(init_expiry = true) ?observer ?(events = []) ~net policy =
     (match Policy.validate policy with
     | Ok () -> ()
@@ -1182,8 +1143,8 @@ module Stepper = struct
         invalid_arg "Engine.Stepper.create: flow-level policies are batch-only"
     | _ -> ());
     let ctx =
-      make_ctx ~rng:(Prng.create seed) ~churn ~injector ~series ~domains
-        ~init_expiry ~net
+      make_ctx ~rng:(Prng.create seed) ~churn ~injector ~domains ~init_expiry
+        ~net
     in
     make_stepper ?observer ctx policy events
 
@@ -1253,8 +1214,7 @@ module Stepper = struct
   let thaw ?churn ?injector ?(domains = 1) ?observer ~net fz =
     let rng = Prng.of_raw_state fz.fz_rng in
     let ctx =
-      make_ctx ~rng ~churn ~injector ~series:None ~domains ~init_expiry:false
-        ~net
+      make_ctx ~rng ~churn ~injector ~domains ~init_expiry:false ~net
     in
     (* Restore the departure queue in pop order: pushing in that order
        reproduces the original pop sequence exactly (FIFO tie-break on

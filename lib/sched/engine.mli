@@ -104,17 +104,10 @@ type churn = {
     a waiting event's cost drift between rounds — the fluctuation LMTF
     exploits. Without churn the background is static (§V-D). *)
 
-val make_series : unit -> Nu_obs.Series.t
-(** Fresh bounded series (the {!Nu_obs.Series} default capacity) of the gauges sampled per service round, in
-    column order: [round], [queue_len], [retry_backlog], [active_flows],
-    [mean_fabric_utilization], [max_link_utilization]. Ready to pass as
-    {!run}'s [series]. *)
-
 val run :
   ?seed:int ->
   ?churn:churn ->
   ?injector:Nu_fault.Injector.t ->
-  ?series:Nu_obs.Series.t ->
   ?domains:int ->
   net:Net_state.t ->
   events:Event.t list ->
@@ -153,14 +146,8 @@ val run :
     one-flow events, so a fault that lands mid-flow aborts and retries
     that flow alone.
 
-    [series] attaches a per-round gauge time-series (build one with
-    {!make_series}): every service round — including degraded rounds and
-    a flow-level run's one-flow rounds, whose [queue_len] counts arrived
-    flows — appends one row sampled at the decision instant. Sampling only reads the network state, so an attached
-    series leaves every scheduling decision bit-identical; when absent
-    the per-round cost is one pattern match. Independently, when
-    {!Nu_obs.Histogram.Registry} sampling is enabled, the run records
-    each event's service time and queuing delay into the
+    When {!Nu_obs.Histogram.Registry} sampling is enabled, the run
+    records each event's service time and queuing delay into the
     [engine.event_service_s] / [engine.event_queuing_s] histograms. *)
 
 (** {2 Incremental stepping}
@@ -180,7 +167,6 @@ module Stepper : sig
     ?seed:int ->
     ?churn:churn ->
     ?injector:Nu_fault.Injector.t ->
-    ?series:Nu_obs.Series.t ->
     ?domains:int ->
     ?init_expiry:bool ->
     ?observer:(observation -> unit) ->
@@ -229,16 +215,15 @@ module Stepper : sig
       the engine's one round kernel. The steppers must share one
       network (raises [Invalid_argument] otherwise). The pre-round
       phase runs per stepper in array order: due faults, empty-queue
-      time jump, background churn sync, series sample, candidate
-      selection with PRNG draws on the calling domain. The probe phase
-      then evaluates every candidate probe across all
-      steppers in one batch against the quiescent wave-start state,
-      fanned out through the first stepper's own workers when it was
-      created with [domains > 1], whether or not it has work this wave
-      (decisions are bit-identical either way). A group that wants a
-      wider fan-out creates its first stepper with more domains. The
-      commit phase runs per stepper in array order: a winner whose touched edges are
-      unchanged since the wave start replays its probe plan; one
+      time jump, background churn sync, candidate selection with PRNG
+      draws on the calling domain. The probe phase then evaluates every
+      candidate probe across all steppers in one batch against the
+      quiescent wave-start state, fanned out through the first stepper's
+      own workers when it was created with [domains > 1], whether or not
+      it has work this wave (decisions are bit-identical either way). A
+      group that wants a wider fan-out creates its first stepper with
+      more domains. The commit phase runs per stepper in array order: a
+      winner whose touched edges are unchanged since the wave start replays its probe plan; one
       invalidated by an earlier commit of the same wave re-plans live,
       deterministically.
 
@@ -345,7 +330,7 @@ module Stepper : sig
   (** Rebuild a stepper that continues bit-identically: same
       configuration knobs as the original run, [net] thawed from its
       own frozen snapshot, [injector] (if the original had one) thawed
-      likewise; no series is attached. The PRNG resumes from the frozen cursor — no [seed]
+      likewise. The PRNG resumes from the frozen cursor — no [seed]
       parameter. [domains] may differ from the
       original run's — the probe fan-out width is invisible to every
       decision, so a checkpoint taken at one width replays identically

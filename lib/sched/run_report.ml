@@ -44,7 +44,7 @@ let round_to_json (r : Engine.round_info) =
       ("fabric_utilization", Json.Float r.Engine.fabric_utilization);
     ]
 
-let to_json ?counters ?histograms ?series ?profile ?telemetry ?alerts
+let to_json ?counters ?histograms ?profile ?telemetry ?alerts
     (run : Engine.run_result) =
   let summary = Metrics.of_run run in
   Json.Obj
@@ -74,9 +74,6 @@ let to_json ?counters ?histograms ?series ?profile ?telemetry ?alerts
                    (fun (name, h) -> (name, Nu_obs.Histogram.to_json h))
                    hs) );
           ])
-    @ (match series with
-      | None -> []
-      | Some s -> [ ("series", Nu_obs.Series.to_json s) ])
     @ (match profile with
       | None -> []
       | Some p -> [ ("profile", Nu_obs.Profile.to_json p) ])

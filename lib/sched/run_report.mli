@@ -10,7 +10,6 @@
 val to_json :
   ?counters:Nu_obs.Counters.snapshot ->
   ?histograms:(string * Nu_obs.Histogram.t) list ->
-  ?series:Nu_obs.Series.t ->
   ?profile:Nu_obs.Profile.t ->
   ?telemetry:Nu_obs.Json.t ->
   ?alerts:Nu_obs.Json.t ->
@@ -20,9 +19,8 @@ val to_json :
     count, round log and, when given, the counter snapshot (typically a
     {!Nu_obs.Counters.diff} scoped to the run). [histograms] (typically
     {!Nu_obs.Histogram.Registry.snapshot}) adds a ["histograms"] object
-    keyed by metric name; [series] (the run's per-round gauge series)
-    adds a ["series"] block; [profile] (a {!Nu_obs.Profile.of_events}
-    span tree) adds a ["profile"] block; [telemetry] (a serving run's
+    keyed by metric name; [profile] (a {!Nu_obs.Profile.of_events} span
+    tree) adds a ["profile"] block; [telemetry] (a serving run's
     [Nu_serve.Telemetry.to_json] — passed pre-rendered, since this
     library sits below [Nu_serve]) adds a ["telemetry"] block;
     [alerts] (a watchdog run's {!Nu_obs.Watch.report_json} — alert

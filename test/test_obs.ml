@@ -15,33 +15,6 @@ let named_value snap name =
 
 let is_zero snap = List.for_all (fun (_, v) -> v = 0) (Obs.Counters.to_alist snap)
 
-(* An integer field of a series' JSON document ("stride",
-   "total_samples"). *)
-let series_field s key =
-  match Obs.Json.member key (Obs.Series.to_json s) with
-  | Some (Obs.Json.Int n) -> n
-  | _ -> Alcotest.failf "series %s missing" key
-
-(* A series' retained rows as its JSON document lists them: the column
-   names, the instants, and one column's values. *)
-let series_list s path =
-  let member j k = Option.bind j (Obs.Json.member k) in
-  match List.fold_left member (Some (Obs.Series.to_json s)) path with
-  | Some (Obs.Json.List l) -> l
-  | _ -> Alcotest.failf "series %s missing" (String.concat "." path)
-
-let series_floats s path =
-  List.map
-    (function Obs.Json.Float f -> f | _ -> Alcotest.fail "not a float")
-    (series_list s path)
-
-let series_columns s =
-  List.map
-    (function Obs.Json.String c -> c | _ -> Alcotest.fail "not a name")
-    (series_list s [ "columns" ])
-
-let series_times s = series_floats s [ "t_s" ]
-
 (* Runs [f] on a fresh temporary directory, removed afterwards. *)
 let with_temp_dir f =
   let dir = Filename.temp_file "nu_obs" "" in
@@ -631,66 +604,6 @@ let test_histogram_registry_gated () =
     (Obs.Histogram.count (List.assoc "t.a" snap))
 
 (* ------------------------------------------------------------------ *)
-(* Series                                                              *)
-
-(* Every series retains at most this many rows. *)
-let series_capacity = 4096
-
-let test_series_bounded_decimation () =
-  let s = Obs.Series.create ~columns:[ "v" ] () in
-  for i = 0 to 19_999 do
-    Obs.Series.sample s ~t_s:(float_of_int i) [| float_of_int i |]
-  done;
-  Alcotest.(check int) "total samples" 20_000 (series_field s "total_samples");
-  let times = series_times s in
-  Alcotest.(check bool) "bounded" true (List.length times <= series_capacity);
-  let stride = series_field s "stride" in
-  Alcotest.(check bool)
-    "stride is a power of two" true
-    (stride > 1 && stride land (stride - 1) = 0);
-  (* Retained rows sit on the uniform stride grid, first sample kept. *)
-  let prev = ref (-1.0) in
-  List.iter2
-    (fun t v ->
-      Alcotest.(check (float 0.0)) "row matches instant" t v;
-      Alcotest.(check bool)
-        "on stride grid" true
-        (int_of_float t mod stride = 0);
-      Alcotest.(check bool) "strictly increasing" true (t > !prev);
-      prev := t)
-    times
-    (series_floats s [ "data"; "v" ]);
-  Alcotest.(check (float 0.0)) "first sample kept" 0.0 (List.hd times)
-
-let test_series_csv_and_json () =
-  let s = Obs.Series.create ~columns:[ "a"; "b" ] () in
-  Obs.Series.sample s ~t_s:0.0 [| 1.5; 2.5 |];
-  Obs.Series.sample s ~t_s:0.5 [| 3.5; 4.5 |];
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Obs.Series.to_csv s))
-  in
-  Alcotest.(check (list string))
-    "csv" [ "t_s,a,b"; "0,1.5,2.5"; "0.5,3.5,4.5" ] lines;
-  match Obs.Json.of_string (Obs.Json.to_string (Obs.Series.to_json s)) with
-  | Error msg -> Alcotest.failf "unparseable series json: %s" msg
-  | Ok v ->
-      (match Obs.Json.member "data" v with
-      | Some (Obs.Json.Obj cols) ->
-          Alcotest.(check (list string)) "column-major" [ "a"; "b" ]
-            (List.map fst cols);
-          Alcotest.(check bool)
-            "column b" true
-            (List.assoc "b" cols
-            = Obs.Json.List [ Obs.Json.Float 2.5; Obs.Json.Float 4.5 ])
-      | _ -> Alcotest.fail "no data object");
-      Alcotest.(check bool)
-        "row mismatch raises" true
-        (try
-           Obs.Series.sample s ~t_s:1.0 [| 1.0 |];
-           false
-         with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Profile                                                             *)
 
 let ev phase name ts depth =
@@ -871,13 +784,12 @@ let test_regress_incomparable () =
   | Ok _ -> Alcotest.fail "workload mismatch must be incomparable"
 
 (* ------------------------------------------------------------------ *)
-(* Engine integration: series sampling, histogram recording            *)
+(* Engine integration: histogram recording                            *)
 
-let test_engine_series_and_histograms () =
+let test_engine_histograms () =
   let go ~obs =
     let net = loaded_net () in
     let events = workload () in
-    let series = if obs then Some (Engine.make_series ()) else None in
     if obs then begin
       Obs.Histogram.Registry.reset ();
       Obs.Histogram.Registry.enable ()
@@ -886,33 +798,14 @@ let test_engine_series_and_histograms () =
       Fun.protect ~finally:(fun () ->
           if obs then Obs.Histogram.Registry.disable ())
       @@ fun () ->
-      Engine.run ?series ~seed:11 ~net ~events (Policy.Lmtf { alpha = 2 })
+      Engine.run ~seed:11 ~net ~events (Policy.Lmtf { alpha = 2 })
     in
-    (Metrics.of_run r, r, series)
+    (Metrics.of_run r, r)
   in
-  let plain, _, _ = go ~obs:false in
-  let observed, r, series = go ~obs:true in
+  let plain, _ = go ~obs:false in
+  let observed, r = go ~obs:true in
   Alcotest.(check bool)
-    "series + histograms do not perturb the run" true (plain = observed);
-  let s = Option.get series in
-  Alcotest.(check int)
-    "one row per round" r.Engine.rounds
-    (List.length (series_times s));
-  Alcotest.(check (list string))
-    "engine columns"
-    [
-      "round";
-      "queue_len";
-      "retry_backlog";
-      "active_flows";
-      "mean_fabric_utilization";
-      "max_link_utilization";
-    ]
-    (series_columns s);
-  Alcotest.(check (float 0.0))
-    "initial queue depth is the full workload"
-    (float_of_int (List.length (workload ())))
-    (List.hd (series_floats s [ "data"; "queue_len" ]));
+    "histograms do not perturb the run" true (plain = observed);
   List.iter
     (fun name ->
       match registry_find name with
@@ -1034,57 +927,6 @@ let prop_histogram_merge_equals_concat =
               (fun q ->
                 Obs.Histogram.quantile merged q = Obs.Histogram.quantile whole q)
               [ 0.0; 0.5; 0.99; 1.0 ]))
-
-(* ------------------------------------------------------------------ *)
-(* Series decimation at the stride boundary                            *)
-
-(* Differential against the specification: after offering rows at
-   t = 0, 1, ..., n-1, the retained rows are exactly the multiples of
-   the final stride below n — uniform grid, first sample kept, no
-   off-grid stragglers around the capacity/decimation boundaries. *)
-let prop_series_stride_grid =
-  QCheck.Test.make ~name:"series retains exactly the stride-grid rows"
-    ~count:200
-    QCheck.(int_range 1 (5 * series_capacity))
-    (fun n ->
-      let s = Obs.Series.create ~columns:[ "v" ] () in
-      for i = 0 to n - 1 do
-        Obs.Series.sample s ~t_s:(float_of_int i) [| float_of_int i |]
-      done;
-      let stride = series_field s "stride" in
-      let expected =
-        List.init n Fun.id |> List.filter (fun i -> i mod stride = 0)
-      in
-      let retained = List.map int_of_float (series_times s) in
-      series_field s "total_samples" = n
-      && List.length retained <= series_capacity
-      && retained = expected)
-
-let test_series_decimation_boundary () =
-  (* Pin the exact boundary behaviour at the capacity: the offer that
-     fills the buffer triggers decimation and is itself dropped (it sits
-     off the doubled grid); retention snaps to the new grid. *)
-  let cap = series_capacity in
-  let s = Obs.Series.create ~columns:[ "v" ] () in
-  let offer i = Obs.Series.sample s ~t_s:(float_of_int i) [| 0.0 |] in
-  let retained () = List.map int_of_float (series_times s) in
-  let evens_to k = List.init ((k / 2) + 1) (fun i -> 2 * i) in
-  for i = 0 to cap - 2 do offer i done;
-  Alcotest.(check (list int)) "below capacity: everything"
-    (List.init (cap - 1) Fun.id)
-    (retained ());
-  Alcotest.(check int) "stride still 1" 1 (series_field s "stride");
-  offer (cap - 1);
-  (* The row that fills the buffer: decimate to evens, stride doubles. *)
-  Alcotest.(check (list int)) "decimated to evens" (evens_to (cap - 2))
-    (retained ());
-  Alcotest.(check int) "stride doubled" 2 (series_field s "stride");
-  offer cap;
-  Alcotest.(check (list int)) "next keep lands on the new grid" (evens_to cap)
-    (retained ());
-  offer (cap + 1);
-  Alcotest.(check (list int)) "odd row dropped in O(1)" (evens_to cap)
-    (retained ())
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -1912,8 +1754,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_histogram_merge_associative;
     ("histogram json", `Quick, test_histogram_json);
     ("histogram registry gated", `Quick, test_histogram_registry_gated);
-    ("series bounded decimation", `Quick, test_series_bounded_decimation);
-    ("series csv/json", `Quick, test_series_csv_and_json);
     ("profile sibling merge", `Quick, test_profile_tree_merges_siblings);
     ("profile truncation", `Quick, test_profile_tolerates_truncation);
     ("profile of real run", `Quick, test_profile_of_real_run);
@@ -1929,8 +1769,6 @@ let suite =
       test_robustness_counters_snapshot_diff );
     QCheck_alcotest.to_alcotest prop_histogram_merge_mismatch_raises;
     QCheck_alcotest.to_alcotest prop_histogram_merge_equals_concat;
-    QCheck_alcotest.to_alcotest prop_series_stride_grid;
-    ("series decimation boundary", `Quick, test_series_decimation_boundary);
     ("lifecycle stamps + jsonl", `Quick, test_lifecycle_stamps_and_jsonl);
     ( "lifecycle entry json round-trip",
       `Quick,
@@ -1958,7 +1796,7 @@ let suite =
     ("expo metric names", `Quick, test_expo_metric_name);
     ("expo render validates", `Quick, test_expo_render_validates);
     ("chrome flow events", `Quick, test_chrome_flow_events);
-    ("engine series + histograms", `Quick, test_engine_series_and_histograms);
+    ("engine histograms", `Quick, test_engine_histograms);
     ("counters snapshot/diff", `Quick, test_counters_snapshot_diff);
     ("counters alist/json", `Quick, test_counters_alist_json);
     ("counters pipeline work", `Quick, test_counters_count_pipeline_work);

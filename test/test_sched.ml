@@ -634,6 +634,73 @@ let prop_submission_order =
       let one = digest [ events ] in
       one = digest [ permuted ] && one = digest (random_chunks rng permuted))
 
+(* Causality: a round decides from the events that have arrived by its
+   start, so appending events that arrive after T leaves every round
+   that started before T exactly as it was, α draws included. Churn
+   depends on time alone, so it may run too. *)
+
+let prop_causality =
+  QCheck.Test.make ~name:"later arrivals keep earlier rounds" ~count:30
+    QCheck.(pair small_int (float_range 0.0 0.3))
+    (fun (seed, t) ->
+      let policy =
+        match seed mod 3 with
+        | 0 -> Policy.Fifo
+        | 1 -> Policy.Lmtf { alpha = 2 }
+        | _ -> Policy.Plmtf { alpha = 4 }
+      in
+      (* Events 0-7 arrive at 0.02 i; events 8-11 after T. *)
+      let arrival i =
+        if i < 8 then 0.02 *. float_of_int i
+        else t +. (0.01 *. float_of_int (i - 7))
+      in
+      let all = workload ~n:12 ~m:4 ~arrival () in
+      let before_t events =
+        (Engine.run ~net:(loaded_net ()) ~events ~seed:(seed + 5)
+           ~churn:(mc_churn seed) policy)
+          .Engine.rounds_log
+        |> List.filter (fun r -> r.Engine.round_start_s < t)
+      in
+      before_t (List.filteri (fun i _ -> i < 8) all) = before_t all)
+
+(* Probe workers must stay silent: a traced, histogrammed run that fans
+   its probes out over two domains decides exactly as an untraced
+   sequential run, and the main domain's trace is one well-nested span
+   stream (a worker emitting into the shared sink would interleave or
+   drop events). *)
+let test_traced_fan_out () =
+  let events = workload ~n:10 ~m:4 () in
+  let run ~domains =
+    Engine.run ~net:(loaded_net ()) ~events ~seed:5 ~churn:(mc_churn 5)
+      ~domains (Policy.Lmtf { alpha = 4 })
+  in
+  let plain = Run_digest.of_run (run ~domains:1) in
+  let sink, captured = Obs.Trace.memory () in
+  Obs.Trace.install sink;
+  Obs.Histogram.Registry.reset ();
+  Obs.Histogram.Registry.enable ();
+  let traced =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Histogram.Registry.disable ();
+        Obs.Trace.uninstall ())
+      (fun () -> run ~domains:2)
+  in
+  Alcotest.(check string) "digest" plain (Run_digest.of_run traced);
+  let depth =
+    List.fold_left
+      (fun depth (e : Obs.Trace.event) ->
+        match e.Obs.Trace.phase with
+        | Obs.Trace.Begin -> depth + 1
+        | Obs.Trace.End ->
+            if depth = 0 then
+              Alcotest.failf "End of %s without an open Begin" e.Obs.Trace.name;
+            depth - 1
+        | Obs.Trace.Instant -> depth)
+      0 (captured ())
+  in
+  Alcotest.(check int) "every span closed" 0 depth
+
 (* The pool's mirrors share the interior-path memo read-only, and the
    owner lane probes the live state: after [Probe_pool.create] no probe
    on any lane may miss the memo and enumerate (and write) paths. *)
@@ -979,6 +1046,8 @@ let suite =
     ("mc digest with faults", `Quick, test_mc_digest_with_faults);
     ("flow-level decisions pinned", `Quick, test_flow_level_pinned);
     QCheck_alcotest.to_alcotest prop_submission_order;
+    QCheck_alcotest.to_alcotest prop_causality;
+    ("traced fan-out keeps digest, spans", `Quick, test_traced_fan_out);
     ("golden stepper digests", `Quick, test_golden_stepper);
     ("golden step_group digests", `Quick, test_golden_group);
     ("faults in step_group waves", `Quick, test_faults_in_waves);
