@@ -160,8 +160,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
             [ ev ])
         events;
       let coordinator =
-        Core.Shard_coord.create ~seed:(3 lxor 0x5eed)
-          Core.Shard_coord.default_config
+        Core.Shard_coord.create ~seed:(3 lxor 0x5eed) ()
       in
       let shard_of_flow fid =
         match Core.Net_state.flow s.Core.Scenario.net fid with
@@ -173,7 +172,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         | None -> None
       in
       let placements0 = Core.Obs.Counters.get Core.Obs.Counters.Churn_placements in
-      let on_commit ~home ~result ~degraded:_ plan =
+      let on_commit ~home ~result plan =
         Core.Engine.Stepper.register_departures steppers.(home)
           ~completion:result.Core.Engine.completion_s plan
       in
@@ -182,35 +181,27 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         else
           Some
             (fun ~shard ~event ~plan ~txn_open ~attempt ->
-              let moved = Core.Shard_coord.moved_flow_ids plan in
               let crosses =
                 List.exists
                   (fun fid ->
                     match shard_of_flow fid with
                     | Some home -> home <> shard
                     | None -> false)
-                  moved
+                  (Core.Shard_coord.moved_flow_ids plan)
               in
               if crosses then begin
                 Core.Shard_coord.commit_escalated coordinator
                   ~net:s.Core.Scenario.net ~tick:0 ~now_floor_s:0.0 ~home:shard
-                  ~event ~moved ~shard_of_flow
-                  ~backlogs:(Array.map Core.Engine.Stepper.backlog steppers)
-                  ~txn_open ~attempt ~on_commit;
+                  ~event ~shard_of_flow ~txn_open ~attempt ~on_commit;
                 true
               end
               else false)
       in
-      let wave = ref 0 in
       let continue_ = ref true in
       while !continue_ do
         let stepped =
           Core.Engine.Stepper.step_group ?escalate steppers = `Stepped
         in
-        Core.Shard_coord.attempt_due coordinator ~net:s.Core.Scenario.net
-          ~tick:!wave ~now_floor_s:0.0 ~shard_of_flow
-          ~backlogs:(Array.map Core.Engine.Stepper.backlog steppers)
-          ~on_commit;
         (* Wave barrier: every shard reads the fabric-wide clock. *)
         let now_max =
           Array.fold_left
@@ -221,13 +212,10 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         Array.iter
           (fun st -> Core.Engine.Stepper.advance_clock st ~to_s:now_max)
           steppers;
-        incr wave;
         let churned =
           Core.Obs.Counters.get Core.Obs.Counters.Churn_placements - placements0
         in
-        continue_ :=
-          (stepped || Core.Shard_coord.pending_count coordinator > 0)
-          && churned < 1_000_000
+        continue_ := stepped && churned < 1_000_000
       done;
       let runs = Array.map Core.Engine.Stepper.result steppers in
       Array.iter Core.Engine.Stepper.close steppers;
@@ -253,9 +241,7 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
         rounds_log =
           List.concat
             (Array.to_list (Array.map (fun r -> r.Core.Engine.rounds_log) runs));
-        total_plan_units =
-          sum (fun r -> r.Core.Engine.total_plan_units)
-          + Core.Shard_coord.units coordinator;
+        total_plan_units = sum (fun r -> r.Core.Engine.total_plan_units);
         total_plan_time_s = sumf (fun r -> r.Core.Engine.total_plan_time_s);
         total_cost_mbit = sumf (fun r -> r.Core.Engine.total_cost_mbit);
         makespan_s =

@@ -608,9 +608,8 @@ let print_summary t =
       (Admission.tenant_stats (Shard_fabric.admission t k))
   done;
   if shards > 1 then begin
-    Format.printf "  coordinator: %d journal entr(ies), %d pending@."
-      (Shard_coord.entries (Shard_fabric.coord t))
-      (Shard_coord.pending_count (Shard_fabric.coord t));
+    Format.printf "  coordinator: %d journal entr(ies)@."
+      (Shard_coord.entries (Shard_fabric.coord t));
     List.iteri
       (fun k d -> Format.printf "  shard %d digest %s@." k d)
       (Shard_fabric.shard_digests t)

@@ -94,8 +94,8 @@ module Shard_partition = Nu_serve.Partition
     owns which slice of the fabric. *)
 
 module Shard_coord = Nu_serve.Coord
-(** Global coordinator two-phase-committing cross-shard migration
-    sets against the shared fabric. *)
+(** Global coordinator committing cross-shard migration sets against
+    the shared fabric. *)
 
 module Shard_fabric = Nu_serve.Shard_fabric
 (** The serving driver: N planners over one fabric, synchronised

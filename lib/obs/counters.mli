@@ -70,11 +70,13 @@ type key =
   | Shard_wave_replans
       (** Wave winners invalidated by an earlier commit of the same
           wave and re-planned live. *)
-  | Shard_coord_commits  (** Coordinator two-phase commits. *)
-  | Shard_coord_aborts  (** Coordinator aborts (participant vetoes). *)
+  | Shard_coord_commits  (** Escalated events the coordinator committed. *)
+  | Shard_coord_aborts
+      (** Always 0: the coordinator's participant veto is gone. Kept
+          because the benchmark reports it as [shard.coord_aborts]. *)
   | Shard_coord_degraded
-      (** Coordinator events executed best-effort after the retry
-          budget. *)
+      (** Always 0: the coordinator's retry-then-degrade path is gone.
+          Kept because the benchmark reads it. *)
   | Shard_rebalances
       (** Always 0: the fabric's hot-shard rebalance is gone. Kept
           because the benchmark reports it as [shard.rebalances]. *)

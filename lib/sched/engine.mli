@@ -37,11 +37,11 @@ type round_info = {
   round_units : int;  (** Planner probes paid this round. *)
   fabric_utilization : float;  (** Probe at the decision instant. *)
 }
-(** One service round of an event-level policy — the run's audit trail.
-    Lets experiments observe the utilisation trajectory (the paper's
-    "utilization fluctuates between 50% and 70%") and the batch sizes
-    P-LMTF achieves. Flow-level runs, whose rounds are individual flows,
-    do not produce a log. *)
+(** One service round — the run's audit trail. Lets experiments
+    observe the utilisation trajectory (the paper's "utilization
+    fluctuates between 50% and 70%") and the batch sizes P-LMTF
+    achieves. Flow-level runs log one round per flow, with [executed]
+    naming the flow's parent event. *)
 
 (** Progress callbacks emitted by a {!Stepper} to an attached observer
     (the serving telemetry layer). Emitted after the corresponding
@@ -244,8 +244,8 @@ module Stepper : sig
       of the probe plan when [txn_open] is [false], or the
       already-applied live re-plan when [txn_open] is [true]. In the
       latter case the engine's transaction is open and the hook must
-      commit or roll it back, typically inside its own two-phase vote
-      round. The claim must be a deterministic function of the plan
+      commit or roll it back (the sharded fabric's coordinator
+      commits it). The claim must be a deterministic function of the plan
       and the network.
 
       [`Idle] means no stepper had work. *)

@@ -34,9 +34,6 @@ val map_m : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 val int64_to_json : int64 -> Json.t
 val int64_of_json : Json.t -> (int64, string) result
 
-val event_to_json : Event.t -> Json.t
-val event_of_json : Json.t -> (Event.t, string) result
-
 val request_to_json : Request.t -> Json.t
 val request_of_json : Json.t -> (Request.t, string) result
 

@@ -7,7 +7,7 @@
    arriving request to its home shard; the shards advance in
    synchronised waves (Engine.Stepper.step_group), and a round whose
    make-room migration set crosses shard boundaries is escalated to the
-   global Coord, which two-phase-commits it against the shared fabric.
+   global Coord, which commits it against the shared fabric.
 
    Determinism contract:
    - same config, topology, net and source spec -> bit-identical
@@ -36,15 +36,13 @@ type config = {
   base : Serve_config.config;  (** Per-shard controller knobs. *)
   shards : int;
   regions : int;
-  coord : Coord.config;
 }
 
 let default_config ?(regions = 8) base ~shards =
-  { base; shards; regions = max regions shards; coord = Coord.default_config }
+  { base; shards; regions = max regions shards }
 
 let validate_config cfg =
   Serve_config.validate_config cfg.base;
-  Coord.validate_config cfg.coord;
   if cfg.shards < 1 then invalid_arg "Shard_fabric: shards must be >= 1";
   if cfg.regions < cfg.shards then
     invalid_arg "Shard_fabric: regions must be >= shards"
@@ -52,7 +50,10 @@ let validate_config cfg =
 (* The serving identity stored as checkpoint [meta] and validated on
    restore: a restore under a different configuration or source spec is
    refused rather than silently diverging. [domains] is not part of it —
-   decisions are width-independent. *)
+   decisions are width-independent. The [coord] section keeps the
+   retired veto threshold and attempt budget at their old defaults,
+   the only values a production caller ever ran with, so checkpoint
+   bytes do not move. *)
 let fingerprint cfg spec =
   Json.Obj
     [
@@ -60,7 +61,9 @@ let fingerprint cfg spec =
       ("source", Serve_config.spec_to_json spec);
       ("shards", Json.Int cfg.shards);
       ("regions", Json.Int cfg.regions);
-      ("coord", Coord.config_to_json cfg.coord);
+      ( "coord",
+        Json.Obj
+          [ ("veto_backlog", Json.Int 512); ("max_attempts", Json.Int 3) ] );
     ]
 
 (* Journal namespace: with two or more shards, shard k's WAL segments
@@ -191,7 +194,7 @@ let create ?injector ?telemetry ?journal ?journal_base
   let coord =
     Coord.create ?sink:coord_sink
       ~seed:(cfg.base.Serve_config.engine_seed lxor 0x5eed)
-      cfg.coord
+      ()
   in
   {
     cfg;
@@ -227,7 +230,6 @@ let quiescent t =
   Array.for_all (fun a -> Admission.size a = 0) t.admissions
   && Array.for_all (fun d -> d = []) t.deferred
   && Array.for_all (fun st -> not (Engine.Stepper.has_work st)) t.steppers
-  && Coord.pending_count t.coord = 0
 
 let completed t =
   Array.fold_left (fun n st -> n + Engine.Stepper.completed st) 0 t.steppers
@@ -330,28 +332,21 @@ let crosses_shards t ~shard moved =
 
 (* The coordinator's completion callback: the home shard registers the
    plan's churn departures and telemetry sees the completion. *)
-let on_coord_commit t ~home ~result ~degraded plan =
+let on_coord_commit t ~home ~result plan =
   Engine.Stepper.register_departures t.steppers.(home)
     ~completion:result.Engine.completion_s plan;
   match t.telemetry with
   | Some tel ->
-      Telemetry.observer tel (Engine.Event_completed { result; degraded })
+      Telemetry.observer tel
+        (Engine.Event_completed { result; degraded = false })
   | None -> ()
-
-let shard_backlogs t = Array.init t.cfg.shards (fun k -> backlog t k)
-
-let coord_pass t =
-  Coord.attempt_due t.coord ~net:t.net ~tick:t.tick_count
-    ~now_floor_s:(now_s t)
-    ~shard_of_flow:(shard_of_flow t)
-    ~backlogs:(shard_backlogs t) ~on_commit:(on_coord_commit t)
 
 (* One tick's admission + execution for already-routed (journaled or
    replayed) arrivals. Per shard: deferred requests re-offer ahead of
    fresh arrivals (so Block cannot reorder a tenant's stream), then a
    drain, then up to [steps_per_tick] rounds. Across shards the drain
    budget is apportioned by backlog and the steppers advance in
-   synchronised waves with a coordinator pass after each. *)
+   synchronised waves. *)
 let execute_tick t routed =
   let tick = t.tick_count in
   let now = now_s t in
@@ -410,22 +405,20 @@ let execute_tick t routed =
         end
       end)
     quotas;
-  (* Synchronised waves. Cross-shard winners two-phase-commit inline —
-     the coordinator replays the wave's own probed plan inside a fabric
-     transaction, so nothing is planned twice — and vetoed ones join
-     the coordinator's retry queue, drained after each wave. One shard
-     never escalates. *)
+  (* Synchronised waves. Cross-shard winners commit inline through the
+     coordinator, which applies the wave's own probed plan inside a
+     fabric transaction, so nothing is planned twice. One shard never
+     escalates. *)
   let escalate =
     if t.cfg.shards = 1 then None
     else
       Some
         (fun ~shard ~event ~plan ~txn_open ~attempt ->
-          let moved = Coord.moved_flow_ids plan in
-          if crosses_shards t ~shard moved then begin
+          if crosses_shards t ~shard (Coord.moved_flow_ids plan) then begin
             Coord.commit_escalated t.coord ~net:t.net ~tick
-              ~now_floor_s:(now_s t) ~home:shard ~event ~moved
-              ~shard_of_flow:(shard_of_flow t) ~backlogs:(shard_backlogs t)
-              ~txn_open ~attempt ~on_commit:(on_coord_commit t);
+              ~now_floor_s:(now_s t) ~home:shard ~event
+              ~shard_of_flow:(shard_of_flow t) ~txn_open ~attempt
+              ~on_commit:(on_coord_commit t);
             true
           end
           else false)
@@ -438,7 +431,6 @@ let execute_tick t routed =
      with
     | `Stepped -> incr steps
     | `Idle -> continue := false);
-    coord_pass t;
     (* Wave barrier: every shard reads the fabric-wide clock, so a
        shard whose winners keep escalating still sees time pass and
        its background churn tracks the fabric. *)
@@ -619,7 +611,7 @@ let thaw_fabric ?telemetry ?retry cfg ~topology ~source_spec
         source = Source.thaw ~host_count source_spec cp.source;
         partition =
           Partition.create ~host_count ~regions:cfg.regions ~shards:cfg.shards;
-        coord = Coord.thaw cfg.coord cp.coord;
+        coord = Coord.thaw cp.coord;
         steppers =
           Array.mapi
             (fun k (sh : Checkpoint.shard) ->

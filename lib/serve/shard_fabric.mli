@@ -11,8 +11,8 @@
     synchronised waves ({!Nu_sched.Engine.Stepper.step_group}) and
     commits the tick with a [Tick_done] marker per journal. Rounds
     whose make-room migration set crosses shard boundaries escalate to
-    the global {!Coord}, which two-phase-commits them against the
-    shared fabric. The region-to-shard assignment never changes during
+    the global {!Coord}, which commits them against the shared
+    fabric. The region-to-shard assignment never changes during
     a run.
 
     With one shard, routing is the identity, waves are single steps,
@@ -37,12 +37,10 @@ type config = {
   regions : int;
       (** Routing granularity; on pod-major Fat-Tree host numbering,
           [regions = pod count] makes a region a pod. *)
-  coord : Coord.config;
 }
 
 val default_config : ?regions:int -> Serve_config.config -> shards:int -> config
-(** [regions] defaults to [max 8 shards]; default coordinator
-    config. *)
+(** [regions] defaults to [max 8 shards]. *)
 
 val shard_journal_path : string -> int -> string
 (** [<base>.shard<k>] — shard [k]'s WAL segment namespace when the
@@ -98,8 +96,7 @@ val run :
     [checkpoint_every]-th tick. *)
 
 val complete : t -> unit
-(** Drain to quiescence (no admissions, deferred, engine work or
-    pending coordinator events). Completion ticks poll nothing and
+(** Drain to quiescence (no admissions, deferred or engine work). Completion ticks poll nothing and
     journal nothing: they are a pure function of fabric state. Raises
     [Failure] past 1_000_000 ticks. *)
 

@@ -15,27 +15,22 @@ let run_capture args =
   Sys.remove out;
   (status, contents)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let test_unknown_subcommand () =
   let status, out = run_capture [ "definitely-not-a-command" ] in
   Alcotest.(check bool) "non-zero exit" true (status <> 0);
   Alcotest.(check bool) "prints usage" true
-    (contains (String.lowercase_ascii out) "usage")
+    (Test_util.contains (String.lowercase_ascii out) "usage")
 
 let test_unknown_flag () =
   let status, out = run_capture [ "summary"; "--no-such-flag" ] in
   Alcotest.(check bool) "non-zero exit" true (status <> 0);
-  Alcotest.(check bool) "names the flag" true (contains out "no-such-flag")
+  Alcotest.(check bool) "names the flag" true (Test_util.contains out "no-such-flag")
 
 let test_help_exits_zero () =
   let status, out = run_capture [ "--help=plain" ] in
   Alcotest.(check int) "exit 0" 0 status;
-  Alcotest.(check bool) "lists serve" true (contains out "serve");
-  Alcotest.(check bool) "lists replay" true (contains out "replay")
+  Alcotest.(check bool) "lists serve" true (Test_util.contains out "serve");
+  Alcotest.(check bool) "lists replay" true (Test_util.contains out "replay")
 
 let test_snapshot_missing_file () =
   let status, _ = run_capture [ "snapshot"; "no-such-checkpoint.json" ] in
@@ -44,7 +39,7 @@ let test_snapshot_missing_file () =
 let test_serve_bad_admission () =
   let status, out = run_capture [ "serve"; "--admission"; "gibberish" ] in
   Alcotest.(check bool) "non-zero exit" true (status <> 0);
-  Alcotest.(check bool) "mentions the option" true (contains out "admission")
+  Alcotest.(check bool) "mentions the option" true (Test_util.contains out "admission")
 
 (* A crash flag that cannot take effect is refused with exit 2 before
    the fabric writes anything. *)
@@ -61,15 +56,15 @@ let test_serve_kill_at_past_ticks () =
       ]
   in
   Alcotest.(check int) "exit 2" 2 status;
-  Alcotest.(check bool) "names --kill-at" true (contains out "--kill-at");
-  Alcotest.(check bool) "served nothing" false (contains out "tick(s)");
+  Alcotest.(check bool) "names --kill-at" true (Test_util.contains out "--kill-at");
+  Alcotest.(check bool) "served nothing" false (Test_util.contains out "tick(s)");
   Alcotest.(check bool) "wrote nothing" false (Sys.file_exists dir)
 
 let test_serve_kill_shard_without_kill_at () =
   let status, out = run_capture [ "serve"; "--kill-shard"; "0" ] in
   Alcotest.(check int) "exit 2" 2 status;
-  Alcotest.(check bool) "names --kill-at" true (contains out "--kill-at");
-  Alcotest.(check bool) "served nothing" false (contains out "digest:")
+  Alcotest.(check bool) "names --kill-at" true (Test_util.contains out "--kill-at");
+  Alcotest.(check bool) "served nothing" false (Test_util.contains out "digest:")
 
 (* A stream command whose flow names a host outside the served fabric
    (128 hosts) is refused at load with exit 1, naming the file and
@@ -94,9 +89,9 @@ let test_serve_stream_bad_host () =
   in
   Alcotest.(check int) "exit 1" 1 status;
   Alcotest.(check bool) "names file and line" true
-    (contains out (stream ^ ":2:"));
+    (Test_util.contains out (stream ^ ":2:"));
   Alcotest.(check bool) "names the host" true
-    (contains out "src host 9999 outside [0, 128)");
+    (Test_util.contains out "src host 9999 outside [0, 128)");
   Alcotest.(check bool) "wrote no WAL" false (Sys.file_exists journal);
   Sys.remove stream;
   Sys.rmdir dir
@@ -146,7 +141,7 @@ let test_serve_kill_watch_digest () =
   in
   let plain = serve "plain" [] in
   let killed = serve "killed" [ "--kill-shard"; "0"; "--kill-at"; "30" ] in
-  Alcotest.(check bool) "recovered" true (contains killed "serve: recovered");
+  Alcotest.(check bool) "recovered" true (Test_util.contains killed "serve: recovered");
   Alcotest.(check string) "decision digest" (field plain "digest:")
     (field killed "digest:");
   Alcotest.(check string) "alert line" (field plain "watch:")
@@ -160,7 +155,7 @@ let test_watch_without_journal () =
   let status, out = run_capture [ "watch"; dir ] in
   Alcotest.(check int) "exit 2" 2 status;
   Alcotest.(check bool) "names the file" true
-    (contains out (Filename.concat dir "watch.jsonl"));
+    (Test_util.contains out (Filename.concat dir "watch.jsonl"));
   rm_rf dir
 
 (* A metrics directory whose parents do not exist yet is created whole,
@@ -222,7 +217,7 @@ let test_telemetry_no_completion () =
   in
   Alcotest.(check string) "jain line" "jain index: - (no completions)"
     (field out "jain index:");
-  Alcotest.(check bool) "no overall line" false (contains out "overall ECT:")
+  Alcotest.(check bool) "no overall line" false (Test_util.contains out "overall ECT:")
 
 let suite =
   [

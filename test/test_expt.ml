@@ -1,10 +1,5 @@
 (* nu_expt: figure regenerators and the worked examples. *)
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
-
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 
@@ -13,10 +8,10 @@ let test_table_renders () =
   Nu_expt.Table.add_floats t [ 1.5; 2.25 ];
   Nu_expt.Table.add_mixed t "label" [ 3.0 ];
   let s = Nu_expt.Table.to_string t in
-  Alcotest.(check bool) "title" true (contains ~needle:"## demo" s);
-  Alcotest.(check bool) "header" true (contains ~needle:"a" s);
-  Alcotest.(check bool) "float row" true (contains ~needle:"2.25" s);
-  Alcotest.(check bool) "label row" true (contains ~needle:"label" s)
+  Alcotest.(check bool) "title" true (Test_util.contains s "## demo");
+  Alcotest.(check bool) "header" true (Test_util.contains s "a");
+  Alcotest.(check bool) "float row" true (Test_util.contains s "2.25");
+  Alcotest.(check bool) "label row" true (Test_util.contains s "label")
 
 let test_table_row_mismatch () =
   let t = Nu_expt.Table.create ~title:"demo" ~columns:[ "a"; "b" ] in

@@ -3,15 +3,13 @@
 
 let of_spec = Test_util.of_spec
 
-let topo4 () = Fat_tree.to_topology (Fat_tree.create ~k:4 ())
-
 let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
     =
   Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
     ~duration_s:duration ~arrival_s:arrival
 
 let loaded_net () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let next = ref 1000 in
   for src = 0 to 7 do
     let dst = 15 - src in
@@ -58,7 +56,7 @@ let fabric_edge_of_some_flow net =
 (* Fault_model                                                         *)
 
 let test_schedule_deterministic () =
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let a = Fault_model.generate ~seed:5 topo in
   let b = Fault_model.generate ~seed:5 topo in
   Alcotest.(check bool) "same seed same schedule" true (a = b);
@@ -67,7 +65,7 @@ let test_schedule_deterministic () =
   Alcotest.(check bool) "non-empty" true (List.length a > 0)
 
 let test_schedule_sorted_and_paired () =
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let s = Fault_model.generate ~seed:11 topo in
   let rec sorted = function
     | (a : Fault_model.fault) :: (b :: _ as rest) ->
@@ -511,7 +509,7 @@ let names vs = List.map (fun (v : Invariant.violation) -> v.Invariant.name) vs
 (* A flow write inside a transaction reaches the committed log only if
    the outermost transaction commits; writes outside one land at once. *)
 let test_change_log_commit_only () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let place id src dst =
     let r = flow ~id ~demand:20.0 src dst in
     match Routing.select net r with
@@ -632,7 +630,7 @@ let test_edge_flow_ids () =
    few committed writes. The net, its flows and the check are fixed, so
    the count repeats exactly. *)
 let incremental_check_words () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let rng = Prng.create 3 in
   let next = ref 1 in
   let place () =
@@ -750,7 +748,7 @@ let test_thawed_injector_first_check_full () =
 let prop_incremental_matches_full =
   QCheck.Test.make ~name:"incremental check = full sweep" ~count:30
     QCheck.small_int (fun seed ->
-      let net = Net_state.create (topo4 ()) in
+      let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create (seed + 7) in
       let edge_n = Graph.edge_count (Net_state.graph net) in
       let next = ref 0 in

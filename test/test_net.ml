@@ -1,7 +1,5 @@
 (* nu_net: network state machine, routing policies, background fill. *)
 
-let topo4 () = Fat_tree.to_topology (Fat_tree.create ~k:4 ())
-
 (* A record between two fat-tree host *indices*. *)
 let flow ?(id = 0) ?(demand = 100.0) ?(duration = 10.0) src dst =
   Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
@@ -19,7 +17,7 @@ let place_exn net record =
 (* Net_state                                                           *)
 
 let test_place_accounting () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:100.0 0 15 in
   let path = place_exn net r in
   List.iter
@@ -32,7 +30,7 @@ let test_place_accounting () =
   Alcotest.(check bool) "is placed" true (Net_state.is_placed net 0)
 
 let test_remove_restores () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:50.0 0 15 in
   let path = place_exn net r in
   (match Net_state.remove net 0 with
@@ -45,14 +43,14 @@ let test_remove_restores () =
   Alcotest.(check bool) "remove twice" true (Net_state.remove net 0 = Error `Not_found)
 
 let test_duplicate_rejected () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow 0 15 in
   let path = place_exn net r in
   Alcotest.(check bool) "duplicate" true
     (Net_state.place net r path = Error Net_state.Duplicate_flow)
 
 let test_congested_error () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:800.0 0 1 in
   let path = place_exn net r in
   let r2 = flow ~id:1 ~demand:800.0 0 1 in
@@ -66,7 +64,7 @@ let test_congested_error () =
   | _ -> Alcotest.fail "expected congestion"
 
 let test_place_wrong_endpoints () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r01 = flow 0 1 in
   let path_0_2 =
     match Test_util.candidate_paths net (flow ~id:9 0 2) with
@@ -80,7 +78,7 @@ let test_place_wrong_endpoints () =
 let test_reroute_releases_own_usage () =
   (* A flow of 800 Mbps can move to a partially overlapping path even
      though shared access links cannot hold 2x800. *)
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:800.0 0 15 in
   let _ = place_exn net r in
   let alternatives = Test_util.candidate_paths net r in
@@ -94,7 +92,7 @@ let test_reroute_releases_own_usage () =
   | Error e -> Alcotest.fail e
 
 let test_reroute_infeasible_keeps_state () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let blocker = flow ~id:7 ~demand:900.0 2 3 in
   let _ = place_exn net blocker in
   let r = flow ~id:0 ~demand:200.0 0 1 in
@@ -114,7 +112,7 @@ let test_reroute_infeasible_keeps_state () =
       ignore (Net_state.reroute net 99 blocked_path))
 
 let test_flows_on_edge_sorted () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r1 = flow ~id:5 ~demand:10.0 0 1 in
   let r2 = flow ~id:2 ~demand:10.0 0 1 in
   let p1 = place_exn net r1 in
@@ -125,7 +123,7 @@ let test_flows_on_edge_sorted () =
     (List.map (fun (p : Net_state.placed) -> p.Net_state.record.Flow_record.id) on)
 
 let test_flows_through_node () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~id:1 ~demand:10.0 0 15 in
   let path = place_exn net r in
   let mid = List.nth (Path.nodes path) 2 in
@@ -133,7 +131,7 @@ let test_flows_through_node () =
   Alcotest.(check int) "found" 1 (List.length through)
 
 let test_utilization_math () =
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let net = Net_state.create topo in
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Net_state.mean_utilization net);
   let r = flow ~demand:500.0 0 15 in
@@ -148,7 +146,7 @@ let test_utilization_math () =
 
 (* The fabric mean is the mean over the fabric subset of the edges. *)
 let test_mean_utilization_subset () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:500.0 0 15 in
   let _ = place_exn net r in
   let fabric = Net_state.fabric_edges net in
@@ -163,7 +161,7 @@ let test_mean_utilization_subset () =
     (Net_state.mean_fabric_utilization net)
 
 let test_fabric_edges () =
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let net = Net_state.create topo in
   let fabric = Net_state.fabric_edges net in
   (* k=4: 32 directed edge-agg + 32 directed agg-core. *)
@@ -176,7 +174,7 @@ let test_fabric_edges () =
     fabric
 
 let test_copy_independent () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:100.0 0 15 in
   let _ = place_exn net r in
   let snapshot = Net_state.copy net in
@@ -188,7 +186,7 @@ let test_copy_independent () =
   Alcotest.(check bool) "original keeps flow" true (Net_state.is_placed net 0)
 
 let test_capacity_gap () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:900.0 0 1 in
   let path = place_exn net r in
   let e = List.hd (Path.edges path) in
@@ -199,7 +197,7 @@ let test_capacity_gap () =
 (* A record's host indices map to the topology's host nodes: every
    candidate runs between them. *)
 let test_endpoints_mapping () =
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let net = Net_state.create topo in
   List.iter
     (fun p ->
@@ -214,7 +212,7 @@ let prop_random_ops_keep_invariants =
   QCheck.Test.make ~name:"random place/remove keeps invariants" ~count:30
     QCheck.(small_int)
     (fun seed ->
-      let net = Net_state.create (topo4 ()) in
+      let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create seed in
       let placed = ref [] in
       for i = 0 to 150 do
@@ -244,7 +242,7 @@ let prop_random_ops_keep_invariants =
 (* Transactions                                                        *)
 
 let test_txn_rollback_restores () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~id:0 ~demand:100.0 0 15 in
   let path = place_exn net r in
   Net_state.begin_txn net;
@@ -264,7 +262,7 @@ let test_txn_rollback_restores () =
       Net_state.rollback net)
 
 let test_txn_commit_bumps_versions () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~id:0 ~demand:100.0 0 15 in
   Net_state.begin_txn net;
   let path = place_exn net r in
@@ -276,7 +274,7 @@ let test_txn_commit_bumps_versions () =
   Alcotest.(check bool) "flow survives commit" true (Net_state.is_placed net 0)
 
 let test_txn_nested () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   Net_state.begin_txn net;
   let _ = place_exn net (flow ~id:0 ~demand:50.0 0 15) in
   Net_state.begin_txn net;
@@ -290,7 +288,7 @@ let test_txn_nested () =
   match Net_state.invariants_ok net with Ok () -> () | Error e -> Alcotest.fail e
 
 let test_txn_copy_rejected () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   Net_state.begin_txn net;
   Alcotest.check_raises "copy in txn"
     (Invalid_argument "Net_state.copy: open transaction") (fun () ->
@@ -303,7 +301,7 @@ let read_set net f =
   Net_state.stop_probe net
 
 let test_probe_tracking () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~id:0 ~demand:100.0 0 15 in
   let path = place_exn net r in
   let c = Net_state.candidates net r in
@@ -372,7 +370,7 @@ let check_scan_reads ?(eligible = fun _ -> true) ?(stop = false) name net c
 let test_first_fit_read_set () =
   let r = flow ~id:0 ~demand:100.0 0 15 in
   (* Free fabric: first fit over the odd candidates only. *)
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let c = Net_state.candidates net r in
   let scan =
     check_scan_reads "first odd" net c ~demand:100.0
@@ -385,7 +383,7 @@ let test_first_fit_read_set () =
     (Array.to_list scan);
   (* The up hop does not fit: host 0's access link is nearly full, so
      no interior or down edge may be read. *)
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   ignore (place_exn net (flow ~id:1 ~demand:950.0 0 1));
   let c = Net_state.candidates net r in
   let scan = check_scan_reads "up full" net c ~demand:100.0 in
@@ -394,7 +392,7 @@ let test_first_fit_read_set () =
      access link is nearly full, and a flow of the same switch pair
      fills candidate 0's interior, so candidates that share its edges
      fail inside their interior and the others at their down hop. *)
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   ignore (place_exn net (flow ~id:1 ~demand:950.0 14 15));
   ignore (place_exn net (flow ~id:2 ~demand:950.0 1 14));
   let c = Net_state.candidates net r in
@@ -412,7 +410,7 @@ let test_first_fit_read_set () =
   Alcotest.(check bool) "down hop read" true (Array.mem c.Net_state.down scan);
   (* No interior fits (the source switch's uplinks are down, in a view
      taken before): the down hop must not be read. *)
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let c = Net_state.candidates net r in
   Array.iter
     (fun mid -> Net_state.disable_edge net mid.(0))
@@ -433,7 +431,7 @@ let test_first_fit_matches_walk () =
   let rng = Prng.create 2024 in
   let trials = ref 0 and hits = ref 0 and misses = ref 0 in
   for round = 0 to 29 do
-    let net = Net_state.create (topo4 ()) in
+    let net = Net_state.create (Test_util.topo4 ()) in
     for i = 0 to 39 do
       let src = Prng.int rng 16 in
       let dst = (src + 1 + Prng.int rng 15) mod 16 in
@@ -502,7 +500,7 @@ let prop_txn_rollback_differential =
   QCheck.Test.make ~name:"txn rollback matches pre-txn copy" ~count:30
     QCheck.(small_int)
     (fun seed ->
-      let net = Net_state.create (topo4 ()) in
+      let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create (seed + 1) in
       (* Pre-populate so removes and reroutes have targets. *)
       let placed = ref [] in
@@ -588,7 +586,7 @@ let prop_txn_rollback_differential =
 let prop_nested_txn_ops_keep_invariants =
   QCheck.Test.make ~name:"nested txn place/reroute/remove keeps invariants"
     ~count:25 QCheck.small_int (fun seed ->
-      let net = Net_state.create (topo4 ()) in
+      let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create (seed + 11) in
       let clean () =
         let view =
@@ -647,7 +645,7 @@ let prop_nested_txn_ops_keep_invariants =
    before on-edge puts stopped scanning the set; any change to put,
    delete or undo order moves them. *)
 let test_on_edge_order_pinned () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let rng = Prng.create 2024 in
   let place_random id =
     let src = Prng.int rng 16 in
@@ -721,7 +719,7 @@ let prop_txn_degrade_differential =
   QCheck.Test.make ~name:"txn rollback restores degradation state" ~count:30
     QCheck.(small_int)
     (fun seed ->
-      let net = Net_state.create (topo4 ()) in
+      let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create (seed + 11) in
       (* Background load so degradations interact with real usage. *)
       for i = 0 to 29 do
@@ -766,7 +764,7 @@ let prop_txn_degrade_differential =
 (* Routing                                                             *)
 
 let test_routing_first_fit () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:10.0 0 15 in
   let candidates = Test_util.candidate_paths net r in
   (match Routing.select net r with
@@ -775,7 +773,7 @@ let test_routing_first_fit () =
   Alcotest.(check int) "inter-pod candidates" 4 (List.length candidates)
 
 let test_routing_widest () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   (* Load the fabric links of the probe's first candidate using a sibling
      host pair (1 -> 14 shares edge switches with 0 -> 15), so the probe's
      own access links stay untouched and widest must avoid the loaded
@@ -809,7 +807,7 @@ let test_routing_widest () =
         loaded_fabric
 
 let test_routing_random_feasible () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let rng = Prng.create 3 in
   let r = flow ~demand:10.0 0 15 in
   let c = Net_state.candidates net r in
@@ -823,7 +821,7 @@ let test_routing_random_feasible () =
   done
 
 let test_routing_infeasible_none () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:2000.0 0 15 in
   Alcotest.(check bool) "demand above capacity" true (Routing.select net r = None)
 
@@ -836,7 +834,7 @@ let test_ecmp_index () =
     (fun () -> ignore (Routing.ecmp_index r ~n:0))
 
 let test_desired_path_stable () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:10.0 0 15 in
   let desired () =
     let c = Net_state.candidates net r in
@@ -845,7 +843,7 @@ let test_desired_path_stable () =
   Alcotest.(check bool) "stable" true (Path.equal (desired ()) (desired ()))
 
 let test_select_from_restricted () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:10.0 0 15 in
   let c = Net_state.candidates net r in
   Alcotest.(check int) "nothing eligible" (-1)
@@ -861,7 +859,7 @@ let test_select_from_restricted () =
 (* Background                                                          *)
 
 let test_background_fill_reaches_target () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let rng = Prng.create 10 in
   let report =
     Background.fill net ~target:0.3 ~rng
@@ -879,7 +877,7 @@ let test_background_fill_reaches_target () =
   | Error e -> Alcotest.fail e
 
 let test_background_accept_veto () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let rng = Prng.create 10 in
   let report =
     Background.fill net ~target:0.5 ~rng ~accept:(fun _ _ _ -> false)
@@ -891,7 +889,7 @@ let test_background_accept_veto () =
   Alcotest.(check bool) "rejections counted" true (report.Background.rejected > 0)
 
 let test_background_invalid_target () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   Alcotest.check_raises "target >= 1" (Invalid_argument "Background.fill: target")
     (fun () ->
       ignore
@@ -914,7 +912,7 @@ let test_background_scaling () =
 
 let test_background_cap_respected () =
   (* Fill with an access-link cap and verify no host link exceeds it. *)
-  let topo = topo4 () in
+  let topo = Test_util.topo4 () in
   let net = Net_state.create topo in
   let rng = Prng.create 11 in
   let cap = 0.5 in
@@ -940,7 +938,7 @@ let test_background_cap_respected () =
           (Test_util.edge_utilization net e.Graph.id <= cap +. 1e-9))
 
 let test_disable_edge () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~demand:10.0 0 15 in
   let all = Test_util.candidate_paths net r in
   (* A view taken before the disable still addresses the victim. *)
@@ -965,7 +963,7 @@ let test_disable_edge () =
     (List.length (Test_util.candidate_paths net r))
 
 let test_disable_edge_copy () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   Net_state.disable_edge net 0;
   let snap = Net_state.copy net in
   Net_state.enable_edge net 0;

@@ -1230,13 +1230,6 @@ let test_null_sink_identical_results () =
 (* ------------------------------------------------------------------ *)
 (* Watchdog: streaming detectors                                       *)
 
-let contains_sub doc sub =
-  let n = String.length sub in
-  let rec find i =
-    i + n <= String.length doc && (String.sub doc i n = sub || find (i + 1))
-  in
-  find 0
-
 let test_cusum_step_change () =
   let open Obs.Detector.Cusum in
   let c = create () in
@@ -1617,7 +1610,7 @@ let test_expo_watch_families_validate () =
   | Error m -> Alcotest.failf "watch exposition rejected: %s" m);
   List.iter
     (fun sub ->
-      Alcotest.(check bool) (sub ^ " present") true (contains_sub doc sub))
+      Alcotest.(check bool) (sub ^ " present") true (Test_util.contains doc sub))
     [
       "# TYPE nu_alerts_total counter";
       "nu_alerts_total{severity=\"critical\"}";

@@ -2,8 +2,6 @@
 
 let of_spec = Test_util.of_spec
 
-let topo4 () = Fat_tree.to_topology (Fat_tree.create ~k:4 ())
-
 let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
     =
   Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
@@ -26,7 +24,7 @@ let workload ?(n = 6) ?(m = 5) ?(arrival = fun _ -> 0.0) () =
       of_spec { Event_gen.event_id = i; arrival_s = arrival i; flows })
 
 let loaded_net () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let next = ref 1000 in
   for src = 0 to 7 do
     let dst = 15 - src in
@@ -479,11 +477,6 @@ let test_metrics_arrays () =
 let test_metrics_reduction () =
   Alcotest.(check (float 1e-9)) "reduction" 0.5 (Metrics.reduction ~baseline:10.0 5.0)
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
-
 (* ------------------------------------------------------------------ *)
 (* Multicore probe fan-out: the parallel batch path must be a pure
    wall-clock optimisation — every decision, and therefore the run
@@ -663,6 +656,59 @@ let prop_causality =
       in
       before_t (List.filteri (fun i _ -> i < 8) all) = before_t all)
 
+(* Power-of-two scaling: multiplying every capacity, placed demand and
+   event size by s = 2^j changes no float comparison the planner makes
+   (every sum, difference and ratio scales exactly), so every decision
+   is equal and every cost exactly s times the original. s = 2^-20 is
+   the scale that catches a tolerance: integer demands never come
+   within 1e-6 Mbps of a tie, so a 1e-6 slack in [edge_fits] passes at
+   s = 2, while at 2^-20 the same slack is about 1 Mbps of the unscaled
+   grid and admits a placement that [place] refuses. *)
+
+let scaling_policies =
+  [ Policy.Fifo; Policy.Reorder ]
+  @ List.concat_map
+      (fun alpha -> [ Policy.Lmtf { alpha }; Policy.Plmtf { alpha } ])
+      [ 1; 2; 4 ]
+
+let prop_power_of_two_scaling =
+  QCheck.Test.make ~name:"power-of-two scaling keeps decisions, scales cost"
+    ~count:60 (QCheck.int_bound 100_000) (fun seed ->
+      let inst = Test_util.grid_instance seed in
+      let bits = Int64.bits_of_float in
+      let run ~topology ~s policy =
+        let net, events = Test_util.grid_net_and_events ~topology ~s inst in
+        let r = Engine.run ~net ~events ~seed policy in
+        ( List.map
+            (fun ri ->
+              ( ri.Engine.executed,
+                ri.Engine.co_count,
+                ri.Engine.round_units,
+                bits ri.Engine.fabric_utilization ))
+            r.Engine.rounds_log,
+          r.Engine.events )
+      in
+      let same_event s (a : Engine.event_result) (b : Engine.event_result) =
+        a.Engine.event_id = b.Engine.event_id
+        && a.Engine.plan_work_units = b.Engine.plan_work_units
+        && a.Engine.failed_items = b.Engine.failed_items
+        && a.Engine.co_scheduled = b.Engine.co_scheduled
+        && bits (s *. a.Engine.cost_mbit) = bits b.Engine.cost_mbit
+      in
+      List.for_all
+        (fun policy ->
+          let rounds, events = run ~topology:(Test_util.topo4 ()) ~s:1.0 policy in
+          List.for_all
+            (fun s ->
+              let rounds', events' =
+                run ~topology:(Test_util.scaled_topo4 s) ~s policy
+              in
+              rounds = rounds'
+              && Array.length events = Array.length events'
+              && Array.for_all2 (same_event s) events events')
+            [ 2.0; Float.ldexp 1.0 (-20) ])
+        scaling_policies)
+
 (* Probe workers must stay silent: a traced, histogrammed run that fans
    its probes out over two domains decides exactly as an untraced
    sequential run, and the main domain's trace is one well-nested span
@@ -705,7 +751,7 @@ let test_traced_fan_out () =
    owner lane probes the live state: after [Probe_pool.create] no probe
    on any lane may miss the memo and enumerate (and write) paths. *)
 let test_pool_create_warms_path_memo () =
-  let base = topo4 () in
+  let base = Test_util.topo4 () in
   let calls = Atomic.make 0 in
   let topo =
     Topology.make ~name:base.Topology.name ~graph:base.Topology.graph
@@ -1015,7 +1061,7 @@ let test_metrics_comparison_renders () =
   let fifo = Metrics.of_run (run_policy Policy.Fifo) in
   let lmtf = Metrics.of_run (run_policy (Policy.Lmtf { alpha = 2 })) in
   let out = Format.asprintf "%a" (fun ppf -> Metrics.pp_comparison ppf ~baseline:fifo) [ lmtf ] in
-  Alcotest.(check bool) "mentions policy" true (contains ~needle:"lmtf" out)
+  Alcotest.(check bool) "mentions policy" true (Test_util.contains out "lmtf")
 
 let suite =
   [
@@ -1047,6 +1093,7 @@ let suite =
     ("flow-level decisions pinned", `Quick, test_flow_level_pinned);
     QCheck_alcotest.to_alcotest prop_submission_order;
     QCheck_alcotest.to_alcotest prop_causality;
+    QCheck_alcotest.to_alcotest prop_power_of_two_scaling;
     ("traced fan-out keeps digest, spans", `Quick, test_traced_fan_out);
     ("golden stepper digests", `Quick, test_golden_stepper);
     ("golden step_group digests", `Quick, test_golden_group);

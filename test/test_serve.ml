@@ -5,11 +5,6 @@
    with and without an active fault injector, including recovery from a
    journal whose trailing tick never committed (crash mid-tick). *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let dummy_flow id =
   Flow_record.v ~id ~src:0 ~dst:1 ~size_mbit:1.0 ~duration_s:1.0 ~arrival_s:0.0
 
@@ -579,7 +574,7 @@ let test_serve_restore_rejects_config_mismatch () =
        ~topology cp
    with
   | Error m ->
-      Alcotest.(check bool) "mentions mismatch" true (contains m "mismatch")
+      Alcotest.(check bool) "mentions mismatch" true (Test_util.contains m "mismatch")
   | Ok _ -> Alcotest.fail "restore should refuse a different configuration");
   remove_chain cp;
   Sys.rmdir dir
@@ -643,7 +638,7 @@ let test_serve_restore_accepts_cache_flag () =
    with
   | Error m ->
       Alcotest.(check bool) "live cost cap: mismatch" true
-        (contains m "mismatch")
+        (Test_util.contains m "mismatch")
   | Ok _ -> Alcotest.fail "restore should refuse a live cost cap");
   Sys.rmdir dir
 
@@ -872,7 +867,7 @@ let test_serve_watch_digest_differential () =
   | Error m -> Alcotest.failf "invalid exposition: %s" m);
   Alcotest.(check bool)
     "alert families exposed" true
-    (contains body "nu_alerts_total");
+    (Test_util.contains body "nu_alerts_total");
   rm_rf dir
 
 let prop_watch_replay_alert_digest =
@@ -988,7 +983,7 @@ let test_checkpoint_hash_rejects_mutation () =
   Bytes.set b at (if Bytes.get b at = '0' then '1' else '0');
   (match Serve_checkpoint.of_string ~graph (Bytes.to_string b) with
   | Error m ->
-      Alcotest.(check bool) "names the hash" true (contains m "hash")
+      Alcotest.(check bool) "names the hash" true (Test_util.contains m "hash")
   | Ok _ -> Alcotest.fail "a mutated core must not verify");
   (* The untouched bytes still load, so the rejection above is the
      hash check and not an over-eager parser. *)
@@ -1049,7 +1044,7 @@ let test_checkpoint_chain_rotation_and_fallback () =
   (match Serve_checkpoint.Chain.fallback ~graph cp with
   | Error m ->
       Alcotest.(check bool) "names the chain" true
-        (contains m "no verifiable checkpoint")
+        (Test_util.contains m "no verifiable checkpoint")
   | Ok _ -> Alcotest.fail "no generation should verify");
   remove_chain cp;
   Sys.rmdir dir
@@ -1514,7 +1509,7 @@ let test_checkpoint_refusals () =
   let refused name data needle =
     match Serve_checkpoint.of_string ~graph data with
     | Error m ->
-        if not (contains m needle) then
+        if not (Test_util.contains m needle) then
           Alcotest.failf "%s: error %S does not name %S" name m needle
     | Ok _ -> Alcotest.failf "%s: must be refused" name
   in
@@ -1660,7 +1655,7 @@ let test_checkpoint_refuses_overflowing_decimal () =
     String.sub core 0 at ^ "1e999" ^ String.sub core stop (String.length core - stop)
   in
   match Serve_checkpoint.of_string ~graph (rehashed core) with
-  | Error m -> Alcotest.(check bool) "names the number" true (contains m "finite")
+  | Error m -> Alcotest.(check bool) "names the number" true (Test_util.contains m "finite")
   | Ok _ -> Alcotest.fail "an infinite residual must not decode"
 
 let test_checkpoint_chain_torn_newest () =
@@ -1774,7 +1769,7 @@ let refused_stream ~needles path =
   | exception Invalid_argument m ->
       List.iter
         (fun needle ->
-          if not (contains m needle) then
+          if not (Test_util.contains m needle) then
             Alcotest.failf "error %S does not name %S" m needle)
         needles
   | _ -> Alcotest.failf "%s must be refused" path

@@ -1,10 +1,9 @@
 (* The sharded fabric: partition map, weighted-fair apportion,
-   coordinator 2PC, checkpoint chain and recovery.
+   coordinator journal, checkpoint chain and recovery.
 
    The load-bearing properties are differential: an N-shard fabric that
    loses a shard's WAL mid-run — or its newest checkpoint generation —
-   must recover to the uninterrupted run's digest; a coordinator abort
-   must leave the fabric exactly as it found it. (The one-shard fabric
+   must recover to the uninterrupted run's digest. (The one-shard fabric
    is Serve; test_serve.ml pins its digests.) *)
 
 let dummy_flow ?(src = 0) ?dst id =
@@ -156,10 +155,10 @@ let spec_of ?(seed = 21) ?(rate = 0.7) () =
     }
 
 (* [faults] builds the fabric's injector from its topology. *)
-let fabric_digest ?journal_base ?(shards = 4) ?(base = cfg ()) ?rate ?coord
-    ?faults ?(s = scenario ()) ~ticks () =
+let fabric_digest ?journal_base ?(shards = 4) ?(base = cfg ()) ?rate ?faults
+    ~ticks () =
+  let s = scenario () in
   let fcfg = Shard_fabric.default_config base ~shards in
-  let fcfg = match coord with None -> fcfg | Some c -> { fcfg with Shard_fabric.coord = c } in
   let injector = Option.map (fun f -> f s.Scenario.topology) faults in
   let t =
     Shard_fabric.create ?injector ?journal_base fcfg
@@ -197,75 +196,6 @@ let test_fabric_fanout_digest () =
   Alcotest.(check bool) "waves fanned out" true
     (Obs.Counters.value d Obs.Counters.Probe_parallel_batches > 0);
   Alcotest.(check string) "domains 1 = domains 2" (digest 1) fanned
-
-(* ------------------------------------------------------------------ *)
-(* Coordinator 2PC                                                     *)
-
-(* A vetoed inline commit must roll the open fabric transaction back
-   and leave the event queued for retry — the fabric afterwards is
-   indistinguishable from one where the attempt never started. *)
-let test_coord_veto_rolls_back () =
-  let s = scenario () in
-  let net = s.Scenario.net in
-  let edge = List.hd (Net_state.fabric_edges net) in
-  let flows_before = Net_state.flow_count net in
-  let util_before = Net_state.mean_utilization net in
-  let coord =
-    Shard_coord.create ~seed:7
-      { Shard_coord.default_config with Shard_coord.veto_backlog = 0 }
-  in
-  (* The engine left a transaction open with staged work in it. *)
-  Net_state.begin_txn net;
-  Net_state.disable_edge net edge;
-  Shard_coord.commit_escalated coord ~net ~tick:3 ~now_floor_s:0.0 ~home:0
-    ~event:(install_event ~src:0 1)
-    ~moved:[ 42 ]
-    ~shard_of_flow:(fun _ -> Some 2)
-    ~backlogs:[| 0; 0; 9; 0 |]
-    ~txn_open:true
-    ~attempt:(fun () -> Alcotest.fail "attempt ran on the veto path")
-    ~on_commit:(fun ~home:_ ~result:_ ~degraded:_ _ ->
-      Alcotest.fail "on_commit fired on the veto path");
-  Alcotest.(check bool) "txn closed" false (Net_state.in_txn net);
-  Alcotest.(check bool) "staged work undone" false
-    (Net_state.edge_disabled net edge);
-  Alcotest.(check int) "no flow moved" flows_before (Net_state.flow_count net);
-  Alcotest.(check (float 1e-9)) "utilization untouched" util_before
-    (Net_state.mean_utilization net);
-  Alcotest.(check int) "event queued for retry" 1
-    (Shard_coord.pending_count coord);
-  (* Prepare + abort were journaled — the abort is part of the audit
-     trail and of the digest. *)
-  Alcotest.(check int) "prepare + abort journaled" 2
-    (Shard_coord.entries coord);
-  Shard_coord.close coord
-
-(* End-to-end: a fabric whose coordinator vetoes every busy participant
-   still terminates (degrade path) and stays deterministic. The k=8
-   fabric at 70% utilisation escalates often enough that the journal
-   holds every two-phase decision kind — prepare, commit, abort (veto)
-   and degraded — and the fabric digest over them is pinned. *)
-let test_fabric_abort_path_deterministic () =
-  let coord = { Shard_coord.veto_backlog = 0; max_attempts = 2 } in
-  let run () =
-    fabric_digest ~shards:4 ~coord ~rate:3.0
-      ~s:(Scenario.prepare ~k:8 ~utilization:0.7 ~seed:16 ())
-      ~ticks:40 ()
-  in
-  let before = Obs.Counters.snapshot () in
-  let a = run () in
-  let d = Obs.Counters.diff ~before ~after:(Obs.Counters.snapshot ()) in
-  let count c = Obs.Counters.value d c in
-  Alcotest.(check (list int))
-    "escalations, commits, aborts, degraded" [ 20; 17; 23; 3 ]
-    [
-      count Obs.Counters.Shard_escalations;
-      count Obs.Counters.Shard_coord_commits;
-      count Obs.Counters.Shard_coord_aborts;
-      count Obs.Counters.Shard_coord_degraded;
-    ];
-  Alcotest.(check string) "pinned fabric digest" "774978450bb9360c" a;
-  Alcotest.(check string) "deterministic under aborts" a (run ())
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / crash / replay                                         *)
@@ -310,17 +240,33 @@ let test_checkpoint_json_roundtrip () =
             (Shard_fabric.digest t2);
           Shard_fabric.close t2)
 
-(* A checkpoint as an older build wrote it: the same core with the
-   retired [partition] section (assignment, per-region arrival counters,
-   generation) put back before [coord], and the header hash taken over
-   the new core. *)
-let with_parent_partition ~regions ~shards bytes =
+(* Checkpoint file bytes with the core's top-level fields rewritten by
+   [f] and the header hash taken over the new core — a checkpoint as
+   another build would have written it. *)
+let rewrite_core f bytes =
   let module J = Nu_obs.Json in
   let core =
     match String.split_on_char '\n' bytes with
     | [ _; core; "" ] -> core
     | _ -> Alcotest.fail "checkpoint file is not two newline-terminated lines"
   in
+  let fields =
+    match J.of_string core with
+    | Ok (J.Obj fields) -> fields
+    | _ -> Alcotest.fail "checkpoint core is not an object"
+  in
+  let core = J.to_string (J.Obj (f fields)) in
+  let seq = match J.member "seq" (J.Obj fields) with Some (J.Int n) -> n | _ -> 0 in
+  Printf.sprintf
+    {|{"format":"nu_serve_checkpoint","version":4,"seq":%d,"hash":"%s"}|}
+    seq (Nu_obs.Fnv.string_hex core)
+  ^ "\n" ^ core ^ "\n"
+
+(* A checkpoint as an older build wrote it: the retired [partition]
+   section (assignment, per-region arrival counters, generation) put
+   back before [coord]. *)
+let with_parent_partition ~regions ~shards bytes =
+  let module J = Nu_obs.Json in
   let section =
     J.Obj
       [
@@ -329,26 +275,15 @@ let with_parent_partition ~regions ~shards bytes =
         ("generation", J.Int 0);
       ]
   in
-  let fields =
-    match J.of_string core with
-    | Ok (J.Obj fields) -> fields
-    | _ -> Alcotest.fail "checkpoint core is not an object"
-  in
-  Alcotest.(check bool) "current core has no partition section" false
-    (List.mem_assoc "partition" fields);
-  let core =
-    J.to_string
-      (J.Obj
-         (List.concat_map
-            (fun (k, v) ->
-              if k = "coord" then [ ("partition", section); (k, v) ] else [ (k, v) ])
-            fields))
-  in
-  let seq = match J.member "seq" (J.Obj fields) with Some (J.Int n) -> n | _ -> 0 in
-  Printf.sprintf
-    {|{"format":"nu_serve_checkpoint","version":4,"seq":%d,"hash":"%s"}|}
-    seq (Nu_obs.Fnv.string_hex core)
-  ^ "\n" ^ core ^ "\n"
+  rewrite_core
+    (fun fields ->
+      Alcotest.(check bool) "current core has no partition section" false
+        (List.mem_assoc "partition" fields);
+      List.concat_map
+        (fun (k, v) ->
+          if k = "coord" then [ ("partition", section); (k, v) ] else [ (k, v) ])
+        fields)
+    bytes
 
 (* The partition map is rebuilt from the fingerprint on restore, so a
    checkpoint that still carries the retired section restores to the
@@ -643,7 +578,7 @@ let test_coord_journal_reads_back () =
    the coordinator journal's records, pinned. *)
 (* The fabric checkpoint's bytes, pinned: four shards at a rate that
    keeps the coordinator busy, snapshotted mid-run. *)
-let test_golden_checkpoint () =
+let golden_fabric () =
   let s = scenario () in
   let fcfg =
     Shard_fabric.default_config ~shards:4
@@ -656,10 +591,68 @@ let test_golden_checkpoint () =
   Shard_fabric.run t ~ticks:30;
   let cp = Shard_fabric.snapshot t in
   Shard_fabric.close t;
+  (s, fcfg, cp)
+
+let test_golden_checkpoint () =
+  let _, _, cp = golden_fabric () in
   Alcotest.(check int) "four shards frozen" 4
     (List.length cp.Serve_checkpoint.shards);
   Alcotest.(check string) "fabric checkpoint bytes" "808c1423745ee762"
     (Obs.Fnv.string_hex (Serve_checkpoint.to_string cp))
+
+(* The coordinator commits every escalation, so it has no retry queue
+   and bills no planning of its own. A checkpoint whose [coord] section
+   holds a queued retry or non-zero units (as a coordinator that could
+   veto wrote it) is refused by name, not restored without its retry
+   state. *)
+let test_restore_refuses_coord_retry_state () =
+  let module J = Nu_obs.Json in
+  let s, fcfg, cp = golden_fabric () in
+  let bytes = Serve_checkpoint.to_string cp in
+  let queued =
+    let req = Serve_request.v ~tenant:"a" (install_event ~src:0 900) in
+    J.Obj
+      [
+        ("event", Option.get (J.member "event" (Serve_codec.request_to_json req)));
+        ("home", J.Int 0);
+        ("enq_tick", J.Int 29);
+        ("attempts", J.Int 1);
+        ("not_before", J.Int 30);
+      ]
+  in
+  let with_coord key v =
+    rewrite_core
+      (List.map (function
+        | "coord", J.Obj c ->
+            ( "coord",
+              J.Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) c)
+            )
+        | field -> field))
+      bytes
+  in
+  List.iter
+    (fun (what, spliced) ->
+      Alcotest.(check bool) (what ^ ": the splice changed the bytes") true
+        (spliced <> bytes);
+      match
+        Result.bind
+          (Serve_checkpoint.of_string ~graph:s.Scenario.topology.Topology.graph
+             spliced)
+          (Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
+             ~source_spec:(spec_of ~rate:3.0 ()))
+      with
+      | Ok t ->
+          Shard_fabric.close t;
+          Alcotest.failf "%s: restored a coordinator retry state" what
+      | Error m ->
+          Alcotest.(check bool)
+            (what ^ ": error names the retry state: " ^ m)
+            true
+            (Test_util.contains m "coordinator retry state"))
+    [
+      ("queued retry", with_coord "queue" (J.List [ queued ]));
+      ("units", with_coord "units" (J.Int 7));
+    ]
 
 let test_golden_storage () =
   with_tmp_dir @@ fun dir ->
@@ -726,10 +719,6 @@ let suite =
       test_fabric_deterministic;
     Alcotest.test_case "fabric fan-out: domains 1 = domains 2" `Quick
       test_fabric_fanout_digest;
-    Alcotest.test_case "coord: veto rolls the txn back" `Quick
-      test_coord_veto_rolls_back;
-    Alcotest.test_case "coord: abort path deterministic" `Quick
-      test_fabric_abort_path_deterministic;
     Alcotest.test_case "checkpoint JSON round-trip" `Quick
       test_checkpoint_json_roundtrip;
     Alcotest.test_case "restore rejects config mismatch" `Quick
@@ -742,6 +731,8 @@ let suite =
       test_replay_from_journals;
     Alcotest.test_case "golden storage bytes" `Quick test_golden_storage;
     Alcotest.test_case "golden checkpoint bytes" `Quick test_golden_checkpoint;
+    Alcotest.test_case "restore refuses coordinator retry state" `Quick
+      test_restore_refuses_coord_retry_state;
     Alcotest.test_case "coordinator journal reads back to its digest" `Quick
       test_coord_journal_reads_back;
   ]

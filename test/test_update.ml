@@ -3,8 +3,6 @@
 
 let of_spec = Test_util.of_spec
 
-let topo4 () = Fat_tree.to_topology (Fat_tree.create ~k:4 ())
-
 let flow ?(id = 0) ?(demand = 100.0) ?(duration = 10.0) src dst =
   Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
     ~duration_s:duration ~arrival_s:0.0
@@ -20,7 +18,7 @@ let place_exn net record =
 (* A k=4 network loaded so the update machinery has something to chew on.
    Deterministic and fast (no trace generation). *)
 let loaded_net ?(demand = 300.0) () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   (* Saturate the desired (hash-chosen) path of a later probe by loading
      inter-pod pairs moderately. *)
   let next = ref 100 in
@@ -211,7 +209,7 @@ let test_clear_path_exclude_blocks () =
   check_same_residuals "rollback exact" before (residual_snapshot net)
 
 let test_clear_path_noop_when_free () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let probe = flow ~id:2 ~demand:100.0 0 15 in
   let path = List.hd (Test_util.candidate_paths net probe) in
   match clear_path net ~demand:100.0 ~path ~exclude:(fun _ -> false) with
@@ -419,7 +417,7 @@ let test_plan_desired_first_pays_more () =
     (est_scan <= est_desired +. 1e-9)
 
 let test_plan_failure_reason () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   (* Demand beyond link capacity can never be placed. *)
   let ev = of_spec (spec_of_flows [ flow ~id:0 ~demand:2000.0 0 15 ]) in
   let plan = Planner.plan net ev in
@@ -457,7 +455,7 @@ let test_plan_reroute_work () =
   end
 
 let test_plan_duplicate_install () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let r = flow ~id:0 ~demand:10.0 0 15 in
   let _ = place_exn net r in
   let ev = of_spec (spec_of_flows [ r ]) in
@@ -471,7 +469,7 @@ let test_plan_duplicate_install () =
   Alcotest.(check bool) "original placement intact" true (Net_state.is_placed net 0)
 
 let test_plan_reroute_unknown_flow () =
-  let net = Net_state.create (topo4 ()) in
+  let net = Net_state.create (Test_util.topo4 ()) in
   let ev =
     {
       Event.id = 1;
