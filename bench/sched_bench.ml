@@ -11,9 +11,9 @@
      dune exec bench/sched_bench.exe -- --out BENCH_PR6.json
      dune exec bench/sched_bench.exe -- --quick --out BENCH_PR6.json
 
-   [--baseline FILE] merges a previously recorded run (e.g. one taken on
-   the pre-optimisation tree) under the "baseline" key and reports the
-   planning-wall speedup against it.
+   To compare two runs, gate the new one against the old with
+   [bench/compare.exe --baseline OLD --current NEW]: it fails on any
+   digest change and notes every scenario's planning-wall ratio.
 
    Besides timing, every scenario digests its run_result (event ids,
    ECT-defining timestamps, costs, probe counts, rounds) into a stable
@@ -24,7 +24,6 @@
 
 let quick = ref false
 let out_file = ref ""
-let baseline_file = ref ""
 let seed = ref 42
 let only : string list ref = ref []
 let domains = ref 1
@@ -33,9 +32,6 @@ let args =
   [
     ("--quick", Arg.Set quick, "reduced event count (CI smoke mode)");
     ("--out", Arg.Set_string out_file, "FILE write JSON results to FILE");
-    ( "--baseline",
-      Arg.Set_string baseline_file,
-      "FILE merge a prior run's JSON as the comparison baseline" );
     ("--seed", Arg.Set_int seed, "N scenario seed (default 42)");
     ( "--scenario",
       Arg.String (fun s -> only := s :: !only),
@@ -47,8 +43,8 @@ let args =
   ]
 
 let usage =
-  "sched_bench [--quick] [--out FILE] [--baseline FILE] [--seed N] [--scenario \
-   NAME]... [--domains N]"
+  "sched_bench [--quick] [--out FILE] [--seed N] [--scenario NAME]... \
+   [--domains N]"
 
 (* ------------------------------------------------------------------ *)
 (* One measured scenario.                                              *)
@@ -588,101 +584,17 @@ let () =
         | None -> "      -")
         m.m_digest)
     measurements;
-  let baseline =
-    if !baseline_file = "" then None
-    else begin
-      match
-        let ic = open_in !baseline_file in
-        let len = in_channel_length ic in
-        let body = really_input_string ic len in
-        close_in ic;
-        Core.Obs.Json.of_string body
-      with
-      | Ok j -> Some j
-      | Error e ->
-          Printf.eprintf "bench: bad baseline %s: %s\n%!" !baseline_file e;
-          None
-      | exception Sys_error e ->
-          (* An unreadable baseline degrades to a baseline-less run —
-             the measurements themselves are still worth keeping. *)
-          Printf.eprintf "bench: cannot read baseline: %s\n%!" e;
-          None
-    end
-  in
-  (* Speedup report against the baseline's matching scenario names. *)
-  let speedups =
-    match baseline with
-    | None -> []
-    | Some j -> (
-        match Core.Obs.Json.member "scenarios" j with
-        | Some (Core.Obs.Json.List bases) ->
-            List.filter_map
-              (fun m ->
-                List.find_map
-                  (fun b ->
-                    match
-                      ( Core.Obs.Json.member "name" b,
-                        Core.Obs.Json.member "planning_wall_s" b,
-                        Core.Obs.Json.member "digest" b )
-                    with
-                    | ( Some (Core.Obs.Json.String n),
-                        Some (Core.Obs.Json.Float w),
-                        digest )
-                      when n = m.m_name && m.m_planning_wall_s > 0.0 ->
-                        let identical =
-                          match digest with
-                          | Some (Core.Obs.Json.String d) -> d = m.m_digest
-                          | _ -> false
-                        in
-                        Some
-                          ( m.m_name,
-                            w /. m.m_planning_wall_s,
-                            identical )
-                    | _ -> None)
-                  bases)
-              measurements
-        | _ -> [])
-  in
-  List.iter
-    (fun (name, x, identical) ->
-      Printf.printf "%-20s planning speedup vs baseline: %.2fx  (digest %s)\n"
-        name x
-        (if identical then "identical" else "DIFFERS"))
-    speedups;
   let result =
     Core.Obs.Json.Obj
-      (List.concat
-         [
-           [
-             ("bench", Core.Obs.Json.String "sched_bench_pr10");
-             ( "schema_version",
-               Core.Obs.Json.Int Core.Obs.Regress.schema_version );
-             ("mode", Core.Obs.Json.String (if !quick then "quick" else "full"));
-             ("seed", Core.Obs.Json.Int !seed);
-             ("n_events", Core.Obs.Json.Int n_events);
-             ( "scenarios",
-               Core.Obs.Json.List (List.map json_of_measurement measurements) );
-           ];
-           (match speedups with
-           | [] -> []
-           | _ ->
-               [
-                 ( "speedup_vs_baseline",
-                   Core.Obs.Json.Obj
-                     (List.map
-                        (fun (n, x, identical) ->
-                          ( n,
-                            Core.Obs.Json.Obj
-                              [
-                                ("planning_wall", Core.Obs.Json.Float x);
-                                ("digest_identical", Core.Obs.Json.Bool identical);
-                              ] ))
-                        speedups) );
-               ]);
-           (match baseline with
-           | None -> []
-           | Some j -> [ ("baseline", j) ]);
-         ])
+      [
+        ("bench", Core.Obs.Json.String "sched_bench_pr10");
+        ("schema_version", Core.Obs.Json.Int Core.Obs.Regress.schema_version);
+        ("mode", Core.Obs.Json.String (if !quick then "quick" else "full"));
+        ("seed", Core.Obs.Json.Int !seed);
+        ("n_events", Core.Obs.Json.Int n_events);
+        ( "scenarios",
+          Core.Obs.Json.List (List.map json_of_measurement measurements) );
+      ]
   in
   match !out_file with
   | "" -> ()

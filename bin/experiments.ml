@@ -34,6 +34,11 @@ let no_churn_arg =
 (* ------------------------------------------------------------------ *)
 (* Observability plumbing shared by summary / report / all.            *)
 
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs.Json.to_string json);
+      output_char oc '\n')
+
 let trace_arg =
   let doc =
     "Record a span trace of the run and write it to $(docv) in Chrome \
@@ -194,9 +199,7 @@ let report_cmd =
         match out with
         | None -> print_endline (Obs.Json.to_string json)
         | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc (Obs.Json.to_string json);
-                output_char oc '\n');
+            write_json path json;
             Format.printf "report: wrote %s@." path)
   in
   Cmd.v
@@ -273,9 +276,7 @@ let profile_cmd =
           Run_report.to_json ~counters:run_counters ~histograms ~profile
             run_result
         in
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Obs.Json.to_string json);
-            output_char oc '\n');
+        write_json path json;
         Format.printf "profile: wrote report to %s@." path
   in
   Cmd.v
@@ -390,10 +391,7 @@ let chaos_cmd =
         (match out with
         | None -> ()
         | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc
-                  (Obs.Json.to_string (Nu_expt.Chaos.result_to_json result));
-                output_char oc '\n');
+            write_json path (Nu_expt.Chaos.result_to_json result);
             Format.printf "chaos: wrote %s@." path);
         if result.Nu_expt.Chaos.violations > 0 then exit 1)
   in
@@ -436,26 +434,11 @@ let stream_arg =
   in
   Arg.(value & opt (some string) None & info [ "stream" ] ~docv:"FILE" ~doc)
 
-let admission_conv =
-  let parse s =
-    match Admission.policy_of_name s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf p = Format.pp_print_string ppf (Admission.policy_name p) in
-  Arg.conv ~docv:"POLICY" (parse, print)
-
-let admission_arg =
-  let doc =
-    "Backpressure policy when the admission queue fills: $(b,block), \
-     $(b,drop-newest), $(b,drop-oldest) or $(b,tenant-quota(N))."
-  in
-  Arg.(
-    value & opt admission_conv Admission.Block
-    & info [ "admission" ] ~docv:"POLICY" ~doc)
-
 let capacity_arg =
-  let doc = "Admission queue capacity (requests)." in
+  let doc =
+    "Admission queue capacity (requests); arrivals that find it full are \
+     deferred to the next tick."
+  in
   Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
 
 let drain_arg =
@@ -542,13 +525,13 @@ let watch_flag_arg =
    serve and replay from the same flags — restore validates the pair
    against the checkpoint's fingerprint. *)
 let serve_cfg_term =
-  let mk seed alpha util policy_tag capacity admission drain steps tick_dt
-      churn domains =
+  let mk seed alpha util policy_tag capacity drain steps tick_dt churn domains
+      =
     {
       Serve.policy = policy_of_tag ~alpha policy_tag;
       engine_seed = seed + 1;
       admission_capacity = capacity;
-      admission_policy = admission;
+      admission_policy = Admission.Block;
       drain_per_tick = drain;
       steps_per_tick = steps;
       tick_dt_s = tick_dt;
@@ -567,7 +550,7 @@ let serve_cfg_term =
   in
   Term.(
     const mk $ seed_arg $ alpha_arg $ util_arg $ policy_arg $ capacity_arg
-    $ admission_arg $ drain_arg $ steps_arg $ tick_dt_arg $ serve_churn_arg
+    $ drain_arg $ steps_arg $ tick_dt_arg $ serve_churn_arg
     $ domains_arg)
 
 let source_spec_term =
@@ -601,10 +584,10 @@ let print_summary t =
     (Shard_fabric.deferred_count t);
   for k = 0 to shards - 1 do
     List.iter
-      (fun (tenant, (admitted, shed, drained)) ->
-        Format.printf "  %s%-12s admitted %d, shed %d, drained %d@."
+      (fun (tenant, (admitted, drained)) ->
+        Format.printf "  %s%-12s admitted %d, drained %d@."
           (if shards > 1 then Printf.sprintf "shard %d " k else "")
-          tenant admitted shed drained)
+          tenant admitted drained)
       (Admission.tenant_stats (Shard_fabric.admission t k))
   done;
   if shards > 1 then begin
@@ -635,11 +618,6 @@ let make_telemetry ~metrics_every ?(watch = false) metrics_dir =
              else None);
         })
     metrics_dir
-
-let write_json path json =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Obs.Json.to_string json);
-      output_char oc '\n')
 
 (* After retirement: print the alert summary and drop the alerts.json /
    health.json artifacts next to the journals. *)
@@ -817,6 +795,11 @@ let serve_cmd =
   let run cfg spec seed util ticks fault_seed fault_rate retry_max checkpoint
       checkpoint_every journal_path no_complete metrics_dir metrics_every watch
       out trace counters hist shards regions kill_shard kill_at =
+    if checkpoint_every < 0 then begin
+      Format.eprintf "serve: --checkpoint-every must be >= 0 (got %d)@."
+        checkpoint_every;
+      exit 2
+    end;
     with_obs ~trace ~counters (fun () ->
         try
           let fcfg = fabric_config cfg ~shards ~regions in
@@ -1106,11 +1089,6 @@ let crashstorm_cmd =
               ~topology:storm.Scenario.topology ~fresh_net ~journal_path
               ~checkpoint_path ~ticks ()
           in
-          let write_json path json =
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc (Obs.Json.to_string json);
-                output_char oc '\n')
-          in
           write_json (Filename.concat dir "faults.json")
             (Store_fault.to_json fault);
           write_json
@@ -1253,17 +1231,17 @@ let telemetry_cmd =
           let views = Obs.Fairness.view f in
           Format.printf "lifecycle: %s, %d stamp(s), %d tenant(s)@." jsonl
             (List.length entries) (List.length views);
-          Format.printf "%-14s %8s %6s %9s %8s %10s %10s@." "tenant"
-            "admitted" "shed" "completed" "degraded" "mean-ect" "p99-ect";
+          Format.printf "%-14s %8s %9s %8s %10s %10s@." "tenant" "admitted"
+            "completed" "degraded" "mean-ect" "p99-ect";
           let fopt = function
             | None -> "-"
             | Some v -> Printf.sprintf "%.3f" v
           in
           List.iter
             (fun (v : Obs.Fairness.tenant_view) ->
-              Format.printf "%-14s %8d %6d %9d %8d %10s %10s@."
+              Format.printf "%-14s %8d %9d %8d %10s %10s@."
                 v.Obs.Fairness.v_tenant v.Obs.Fairness.v_admitted
-                v.Obs.Fairness.v_shed v.Obs.Fairness.v_completed
+                v.Obs.Fairness.v_completed
                 v.Obs.Fairness.v_degraded
                 (fopt v.Obs.Fairness.v_mean_ect_s)
                 (fopt v.Obs.Fairness.v_p99_ect_s))

@@ -54,7 +54,9 @@ type key =
   | Invariant_checks  (** {!Nu_fault.Invariant} full-state checks run. *)
   | Serve_ticks  (** Online-controller ticks processed. *)
   | Serve_admitted  (** Requests accepted into the admission queue. *)
-  | Serve_shed  (** Requests rejected by the admission policy. *)
+  | Serve_shed
+      (** Always 0: admission only defers, it never rejects. Kept
+          because the benchmark reads it. *)
   | Serve_deferred
       (** Admission attempts deferred to the next tick (Block policy). *)
   | Serve_drained  (** Requests handed from admission to the engine. *)

@@ -116,17 +116,9 @@ let render_fairness buf f =
         views
     in
     tenant_counter (fun v -> v.Fairness.v_admitted) "admitted";
-    tenant_counter (fun v -> v.Fairness.v_shed) "shed";
     tenant_counter (fun v -> v.Fairness.v_drained) "drained";
     tenant_counter (fun v -> v.Fairness.v_completed) "completed";
-    tenant_counter (fun v -> v.Fairness.v_degraded) "degraded";
-    family buf "nu_tenant_shed_ratio" "gauge";
-    List.iter
-      (fun (v : Fairness.tenant_view) ->
-        sample buf "nu_tenant_shed_ratio"
-          [ ("tenant", v.Fairness.v_tenant) ]
-          v.Fairness.v_shed_ratio)
-      views
+    tenant_counter (fun v -> v.Fairness.v_degraded) "degraded"
   end;
   match Fairness.jain_index f with
   | Some j ->

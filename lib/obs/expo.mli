@@ -25,10 +25,10 @@ val render :
 (** Render the given sources into one exposition document. All sources
     are optional; the result always ends with [# EOF]. A [fairness]
     source adds the per-tenant families ([nu_tenant_ect_seconds],
-    [nu_tenant_{admitted,shed,drained,completed,degraded}_total],
-    [nu_tenant_shed_ratio]) and, once a tenant has completed a
-    request, the [nu_fairness_jain_index] gauge. A [watch] source adds
-    the alerting families: [nu_alerts_total{severity}],
+    [nu_tenant_{admitted,drained,completed,degraded}_total]) and, once
+    a tenant has completed a request, the [nu_fairness_jain_index]
+    gauge. A [watch] source adds the alerting families:
+    [nu_alerts_total{severity}],
     [nu_alerts_detector_total{detector}], [nu_alerts_dropped_total],
     [nu_health_state{scope="global"}] and
     [nu_tenant_health_state{tenant}] (gauge value is

@@ -6,7 +6,6 @@ type tenant = {
   t_name : string;
   ect : Histogram.t;
   mutable admitted : int;
-  mutable shed : int;
   mutable drained : int;
   mutable completed : int;
   mutable degraded : int;
@@ -25,7 +24,6 @@ let tenant t name =
           t_name = name;
           ect = Histogram.create ();
           admitted = 0;
-          shed = 0;
           drained = 0;
           completed = 0;
           degraded = 0;
@@ -43,9 +41,6 @@ let observe t ~tenant:name (stage : Lifecycle.stage) =
   | Admitted ->
       let tn = tenant t name in
       tn.admitted <- tn.admitted + 1
-  | Shed _ ->
-      let tn = tenant t name in
-      tn.shed <- tn.shed + 1
   | Submitted _ ->
       let tn = tenant t name in
       tn.drained <- tn.drained + 1
@@ -91,27 +86,20 @@ let jain_index t =
 type tenant_view = {
   v_tenant : string;
   v_admitted : int;
-  v_shed : int;
   v_drained : int;
   v_completed : int;
   v_degraded : int;
-  v_shed_ratio : float;
   v_mean_ect_s : float option;
   v_p99_ect_s : float option;
 }
 
 let view_of tn =
-  let offered = tn.admitted + tn.shed in
   {
     v_tenant = tn.t_name;
     v_admitted = tn.admitted;
-    v_shed = tn.shed;
     v_drained = tn.drained;
     v_completed = tn.completed;
     v_degraded = tn.degraded;
-    v_shed_ratio =
-      (if offered = 0 then 0.0
-       else float_of_int tn.shed /. float_of_int offered);
     v_mean_ect_s =
       (if Histogram.is_empty tn.ect then None else Some (Histogram.mean tn.ect));
     v_p99_ect_s =
@@ -138,11 +126,9 @@ let to_json t =
                  Json.Obj
                    [
                      ("admitted", Json.Int v.v_admitted);
-                     ("shed", Json.Int v.v_shed);
                      ("drained", Json.Int v.v_drained);
                      ("completed", Json.Int v.v_completed);
                      ("degraded", Json.Int v.v_degraded);
-                     ("shed_ratio", Json.Float v.v_shed_ratio);
                      ("mean_ect_s", opt_float v.v_mean_ect_s);
                      ("p99_ect_s", opt_float v.v_p99_ect_s);
                      ("ect", Histogram.to_json tn.ect);

@@ -3,7 +3,7 @@
     The paper's evaluation judges scheduling on efficiency {e and}
     fairness; this module is the one definition of per-tenant
     accounting. It folds {!Lifecycle} stages ({!observe}): per tenant
-    it keeps admission counts (admitted / shed / drained) and a
+    it keeps admission counts (admitted / drained) and a
     cumulative ECT histogram (via {!Histogram}). Serving telemetry
     feeds it the same stamps it writes to the lifecycle log, so folding
     that log ([experiments telemetry]) rebuilds the live state. The one
@@ -23,7 +23,7 @@ val create : unit -> t
 (** The ECT histograms keep {!Histogram}'s default resolution. *)
 
 val observe : t -> tenant:string -> Lifecycle.stage -> unit
-(** Account one lifecycle stage to [tenant]. [Admitted], [Shed],
+(** Account one lifecycle stage to [tenant]. [Admitted],
     [Submitted] (drained), [Completed] and [Degraded] count; a
     degraded completion counts as completed too, and both record their
     ECT. Every other stage is ignored and creates no tenant. *)
@@ -51,11 +51,9 @@ val jain_index : t -> float option
 type tenant_view = {
   v_tenant : string;
   v_admitted : int;
-  v_shed : int;
   v_drained : int;
   v_completed : int;
   v_degraded : int;
-  v_shed_ratio : float;  (** [shed / (admitted + shed)]; 0 when idle. *)
   v_mean_ect_s : float option;  (** [None] until a completion. *)
   v_p99_ect_s : float option;
 }
@@ -68,4 +66,4 @@ val ect_histogram : t -> string -> Histogram.t option
 
 val to_json : t -> Json.t
 (** [jain_index] and a tenant-sorted [tenants] object: each tenant's
-    counts, shed ratio, mean and p99 ECT, and its ECT histogram. *)
+    counts, mean and p99 ECT, and its ECT histogram. *)

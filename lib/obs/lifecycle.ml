@@ -8,7 +8,6 @@
 type stage =
   | Arrived
   | Admitted
-  | Shed of string
   | Deferred
   | Submitted of { wait_ticks : int }
   | Planned of { round : int; co_scheduled : bool }
@@ -28,7 +27,6 @@ type entry = {
 let stage_name = function
   | Arrived -> "arrived"
   | Admitted -> "admitted"
-  | Shed _ -> "shed"
   | Deferred -> "deferred"
   | Submitted _ -> "submitted"
   | Planned _ -> "planned"
@@ -38,14 +36,13 @@ let stage_name = function
   | Degraded _ -> "degraded"
 
 let terminal = function
-  | Shed _ | Completed _ | Degraded _ -> true
+  | Completed _ | Degraded _ -> true
   | Arrived | Admitted | Deferred | Submitted _ | Planned _ | Aborted _
   | Retry_scheduled _ ->
       false
 
 let stage_fields = function
   | Arrived | Admitted | Deferred -> []
-  | Shed reason -> [ ("reason", Json.String reason) ]
   | Submitted { wait_ticks } -> [ ("wait_ticks", Json.Int wait_ticks) ]
   | Planned { round; co_scheduled } ->
       [ ("round", Json.Int round); ("co", Json.Bool co_scheduled) ]
@@ -94,9 +91,6 @@ let entry_of_json j =
     | "arrived" -> Ok Arrived
     | "admitted" -> Ok Admitted
     | "deferred" -> Ok Deferred
-    | "shed" ->
-        let* reason = str "reason" in
-        Ok (Shed reason)
     | "submitted" ->
         let* wait_ticks = int "wait_ticks" in
         Ok (Submitted { wait_ticks })

@@ -1,7 +1,7 @@
 (** Request-lifecycle tracker: per-request stage stamps.
 
     The serving layer stamps every request's path through the system —
-    arrival, admission decision (admitted / shed / deferred), engine
+    arrival, admission decision (admitted / deferred), engine
     submission, per-round planning progress, abort/retry, completion or
     degradation — keyed by the request's event id. The tracker is a
     pure observer: stamping reads nothing the scheduler consults, so a
@@ -19,13 +19,12 @@
       span tree.
 
     The id → tenant attribution table retains only in-flight requests:
-    a terminal stage ({!Shed}, {!Completed}, {!Degraded}) retires its
+    a terminal stage ({!Completed}, {!Degraded}) retires its
     entry, so memory stays bounded by in-flight work. *)
 
 type stage =
   | Arrived  (** First seen by the controller. *)
   | Admitted  (** Accepted into the admission queue. *)
-  | Shed of string  (** Rejected; reason ["capacity"]/["tenant-quota"]. *)
   | Deferred  (** Re-offered next tick (Block backpressure). *)
   | Submitted of { wait_ticks : int }
       (** Drained into the engine after [wait_ticks] queued ticks. *)

@@ -800,12 +800,14 @@ let admission_frozen_to_json (fz : Admission.frozen) =
       ( "stats",
         Json.List
           (List.map
-             (fun (tenant, (admitted, shed, drained)) ->
+             (fun (tenant, (admitted, drained)) ->
                Json.Obj
                  [
                    ("tenant", Json.String tenant);
                    ("admitted", Json.Int admitted);
-                   ("shed", Json.Int shed);
+                   (* Admission never sheds; the key stays so
+                      checkpoint bytes do not move. *)
+                   ("shed", Json.Int 0);
                    ("drained", Json.Int drained);
                  ])
              fz.Admission.fz_stats) );
@@ -842,7 +844,13 @@ let admission_frozen_of_json j =
         let* admitted = int_field "admitted" sj in
         let* shed = int_field "shed" sj in
         let* drained = int_field "drained" sj in
-        Ok (tenant, (admitted, shed, drained)))
+        if shed <> 0 then
+          Error
+            (Printf.sprintf
+               "admission stats: tenant %S shed %d request(s); the shedding \
+                policies (drop-newest, drop-oldest, tenant-quota) are gone"
+               tenant shed)
+        else Ok (tenant, (admitted, drained)))
       sl
   in
   Ok { Admission.fz_next_seq; fz_tenants; fz_queues; fz_stats }

@@ -6,7 +6,7 @@
     + polls the arrival {!Source} for requests surfacing now,
     + journals them write-ahead (when a {!Journal.writer} is attached),
     + offers deferred-then-fresh requests to the bounded {!Admission}
-      queue (shedding or deferring per policy),
+      queue (a full queue defers the rest to the next tick),
     + drains up to [drain_per_tick] requests fairly across tenants and
       submits their events to the incremental engine stepper,
     + executes up to [steps_per_tick] service rounds,

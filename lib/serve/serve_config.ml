@@ -86,13 +86,16 @@ let churn_spec_to_json cs =
       ("first_id", Json.Int cs.churn_first_id);
     ]
 
+(* [Block] is the only admission policy; its name stays in the
+   fingerprint so checkpoint bytes do not move, and a checkpoint written
+   under a retired shedding policy fails the fingerprint comparison. *)
 let config_to_json cfg =
   Json.Obj
     [
       ("policy", Codec.policy_to_json cfg.policy);
       ("engine_seed", Json.Int cfg.engine_seed);
       ("admission_capacity", Json.Int cfg.admission_capacity);
-      ("admission_policy", Json.String (Admission.policy_name cfg.admission_policy));
+      ("admission_policy", Json.String "block");
       ("drain_per_tick", Json.Int cfg.drain_per_tick);
       ("steps_per_tick", Json.Int cfg.steps_per_tick);
       ("tick_dt_s", Json.Float cfg.tick_dt_s);

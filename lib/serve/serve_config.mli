@@ -19,6 +19,7 @@ type config = {
   engine_seed : int;
   admission_capacity : int;
   admission_policy : Admission.policy;
+      (** Always [Block], the one policy; fingerprinted as ["block"]. *)
   drain_per_tick : int;  (** Max requests entering the engine per tick. *)
   steps_per_tick : int;  (** Max service rounds executed per tick. *)
   tick_dt_s : float;  (** Simulated seconds per tick. *)

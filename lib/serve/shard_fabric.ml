@@ -174,8 +174,7 @@ let create ?injector ?telemetry ?journal ?journal_base
   in
   let admissions =
     Array.init cfg.shards (fun _ ->
-        Admission.create ~capacity:cfg.base.Serve_config.admission_capacity
-          ~policy:cfg.base.Serve_config.admission_policy)
+        Admission.create ~capacity:cfg.base.Serve_config.admission_capacity)
   in
   let journals =
     match (journal, journal_base) with
@@ -369,7 +368,6 @@ let execute_tick t routed =
           | None -> ());
           match outcome with
           | Admission.Admitted -> Counters.incr Counters.Serve_admitted
-          | Admission.Shed _ -> Counters.incr Counters.Serve_shed
           | Admission.Deferred ->
               Counters.incr Counters.Serve_deferred;
               deferred_rev := req :: !deferred_rev)
@@ -622,8 +620,7 @@ let thaw_fabric ?telemetry ?retry cfg ~topology ~source_spec
           Array.map
             (fun (sh : Checkpoint.shard) ->
               Admission.thaw
-                ~capacity:cfg.base.Serve_config.admission_capacity
-                ~policy:cfg.base.Serve_config.admission_policy sh.admission)
+                ~capacity:cfg.base.Serve_config.admission_capacity sh.admission)
             shards;
         deferred = Array.map (fun (sh : Checkpoint.shard) -> sh.deferred) shards;
         journals = Array.make cfg.shards None;

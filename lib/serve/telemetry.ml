@@ -106,7 +106,6 @@ let on_admission t req (outcome : Admission.outcome) =
   record_request t req
     (match outcome with
     | Admission.Admitted -> Lifecycle.Admitted
-    | Admission.Shed reason -> Lifecycle.Shed reason
     | Admission.Deferred -> Lifecycle.Deferred)
 
 let on_drain t req ~wait_ticks =

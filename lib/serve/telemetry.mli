@@ -4,7 +4,7 @@
 
     A [Telemetry.t] owns a {!Nu_obs.Lifecycle} tracker (every request's
     path from arrival to completion, streamed to a record log) and a
-    {!Nu_obs.Fairness} fold (per-tenant ECT histograms, shed/admit
+    {!Nu_obs.Fairness} fold (per-tenant ECT histograms, admit/drain
     accounting, Jain's index). Every tenant-bearing stamp goes to both
     through one helper, so folding the record log through
     {!Nu_obs.Fairness.observe} ([experiments telemetry]) rebuilds the
@@ -76,8 +76,8 @@ val on_arrival : t -> Request.t -> unit
     already stamped when first seen. *)
 
 val on_admission : t -> Request.t -> Admission.outcome -> unit
-(** Stamp the admission decision; [Admitted] and [Shed] count toward
-    the tenant's fairness. *)
+(** Stamp the admission decision, [Admitted] or [Deferred]; [Admitted]
+    counts toward the tenant's fairness. *)
 
 val on_drain : t -> Request.t -> wait_ticks:int -> unit
 (** Stamp [Submitted] with the queueing delay in ticks (the tenant's

@@ -36,11 +36,6 @@ let test_snapshot_missing_file () =
   let status, _ = run_capture [ "snapshot"; "no-such-checkpoint.json" ] in
   Alcotest.(check bool) "non-zero exit" true (status <> 0)
 
-let test_serve_bad_admission () =
-  let status, out = run_capture [ "serve"; "--admission"; "gibberish" ] in
-  Alcotest.(check bool) "non-zero exit" true (status <> 0);
-  Alcotest.(check bool) "mentions the option" true (Test_util.contains out "admission")
-
 (* A crash flag that cannot take effect is refused with exit 2 before
    the fabric writes anything. *)
 let test_serve_kill_at_past_ticks () =
@@ -58,6 +53,25 @@ let test_serve_kill_at_past_ticks () =
   Alcotest.(check int) "exit 2" 2 status;
   Alcotest.(check bool) "names --kill-at" true (Test_util.contains out "--kill-at");
   Alcotest.(check bool) "served nothing" false (Test_util.contains out "tick(s)");
+  Alcotest.(check bool) "wrote nothing" false (Sys.file_exists dir)
+
+(* A negative checkpoint period would save neither periodically nor at
+   the end; it is refused with exit 2 before anything is served or
+   written. *)
+let test_serve_negative_checkpoint_every () =
+  let dir = Filename.temp_file "nu_cli_cp" "" in
+  Sys.remove dir;
+  let status, out =
+    run_capture
+      [
+        "serve"; "--ticks"; "20"; "--checkpoint"; Filename.concat dir "cp.json";
+        "--checkpoint-every=-1";
+      ]
+  in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names --checkpoint-every" true
+    (Test_util.contains out "--checkpoint-every");
+  Alcotest.(check bool) "served nothing" false (Test_util.contains out "digest:");
   Alcotest.(check bool) "wrote nothing" false (Sys.file_exists dir)
 
 let test_serve_kill_shard_without_kill_at () =
@@ -172,21 +186,19 @@ let test_serve_nested_metrics_dir () =
   rm_rf dir
 
 (* [telemetry DIR] over a lifecycle log written through Obs.Lifecycle:
-   each request is [(id, tenant, terminal stage)], stamped Arrived,
-   Admitted (unless shed) and then its terminal stage. *)
+   each request is [(id, tenant, last stage)], stamped Arrived, Admitted
+   and then its last stage. *)
 let telemetry_of requests =
   let dir = fresh_dir "nu_cli_telemetry" in
   let lc =
     Obs.Lifecycle.create ~path:(Filename.concat dir "lifecycle.jsonl") ()
   in
   List.iter
-    (fun (id, tenant, terminal) ->
+    (fun (id, tenant, last) ->
       let stamp stage = Obs.Lifecycle.stamp lc ~id ~tenant ~tick:0 ~t_s:0.0 stage in
       stamp Obs.Lifecycle.Arrived;
-      (match terminal with
-      | Obs.Lifecycle.Shed _ -> ()
-      | _ -> stamp Obs.Lifecycle.Admitted);
-      stamp terminal)
+      stamp Obs.Lifecycle.Admitted;
+      stamp last)
     requests;
   Obs.Lifecycle.close lc;
   let status, out = run_capture [ "telemetry"; dir ] in
@@ -211,10 +223,8 @@ let test_telemetry_summary () =
 (* Arrivals that never complete leave no mean to compare: the index is
    reported as absent and no overall-ECT line is printed. *)
 let test_telemetry_no_completion () =
-  let out =
-    telemetry_of
-      [ (1, "a", Obs.Lifecycle.Shed "capacity"); (2, "b", Obs.Lifecycle.Shed "capacity") ]
-  in
+  let submitted = Obs.Lifecycle.Submitted { wait_ticks = 0 } in
+  let out = telemetry_of [ (1, "a", submitted); (2, "b", submitted) ] in
   Alcotest.(check string) "jain line" "jain index: - (no completions)"
     (field out "jain index:");
   Alcotest.(check bool) "no overall line" false (Test_util.contains out "overall ECT:")
@@ -225,7 +235,9 @@ let suite =
     ("unknown flag fails", `Quick, test_unknown_flag);
     ("help exits zero", `Quick, test_help_exits_zero);
     ("snapshot missing file fails", `Quick, test_snapshot_missing_file);
-    ("serve bad admission policy fails", `Quick, test_serve_bad_admission);
+    ( "serve negative --checkpoint-every fails",
+      `Quick,
+      test_serve_negative_checkpoint_every );
     ("serve --kill-at past --ticks fails", `Quick, test_serve_kill_at_past_ticks);
     ( "serve --kill-shard without --kill-at fails",
       `Quick,

@@ -984,7 +984,6 @@ let test_lifecycle_entry_json_roundtrip () =
     [
       Obs.Lifecycle.Arrived;
       Obs.Lifecycle.Admitted;
-      Obs.Lifecycle.Shed "tenant-quota";
       Obs.Lifecycle.Deferred;
       Obs.Lifecycle.Submitted { wait_ticks = 3 };
       Obs.Lifecycle.Planned { round = 9; co_scheduled = false };
@@ -1039,7 +1038,6 @@ let test_fairness_jain_and_fold () =
     (List.length (Obs.Fairness.view f));
   observe "a" Obs.Lifecycle.Admitted;
   observe "b" Obs.Lifecycle.Admitted;
-  observe "b" (Obs.Lifecycle.Shed "capacity");
   observe "a" (Obs.Lifecycle.Submitted { wait_ticks = 2 });
   observe "a" (completed 1.0);
   observe "b" (Obs.Lifecycle.Degraded { ect_s = 1.0; failed_items = 1 });
@@ -1063,8 +1061,7 @@ let test_fairness_jain_and_fold () =
       Alcotest.(check int) "degraded counts as completed" 2
         b.Obs.Fairness.v_completed;
       Alcotest.(check int) "b degraded" 1 b.Obs.Fairness.v_degraded;
-      Alcotest.(check (float 1e-9))
-        "b shed ratio" 0.5 b.Obs.Fairness.v_shed_ratio
+      Alcotest.(check int) "b admitted" 1 b.Obs.Fairness.v_admitted
   | _ -> Alcotest.fail "two tenants expected"
 
 (* ------------------------------------------------------------------ *)

@@ -600,6 +600,26 @@ let test_golden_checkpoint () =
   Alcotest.(check string) "fabric checkpoint bytes" "808c1423745ee762"
     (Obs.Fnv.string_hex (Serve_checkpoint.to_string cp))
 
+(* [golden_fabric]'s checkpoint bytes after a splice: [what]'s splice
+   must change them, and restoring them must fail with an error that
+   contains [needle]. *)
+let check_refused (s, fcfg, _) ~bytes (what, spliced, needle) =
+  Alcotest.(check bool) (what ^ ": the splice changed the bytes") true
+    (spliced <> bytes);
+  match
+    Result.bind
+      (Serve_checkpoint.of_string ~graph:s.Scenario.topology.Topology.graph
+         spliced)
+      (Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
+         ~source_spec:(spec_of ~rate:3.0 ()))
+  with
+  | Ok t ->
+      Shard_fabric.close t;
+      Alcotest.failf "%s: restored" what
+  | Error m ->
+      Alcotest.(check bool) (what ^ ": the error says why: " ^ m) true
+        (Test_util.contains m needle)
+
 (* The coordinator commits every escalation, so it has no retry queue
    and bills no planning of its own. A checkpoint whose [coord] section
    holds a queued retry or non-zero units (as a coordinator that could
@@ -607,7 +627,7 @@ let test_golden_checkpoint () =
    state. *)
 let test_restore_refuses_coord_retry_state () =
   let module J = Nu_obs.Json in
-  let s, fcfg, cp = golden_fabric () in
+  let ((_, _, cp) as golden) = golden_fabric () in
   let bytes = Serve_checkpoint.to_string cp in
   let queued =
     let req = Serve_request.v ~tenant:"a" (install_event ~src:0 900) in
@@ -631,27 +651,47 @@ let test_restore_refuses_coord_retry_state () =
       bytes
   in
   List.iter
-    (fun (what, spliced) ->
-      Alcotest.(check bool) (what ^ ": the splice changed the bytes") true
-        (spliced <> bytes);
-      match
-        Result.bind
-          (Serve_checkpoint.of_string ~graph:s.Scenario.topology.Topology.graph
-             spliced)
-          (Shard_fabric.restore_snapshot fcfg ~topology:s.Scenario.topology
-             ~source_spec:(spec_of ~rate:3.0 ()))
-      with
-      | Ok t ->
-          Shard_fabric.close t;
-          Alcotest.failf "%s: restored a coordinator retry state" what
-      | Error m ->
-          Alcotest.(check bool)
-            (what ^ ": error names the retry state: " ^ m)
-            true
-            (Test_util.contains m "coordinator retry state"))
+    (check_refused golden ~bytes)
     [
-      ("queued retry", with_coord "queue" (J.List [ queued ]));
-      ("units", with_coord "units" (J.Int 7));
+      ("queued retry", with_coord "queue" (J.List [ queued ]), "coordinator retry state");
+      ("units", with_coord "units" (J.Int 7), "coordinator retry state");
+    ]
+
+(* Admission only defers, so nothing sheds. A checkpoint whose
+   admission stats count a shed request, as a shedding policy wrote it,
+   is refused by name; one whose fingerprint names a shedding policy
+   fails the fingerprint comparison and shows both configurations. *)
+let test_restore_refuses_shedding () =
+  let module J = Nu_obs.Json in
+  let ((_, _, cp) as golden) = golden_fabric () in
+  let bytes = Serve_checkpoint.to_string cp in
+  let update key f = List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) in
+  let obj f = function J.Obj fields -> J.Obj (f fields) | j -> j in
+  let first f = function J.List (x :: rest) -> J.List (f x :: rest) | j -> j in
+  let shed_one =
+    rewrite_core
+      (update "shards"
+         (first
+            (obj
+               (update "admission"
+                  (obj (update "stats" (first (obj (update "shed" (fun _ -> J.Int 1))))))))))
+      bytes
+  in
+  let dropping_meta =
+    rewrite_core
+      (update "meta"
+         (obj
+            (update "config"
+               (obj (update "admission_policy" (fun _ -> J.String "drop-newest"))))))
+      bytes
+  in
+  Alcotest.(check bool) "a tenant's stats count one shed request" true
+    (Test_util.contains shed_one {|"shed":1|});
+  List.iter
+    (check_refused golden ~bytes)
+    [
+      ("shed count", shed_one, "shedding policies");
+      ("drop-newest fingerprint", dropping_meta, "\"drop-newest\"");
     ]
 
 let test_golden_storage () =
@@ -733,6 +773,8 @@ let suite =
     Alcotest.test_case "golden checkpoint bytes" `Quick test_golden_checkpoint;
     Alcotest.test_case "restore refuses coordinator retry state" `Quick
       test_restore_refuses_coord_retry_state;
+    Alcotest.test_case "restore refuses shedding" `Quick
+      test_restore_refuses_shedding;
     Alcotest.test_case "coordinator journal reads back to its digest" `Quick
       test_coord_journal_reads_back;
   ]
