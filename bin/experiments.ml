@@ -473,7 +473,10 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
 let checkpoint_every_arg =
-  let doc = "Checkpoint period in ticks (0 = only at end of serving)." in
+  let doc =
+    "Checkpoint period in ticks (0 = only at end of serving); needs \
+     --checkpoint."
+  in
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"K" ~doc)
 
 let journal_arg =
@@ -686,7 +689,7 @@ let fabric_config cfg ~shards ~regions =
 (* The retry budget of --retry-max: serve's injector aborts on it, and
    recovery and replay must thaw the checkpoint's injector on it too. *)
 let retry_of_max retry_max =
-  { Retry_policy.default with Retry_policy.max_attempts = retry_max }
+  { Retry_policy.max_attempts = retry_max }
 
 (* Serve's fault injector: a seeded schedule over the run's simulated
    horizon. Fault injection needs the single controller. *)
@@ -797,6 +800,12 @@ let serve_cmd =
       out trace counters hist shards regions kill_shard kill_at =
     if checkpoint_every < 0 then begin
       Format.eprintf "serve: --checkpoint-every must be >= 0 (got %d)@."
+        checkpoint_every;
+      exit 2
+    end;
+    if checkpoint_every > 0 && checkpoint = None then begin
+      Format.eprintf
+        "serve: --checkpoint-every %d needs --checkpoint FILE to save to@."
         checkpoint_every;
       exit 2
     end;

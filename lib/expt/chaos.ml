@@ -45,7 +45,7 @@ let run ?(params = default_params) () =
       scenario.Scenario.topology
   in
   let retry =
-    { Retry_policy.default with Retry_policy.max_attempts = params.retry_max }
+    { Retry_policy.max_attempts = params.retry_max }
   in
   let injector = Injector.create ~retry schedule in
   let run =

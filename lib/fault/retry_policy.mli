@@ -12,16 +12,14 @@
 
 type t = {
   max_attempts : int;  (** Aborts tolerated before degrading (>= 1). *)
-  base_backoff_s : float;  (** Backoff after the first abort (>= 0). *)
-  multiplier : float;  (** Growth per further abort (>= 1). *)
 }
 
 val default : t
-(** 3 attempts, 50 ms base, doubling. *)
+(** 3 attempts. *)
 
 val validate : t -> (unit, string) result
 
 val decide : t -> attempt:int -> [ `Retry_after of float | `Degrade ]
 (** Decision after the [attempt]-th abort of one event (1-based): retry
-    after [base_backoff_s *. multiplier ^ (attempt - 1)], or degrade
-    once the budget is exhausted. *)
+    after [0.05 *. 2 ^ (attempt - 1)] seconds (50 ms, then doubling),
+    or degrade once the budget is exhausted. *)

@@ -34,6 +34,10 @@ type key =
   | Shard_coord_aborts
   | Shard_coord_degraded
   | Shard_rebalances
+  | Recovery_fallback_depth
+  | Store_frames_corrupt
+  | Supervisor_restarts
+  | Telemetry_expo_writes
 
 let index = function
   | Planner_plans -> 0
@@ -71,6 +75,10 @@ let index = function
   | Shard_coord_aborts -> 32
   | Shard_coord_degraded -> 33
   | Shard_rebalances -> 34
+  | Recovery_fallback_depth -> 35
+  | Store_frames_corrupt -> 36
+  | Supervisor_restarts -> 37
+  | Telemetry_expo_writes -> 38
 
 let all =
   [
@@ -109,6 +117,10 @@ let all =
     Shard_coord_aborts;
     Shard_coord_degraded;
     Shard_rebalances;
+    Recovery_fallback_depth;
+    Store_frames_corrupt;
+    Supervisor_restarts;
+    Telemetry_expo_writes;
   ]
 
 let size = List.length all
@@ -149,6 +161,10 @@ let name = function
   | Shard_coord_aborts -> "shard_coord_aborts"
   | Shard_coord_degraded -> "shard_coord_degraded"
   | Shard_rebalances -> "shard_rebalances"
+  | Recovery_fallback_depth -> "recovery.fallback_depth"
+  | Store_frames_corrupt -> "store.frames_corrupt"
+  | Supervisor_restarts -> "supervisor.restarts"
+  | Telemetry_expo_writes -> "telemetry.expo_writes"
 
 (* The registry is domain-local: each domain increments its own store
    (no contention, no torn reads), and a probe worker's deltas are
@@ -158,55 +174,27 @@ let name = function
    across domains. Everything below operates on the calling domain's
    store; in a single-domain program that is exactly the historical
    process-global behaviour. *)
-type store = { counts : int array; named : (string, int ref) Hashtbl.t }
-
-let store_key : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { counts = Array.make size 0; named = Hashtbl.create 16 })
+let store_key : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make size 0)
 
 let store () = Domain.DLS.get store_key
 
 let incr k =
-  let counts = (store ()).counts in
+  let counts = store () in
   let i = index k in
   counts.(i) <- counts.(i) + 1
 
 let add k n =
-  let counts = (store ()).counts in
+  let counts = store () in
   let i = index k in
   counts.(i) <- counts.(i) + n
 
-let get k = (store ()).counts.(index k)
+let get k = (store ()).(index k)
+let reset () = Array.fill (store ()) 0 size 0
 
-(* Dynamic named counters, created on first increment. *)
+type snapshot = int array
 
-let add_named n k =
-  if n = "" then invalid_arg "Counters.add_named: empty name";
-  let named = (store ()).named in
-  match Hashtbl.find_opt named n with
-  | Some r -> r := !r + k
-  | None -> Hashtbl.add named n (ref k)
-
-let incr_named n = add_named n 1
-
-let get_named n =
-  match Hashtbl.find_opt (store ()).named n with Some r -> !r | None -> 0
-
-let reset () =
-  let s = store () in
-  Array.fill s.counts 0 size 0;
-  Hashtbl.reset s.named
-
-type snapshot = { fixed : int array; dyn : (string * int) list }
-
-let snapshot () =
-  let s = store () in
-  {
-    fixed = Array.copy s.counts;
-    dyn =
-      Hashtbl.fold (fun n r acc -> (n, !r) :: acc) s.named []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-  }
+let snapshot () = Array.copy (store ())
 
 let drain () =
   let snap = snapshot () in
@@ -214,31 +202,12 @@ let drain () =
   snap
 
 let absorb snap =
-  if Array.length snap.fixed <> size then
-    invalid_arg "Counters.absorb: snapshot size mismatch";
-  let s = store () in
-  Array.iteri (fun i v -> s.counts.(i) <- s.counts.(i) + v) snap.fixed;
-  List.iter (fun (n, v) -> if v <> 0 then add_named n v) snap.dyn
+  let counts = store () in
+  Array.iteri (fun i v -> counts.(i) <- counts.(i) + v) snap
 
-(* The named-counter diff is over the *union* of both snapshots' names:
-   a counter first incremented between the two snapshots diffs against
-   an implicit zero instead of silently disappearing. *)
-let diff ~before ~after =
-  if Array.length before.fixed <> size || Array.length after.fixed <> size then
-    invalid_arg "Counters.diff: snapshot size mismatch";
-  let get l n = Option.value (List.assoc_opt n l) ~default:0 in
-  let names =
-    List.sort_uniq compare
-      (List.map fst before.dyn @ List.map fst after.dyn)
-  in
-  {
-    fixed = Array.init size (fun i -> after.fixed.(i) - before.fixed.(i));
-    dyn = List.map (fun n -> (n, get after.dyn n - get before.dyn n)) names;
-  }
-
-let value snap k = snap.fixed.(index k)
-let to_alist snap =
-  List.map (fun k -> (name k, snap.fixed.(index k))) all @ snap.dyn
+let diff ~before ~after = Array.mapi (fun i v -> v - before.(i)) after
+let value snap k = snap.(index k)
+let to_alist snap = List.map (fun k -> (name k, snap.(index k))) all
 
 let to_json snap =
   Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (to_alist snap))

@@ -82,6 +82,13 @@ type key =
   | Shard_rebalances
       (** Always 0: the fabric's hot-shard rebalance is gone. Kept
           because the benchmark reports it as [shard.rebalances]. *)
+  | Recovery_fallback_depth
+      (** Supervisor recoveries that started below the newest checkpoint
+          generation: an older generation or a cold start. *)
+  | Store_frames_corrupt
+      (** Corrupt record-log frames skipped while reading a journal. *)
+  | Supervisor_restarts  (** Shard restarts the supervisor performed. *)
+  | Telemetry_expo_writes  (** [metrics.prom] expositions published. *)
 
 val incr : key -> unit
 
@@ -90,47 +97,29 @@ val add : key -> int -> unit
 val get : key -> int
 (** Current live value. *)
 
-(** {2 Dynamic named counters}
-
-    Subsystems whose counter set is not known statically (telemetry
-    sinks, plugins) register counters by name on first increment. Named
-    counters share the registry's snapshot/diff machinery; names are
-    dot-namespaced snake_case ["telemetry.expo_writes"]-style strings. *)
-
-val incr_named : string -> unit
-val add_named : string -> int -> unit
-(** Create-on-first-use. Raise [Invalid_argument] on an empty name. *)
-
-val get_named : string -> int
-(** Current live value; 0 for a name never incremented. *)
-
 type snapshot
-(** Immutable copy of all counter values — fixed keys and named
-    counters — at one instant. *)
+(** Immutable copy of all counter values at one instant. *)
 
 val snapshot : unit -> snapshot
 
 val drain : unit -> snapshot
-(** {!snapshot}, then zero every fixed counter and drop every named
-    counter, atomically from the calling domain's point of view: a
+(** {!snapshot}, then zero every counter, atomically from the calling domain's point of view: a
     worker domain's parting gift, to be {!absorb}ed by the domain that
     joins it. *)
 
 val absorb : snapshot -> unit
-(** Add a drained snapshot's values into the calling domain's counters.
-    Raises [Invalid_argument] on a fixed-size mismatch. *)
+(** Add a drained snapshot's values into the calling domain's counters. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-key [after - before]: the counts attributable to the region
-    between the two snapshots. Named counters diff over the {e union}
-    of both snapshots' names — a counter first created after [before]
-    was taken diffs against an implicit 0 rather than being dropped. *)
+    between the two snapshots. *)
 
 val value : snapshot -> key -> int
 
 val to_alist : snapshot -> (string * int) list
-(** All fixed keys in declaration order (including zeros), each under
-    its stable snake_case name, then named counters sorted by name. *)
+(** Every key in declaration order (including zeros), each under its
+    stable name: snake_case, dot-namespaced for the four keys a
+    subsystem owns ([store.frames_corrupt]). *)
 
 val to_json : snapshot -> Json.t
 (** Object mapping each {!to_alist} name to its value. *)

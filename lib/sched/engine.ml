@@ -14,6 +14,19 @@ type event_result = {
   co_scheduled : bool;
 }
 
+let result_of_plan (plan : Planner.t) ~start_s ~completion_s ~co_scheduled =
+  let ev = plan.Planner.event in
+  {
+    event_id = ev.Event.id;
+    arrival_s = ev.Event.arrival_s;
+    start_s;
+    completion_s;
+    cost_mbit = plan.Planner.cost_mbit;
+    plan_work_units = plan.Planner.work_units;
+    failed_items = plan.Planner.failed_count;
+    co_scheduled;
+  }
+
 let ect r = r.completion_s -. r.arrival_s
 let queuing_delay r = r.start_s -. r.arrival_s
 
@@ -181,19 +194,19 @@ let work_flow_ids (plan : Planner.t) =
 
 
 (* Lowest estimated cost wins; arrival order breaks ties. *)
-let pick_winner costed =
+let pick_winner probes =
+  let cost (pr : Planner.probe) = pr.Planner.probe_plan.Planner.cost_mbit in
+  let event (pr : Planner.probe) = pr.Planner.probe_plan.Planner.event in
   List.fold_left
-    (fun ((best_pr : Planner.probe), best_ev) ((pr : Planner.probe), ev) ->
+    (fun best pr ->
       if
-        pr.Planner.probe_est.Planner.est_cost_mbit
-        < best_pr.Planner.probe_est.Planner.est_cost_mbit
-        || (pr.Planner.probe_est.Planner.est_cost_mbit
-            = best_pr.Planner.probe_est.Planner.est_cost_mbit
-            && Event.compare_by_arrival ev best_ev < 0)
-      then (pr, ev)
-      else (best_pr, best_ev))
-    (match costed with c :: _ -> (fst c, snd c) | [] -> assert false)
-    costed
+        cost pr < cost best
+        || (cost pr = cost best
+           && Event.compare_by_arrival (event pr) (event best) < 0)
+      then pr
+      else best)
+    (match probes with pr :: _ -> pr | [] -> assert false)
+    probes
 
 (* Incremental event-level stepper: the old run_event_level loop with
    its mutable refs lifted into a record, so one service round can be
@@ -283,11 +296,70 @@ let apply_faults_due st =
       if n > 0 then ignore (Injector.check_now inj st.ctx.net ~now:st.now)
   | Some _ | None -> ()
 
+(* How a round ended: its batch executed, its one event was served
+   degraded, or the coordinator took its winner (the event id). *)
+type round_end = Executed | Degraded | Escalated of int
+
+(* Book a finished round, the one way every round ends: count and log
+   it, tell the observer ([Round_executed], or [Round_escalated] for a
+   round whose winner left for the coordinator), then per plan of the
+   batch, in order, register its departures, record its result and
+   report [Event_completed]; last, move the clock to [until]. [batch]
+   holds (plan, co-scheduled, completion) and is empty for an escalated
+   round. The caller keeps its spans, its own counters and its
+   invariant checks. *)
+let finish_round st ~round_start_s ~utilization ~round_units ~start_s ~until
+    ending batch =
+  let id (plan : Planner.t) = plan.Planner.event.Event.id in
+  let executed = List.map (fun (plan, _, _) -> id plan) batch in
+  let co_ids =
+    List.filter_map
+      (fun (plan, co, _) -> if co then Some (id plan) else None)
+      batch
+  in
+  let co_count = List.length co_ids in
+  st.rounds <- st.rounds + 1;
+  Counters.incr Counters.Engine_rounds;
+  Counters.add Counters.Events_executed (List.length batch);
+  Counters.add Counters.Co_scheduled_events co_count;
+  st.log <-
+    {
+      round_start_s;
+      executed;
+      co_count;
+      round_units;
+      fabric_utilization = utilization;
+    }
+    :: st.log;
+  let round = st.rounds - 1 in
+  notify st
+    (match ending with
+    | Escalated event_id ->
+        Round_escalated { round; start_s = round_start_s; event_id }
+    | Executed | Degraded ->
+        Round_executed
+          {
+            round;
+            start_s = round_start_s;
+            executed;
+            co_ids;
+            degraded = ending = Degraded;
+          });
+  List.iter
+    (fun (plan, co_scheduled, completion_s) ->
+      schedule_departures st.ctx ~completion:completion_s plan;
+      let result = result_of_plan plan ~start_s ~completion_s ~co_scheduled in
+      st.results <- result :: st.results;
+      notify st (Event_completed { result; degraded = ending = Degraded }))
+    batch;
+  st.now <- until
+
 (* Terminal best-effort service for an event whose retries ran out:
    scan-first admission fits what it can into the surviving capacity,
    unsatisfiable items are reported as failed — the event completes
    degraded instead of being dropped or retried forever. Runs outside
-   any transaction and is not itself interruptible. *)
+   any transaction, is not itself interruptible and runs no invariant
+   check. *)
 let execute_degraded st ev =
   let ctx = st.ctx in
   let sp =
@@ -302,55 +374,19 @@ let execute_degraded st ev =
     else None
   in
   let round_start_s = st.now in
-  let round_utilization = Net_state.mean_fabric_utilization ctx.net in
+  let utilization = Net_state.mean_fabric_utilization ctx.net in
   let units_before = ctx.units in
   let plan = apply ctx ~billed:true ~config:scan_first ev in
   let round_units = ctx.units - units_before in
-  let plan_time = Exec_model.plan_time ~work_units:round_units in
-  let start_s = st.now +. plan_time in
+  let start_s = st.now +. Exec_model.plan_time ~work_units:round_units in
   let completion_s = start_s +. Exec_model.execution_time plan in
-  schedule_departures ctx ~completion:completion_s plan;
-  st.rounds <- st.rounds + 1;
-  Counters.incr Counters.Engine_rounds;
-  Counters.add Counters.Events_executed 1;
-  st.log <-
-    {
-      round_start_s;
-      executed = [ ev.Event.id ];
-      co_count = 0;
-      round_units;
-      fabric_utilization = round_utilization;
-    }
-    :: st.log;
-  let result =
-    {
-      event_id = ev.Event.id;
-      arrival_s = ev.Event.arrival_s;
-      start_s;
-      completion_s;
-      cost_mbit = plan.Planner.cost_mbit;
-      plan_work_units = plan.Planner.work_units;
-      failed_items = plan.Planner.failed_count;
-      co_scheduled = false;
-    }
-  in
-  st.results <- result :: st.results;
-  st.now <- completion_s;
-  notify st
-    (Round_executed
-       {
-         round = st.rounds - 1;
-         start_s = round_start_s;
-         executed = [ ev.Event.id ];
-         co_ids = [];
-         degraded = true;
-       });
-  notify st (Event_completed { result; degraded = true });
+  finish_round st ~round_start_s ~utilization ~round_units ~start_s
+    ~until:completion_s Degraded
+    [ (plan, false, completion_s) ];
   match sp with
   | Some sp ->
       Trace.finish sp ~attrs:[ ("completion_s", Trace.Float completion_s) ]
   | None -> ()
-
 
 (* ------------------------------------------------------------------ *)
 (* The round kernel.                                                   *)
@@ -384,7 +420,7 @@ type group_pre = {
 
 type group_decision = {
   gd_pre : group_pre;
-  gd_win : Planner.probe * Event.t;
+  gd_win : Planner.probe;
   gd_stamps : (int * int) array;  (* (edge, version) at decision time *)
   gd_epoch : int;  (* disabled_epoch at decision time *)
 }
@@ -541,14 +577,13 @@ let probe_wave ~owner pres =
   List.map2
     (fun gp slot ->
       Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with
-             | Some pr ->
+        (Array.map
+           (function
+             | Some (pr : Planner.probe) ->
                  let ctx = gp.gp_st.ctx in
                  ctx.units <-
-                   ctx.units + pr.Planner.probe_est.Planner.est_work_units;
-                 (pr, gp.gp_candidates.(i))
+                   ctx.units + pr.Planner.probe_plan.Planner.work_units;
+                 pr
              | None -> assert false)
            slot))
     pres slots
@@ -589,7 +624,7 @@ let co_schedule ctx ~winner ~winner_plan candidates =
         List.iter
           (fun id -> Hashtbl.replace protected id ())
           (work_flow_ids plan);
-        Some (ev, plan, true)
+        Some (plan, true)
       end
       else begin
         timed ctx (fun () -> Net_state.rollback ctx.net);
@@ -610,32 +645,17 @@ let check_faults st =
 let escalation_round gd =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
-  let ctx = st.ctx in
-  let _, winner = gd.gd_win in
-  let round_units = ctx.units - gp.gp_units_before in
+  let winner = gd.gd_win.Planner.probe_plan.Planner.event in
+  let round_units = st.ctx.units - gp.gp_units_before in
   let plan_time = Exec_model.plan_time ~work_units:round_units in
   st.queue <-
     List.filter (fun ev -> ev.Event.id <> winner.Event.id) st.queue;
-  st.rounds <- st.rounds + 1;
-  Counters.incr Counters.Engine_rounds;
   Counters.incr Counters.Shard_escalations;
-  st.log <-
-    {
-      round_start_s = gp.gp_round_start_s;
-      executed = [];
-      co_count = 0;
-      round_units;
-      fabric_utilization = gp.gp_round_utilization;
-    }
-    :: st.log;
-  st.now <- gp.gp_round_start_s +. plan_time;
-  notify st
-    (Round_escalated
-       {
-         round = st.rounds - 1;
-         start_s = gp.gp_round_start_s;
-         event_id = winner.Event.id;
-       })
+  finish_round st ~round_start_s:gp.gp_round_start_s
+    ~utilization:gp.gp_round_utilization ~round_units
+    ~start_s:gp.gp_round_start_s
+    ~until:(gp.gp_round_start_s +. plan_time)
+    (Escalated winner.Event.id) []
 
 (* A fault lands while the round is in flight. The migration is
    aborted: roll the network back to the round's start, let the fault
@@ -655,11 +675,13 @@ let abort_round gp ~fault_s ~round_sp timings =
          round = st.rounds;
          start_s = gp.gp_round_start_s;
          fault_s;
-         batch = List.map (fun (ev, _, _, _) -> ev.Event.id) timings;
+         batch =
+           List.map (fun (plan, _, _) -> plan.Planner.event.Event.id) timings;
        });
   let degraded =
     List.filter_map
-      (fun (ev, _, _, _) ->
+      (fun ((plan : Planner.t), _, _) ->
+        let ev = plan.Planner.event in
         match Injector.note_abort inj ~event_id:ev.Event.id ~now:st.now with
         | `Retry_at ready_s ->
             st.held <- (ready_s, ev) :: st.held;
@@ -688,27 +710,6 @@ let abort_round gp ~fault_s ~round_sp timings =
    planning sees a consistent state. *)
 let book_round gp ~start_s ~head_finish ~round_units ~round_sp timings =
   let st = gp.gp_st in
-  let ctx = st.ctx in
-  let executed = List.map (fun (ev, _, _, _) -> ev.Event.id) timings in
-  let co_ids =
-    List.filter_map
-      (fun (ev, _, co, _) -> if co then Some ev.Event.id else None)
-      timings
-  in
-  let co_count = List.length co_ids in
-  st.rounds <- st.rounds + 1;
-  Counters.incr Counters.Engine_rounds;
-  Counters.add Counters.Events_executed (List.length timings);
-  Counters.add Counters.Co_scheduled_events co_count;
-  st.log <-
-    {
-      round_start_s = gp.gp_round_start_s;
-      executed;
-      co_count;
-      round_units;
-      fabric_utilization = gp.gp_round_utilization;
-    }
-    :: st.log;
   let exec_sp =
     if Trace.enabled () then
       Some
@@ -720,53 +721,29 @@ let book_round gp ~start_s ~head_finish ~round_units ~round_sp timings =
              ])
     else None
   in
-  notify st
-    (Round_executed
-       {
-         round = st.rounds - 1;
-         start_s = gp.gp_round_start_s;
-         executed;
-         co_ids;
-         degraded = false;
-       });
-  List.iter
-    (fun (ev, plan, co_scheduled, completion_s) ->
-      schedule_departures ctx ~completion:completion_s plan;
-      let result =
-        {
-          event_id = ev.Event.id;
-          arrival_s = ev.Event.arrival_s;
-          start_s;
-          completion_s;
-          cost_mbit = plan.Planner.cost_mbit;
-          plan_work_units = plan.Planner.work_units;
-          failed_items = plan.Planner.failed_count;
-          co_scheduled;
-        }
-      in
-      st.results <- result :: st.results;
-      notify st (Event_completed { result; degraded = false }))
-    timings;
+  finish_round st ~round_start_s:gp.gp_round_start_s
+    ~utilization:gp.gp_round_utilization ~round_units ~start_s
+    ~until:head_finish Executed timings;
   (match exec_sp with
   | Some sp ->
       Trace.finish sp ~attrs:[ ("head_finish_s", Trace.Float head_finish) ]
   | None -> ());
-  st.now <- head_finish;
   check_faults st;
-  match round_sp with
-  | Some sp ->
+  match (round_sp, st.log) with
+  | Some sp, info :: _ ->
+      (* [info] is the entry [finish_round] just logged. *)
       Trace.finish sp
         ~attrs:
           [
             ( "executed",
-              Trace.Str (String.concat "," (List.map string_of_int executed))
-            );
-            ("batch", Trace.Int (List.length executed));
-            ("co_count", Trace.Int co_count);
-            ("units", Trace.Int round_units);
-            ("fabric_utilization", Trace.Float gp.gp_round_utilization);
+              Trace.Str
+                (String.concat "," (List.map string_of_int info.executed)) );
+            ("batch", Trace.Int (List.length info.executed));
+            ("co_count", Trace.Int info.co_count);
+            ("units", Trace.Int info.round_units);
+            ("fabric_utilization", Trace.Float info.fabric_utilization);
           ]
-  | None -> ()
+  | Some _, [] | None, _ -> ()
 
 (* Commit one decision of the wave.
 
@@ -781,7 +758,8 @@ let commit_round ?escalate gd =
   let gp = gd.gd_pre in
   let st = gp.gp_st in
   let ctx = st.ctx in
-  let win_pr, winner = gd.gd_win in
+  let win_pr = gd.gd_win in
+  let winner = win_pr.Planner.probe_plan.Planner.event in
   let round_sp = match gp.gp_span with None -> round_span st | sp -> sp in
   let valid =
     Net_state.disabled_epoch ctx.net = gd.gd_epoch
@@ -840,28 +818,29 @@ let commit_round ?escalate gd =
       let batch =
         match st.policy with
         | Policy.Plmtf _ ->
-            (winner, winner_plan, false)
+            (winner_plan, false)
             :: co_schedule ctx ~winner ~winner_plan
                  (Array.to_list gp.gp_candidates)
-        | _ -> [ (winner, winner_plan, false) ]
+        | _ -> [ (winner_plan, false) ]
       in
       let round_units = ctx.units - gp.gp_units_before in
       let plan_time = Exec_model.plan_time ~work_units:round_units in
       let start_s = st.now +. plan_time in
       let timings =
         List.map
-          (fun (ev, plan, co) ->
-            (ev, plan, co, start_s +. Exec_model.execution_time plan))
+          (fun (plan, co) ->
+            (plan, co, start_s +. Exec_model.execution_time plan))
           batch
       in
       let head_finish =
         List.fold_left
-          (fun acc (_, _, co, c) -> if co then acc else max acc c)
+          (fun acc (_, co, c) -> if co then acc else max acc c)
           start_s timings
       in
       let executed_set = Hashtbl.create (List.length batch) in
       List.iter
-        (fun (ev, _, _) -> Hashtbl.replace executed_set ev.Event.id ())
+        (fun ((plan : Planner.t), _) ->
+          Hashtbl.replace executed_set plan.Planner.event.Event.id ())
         batch;
       st.queue <-
         List.filter
@@ -900,11 +879,11 @@ let step_group ?escalate steppers =
       let decisions =
         List.map2
           (fun gp costed ->
-            let win_pr, winner = pick_winner costed in
+            let win_pr = pick_winner costed in
             let ctx = gp.gp_st.ctx in
             {
               gd_pre = gp;
-              gd_win = (win_pr, winner);
+              gd_win = win_pr;
               gd_stamps =
                 Array.map
                   (fun e -> (e, Net_state.edge_version ctx.net e))

@@ -24,6 +24,19 @@ type event_result = {
   co_scheduled : bool;  (** Ran alongside a P-LMTF head event. *)
 }
 
+val result_of_plan :
+  Planner.t ->
+  start_s:float ->
+  completion_s:float ->
+  co_scheduled:bool ->
+  event_result
+(** The result of executing a plan, the one way an event's outcome is
+    recorded: the event is the plan's [event], and Cost(U), work units
+    and failed items are the plan's own; only the timings and the
+    co-scheduling flag come from the round that ran it. The stepper's
+    executed and degraded rounds and the sharded fabric's coordinator
+    commits all build their results here. *)
+
 val ect : event_result -> float
 (** Event completion time: [completion_s - arrival_s]. *)
 
@@ -47,7 +60,16 @@ type round_info = {
     (the serving telemetry layer). Emitted after the corresponding
     state mutation, carrying copies of already-computed values only, so
     an observer can record but never perturb a decision — attaching one
-    leaves the run bit-identical. *)
+    leaves the run bit-identical.
+
+    Every finished round, whether its batch executed, its one event was
+    served degraded or its winner escalated, is booked by one path: it
+    counts the round, appends its {!round_info}, emits
+    [Round_executed] (or [Round_escalated]) and then, per event of the
+    batch in order, records the {!result_of_plan} and emits
+    [Event_completed]. An aborted round books nothing; it emits
+    [Round_aborted], then [Event_retry] per retried event, then the
+    degraded rounds of the rest. *)
 type observation =
   | Round_executed of {
       round : int;  (** 0-based index of the round just finished. *)

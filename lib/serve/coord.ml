@@ -118,16 +118,7 @@ let commit_escalated t ~net ~tick ~now_floor_s ~home ~(event : Event.t)
   let completion_s = start_s +. Exec_model.execution_time plan in
   t.now_s <- completion_s;
   let result =
-    {
-      Engine.event_id = event.Event.id;
-      arrival_s = event.Event.arrival_s;
-      start_s;
-      completion_s;
-      cost_mbit = plan.Planner.cost_mbit;
-      plan_work_units = plan.Planner.work_units;
-      failed_items = plan.Planner.failed_count;
-      co_scheduled = false;
-    }
+    Engine.result_of_plan plan ~start_s ~completion_s ~co_scheduled:false
   in
   t.results <- result :: t.results;
   record t

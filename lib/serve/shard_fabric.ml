@@ -638,7 +638,7 @@ let restore_snapshot cfg ~topology ~source_spec cp =
 let committed path =
   let* report = Journal.read_report path in
   let corrupt = List.length report.Journal.corrupt in
-  if corrupt > 0 then Counters.add_named "store.frames_corrupt" corrupt;
+  Counters.add Counters.Store_frames_corrupt corrupt;
   Ok (Journal.committed_ticks report.Journal.entries)
 
 let request_eq a b =

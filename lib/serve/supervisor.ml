@@ -196,7 +196,7 @@ let run ?(sup = default_config) ?fault ~jitter_seed
           let n = List.length r.Journal.corrupt in
           if n > 0 then begin
             corrupt_total := !corrupt_total + n;
-            Counters.add_named "store.frames_corrupt" n
+            Counters.add Counters.Store_frames_corrupt n
           end;
           r.Journal.entries
   in
@@ -228,7 +228,7 @@ let run ?(sup = default_config) ?fault ~jitter_seed
               let replayed, _stop = Serve.replay_prefix t entries in
               (t, depth, replayed))
     in
-    if depth > 0 then Counters.incr_named "recovery.fallback_depth";
+    if depth > 0 then Counters.incr Counters.Recovery_fallback_depth;
     if Histogram.Registry.enabled () then
       Histogram.Registry.record "recovery.fallback_depth" (float_of_int depth);
     push
@@ -324,7 +324,7 @@ let run ?(sup = default_config) ?fault ~jitter_seed
         end
         else begin
           incr restarts;
-          Counters.incr_named "supervisor.restarts";
+          Counters.incr Counters.Supervisor_restarts;
           let delay = backoff_s rng ~attempt:!restarts in
           if Histogram.Registry.enabled () then
             Histogram.Registry.record "supervisor.backoff_s" delay;

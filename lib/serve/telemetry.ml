@@ -56,8 +56,8 @@ let create cfg =
         ();
     fairness = Fairness.create ();
     watch = Option.map Watch.create cfg.watch;
-    last_corrupt = Counters.get_named "store.frames_corrupt";
-    last_restarts = Counters.get_named "supervisor.restarts";
+    last_corrupt = Counters.get Counters.Store_frames_corrupt;
+    last_restarts = Counters.get Counters.Supervisor_restarts;
     tick = 0;
     now_s = 0.0;
     expo_writes = 0;
@@ -80,7 +80,7 @@ let write_expo t =
   | Some dir ->
       Nu_obs.Store.publish (Filename.concat dir "metrics.prom") (render t);
       t.expo_writes <- t.expo_writes + 1;
-      Counters.incr_named "telemetry.expo_writes"
+      Counters.incr Counters.Telemetry_expo_writes
 
 (* ------------------------------------------------------------------ *)
 (* Controller-side hooks.                                              *)
@@ -114,8 +114,8 @@ let on_drain t req ~wait_ticks =
 let on_tick_end t ~tick ~queue ~backlog =
   (match t.watch with
   | Some w ->
-      let corrupt = Counters.get_named "store.frames_corrupt" in
-      let restarts = Counters.get_named "supervisor.restarts" in
+      let corrupt = Counters.get Counters.Store_frames_corrupt in
+      let restarts = Counters.get Counters.Supervisor_restarts in
       Watch.on_tick w ~tick ~queue ~backlog
         ~corrupt_d:(max 0 (corrupt - t.last_corrupt))
         ~restarts_d:(max 0 (restarts - t.last_restarts));

@@ -446,21 +446,7 @@ let replay net plan =
           | Event.Install _ -> assert false))
     plan.items
 
-type estimate = {
-  est_cost_mbit : float;
-  est_failed : int;
-  est_work_units : int;
-}
-
-let estimate_of p =
-  {
-    est_cost_mbit = p.cost_mbit;
-    est_failed = p.failed_count;
-    est_work_units = p.work_units;
-  }
-
 type probe = {
-  probe_est : estimate;
   probe_plan : t;
   probe_touched : int array;
 }
@@ -484,7 +470,6 @@ let probe net event =
   let p = plan net event in
   Net_state.rollback net;
   let touched = Net_state.stop_probe net in
-  let est = estimate_of p in
   if h_on then
     Histogram.Registry.record "planner.probe_latency_s"
       (Int64.to_float (Int64.sub (Trace.now_ns ()) h_t0) *. 1e-9);
@@ -493,13 +478,13 @@ let probe net event =
       Trace.finish sp
         ~attrs:
           [
-            ("est_cost_mbit", Trace.Float est.est_cost_mbit);
-            ("est_failed", Trace.Int est.est_failed);
-            ("units", Trace.Int est.est_work_units);
+            ("est_cost_mbit", Trace.Float p.cost_mbit);
+            ("est_failed", Trace.Int p.failed_count);
+            ("units", Trace.Int p.work_units);
             ("touched_edges", Trace.Int (Array.length touched));
           ]
   | None -> ());
-  { probe_est = est; probe_plan = p; probe_touched = touched }
+  { probe_plan = p; probe_touched = touched }
 
 let pp ppf t =
   Format.fprintf ppf

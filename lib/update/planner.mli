@@ -90,16 +90,10 @@ val replay : Net_state.t -> t -> unit
     replays a round's winner); raises [Invalid_argument] if the state
     has diverged. *)
 
-type estimate = {
-  est_cost_mbit : float;
-  est_failed : int;
-  est_work_units : int;
-}
-
 type probe = {
-  probe_est : estimate;
   probe_plan : t;
-      (** The speculative plan itself — replayable via {!replay} while
+      (** The speculative plan itself: its [cost_mbit] is the estimate a
+          scheduler ranks by, and it is replayable via {!replay} while
           the state is unchanged on every touched edge. *)
   probe_touched : int array;
       (** Edge ids the plan read or wrote, sorted ascending. *)

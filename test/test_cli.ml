@@ -74,6 +74,19 @@ let test_serve_negative_checkpoint_every () =
   Alcotest.(check bool) "served nothing" false (Test_util.contains out "digest:");
   Alcotest.(check bool) "wrote nothing" false (Sys.file_exists dir)
 
+(* A checkpoint period with nowhere to save to would checkpoint
+   nothing; it is refused with exit 2 before anything is served. *)
+let test_serve_checkpoint_every_without_checkpoint () =
+  let status, out =
+    run_capture [ "serve"; "--ticks"; "20"; "--checkpoint-every"; "5" ]
+  in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names --checkpoint-every" true
+    (Test_util.contains out "--checkpoint-every");
+  Alcotest.(check bool) "names --checkpoint" true
+    (Test_util.contains out "--checkpoint FILE");
+  Alcotest.(check bool) "served nothing" false (Test_util.contains out "digest:")
+
 let test_serve_kill_shard_without_kill_at () =
   let status, out = run_capture [ "serve"; "--kill-shard"; "0" ] in
   Alcotest.(check int) "exit 2" 2 status;
@@ -238,6 +251,9 @@ let suite =
     ( "serve negative --checkpoint-every fails",
       `Quick,
       test_serve_negative_checkpoint_every );
+    ( "serve --checkpoint-every without --checkpoint fails",
+      `Quick,
+      test_serve_checkpoint_every_without_checkpoint );
     ("serve --kill-at past --ticks fails", `Quick, test_serve_kill_at_past_ticks);
     ( "serve --kill-shard without --kill-at fails",
       `Quick,

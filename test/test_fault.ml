@@ -3,23 +3,9 @@
 
 let of_spec = Test_util.of_spec
 
-let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
-    =
-  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
-    ~duration_s:duration ~arrival_s:arrival
+let flow = Test_util.flow
 
-let loaded_net () =
-  let net = Net_state.create (Test_util.topo4 ()) in
-  let next = ref 1000 in
-  for src = 0 to 7 do
-    let dst = 15 - src in
-    let r = flow ~id:!next ~demand:300.0 src dst in
-    incr next;
-    match Routing.select net r with
-    | Some p -> ( match Net_state.place net r p with Ok () -> () | Error _ -> ())
-    | None -> ()
-  done;
-  net
+let loaded_net = Test_util.loaded_net
 
 (* A deterministic workload of [n] events of [m] small flows each. *)
 let workload ?(n = 6) ?(m = 5) () =
@@ -93,23 +79,24 @@ let test_schedule_sorted_and_paired () =
          match f.Fault_model.action with Fault_model.Restore _ -> true | _ -> false))
 
 let test_retry_policy () =
-  let p = { Retry_policy.max_attempts = 3; base_backoff_s = 0.1; multiplier = 2.0 } in
-  let p5 = { p with Retry_policy.max_attempts = 5 } in
+  let p = Retry_policy.default in
+  let p5 = { Retry_policy.max_attempts = 5 } in
   let backoff attempt =
     match Retry_policy.decide p5 ~attempt with
     | `Retry_after b -> b
     | `Degrade -> Alcotest.fail "attempts below the budget retry"
   in
-  Alcotest.(check (float 1e-12)) "first backoff" 0.1 (backoff 1);
-  Alcotest.(check (float 1e-12)) "doubles" 0.4 (backoff 3);
+  Alcotest.(check (float 1e-12)) "first backoff 50 ms" 0.05 (backoff 1);
+  Alcotest.(check (float 1e-12)) "doubles" 0.1 (backoff 2);
+  Alcotest.(check (float 1e-12)) "doubles again" 0.2 (backoff 3);
   (match Retry_policy.decide p ~attempt:2 with
-  | `Retry_after b -> Alcotest.(check (float 1e-12)) "retry backoff" 0.2 b
+  | `Retry_after b -> Alcotest.(check (float 1e-12)) "retry backoff" 0.1 b
   | `Degrade -> Alcotest.fail "attempt 2 of 3 must retry");
   (match Retry_policy.decide p ~attempt:3 with
   | `Degrade -> ()
   | `Retry_after _ -> Alcotest.fail "attempt 3 of 3 must degrade");
   Alcotest.(check bool) "invalid rejected" true
-    (Result.is_error (Retry_policy.validate { p with Retry_policy.max_attempts = 0 }))
+    (Result.is_error (Retry_policy.validate { Retry_policy.max_attempts = 0 }))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -341,7 +328,7 @@ let test_engine_abort_then_retry () =
      then completes the event. *)
   let inj =
     Injector.create
-      ~retry:{ Retry_policy.max_attempts = 2; base_backoff_s = 0.05; multiplier = 2.0 }
+      ~retry:{ Retry_policy.max_attempts = 2 }
       [ { Fault_model.at_s = 1e-6; action = Fault_model.Link_down e } ]
   in
   let run =
@@ -361,7 +348,7 @@ let test_engine_abort_then_degrade () =
   let e = fabric_edge_of_some_flow net in
   let inj =
     Injector.create
-      ~retry:{ Retry_policy.max_attempts = 1; base_backoff_s = 0.05; multiplier = 2.0 }
+      ~retry:{ Retry_policy.max_attempts = 1 }
       [ { Fault_model.at_s = 1e-6; action = Fault_model.Link_down e } ]
   in
   let run =

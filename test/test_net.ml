@@ -1,9 +1,7 @@
 (* nu_net: network state machine, routing policies, background fill. *)
 
 (* A record between two fat-tree host *indices*. *)
-let flow ?(id = 0) ?(demand = 100.0) ?(duration = 10.0) src dst =
-  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
-    ~duration_s:duration ~arrival_s:0.0
+let flow ?(demand = 100.0) = Test_util.flow ~demand
 
 let place_exn net record =
   match Routing.select net record with

@@ -3,16 +3,9 @@
 
 let of_spec = Test_util.of_spec
 
-let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
-    =
-  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
-    ~duration_s:duration ~arrival_s:arrival
+let flow = Test_util.flow
 
-(* A snapshot's value of a named counter (0 when absent), and whether
-   every counter in it reads 0. *)
-let named_value snap name =
-  Option.value (List.assoc_opt name (Obs.Counters.to_alist snap)) ~default:0
-
+(* Whether every counter in a snapshot reads 0. *)
 let is_zero snap = List.for_all (fun (_, v) -> v = 0) (Obs.Counters.to_alist snap)
 
 (* Runs [f] on a fresh temporary directory, removed afterwards. *)
@@ -41,18 +34,7 @@ let workload ?(n = 5) ?(m = 4) () =
       in
       of_spec { Event_gen.event_id = i; arrival_s = 0.0; flows })
 
-let loaded_net () =
-  let net = Net_state.create (Fat_tree.to_topology (Fat_tree.create ~k:4 ())) in
-  let next = ref 1000 in
-  for src = 0 to 7 do
-    let dst = 15 - src in
-    let r = flow ~id:!next ~demand:300.0 src dst in
-    incr next;
-    match Routing.select net r with
-    | Some p -> ( match Net_state.place net r p with Ok () -> () | Error _ -> ())
-    | None -> ()
-  done;
-  net
+let loaded_net = Test_util.loaded_net
 
 let with_memory_sink f =
   let sink, events = Obs.Trace.memory () in
@@ -826,52 +808,31 @@ let test_engine_histograms () =
   Obs.Histogram.Registry.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Named counters: late registration                                   *)
+(* Robustness counters                                                 *)
 
-(* Regression: a named counter created *after* [before] was snapshotted
-   must still appear in the diff (against an implicit 0), not vanish. *)
-let test_counters_late_registration_diff () =
-  let name = "test.late_registration" in
-  let before = Obs.Counters.snapshot () in
-  Obs.Counters.incr_named name;
-  Obs.Counters.add_named name 4;
-  let after = Obs.Counters.snapshot () in
-  let d = Obs.Counters.diff ~before ~after in
-  Alcotest.(check int) "late counter diffs against 0" 5
-    (named_value d name);
-  Alcotest.(check bool)
-    "alist carries it" true
-    (List.assoc_opt name (Obs.Counters.to_alist d) = Some 5);
-  (* The asymmetric direction too: present in before, absent from a
-     fresh process state — union means it still diffs (to a negative
-     delta here, since diff is blind subtraction). *)
-  let d0 = Obs.Counters.diff ~before:after ~after in
-  Alcotest.(check int) "self-diff zero" 0 (named_value d0 name);
-  Alcotest.(check bool) "self-diff is_zero" true (is_zero d0);
-  Alcotest.check_raises "empty name rejected"
-    (Invalid_argument "Counters.add_named: empty name") (fun () ->
-      Obs.Counters.incr_named "")
-
-(* The robustness counters (durable store + supervisor) go through the
-   named registry, so they ride the same snapshot/diff machinery as the
-   fixed keys: a diff over a region that bumped them reports exactly
-   the deltas, symmetrically in both directions, whether or not the
-   names existed when [before] was taken. *)
+(* The robustness counters (durable store, supervisor, telemetry) are
+   fixed keys under dot-namespaced names, so they ride the same
+   snapshot/diff and drain/absorb machinery as the rest: a diff over a
+   region that bumped them reports exactly the deltas, symmetrically in
+   both directions, and a drained snapshot absorbed back restores every
+   value. *)
 let test_robustness_counters_snapshot_diff () =
   let bumps =
-    [
-      ("store.frames_corrupt", 2);
-      ("supervisor.restarts", 3);
-      ("recovery.fallback_depth", 1);
-    ]
+    Obs.Counters.
+      [
+        ("store.frames_corrupt", Store_frames_corrupt, 2);
+        ("supervisor.restarts", Supervisor_restarts, 3);
+        ("recovery.fallback_depth", Recovery_fallback_depth, 1);
+        ("telemetry.expo_writes", Telemetry_expo_writes, 4);
+      ]
   in
   let before = Obs.Counters.snapshot () in
-  List.iter (fun (name, n) -> Obs.Counters.add_named name n) bumps;
+  List.iter (fun (_, k, n) -> Obs.Counters.add k n) bumps;
   let after = Obs.Counters.snapshot () in
   let d = Obs.Counters.diff ~before ~after in
   List.iter
-    (fun (name, n) ->
-      Alcotest.(check int) (name ^ " delta") n (named_value d name);
+    (fun (name, k, n) ->
+      Alcotest.(check int) (name ^ " delta") n (Obs.Counters.value d k);
       Alcotest.(check bool)
         (name ^ " listed") true
         (List.assoc_opt name (Obs.Counters.to_alist d) = Some n))
@@ -879,12 +840,18 @@ let test_robustness_counters_snapshot_diff () =
   (* Symmetry: swapping before/after negates every delta. *)
   let d' = Obs.Counters.diff ~before:after ~after:before in
   List.iter
-    (fun (name, n) ->
-      Alcotest.(check int) (name ^ " negated") (-n)
-        (named_value d' name))
+    (fun (name, k, n) ->
+      Alcotest.(check int) (name ^ " negated") (-n) (Obs.Counters.value d' k))
     bumps;
   Alcotest.(check bool) "self-diff is zero" true
-    (is_zero (Obs.Counters.diff ~before:after ~after))
+    (is_zero (Obs.Counters.diff ~before:after ~after));
+  let drained = Obs.Counters.drain () in
+  Alcotest.(check bool) "drain zeroes the store" true
+    (is_zero (Obs.Counters.snapshot ()));
+  Obs.Counters.absorb drained;
+  Alcotest.(check bool) "absorb restores every value" true
+    (Obs.Counters.to_alist (Obs.Counters.snapshot ())
+    = Obs.Counters.to_alist after)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram merge with mismatched bucket configs                      *)
@@ -1751,9 +1718,6 @@ let suite =
     ("regress digest gate", `Quick, test_regress_digest_and_missing_scenario);
     ("regress incomparable", `Quick, test_regress_incomparable);
     ("regress delta json", `Quick, test_regress_delta_json);
-    ( "counters late registration",
-      `Quick,
-      test_counters_late_registration_diff );
     ( "robustness counters snapshot/diff",
       `Quick,
       test_robustness_counters_snapshot_diff );

@@ -2,10 +2,7 @@
 
 let of_spec = Test_util.of_spec
 
-let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
-    =
-  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
-    ~duration_s:duration ~arrival_s:arrival
+let flow = Test_util.flow
 
 (* A small deterministic workload: [n] events of [m] small flows each. *)
 let workload ?(n = 6) ?(m = 5) ?(arrival = fun _ -> 0.0) () =
@@ -23,18 +20,7 @@ let workload ?(n = 6) ?(m = 5) ?(arrival = fun _ -> 0.0) () =
       in
       of_spec { Event_gen.event_id = i; arrival_s = arrival i; flows })
 
-let loaded_net () =
-  let net = Net_state.create (Test_util.topo4 ()) in
-  let next = ref 1000 in
-  for src = 0 to 7 do
-    let dst = 15 - src in
-    let r = flow ~id:!next ~demand:300.0 src dst in
-    incr next;
-    match Routing.select net r with
-    | Some p -> ( match Net_state.place net r p with Ok () -> () | Error _ -> ())
-    | None -> ()
-  done;
-  net
+let loaded_net = Test_util.loaded_net
 
 (* ------------------------------------------------------------------ *)
 (* Exec_model                                                          *)
@@ -835,8 +821,12 @@ let test_edge_version_exact_invalidation () =
   Alcotest.(check bool) "B untouched, still current" true (versions pr_b = vb);
   (* Restore is exact, so a fresh probe of A estimates what the first
      one did. *)
+  let estimate (pr : Planner.probe) =
+    let p = pr.Planner.probe_plan in
+    (p.Planner.cost_mbit, p.Planner.failed_count, p.Planner.work_units)
+  in
   Alcotest.(check bool) "A re-probes to the same estimate" true
-    ((Planner.probe net ev_a).Planner.probe_est = pr_a.Planner.probe_est)
+    (estimate (Planner.probe net ev_a) = estimate pr_a)
 
 (* ------------------------------------------------------------------ *)
 (* Golden digests of the stepping paths. The expected strings were
@@ -1057,6 +1047,79 @@ let test_faults_in_waves () =
   Alcotest.(check bool) "an aborted event retried" true
     (stats.Recovery.retries > 0)
 
+(* The observation stream of a faulted stepper, one line per
+   observation with every float in exact hex: the order and content the
+   serving telemetry records. The golden events, arriving four times
+   as fast, under the golden fault schedule with churn and a two-abort
+   retry budget: both FIFO and P-LMTF commit, abort, retry and degrade
+   rounds, and P-LMTF co-schedules and aborts a three-event batch. *)
+let observation_line = function
+  | Engine.Round_executed { round; start_s; executed; co_ids; degraded } ->
+      Printf.sprintf "exec %d %h [%s] [%s] %b" round start_s
+        (String.concat "," (List.map string_of_int executed))
+        (String.concat "," (List.map string_of_int co_ids))
+        degraded
+  | Engine.Round_aborted { round; start_s; fault_s; batch } ->
+      Printf.sprintf "abort %d %h %h [%s]" round start_s fault_s
+        (String.concat "," (List.map string_of_int batch))
+  | Engine.Event_completed { result = r; degraded } ->
+      Printf.sprintf "done %d %h %h %h %h %d %d %b %b" r.Engine.event_id
+        r.Engine.arrival_s r.Engine.start_s r.Engine.completion_s
+        r.Engine.cost_mbit r.Engine.plan_work_units r.Engine.failed_items
+        r.Engine.co_scheduled degraded
+  | Engine.Event_retry { event_id; ready_s } ->
+      Printf.sprintf "retry %d %h" event_id ready_s
+  | Engine.Round_escalated { round; start_s; event_id } ->
+      Printf.sprintf "escalate %d %h %d" round start_s event_id
+
+let observed_faulted_run policy =
+  let net = loaded_net () in
+  let lines = ref [] in
+  let st =
+    Engine.Stepper.create ~net ~seed:13 ~churn:(mc_churn 5)
+      ~injector:
+        (Injector.create
+           ~retry:{ Retry_policy.max_attempts = 2 }
+           (golden_schedule net))
+      ~observer:(fun obs -> lines := observation_line obs :: !lines)
+      ~events:
+        (List.map
+           (fun ev -> { ev with Event.arrival_s = ev.Event.arrival_s /. 4.0 })
+           (golden_events ~base:0 ~n:12))
+      policy
+  in
+  while Engine.Stepper.step st <> `Idle do
+    ()
+  done;
+  List.rev !lines
+
+let observed_expected =
+  [
+    ("fifo", Policy.Fifo, "a01dbb1979b1c282537ece75cd7b0f7e");
+    ("plmtf", Policy.Plmtf { alpha = 2 }, "ab8cf8adb6b39962576c7913655c4504");
+  ]
+
+let test_observation_stream () =
+  List.iter
+    (fun (name, policy, want) ->
+      let lines = observed_faulted_run policy in
+      let has kind =
+        List.exists (fun l -> String.starts_with ~prefix:kind l) lines
+      in
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool) (name ^ " observes " ^ kind) true (has kind))
+        [ "exec"; "abort"; "retry"; "done" ];
+      Alcotest.(check bool) (name ^ " degrades") true
+        (List.exists
+           (fun l ->
+             String.starts_with ~prefix:"exec" l
+             && String.ends_with ~suffix:" true" l)
+           lines);
+      Alcotest.(check string) (name ^ " stream digest") want
+        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+    observed_expected
+
 let test_metrics_comparison_renders () =
   let fifo = Metrics.of_run (run_policy Policy.Fifo) in
   let lmtf = Metrics.of_run (run_policy (Policy.Lmtf { alpha = 2 })) in
@@ -1098,6 +1161,7 @@ let suite =
     ("golden stepper digests", `Quick, test_golden_stepper);
     ("golden step_group digests", `Quick, test_golden_group);
     ("faults in step_group waves", `Quick, test_faults_in_waves);
+    ("faulted observation stream", `Quick, test_observation_stream);
     ("engine flow order variants", `Quick, test_engine_flow_level_orders_differ);
     ("engine round log", `Quick, test_engine_round_log);
     ("engine round log plmtf", `Quick, test_engine_round_log_plmtf_batches);

@@ -472,7 +472,7 @@ let test_crash_recover_differential () =
   (* One faulted shard at a budget of one attempt: the checkpoint
      carries the injector's schedule and abort counts but not its
      policy, so recovery must be handed the budget again. *)
-  let retry = { Retry_policy.default with Retry_policy.max_attempts = 1 } in
+  let retry = { Retry_policy.max_attempts = 1 } in
   Alcotest.(check bool) "the budget moves the faulted digest" true
     (fabric_digest ~shards:1 ~faults:(faults ~retry) ~ticks:40 ()
     <> fabric_digest ~shards:1 ~faults:(faults ?retry:None) ~ticks:40 ());

@@ -3,9 +3,7 @@
 
 let of_spec = Test_util.of_spec
 
-let flow ?(id = 0) ?(demand = 100.0) ?(duration = 10.0) src dst =
-  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
-    ~duration_s:duration ~arrival_s:0.0
+let flow ?(demand = 100.0) = Test_util.flow ~demand
 
 let place_exn net record =
   match Routing.select net record with
@@ -15,20 +13,10 @@ let place_exn net record =
       | Ok () -> path
       | Error _ -> Alcotest.fail "placement failed")
 
-(* A k=4 network loaded so the update machinery has something to chew on.
-   Deterministic and fast (no trace generation). *)
-let loaded_net ?(demand = 300.0) () =
-  let net = Net_state.create (Test_util.topo4 ()) in
-  (* Saturate the desired (hash-chosen) path of a later probe by loading
-     inter-pod pairs moderately. *)
-  let next = ref 100 in
-  for src = 0 to 7 do
-    let dst = 15 - src in
-    let r = flow ~id:!next ~demand src dst in
-    incr next;
-    ignore (place_exn net r)
-  done;
-  net
+(* A k=4 network loaded so the update machinery has something to chew on:
+   the inter-pod pairs load the desired (hash-chosen) path of a later
+   probe moderately. Its flows are numbered from 100. *)
+let loaded_net ?demand () = Test_util.loaded_net ?demand ~first_id:100 ()
 
 let residual_snapshot net =
   Array.init
@@ -379,12 +367,12 @@ let test_probe_pure () =
   let net = loaded_net () in
   let before = residual_snapshot net in
   let ev = of_spec (spec_of_flows [ flow ~id:0 ~demand:300.0 0 15 ]) in
-  let est1 = (Planner.probe net ev).Planner.probe_est in
-  let est2 = (Planner.probe net ev).Planner.probe_est in
+  let est1 = (Planner.probe net ev).Planner.probe_plan in
+  let est2 = (Planner.probe net ev).Planner.probe_plan in
   check_same_residuals "state unchanged" before (residual_snapshot net);
   Alcotest.(check (float 1e-9)) "estimates deterministic"
-    est1.Planner.est_cost_mbit est2.Planner.est_cost_mbit;
-  Alcotest.(check bool) "units positive" true (est1.Planner.est_work_units > 0)
+    est1.Planner.cost_mbit est2.Planner.cost_mbit;
+  Alcotest.(check bool) "units positive" true (est1.Planner.work_units > 0)
 
 let test_plan_migration_cost_positive () =
   let net, blocked_path = clearing_scenario () in
@@ -508,10 +496,10 @@ let test_plan_work_units_monotone () =
     of_spec
       (spec_of_flows (List.init 20 (fun i -> flow ~id:i ~demand:10.0 (i mod 8) (15 - (i mod 8)))))
   in
-  let e_small = (Planner.probe net small).Planner.probe_est in
-  let e_big = (Planner.probe net big).Planner.probe_est in
+  let e_small = (Planner.probe net small).Planner.probe_plan in
+  let e_big = (Planner.probe net big).Planner.probe_plan in
   Alcotest.(check bool) "more work for more flows" true
-    (e_big.Planner.est_work_units > e_small.Planner.est_work_units)
+    (e_big.Planner.work_units > e_small.Planner.work_units)
 
 let prop_plan_revert_preserves_invariants =
   QCheck.Test.make ~name:"plan+revert keeps invariants on random events"

@@ -18,6 +18,25 @@ let contains s sub =
 (* The k = 4 Fat-Tree: 16 hosts, 20 switches. *)
 let topo4 () = Fat_tree.to_topology (Fat_tree.create ~k:4 ())
 
+(* A flow of [demand] Mbps (default 50) for [duration] seconds. *)
+let flow ?(id = 0) ?(demand = 50.0) ?(duration = 10.0) ?(arrival = 0.0) src dst
+    =
+  Flow_record.v ~id ~src ~dst ~size_mbit:(demand *. duration)
+    ~duration_s:duration ~arrival_s:arrival
+
+(* [topo4 ()] carrying eight inter-pod flows of [demand] Mbps, host
+   [src] to host [15 - src] for [src] = 0..7, numbered from [first_id]
+   and placed first-fit; a flow with no feasible path is skipped. *)
+let loaded_net ?(demand = 300.0) ?(first_id = 1000) () =
+  let net = Net_state.create (topo4 ()) in
+  for src = 0 to 7 do
+    let r = flow ~id:(first_id + src) ~demand src (15 - src) in
+    match Routing.select net r with
+    | Some p -> ( match Net_state.place net r p with Ok () -> () | Error _ -> ())
+    | None -> ()
+  done;
+  net
+
 (* One generated spec as an all-installs event. *)
 let of_spec spec = List.hd (Event.of_specs [ spec ])
 
