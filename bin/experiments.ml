@@ -371,9 +371,18 @@ let retry_max_arg =
   let doc = "Aborted attempts before an event degrades to best-effort." in
   Arg.(value & opt int 3 & info [ "retry-max" ] ~docv:"N" ~doc)
 
+(* An event gets at least one attempt; chaos, serve and replay refuse a
+   smaller budget with exit 2 before anything runs. *)
+let check_retry_max cmd retry_max =
+  if retry_max < 1 then begin
+    Format.eprintf "%s: --retry-max must be >= 1 (got %d)@." cmd retry_max;
+    exit 2
+  end
+
 let chaos_cmd =
   let run seed alpha util n_events fault_seed fault_rate retry_max out trace
       counters =
+    check_retry_max "chaos" retry_max;
     with_obs ~trace ~counters (fun () ->
         let params =
           {
@@ -798,6 +807,7 @@ let serve_cmd =
   let run cfg spec seed util ticks fault_seed fault_rate retry_max checkpoint
       checkpoint_every journal_path no_complete metrics_dir metrics_every watch
       out trace counters hist shards regions kill_shard kill_at =
+    check_retry_max "serve" retry_max;
     if checkpoint_every < 0 then begin
       Format.eprintf "serve: --checkpoint-every must be >= 0 (got %d)@."
         checkpoint_every;
@@ -958,6 +968,7 @@ let replay_cmd =
   let run cfg spec checkpoint journal_path upto retry_max no_complete
       metrics_dir metrics_every watch expect_digest shards regions seed util
       fault_rate =
+    check_retry_max "replay" retry_max;
     let fcfg = fabric_config cfg ~shards ~regions in
     let journal_base =
       match journal_path with

@@ -1,49 +1,35 @@
 type placed = { record : Flow_record.t; path : Path.t }
 
-(* Undo-journal entry tags. The journal is a flat struct-of-arrays log
-   (an [ops] buffer) instead of a variant list: a probe writes
-   thousands of entries and the list cells plus boxed floats dominated
-   minor-heap traffic. Residual entries
-   store the *applied* delta and are undone by applying the opposite
-   delta — the exact arithmetic the symmetric plan/revert pair used to
-   perform, so rollback is bit-compatible with the historical
-   revert-based probes. Flow-table entries store the previous binding
-   in the [obj] slot ({!absent} when there was none) and the hop count
-   they added to or took from the running total in [b]. *)
-let tag_residual = 0 (* a = edge id, f = applied delta *)
+(* Op tags. Every mutation of the state is one op, and the undo journal
+   and the committed log hold the same ops in one vocabulary: an op
+   records its forward effect with every operand needed both to undo it
+   ({!undo} applies the inverse) and to re-apply it ({!apply_batch} runs
+   it through the primitive that made it), so an outermost commit moves
+   the journal's span into the log unchanged. The buffers are flat
+   struct-of-arrays ([ops]) instead of variant lists: a probe writes
+   thousands of ops and the list cells plus boxed floats dominated
+   minor-heap traffic.
 
-let tag_flow_put = 1 (* a = flow id, b = new hops, obj = previous binding *)
-let tag_flow_del = 2 (* a = flow id, b = its hops, obj = removed binding *)
-let tag_on_put = 3 (* a = edge id, b = flow id (was absent) *)
-let tag_on_del = 4 (* a = edge id, b = flow id (was present) *)
-let tag_disabled_t = 6 (* a = edge id, previous flag = true *)
-let tag_disabled_f = 7 (* a = edge id, previous flag = false *)
-let tag_degraded = 8 (* a = edge id, f = applied degradation delta *)
-
-(* Committed-log opcodes. Unlike journal tags these describe the
-   *forward* effect, with every operand needed to re-apply it to an
-   identical state: a mirror replays them through the same primitives,
-   so a del's scan resolves identically on both sides. A del always
-   finds its flow: [release] deletes only the hops of a placed flow's
-   simple path. A put is never a duplicate: [place] rejects a placed id,
-   [reroute] releases the old path before it occupies the new one, and a
-   mirror replays only puts that were new at the source, so an on-edge
-   put appends without a membership scan. The structural sweep's
+   A del always finds its entry: [release] deletes only the hops of a
+   placed flow's simple path, and [remove] and [reroute] delete only a
+   placed binding. A put is never a duplicate: [place] rejects a placed
+   id and [reroute] deletes the old binding and path before it adds the
+   new ones, so an on-edge put appends without a membership scan and a
+   flow-table put meets no previous binding. The structural sweep's
    entries = hops check catches any put that breaks this. *)
-let rt_residual = 0 (* a = edge id, f = delta *)
-let rt_on_put = 1 (* a = edge id, b = flow id, f = demand, g = size *)
-let rt_on_del = 2 (* a = edge id, b = flow id *)
-let rt_flow_put = 3 (* a = flow id, obj = new binding *)
-let rt_flow_del = 4 (* a = flow id *)
-let rt_disable = 5 (* a = edge id (set the disabled flag) *)
-let rt_enable = 6 (* a = edge id (clear the disabled flag) *)
-let rt_degraded = 7 (* a = edge id, f = ledger delta *)
+let op_residual = 0 (* a = edge id, f = delta *)
+let op_on_put = 1 (* a = edge id, b = flow id, f = demand, g = size *)
+let op_on_del = 2 (* a = edge id, b = flow id, f = demand, g = size *)
+let op_flow_put = 3 (* a = flow id, obj = the binding added *)
+let op_flow_del = 4 (* a = flow id, obj = the binding removed *)
+let op_disable = 5 (* a = edge id (set the disabled flag) *)
+let op_enable = 6 (* a = edge id (clear the disabled flag) *)
+let op_degraded = 7 (* a = edge id, f = ledger delta *)
 
-(* The binding slot's "no binding": a flow-table put of a new id
-   journals it as the previous binding, and vacated slots hold it. A
-   sentinel rather than an option, so a journaled put boxes nothing. It
-   is told apart by physical equality; its one-hop path lives on a
-   graph of its own. *)
+(* The binding slot's "no binding": every op but a flow-table put or del
+   carries it, and vacated slots hold it. A sentinel rather than an
+   option, so an op boxes nothing. It is told apart by physical
+   equality; its one-hop path lives on a graph of its own. *)
 let absent =
   let g = Graph.create ~initial_nodes:2 () in
   let e, _ = Graph.add_link g ~a:0 ~b:1 ~capacity:0.0 in
@@ -62,8 +48,8 @@ let absent =
 
 (* A flat op buffer: six parallel columns (tag / int operands / float
    operands / binding slot), used prefix [0, n). The undo journal and
-   the committed log are both one. The [obj] slot is only meaningful
-   for flow-table ops; other pushes leave it stale. *)
+   the committed log are both one. The [obj] slot holds {!absent}
+   except under a live flow-table op. *)
 type ops = {
   mutable tag : int array;
   mutable a : int array;
@@ -126,7 +112,7 @@ type t = {
      that survives — writes outside any transaction as they happen,
      writes inside a transaction at its outermost commit — is appended
      here; rolled-back transactions never reach it (their journal span
-     is discarded before commit-time conversion). Each reader consumes
+     is discarded before the outermost commit). Each reader consumes
      it from its own cursor: the probe pool replays it into its worker
      mirrors, the incremental invariant check projects the flow ids it
      names. The prefix every cursor has passed is truncated. *)
@@ -174,7 +160,9 @@ let grow o =
   o.g <- ext o.g 0.0;
   o.obj <- ext o.obj absent
 
-let[@inline] push o tag a b f g =
+(* The binding is written only when there is one, so the other ops pay
+   no write barrier: their slot already holds {!absent}. *)
+let[@inline] push o tag a b f g obj =
   if o.n = Array.length o.tag then grow o;
   let i = o.n in
   Array.unsafe_set o.tag i tag;
@@ -182,11 +170,8 @@ let[@inline] push o tag a b f g =
   Array.unsafe_set o.b i b;
   Array.unsafe_set o.f i f;
   Array.unsafe_set o.g i g;
+  if obj != absent then Array.unsafe_set o.obj i obj;
   o.n <- i + 1
-
-let[@inline] push_obj o tag a b obj =
-  push o tag a b 0.0 0.0;
-  Array.unsafe_set o.obj (o.n - 1) obj
 
 let journal_cap0 = 256
 
@@ -510,7 +495,7 @@ let edge_version t id =
 
 let[@inline] logging t = t.readers != []
 
-let[@inline] is_flow_op tag = tag = rt_flow_put || tag = rt_flow_del
+let[@inline] is_flow_op tag = tag = op_flow_put || tag = op_flow_del
 
 (* How many ops logged since absolute position [pos] change a flow's
    binding. *)
@@ -561,13 +546,25 @@ let make_room t =
   if t.log.n > Array.length t.log.tag / 2 then grow t.log;
   logging t
 
-let[@inline] log_op t tag a b f g =
+let[@inline] log_op t tag a b f g obj =
   if logging t && (t.log.n < Array.length t.log.tag || make_room t) then
-    push t.log tag a b f g
+    push t.log tag a b f g obj
 
-let[@inline] log_obj t tag a p =
-  if logging t && (t.log.n < Array.length t.log.tag || make_room t) then
-    push_obj t.log tag a 0 p
+(* The ops that write an edge's capacity view, and so stamp its version
+   once they are permanent. A degraded op rides on its paired residual
+   op. *)
+let[@inline] stamps tag =
+  tag = op_residual || tag = op_disable || tag = op_enable
+
+(* Every mutation funnels through here: inside a transaction the op is
+   journaled, and the outermost commit stamps it and logs it; outside
+   one it is stamped and logged at once. *)
+let[@inline] record t tag a b f g obj =
+  if journal_active t then push t.journal tag a b f g obj
+  else begin
+    if stamps tag then t.versions.(a) <- t.versions.(a) + 1;
+    log_op t tag a b f g obj
+  end
 
 (* Kahan-compensated accumulation keeps the running fabric-utilisation
    sum accurate across millions of occupy/release pairs. *)
@@ -579,99 +576,76 @@ let[@inline] kadd t x =
   Array.unsafe_set u 1 ((s -. sum) -. y);
   Array.unsafe_set u 0 s
 
-(* Every residual change funnels through here: journaling, version
-   stamping (deferred to commit while inside a transaction), probe
-   tracking and the incremental utilisation sum. *)
+(* Every residual change also feeds probe tracking and the incremental
+   utilisation sum. *)
 let[@inline] apply_residual t e delta =
   touch t e;
-  if journal_active t then push t.journal tag_residual e 0 delta 0.0
-  else begin
-    t.versions.(e) <- t.versions.(e) + 1;
-    log_op t rt_residual e 0 delta 0.0
-  end;
+  record t op_residual e 0 delta 0.0 absent;
   t.residual.(e) <- t.residual.(e) +. delta;
   (* used = capacity - residual, so utilisation moves opposite to the
      residual delta. *)
   if Array.unsafe_get t.is_fabric e then
     kadd t (-.(delta *. Array.unsafe_get t.inv_cap e))
 
-(* On-edge journal entries carry the flow's demand and size, so undo
-   can restore the parallel arrays. [fid] is not on [e] (see the
-   committed-log opcodes). *)
+(* [fid] is not on [e] (see the op tags). *)
 let[@inline] on_edge_put t e fid dem size =
-  if journal_active t then push t.journal tag_on_put e fid dem size
-  else log_op t rt_on_put e fid dem size;
+  record t op_on_put e fid dem size absent;
   oe_append t e fid dem size
 
-(* [fid] is on [e]: [release] deletes only the hops of a placed flow's
-   simple path, and a mirror replays only dels that found their flow at
-   the source. An absent flow fails the array bounds check. *)
+(* [fid] is on [e] (see the op tags); an absent flow fails the array
+   bounds check. The op carries the row's demand and size, so undo can
+   restore them. *)
 let[@inline] on_edge_del t e fid =
   let i = oe_index t e fid in
-  if journal_active t then
-    push t.journal tag_on_del e fid t.oe_dem.(e).(i) t.oe_size.(e).(i)
-  else log_op t rt_on_del e fid 0.0 0.0;
+  record t op_on_del e fid t.oe_dem.(e).(i) t.oe_size.(e).(i) absent;
   oe_remove_at t e i
 
-(* A put replaces any previous binding ({!apply_batch} replays a
-   committed reroute as two puts of its final binding), so the running
-   hop count trades the previous path's hops for the new one's. *)
+(* [id] is not placed (see the op tags). *)
 let[@inline] flow_put t id p =
-  let prev =
-    match Hashtbl.find t.flows id with q -> q | exception Not_found -> absent
-  in
-  let h = Path.hops p.path in
-  if journal_active t then push_obj t.journal tag_flow_put id h prev
-  else log_obj t rt_flow_put id p;
-  if prev != absent then t.hops <- t.hops - Path.hops prev.path;
-  t.hops <- t.hops + h;
+  record t op_flow_put id 0 0.0 0.0 p;
+  t.hops <- t.hops + Path.hops p.path;
   Hashtbl.replace t.flows id p
 
 let[@inline] flow_del t id p =
-  let h = Path.hops p.path in
-  if journal_active t then push_obj t.journal tag_flow_del id h p
-  else log_op t rt_flow_del id 0 0.0 0.0;
-  t.hops <- t.hops - h;
+  record t op_flow_del id 0 0.0 0.0 p;
+  t.hops <- t.hops - Path.hops p.path;
   Hashtbl.remove t.flows id
 
-(* Undo journal entry [i]; clears its binding slot. *)
+(* Undo journal op [i]; clears its binding slot. Residual and ledger
+   ops subtract the delta they added, so a rollback may leave the
+   residual and the utilisation pair off in their low bits, and an
+   on-edge del's row returns at the row's end, not its old index. *)
 let undo t i =
   let j = t.journal in
   let tag = j.tag.(i) and a = j.a.(i) in
-  if tag = tag_residual then begin
+  if tag = op_residual then begin
     let delta = j.f.(i) in
     t.residual.(a) <- t.residual.(a) -. delta;
     if t.is_fabric.(a) then kadd t (delta *. t.inv_cap.(a))
   end
-  else if tag = tag_flow_put then begin
-    let prev = j.obj.(i) in
-    t.hops <- t.hops - j.b.(i);
-    if prev == absent then Hashtbl.remove t.flows a
-    else begin
-      t.hops <- t.hops + Path.hops prev.path;
-      Hashtbl.replace t.flows a prev
-    end;
-    j.obj.(i) <- absent
-  end
-  else if tag = tag_flow_del then begin
-    let p = j.obj.(i) in
-    assert (p != absent);
-    t.hops <- t.hops + j.b.(i);
-    Hashtbl.replace t.flows a p;
-    j.obj.(i) <- absent
-  end
-  else if tag = tag_on_put then begin
+  else if tag = op_on_put then begin
     let k = oe_index t a j.b.(i) in
     assert (k >= 0);
     oe_remove_at t a k
   end
-  else if tag = tag_on_del then oe_append t a j.b.(i) j.f.(i) j.g.(i)
-  else if tag = tag_disabled_t || tag = tag_disabled_f then begin
-    let prev = tag = tag_disabled_t in
-    t.disabled.(a) <- prev;
-    t.disabled_n <- t.disabled_n + (if prev then 1 else -1)
+  else if tag = op_on_del then oe_append t a j.b.(i) j.f.(i) j.g.(i)
+  else if tag = op_flow_put then begin
+    t.hops <- t.hops - Path.hops j.obj.(i).path;
+    Hashtbl.remove t.flows a;
+    j.obj.(i) <- absent
   end
-  else if tag = tag_degraded then t.degraded.(a) <- t.degraded.(a) -. j.f.(i)
+  else if tag = op_flow_del then begin
+    let p = j.obj.(i) in
+    t.hops <- t.hops + Path.hops p.path;
+    Hashtbl.replace t.flows a p;
+    j.obj.(i) <- absent
+  end
+  else if tag = op_disable || tag = op_enable then begin
+    let was = tag = op_enable in
+    t.disabled.(a) <- was;
+    t.disabled_n <- t.disabled_n + (if was then 1 else -1)
+  end
+  else if tag = op_degraded then t.degraded.(a) <- t.degraded.(a) -. j.f.(i)
   else assert false
 
 let begin_txn t =
@@ -692,53 +666,23 @@ let rollback t =
     t.txn_n <- t.txn_n - 1
   end
 
-(* Convert the surviving journal — exactly the op stream of the
-   committing transaction, inner rollbacks already excised — into log
-   entries. Flow-table entries journal the *previous* binding, so the
-   new one is read off the live table: only the final binding per id
-   matters to a replayer (no logged op in between reads the table), and
-   an [rt_flow_del] of an absent id replays as a no-op. *)
-let journal_to_log t =
-  let j = t.journal in
-  for i = 0 to j.n - 1 do
-    let tag = j.tag.(i) and a = j.a.(i) in
-    if tag = tag_residual then log_op t rt_residual a 0 j.f.(i) 0.0
-    else if tag = tag_on_put then log_op t rt_on_put a j.b.(i) j.f.(i) j.g.(i)
-    else if tag = tag_on_del then log_op t rt_on_del a j.b.(i) 0.0 0.0
-    else if tag = tag_flow_put || tag = tag_flow_del then begin
-      match Hashtbl.find t.flows a with
-      | p -> log_obj t rt_flow_put a p
-      | exception Not_found -> log_op t rt_flow_del a 0 0.0 0.0
-    end
-    else if tag = tag_disabled_t then log_op t rt_enable a 0 0.0 0.0
-    else if tag = tag_disabled_f then log_op t rt_disable a 0 0.0 0.0
-    else if tag = tag_degraded then log_op t rt_degraded a 0 j.f.(i) 0.0
-    else assert false
-  done
-
 let commit t =
   if t.txn_n = 0 then invalid_arg "Net_state.commit: no open transaction"
   else begin
     t.txn_n <- t.txn_n - 1;
     if t.txn_n = 0 then begin
-      if logging t then journal_to_log t;
-      (* Outermost commit: the journaled writes become permanent, so
-         stamp every edge they touched (once per entry, matching the
-         per-write stamping outside transactions). Inner commits just
-         merge into the enclosing transaction. *)
+      (* Outermost commit: the surviving journal — exactly the op stream
+         of the committing transaction, inner rollbacks already excised
+         — becomes permanent. Each op stamps what it wrote (once per op,
+         as outside a transaction) and joins the log as it stands. Inner
+         commits just merge into the enclosing transaction. *)
       Nu_obs.Counters.incr Nu_obs.Counters.Txn_commits;
       let j = t.journal in
       for i = 0 to j.n - 1 do
-        let tag = j.tag.(i) in
-        if
-          tag = tag_residual || tag = tag_disabled_t || tag = tag_disabled_f
-        then begin
-          let e = j.a.(i) in
-          t.versions.(e) <- t.versions.(e) + 1
-        end
-        (* tag_degraded rides on its paired residual entry for stamping. *)
-        else if tag = tag_flow_put || tag = tag_flow_del then
-          j.obj.(i) <- absent
+        let tag = j.tag.(i) and a = j.a.(i) in
+        if stamps tag then t.versions.(a) <- t.versions.(a) + 1;
+        log_op t tag a j.b.(i) j.f.(i) j.g.(i) j.obj.(i);
+        if is_flow_op tag then j.obj.(i) <- absent
       done;
       j.n <- 0
     end
@@ -889,14 +833,7 @@ let check_edge_id t id name =
 
 let set_disabled t id v =
   if t.disabled.(id) <> v then begin
-    if journal_active t then
-      push t.journal
-        (if t.disabled.(id) then tag_disabled_t else tag_disabled_f)
-        id 0 0.0 0.0
-    else begin
-      t.versions.(id) <- t.versions.(id) + 1;
-      log_op t (if v then rt_disable else rt_enable) id 0 0.0 0.0
-    end;
+    record t (if v then op_disable else op_enable) id 0 0.0 0.0 absent;
     (* The epoch stays bumped even if the write is rolled back — a
        spurious cache invalidation at worst, never a stale hit. *)
     t.disabled_epoch <- t.disabled_epoch + 1;
@@ -916,6 +853,10 @@ let edge_disabled t id =
   check_edge_id t id "edge_disabled";
   t.disabled.(id)
 
+let[@inline] add_degraded t id delta =
+  record t op_degraded id 0 delta 0.0 absent;
+  t.degraded.(id) <- t.degraded.(id) +. delta
+
 (* Exogenous capacity loss (the fault model's partial-degradation
    events). The loss is expressed as a residual delta, so feasibility
    checks and the incremental utilisation sum pick it up for free; the
@@ -929,9 +870,7 @@ let degrade_edge t id ~lost_mbps =
   if lost_mbps < 0.0 then invalid_arg "Net_state.degrade_edge: negative loss";
   if lost_mbps > 0.0 then begin
     apply_residual t id (-.lost_mbps);
-    if journal_active t then push t.journal tag_degraded id 0 lost_mbps 0.0
-    else log_op t rt_degraded id 0 lost_mbps 0.0;
-    t.degraded.(id) <- t.degraded.(id) +. lost_mbps
+    add_degraded t id lost_mbps
   end
 
 let restore_edge_capacity t id =
@@ -939,36 +878,29 @@ let restore_edge_capacity t id =
   let lost = t.degraded.(id) in
   if lost > 0.0 then begin
     apply_residual t id lost;
-    if journal_active t then push t.journal tag_degraded id 0 (-.lost) 0.0
-    else log_op t rt_degraded id 0 (-.lost) 0.0;
-    t.degraded.(id) <- 0.0
+    (* x + (-x) is exactly 0.0: the ledger clears. *)
+    add_degraded t id (-.lost)
   end
 
-(* Replay a drained batch against a mirror that was bit-identical to
-   the source when the batch's cursor opened. Ops funnel through the
-   same primitives the source executed, so membership scans, the Kahan
-   utilisation sum and swap-remove order all evolve exactly as they did
-   (or would have, for ops that only materialised at commit) on the
-   source. The mirror must be quiescent: no open transaction, no active
-   probe, no cursor of its own. *)
+(* Replay a drained batch against a mirror: each op runs through the
+   primitive that made it on the source, so membership scans, the Kahan
+   utilisation sum and swap-remove order evolve as they did there. The
+   mirror must be quiescent: no open transaction, no active probe, no
+   cursor of its own. *)
 let apply_batch t (o : batch) =
   if t.txn_n > 0 then invalid_arg "Net_state.apply_batch: open transaction";
   if t.watch_on then invalid_arg "Net_state.apply_batch: active probe";
   if logging t then invalid_arg "Net_state.apply_batch: cursor open";
   for i = 0 to o.n - 1 do
     let tag = o.tag.(i) and a = o.a.(i) in
-    if tag = rt_residual then apply_residual t a o.f.(i)
-    else if tag = rt_on_put then on_edge_put t a o.b.(i) o.f.(i) o.g.(i)
-    else if tag = rt_on_del then on_edge_del t a o.b.(i)
-    else if tag = rt_flow_put then flow_put t a o.obj.(i)
-    else if tag = rt_flow_del then begin
-      match Hashtbl.find t.flows a with
-      | p -> flow_del t a p
-      | exception Not_found -> ()
-    end
-    else if tag = rt_disable then set_disabled t a true
-    else if tag = rt_enable then set_disabled t a false
-    else if tag = rt_degraded then t.degraded.(a) <- t.degraded.(a) +. o.f.(i)
+    if tag = op_residual then apply_residual t a o.f.(i)
+    else if tag = op_on_put then on_edge_put t a o.b.(i) o.f.(i) o.g.(i)
+    else if tag = op_on_del then on_edge_del t a o.b.(i)
+    else if tag = op_flow_put then flow_put t a o.obj.(i)
+    else if tag = op_flow_del then flow_del t a o.obj.(i)
+    else if tag = op_disable || tag = op_enable then
+      set_disabled t a (tag = op_disable)
+    else if tag = op_degraded then add_degraded t a o.f.(i)
     else assert false
   done
 

@@ -90,9 +90,12 @@ val begin_txn : t -> unit
 (** Open a (possibly nested) transaction. *)
 
 val rollback : t -> unit
-(** Undo every mutation since the matching {!begin_txn}, restoring
-    residuals, the flow table, per-edge occupancy and administrative
-    link state exactly. Raises [Invalid_argument] with no open
+(** Undo every mutation since the matching {!begin_txn}, restoring the
+    flow table, per-edge occupancy and administrative link state. A
+    residual, degradation ledger or the fabric-utilisation sum is
+    restored by subtracting the delta it gained, which may leave it off
+    in its low bits, and a removed per-edge entry returns at the end of
+    its edge's row. Raises [Invalid_argument] with no open
     transaction. *)
 
 val commit : t -> unit
@@ -147,7 +150,11 @@ val apply_batch : t -> batch -> unit
     transaction, no active probe, no cursor of its own — raises
     [Invalid_argument] otherwise). Applying every batch, in drain
     order, to a mirror that was bit-identical when the cursor opened
-    keeps it bit-identical to the source at each drain point. *)
+    keeps it bit-identical to the source at each drain point while
+    neither the source nor the mirror rolls back a transaction. A
+    rollback is not exact ({!rollback}): after one the mirror matches
+    the source only up to low bits of residuals, ledgers and the
+    utilisation sum, and the order of per-edge rows. *)
 
 val drain_changed : t -> cursor -> into:int array ref -> int
 (** Write the distinct flow ids whose binding changed through a

@@ -16,10 +16,16 @@
     [map pool ~f items] evaluates [f lane item] for every item and
     returns the results in item order. Lanes claim items off a shared
     atomic cursor: the calling domain probes [net] itself (exactly what
-    the sequential path does), workers probe their mirrors — which are
-    bit-identical to [net] at the batch boundary, so any lane computes
-    the same result for a given item and the merged outcome carries no
-    trace of the interleaving.
+    the sequential path does), workers probe their mirrors. A mirror is
+    bit-identical to [net] at the batch boundary only until the first
+    probe on either side rolls back: {!Net_state.rollback} may leave
+    residuals and the utilisation sum off in their low bits and moves a
+    restored per-edge entry to its row's end, and which lane probes
+    which item is decided by the race for the cursor. From the first
+    wave on, mirrors match [net] up to those differences, which no
+    decision digest has been seen to reflect (the domains-1 = domains-2
+    tests and the perfbench digests check it); that any lane computes
+    the same result for a given item rests on that observation.
 
     Requirements on [f]: it must leave the lane state exactly as it
     found it (the planner's probe — plan inside a transaction, then

@@ -87,6 +87,20 @@ let test_serve_checkpoint_every_without_checkpoint () =
     (Test_util.contains out "--checkpoint FILE");
   Alcotest.(check bool) "served nothing" false (Test_util.contains out "digest:")
 
+(* An event needs at least one attempt: --retry-max 0 is refused with
+   exit 2 before anything runs, with or without faults to retry. *)
+let check_retry_max_refused args =
+  let status, out = run_capture (args @ [ "--retry-max"; "0" ]) in
+  Alcotest.(check int) "exit 2" 2 status;
+  Alcotest.(check bool) "names --retry-max" true
+    (Test_util.contains out "--retry-max");
+  Alcotest.(check bool) "ran nothing" false (Test_util.contains out "digest:")
+
+let test_chaos_retry_max_zero () = check_retry_max_refused [ "chaos" ]
+
+let test_serve_retry_max_zero () =
+  check_retry_max_refused [ "serve"; "--ticks"; "20" ]
+
 let test_serve_kill_shard_without_kill_at () =
   let status, out = run_capture [ "serve"; "--kill-shard"; "0" ] in
   Alcotest.(check int) "exit 2" 2 status;
@@ -254,6 +268,8 @@ let suite =
     ( "serve --checkpoint-every without --checkpoint fails",
       `Quick,
       test_serve_checkpoint_every_without_checkpoint );
+    ("chaos --retry-max 0 fails", `Quick, test_chaos_retry_max_zero);
+    ("serve --retry-max 0 fails", `Quick, test_serve_retry_max_zero);
     ("serve --kill-at past --ticks fails", `Quick, test_serve_kill_at_past_ticks);
     ( "serve --kill-shard without --kill-at fails",
       `Quick,

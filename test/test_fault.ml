@@ -724,6 +724,37 @@ let test_thawed_injector_first_check_full () =
   Alcotest.(check int) "another net is swept fully" 1
     (sweeps (fun () -> ignore (Injector.check_now inj other ~now:0.0)))
 
+(* Bit for bit: the flows (id and hops), residuals, ledger, utilisation
+   pair, flags, versions, epoch and every edge's rows in order. *)
+let mirror_identical src mirror =
+  let bits = Int64.bits_of_float in
+  let same a b =
+    Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+  in
+  let fs = Net_state.freeze src and fm = Net_state.freeze mirror in
+  let flows fz =
+    List.map
+      (fun p -> (p.Net_state.record.Flow_record.id, Path.hop_ids p.Net_state.path))
+      fz.Net_state.fz_flows
+  in
+  let rows net e =
+    let n = Net_state.edge_flow_count net e in
+    let ids = Array.make n 0 and dem = Array.make n 0.0 and size = Array.make n 0.0 in
+    ignore (Net_state.edge_flows_blit net e ~ids ~dem ~size);
+    (ids, Array.map bits dem, Array.map bits size)
+  in
+  flows fs = flows fm
+  && same fs.fz_residual fm.fz_residual
+  && same fs.fz_degraded fm.fz_degraded
+  && bits fs.fz_util_sum = bits fm.fz_util_sum
+  && bits fs.fz_util_comp = bits fm.fz_util_comp
+  && fs.fz_disabled = fm.fz_disabled
+  && fs.fz_versions = fm.fz_versions
+  && fs.fz_disabled_epoch = fm.fz_disabled_epoch
+  && List.for_all
+       (fun e -> rows src e = rows mirror e)
+       (List.init (Graph.edge_count (Net_state.graph src)) Fun.id)
+
 (* Differential: after every random operation — including ones that
    leave blackholes (disable without evacuation) and negative residuals
    (degrade without shedding) — each of two injectors reading one net
@@ -731,9 +762,13 @@ let test_thawed_injector_first_check_full () =
    the stateless full sweep. So do a mirror fed the net's drained
    batches, a copy and a freeze/thaw round trip: the full sweep sums the
    hops afresh, so each must have carried the running hop count
-   exactly. *)
-let prop_incremental_matches_full =
-  QCheck.Test.make ~name:"incremental check = full sweep" ~count:30
+   exactly. With [rollbacks] some transactions roll back; without, every
+   one commits, and the mirror must also equal the source bit for bit
+   after each drained batch. Only then does that hold: a rollback undoes
+   residuals and the utilisation pair by subtraction and re-appends
+   deleted rows at the row's end. *)
+let prop_mirror ~name ~rollbacks =
+  QCheck.Test.make ~name ~count:30
     QCheck.small_int (fun seed ->
       let net = Net_state.create (Test_util.topo4 ()) in
       let rng = Prng.create (seed + 7) in
@@ -765,8 +800,8 @@ let prop_incremental_matches_full =
             placed := List.filter (( <> ) id) !placed
         | None -> ()
       in
-      let reroute () =
-        match Option.bind (pick ()) (Net_state.flow net) with
+      let reroute_id id =
+        match Net_state.flow net id with
         | None -> ()
         | Some p -> (
             match Test_util.candidate_paths net p.Net_state.record with
@@ -775,9 +810,9 @@ let prop_incremental_matches_full =
                 let target =
                   List.nth cands (Prng.int rng (List.length cands))
                 in
-                let id = p.Net_state.record.Flow_record.id in
                 ignore (Net_state.reroute net id target))
       in
+      let reroute () = Option.iter reroute_id (pick ()) in
       let write () =
         match Prng.int rng 3 with
         | 0 -> place ()
@@ -796,6 +831,30 @@ let prop_incremental_matches_full =
           placed := before
         end
       in
+      (* One committed transaction that writes and then unwrites: a flow
+         placed and removed, a flow rerouted twice, an edge disabled and
+         enabled, degraded and restored. *)
+      let undone () =
+        Net_state.begin_txn net;
+        let before = !placed in
+        place ();
+        (match !placed with
+        | id :: rest when !placed != before ->
+            ignore (Net_state.remove net id);
+            placed := rest
+        | _ -> ());
+        Option.iter
+          (fun id ->
+            reroute_id id;
+            reroute_id id)
+          (pick ());
+        let e = Prng.int rng edge_n in
+        Net_state.disable_edge net e;
+        Net_state.enable_edge net e;
+        Net_state.degrade_edge net e ~lost_mbps:(Prng.float_in rng 1.0 600.0);
+        Net_state.restore_edge_capacity net e;
+        Net_state.commit net
+      in
       for _ = 0 to 29 do
         place ()
       done;
@@ -810,7 +869,7 @@ let prop_incremental_matches_full =
         | 2 -> remove ()
         | 3 -> reroute ()
         | 4 -> txn ~keep:true
-        | 5 -> txn ~keep:false
+        | 5 -> if rollbacks then txn ~keep:false else undone ()
         | 6 ->
             let e = Prng.int rng edge_n in
             if Prng.unit_float rng < 0.7 then Net_state.disable_edge net e
@@ -821,6 +880,7 @@ let prop_incremental_matches_full =
         | _ -> Net_state.restore_edge_capacity net (Prng.int rng edge_n));
         let full = names (Invariant.check net) in
         Net_state.apply_batch mirror (Net_state.drain_batch net feed);
+        if (not rollbacks) && not (mirror_identical net mirror) then ok := false;
         let thawed =
           Net_state.thaw (Net_state.topology net) (Net_state.freeze net)
         in
@@ -838,6 +898,12 @@ let prop_incremental_matches_full =
       (* Each injector must have run incrementally most of the time. *)
       !ok && List.for_all (fun (_, full_n) -> !full_n < ops / 4) injectors)
 
+let prop_incremental_matches_full =
+  prop_mirror ~name:"incremental check = full sweep" ~rollbacks:true
+
+let prop_mirror_bit_identical =
+  prop_mirror ~name:"mirror = source, bit for bit" ~rollbacks:false
+
 let suite =
   [
     Alcotest.test_case "schedule deterministic" `Quick test_schedule_deterministic;
@@ -854,6 +920,7 @@ let suite =
     Alcotest.test_case "thawed injector checks fully first" `Quick
       test_thawed_injector_first_check_full;
     QCheck_alcotest.to_alcotest prop_incremental_matches_full;
+    QCheck_alcotest.to_alcotest prop_mirror_bit_identical;
     Alcotest.test_case "engine empty schedule" `Quick test_engine_empty_schedule_identical;
     Alcotest.test_case "engine chaos deterministic" `Quick test_engine_chaos_deterministic;
     Alcotest.test_case "engine chaos robust" `Quick test_engine_chaos_robust;
